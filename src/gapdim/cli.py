@@ -63,7 +63,7 @@ class ConfigError(Exception):
 def _rat(text: str, field: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise ConfigError(f"field {field!r}: cannot parse rational {text!r}") from None
 
 
@@ -111,7 +111,9 @@ def _resolve_process(text: str):
         return RotationSpec(theta=golden_rotation_angle())
     if text.startswith("rotation:"):
         return RotationSpec(theta=_rat(text.split(":", 1)[1], "process"))
-    if os.path.exists(text):
+    if not os.path.exists(text):
+        raise ConfigError(f"field 'process': unknown process {text!r}")
+    try:
         with open(text) as fh:
             doc = json.load(fh)
         if doc.get("variant") != "markov":
@@ -128,7 +130,8 @@ def _resolve_process(text: str):
                     Emission.uniform(parse_rational(e["lo"]), parse_rational(e["hi"]))
                 )
         return MarkovSpec(transition=transition, emissions=tuple(emissions))
-    raise ConfigError(f"field 'process': unknown process {text!r}")
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"field 'process': {exc}") from None
 
 
 def _emit(report: dict, cfg: dict, out_dir, csv_rows=None, csv_header=None) -> None:
@@ -273,13 +276,11 @@ def cmd_itree(cfg: dict) -> int:
         }
         _emit(report, cfg, cfg.get("out"))
         return 0
-    if cfg["action"] == "verify":
-        tree = CompleteTree.load(cfg["tree"])
-        functions = [int(i) for i in str(cfg["functions"]).split(",")]
-        ok = intersection_tree_verify(tree, F, gamma, functions)
-        _emit({"verified": ok}, cfg, cfg.get("out"))
-        return 0 if ok else 1
-    raise ConfigError(f"field 'action': unknown itree action {cfg['action']!r}")
+    tree = CompleteTree.load(cfg["tree"])
+    functions = [int(i) for i in str(cfg["functions"]).split(",")]
+    ok = intersection_tree_verify(tree, F, gamma, functions)
+    _emit({"verified": ok}, cfg, cfg.get("out"))
+    return 0 if ok else 1
 
 
 def cmd_discrepancy(cfg: dict) -> int:
@@ -489,6 +490,7 @@ _REQUIRED = {
     "bound-check": ["class", "process", "gamma", "m", "replicates", "seed"],
     "demo-rotation": ["m", "seed"],
 }
+_ITREE_REQUIRED = {"build": ["depth"], "verify": ["tree", "functions"]}
 
 
 def main(argv=None) -> int:
@@ -496,7 +498,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        for field in _REQUIRED[args.command]:
+        required = _REQUIRED[args.command]
+        if args.command == "itree":
+            required = required + _ITREE_REQUIRED[cfg["action"]]
+        for field in required:
             if field not in cfg or cfg[field] is None:
                 raise ConfigError(f"field {field!r}: required but missing")
         return args.func(cfg)

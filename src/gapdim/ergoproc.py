@@ -26,6 +26,7 @@ from .funclass import (
     Function,
     FunctionClass,
     frac_mod1,
+    refinement,
     trajectory_indicators,
 )
 from .rng import SplitMix64
@@ -287,17 +288,15 @@ def expectation(f: Function, spec: ProcessSpec) -> Fraction:
 
 def _class_means(F: FunctionClass, values: Sequence[Fraction]) -> List[Fraction]:
     """Exact per-function sample means via common-refinement cell counts."""
-    cuts = sorted(set().union(*(f.breakpoints() for f in F.functions)))
+    cuts, columns = refinement(F)
     counts = [0] * (len(cuts) - 1)
     for x in values:
         counts[bisect_right(cuts, x) - 1] += 1
     m = len(values)
-    means = []
-    for f in F.functions:
-        cell_values = [f.value_at(lo) for lo in cuts[:-1]]
-        total = sum((c * v for c, v in zip(counts, cell_values) if c), ZERO)
-        means.append(total / m)
-    return means
+    return [
+        sum((c * v for c, v in zip(counts, column) if c), ZERO) / m
+        for column in columns
+    ]
 
 
 def pointwise_discrepancy(f: Function, path: SamplePath) -> Fraction:
@@ -427,18 +426,9 @@ def rotation_counterexample(
     path = tuple(frac_mod1(x0 + i * theta) for i in range(1, m + 1))
 
     combined = trajectory_indicators(theta, (x0, *base_points), window=m)
-    own_orbit = {frac_mod1(x0 + i * theta) for i in range(-m, m + 1)}
-    fixed_orbits = [
-        {frac_mod1(Fraction(b) + i * theta) for i in range(-m, m + 1)}
-        for b in base_points
-    ]
-
-    own_hits = sum(1 for x in path if x in own_orbit)
-    data_gamma = abs(Fraction(own_hits, m) - ZERO)
-    fixed_gamma = max(
-        abs(Fraction(sum(1 for x in path if x in orbit), m) - ZERO)
-        for orbit in fixed_orbits
-    )
+    # Every expectation is 0, so each family's discrepancy is its path mean;
+    # the path lies in the start's orbit, hence in the combined domain.
+    means = [Fraction(sum(f.value_at(x) for x in path), m) for f in combined]
     resolution = Fraction(1, 4)
     dim = gap_dim(combined, resolution, mode=NAIVE)
     return RotationDemoReport(
@@ -446,8 +436,8 @@ def rotation_counterexample(
         seed=seed,
         theta=theta,
         x0=x0,
-        data_dependent_gamma=data_gamma,
-        fixed_family_gamma=fixed_gamma,
+        data_dependent_gamma=means[0],
+        fixed_family_gamma=max(means[1:]),
         combined_dim=dim,
         gamma_resolution=resolution,
         base_points=tuple(Fraction(b) for b in base_points),

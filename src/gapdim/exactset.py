@@ -29,6 +29,8 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if "/" in s:
         num, _, den = s.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 
@@ -159,9 +161,6 @@ class IntervalUnion:
         if cursor < ONE:
             out.append((cursor, ONE))
         return IntervalUnion(out)
-
-    def minus(self, other: "IntervalUnion") -> "IntervalUnion":
-        return self.intersect(other.complement())
 
     def interior_point(self) -> Optional[Fraction]:
         """Midpoint of the longest constituent interval, leftmost on ties.

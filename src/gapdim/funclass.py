@@ -142,16 +142,6 @@ class Function:
         except KeyError:
             raise ValueError(f"{x} is not a tabular domain point") from None
 
-    def breakpoints(self) -> List[Fraction]:
-        """Sorted endpoints of all constituent intervals (STEP only)."""
-        if self.kind != STEP:
-            raise ValueError("breakpoints are defined for STEP functions")
-        cuts = {ZERO, ONE}
-        for lo, hi, _ in self._flat:
-            cuts.add(lo)
-            cuts.add(hi)
-        return sorted(cuts)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Function) or self.kind != other.kind:
             return False
@@ -210,6 +200,19 @@ class FunctionClass:
 
     def __repr__(self) -> str:
         return f"FunctionClass({self.name!r}, {len(self.functions)} {self.kind})"
+
+
+def refinement(F: FunctionClass) -> Tuple[List[Fraction], List[Tuple[Fraction, ...]]]:
+    """Common refinement of a STEP class.
+
+    Returns the sorted cuts 0 = c_0 < ... < c_n = 1 (every piece endpoint of
+    every function) and, per function, its value on each cell [c_j, c_j+1).
+    Every function is constant on every cell.
+    """
+    if F.kind != STEP:
+        raise ValueError("refinement is defined for STEP classes")
+    cuts = sorted({x for f in F.functions for lo, hi, _ in f._flat for x in (lo, hi)})
+    return cuts, [tuple(f.value_at(lo) for lo in cuts[:-1]) for f in F.functions]
 
 
 def k_of_gamma(gamma: RationalLike) -> int:

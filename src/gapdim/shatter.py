@@ -24,7 +24,9 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactset import IntervalUnion, RationalLike, format_rational, parse_rational
-from .funclass import TABULAR, FunctionClass, non_adjacent, segment
+from .funclass import (
+    TABULAR, FunctionClass, InvalidResolution, non_adjacent, refinement, segment
+)
 
 NAIVE = "naive"
 PRUNED = "pruned"
@@ -113,6 +115,14 @@ class DimResult:
         return str(self.dimension) if self.exact else INFINITE_CAP
 
 
+def _resolution(gamma: RationalLike) -> Fraction:
+    """gamma as a Fraction; a shattering margin must be positive."""
+    gamma = Fraction(gamma)
+    if gamma <= 0:
+        raise InvalidResolution(f"gamma must be positive, got {gamma}")
+    return gamma
+
+
 def _check_point(F: FunctionClass, x: Fraction) -> None:
     if F.kind == TABULAR:
         if x not in F.domain_points:
@@ -123,7 +133,7 @@ def _check_point(F: FunctionClass, x: Fraction) -> None:
 
 def verify_certificate(F: FunctionClass, gamma: RationalLike, cert: ShatterCertificate) -> bool:
     """Re-check a certificate in exact arithmetic; boundary ties never pass."""
-    gamma = Fraction(gamma)
+    gamma = _resolution(gamma)
     d = len(cert.points)
     if d == 0 or len(set(cert.points)) != d:
         raise MalformedCertificate("certificate points must be distinct and non-empty")
@@ -160,13 +170,12 @@ def candidate_points(F: FunctionClass) -> List[Fraction]:
     contains two of them.
     """
     if F.kind == TABULAR:
-        pts = list(F.domain_points)
+        pts, columns = F.domain_points, [f.values for f in F.functions]
     else:
-        cuts = sorted(set().union(*(f.breakpoints() for f in F.functions)))
+        cuts, columns = refinement(F)
         pts = [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])]
     out, seen = [], set()
-    for p in pts:
-        vec = tuple(f.value_at(p) for f in F.functions)
+    for p, vec in zip(pts, zip(*columns)):
         if vec not in seen:
             seen.add(vec)
             out.append(p)
@@ -184,7 +193,7 @@ def shatters(
     constant between consecutive critical values, so this finite sweep is
     exhaustive over all real alpha.
     """
-    gamma = Fraction(gamma)
+    gamma = _resolution(gamma)
     pts = sorted({Fraction(x) for x in D})
     if not pts:
         raise EmptyPointSet("cannot shatter the empty set")
@@ -237,7 +246,7 @@ def gap_dim(
         raise InvalidCap(f"cap must be >= 1, got {cap}")
     if mode not in (NAIVE, PRUNED):
         raise ValueError(f"unknown mode {mode!r}")
-    gamma = Fraction(gamma)
+    gamma = _resolution(gamma)
     pts = candidate_points(F)
     n = len(pts)
     log_bound = len(F).bit_length() - 1  # floor(log2 |F|)
@@ -284,8 +293,8 @@ def gap_dim(
                 best, best_cert = 1, cert
             extend([i])
 
-    if best_cert is not None:
-        assert verify_certificate(F, gamma, best_cert)
+    if best_cert is not None and not verify_certificate(F, gamma, best_cert):
+        raise RuntimeError("search produced a certificate that does not verify")
     exact = not (best == cap and cap < min(n, log_bound))
     return DimResult(dimension=best, exact=exact, certificate=best_cert)
 

@@ -23,7 +23,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .exactset import IntervalUnion, RationalLike
-from .funclass import STEP, FunctionClass, k_of_gamma, non_adjacent, segment
+from .funclass import (
+    STEP, FunctionClass, band_of_value, k_of_gamma, non_adjacent, refinement, segment,
+    segment_partition,
+)
 from .shatter import JoinCell, join
 
 Label = Tuple[int, int]
@@ -204,9 +207,9 @@ def ptree_witness(tree: CompleteTree, S: Sequence[int], c: RationalLike) -> Ptre
             f"need |S| >= c*2^L >= 4, got |S|={len(S)}, c*2^L={c * (1 << L)}"
         )
     level, nodes, u = _pigeonhole_level(tree, S, L, c)
-    witness = PtreeWitness(level=level, nodes=frozenset(nodes), u=u)
-    assert len(nodes) >= c * (1 << L) / (4 * L)
-    return witness
+    if len(nodes) < c * (1 << L) / (4 * L):
+        raise RuntimeError(f"pigeonhole level {level} has only {len(nodes)} nodes")
+    return PtreeWitness(level=level, nodes=frozenset(nodes), u=u)
 
 
 @dataclass(frozen=True)
@@ -354,10 +357,6 @@ class IntersectionTree:
     functions: Tuple[int, ...]
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def intersection_tree_build(
     F: FunctionClass,
     gamma: RationalLike,
@@ -380,62 +379,50 @@ def intersection_tree_build(
         raise ValueError("intersection trees need a STEP class")
     K = k_of_gamma(gamma)
     pairs = [(k, k2) for k in range(1, K + 1) for k2 in range(k + 2, K + 1)]
-    segs = [[segment(f, gamma, k) for k in range(1, K + 1)] for f in F.functions]
+    # Segments and path intersections are unions of refinement cells, held
+    # as bitmasks over the cells; every cell has positive measure, so an
+    # intersection has positive measure iff its mask is non-zero.
+    cuts, columns = refinement(F)
+    band = {v: band_of_value(v, gamma) for column in columns for v in set(column)}
+    masks = [[0] * (K + 1) for _ in columns]  # masks[fi][k]: cells of segment k
+    for seg, column in zip(masks, columns):
+        for j, v in enumerate(column):
+            seg[band[v]] |= 1 << j
 
-    labels: Dict[int, Label] = {}
-    sets: Dict[int, IntervalUnion] = {}
-    chosen: List[int] = []
+    stack: List[Tuple[int, List[Label]]] = []  # per level: (function, labels)
     visits = 0
 
-    def attempt(level: int, frontier: List[Tuple[int, IntervalUnion]]) -> bool:
+    def attempt(frontier: List[int]) -> bool:
         nonlocal visits
-        if level == L:
+        if len(stack) == L:
             return True
-        for fi in range(len(F)):
-            assignment = []
-            for node, W in frontier:
+        for fi, seg in enumerate(masks):
+            picks = []
+            for W in frontier:
                 visits += 1
                 if visits > visit_cap:
-                    raise _BudgetExceeded
-                pick = None
-                for k, k2 in pairs:
-                    if W.intersect(segs[fi][k - 1]).is_empty:
-                        continue
-                    if W.intersect(segs[fi][k2 - 1]).is_empty:
-                        continue
-                    pick = (k, k2)
-                    break
+                    return False  # every enclosing level stops at its next visit
+                pick = next((p for p in pairs if W & seg[p[0]] and W & seg[p[1]]), None)
                 if pick is None:
-                    assignment = None
                     break
-                assignment.append((node, W, pick))
-            if assignment is None:
-                continue
-            child_frontier = []
-            for node, W, (k, k2) in assignment:
-                labels[node] = (k, k2)
-                left, right = 2 * node, 2 * node + 1
-                sets[left] = segs[fi][k - 1]
-                sets[right] = segs[fi][k2 - 1]
-                child_frontier.append((left, W.intersect(segs[fi][k - 1])))
-                child_frontier.append((right, W.intersect(segs[fi][k2 - 1])))
-            chosen.append(fi)
-            if attempt(level + 1, child_frontier):
-                return True
-            chosen.pop()
-            for node, _, _ in assignment:
-                del labels[node]
-                left, right = 2 * node, 2 * node + 1
-                del sets[left], sets[right]
+                picks.append(pick)
+            else:
+                stack.append((fi, picks))
+                if attempt([W & seg[k] for W, pair in zip(frontier, picks) for k in pair]):
+                    return True
+                stack.pop()
         return False
 
-    try:
-        ok = attempt(0, [(1, IntervalUnion.full())])
-    except _BudgetExceeded:
+    if not attempt([(1 << (len(cuts) - 1)) - 1]):
         return None
-    if not ok:
-        return None
-    return IntersectionTree(CompleteTree(L, labels, sets), tuple(chosen))
+    labels: Dict[int, Label] = {}
+    sets: Dict[int, IntervalUnion] = {}
+    for level, (fi, picks) in enumerate(stack):
+        segs = segment_partition(F[fi], gamma)
+        for t, (k, k2) in enumerate(picks, start=1 << level):
+            labels[t] = (k, k2)
+            sets[2 * t], sets[2 * t + 1] = segs[k - 1], segs[k2 - 1]
+    return IntersectionTree(CompleteTree(L, labels, sets), tuple(fi for fi, _ in stack))
 
 
 def intersection_tree_verify(

@@ -7,8 +7,8 @@ checks, so agreement is evidence rather than tautology.
 from fractions import Fraction
 from itertools import combinations
 
-from gapdim import CompleteTree, FunctionClass
-from gapdim.treelab import Label
+from gapdim import CompleteTree, FunctionClass, IntervalUnion, k_of_gamma, segment
+from gapdim.treelab import IntersectionTree, Label
 
 
 def oracle_shatters(F: FunctionClass, points, gamma) -> bool:
@@ -121,3 +121,71 @@ def is_host_ancestor(u: int, v: int) -> bool:
     """Heap-index ancestor test: u is a strict ancestor of v."""
     du, dv = u.bit_length() - 1, v.bit_length() - 1
     return dv > du and (v >> (dv - du)) == u
+
+
+def oracle_intersection_tree_build(F: FunctionClass, gamma, L: int, visit_cap: int):
+    """The intersection-tree search in IntervalUnion algebra.
+
+    Same search order and visit budget as ``intersection_tree_build``, but
+    every path intersection is an explicit IntervalUnion tested for
+    emptiness, and labels and payloads are assigned and undone as the search
+    backtracks.
+    """
+    gamma = Fraction(gamma)
+    K = k_of_gamma(gamma)
+    pairs = [(k, k2) for k in range(1, K + 1) for k2 in range(k + 2, K + 1)]
+    segs = [[segment(f, gamma, k) for k in range(1, K + 1)] for f in F.functions]
+    labels, sets, chosen = {}, {}, []
+    visits = 0
+
+    class BudgetExceeded(Exception):
+        pass
+
+    def attempt(level, frontier):
+        nonlocal visits
+        if level == L:
+            return True
+        for fi in range(len(F)):
+            assignment = []
+            for node, W in frontier:
+                visits += 1
+                if visits > visit_cap:
+                    raise BudgetExceeded
+                pick = None
+                for k, k2 in pairs:
+                    if W.intersect(segs[fi][k - 1]).is_empty:
+                        continue
+                    if W.intersect(segs[fi][k2 - 1]).is_empty:
+                        continue
+                    pick = (k, k2)
+                    break
+                if pick is None:
+                    assignment = None
+                    break
+                assignment.append((node, W, pick))
+            if assignment is None:
+                continue
+            child_frontier = []
+            for node, W, (k, k2) in assignment:
+                labels[node] = (k, k2)
+                left, right = 2 * node, 2 * node + 1
+                sets[left] = segs[fi][k - 1]
+                sets[right] = segs[fi][k2 - 1]
+                child_frontier.append((left, W.intersect(segs[fi][k - 1])))
+                child_frontier.append((right, W.intersect(segs[fi][k2 - 1])))
+            chosen.append(fi)
+            if attempt(level + 1, child_frontier):
+                return True
+            chosen.pop()
+            for node, _, _ in assignment:
+                del labels[node]
+                del sets[2 * node], sets[2 * node + 1]
+        return False
+
+    try:
+        ok = attempt(0, [(1, IntervalUnion.full())])
+    except BudgetExceeded:
+        return None
+    if not ok:
+        return None
+    return IntersectionTree(CompleteTree(L, labels, sets), tuple(chosen))

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from gapdim import full_join_family, join_shatter
 from gapdim.cli import main
 from gapdim.funclass import save_class
@@ -13,6 +15,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestDim:
@@ -98,6 +106,60 @@ class TestUsageErrors:
         code, out = run(capsys, "dim", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["report"]["dimension"] == 1
+
+
+class TestInputErrors:
+    """Bad input exits 2 with a message; exit 1 is reserved for FAIL verdicts."""
+
+    def test_non_positive_gamma(self, capsys, tmp_path):
+        _, out = run(capsys, "dim", "--class", "thresholds(8)", "--gamma", "1/4")
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps(json.loads(out)["report"]["certificate"]))
+        code, out, err = run_err(
+            capsys, "verify", "--class", "thresholds(8)", "--cert", str(cert_file),
+            "--gamma=-1/4",
+        )
+        assert (code, out) == (2, "") and "gamma must be positive" in err
+        code, out, err = run_err(capsys, "dim", "--class", "thresholds(8)", "--gamma", "0")
+        assert (code, out) == (2, "") and "gamma must be positive" in err
+
+    def test_zero_denominator_in_class_file(self, capsys, tmp_path):
+        path = tmp_path / "class.json"
+        path.write_text(json.dumps({
+            "name": "bad", "kind": "step",
+            "functions": [{"pieces": [{"set": "[0/1,1/1)", "value": "1/0"}]}],
+        }))
+        code, _, err = run_err(capsys, "dim", "--class", str(path), "--gamma", "1/4")
+        assert code == 2 and "field 'class'" in err
+
+    def test_zero_denominator_in_markov_file(self, capsys, tmp_path):
+        path = tmp_path / "markov.json"
+        path.write_text(json.dumps({
+            "variant": "markov",
+            "transition": [["1/0", "1/2"], ["1/1", "0/1"]],
+            "emissions": [{"kind": "point", "at": "1/10"}, {"kind": "point", "at": "1/2"}],
+        }))
+        code, _, err = run_err(
+            capsys, "discrepancy", "--class", "thresholds(4)",
+            "--process", str(path), "--m", "10", "--seed", "1",
+        )
+        assert code == 2 and "field 'process'" in err
+
+    @pytest.mark.parametrize(
+        "action,given,missing",
+        [
+            ("build", (), "depth"),
+            ("verify", ("--functions", "0"), "tree"),
+            ("verify", ("--tree", "tree.json"), "functions"),
+        ],
+    )
+    def test_itree_fields_per_action(self, capsys, action, given, missing):
+        code, _, err = run_err(
+            capsys, "itree", action, "--class", "thresholds(4)", "--gamma", "1/4",
+            *given,
+        )
+        assert code == 2
+        assert f"field '{missing}': required but missing" in err
 
 
 class TestSegmentsJoin:

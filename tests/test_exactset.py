@@ -152,6 +152,10 @@ class TestRationalText:
         assert parse_rational("3/10") == F(3, 10)
         assert parse_rational("2") == 2
 
+    def test_zero_denominator_is_value_error(self):
+        with pytest.raises(ValueError):
+            parse_rational("1/0")
+
     def test_format(self):
         assert format_rational(F(1, 2)) == "1/2"
         assert format_rational(2) == "2/1"

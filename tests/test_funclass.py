@@ -29,6 +29,7 @@ from gapdim.funclass import (
     band_of_value,
     class_from_json,
     class_to_json,
+    refinement,
     value_grid,
 )
 from gapdim.rng import SplitMix64
@@ -302,3 +303,42 @@ class TestTabularSegments:
         assert h.kind == f.kind and h.points == f.points
         assert h.values[0] == F(1, 3)
         assert all(abs(a - b) < F(1, 8) for a, b in zip(f.values, h.values))
+
+
+class TestRefinement:
+    @pytest.mark.parametrize(
+        "FC",
+        [
+            thresholds(5),
+            interval_indicators(4),
+            full_join_family(2, 1, 3, F(1, 5)),
+            random_step(3, 7, 5, 4),
+            FunctionClass(
+                [
+                    Function.step(
+                        [IntervalUnion([(0, F(1, 3)), (F(2, 3), 1)]),
+                         IntervalUnion.interval(F(1, 3), F(2, 3))],
+                        [F(1, 4), F(3, 4)],
+                    ),
+                    Function.indicator(IntervalUnion.interval(F(1, 5), F(1, 2))),
+                ]
+            ),
+        ],
+    )
+    def test_functions_constant_on_cells(self, FC):
+        cuts, columns = refinement(FC)
+        assert cuts[0] == 0 and cuts[-1] == 1
+        assert all(a < b for a, b in zip(cuts, cuts[1:]))
+        assert len(columns) == len(FC)
+        for f, column in zip(FC.functions, columns):
+            assert len(column) == len(cuts) - 1
+            for piece, value in zip(f.pieces, f.values):
+                for lo, hi in piece.intervals:
+                    assert lo in cuts and hi in cuts
+                    # every cell inside [lo, hi) carries this piece's value
+                    inner = range(cuts.index(lo), cuts.index(hi))
+                    assert all(column[j] == value for j in inner)
+
+    def test_tabular_rejected(self):
+        with pytest.raises(ValueError):
+            refinement(all_patterns(2))

@@ -18,6 +18,7 @@ from gapdim import (
     thresholds,
     verify_certificate,
 )
+from gapdim.funclass import InvalidResolution
 from gapdim.shatter import (
     NAIVE,
     PRUNED,
@@ -255,6 +256,33 @@ class TestJoinShatter:
         FC = thresholds(3)
         with pytest.raises(ValueError):
             join_shatter(FC, 1, 3, F(1, 5))
+
+
+class TestResolution:
+    @pytest.mark.parametrize("gamma", [F(0), F(-1, 4)])
+    def test_non_positive_gamma_rejected(self, zero_one_class, gamma):
+        cert = ShatterCertificate((F(1, 2),), F(1, 2), {0: 0, 1: 1})
+        with pytest.raises(InvalidResolution):
+            verify_certificate(zero_one_class, gamma, cert)
+        with pytest.raises(InvalidResolution):
+            shatters(zero_one_class, [F(1, 2)], gamma)
+        with pytest.raises(InvalidResolution):
+            gap_dim(zero_one_class, gamma)
+
+    def test_gamma_above_one_still_answers(self, zero_one_class):
+        cert = ShatterCertificate((F(1, 2),), F(1, 2), {0: 0, 1: 1})
+        assert not verify_certificate(zero_one_class, F(3, 2), cert)
+        assert shatters(zero_one_class, [F(1, 2)], F(3, 2)) is None
+        assert gap_dim(zero_one_class, F(3, 2)).dimension == 0
+
+
+class TestGapDimPostcondition:
+    def test_unverifiable_certificate_raises(self, zero_one_class, monkeypatch):
+        from gapdim import shatter
+
+        monkeypatch.setattr(shatter, "verify_certificate", lambda *a: False)
+        with pytest.raises(RuntimeError):
+            gap_dim(zero_one_class, F(1, 4))
 
 
 class TestCandidatePoints:

@@ -14,6 +14,7 @@ from gapdim import (
     join_shatter,
     maximal_join_from_tree,
     ptree_witness,
+    random_step,
     subtree_guarantee,
     uniform_subtree,
     verify_certificate,
@@ -28,6 +29,7 @@ from gapdim.treelab import (
 )
 from oracles import (
     is_host_ancestor,
+    oracle_intersection_tree_build,
     oracle_level_counts,
     oracle_max_uniform_depth,
     oracle_uniform_depth,
@@ -90,6 +92,13 @@ class TestPtreeWitness:
         tree = CompleteTree(2)
         with pytest.raises(ValueError):
             ptree_witness(tree, [2, 4, 5, 6], 1)
+
+    def test_bound_is_checked_at_runtime(self, monkeypatch):
+        from gapdim import treelab
+
+        monkeypatch.setattr(treelab, "_pigeonhole_level", lambda *a: (1, [], 1))
+        with pytest.raises(RuntimeError):
+            ptree_witness(CompleteTree(2), [4, 5, 6, 7], 1)
 
     def test_counts_match_oracle_and_sum_identity(self):
         rng = SplitMix64(123)
@@ -254,6 +263,41 @@ class TestIntersectionTree:
                     built.tree, FC, F(1, 3), built.functions
                 )
         assert built_count > 0
+
+
+class TestBuilderMatchesOracle:
+    """The cell-bitmask search against the IntervalUnion search it replaced."""
+
+    GAMMAS = (F(1, 8), F(1, 5), F(1, 4))
+    BUDGETS = (25, 400)
+
+    def corpus(self):
+        for gamma in self.GAMMAS:
+            for L in (1, 2, 3):
+                yield full_join_family(L, 1, 3, gamma), gamma
+            for seed in range(8):
+                yield random_step(seed, 4 + seed % 13, 1 + seed % 9, 2 + seed % 7), gamma
+
+    @staticmethod
+    def answer(built):
+        return None if built is None else (built.tree.to_json(), built.functions)
+
+    def test_same_answer_on_corpus(self):
+        answers = []
+        for FC, gamma in self.corpus():
+            for depth in range(1, 6):
+                row = []
+                for budget in self.BUDGETS:
+                    got = self.answer(intersection_tree_build(FC, gamma, depth, budget))
+                    want = oracle_intersection_tree_build(FC, gamma, depth, budget)
+                    assert got == self.answer(want), (FC.name, gamma, depth, budget)
+                    row.append(got)
+                answers.append(row)
+        # The corpus holds built trees, failed searches, and searches that
+        # gave up on the small budget but succeed on the large one.
+        assert any(small is not None for small, _ in answers)
+        assert any(large is None for _, large in answers)
+        assert any(small is None and large is not None for small, large in answers)
 
 
 class TestMaximalJoin:
