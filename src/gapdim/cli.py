@@ -17,7 +17,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .exactset import IntervalUnion, decimal12, format_rational, parse_rational
+from .exactset import (
+    IntervalUnion, decimal12, format_rational, parse_rational, read_json_object
+)
 from .ergoproc import (
     Emission,
     IIDUniformSpec,
@@ -32,6 +34,7 @@ from .ergoproc import (
 )
 from .funclass import (
     FunctionClass,
+    InvalidResolution,
     generate,
     k_of_gamma,
     load_class,
@@ -41,6 +44,7 @@ from .funclass import (
 from .shatter import (
     NAIVE,
     PRUNED,
+    MalformedCertificate,
     ShatterCertificate,
     gap_dim,
     join,
@@ -62,22 +66,41 @@ class ConfigError(Exception):
 
 def _rat(text: str, field: str) -> Fraction:
     try:
-        return parse_rational(text)
+        return parse_rational(str(text))
     except ValueError:
         raise ConfigError(f"field {field!r}: cannot parse rational {text!r}") from None
+
+
+def _ints(cfg: dict, field: str, low=None, many=False):
+    """A field's integer (comma-separated integers when `many`), each >= `low`."""
+    text = str(cfg[field])
+    try:
+        values = [int(x) for x in text.split(",")] if many else [int(text)]
+    except ValueError:
+        raise ConfigError(f"field {field!r}: cannot parse integers {text!r}") from None
+    if low is not None and min(values) < low:
+        raise ConfigError(f"field {field!r}: must be >= {low}, got {text!r}")
+    return values if many else values[0]
+
+
+def _load(field: str, load, path):
+    """Read an input file; content of any wrong shape is an error in `field`.
+
+    The loaders index untyped JSON, so a list where an object belongs, say,
+    surfaces as a TypeError or AttributeError rather than a ValueError.
+    """
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"field {field!r}: {detail}") from None
 
 
 def _load_config(args: argparse.Namespace) -> dict:
     """Merge --config JSON with explicit flags; overlaps are errors."""
     merged = {}
     if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                merged = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"field 'config': {exc}") from None
-        if not isinstance(merged, dict):
-            raise ConfigError("field 'config': must hold a JSON object")
+        merged = _load("config", read_json_object, args.config)
     flags = dict(vars(args))
     if "klass" in flags:
         flags["class"] = flags.pop("klass")
@@ -94,10 +117,7 @@ def _load_config(args: argparse.Namespace) -> dict:
 
 def _resolve_class(text: str) -> FunctionClass:
     if os.path.exists(text):
-        try:
-            return load_class(text)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"field 'class': {exc}") from None
+        return _load("class", load_class, text)
     try:
         return generate(text)
     except ValueError as exc:
@@ -113,25 +133,25 @@ def _resolve_process(text: str):
         return RotationSpec(theta=_rat(text.split(":", 1)[1], "process"))
     if not os.path.exists(text):
         raise ConfigError(f"field 'process': unknown process {text!r}")
-    try:
-        with open(text) as fh:
-            doc = json.load(fh)
-        if doc.get("variant") != "markov":
-            raise ConfigError("field 'process': JSON file must describe a markov spec")
-        transition = tuple(
-            tuple(parse_rational(p) for p in row) for row in doc["transition"]
-        )
-        emissions = []
-        for e in doc["emissions"]:
-            if e["kind"] == "point":
-                emissions.append(Emission.point(parse_rational(e["at"])))
-            else:
-                emissions.append(
-                    Emission.uniform(parse_rational(e["lo"]), parse_rational(e["hi"]))
-                )
-        return MarkovSpec(transition=transition, emissions=tuple(emissions))
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"field 'process': {exc}") from None
+    return _load("process", _load_markov, text)
+
+
+def _load_markov(path) -> MarkovSpec:
+    doc = read_json_object(path)
+    if doc.get("variant") != "markov":
+        raise ValueError("JSON file must describe a markov spec")
+    transition = tuple(
+        tuple(parse_rational(p) for p in row) for row in doc["transition"]
+    )
+    emissions = []
+    for e in doc["emissions"]:
+        if e["kind"] == "point":
+            emissions.append(Emission.point(parse_rational(e["at"])))
+        else:
+            emissions.append(
+                Emission.uniform(parse_rational(e["lo"]), parse_rational(e["hi"]))
+            )
+    return MarkovSpec(transition=transition, emissions=tuple(emissions))
 
 
 def _emit(report: dict, cfg: dict, out_dir, csv_rows=None, csv_header=None) -> None:
@@ -164,7 +184,8 @@ def _rational_pair(q: Fraction) -> dict:
 def cmd_dim(cfg: dict) -> int:
     F = _resolve_class(cfg["class"])
     gamma = _rat(cfg["gamma"], "gamma")
-    result = gap_dim(F, gamma, cap=int(cfg.get("cap", 20)), mode=cfg.get("mode", PRUNED))
+    cap = _ints(cfg, "cap", low=1) if "cap" in cfg else 20
+    result = gap_dim(F, gamma, cap=cap, mode=cfg.get("mode", PRUNED))
     report = {
         "dimension": result.dimension,
         "dimension_label": result.label,
@@ -178,7 +199,7 @@ def cmd_dim(cfg: dict) -> int:
 def cmd_verify(cfg: dict) -> int:
     F = _resolve_class(cfg["class"])
     gamma = _rat(cfg["gamma"], "gamma")
-    cert = ShatterCertificate.load(cfg["cert"])
+    cert = _load("cert", ShatterCertificate.load, cfg["cert"])
     ok = verify_certificate(F, gamma, cert)
     _emit({"verified": ok}, cfg, cfg.get("out"))
     return 0 if ok else 1
@@ -208,7 +229,7 @@ def cmd_segments(cfg: dict) -> int:
 def cmd_join(cfg: dict) -> int:
     F = _resolve_class(cfg["class"])
     gamma = _rat(cfg["gamma"], "gamma")
-    k, k2 = int(cfg["k"]), int(cfg["kp"])
+    k, k2 = _ints(cfg, "k"), _ints(cfg, "kp")
     families = [(segment(f, gamma, k), segment(f, gamma, k2)) for f in F.functions]
     cells = join(families)
     report = {
@@ -226,9 +247,9 @@ def cmd_join(cfg: dict) -> int:
 
 
 def cmd_ptree(cfg: dict) -> int:
-    depth = int(cfg["depth"])
+    depth = _ints(cfg, "depth")
     tree = CompleteTree(depth)
-    leaves = sorted(int(i) for i in str(cfg["leaves"]).split(","))
+    leaves = sorted(_ints(cfg, "leaves", many=True))
     offset = 1 << depth
     S = [offset + i for i in leaves]
     witness = ptree_witness(tree, S, _rat(cfg["c"], "c"))
@@ -243,8 +264,8 @@ def cmd_ptree(cfg: dict) -> int:
 
 
 def cmd_subtree(cfg: dict) -> int:
-    tree = CompleteTree.load(cfg["tree"])
-    K = int(cfg["K"])
+    tree = _load("tree", CompleteTree.load, cfg["tree"])
+    K = _ints(cfg, "K")
     emb = uniform_subtree(tree, K)
     R, bound = subtree_guarantee(tree.depth, K)
     report = {
@@ -264,7 +285,8 @@ def cmd_itree(cfg: dict) -> int:
     gamma = _rat(cfg["gamma"], "gamma")
     if cfg["action"] == "build":
         built = intersection_tree_build(
-            F, gamma, int(cfg["depth"]), visit_cap=int(cfg.get("budget", 1_000_000))
+            F, gamma, _ints(cfg, "depth"),
+            visit_cap=_ints(cfg, "budget", low=1) if "budget" in cfg else 1_000_000,
         )
         if built is None:
             _emit({"status": "FAILURE"}, cfg, cfg.get("out"))
@@ -276,8 +298,8 @@ def cmd_itree(cfg: dict) -> int:
         }
         _emit(report, cfg, cfg.get("out"))
         return 0
-    tree = CompleteTree.load(cfg["tree"])
-    functions = [int(i) for i in str(cfg["functions"]).split(",")]
+    tree = _load("tree", CompleteTree.load, cfg["tree"])
+    functions = _ints(cfg, "functions", many=True)
     ok = intersection_tree_verify(tree, F, gamma, functions)
     _emit({"verified": ok}, cfg, cfg.get("out"))
     return 0 if ok else 1
@@ -286,8 +308,8 @@ def cmd_itree(cfg: dict) -> int:
 def cmd_discrepancy(cfg: dict) -> int:
     F = _resolve_class(cfg["class"])
     spec = _resolve_process(cfg["process"])
-    m = int(cfg["m"])
-    seed = int(cfg["seed"])
+    m = _ints(cfg, "m", low=1)
+    seed = _ints(cfg, "seed")
     path = sample_path(spec, m, seed)
     per = per_function_discrepancies(F, path)
     gamma_m = max(per)
@@ -306,8 +328,9 @@ def cmd_discrepancy(cfg: dict) -> int:
 def cmd_gc_curve(cfg: dict) -> int:
     F = _resolve_class(cfg["class"])
     spec = _resolve_process(cfg["process"])
-    grid = [int(x) for x in str(cfg["m_grid"]).split(",")]
-    rep = estimate_gamma(F, spec, grid, int(cfg["replicates"]), int(cfg["seed"]))
+    grid = _ints(cfg, "m_grid", low=1, many=True)
+    replicates = _ints(cfg, "replicates", low=1)
+    rep = estimate_gamma(F, spec, grid, replicates, _ints(cfg, "seed"))
     report = {
         "estimate": _rational_pair(rep.estimate),
         "per_m": {
@@ -333,9 +356,9 @@ def cmd_bound_check(cfg: dict) -> int:
         F,
         spec,
         _rat(cfg["gamma"], "gamma"),
-        int(cfg["m"]),
-        int(cfg["replicates"]),
-        int(cfg["seed"]),
+        _ints(cfg, "m", low=1),
+        _ints(cfg, "replicates", low=1),
+        _ints(cfg, "seed"),
     )
     report = {
         "dimension": res.dim.dimension,
@@ -351,7 +374,7 @@ def cmd_bound_check(cfg: dict) -> int:
 
 def cmd_demo_rotation(cfg: dict) -> int:
     theta = _rat(cfg["theta"], "theta") if "theta" in cfg else None
-    rep = rotation_counterexample(int(cfg["m"]), int(cfg["seed"]), theta)
+    rep = rotation_counterexample(_ints(cfg, "m", low=1), _ints(cfg, "seed"), theta)
     report = {
         "m": rep.m,
         "theta": format_rational(rep.theta),
@@ -505,12 +528,14 @@ def main(argv=None) -> int:
             if field not in cfg or cfg[field] is None:
                 raise ConfigError(f"field {field!r}: required but missing")
         return args.func(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except InvalidResolution as exc:
+        message = f"field 'gamma': {exc}"
+    except MalformedCertificate as exc:
+        message = f"field 'cert': {exc}"
+    except (ConfigError, ValueError, OSError, KeyError) as exc:
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -419,6 +419,8 @@ def rotation_counterexample(
     family is finite and data dependent by construction, a truncation of an
     uncountable ideal; that caveat is part of this report's meaning.
     """
+    if m < 1:
+        raise ValueError("path length must be >= 1")
     theta = Fraction(theta) if theta is not None else golden_rotation_angle()
     spec = RotationSpec(theta=theta)
     rng = SplitMix64(seed)

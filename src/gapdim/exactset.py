@@ -14,6 +14,7 @@ interior" checks reduce to an exact measure comparison.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Tuple
@@ -39,6 +40,15 @@ def format_rational(q: RationalLike) -> str:
     """Render a rational as ``"num/den"`` (denominator kept even when 1)."""
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
+
+
+def read_json_object(path) -> dict:
+    """The JSON object stored in a file; any other top level is a ValueError."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("must hold a JSON object")
+    return doc
 
 
 def decimal12(q: RationalLike) -> str:

@@ -29,6 +29,7 @@ from .exactset import (
     RationalLike,
     format_rational,
     parse_rational,
+    read_json_object,
 )
 from .rng import SplitMix64
 
@@ -612,5 +613,4 @@ def save_class(F: FunctionClass, path) -> None:
 
 
 def load_class(path) -> FunctionClass:
-    with open(path) as fh:
-        return class_from_json(json.load(fh))
+    return class_from_json(read_json_object(path))

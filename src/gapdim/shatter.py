@@ -21,9 +21,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactset import IntervalUnion, RationalLike, format_rational, parse_rational
+from .exactset import (
+    IntervalUnion, RationalLike, format_rational, parse_rational, read_json_object
+)
 from .funclass import (
     TABULAR, FunctionClass, InvalidResolution, non_adjacent, refinement, segment
 )
@@ -93,8 +96,7 @@ class ShatterCertificate:
 
     @classmethod
     def load(cls, path) -> "ShatterCertificate":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json_object(path))
 
 
 @dataclass(frozen=True)
@@ -188,10 +190,13 @@ def shatters(
     """Search for a level alpha shattering D; return a certificate or None.
 
     Candidate levels are the midpoints between consecutive values of the
-    critical set {f(x) - gamma, f(x) + gamma}, plus one sentinel below and
-    one above.  The above/below/blocked pattern of every (f, x) pair is
-    constant between consecutive critical values, so this finite sweep is
-    exhaustive over all real alpha.
+    critical set {f(x) - gamma, f(x) + gamma}.  The above/below/blocked
+    pattern of every (f, x) pair is constant between consecutive critical
+    values, so this finite sweep is exhaustive over all real alpha: below
+    the lowest critical value every function realizes the full mask and
+    above the highest the empty mask, so neither shatters a non-empty set.
+    Values and gamma are scaled to integers by twice the lcm of their
+    denominators, so every critical value is even and every midpoint exact.
     """
     gamma = _resolution(gamma)
     pts = sorted({Fraction(x) for x in D})
@@ -204,29 +209,26 @@ def shatters(
         return None  # 2**d distinct realizations are needed
 
     values = [[f.value_at(x) for x in pts] for f in F.functions]
-    critical = sorted({v + s * gamma for row in values for v in row for s in (-1, 1)})
-    candidates = [critical[0] - 1]
-    candidates += [(a + b) / 2 for a, b in zip(critical, critical[1:]) if a != b]
-    candidates.append(critical[-1] + 1)
+    scale = 2 * lcm(gamma.denominator, *(v.denominator for row in values for v in row))
+    g = gamma.numerator * scale // gamma.denominator
+    rows = [[v.numerator * scale // v.denominator for v in row] for row in values]
+    critical = sorted({v + s for row in rows for v in row for s in (-g, g)})
 
-    full = (1 << d) - 1
-    for alpha in candidates:
-        hi = alpha + gamma
-        lo = alpha - gamma
+    for a, b in zip(critical, critical[1:]):
+        alpha = (a + b) // 2
+        hi, lo = alpha + g, alpha - g
         selector: Dict[int, int] = {}
-        for fi, row in enumerate(values):
+        for fi, row in enumerate(rows):
             sig = 0
-            ok = True
             for i, v in enumerate(row):
                 if v > hi:
                     sig |= 1 << i
-                elif not v < lo:
-                    ok = False
+                elif v >= lo:
                     break
-            if ok and sig not in selector:
-                selector[sig] = fi
-        if len(selector) == full + 1:
-            return ShatterCertificate(tuple(pts), alpha, selector)
+            else:
+                selector.setdefault(sig, fi)
+        if len(selector) == 1 << d:
+            return ShatterCertificate(tuple(pts), Fraction(alpha, scale), selector)
     return None
 
 
@@ -272,26 +274,19 @@ def gap_dim(
         # the lexicographically least maximal one.
         def extend(prefix: List[int]) -> None:
             nonlocal best, best_cert
-            if len(prefix) >= limit or best >= limit:
-                return
-            for nxt in range(prefix[-1] + 1, n):
+            for nxt in range(prefix[-1] + 1 if prefix else 0, n):
+                if best >= limit:
+                    return
                 cand = prefix + [nxt]
                 cert = shatters(F, [pts[i] for i in cand], gamma)
                 if cert is None:
                     continue
                 if len(cand) > best:
                     best, best_cert = len(cand), cert
-                extend(cand)
+                if len(cand) < limit:
+                    extend(cand)
 
-        for i in range(n):
-            if best >= limit:
-                break
-            cert = shatters(F, [pts[i]], gamma)
-            if cert is None:
-                continue
-            if best == 0:
-                best, best_cert = 1, cert
-            extend([i])
+        extend([])
 
     if best_cert is not None and not verify_certificate(F, gamma, best_cert):
         raise RuntimeError("search produced a certificate that does not verify")
@@ -308,27 +303,22 @@ class JoinCell:
 def join(families: Sequence[Sequence[IntervalUnion]]) -> List[JoinCell]:
     """All non-empty intersections picking one set from each family.
 
-    Within each family the sets must be pairwise disjoint, so the resulting
-    cells are pairwise disjoint and each is contained in every constituent
-    it picked.
+    The endpoints of all sets cut [0, 1) into pieces [lo, hi), and a set
+    contains a piece iff it contains lo.  The pieces every family covers,
+    grouped by the member covering them in each family, are the cells, in
+    signature order.  Within each family the sets must be pairwise
+    disjoint, so the cells are pairwise disjoint and each is contained in
+    every constituent it picked.
     """
-    for fam in families:
-        for i in range(len(fam)):
-            for j in range(i + 1, len(fam)):
-                if not fam[i].intersect(fam[j]).is_empty:
-                    raise NotDisjointFamily(
-                        f"sets {i} and {j} of a family overlap"
-                    )
-    cells: List[JoinCell] = [JoinCell(IntervalUnion.full(), ())]
-    for fam in families:
-        nxt = []
-        for jc in cells:
-            for i, member in enumerate(fam):
-                hit = jc.cell.intersect(member)
-                if not hit.is_empty:
-                    nxt.append(JoinCell(hit, jc.signature + (i,)))
-        cells = nxt
-    return cells
+    cuts = sorted({0, 1, *(x for fam in families for s in fam for iv in s for x in iv)})
+    groups: Dict[Tuple[int, ...], list] = {}
+    for lo, hi in zip(cuts, cuts[1:]):
+        hits = [[i for i, s in enumerate(fam) if lo in s] for fam in families]
+        if any(len(h) > 1 for h in hits):
+            raise NotDisjointFamily(f"two sets of a family overlap on [{lo}, {hi})")
+        if all(hits):
+            groups.setdefault(tuple(h[0] for h in hits), []).append((lo, hi))
+    return [JoinCell(IntervalUnion(groups[sig]), sig) for sig in sorted(groups)]
 
 
 def join_shatter(

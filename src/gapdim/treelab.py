@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .exactset import IntervalUnion, RationalLike
+from .exactset import IntervalUnion, RationalLike, read_json_object
 from .funclass import (
     STEP, FunctionClass, band_of_value, k_of_gamma, non_adjacent, refinement, segment,
     segment_partition,
@@ -122,8 +122,7 @@ class CompleteTree:
 
     @classmethod
     def load(cls, path) -> "CompleteTree":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json_object(path))
 
 
 @dataclass(frozen=True)
@@ -441,6 +440,8 @@ def intersection_tree_verify(
     L = tree.depth
     if len(functions) != L:
         raise ValueError(f"need {L} function indices, got {len(functions)}")
+    if any(not 0 <= i < len(F) for i in functions):
+        raise ValueError(f"function indices must lie in [0, {len(F)})")
     for t in range(2, tree.size + 1):
         if t not in tree.sets:
             raise MissingPayload(f"node {t} has no set payload")

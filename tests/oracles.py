@@ -58,6 +58,55 @@ def oracle_shatters(F: FunctionClass, points, gamma) -> bool:
     )
 
 
+def oracle_shatters_certificate(F: FunctionClass, points, gamma):
+    """The candidate-level scan in Fraction arithmetic, with sentinels.
+
+    Candidate levels are a sentinel below the critical set
+    {f(x) - gamma, f(x) + gamma}, the midpoints between its consecutive
+    values, and a sentinel above it; the first level at which every subset
+    mask is realized gives (points, alpha, selector), the selector holding
+    the lowest function index per mask.  Returns None when no level works.
+    """
+    gamma = Fraction(gamma)
+    pts = sorted({Fraction(x) for x in points})
+    d = len(pts)
+    values = [[f.value_at(x) for x in pts] for f in F.functions]
+    critical = sorted({v + s * gamma for row in values for v in row for s in (-1, 1)})
+    candidates = [critical[0] - 1]
+    candidates += [(a + b) / 2 for a, b in zip(critical, critical[1:])]
+    candidates.append(critical[-1] + 1)
+    for alpha in candidates:
+        selector = {}
+        for fi, row in enumerate(values):
+            if all(v > alpha + gamma or v < alpha - gamma for v in row):
+                sig = sum(1 << i for i, v in enumerate(row) if v > alpha + gamma)
+                selector.setdefault(sig, fi)
+        if len(selector) == 1 << d:
+            return tuple(pts), alpha, selector
+    return None
+
+
+def oracle_join(families):
+    """Join as a product: intersect the running cells with every member.
+
+    Rejects a family with two overlapping members up front; returns
+    (cell text, signature) pairs in the product's (lexicographic) order.
+    """
+    for fam in families:
+        for a, b in combinations(fam, 2):
+            if not a.intersect(b).is_empty:
+                raise ValueError("overlapping family")
+    cells = [(IntervalUnion.full(), ())]
+    for fam in families:
+        cells = [
+            (cell.intersect(member), sig + (i,))
+            for cell, sig in cells
+            for i, member in enumerate(fam)
+            if not cell.intersect(member).is_empty
+        ]
+    return [(cell.to_text(), sig) for cell, sig in cells]
+
+
 def oracle_gap_dim(F: FunctionClass, candidate_pts, gamma, max_d=None) -> int:
     """Largest shattered subset size by raw enumeration over candidates."""
     best = 0

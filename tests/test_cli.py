@@ -1,11 +1,16 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gapdim import full_join_family, join_shatter
+from gapdim import (
+    full_join_family, intersection_tree_build, join_shatter, parse_rational, thresholds
+)
 from gapdim.cli import main
-from gapdim.funclass import save_class
+from gapdim.funclass import class_to_json, save_class
 from gapdim.shatter import ShatterCertificate
 
 F = Fraction
@@ -160,6 +165,198 @@ class TestInputErrors:
         )
         assert code == 2
         assert f"field '{missing}': required but missing" in err
+
+    def test_function_index_outside_the_class(self, capsys, workdir):
+        code, out, err = run_err(
+            capsys, "itree", "verify", "--class", TREE_CLASS, "--gamma", "1/5",
+            "--tree", str(workdir / "tree.json"), "--functions", "0,9",
+        )
+        assert (code, out) == (2, "") and "function indices" in err
+
+    def test_non_string_gamma_in_config_file(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"gamma": 0.25}))
+        code, _, err = run_err(capsys, "dim", "--class", "thresholds(4)", "--config", str(path))
+        assert code == 2 and err.startswith("error: field 'gamma'")
+
+    def test_demo_rotation_empty_path(self, capsys):
+        code, out, err = run_err(capsys, "demo-rotation", "--m", "0", "--seed", "1")
+        assert (code, out) == (2, "") and err.startswith("error: field 'm'")
+
+    def test_malformed_certificate_and_tree_files(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("[1, 2]")
+        verify = ("verify", "--class", "thresholds(8)", "--gamma", "1/4", "--cert", str(path))
+        subtree = ("subtree", "--tree", str(path), "--K", "5")
+        for argv, field in ((verify, "cert"), (subtree, "tree")):
+            code, out, err = run_err(capsys, *argv)
+            assert (code, out) == (2, "") and err.startswith(f"error: field '{field}'")
+        path.write_text(json.dumps({"points": ["3/16"], "alpha": "1/2"}))
+        code, _, err = run_err(capsys, *verify)
+        assert code == 2 and err == "error: field 'cert': missing key 'selector'\n"
+
+
+def run_main(*argv):
+    """main() with its output captured; any exception escapes to the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_field_error(*argv):
+    code, out, err = run_main(*argv)
+    assert (code, out) == (2, ""), (argv, code, err)
+    assert err.startswith("error: field '"), (argv, err)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+# JSON without strings or objects: never a rational, a set or a mapping
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=5,
+)
+TREE_CLASS = "full_join_family(2,1,3,1/5)"
+# kind: (a well-formed document, keys it cannot do without, keys whose
+# value is replaced by junk, the command reading the file at {path})
+INPUT_FILES = {
+    "class": (
+        class_to_json(thresholds(2)), {"kind", "functions"}, ["kind", "functions"],
+        ("dim", "--class", "{path}", "--gamma", "1/4"),
+    ),
+    "process": (
+        {
+            "variant": "markov",
+            "transition": [["1/2", "1/2"], ["1/1", "0/1"]],
+            "emissions": [{"kind": "point", "at": "1/10"}, {"kind": "point", "at": "1/2"}],
+        },
+        {"variant", "transition", "emissions"}, ["variant", "transition", "emissions"],
+        ("discrepancy", "--class", "thresholds(4)", "--process", "{path}",
+         "--m", "10", "--seed", "1"),
+    ),
+    "cert": (
+        {"points": ["3/16"], "alpha": "1/2", "selector": {"0": 1, "1": 0}},
+        {"points", "alpha", "selector"}, ["points", "alpha", "selector"],
+        ("verify", "--class", "thresholds(8)", "--gamma", "1/4", "--cert", "{path}"),
+    ),
+    "tree": (
+        intersection_tree_build(full_join_family(2, 1, 3, Fraction(1, 5)), Fraction(1, 5), 2)
+        .tree.to_json(),
+        {"depth"}, ["nodes"],
+        ("itree", "verify", "--class", TREE_CLASS, "--gamma", "1/5",
+         "--tree", "{path}", "--functions", "0,1"),
+    ),
+}
+
+
+def documents(kind):
+    valid, required, replaceable, _ = INPUT_FILES[kind]
+    arbitrary = JSON.filter(lambda d: not (isinstance(d, dict) and required <= d.keys()))
+    broken = st.builds(
+        lambda key, junk: {**valid, key: junk}, st.sampled_from(replaceable), JUNK
+    )
+    return arbitrary | broken
+
+
+def not_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+def not_positive_rational(text):
+    try:
+        return parse_rational(text) <= 0
+    except ValueError:
+        return True
+
+
+BAD_ENTRY = st.text(st.characters(blacklist_characters=","), max_size=5).filter(not_int)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("malformed")
+    (path / "tree.json").write_text(json.dumps(INPUT_FILES["tree"][0]))
+    return path
+
+
+class TestMalformedInput:
+    """Malformed input of every kind exits 2 with a message naming its field."""
+
+    def test_well_formed_files_pass(self, workdir):
+        for kind, (valid, _, _, argv) in INPUT_FILES.items():
+            path = workdir / f"valid-{kind}.json"
+            path.write_text(json.dumps(valid))
+            code, _, err = run_main(*(a.replace("{path}", str(path)) for a in argv))
+            assert code == 0, (kind, err)
+
+    @given(st.data(), st.sampled_from(sorted(INPUT_FILES)))
+    @settings(max_examples=150, deadline=None)
+    def test_input_files(self, workdir, data, kind):
+        doc = data.draw(documents(kind))
+        path = workdir / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        assert_field_error(*(a.replace("{path}", str(path)) for a in INPUT_FILES[kind][3]))
+
+    @given(
+        st.one_of(
+            st.text(max_size=8),
+            st.integers(max_value=0).map(str),
+            st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-9, 9)),
+        ).filter(not_positive_rational)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gamma(self, text):
+        assert_field_error("dim", "--class", "thresholds(4)", f"--gamma={text}")
+
+    @given(
+        st.sampled_from(["leaves", "m-grid", "functions"]),
+        st.lists(st.integers(1, 3).map(str) | BAD_ENTRY, min_size=1, max_size=3)
+        .filter(lambda entries: any(map(not_int, entries))),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_integer_lists(self, workdir, flag, entries):
+        value = f"--{flag}={','.join(entries)}"
+        argv = {
+            "leaves": ("ptree", "--depth", "3", "--c", "1/2"),
+            "m-grid": ("gc-curve", "--class", "thresholds(4)", "--process", "iid",
+                       "--replicates", "1", "--seed", "1"),
+            "functions": ("itree", "verify", "--class", TREE_CLASS, "--gamma", "1/5",
+                          "--tree", str(workdir / "tree.json")),
+        }[flag]
+        assert_field_error(*argv, value)
+
+    @given(st.integers(max_value=0))
+    @settings(max_examples=20, deadline=None)
+    def test_counts_below_one(self, n):
+        assert_field_error("dim", "--class", "thresholds(4)", "--gamma", "1/4", f"--cap={n}")
+        assert_field_error(
+            "itree", "build", "--class", "thresholds(4)", "--gamma", "1/4", "--depth", "1",
+            f"--budget={n}",
+        )
+        assert_field_error(
+            "gc-curve", "--class", "thresholds(4)", "--process", "iid",
+            "--replicates", "1", "--seed", "1", f"--m-grid=10,{n}",
+        )
+
+    @given(BAD_ENTRY)
+    @settings(max_examples=30, deadline=None)
+    def test_integer_in_config_file(self, workdir, text):
+        path = workdir / "config.json"
+        path.write_text(json.dumps({"cap": text}))
+        assert_field_error(
+            "dim", "--class", "thresholds(4)", "--gamma", "1/4", "--config", str(path)
+        )
 
 
 class TestSegmentsJoin:

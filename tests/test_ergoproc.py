@@ -248,6 +248,11 @@ class TestRotationCounterexample:
         b = rotation_counterexample(40, 9)
         assert a.x0 == b.x0 and a.data_dependent_gamma == b.data_dependent_gamma
 
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_rejects_empty_path(self, m):
+        with pytest.raises(ValueError, match="path length must be >= 1"):
+            rotation_counterexample(m, 1)
+
 
 class TestBoundCheck:
     def test_thresholds_iid(self):

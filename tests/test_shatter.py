@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from gapdim import (
     thresholds,
     verify_certificate,
 )
-from gapdim.funclass import InvalidResolution
+from gapdim.funclass import InvalidResolution, generate, k_of_gamma
 from gapdim.shatter import (
     NAIVE,
     PRUNED,
@@ -30,7 +32,9 @@ from gapdim.shatter import (
     ShatterCertificate,
     candidate_points,
 )
-from oracles import oracle_gap_dim, oracle_shatters
+from oracles import (
+    oracle_gap_dim, oracle_join, oracle_shatters, oracle_shatters_certificate
+)
 
 F = Fraction
 
@@ -319,3 +323,125 @@ class TestIndicatorClassesMatchVcDimension:
         assert all(
             gap_dim(FC, g).dimension == 1 for g in (F(1, 8), F(1, 4), F(2, 5))
         )
+
+
+def random_tabular(seed, n_points=4, n_fns=8, grid=8):
+    """Values on a 1/grid lattice, so many sit exactly on a gamma margin."""
+    rng = random.Random(seed)
+    points = [F(p, 16) for p in sorted(rng.sample(range(16), n_points))]
+    return FunctionClass([
+        Function.tabular(points, [F(rng.randint(0, grid), grid) for _ in points])
+        for _ in range(n_fns)
+    ])
+
+
+def random_families(seed):
+    """Families of pairwise disjoint sets on a 1/12 grid; some pieces unowned."""
+    rng = random.Random(seed)
+    families = []
+    for _ in range(rng.randint(0, 4)):
+        cuts = sorted({0, 12, *rng.sample(range(1, 12), rng.randint(0, 6))})
+        members = [[] for _ in range(rng.randint(0, 3))]
+        for lo, hi in zip(cuts, cuts[1:]):
+            owner = rng.randrange(len(members) + 1)
+            if owner < len(members):
+                members[owner].append((F(lo, 12), F(hi, 12)))
+        families.append([IntervalUnion(m) for m in members])
+    return families
+
+
+SHATTER_CORPUS = (
+    [f"random_step({s},{3 + s % 4},8,{4 + s % 7})" for s in range(12)]
+    + [f"all_patterns({p})" for p in (1, 2, 3)]
+    + [f"full_join_family({L},1,3,1/5)" for L in (1, 2, 3)]
+    + ["thresholds(6)", "interval_indicators(5)"]
+)
+GAMMAS = [F(1, 8), F(1, 5), F(1, 4), F(2, 5), F(1, 2), F(3, 2)]
+
+
+def assert_matches_scan(FC, gammas=GAMMAS):
+    pts = candidate_points(FC)[:5]
+    for gamma in gammas:
+        for d in (1, 2, 3):
+            for sub in combinations(pts, d):
+                cert = shatters(FC, sub, gamma)
+                got = (cert.points, cert.alpha, cert.selector) if cert else None
+                assert got == oracle_shatters_certificate(FC, sub, gamma)
+
+
+class TestShattersMatchesFractionScan:
+    """The integer sweep returns the same certificates as the Fraction scan."""
+
+    @pytest.mark.parametrize("spec", SHATTER_CORPUS)
+    def test_generated_classes(self, spec):
+        assert_matches_scan(generate(spec))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_tabular(self, seed):
+        assert_matches_scan(random_tabular(seed))
+
+    def test_values_on_the_margin(self):
+        # 1/4 and 3/4 sit exactly 2 gamma apart at gamma 1/4: no level works
+        FC = FunctionClass([Function.constant(F(1, 4)), Function.constant(F(3, 4))])
+        assert shatters(FC, [F(1, 2)], F(1, 4)) is None
+        assert oracle_shatters_certificate(FC, [F(1, 2)], F(1, 4)) is None
+        assert_matches_scan(FC, [F(1, 4), F(1, 5)])
+
+
+class TestJoinMatchesProduct:
+    @staticmethod
+    def cells(families):
+        return [(c.cell.to_text(), c.signature) for c in join(families)]
+
+    @pytest.mark.parametrize(
+        "L,k,k2", [(L, k, k2) for L in (1, 2, 3) for k, k2 in ((1, 3), (3, 1))]
+    )
+    def test_full_join_family(self, L, k, k2):
+        FC = full_join_family(L, k, k2, F(1, 5))
+        fams = [(segment(f, F(1, 5), k), segment(f, F(1, 5), k2)) for f in FC.functions]
+        got = self.cells(fams)
+        assert got == oracle_join(fams) and len(got) == 1 << len(FC)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_segment_pairs_of_random_classes(self, seed):
+        FC = random_step(seed, pieces=5, grid=8, count=5)
+        for gamma in (F(1, 8), F(1, 5), F(1, 4)):
+            K = k_of_gamma(gamma)
+            for k, k2 in [(k, k2) for k in range(1, K + 1) for k2 in range(k + 2, K + 1)]:
+                fams = [(segment(f, gamma, k), segment(f, gamma, k2)) for f in FC.functions]
+                assert self.cells(fams) == oracle_join(fams)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_disjoint_families(self, seed):
+        fams = random_families(seed)
+        assert self.cells(fams) == oracle_join(fams)
+
+    def test_overlap_where_an_earlier_family_is_empty(self):
+        # the second family overlaps only on [3/4, 1), which the first
+        # family leaves uncovered: no cell lies there, yet it is an error
+        first = [IntervalUnion.interval(0, F(1, 2))]
+        second = [IntervalUnion.interval(F(1, 2), 1), IntervalUnion.interval(F(3, 4), 1)]
+        with pytest.raises(NotDisjointFamily):
+            join([first, second])
+
+
+class TestPinnedCertificates:
+    """PRUNED certificates, as written by the Fraction implementation."""
+
+    @pytest.mark.parametrize(
+        "spec,gamma,expected",
+        [
+            ("thresholds(8)", F(1, 4),
+             {"alpha": "1/2", "points": ["3/16"], "selector": {"0": 1, "1": 0}}),
+            ("all_patterns(3)", F(2, 5),
+             {"alpha": "1/2", "points": ["1/6", "1/2", "5/6"],
+              "selector": {"0": 0, "1": 4, "2": 2, "3": 6, "4": 1, "5": 5, "6": 3, "7": 7}}),
+            ("random_step(1,12,8,32)", F(1, 8),
+             {"alpha": "7/16", "points": ["1/24", "1/8", "3/8"],
+              "selector": {"0": 1, "1": 14, "2": 8, "3": 4, "4": 5, "5": 11, "6": 6, "7": 10}}),
+        ],
+    )
+    def test_certificate_json(self, spec, gamma, expected):
+        res = gap_dim(generate(spec), gamma)
+        assert res.exact and res.dimension == len(expected["points"])
+        assert res.certificate.to_json() == expected

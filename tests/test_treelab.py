@@ -209,6 +209,9 @@ class TestIntersectionTree:
         assert built is not None
         assert all(built.tree.labels[t] == (1, 3) for t in range(1, 4))
         assert intersection_tree_verify(built.tree, FC, F(1, 5), built.functions)
+        for bad in ([0, 4], [-1, 0]):  # a negative index must not wrap around
+            with pytest.raises(ValueError, match="function indices"):
+                intersection_tree_verify(built.tree, FC, F(1, 5), bad)
 
     def test_verify_rejects_adjacent_labels(self, ramp8):
         FC = FunctionClass([ramp8])
