@@ -71,15 +71,17 @@ def _rat(text: str, field: str) -> Fraction:
         raise ConfigError(f"field {field!r}: cannot parse rational {text!r}") from None
 
 
-def _ints(cfg: dict, field: str, low=None, many=False):
-    """A field's integer (comma-separated integers when `many`), each >= `low`."""
+def _ints(cfg: dict, field: str, low=None, high=None, many=False):
+    """A field's integer (comma-separated integers when `many`), each in
+    [`low`, `high`]; `high` is only given together with `low`."""
     text = str(cfg[field])
     try:
         values = [int(x) for x in text.split(",")] if many else [int(text)]
     except ValueError:
         raise ConfigError(f"field {field!r}: cannot parse integers {text!r}") from None
-    if low is not None and min(values) < low:
-        raise ConfigError(f"field {field!r}: must be >= {low}, got {text!r}")
+    if (low is not None and min(values) < low) or (high is not None and max(values) > high):
+        need = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"field {field!r}: must be {need}, got {text!r}")
     return values if many else values[0]
 
 
@@ -229,7 +231,8 @@ def cmd_segments(cfg: dict) -> int:
 def cmd_join(cfg: dict) -> int:
     F = _resolve_class(cfg["class"])
     gamma = _rat(cfg["gamma"], "gamma")
-    k, k2 = _ints(cfg, "k"), _ints(cfg, "kp")
+    K = k_of_gamma(gamma)
+    k, k2 = _ints(cfg, "k", low=1, high=K), _ints(cfg, "kp", low=1, high=K)
     families = [(segment(f, gamma, k), segment(f, gamma, k2)) for f in F.functions]
     cells = join(families)
     report = {
@@ -247,12 +250,15 @@ def cmd_join(cfg: dict) -> int:
 
 
 def cmd_ptree(cfg: dict) -> int:
-    depth = _ints(cfg, "depth")
+    depth = _ints(cfg, "depth", low=0)
     tree = CompleteTree(depth)
-    leaves = sorted(_ints(cfg, "leaves", many=True))
     offset = 1 << depth
+    leaves = sorted(_ints(cfg, "leaves", low=0, high=offset - 1, many=True))
     S = [offset + i for i in leaves]
-    witness = ptree_witness(tree, S, _rat(cfg["c"], "c"))
+    c = _rat(cfg["c"], "c")
+    if not 0 < c <= 1:
+        raise ConfigError(f"field 'c': must be in (0, 1], got {cfg['c']!r}")
+    witness = ptree_witness(tree, S, c)
     report = {
         "level": witness.level,
         "u": witness.u,
@@ -265,7 +271,7 @@ def cmd_ptree(cfg: dict) -> int:
 
 def cmd_subtree(cfg: dict) -> int:
     tree = _load("tree", CompleteTree.load, cfg["tree"])
-    K = _ints(cfg, "K")
+    K = _ints(cfg, "K", low=1)
     emb = uniform_subtree(tree, K)
     R, bound = subtree_guarantee(tree.depth, K)
     report = {
@@ -285,7 +291,7 @@ def cmd_itree(cfg: dict) -> int:
     gamma = _rat(cfg["gamma"], "gamma")
     if cfg["action"] == "build":
         built = intersection_tree_build(
-            F, gamma, _ints(cfg, "depth"),
+            F, gamma, _ints(cfg, "depth", low=1),
             visit_cap=_ints(cfg, "budget", low=1) if "budget" in cfg else 1_000_000,
         )
         if built is None:
@@ -300,6 +306,11 @@ def cmd_itree(cfg: dict) -> int:
         return 0
     tree = _load("tree", CompleteTree.load, cfg["tree"])
     functions = _ints(cfg, "functions", many=True)
+    if len(functions) != tree.depth or not all(0 <= i < len(F) for i in functions):
+        raise ConfigError(
+            f"field 'functions': need {tree.depth} function indices in [0, {len(F)}),"
+            f" got {cfg['functions']!r}"
+        )
     ok = intersection_tree_verify(tree, F, gamma, functions)
     _emit({"verified": ok}, cfg, cfg.get("out"))
     return 0 if ok else 1
@@ -374,7 +385,11 @@ def cmd_bound_check(cfg: dict) -> int:
 
 def cmd_demo_rotation(cfg: dict) -> int:
     theta = _rat(cfg["theta"], "theta") if "theta" in cfg else None
-    rep = rotation_counterexample(_ints(cfg, "m", low=1), _ints(cfg, "seed"), theta)
+    m, seed = _ints(cfg, "m", low=1), _ints(cfg, "seed")
+    try:
+        rep = rotation_counterexample(m, seed, theta)
+    except ValueError as exc:  # theta outside (0, 1), or an orbit that closes
+        raise ConfigError(f"field 'theta': {exc}") from None
     report = {
         "m": rep.m,
         "theta": format_rational(rep.theta),

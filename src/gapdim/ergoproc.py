@@ -4,20 +4,29 @@ Three process variants generate points in [0, 1): an i.i.d. uniform source,
 a circle rotation x -> x + theta (mod 1) started uniformly, and a finite
 irreducible Markov chain started from its stationary distribution with a
 point or uniform-on-subinterval emission per state.  Path values are exact
-rationals built from 53-bit SplitMix64 draws, so every downstream decision
-(discrepancy, subadditivity, bound verdicts) is exact; floats appear only in
-human-readable report columns.
+rationals built from 53-bit SplitMix64 draws, held as integer ticks over
+one scale N per path (x = tick / N): N = 2**53 for IID, 2**53 * den(theta)
+for a rotation, and 2**53 * lcm(emission denominators) for a Markov chain.
+Every downstream decision (discrepancy, subadditivity, bound verdicts) is
+exact; floats appear only in human-readable report columns.
 
 The discrepancy of a class on a path is the maximum over the class of
 |sample mean - expectation|, with expectations computed in closed form from
-piece measures under the process marginal rather than by simulation.
+piece measures under the process marginal rather than by simulation.  Sample
+means come from common-refinement cell counts: a tick x lies at or right of
+a cut c exactly when x >= ceil(c * N), so points are binned on integers.  A
+path is a prefix of the longer path drawn from the same seed, so one path and
+running cell counts give the discrepancy at every length of an m grid.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exactset import ONE, ZERO, IntervalUnion, RationalLike, format_rational
@@ -25,11 +34,10 @@ from .funclass import (
     STEP,
     Function,
     FunctionClass,
-    frac_mod1,
     refinement,
     trajectory_indicators,
 )
-from .rng import SplitMix64
+from .rng import TWO53, SplitMix64
 from .shatter import NAIVE, DimResult, gap_dim
 
 IID_UNIFORM = "iid"
@@ -200,21 +208,41 @@ def _stationary(P: Sequence[Sequence[Fraction]]) -> Tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class SamplePath:
-    values: Tuple[Fraction, ...]
+    """Sample points x_i = ticks[i] / scale, held as integers over one scale."""
+
+    ticks: Tuple[int, ...]
+    scale: int
     seed: int
     spec: ProcessSpec
 
+    @classmethod
+    def of(cls, values: Sequence[RationalLike], seed: int, spec: ProcessSpec) -> "SamplePath":
+        """A path through given points of [0, 1), over the lcm of their denominators."""
+        values = [Fraction(v) for v in values]
+        if not all(ZERO <= v < ONE for v in values):
+            raise ValueError("sample points must lie in [0, 1)")
+        scale = math.lcm(*(v.denominator for v in values))
+        ticks = tuple(v.numerator * (scale // v.denominator) for v in values)
+        return cls(ticks, scale, seed, spec)
+
+    @property
+    def values(self) -> Tuple[Fraction, ...]:
+        """The points as exact rationals."""
+        return tuple(Fraction(t, self.scale) for t in self.ticks)
+
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.ticks)
 
 
-def _pick_cumulative(weights: Sequence[Fraction], u: Fraction) -> int:
-    acc = ZERO
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return i
-    return len(weights) - 1
+def _ceil_scaled(q: Fraction, scale: int) -> int:
+    """ceil(q * scale); an integer x satisfies x >= q * scale iff x >= this."""
+    return -(-q.numerator * scale // q.denominator)
+
+
+def _pick_thresholds(weights: Sequence[Fraction]) -> List[int]:
+    """Cumulative weights as ceilings over 2**53: a 53-bit draw k picks the
+    first i with k / 2**53 < w_0 + ... + w_i, which is bisect_right(..., k)."""
+    return [_ceil_scaled(acc, TWO53) for acc in accumulate(weights)]
 
 
 def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
@@ -226,31 +254,54 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
     stationary initial state, then per step one uniform for the transition
     (from step 2 on) followed by one uniform for the emission when the
     state's emission is an interval.
+
+    A uniform is a 53-bit integer k standing for k / 2**53, and the points
+    are integer ticks over one scale N.  IID: N = 2**53 and the tick is k.
+    ROTATION: N = 2**53 * den(theta); each step adds theta * N to the start
+    tick x0 * N, modulo N.  MARKOV: N = 2**53 * L with L the lcm of the
+    emission denominators; states are picked by comparing k against integer
+    cumulative thresholds, a point emission at a is the tick a * N, and a
+    uniform emission on [lo, hi) is lo * N + (hi - lo) * L * k.  Because the
+    draws come in this order whatever m is, the path of length m is a prefix
+    of every longer path from the same (spec, seed).
     """
     if m < 1:
         raise ValueError("path length must be >= 1")
     rng = SplitMix64(seed)
     if isinstance(spec, IIDUniformSpec):
-        values = tuple(rng.unit_fraction() for _ in range(m))
+        scale = TWO53
+        ticks = tuple(rng.unit_tick() for _ in range(m))
     elif isinstance(spec, RotationSpec):
         x0 = rng.unit_fraction()
-        values = tuple(frac_mod1(x0 + i * spec.theta) for i in range(1, m + 1))
+        scale = TWO53 * spec.theta.denominator
+        step = TWO53 * spec.theta.numerator
+        start = x0.numerator * (scale // x0.denominator)
+        ticks = tuple(t % scale for t in range(start + step, start + (m + 1) * step, step))
     elif isinstance(spec, MarkovSpec):
-        pi = spec.stationary_distribution()
+        L = math.lcm(*(
+            q.denominator for e in spec.emissions for q in (e.at, e.lo, e.hi) if q is not None
+        ))
+        scale = TWO53 * L
+        # per state: tick = offset + width * k, with width 0 for a point
+        # (exact products: L is a multiple of every emission denominator)
+        emit = [
+            (_ceil_scaled(e.at, scale), 0) if e.kind == "point"
+            else (_ceil_scaled(e.lo, scale), _ceil_scaled(e.hi - e.lo, L))
+            for e in spec.emissions
+        ]
+        start = _pick_thresholds(spec.stationary_distribution())
+        rows = [_pick_thresholds(row) for row in spec.transition]
+        state = bisect_right(start, rng.unit_tick())
         out = []
-        state = _pick_cumulative(pi, rng.unit_fraction())
         for i in range(m):
             if i > 0:
-                state = _pick_cumulative(spec.transition[state], rng.unit_fraction())
-            e = spec.emissions[state]
-            if e.kind == "point":
-                out.append(e.at)
-            else:
-                out.append(e.lo + (e.hi - e.lo) * rng.unit_fraction())
-        values = tuple(out)
+                state = bisect_right(rows[state], rng.unit_tick())
+            offset, width = emit[state]
+            out.append(offset + width * rng.unit_tick() if width else offset)
+        ticks = tuple(out)
     else:
         raise TypeError(f"unknown process spec {spec!r}")
-    return SamplePath(values=values, seed=seed, spec=spec)
+    return SamplePath(ticks=ticks, scale=scale, seed=seed, spec=spec)
 
 
 def expectation(f: Function, spec: ProcessSpec) -> Fraction:
@@ -286,35 +337,62 @@ def expectation(f: Function, spec: ProcessSpec) -> Fraction:
     raise TypeError(f"unknown process spec {spec!r}")
 
 
-def _class_means(F: FunctionClass, values: Sequence[Fraction]) -> List[Fraction]:
-    """Exact per-function sample means via common-refinement cell counts."""
+def _class_means(
+    F: FunctionClass, path: SamplePath, lengths: Sequence[int]
+) -> List[List[Fraction]]:
+    """Exact per-function sample means of the path's first m points, for each
+    m in the increasing ``lengths``, from running common-refinement cell
+    counts.  Ticks are binned against the integer ceilings ceil(cut * N) of
+    the interior cuts, and the cell values are scaled to integers over one
+    denominator D, so each mean is a single ``Fraction``.
+    """
+    if F.kind != STEP:
+        raise NoMarginalExpectation("discrepancies need a STEP class")
     cuts, columns = refinement(F)
-    counts = [0] * (len(cuts) - 1)
-    for x in values:
-        counts[bisect_right(cuts, x) - 1] += 1
-    m = len(values)
-    return [
-        sum((c * v for c, v in zip(counts, column) if c), ZERO) / m
-        for column in columns
-    ]
+    inner = [_ceil_scaled(c, path.scale) for c in cuts[1:-1]]
+    D = math.lcm(*(v.denominator for column in columns for v in column))
+    rows = [[v.numerator * (D // v.denominator) for v in column] for column in columns]
+    counts = Counter()
+    done = 0
+    means = []
+    for m in lengths:
+        counts.update(map(bisect_right, repeat(inner), path.ticks[done:m]))
+        done = m
+        means.append([
+            Fraction(sum(c * row[j] for j, c in counts.items()), D * m) for row in rows
+        ])
+    return means
 
 
 def pointwise_discrepancy(f: Function, path: SamplePath) -> Fraction:
     """|sample mean - expectation| of a single function on a path."""
     ef = expectation(f, path.spec)
-    mean = sum((f.value_at(x) for x in path.values), ZERO) / len(path.values)
+    mean = sum((f.value_at(x) for x in path.values), ZERO) / len(path)
     return abs(mean - ef)
 
 
-def discrepancy(F: FunctionClass, path: SamplePath) -> Fraction:
-    """Maximum over the class of |sample mean - expectation|, exact."""
-    return max(per_function_discrepancies(F, path))
+def discrepancy(
+    F: FunctionClass, path: SamplePath, lengths: Optional[Sequence[int]] = None
+) -> Union[Fraction, List[Fraction]]:
+    """Maximum over the class of |sample mean - expectation|, exact.
+
+    Given increasing prefix ``lengths`` instead, returns the trajectory
+    [G_m for m in lengths] of the path's first m points, from one pass of
+    running cell counts and one expectation per function.
+    """
+    if lengths is None:
+        return max(per_function_discrepancies(F, path))
+    lengths = list(lengths)
+    increasing = lengths == sorted(set(lengths))
+    if not (lengths and increasing and 1 <= lengths[0] and lengths[-1] <= len(path)):
+        raise ValueError(f"prefix lengths must increase within [1, {len(path)}]")
+    means = _class_means(F, path, lengths)
+    expected = [expectation(f, path.spec) for f in F.functions]
+    return [max(abs(a - e) for a, e in zip(row, expected)) for row in means]
 
 
 def per_function_discrepancies(F: FunctionClass, path: SamplePath) -> List[Fraction]:
-    if F.kind != STEP:
-        raise NoMarginalExpectation("discrepancies need a STEP class")
-    means = _class_means(F, path.values)
+    (means,) = _class_means(F, path, [len(path)])
     return [
         abs(mean - expectation(f, path.spec))
         for f, mean in zip(F.functions, means)
@@ -323,11 +401,11 @@ def per_function_discrepancies(F: FunctionClass, path: SamplePath) -> List[Fract
 
 def subadditivity_check(F: FunctionClass, path: SamplePath, split: int) -> bool:
     """Exact check of (m+n) G_{m+n} <= m G_m + n G_n across a path split."""
-    total = len(path.values)
+    total = len(path)
     if not 1 <= split < total:
         raise InvalidSplit(f"split must be in [1, {total - 1}], got {split}")
-    head = SamplePath(path.values[:split], path.seed, path.spec)
-    tail = SamplePath(path.values[split:], path.seed, path.spec)
+    head = replace(path, ticks=path.ticks[:split])
+    tail = replace(path, ticks=path.ticks[split:])
     m, n = split, total - split
     lhs = total * discrepancy(F, path)
     rhs = m * discrepancy(F, head) + n * discrepancy(F, tail)
@@ -355,21 +433,27 @@ def estimate_gamma(
 ) -> GammaReport:
     """Monte Carlo estimate of the asymptotic discrepancy.
 
-    Replicate r uses seed + r.  The point estimate is the replicate mean at
+    Replicate r uses seed + r.  Its path is drawn once, at the largest m:
+    the path at a smaller m is its prefix, so every grid point is read from
+    running cell counts along it.  The point estimate is the replicate mean at
     the largest m; min and max across replicates are reported instead of a
     confidence interval because no convergence rate is available.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
     grid = tuple(sorted(m_grid))
-    rows = []
-    for m in grid:
-        for r in range(replicates):
-            g = discrepancy(F, sample_path(spec, m, seed + r))
-            rows.append((m, r, g))
+    if not grid or grid[0] < 1:
+        raise ValueError("path lengths must be >= 1")
+    lengths = sorted(set(grid))
+    gamma_m = {}
+    for r in range(replicates):
+        path = sample_path(spec, lengths[-1], seed + r)
+        for m, g in zip(lengths, discrepancy(F, path, lengths)):
+            gamma_m[m, r] = g
+    rows = [(m, r, gamma_m[m, r]) for m in grid for r in range(replicates)]
     summary = {}
-    for m in grid:
-        vals = [g for mm, _, g in rows if mm == m]
+    for m in lengths:
+        vals = [gamma_m[m, r] for r in range(replicates)]
         summary[m] = {
             "mean": sum(vals, ZERO) / len(vals),
             "min": min(vals),
@@ -422,10 +506,8 @@ def rotation_counterexample(
     if m < 1:
         raise ValueError("path length must be >= 1")
     theta = Fraction(theta) if theta is not None else golden_rotation_angle()
-    spec = RotationSpec(theta=theta)
-    rng = SplitMix64(seed)
-    x0 = rng.unit_fraction()
-    path = tuple(frac_mod1(x0 + i * theta) for i in range(1, m + 1))
+    x0 = SplitMix64(seed).unit_fraction()
+    path = sample_path(RotationSpec(theta=theta), m, seed).values
 
     combined = trajectory_indicators(theta, (x0, *base_points), window=m)
     # Every expectation is 0, so each family's discrepancy is its path mean;

@@ -5,7 +5,7 @@ counter based: the n-th output is ``mix(seed + n * GOLDEN_GAMMA)`` with a
 fixed 64-bit mixing function, so the integer stream is reproducible from the
 seed alone and easy to re-implement bit for bit in any language.  Uniform
 draws on [0, 1) are the top 53 bits of an output divided by 2**53, returned
-as an exact dyadic ``Fraction``.
+as an exact dyadic ``Fraction`` or as its integer numerator.
 """
 
 from __future__ import annotations
@@ -34,7 +34,11 @@ class SplitMix64:
 
     def unit_fraction(self) -> Fraction:
         """Exact dyadic rational in [0, 1) with 53 random bits."""
-        return Fraction(self.next_u64() >> 11, TWO53)
+        return Fraction(self.unit_tick(), TWO53)
+
+    def unit_tick(self) -> int:
+        """Numerator over 2**53 of the next ``unit_fraction()`` draw."""
+        return self.next_u64() >> 11
 
     def randint(self, n: int) -> int:
         """Integer in [0, n) via modulo reduction (bias < 2**-50 for small n)."""

@@ -4,10 +4,14 @@ Each oracle deliberately uses a different algorithm from the library code it
 checks, so agreement is evidence rather than tautology.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
 from gapdim import CompleteTree, FunctionClass, IntervalUnion, k_of_gamma, segment
+from gapdim.ergoproc import IIDUniformSpec, MarkovSpec, RotationSpec
+from gapdim.funclass import frac_mod1, refinement
+from gapdim.rng import SplitMix64
 from gapdim.treelab import IntersectionTree, Label
 
 
@@ -238,3 +242,53 @@ def oracle_intersection_tree_build(F: FunctionClass, gamma, L: int, visit_cap: i
     if not ok:
         return None
     return IntersectionTree(CompleteTree(L, labels, sets), tuple(chosen))
+
+
+def _pick_cumulative(weights, u):
+    acc = Fraction(0)
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i
+    return len(weights) - 1
+
+
+def oracle_sample_path(spec, m: int, seed: int):
+    """Path points in the documented draw order, every draw a Fraction.
+
+    Each uniform is ``unit_fraction()``, a rotation steps by ``frac_mod1``
+    and a Markov state is the first whose running Fraction sum of weights
+    exceeds the draw: the generator the integer ticks replaced.
+    """
+    rng = SplitMix64(seed)
+    if isinstance(spec, IIDUniformSpec):
+        return tuple(rng.unit_fraction() for _ in range(m))
+    if isinstance(spec, RotationSpec):
+        x0 = rng.unit_fraction()
+        return tuple(frac_mod1(x0 + i * spec.theta) for i in range(1, m + 1))
+    assert isinstance(spec, MarkovSpec)
+    out = []
+    state = _pick_cumulative(spec.stationary_distribution(), rng.unit_fraction())
+    for i in range(m):
+        if i > 0:
+            state = _pick_cumulative(spec.transition[state], rng.unit_fraction())
+        e = spec.emissions[state]
+        if e.kind == "point":
+            out.append(e.at)
+        else:
+            out.append(e.lo + (e.hi - e.lo) * rng.unit_fraction())
+    return tuple(out)
+
+
+def oracle_class_means(F: FunctionClass, values):
+    """Per-function sample means by bisecting Fraction points against the
+    Fraction cuts of the common refinement and summing Fraction products."""
+    cuts, columns = refinement(F)
+    counts = [0] * (len(cuts) - 1)
+    for x in values:
+        counts[bisect_right(cuts, x) - 1] += 1
+    m = len(values)
+    return [
+        sum((c * v for c, v in zip(counts, column) if c), Fraction(0)) / m
+        for column in columns
+    ]

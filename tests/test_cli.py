@@ -349,6 +349,32 @@ class TestMalformedInput:
             "--replicates", "1", "--seed", "1", f"--m-grid=10,{n}",
         )
 
+    @pytest.mark.parametrize(
+        "field,argv",
+        [
+            ("leaves", ("ptree", "--depth", "3", "--leaves", "9", "--c", "1/8")),
+            ("leaves", ("ptree", "--depth", "3", "--leaves=-1,2", "--c", "1/8")),
+            ("c", ("ptree", "--depth", "3", "--leaves", "0,1,2,3", "--c", "2")),
+            ("k", ("join", "--class", TREE_CLASS, "--gamma", "1/5", "--k", "0", "--kp", "3")),
+            ("kp", ("join", "--class", TREE_CLASS, "--gamma", "1/5", "--k", "1", "--kp", "6")),
+            ("depth", ("itree", "build", "--class", TREE_CLASS, "--gamma", "1/5",
+                       "--depth", "0")),
+            ("functions", ("itree", "verify", "--class", TREE_CLASS, "--gamma", "1/5",
+                           "--tree", "{tree}", "--functions", "0,9")),
+            ("functions", ("itree", "verify", "--class", TREE_CLASS, "--gamma", "1/5",
+                           "--tree", "{tree}", "--functions", "0")),
+            ("K", ("subtree", "--tree", "{tree}", "--K", "0")),
+            ("theta", ("demo-rotation", "--m", "1000", "--seed", "3", "--theta", "3/7")),
+            ("theta", ("demo-rotation", "--m", "10", "--seed", "3", "--theta", "7/5")),
+        ],
+    )
+    def test_out_of_range_values_name_their_field(self, tmp_path, field, argv):
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(INPUT_FILES["tree"][0]))
+        code, out, err = run_main(*(a.replace("{tree}", str(tree)) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: field '{field}'"), err
+
     @given(BAD_ENTRY)
     @settings(max_examples=30, deadline=None)
     def test_integer_in_config_file(self, workdir, text):

@@ -25,11 +25,14 @@ from gapdim.ergoproc import (
     NotErgodic,
     RotationSpec,
     SamplePath,
+    _class_means,
     bound_check,
     per_function_discrepancies,
     pointwise_discrepancy,
 )
-from gapdim.funclass import frac_mod1
+from gapdim.funclass import frac_mod1, random_step
+from gapdim.rng import SplitMix64
+from oracles import oracle_class_means, oracle_sample_path
 
 F = Fraction
 
@@ -145,13 +148,13 @@ class TestDiscrepancy:
     def test_exact_arithmetic_example(self):
         # staircase on tenths has E = 9/20; a hand path gives mean 4/10
         f = staircase(10)
-        path = SamplePath((F(1, 5), F(2, 5), F(3, 5)), 0, IIDUniformSpec())
+        path = SamplePath.of((F(1, 5), F(2, 5), F(3, 5)), 0, IIDUniformSpec())
         assert pointwise_discrepancy(f, path) == abs(F(2, 5) - F(9, 20))
 
     def test_indicator_path_inside_support(self):
         f = Function.indicator(IntervalUnion.interval(0, F(1, 2)))
         FC = FunctionClass([f])
-        path = SamplePath((F(1, 8), F(1, 4), F(3, 8)), 0, IIDUniformSpec())
+        path = SamplePath.of((F(1, 8), F(1, 4), F(3, 8)), 0, IIDUniformSpec())
         assert discrepancy(FC, path) == F(1, 2)
 
     def test_matches_per_function_enumeration(self):
@@ -189,7 +192,7 @@ class TestSubadditivity:
         f = Function.indicator(IntervalUnion.interval(0, F(1, 2)))
         FC = FunctionClass([f])
         values = (F(1, 4), F(3, 4)) * 5
-        path = SamplePath(values, 0, IIDUniformSpec())
+        path = SamplePath.of(values, 0, IIDUniformSpec())
         assert subadditivity_check(FC, path, 5)
 
     def test_invalid_split(self):
@@ -307,3 +310,124 @@ class TestOrbitSeparation:
         theta = golden_rotation_angle()
         for n in range(1, 4001):
             assert (n * theta % 1).denominator > 10**6
+
+
+def markov_on_cuts() -> MarkovSpec:
+    """A point emission on the cut 1/2 and a uniform emission on [1/3, 5/7)."""
+    return MarkovSpec(
+        ((F(1, 3), F(2, 3)), (F(3, 4), F(1, 4))),
+        (Emission.point(F(1, 2)), Emission.uniform(F(1, 3), F(5, 7))),
+    )
+
+
+ORACLE_SPECS = {
+    "iid": IIDUniformSpec(),
+    "golden": RotationSpec(theta=golden_rotation_angle()),
+    "quarter": RotationSpec(theta=F(1, 4)),
+    "markov": markov_on_cuts(),
+}
+
+
+def cut_at(points) -> FunctionClass:
+    """Indicators of [0, p): a class with a cut at every positive point."""
+    return FunctionClass([
+        Function.indicator(IntervalUnion.interval(0, p)) for p in sorted(set(points)) if p
+    ])
+
+
+class TestIntegerPathsMatchFractionOracle:
+    """Integer ticks and integer binning agree with the Fraction generator and
+    the Fraction bisection they replaced."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    @pytest.mark.parametrize("seed", [0, 1, 29, -7])
+    def test_points(self, name, seed):
+        spec = ORACLE_SPECS[name]
+        path = sample_path(spec, 400, seed)
+        assert tuple(F(t, path.scale) for t in path.ticks) == oracle_sample_path(spec, 400, seed)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_means(self, name, seed):
+        spec = ORACLE_SPECS[name]
+        values = oracle_sample_path(spec, 300, seed)
+        path = sample_path(spec, 300, seed)
+        lengths = [1, 7, 150, 300]
+        # thresholds(4) cuts at 1/4, 1/2, 3/4, where rotation:1/4 and the
+        # Markov point land; cut_at puts a cut on points of the path itself.
+        classes = [thresholds(4), random_step(seed, 6, 4, 7), cut_at(values[:12])]
+        for FC in classes:
+            got = _class_means(FC, path, lengths)
+            assert got == [oracle_class_means(FC, values[:m]) for m in lengths]
+
+    def test_points_on_cuts_are_binned_right_of_them(self):
+        # rotation:1/4 visits four points; a class cut at all of them puts
+        # every sample exactly on a cut
+        spec = ORACLE_SPECS["quarter"]
+        values = oracle_sample_path(spec, 40, 5)
+        FC = cut_at(values)
+        assert len(FC) == 4
+        path = sample_path(spec, 40, 5)
+        assert _class_means(FC, path, [40]) == [oracle_class_means(FC, values)]
+        assert per_function_discrepancies(FC, path) == [
+            pointwise_discrepancy(f, path) for f in FC.functions
+        ]
+
+    def test_cut_between_ticks_uses_the_ceiling(self):
+        # scale 8: the cut 1/3 sits at 8/3 ticks, so tick 2 (1/4) lies left
+        # of it and tick 3 (3/8) right of it
+        path = SamplePath.of((F(1, 4), F(3, 8)), 0, IIDUniformSpec())
+        FC = cut_at([F(1, 3)])
+        assert path.scale == 8
+        assert _class_means(FC, path, [1, 2]) == [[F(1)], [F(1, 2)]]
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_estimate_gamma_rows_match_resampling(self, name):
+        spec = ORACLE_SPECS[name]
+        FC = random_step(4, 8, 5, 9)
+        grid = [120, 5, 40, 120, 1]
+        rep = estimate_gamma(FC, spec, grid, 3, 60)
+        expected = [expectation(f, spec) for f in FC.functions]
+        rows = []
+        for m in sorted(grid):
+            for r in range(3):
+                means = oracle_class_means(FC, oracle_sample_path(spec, m, 60 + r))
+                rows.append((m, r, max(abs(a - e) for a, e in zip(means, expected))))
+        assert list(rep.rows) == rows
+        assert rep.m_grid == (1, 5, 40, 120, 120)
+        assert rep.estimate == sum(g for m, _, g in rows if m == 120) / 6
+
+
+class TestUnitTick:
+    def test_numerator_of_unit_fraction(self):
+        ticks, fractions = SplitMix64(-3), SplitMix64(-3)
+        for _ in range(50):
+            assert F(ticks.unit_tick(), 1 << 53) == fractions.unit_fraction()
+
+
+class TestSamplePathOf:
+    def test_scale_is_lcm_of_denominators(self):
+        path = SamplePath.of((F(1, 4), F(1, 6), 0), 3, IIDUniformSpec())
+        assert path.scale == 12 and path.ticks == (3, 2, 0) and len(path) == 3
+        assert path.values == (F(1, 4), F(1, 6), F(0))
+
+    @pytest.mark.parametrize("x", [F(-1, 3), F(1), F(5, 4)])
+    def test_points_outside_unit_interval_rejected(self, x):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            SamplePath.of((F(1, 2), x), 0, IIDUniformSpec())
+
+
+class TestDiscrepancyTrajectory:
+    def test_matches_prefix_paths(self):
+        FC = thresholds(8)
+        path = sample_path(markov3(), 200, 4)
+        lengths = [1, 50, 51, 200]
+        assert discrepancy(FC, path, lengths) == [
+            discrepancy(FC, sample_path(markov3(), m, 4)) for m in lengths
+        ]
+
+    @pytest.mark.parametrize("lengths", [[], [0, 5], [5, 5], [9, 3], [3, 11]])
+    def test_bad_lengths_rejected(self, lengths):
+        path = sample_path(IIDUniformSpec(), 10, 4)
+        with pytest.raises(ValueError, match="prefix lengths"):
+            discrepancy(thresholds(4), path, lengths)
