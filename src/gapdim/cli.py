@@ -6,6 +6,15 @@ configuration and the library version; no timestamps are written, so
 re-running a command with the same configuration yields byte-identical
 output.  Exit codes: 0 success, 1 a FAIL verdict from a verifying command,
 2 usage or configuration error.
+
+Each command is declared once, in the table :data:`COMMANDS`: its handler,
+its help line and its fields, required and optional (``itree`` also names
+the extra required fields of each action).  A field ``name`` is both the
+flag ``--name`` and the config-file key ``name``.  :func:`main` builds the
+argparse parser of the one command being run, merges its flags with the
+``--config`` file, checks the required fields and passes every field to the
+handler as the string the user gave.  The handlers parse and range-check
+their fields, so every bad value exits 2 with ``error: field 'name': ...``.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, Dict, NamedTuple, Tuple
 
 from . import __version__
 from .exactset import (
@@ -33,6 +43,7 @@ from .ergoproc import (
     sample_path,
 )
 from .funclass import (
+    STEP,
     FunctionClass,
     InvalidResolution,
     generate,
@@ -52,6 +63,7 @@ from .shatter import (
 )
 from .treelab import (
     CompleteTree,
+    PtreePreconditionViolated,
     intersection_tree_build,
     intersection_tree_verify,
     ptree_witness,
@@ -66,7 +78,7 @@ class ConfigError(Exception):
 
 def _rat(text: str, field: str) -> Fraction:
     try:
-        return parse_rational(str(text))
+        return parse_rational(text)
     except ValueError:
         raise ConfigError(f"field {field!r}: cannot parse rational {text!r}") from None
 
@@ -74,7 +86,7 @@ def _rat(text: str, field: str) -> Fraction:
 def _ints(cfg: dict, field: str, low=None, high=None, many=False):
     """A field's integer (comma-separated integers when `many`), each in
     [`low`, `high`]; `high` is only given together with `low`."""
-    text = str(cfg[field])
+    text = cfg[field]
     try:
         values = [int(x) for x in text.split(",")] if many else [int(text)]
     except ValueError:
@@ -98,32 +110,12 @@ def _load(field: str, load, path):
         raise ConfigError(f"field {field!r}: {detail}") from None
 
 
-def _load_config(args: argparse.Namespace) -> dict:
-    """Merge --config JSON with explicit flags; overlaps are errors."""
-    merged = {}
-    if getattr(args, "config", None):
-        merged = _load("config", read_json_object, args.config)
-    flags = dict(vars(args))
-    if "klass" in flags:
-        flags["class"] = flags.pop("klass")
-    for key, value in flags.items():
-        if key in ("command", "config", "func") or value is None:
-            continue
-        if key in merged:
-            raise ConfigError(
-                f"field {key!r}: given both on the command line and in the config file"
-            )
-        merged[key] = value
-    return merged
-
-
-def _resolve_class(text: str) -> FunctionClass:
-    if os.path.exists(text):
-        return _load("class", load_class, text)
-    try:
-        return generate(text)
-    except ValueError as exc:
-        raise ConfigError(f"field 'class': {exc}") from None
+def _resolve_class(text: str, step: bool = False) -> FunctionClass:
+    """The class a class file or generator spec names; `step` rejects TABULAR."""
+    F = _load("class", load_class if os.path.exists(text) else generate, text)
+    if step and F.kind != STEP:
+        raise ConfigError(f"field 'class': this command needs a STEP class, got {F.kind}")
+    return F
 
 
 def _resolve_process(text: str):
@@ -156,7 +148,7 @@ def _load_markov(path) -> MarkovSpec:
     return MarkovSpec(transition=transition, emissions=tuple(emissions))
 
 
-def _emit(report: dict, cfg: dict, out_dir, csv_rows=None, csv_header=None) -> None:
+def _emit(report: dict, cfg: dict, csv_rows=None, csv_header=None) -> None:
     document = {
         "config": {k: str(v) for k, v in sorted(cfg.items())},
         "version": __version__,
@@ -164,6 +156,7 @@ def _emit(report: dict, cfg: dict, out_dir, csv_rows=None, csv_header=None) -> N
     }
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
+    out_dir = cfg.get("out")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
@@ -187,14 +180,17 @@ def cmd_dim(cfg: dict) -> int:
     F = _resolve_class(cfg["class"])
     gamma = _rat(cfg["gamma"], "gamma")
     cap = _ints(cfg, "cap", low=1) if "cap" in cfg else 20
-    result = gap_dim(F, gamma, cap=cap, mode=cfg.get("mode", PRUNED))
+    mode = cfg.get("mode", PRUNED)
+    if mode not in (NAIVE, PRUNED):
+        raise ConfigError(f"field 'mode': must be {NAIVE} or {PRUNED}, got {mode!r}")
+    result = gap_dim(F, gamma, cap=cap, mode=mode)
     report = {
         "dimension": result.dimension,
         "dimension_label": result.label,
         "exact": result.exact,
         "certificate": result.certificate.to_json() if result.certificate else None,
     }
-    _emit(report, cfg, cfg.get("out"))
+    _emit(report, cfg)
     return 0
 
 
@@ -203,7 +199,7 @@ def cmd_verify(cfg: dict) -> int:
     gamma = _rat(cfg["gamma"], "gamma")
     cert = _load("cert", ShatterCertificate.load, cfg["cert"])
     ok = verify_certificate(F, gamma, cert)
-    _emit({"verified": ok}, cfg, cfg.get("out"))
+    _emit({"verified": ok}, cfg)
     return 0 if ok else 1
 
 
@@ -224,12 +220,12 @@ def cmd_segments(cfg: dict) -> int:
             for i, f in enumerate(F.functions)
         ],
     }
-    _emit(report, cfg, cfg.get("out"))
+    _emit(report, cfg)
     return 0
 
 
 def cmd_join(cfg: dict) -> int:
-    F = _resolve_class(cfg["class"])
+    F = _resolve_class(cfg["class"], step=True)
     gamma = _rat(cfg["gamma"], "gamma")
     K = k_of_gamma(gamma)
     k, k2 = _ints(cfg, "k", low=1, high=K), _ints(cfg, "kp", low=1, high=K)
@@ -245,7 +241,7 @@ def cmd_join(cfg: dict) -> int:
             for c in cells
         ],
     }
-    _emit(report, cfg, cfg.get("out"))
+    _emit(report, cfg)
     return 0
 
 
@@ -256,23 +252,30 @@ def cmd_ptree(cfg: dict) -> int:
     leaves = sorted(_ints(cfg, "leaves", low=0, high=offset - 1, many=True))
     S = [offset + i for i in leaves]
     c = _rat(cfg["c"], "c")
-    if not 0 < c <= 1:
-        raise ConfigError(f"field 'c': must be in (0, 1], got {cfg['c']!r}")
-    witness = ptree_witness(tree, S, c)
+    if not 4 <= c * offset <= offset:
+        raise ConfigError(f"field 'c': must be in [4/2^depth, 1], got {cfg['c']!r}")
+    try:
+        witness = ptree_witness(tree, S, c)
+    except PtreePreconditionViolated as exc:  # fewer leaves than c*2^depth
+        raise ConfigError(f"field 'leaves': {exc}") from None
     report = {
         "level": witness.level,
         "u": witness.u,
         "nodes": sorted(witness.nodes),
         "size": len(witness.nodes),
     }
-    _emit(report, cfg, cfg.get("out"))
+    _emit(report, cfg)
     return 0
 
 
 def cmd_subtree(cfg: dict) -> int:
     tree = _load("tree", CompleteTree.load, cfg["tree"])
-    K = _ints(cfg, "K", low=1)
-    emb = uniform_subtree(tree, K)
+    top = [max(label) for t, label in tree.labels.items() if not tree.is_leaf(t)]
+    K = _ints(cfg, "K", low=max([1, *top]))
+    try:
+        emb = uniform_subtree(tree, K)
+    except ValueError as exc:  # depth 0, an unlabeled node or a label below 1
+        raise ConfigError(f"field 'tree': {exc}") from None
     R, bound = subtree_guarantee(tree.depth, K)
     report = {
         "depth": emb.depth,
@@ -282,27 +285,27 @@ def cmd_subtree(cfg: dict) -> int:
         "guarantee_stages": R,
         "guarantee_depth": format_rational(bound),
     }
-    _emit(report, cfg, cfg.get("out"))
+    _emit(report, cfg)
     return 0
 
 
 def cmd_itree(cfg: dict) -> int:
-    F = _resolve_class(cfg["class"])
+    actions = COMMANDS["itree"].actions
+    if cfg["action"] not in actions:
+        raise ConfigError(f"field 'action': must be {' or '.join(actions)}, got {cfg['action']!r}")
+    F = _resolve_class(cfg["class"], step=True)
     gamma = _rat(cfg["gamma"], "gamma")
     if cfg["action"] == "build":
         built = intersection_tree_build(
             F, gamma, _ints(cfg, "depth", low=1),
             visit_cap=_ints(cfg, "budget", low=1) if "budget" in cfg else 1_000_000,
         )
-        if built is None:
-            _emit({"status": "FAILURE"}, cfg, cfg.get("out"))
-            return 0
-        report = {
+        report = {"status": "FAILURE"} if built is None else {
             "status": "ok",
             "tree": built.tree.to_json(),
             "functions": list(built.functions),
         }
-        _emit(report, cfg, cfg.get("out"))
+        _emit(report, cfg)
         return 0
     tree = _load("tree", CompleteTree.load, cfg["tree"])
     functions = _ints(cfg, "functions", many=True)
@@ -312,12 +315,12 @@ def cmd_itree(cfg: dict) -> int:
             f" got {cfg['functions']!r}"
         )
     ok = intersection_tree_verify(tree, F, gamma, functions)
-    _emit({"verified": ok}, cfg, cfg.get("out"))
+    _emit({"verified": ok}, cfg)
     return 0 if ok else 1
 
 
 def cmd_discrepancy(cfg: dict) -> int:
-    F = _resolve_class(cfg["class"])
+    F = _resolve_class(cfg["class"], step=True)
     spec = _resolve_process(cfg["process"])
     m = _ints(cfg, "m", low=1)
     seed = _ints(cfg, "seed")
@@ -332,12 +335,12 @@ def cmd_discrepancy(cfg: dict) -> int:
     rows = [
         (m, 0, decimal12(gamma_m), format_rational(gamma_m)),
     ]
-    _emit(report, cfg, cfg.get("out"), rows, "m,replicate,gamma_m,gamma_m_exact")
+    _emit(report, cfg, rows, "m,replicate,gamma_m,gamma_m_exact")
     return 0
 
 
 def cmd_gc_curve(cfg: dict) -> int:
-    F = _resolve_class(cfg["class"])
+    F = _resolve_class(cfg["class"], step=True)
     spec = _resolve_process(cfg["process"])
     grid = _ints(cfg, "m_grid", low=1, many=True)
     replicates = _ints(cfg, "replicates", low=1)
@@ -356,12 +359,12 @@ def cmd_gc_curve(cfg: dict) -> int:
     rows = [
         (m, r, decimal12(g), format_rational(g)) for (m, r, g) in rep.rows
     ]
-    _emit(report, cfg, cfg.get("out"), rows, "m,replicate,gamma_m,gamma_m_exact")
+    _emit(report, cfg, rows, "m,replicate,gamma_m,gamma_m_exact")
     return 0
 
 
 def cmd_bound_check(cfg: dict) -> int:
-    F = _resolve_class(cfg["class"])
+    F = _resolve_class(cfg["class"], step=True)
     spec = _resolve_process(cfg["process"])
     res = bound_check(
         F,
@@ -379,7 +382,7 @@ def cmd_bound_check(cfg: dict) -> int:
         "margin": _rational_pair(res.margin),
         "verdict": "PASS" if res.passed else "FAIL",
     }
-    _emit(report, cfg, cfg.get("out"))
+    _emit(report, cfg)
     return 0 if res.passed else 1
 
 
@@ -410,139 +413,131 @@ def cmd_demo_rotation(cfg: dict) -> int:
             "dimension": rep.combined_dim.dimension,
         },
     }
-    _emit(report, cfg, cfg.get("out"))
+    _emit(report, cfg)
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gapdim",
-        description="Exact gap-dimension certificates and ergodic discrepancy experiments",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags must not repeat its keys")
-        p.add_argument("--out", help="directory for report files")
 
-    p = sub.add_parser("dim", help="compute the gap dimension of a class")
-    p.add_argument("--class", dest="klass", help="generator spec or class file")
-    p.add_argument("--gamma")
-    p.add_argument("--mode", choices=[NAIVE, PRUNED])
-    p.add_argument("--cap", type=int)
-    common(p)
-    p.set_defaults(func=cmd_dim)
+# ---------------------------------------------------------------------------
+# The command table: each command is declared here and nowhere else.
 
-    p = sub.add_parser("verify", help="re-check a shattering certificate")
-    p.add_argument("--class", dest="klass")
-    p.add_argument("--cert")
-    p.add_argument("--gamma")
-    common(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("segments", help="band preimages of every function")
-    p.add_argument("--class", dest="klass")
-    p.add_argument("--gamma")
-    common(p)
-    p.set_defaults(func=cmd_segments)
+class Command(NamedTuple):
+    """A subcommand's handler, help line and fields.
 
-    p = sub.add_parser("join", help="join of one segment pair across a class")
-    p.add_argument("--class", dest="klass")
-    p.add_argument("--gamma")
-    p.add_argument("--k", type=int)
-    p.add_argument("--kp", type=int)
-    common(p)
-    p.set_defaults(func=cmd_join)
+    Field `name` is the flag ``--name`` (underscores written as dashes) and
+    the config key `name`; `action` is the positional word after the
+    command, and `actions` names each action's extra required fields.
+    """
 
-    p = sub.add_parser("ptree", help="ancestral pigeonhole witness")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--leaves", help="comma-separated leaf offsets, 0-based")
-    p.add_argument("--c")
-    common(p)
-    p.set_defaults(func=cmd_ptree)
+    run: Callable[[dict], int]
+    help: str
+    required: Tuple[str, ...]
+    optional: Tuple[str, ...] = ()
+    actions: Dict[str, Tuple[str, ...]] = {}
 
-    p = sub.add_parser("subtree", help="uniform-label embedded subtree")
-    p.add_argument("--tree", help="tree JSON file")
-    p.add_argument("--K", type=int)
-    common(p)
-    p.set_defaults(func=cmd_subtree)
+    @property
+    def fields(self) -> Tuple[str, ...]:
+        extra = tuple(f for fields in self.actions.values() for f in fields)
+        return self.required + self.optional + extra + ("out",)
 
-    p = sub.add_parser("itree", help="build or verify an intersection tree")
-    p.add_argument("action", choices=["build", "verify"])
-    p.add_argument("--class", dest="klass")
-    p.add_argument("--gamma")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--tree")
-    p.add_argument("--functions", help="comma-separated per-level function indices")
-    common(p)
-    p.set_defaults(func=cmd_itree)
 
-    p = sub.add_parser("discrepancy", help="exact discrepancy of one sampled path")
-    p.add_argument("--class", dest="klass")
-    p.add_argument("--process", help="iid | rotation | rotation:p/q | markov JSON file")
-    p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int)
-    common(p)
-    p.set_defaults(func=cmd_discrepancy)
+COMMANDS = {
+    "dim": Command(cmd_dim, "compute the gap dimension of a class",
+                   ("class", "gamma"), ("mode", "cap")),
+    "verify": Command(cmd_verify, "re-check a shattering certificate",
+                      ("class", "cert", "gamma")),
+    "segments": Command(cmd_segments, "band preimages of every function", ("class", "gamma")),
+    "join": Command(cmd_join, "join of one segment pair across a class",
+                    ("class", "gamma", "k", "kp")),
+    "ptree": Command(cmd_ptree, "ancestral pigeonhole witness", ("depth", "leaves", "c")),
+    "subtree": Command(cmd_subtree, "uniform-label embedded subtree", ("tree", "K")),
+    "itree": Command(cmd_itree, "build or verify an intersection tree",
+                     ("action", "class", "gamma"), ("budget",),
+                     {"build": ("depth",), "verify": ("tree", "functions")}),
+    "discrepancy": Command(cmd_discrepancy, "exact discrepancy of one sampled path",
+                           ("class", "process", "m", "seed")),
+    "gc-curve": Command(cmd_gc_curve, "discrepancy decay over an m grid",
+                        ("class", "process", "m_grid", "replicates", "seed")),
+    "bound-check": Command(cmd_bound_check, "dimension-vs-discrepancy bound verdict",
+                           ("class", "process", "gamma", "m", "replicates", "seed")),
+    "demo-rotation": Command(cmd_demo_rotation, "rotation counterexample demo",
+                             ("m", "seed"), ("theta",)),
+}
 
-    p = sub.add_parser("gc-curve", help="discrepancy decay over an m grid")
-    p.add_argument("--class", dest="klass")
-    p.add_argument("--process")
-    p.add_argument("--m-grid", dest="m_grid")
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--seed", type=int)
-    common(p)
-    p.set_defaults(func=cmd_gc_curve)
+_HELP = {
+    "class": "generator spec or class file",
+    "mode": f"{NAIVE} | {PRUNED} (default {PRUNED})",
+    "cap": "largest set size a search tries (default 20)",
+    "leaves": "comma-separated leaf offsets, 0-based",
+    "tree": "tree JSON file",
+    "budget": "tree-search visit budget (default 1000000)",
+    "functions": "comma-separated per-level function indices",
+    "process": "iid | rotation | rotation:p/q | markov JSON file",
+    "m_grid": "comma-separated path lengths",
+    "out": "directory for report files",
+}
 
-    p = sub.add_parser("bound-check", help="dimension-vs-discrepancy bound verdict")
-    p.add_argument("--class", dest="klass")
-    p.add_argument("--process")
-    p.add_argument("--gamma")
-    p.add_argument("--m", type=int)
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--seed", type=int)
-    common(p)
-    p.set_defaults(func=cmd_bound_check)
 
-    p = sub.add_parser("demo-rotation", help="rotation counterexample demo")
-    p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--theta")
-    common(p)
-    p.set_defaults(func=cmd_demo_rotation)
-
+def _parser(name: str, command: Command) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=f"gapdim {name}", description=command.help)
+    for f in command.fields:
+        if f == "action":
+            parser.add_argument(f, nargs="?", help=" | ".join(command.actions))
+        else:
+            parser.add_argument("--" + f.replace("_", "-"), help=_HELP.get(f))
+    parser.add_argument("--config", help="JSON config file; flags must not repeat its keys")
     return parser
 
 
-_REQUIRED = {
-    "dim": ["class", "gamma"],
-    "verify": ["class", "cert", "gamma"],
-    "segments": ["class", "gamma"],
-    "join": ["class", "gamma", "k", "kp"],
-    "ptree": ["depth", "leaves", "c"],
-    "subtree": ["tree", "K"],
-    "itree": ["class", "gamma"],
-    "discrepancy": ["class", "process", "m", "seed"],
-    "gc-curve": ["class", "process", "m_grid", "replicates", "seed"],
-    "bound-check": ["class", "process", "gamma", "m", "replicates", "seed"],
-    "demo-rotation": ["m", "seed"],
-}
-_ITREE_REQUIRED = {"build": ["depth"], "verify": ["tree", "functions"]}
+def _load_config(args: dict, fields: Tuple[str, ...]) -> dict:
+    """Merge --config JSON with explicit flags; every value is a string.
+
+    Config keys must be fields of the command and their values strings or
+    integers; a field given both ways is an error, not an override.
+    """
+    merged = {}
+    if args["config"] is not None:
+        for key, value in _load("config", read_json_object, args["config"]).items():
+            if key not in fields:
+                raise ConfigError(f"field {key!r}: not a field of this command")
+            if type(value) not in (str, int):
+                raise ConfigError(
+                    f"field {key!r}: must be a string or an integer, got {json.dumps(value)}"
+                )
+            merged[key] = str(value)
+    for key, value in args.items():
+        if key == "config" or value is None:
+            continue
+        if key in merged:
+            raise ConfigError(
+                f"field {key!r}: given both on the command line and in the config file"
+            )
+        merged[key] = value
+    return merged
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:  # only the overview: every command and its help line
+        parser = argparse.ArgumentParser(
+            prog="gapdim",
+            description="Exact gap-dimension certificates and ergodic discrepancy experiments",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, entry in COMMANDS.items():
+            sub.add_parser(name, help=entry.help)
+        parser.parse_args(argv)  # prints the help (exit 0) or a usage error (exit 2)
+        parser.error("the command must come first")
+    args = vars(_parser(argv[0], command).parse_args(argv[1:]))
     try:
-        cfg = _load_config(args)
-        required = _REQUIRED[args.command]
-        if args.command == "itree":
-            required = required + _ITREE_REQUIRED[cfg["action"]]
-        for field in required:
-            if field not in cfg or cfg[field] is None:
-                raise ConfigError(f"field {field!r}: required but missing")
-        return args.func(cfg)
+        cfg = _load_config(args, command.fields)
+        for f in command.required + command.actions.get(cfg.get("action"), ()):
+            if f not in cfg:
+                raise ConfigError(f"field {f!r}: required but missing")
+        return command.run(cfg)
     except InvalidResolution as exc:
         message = f"field 'gamma': {exc}"
     except MalformedCertificate as exc:

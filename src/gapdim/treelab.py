@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .exactset import IntervalUnion, RationalLike, read_json_object
 from .funclass import (
@@ -132,15 +132,24 @@ class PtreeWitness:
     u: int
 
 
-def _downset(tree: CompleteTree, S: Set[int], floor_level: int) -> List[bool]:
-    """down[t] says whether t's subtree truncated at floor_level meets S."""
-    down = [False] * ((1 << (floor_level + 1)))
+def _downset(S: Iterable[int]) -> Dict[int, Set[int]]:
+    """The members of S and their ancestors, by level: the nodes whose subtree
+    meets S.  That is at most |S| nodes a level, whatever the tree's size."""
+    down: Dict[int, Set[int]] = {}
     for t in S:
-        down[t] = True
-    for t in range((1 << floor_level) - 1, 0, -1):
-        if down[2 * t] or down[2 * t + 1]:
-            down[t] = True
+        while t:
+            level = down.setdefault(t.bit_length() - 1, set())
+            if t in level:
+                break  # its ancestors are in already
+            level.add(t)
+            t >>= 1
     return down
+
+
+def _branching(down: Dict[int, Set[int]], l: int) -> List[int]:
+    """The level-l nodes both of whose children are in the down-set, sorted."""
+    below = down.get(l + 1, set())
+    return sorted({t >> 1 for t in below if t ^ 1 in below})
 
 
 def level_counts(
@@ -153,14 +162,10 @@ def level_counts(
     a member of S below them.  S must live on one level (by default the
     leaves).
     """
-    S = set(S)
     fl = tree.depth if floor_level is None else floor_level
-    down = _downset(tree, S, fl)
-    m: Dict[int, int] = {}
-    n: Dict[int, int] = {}
-    for l in range(fl):
-        m[l] = sum(1 for t in tree.nodes_at_level(l) if down[2 * t] or down[2 * t + 1])
-        n[l] = sum(1 for t in tree.nodes_at_level(l) if down[2 * t] and down[2 * t + 1])
+    down = _downset(S)
+    m = {l: len({t >> 1 for t in down.get(l + 1, ())}) for l in range(fl)}
+    n = {l: len(_branching(down, l)) for l in range(fl)}
     return m, n
 
 
@@ -173,14 +178,14 @@ def _u_of(c: Fraction) -> int:
 
 
 def _pigeonhole_level(
-    tree: CompleteTree, S: Set[int], member_level: int, c: Fraction
+    S: Iterable[int], member_level: int, c: Fraction
 ) -> Tuple[int, List[int], int]:
     """Shared core of the ancestral pigeonhole, relative to a member level."""
     u = _u_of(c)
-    down = _downset(tree, S, member_level)
+    down = _downset(S)
     best_level, best_nodes = None, None
     for l in range(member_level - u, member_level):
-        nodes = [t for t in tree.nodes_at_level(l) if down[2 * t] and down[2 * t + 1]]
+        nodes = _branching(down, l)
         if best_nodes is None or len(nodes) > len(best_nodes):
             best_level, best_nodes = l, nodes
     return best_level, best_nodes, u
@@ -205,7 +210,7 @@ def ptree_witness(tree: CompleteTree, S: Sequence[int], c: RationalLike) -> Ptre
         raise PtreePreconditionViolated(
             f"need |S| >= c*2^L >= 4, got |S|={len(S)}, c*2^L={c * (1 << L)}"
         )
-    level, nodes, u = _pigeonhole_level(tree, S, L, c)
+    level, nodes, u = _pigeonhole_level(S, L, c)
     if len(nodes) < c * (1 << L) / (4 * L):
         raise RuntimeError(f"pigeonhole level {level} has only {len(nodes)} nodes")
     return PtreeWitness(level=level, nodes=frozenset(nodes), u=u)
@@ -271,7 +276,7 @@ def uniform_subtree(tree: CompleteTree, K: int) -> EmbeddedSubtree:
         if level < 1 or len(nodes) < 4:
             break
         c = Fraction(len(nodes), 1 << level)
-        l0, witness_nodes, _ = _pigeonhole_level(tree, set(nodes), level, c)
+        l0, witness_nodes, _ = _pigeonhole_level(nodes, level, c)
         label, subset = _majority_label(tree, witness_nodes)
         stages.append((l0, label, subset))
 
@@ -281,17 +286,12 @@ def uniform_subtree(tree: CompleteTree, K: int) -> EmbeddedSubtree:
         level, _, nodes = stages[-1]
         if level < 1 or len(nodes) < 2:
             break
-        down = _downset(tree, set(nodes), level)
-        found = None
-        for l in range(level - 1, -1, -1):
-            cands = [t for t in tree.nodes_at_level(l) if down[2 * t] and down[2 * t + 1]]
-            if cands:
-                found = (l, cands)
-                break
-        if found is None:
+        down = _downset(nodes)
+        l0 = next((l for l in range(level - 1, -1, -1) if _branching(down, l)), None)
+        if l0 is None:
             break
-        label, subset = _majority_label(tree, found[1])
-        stages.append((found[0], label, subset))
+        label, subset = _majority_label(tree, _branching(down, l0))
+        stages.append((l0, label, subset))
 
     counts: Dict[Label, int] = {}
     for _, lbl, _ in stages:

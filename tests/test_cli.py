@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gapdim import (
     full_join_family, intersection_tree_build, join_shatter, parse_rational, thresholds
 )
-from gapdim.cli import main
+from gapdim.cli import COMMANDS, main
 from gapdim.funclass import class_to_json, save_class
 from gapdim.shatter import ShatterCertificate
 
@@ -111,6 +112,57 @@ class TestUsageErrors:
         code, out = run(capsys, "dim", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["report"]["dimension"] == 1
+
+
+# every command and its flags, as `gapdim <command> --help` must list them
+FLAGS = {
+    "dim": "--class --gamma --mode --cap",
+    "verify": "--class --cert --gamma",
+    "segments": "--class --gamma",
+    "join": "--class --gamma --k --kp",
+    "ptree": "--depth --leaves --c",
+    "subtree": "--tree --K",
+    "itree": "action --class --gamma --budget --depth --tree --functions",
+    "discrepancy": "--class --process --m --seed",
+    "gc-curve": "--class --process --m-grid --replicates --seed",
+    "bound-check": "--class --process --gamma --m --replicates --seed",
+    "demo-rotation": "--m --seed --theta",
+}
+
+
+class TestHelpAndUsage:
+    def test_table_declares_every_command_and_flag(self):
+        declared = {
+            name: " ".join(f if f == "action" else "--" + f.replace("_", "-")
+                           for f in command.fields[:-1])
+            for name, command in COMMANDS.items()
+        }
+        assert declared == FLAGS
+        assert all(command.fields[-1] == "out" for command in COMMANDS.values())
+
+    def test_overview_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(re.search(rf"\n\s+{name}\s", out) for name in FLAGS), out
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_command_help_lists_its_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: gapdim {command} ")
+        for flag in FLAGS[command].split() + ["--config", "--out"]:
+            assert re.search(rf"\n\s+{flag}\s", out), (flag, out)
+
+    @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["--class", "thresholds(4)"]])
+    def test_missing_or_unknown_command(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: gapdim")
 
 
 class TestInputErrors:
@@ -290,6 +342,31 @@ def workdir(tmp_path_factory):
     return path
 
 
+# a passing command line per command with integer flags, and those flags
+VALID = {
+    "dim": ("dim", "--class", "thresholds(4)", "--gamma", "1/4", "--cap", "3"),
+    "join": ("join", "--class", TREE_CLASS, "--gamma", "1/5", "--k", "1", "--kp", "3"),
+    "ptree": ("ptree", "--depth", "3", "--leaves", "0,1,2,3", "--c", "1/2"),
+    "subtree": ("subtree", "--tree", "{tree}", "--K", "5"),
+    "itree": ("itree", "build", "--class", TREE_CLASS, "--gamma", "1/5", "--depth", "2",
+              "--budget", "100"),
+    "discrepancy": ("discrepancy", "--class", "thresholds(4)", "--process", "iid",
+                    "--m", "10", "--seed", "1"),
+    "gc-curve": ("gc-curve", "--class", "thresholds(4)", "--process", "iid", "--m-grid", "10",
+                 "--replicates", "1", "--seed", "1"),
+    "bound-check": ("bound-check", "--class", "thresholds(4)", "--process", "iid",
+                    "--gamma", "1/2", "--m", "10", "--replicates", "1", "--seed", "1"),
+    "demo-rotation": ("demo-rotation", "--m", "10", "--seed", "1"),
+}
+INTEGER_FIELDS = [
+    ("dim", "cap"), ("join", "k"), ("join", "kp"), ("ptree", "depth"), ("subtree", "K"),
+    ("itree", "depth"), ("itree", "budget"), ("discrepancy", "m"), ("discrepancy", "seed"),
+    ("gc-curve", "replicates"), ("gc-curve", "seed"), ("bound-check", "m"),
+    ("bound-check", "replicates"), ("bound-check", "seed"), ("demo-rotation", "m"),
+    ("demo-rotation", "seed"),
+]
+
+
 class TestMalformedInput:
     """Malformed input of every kind exits 2 with a message naming its field."""
 
@@ -304,7 +381,7 @@ class TestMalformedInput:
     @settings(max_examples=150, deadline=None)
     def test_input_files(self, workdir, data, kind):
         doc = data.draw(documents(kind))
-        path = workdir / f"{kind}.json"
+        path = workdir / f"junk-{kind}.json"
         path.write_text(json.dumps(doc))
         assert_field_error(*(a.replace("{path}", str(path)) for a in INPUT_FILES[kind][3]))
 
@@ -366,14 +443,90 @@ class TestMalformedInput:
             ("K", ("subtree", "--tree", "{tree}", "--K", "0")),
             ("theta", ("demo-rotation", "--m", "1000", "--seed", "3", "--theta", "3/7")),
             ("theta", ("demo-rotation", "--m", "10", "--seed", "3", "--theta", "7/5")),
+            ("K", ("subtree", "--tree", "{wide}", "--K", "5")),
+            ("tree", ("subtree", "--tree", "{unlabeled}", "--K", "5")),
+            ("tree", ("subtree", "--tree", "{zero}", "--K", "5")),
+            ("leaves", ("ptree", "--depth", "3", "--leaves", "0,1", "--c", "1/2")),
+            ("c", ("ptree", "--depth", "3", "--leaves", "0,1,2,3,4,5,6,7", "--c", "1/4")),
         ],
     )
     def test_out_of_range_values_name_their_field(self, tmp_path, field, argv):
-        tree = tmp_path / "tree.json"
-        tree.write_text(json.dumps(INPUT_FILES["tree"][0]))
-        code, out, err = run_main(*(a.replace("{tree}", str(tree)) for a in argv))
+        # the tree, and copies with a label above 5, no label, a label of 0
+        labels = {"tree": [1, 3], "wide": [1, 6], "unlabeled": None, "zero": [0, 3]}
+        for name, label in labels.items():
+            doc = json.loads(json.dumps(INPUT_FILES["tree"][0]))
+            doc["nodes"]["2"]["label"] = label
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv = [a.format(**{name: tmp_path / f"{name}.json" for name in labels}) for a in argv]
+        code, out, err = run_main(*argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: field '{field}'"), err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("join", "--gamma", "1/4", "--k", "1", "--kp", "3"),
+            ("itree", "build", "--gamma", "1/4", "--depth", "1"),
+            ("itree", "verify", "--gamma", "1/5", "--tree", "{tree}", "--functions", "0,1"),
+            ("discrepancy", "--process", "iid", "--m", "10", "--seed", "1"),
+            ("gc-curve", "--process", "iid", "--m-grid", "10", "--replicates", "1",
+             "--seed", "1"),
+            ("bound-check", "--process", "iid", "--gamma", "1/4", "--m", "10",
+             "--replicates", "1", "--seed", "1"),
+        ],
+        ids=lambda argv: " ".join(argv[:2] if argv[0] == "itree" else argv[:1]),
+    )
+    def test_step_commands_reject_tabular_classes(self, workdir, argv):
+        argv = [a.format(tree=workdir / "tree.json") for a in argv]
+        code, out, err = run_main(*argv, "--class", "all_patterns(3)")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: field 'class': this command needs a STEP class"), err
+
+    @pytest.mark.parametrize("command,field", INTEGER_FIELDS)
+    def test_non_integer_flags(self, workdir, command, field):
+        argv = [a.format(tree=workdir / "tree.json") for a in VALID[command]]
+        argv[argv.index(f"--{field}") + 1] = "2.5"
+        code, out, err = run_main(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: field '{field}': cannot parse integers '2.5'"), err
+
+    def test_valid_argv_pass(self, workdir):
+        for argv in VALID.values():
+            code, _, err = run_main(*(a.format(tree=workdir / "tree.json") for a in argv))
+            assert code == 0, (argv, err)
+
+    @pytest.mark.parametrize(
+        "field,argv,config",
+        [
+            ("mode", ("dim", "--class", "thresholds(4)", "--gamma", "1/4", "--mode", "fast"), {}),
+            ("mode", ("dim", "--class", "thresholds(4)", "--gamma", "1/4"), {"mode": "fast"}),
+            ("mode", ("dim", "--class", "thresholds(4)", "--gamma", "1/4"), {"mode": True}),
+            ("action", ("itree", "grow", "--class", TREE_CLASS, "--gamma", "1/5"), {}),
+            ("action", ("itree", "--class", TREE_CLASS, "--gamma", "1/5"), {"action": "grow"}),
+            ("gammma", ("dim", "--class", "thresholds(4)"), {"gammma": "1/4"}),
+            ("m-grid", ("gc-curve", "--class", "thresholds(4)", "--process", "iid",
+                        "--replicates", "1", "--seed", "1"), {"m-grid": "10"}),
+            ("cap", ("segments", "--class", "thresholds(4)", "--gamma", "1/4"), {"cap": "3"}),
+            ("config", ("dim", "--class", "thresholds(4)", "--gamma", "1/4"), {"config": "x"}),
+            ("out", ("dim", "--class", "thresholds(4)", "--gamma", "1/4"), {"out": None}),
+        ],
+    )
+    def test_bad_choices_and_config_keys(self, tmp_path, field, argv, config):
+        if config:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv += ("--config", str(path))
+        code, out, err = run_main(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: field '{field}'"), err
+
+    def test_action_from_config_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"action": "build", "depth": 2}))
+        argv = ("itree", "--class", TREE_CLASS, "--gamma", "1/5")
+        code, out, _ = run_main(*argv, "--config", str(path))
+        assert code == 0 and json.loads(out)["report"]["status"] == "ok"
+        assert json.loads(out)["config"]["depth"] == "2"
 
     @given(BAD_ENTRY)
     @settings(max_examples=30, deadline=None)

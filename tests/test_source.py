@@ -1,23 +1,45 @@
 """Rules about the library source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import gapdim
 
 SOURCES = sorted(Path(gapdim.__file__).parent.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
 
 
 def test_sources_found():
-    assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "ergoproc.py"}
+    assert set(TREES) >= {"__init__.py", "cli.py", "ergoproc.py"}
 
 
 def test_no_assert_statements():
     """Postconditions are explicit checks: ``python -O`` strips asserts."""
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_imports_stay_in_the_standard_library():
+    """The library has no dependencies (``dependencies = []``)."""
+    allowed = sys.stdlib_module_names | {"gapdim"}
+    found = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue  # not an import, or a relative one inside gapdim
+            found += [
+                f"{name}:{node.lineno} {module}"
+                for module in modules
+                if module.partition(".")[0] not in allowed
+            ]
     assert found == []

@@ -131,6 +131,18 @@ class TestPtreeWitness:
                     w = ptree_witness(tree, S, c)
                     check_witness(tree, S, c, w)
 
+    def test_deep_tree_with_four_leaves(self):
+        # The tree has 2**61 - 1 nodes; only the leaves' ancestors are visited.
+        L = 60
+        tree = CompleteTree(L)
+        S = [(1 << L) + i for i in range(4)]
+        w = ptree_witness(tree, S, F(4, 1 << L))
+        top = 1 << (L - 1)
+        assert (w.level, w.nodes, w.u) == (L - 1, frozenset({top, top + 1}), L - 1)
+        m, n = level_counts(tree, S)
+        assert m == {l: 2 if l == L - 1 else 1 for l in range(L)}
+        assert n == {l: {L - 1: 2, L - 2: 1}.get(l, 0) for l in range(L)}
+
 
 class TestUniformSubtree:
     def test_already_uniform_returns_full_tree(self):
