@@ -9,15 +9,23 @@ positive answer is backed by a certificate that can be re-checked
 independently of the search that produced it.
 
 Two solvers are provided.  NAIVE enumerates point subsets by increasing
-size and is the reference oracle.  PRUNED grows only currently-shattered
-sets depth first (sound because subsets of shattered sets are shattered
-under the same alpha) and stops at the counting bound floor(log2 |F|),
-since 2**d distinct functions are needed to shatter d points.
+size, calls `shatters` on each and is the reference oracle.  PRUNED grows
+only currently-shattered sets depth first and stops at the counting bound
+floor(log2 |F|), since 2**d distinct functions are needed to shatter d
+points.  It decides each extension without `shatters`: the critical levels
+of all candidate points cut the alpha axis into global windows, and the
+search carries, for every window where the current set is still shattered,
+the live functions grouped by the subset they realize.  A set shattered at
+alpha has every subset shattered at the same alpha, so windows only drop
+out deeper down, and adding a point splits each group into the functions
+above and below it.  The winning set's certificate comes from one call of
+`shatters`, so both solvers return what the subset-by-subset search did.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -232,6 +240,48 @@ def shatters(
     return None
 
 
+def _window_sides(
+    F: FunctionClass, pts: Sequence[Fraction], gamma: Fraction
+) -> Tuple[int, List[Tuple[List[int], List[Tuple[int, int]]]]]:
+    """Global alpha windows, and per candidate point who is above and below.
+
+    Values and gamma are scaled to integers as in `shatters`.  The critical
+    levels v - g and v + g of every (function, point) value cut the alpha
+    axis; window w is the open gap between levels w and w + 1, so it lies
+    inside one of the windows `shatters` sweeps for any subset of the
+    points.  Function f is above x throughout window w iff w < idx(v - g)
+    and below x iff w >= idx(v + g).  Returns the number of windows and,
+    per point, the sorted windows where its sides change (`keys`) and the
+    (above, below) bitmasks over F in force from each key on: window w
+    reads `pairs[bisect_right(keys, w)]`.  So the table holds at most two
+    keys per (function, point), however many windows there are.
+    """
+    columns = [[f.value_at(x) for f in F.functions] for x in pts]
+    scale = 2 * lcm(gamma.denominator, *{v.denominator for col in columns for v in col})
+    g = gamma.numerator * scale // gamma.denominator
+    columns = [[v.numerator * scale // v.denominator for v in col] for col in columns]
+    levels = sorted({v + s for col in columns for v in col for s in (-g, g)})
+    index = {c: k for k, c in enumerate(levels)}
+    sides = []
+    for col in columns:
+        stops: Dict[int, int] = {}  # window -> functions no longer above from it on
+        starts: Dict[int, int] = {}  # window -> functions below from it on
+        for fi, v in enumerate(col):
+            k = index[v - g]
+            stops[k] = stops.get(k, 0) | 1 << fi
+            k = index[v + g]
+            starts[k] = starts.get(k, 0) | 1 << fi
+        keys = sorted({*stops, *starts})
+        above, below = (1 << len(F)) - 1, 0
+        pairs = [(above, below)]
+        for k in keys:
+            above &= ~stops.get(k, 0)
+            below |= starts.get(k, 0)
+            pairs.append((above, below))
+        sides.append((keys, pairs))
+    return len(levels) - 1, sides
+
+
 def gap_dim(
     F: FunctionClass,
     gamma: RationalLike,
@@ -269,24 +319,44 @@ def gap_dim(
                 break  # supersets of unshattered sets are unshattered
             best, best_cert = d, found
     else:
-        # Depth-first extension in ascending point order; the first
-        # certificate reaching a new size is kept, which makes the result
-        # the lexicographically least maximal one.
-        def extend(prefix: List[int]) -> None:
-            nonlocal best, best_cert
+        # Depth-first extension in ascending point order; the first set
+        # reaching a new size is kept, which makes the result the
+        # lexicographically least maximal one.  A state holds, per window
+        # where the prefix is shattered, the 2**d groups of live functions
+        # (bitmasks over F) that realize its subset masks.
+        n_windows, sides = _window_sides(F, pts, gamma)
+        best_set: List[int] = []
+
+        def extend(prefix: List[int], state: List[Tuple[int, List[int]]]) -> None:
+            nonlocal best, best_set
             for nxt in range(prefix[-1] + 1 if prefix else 0, n):
                 if best >= limit:
                     return
-                cand = prefix + [nxt]
-                cert = shatters(F, [pts[i] for i in cand], gamma)
-                if cert is None:
+                keys, pairs = sides[nxt]
+                grown = []
+                for w, groups in state:
+                    hi_w, lo_w = pairs[bisect_right(keys, w)]
+                    parts = []
+                    for group in groups:
+                        hi, lo = group & hi_w, group & lo_w
+                        if not (hi and lo):
+                            break
+                        parts += (hi, lo)
+                    else:
+                        grown.append((w, parts))
+                if not grown:
                     continue
+                cand = prefix + [nxt]
                 if len(cand) > best:
-                    best, best_cert = len(cand), cert
+                    best, best_set = len(cand), cand
                 if len(cand) < limit:
-                    extend(cand)
+                    extend(cand, grown)
 
-        extend([])
+        extend([], [(w, [(1 << len(F)) - 1]) for w in range(n_windows)])
+        if best_set:
+            best_cert = shatters(F, [pts[i] for i in best_set], gamma)
+            if best_cert is None:
+                raise RuntimeError("window search kept a set that shatters rejects")
 
     if best_cert is not None and not verify_certificate(F, gamma, best_cert):
         raise RuntimeError("search produced a certificate that does not verify")

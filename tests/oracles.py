@@ -12,6 +12,7 @@ from gapdim import CompleteTree, FunctionClass, IntervalUnion, k_of_gamma, segme
 from gapdim.ergoproc import IIDUniformSpec, MarkovSpec, RotationSpec
 from gapdim.funclass import frac_mod1, refinement
 from gapdim.rng import SplitMix64
+from gapdim.shatter import DimResult, candidate_points, shatters, verify_certificate
 from gapdim.treelab import IntersectionTree, Label
 
 
@@ -123,6 +124,42 @@ def oracle_gap_dim(F: FunctionClass, candidate_pts, gamma, max_d=None) -> int:
             break
         best = d
     return best
+
+
+def oracle_pruned_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
+    """PRUNED as a depth-first search that calls ``shatters`` on every extension.
+
+    Grows shattered sets in ascending candidate order and keeps the first
+    certificate reaching a new size, under the same cap and counting bound
+    as ``gap_dim``; the window search must visit the same sets and return
+    the same result.
+    """
+    gamma = Fraction(gamma)
+    pts = candidate_points(F)
+    n = len(pts)
+    log_bound = len(F).bit_length() - 1
+    limit = min(cap, n, log_bound)
+    best, best_cert = 0, None
+
+    def extend(prefix):
+        nonlocal best, best_cert
+        for nxt in range(prefix[-1] + 1 if prefix else 0, n):
+            if best >= limit:
+                return
+            cand = prefix + [nxt]
+            cert = shatters(F, [pts[i] for i in cand], gamma)
+            if cert is None:
+                continue
+            if len(cand) > best:
+                best, best_cert = len(cand), cert
+            if len(cand) < limit:
+                extend(cand)
+
+    extend([])
+    if best_cert is not None and not verify_certificate(F, gamma, best_cert):
+        raise RuntimeError("oracle certificate does not verify")
+    exact = not (best == cap and cap < min(n, log_bound))
+    return DimResult(dimension=best, exact=exact, certificate=best_cert)
 
 
 def oracle_level_counts(tree: CompleteTree, S):

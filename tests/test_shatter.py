@@ -33,7 +33,11 @@ from gapdim.shatter import (
     candidate_points,
 )
 from oracles import (
-    oracle_gap_dim, oracle_join, oracle_shatters, oracle_shatters_certificate
+    oracle_gap_dim,
+    oracle_join,
+    oracle_pruned_gap_dim,
+    oracle_shatters,
+    oracle_shatters_certificate,
 )
 
 F = Fraction
@@ -156,6 +160,18 @@ class TestGapDim:
         assert res.dimension == 2
         assert not res.exact
         assert res.label == "INFINITE_CAP"
+
+    @pytest.mark.parametrize(
+        "spec,gamma,cap",
+        [("all_patterns(4)", F(2, 5), 2), ("random_step(1,16,8,64)", F(1, 8), 3)],
+    )
+    def test_pruned_cap_hit_reports_infinite(self, spec, gamma, cap):
+        FC = generate(spec)
+        res = gap_dim(FC, gamma, cap=cap, mode=PRUNED)
+        assert res.dimension == cap and res.label == "INFINITE_CAP"
+        expected = oracle_pruned_gap_dim(FC, gamma, cap=cap)
+        assert not expected.exact
+        assert res.certificate.to_json() == expected.certificate.to_json()
 
     def test_cap_equal_to_bound_stays_exact(self):
         # cap == floor(log2 |F|) == 3: nothing above the cap is feasible
@@ -288,6 +304,14 @@ class TestGapDimPostcondition:
         with pytest.raises(RuntimeError):
             gap_dim(zero_one_class, F(1, 4))
 
+    def test_window_search_checked_against_shatters(self, zero_one_class, monkeypatch):
+        # the window search finds {1/2}; a shatters that disagrees must be loud
+        from gapdim import shatter
+
+        monkeypatch.setattr(shatter, "shatters", lambda *a: None)
+        with pytest.raises(RuntimeError, match="shatters rejects"):
+            gap_dim(zero_one_class, F(1, 4), mode=PRUNED)
+
 
 class TestCandidatePoints:
     def test_step_refinement_midpoints(self, ramp8):
@@ -388,6 +412,42 @@ class TestShattersMatchesFractionScan:
         assert_matches_scan(FC, [F(1, 4), F(1, 5)])
 
 
+WINDOW_SHAPES = [
+    (4, 4, 5), (5, 16, 64), (6, 16, 8), (7, 8, 40), (8, 8, 16), (9, 4, 64),
+    (10, 4, 24), (11, 16, 12), (12, 16, 32), (13, 8, 6), (14, 8, 12), (16, 16, 10),
+]
+WINDOW_CORPUS = (
+    [f"random_step({s},{p},{g},{c})" for s, (p, g, c) in enumerate(WINDOW_SHAPES)]
+    + [f"all_patterns({p})" for p in (1, 2, 3, 4)]
+    + [f"interval_indicators({n})" for n in range(6, 11)]
+    + [f"thresholds({n})" for n in range(4, 17)]
+    + [f"full_join_family({L},{k},{k2},1/5)" for L in (1, 2, 3) for k, k2 in ((1, 3), (3, 1))]
+)
+WINDOW_GAMMAS = [F(1, 16), F(1, 8), F(1, 5), F(1, 4), F(3, 8)]
+
+
+def assert_same_search(FC, gammas=WINDOW_GAMMAS):
+    for gamma in gammas:
+        got, want = gap_dim(FC, gamma, mode=PRUNED), oracle_pruned_gap_dim(FC, gamma)
+        assert (got.dimension, got.exact) == (want.dimension, want.exact)
+        cert = got.certificate and got.certificate.to_json()
+        assert cert == (want.certificate and want.certificate.to_json())
+
+
+class TestWindowDfsMatchesShattersDfs:
+    """PRUNED's window search returns what a shatters call per extension did."""
+
+    @pytest.mark.parametrize("spec", WINDOW_CORPUS)
+    def test_generated_classes(self, spec):
+        assert_same_search(generate(spec))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_tabular_on_the_margins(self, seed):
+        # lattice values at 1/8 and 1/4 steps sit exactly on alpha +- gamma
+        FC = random_tabular(seed, n_points=6, n_fns=16 << seed % 3, grid=4 << seed % 2)
+        assert_same_search(FC, [F(1, 16), F(1, 8), F(1, 4), F(3, 8)])
+
+
 class TestJoinMatchesProduct:
     @staticmethod
     def cells(families):
@@ -439,6 +499,11 @@ class TestPinnedCertificates:
             ("random_step(1,12,8,32)", F(1, 8),
              {"alpha": "7/16", "points": ["1/24", "1/8", "3/8"],
               "selector": {"0": 1, "1": 14, "2": 8, "3": 4, "4": 5, "5": 11, "6": 6, "7": 10}}),
+            ("random_step(1,16,8,64)", F(1, 8),
+             {"alpha": "7/16", "points": ["1/32", "9/32", "17/32", "21/32"],
+              "selector": {"0": 24, "1": 58, "2": 46, "3": 15, "4": 30, "5": 12, "6": 8,
+                           "7": 26, "8": 6, "9": 3, "10": 32, "11": 11, "12": 2, "13": 23,
+                           "14": 16, "15": 53}}),
         ],
     )
     def test_certificate_json(self, spec, gamma, expected):

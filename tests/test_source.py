@@ -43,3 +43,30 @@ def test_imports_stay_in_the_standard_library():
                 if module.partition(".")[0] not in allowed
             ]
     assert found == []
+
+
+FLOAT_ALLOWED = {("exactset.py", "decimal12")}  # formats report columns
+
+
+def test_no_floats_outside_report_formatting():
+    """No decision may rest on a float: no float literal or ``float(...)``."""
+    found = []
+
+    def scan(name, node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        is_float = (
+            isinstance(node, ast.Constant) and isinstance(node.value, float)
+        ) or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        )
+        if is_float and (name, scope) not in FLOAT_ALLOWED:
+            found.append(f"{name}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            scan(name, child, scope)
+
+    for name, tree in TREES.items():
+        scan(name, tree, None)
+    assert found == []
