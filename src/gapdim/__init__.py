@@ -20,8 +20,6 @@ from .funclass import (
     trajectory_indicators,
 )
 from .shatter import (
-    NAIVE,
-    PRUNED,
     DimResult,
     ShatterCertificate,
     gap_dim,

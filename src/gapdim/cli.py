@@ -53,8 +53,6 @@ from .funclass import (
     segment_partition,
 )
 from .shatter import (
-    NAIVE,
-    PRUNED,
     MalformedCertificate,
     ShatterCertificate,
     gap_dim,
@@ -124,7 +122,11 @@ def _resolve_process(text: str):
     if text == "rotation":
         return RotationSpec(theta=golden_rotation_angle())
     if text.startswith("rotation:"):
-        return RotationSpec(theta=_rat(text.split(":", 1)[1], "process"))
+        theta = _rat(text.split(":", 1)[1], "process")
+        try:
+            return RotationSpec(theta=theta)
+        except ValueError as exc:  # theta outside (0, 1)
+            raise ConfigError(f"field 'process': {exc}") from None
     if not os.path.exists(text):
         raise ConfigError(f"field 'process': unknown process {text!r}")
     return _load("process", _load_markov, text)
@@ -180,10 +182,7 @@ def cmd_dim(cfg: dict) -> int:
     F = _resolve_class(cfg["class"])
     gamma = _rat(cfg["gamma"], "gamma")
     cap = _ints(cfg, "cap", low=1) if "cap" in cfg else 20
-    mode = cfg.get("mode", PRUNED)
-    if mode not in (NAIVE, PRUNED):
-        raise ConfigError(f"field 'mode': must be {NAIVE} or {PRUNED}, got {mode!r}")
-    result = gap_dim(F, gamma, cap=cap, mode=mode)
+    result = gap_dim(F, gamma, cap=cap)
     report = {
         "dimension": result.dimension,
         "dimension_label": result.label,
@@ -229,6 +228,8 @@ def cmd_join(cfg: dict) -> int:
     gamma = _rat(cfg["gamma"], "gamma")
     K = k_of_gamma(gamma)
     k, k2 = _ints(cfg, "k", low=1, high=K), _ints(cfg, "kp", low=1, high=K)
+    if k2 == k:
+        raise ConfigError(f"field 'kp': must differ from k, got {cfg['kp']!r}")
     families = [(segment(f, gamma, k), segment(f, gamma, k2)) for f in F.functions]
     cells = join(families)
     report = {
@@ -445,7 +446,7 @@ class Command(NamedTuple):
 
 COMMANDS = {
     "dim": Command(cmd_dim, "compute the gap dimension of a class",
-                   ("class", "gamma"), ("mode", "cap")),
+                   ("class", "gamma"), ("cap",)),
     "verify": Command(cmd_verify, "re-check a shattering certificate",
                       ("class", "cert", "gamma")),
     "segments": Command(cmd_segments, "band preimages of every function", ("class", "gamma")),
@@ -468,7 +469,6 @@ COMMANDS = {
 
 _HELP = {
     "class": "generator spec or class file",
-    "mode": f"{NAIVE} | {PRUNED} (default {PRUNED})",
     "cap": "largest set size a search tries (default 20)",
     "leaves": "comma-separated leaf offsets, 0-based",
     "tree": "tree JSON file",

@@ -38,7 +38,7 @@ from .funclass import (
     trajectory_indicators,
 )
 from .rng import TWO53, SplitMix64
-from .shatter import NAIVE, DimResult, gap_dim
+from .shatter import DimResult, gap_dim
 
 IID_UNIFORM = "iid"
 ROTATION = "rotation"
@@ -219,6 +219,8 @@ class SamplePath:
     def of(cls, values: Sequence[RationalLike], seed: int, spec: ProcessSpec) -> "SamplePath":
         """A path through given points of [0, 1), over the lcm of their denominators."""
         values = [Fraction(v) for v in values]
+        if not values:
+            raise ValueError("a sample path needs at least one point")
         if not all(ZERO <= v < ONE for v in values):
             raise ValueError("sample points must lie in [0, 1)")
         scale = math.lcm(*(v.denominator for v in values))
@@ -514,7 +516,7 @@ def rotation_counterexample(
     # the path lies in the start's orbit, hence in the combined domain.
     means = [Fraction(sum(f.value_at(x) for x in path), m) for f in combined]
     resolution = Fraction(1, 4)
-    dim = gap_dim(combined, resolution, mode=NAIVE)
+    dim = gap_dim(combined, resolution)
     return RotationDemoReport(
         m=m,
         seed=seed,

@@ -1,4 +1,4 @@
-"""Shattering certificates, exact gap-dimension solvers, and set joins.
+"""Shattering certificates, the exact gap-dimension solver, and set joins.
 
 A class F shatters a point set D at resolution gamma when a single level
 alpha exists such that every subset D0 of D is realized by some f in F with
@@ -8,18 +8,18 @@ set.  Everything here is decided in exact rational arithmetic, and every
 positive answer is backed by a certificate that can be re-checked
 independently of the search that produced it.
 
-Two solvers are provided.  NAIVE enumerates point subsets by increasing
-size, calls `shatters` on each and is the reference oracle.  PRUNED grows
-only currently-shattered sets depth first and stops at the counting bound
-floor(log2 |F|), since 2**d distinct functions are needed to shatter d
-points.  It decides each extension without `shatters`: the critical levels
-of all candidate points cut the alpha axis into global windows, and the
-search carries, for every window where the current set is still shattered,
-the live functions grouped by the subset they realize.  A set shattered at
-alpha has every subset shattered at the same alpha, so windows only drop
-out deeper down, and adding a point splits each group into the functions
-above and below it.  The winning set's certificate comes from one call of
-`shatters`, so both solvers return what the subset-by-subset search did.
+One kernel decides shattering.  `_window_sides` scales values and gamma to
+integers, cuts the alpha axis at the critical levels f(x) -+ gamma of a
+point set and records, per point and window, which functions lie above
+and below it; `_split` splits groups of functions by one point in one
+window.  `shatters` splits the whole class by every point of D, window by
+window.  The one solver, `gap_dim`, grows only currently-shattered sets of
+candidate points depth first, stops at the counting bound floor(log2 |F|)
+(2**d distinct functions are needed to shatter d points), and carries for
+every window where the current set is still shattered the live functions
+grouped by the subset they realize.  A set shattered at alpha has every
+subset shattered at the same alpha, so windows only drop out deeper down.
+The winning set's certificate comes from one call of `shatters`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,9 +37,6 @@ from .exactset import (
 from .funclass import (
     TABULAR, FunctionClass, InvalidResolution, non_adjacent, refinement, segment
 )
-
-NAIVE = "naive"
-PRUNED = "pruned"
 
 INFINITE_CAP = "INFINITE_CAP"
 
@@ -192,69 +188,25 @@ def candidate_points(F: FunctionClass) -> List[Fraction]:
     return out
 
 
-def shatters(
-    F: FunctionClass, D: Sequence[RationalLike], gamma: RationalLike
-) -> Optional[ShatterCertificate]:
-    """Search for a level alpha shattering D; return a certificate or None.
-
-    Candidate levels are the midpoints between consecutive values of the
-    critical set {f(x) - gamma, f(x) + gamma}.  The above/below/blocked
-    pattern of every (f, x) pair is constant between consecutive critical
-    values, so this finite sweep is exhaustive over all real alpha: below
-    the lowest critical value every function realizes the full mask and
-    above the highest the empty mask, so neither shatters a non-empty set.
-    Values and gamma are scaled to integers by twice the lcm of their
-    denominators, so every critical value is even and every midpoint exact.
-    """
-    gamma = _resolution(gamma)
-    pts = sorted({Fraction(x) for x in D})
-    if not pts:
-        raise EmptyPointSet("cannot shatter the empty set")
-    for x in pts:
-        _check_point(F, x)
-    d = len(pts)
-    if len(F) < (1 << d):
-        return None  # 2**d distinct realizations are needed
-
-    values = [[f.value_at(x) for x in pts] for f in F.functions]
-    scale = 2 * lcm(gamma.denominator, *(v.denominator for row in values for v in row))
-    g = gamma.numerator * scale // gamma.denominator
-    rows = [[v.numerator * scale // v.denominator for v in row] for row in values]
-    critical = sorted({v + s for row in rows for v in row for s in (-g, g)})
-
-    for a, b in zip(critical, critical[1:]):
-        alpha = (a + b) // 2
-        hi, lo = alpha + g, alpha - g
-        selector: Dict[int, int] = {}
-        for fi, row in enumerate(rows):
-            sig = 0
-            for i, v in enumerate(row):
-                if v > hi:
-                    sig |= 1 << i
-                elif v >= lo:
-                    break
-            else:
-                selector.setdefault(sig, fi)
-        if len(selector) == 1 << d:
-            return ShatterCertificate(tuple(pts), Fraction(alpha, scale), selector)
-    return None
-
-
 def _window_sides(
     F: FunctionClass, pts: Sequence[Fraction], gamma: Fraction
-) -> Tuple[int, List[Tuple[List[int], List[Tuple[int, int]]]]]:
-    """Global alpha windows, and per candidate point who is above and below.
+) -> Tuple[List[int], int, List[Tuple[List[int], List[Tuple[int, int]]]]]:
+    """Alpha windows over `pts`, and per point who is above and below.
 
-    Values and gamma are scaled to integers as in `shatters`.  The critical
-    levels v - g and v + g of every (function, point) value cut the alpha
-    axis; window w is the open gap between levels w and w + 1, so it lies
-    inside one of the windows `shatters` sweeps for any subset of the
-    points.  Function f is above x throughout window w iff w < idx(v - g)
-    and below x iff w >= idx(v + g).  Returns the number of windows and,
-    per point, the sorted windows where its sides change (`keys`) and the
-    (above, below) bitmasks over F in force from each key on: window w
-    reads `pairs[bisect_right(keys, w)]`.  So the table holds at most two
-    keys per (function, point), however many windows there are.
+    Values and gamma are scaled to integers by twice the lcm of their
+    denominators, so every critical level v - g, v + g is even and every
+    window midpoint exact.  The sorted critical levels of all (function,
+    point) values cut the alpha axis, and window w is the open gap between
+    levels w and w + 1.  The above/below/blocked pattern of every pair is
+    constant inside a window, so the windows are exhaustive over all real
+    alpha: below the lowest level every function is above every point and
+    above the highest level below it, and neither shatters a point.
+    Function f is above x throughout window w iff w < idx(v - g) and below
+    x iff w >= idx(v + g).  Returns the levels, the scale and, per point,
+    the sorted windows where its sides change (`keys`) and the (above,
+    below) bitmasks over F in force from each key on: window w reads
+    `pairs[bisect_right(keys, w)]`.  So the table holds at most two keys
+    per (function, point), however many windows there are.
     """
     columns = [[f.value_at(x) for f in F.functions] for x in pts]
     scale = 2 * lcm(gamma.denominator, *{v.denominator for col in columns for v in col})
@@ -279,89 +231,115 @@ def _window_sides(
             below |= starts.get(k, 0)
             pairs.append((above, below))
         sides.append((keys, pairs))
-    return len(levels) - 1, sides
+    return levels, scale, sides
 
 
-def gap_dim(
-    F: FunctionClass,
-    gamma: RationalLike,
-    cap: int = 20,
-    mode: str = PRUNED,
-) -> DimResult:
+def _split(
+    groups: List[int], side: Tuple[List[int], List[Tuple[int, int]]], w: int
+) -> Optional[List[int]]:
+    """Split every function group by one point's sides in window w.
+
+    Returns the parts below the point, then the parts above it, so after
+    splitting by points 0..i-1 group m holds the functions realizing mask m
+    (bit i set: above point i).  Functions within the margin of the point
+    drop out.  None when some group has no function on one side.
+    """
+    keys, pairs = side
+    above, below = pairs[bisect_right(keys, w)]
+    lows, highs = [], []
+    for group in groups:
+        lo, hi = group & below, group & above
+        if not (lo and hi):
+            return None
+        lows.append(lo)
+        highs.append(hi)
+    return lows + highs
+
+
+def shatters(
+    F: FunctionClass, D: Sequence[RationalLike], gamma: RationalLike
+) -> Optional[ShatterCertificate]:
+    """Search for a level alpha shattering D; return a certificate or None.
+
+    Sweeps the windows of `_window_sides` over D's own points in ascending
+    order and splits the whole class by every point of D; the first window
+    where every subset mask keeps a function gives the certificate, with
+    alpha the window midpoint and, per mask, the lowest function index.
+    """
+    gamma = _resolution(gamma)
+    pts = sorted({Fraction(x) for x in D})
+    if not pts:
+        raise EmptyPointSet("cannot shatter the empty set")
+    for x in pts:
+        _check_point(F, x)
+    if len(F) < (1 << len(pts)):
+        return None  # 2**d distinct realizations are needed
+
+    levels, scale, sides = _window_sides(F, pts, gamma)
+    for w in range(len(levels) - 1):
+        groups: Optional[List[int]] = [(1 << len(F)) - 1]
+        for side in sides:
+            groups = _split(groups, side, w)
+            if groups is None:
+                break
+        else:
+            selector = {m: (g & -g).bit_length() - 1 for m, g in enumerate(groups)}
+            alpha = Fraction(levels[w] + levels[w + 1], 2 * scale)
+            return ShatterCertificate(tuple(pts), alpha, selector)
+    return None
+
+
+def gap_dim(F: FunctionClass, gamma: RationalLike, cap: int = 20) -> DimResult:
     """Exact gap dimension of F at resolution gamma, with a certificate.
 
     `cap` bounds the size of shattered sets the search will try; reaching it
     without exhausting the candidates reports INFINITE_CAP instead of a
-    number.  NAIVE and PRUNED always agree on the dimension.
+    number.  The search extends sets depth first in ascending point order
+    and keeps the first set reaching a new size, so the result is the
+    lexicographically least shattered set of the largest size.  A state
+    holds, per window where the prefix is shattered, the 2**d groups of
+    live functions (bitmasks over F) that realize its subset masks.
     """
     if cap < 1:
         raise InvalidCap(f"cap must be >= 1, got {cap}")
-    if mode not in (NAIVE, PRUNED):
-        raise ValueError(f"unknown mode {mode!r}")
     gamma = _resolution(gamma)
     pts = candidate_points(F)
     n = len(pts)
     log_bound = len(F).bit_length() - 1  # floor(log2 |F|)
     limit = min(cap, n, log_bound)
+    levels, _, sides = _window_sides(F, pts, gamma)
+    best_set: List[int] = []
 
-    best = 0
-    best_cert: Optional[ShatterCertificate] = None
+    def extend(prefix: List[int], state: List[Tuple[int, List[int]]]) -> None:
+        nonlocal best_set
+        for nxt in range(prefix[-1] + 1 if prefix else 0, n):
+            if len(best_set) >= limit:
+                return
+            side = sides[nxt]
+            grown = []
+            for w, groups in state:
+                parts = _split(groups, side, w)
+                if parts is not None:
+                    grown.append((w, parts))
+            if not grown:
+                continue
+            cand = prefix + [nxt]
+            if len(cand) > len(best_set):
+                best_set = cand
+            if len(cand) < limit:
+                extend(cand, grown)
 
-    if mode == NAIVE:
-        for d in range(1, limit + 1):
-            found = None
-            for idxs in combinations(range(n), d):
-                cert = shatters(F, [pts[i] for i in idxs], gamma)
-                if cert is not None:
-                    found = cert
-                    break
-            if found is None:
-                break  # supersets of unshattered sets are unshattered
-            best, best_cert = d, found
-    else:
-        # Depth-first extension in ascending point order; the first set
-        # reaching a new size is kept, which makes the result the
-        # lexicographically least maximal one.  A state holds, per window
-        # where the prefix is shattered, the 2**d groups of live functions
-        # (bitmasks over F) that realize its subset masks.
-        n_windows, sides = _window_sides(F, pts, gamma)
-        best_set: List[int] = []
-
-        def extend(prefix: List[int], state: List[Tuple[int, List[int]]]) -> None:
-            nonlocal best, best_set
-            for nxt in range(prefix[-1] + 1 if prefix else 0, n):
-                if best >= limit:
-                    return
-                keys, pairs = sides[nxt]
-                grown = []
-                for w, groups in state:
-                    hi_w, lo_w = pairs[bisect_right(keys, w)]
-                    parts = []
-                    for group in groups:
-                        hi, lo = group & hi_w, group & lo_w
-                        if not (hi and lo):
-                            break
-                        parts += (hi, lo)
-                    else:
-                        grown.append((w, parts))
-                if not grown:
-                    continue
-                cand = prefix + [nxt]
-                if len(cand) > best:
-                    best, best_set = len(cand), cand
-                if len(cand) < limit:
-                    extend(cand, grown)
-
-        extend([], [(w, [(1 << len(F)) - 1]) for w in range(n_windows)])
-        if best_set:
-            best_cert = shatters(F, [pts[i] for i in best_set], gamma)
-            if best_cert is None:
-                raise RuntimeError("window search kept a set that shatters rejects")
-
-    if best_cert is not None and not verify_certificate(F, gamma, best_cert):
-        raise RuntimeError("search produced a certificate that does not verify")
+    extend([], [(w, [(1 << len(F)) - 1]) for w in range(len(levels) - 1)])
+    cert = None
+    if best_set:
+        cert = shatters(F, [pts[i] for i in best_set], gamma)
+        if cert is None:
+            raise RuntimeError("window search kept a set that shatters rejects")
+        if not verify_certificate(F, gamma, cert):
+            raise RuntimeError("search produced a certificate that does not verify")
+    best = len(best_set)
     exact = not (best == cap and cap < min(n, log_bound))
-    return DimResult(dimension=best, exact=exact, certificate=best_cert)
+    return DimResult(dimension=best, exact=exact, certificate=cert)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ from gapdim import CompleteTree, FunctionClass, IntervalUnion, k_of_gamma, segme
 from gapdim.ergoproc import IIDUniformSpec, MarkovSpec, RotationSpec
 from gapdim.funclass import frac_mod1, refinement
 from gapdim.rng import SplitMix64
-from gapdim.shatter import DimResult, candidate_points, shatters, verify_certificate
+from gapdim.shatter import (
+    DimResult, ShatterCertificate, candidate_points, verify_certificate
+)
 from gapdim.treelab import IntersectionTree, Label
 
 
@@ -81,10 +83,11 @@ def oracle_shatters_certificate(F: FunctionClass, points, gamma):
     candidates += [(a + b) / 2 for a, b in zip(critical, critical[1:])]
     candidates.append(critical[-1] + 1)
     for alpha in candidates:
+        hi, lo = alpha + gamma, alpha - gamma
         selector = {}
         for fi, row in enumerate(values):
-            if all(v > alpha + gamma or v < alpha - gamma for v in row):
-                sig = sum(1 << i for i, v in enumerate(row) if v > alpha + gamma)
+            if all(v > hi or v < lo for v in row):
+                sig = sum(1 << i for i, v in enumerate(row) if v > hi)
                 selector.setdefault(sig, fi)
         if len(selector) == 1 << d:
             return tuple(pts), alpha, selector
@@ -126,8 +129,43 @@ def oracle_gap_dim(F: FunctionClass, candidate_pts, gamma, max_d=None) -> int:
     return best
 
 
+def _scan_certificate(F: FunctionClass, points, gamma):
+    """``oracle_shatters_certificate`` as a ShatterCertificate, or None."""
+    found = oracle_shatters_certificate(F, points, gamma)
+    return found and ShatterCertificate(*found)
+
+
+def _dim_result(F: FunctionClass, gamma, cap, n, log_bound, best, cert) -> DimResult:
+    if cert is not None and not verify_certificate(F, gamma, cert):
+        raise RuntimeError("oracle certificate does not verify")
+    exact = not (best == cap and cap < min(n, log_bound))
+    return DimResult(dimension=best, exact=exact, certificate=cert)
+
+
+def oracle_naive_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
+    """The subset-by-subset search: by increasing size, the first shattered
+    subset of the candidates in ``combinations`` order, each decided by the
+    Fraction scan, under the same cap and counting bound as ``gap_dim``.
+
+    Stops at the first size with no shattered subset, since supersets of
+    unshattered sets are unshattered.
+    """
+    gamma = Fraction(gamma)
+    pts = candidate_points(F)
+    n = len(pts)
+    log_bound = len(F).bit_length() - 1
+    best, best_cert = 0, None
+    for d in range(1, min(cap, n, log_bound) + 1):
+        certs = (_scan_certificate(F, sub, gamma) for sub in combinations(pts, d))
+        found = next((c for c in certs if c is not None), None)
+        if found is None:
+            break
+        best, best_cert = d, found
+    return _dim_result(F, gamma, cap, n, log_bound, best, best_cert)
+
+
 def oracle_pruned_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
-    """PRUNED as a depth-first search that calls ``shatters`` on every extension.
+    """The depth-first search deciding every extension by the Fraction scan.
 
     Grows shattered sets in ascending candidate order and keeps the first
     certificate reaching a new size, under the same cap and counting bound
@@ -147,7 +185,7 @@ def oracle_pruned_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
             if best >= limit:
                 return
             cand = prefix + [nxt]
-            cert = shatters(F, [pts[i] for i in cand], gamma)
+            cert = _scan_certificate(F, [pts[i] for i in cand], gamma)
             if cert is None:
                 continue
             if len(cand) > best:
@@ -156,10 +194,7 @@ def oracle_pruned_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
                 extend(cand)
 
     extend([])
-    if best_cert is not None and not verify_certificate(F, gamma, best_cert):
-        raise RuntimeError("oracle certificate does not verify")
-    exact = not (best == cap and cap < min(n, log_bound))
-    return DimResult(dimension=best, exact=exact, certificate=best_cert)
+    return _dim_result(F, gamma, cap, n, log_bound, best, best_cert)
 
 
 def oracle_level_counts(tree: CompleteTree, S):

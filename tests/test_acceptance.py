@@ -38,8 +38,10 @@ from gapdim.ergoproc import (
 )
 from gapdim.funclass import band_of_value
 from gapdim.rng import SplitMix64
-from gapdim.shatter import NAIVE, PRUNED, candidate_points
-from oracles import is_host_ancestor, oracle_max_uniform_depth
+from gapdim.shatter import candidate_points
+from oracles import (
+    is_host_ancestor, oracle_max_uniform_depth, oracle_naive_gap_dim, oracle_pruned_gap_dim
+)
 
 F = Fraction
 
@@ -122,7 +124,10 @@ def test_join_end_to_end():
         assert cert.alpha == F(3, 10)
         assert len(cert.points) == L
         assert verify_certificate(FC, F(1, 10), cert)
-        assert gap_dim(FC, F(1, 10), mode=NAIVE).dimension >= L
+        res, want = gap_dim(FC, F(1, 10)), oracle_naive_gap_dim(FC, F(1, 10))
+        assert res.dimension >= L
+        assert (res.dimension, res.exact) == (want.dimension, want.exact)
+        assert res.certificate.to_json() == want.certificate.to_json()
     assert time.time() - start < 10.0
 
 
@@ -133,7 +138,7 @@ def corpus():
         )
 
 
-@criterion(3, "NAIVE and PRUNED solvers agree, certificates re-verify")
+@criterion(3, "solver matches the NAIVE and PRUNED oracles, certificates re-verify")
 def test_solver_oracle_equivalence():
     gammas = (F(1, 8), F(1, 4), F(3, 8))
     classes = 0
@@ -141,14 +146,16 @@ def test_solver_oracle_equivalence():
         assert len(FC) <= 8 and len(candidate_points(FC)) <= 8
         classes += 1
         for gamma in gammas:
-            a = gap_dim(FC, gamma, mode=NAIVE)
-            b = gap_dim(FC, gamma, mode=PRUNED)
-            assert a.dimension == b.dimension
-            for res in (a, b):
-                if res.certificate is not None:
-                    assert verify_certificate(FC, gamma, res.certificate)
-                else:
-                    assert res.dimension == 0
+            res = gap_dim(FC, gamma)
+            cert = res.certificate and res.certificate.to_json()
+            for oracle in (oracle_naive_gap_dim, oracle_pruned_gap_dim):
+                want = oracle(FC, gamma)
+                assert (res.dimension, res.exact) == (want.dimension, want.exact)
+                assert cert == (want.certificate and want.certificate.to_json())
+            if res.certificate is not None:
+                assert verify_certificate(FC, gamma, res.certificate)
+            else:
+                assert res.dimension == 0
     assert classes >= 100
 
 

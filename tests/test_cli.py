@@ -31,10 +31,7 @@ def run_err(capsys, *argv):
 
 class TestDim:
     def test_thresholds_naive(self, capsys):
-        code, out = run(
-            capsys, "dim", "--class", "thresholds(8)", "--gamma", "1/4",
-            "--mode", "naive",
-        )
+        code, out = run(capsys, "dim", "--class", "thresholds(8)", "--gamma", "1/4")
         assert code == 0
         doc = json.loads(out)
         assert doc["report"]["dimension"] == 1
@@ -116,7 +113,7 @@ class TestUsageErrors:
 
 # every command and its flags, as `gapdim <command> --help` must list them
 FLAGS = {
-    "dim": "--class --gamma --mode --cap",
+    "dim": "--class --gamma --cap",
     "verify": "--class --cert --gamma",
     "segments": "--class --gamma",
     "join": "--class --gamma --k --kp",
@@ -448,6 +445,15 @@ class TestMalformedInput:
             ("tree", ("subtree", "--tree", "{zero}", "--K", "5")),
             ("leaves", ("ptree", "--depth", "3", "--leaves", "0,1", "--c", "1/2")),
             ("c", ("ptree", "--depth", "3", "--leaves", "0,1,2,3,4,5,6,7", "--c", "1/4")),
+            ("kp", ("join", "--class", TREE_CLASS, "--gamma", "1/5", "--k", "1", "--kp", "1")),
+            # band 2 is empty for every function: the join would have no cell
+            ("kp", ("join", "--class", TREE_CLASS, "--gamma", "1/5", "--k", "2", "--kp", "2")),
+            ("process", ("discrepancy", "--class", "thresholds(4)", "--process", "rotation:1/1",
+                         "--m", "10", "--seed", "1")),
+            ("process", ("gc-curve", "--class", "thresholds(4)", "--process", "rotation:3/2",
+                         "--m-grid", "10", "--replicates", "1", "--seed", "1")),
+            ("process", ("bound-check", "--class", "thresholds(4)", "--process", "rotation:0/1",
+                         "--gamma", "1/4", "--m", "10", "--replicates", "1", "--seed", "1")),
         ],
     )
     def test_out_of_range_values_name_their_field(self, tmp_path, field, argv):
@@ -498,7 +504,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "field,argv,config",
         [
-            ("mode", ("dim", "--class", "thresholds(4)", "--gamma", "1/4", "--mode", "fast"), {}),
+            ("mode", ("dim", "--class", "thresholds(4)", "--gamma", "1/4"), {"mode": "naive"}),
             ("mode", ("dim", "--class", "thresholds(4)", "--gamma", "1/4"), {"mode": "fast"}),
             ("mode", ("dim", "--class", "thresholds(4)", "--gamma", "1/4"), {"mode": True}),
             ("action", ("itree", "grow", "--class", TREE_CLASS, "--gamma", "1/5"), {}),

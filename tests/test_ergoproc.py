@@ -416,6 +416,11 @@ class TestSamplePathOf:
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             SamplePath.of((F(1, 2), x), 0, IIDUniformSpec())
 
+    def test_no_points_rejected(self):
+        # an empty path has no mean: discrepancy would divide by zero
+        with pytest.raises(ValueError, match="at least one point"):
+            SamplePath.of((), 0, IIDUniformSpec())
+
 
 class TestDiscrepancyTrajectory:
     def test_matches_prefix_paths(self):

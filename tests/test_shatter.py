@@ -22,8 +22,6 @@ from gapdim import (
 )
 from gapdim.funclass import InvalidResolution, generate, k_of_gamma
 from gapdim.shatter import (
-    NAIVE,
-    PRUNED,
     EmptyPointSet,
     InvalidCap,
     JoinNotFull,
@@ -35,12 +33,26 @@ from gapdim.shatter import (
 from oracles import (
     oracle_gap_dim,
     oracle_join,
+    oracle_naive_gap_dim,
     oracle_pruned_gap_dim,
     oracle_shatters,
     oracle_shatters_certificate,
 )
 
 F = Fraction
+
+
+def assert_matches_oracles(
+    FC, gamma, cap=20, oracles=(oracle_naive_gap_dim, oracle_pruned_gap_dim)
+):
+    """gap_dim returns each oracle's dimension, exactness and certificate."""
+    got = gap_dim(FC, gamma, cap=cap)
+    cert = got.certificate and got.certificate.to_json()
+    for oracle in oracles:
+        want = oracle(FC, gamma, cap=cap)
+        assert (got.dimension, got.exact) == (want.dimension, want.exact)
+        assert cert == (want.certificate and want.certificate.to_json())
+    return got
 
 
 class TestVerifyCertificate:
@@ -135,12 +147,12 @@ class TestShatters:
 
 class TestGapDim:
     def test_thresholds_dim_one(self):
-        res = gap_dim(thresholds(8), F(1, 4), mode=NAIVE)
+        res = assert_matches_oracles(thresholds(8), F(1, 4))
         assert res.dimension == 1 and res.exact
         assert verify_certificate(thresholds(8), F(1, 4), res.certificate)
 
     def test_all_patterns_three(self):
-        res = gap_dim(all_patterns(3), F(2, 5), mode=NAIVE)
+        res = assert_matches_oracles(all_patterns(3), F(2, 5))
         assert res.dimension == 3 and res.exact
 
     def test_narrow_range_dim_zero(self):
@@ -156,7 +168,7 @@ class TestGapDim:
             gap_dim(thresholds(2), F(1, 4), cap=0)
 
     def test_cap_hit_reports_infinite(self):
-        res = gap_dim(all_patterns(3), F(2, 5), cap=2, mode=NAIVE)
+        res = assert_matches_oracles(all_patterns(3), F(2, 5), cap=2)
         assert res.dimension == 2
         assert not res.exact
         assert res.label == "INFINITE_CAP"
@@ -167,26 +179,21 @@ class TestGapDim:
     )
     def test_pruned_cap_hit_reports_infinite(self, spec, gamma, cap):
         FC = generate(spec)
-        res = gap_dim(FC, gamma, cap=cap, mode=PRUNED)
+        res = assert_matches_oracles(FC, gamma, cap=cap, oracles=(oracle_pruned_gap_dim,))
         assert res.dimension == cap and res.label == "INFINITE_CAP"
-        expected = oracle_pruned_gap_dim(FC, gamma, cap=cap)
-        assert not expected.exact
-        assert res.certificate.to_json() == expected.certificate.to_json()
 
     def test_cap_equal_to_bound_stays_exact(self):
         # cap == floor(log2 |F|) == 3: nothing above the cap is feasible
-        res = gap_dim(all_patterns(3), F(2, 5), cap=3, mode=NAIVE)
+        res = assert_matches_oracles(all_patterns(3), F(2, 5), cap=3)
         assert res.dimension == 3 and res.exact
 
     @given(st.integers(0, 2**32), st.sampled_from([F(1, 8), F(1, 4), F(3, 8)]))
     @settings(max_examples=30, deadline=None)
-    def test_modes_agree_and_match_oracle(self, seed, gamma):
+    def test_matches_naive_and_pruned_oracles(self, seed, gamma):
         FC = random_step(seed, pieces=5, grid=8, count=5)
-        a = gap_dim(FC, gamma, mode=NAIVE)
-        b = gap_dim(FC, gamma, mode=PRUNED)
-        assert a.dimension == b.dimension
+        res = assert_matches_oracles(FC, gamma)
         pts = candidate_points(FC)
-        assert a.dimension == oracle_gap_dim(FC, pts, gamma, max_d=3)
+        assert res.dimension == oracle_gap_dim(FC, pts, gamma, max_d=3)
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
@@ -254,7 +261,7 @@ class TestJoinShatter:
         cert = join_shatter(FC, 1, 3, F(1, 5))
         assert len(cert.points) == 2
         assert verify_certificate(FC, F(1, 10), cert)
-        assert gap_dim(FC, F(1, 10), mode=NAIVE).dimension >= 2
+        assert assert_matches_oracles(FC, F(1, 10)).dimension >= 2
 
     def test_missing_cell_reported(self):
         FC = full_join_family(1, 1, 3, F(1, 5))
@@ -310,7 +317,7 @@ class TestGapDimPostcondition:
 
         monkeypatch.setattr(shatter, "shatters", lambda *a: None)
         with pytest.raises(RuntimeError, match="shatters rejects"):
-            gap_dim(zero_one_class, F(1, 4), mode=PRUNED)
+            gap_dim(zero_one_class, F(1, 4))
 
 
 class TestCandidatePoints:
@@ -338,7 +345,7 @@ class TestIndicatorClassesMatchVcDimension:
 
         FC = interval_indicators(6)
         for gamma in (F(1, 8), F(1, 4)):
-            res = gap_dim(FC, gamma, mode=NAIVE)
+            res = assert_matches_oracles(FC, gamma)
             assert res.dimension == 2
             assert verify_certificate(FC, gamma, res.certificate)
 
@@ -428,14 +435,11 @@ WINDOW_GAMMAS = [F(1, 16), F(1, 8), F(1, 5), F(1, 4), F(3, 8)]
 
 def assert_same_search(FC, gammas=WINDOW_GAMMAS):
     for gamma in gammas:
-        got, want = gap_dim(FC, gamma, mode=PRUNED), oracle_pruned_gap_dim(FC, gamma)
-        assert (got.dimension, got.exact) == (want.dimension, want.exact)
-        cert = got.certificate and got.certificate.to_json()
-        assert cert == (want.certificate and want.certificate.to_json())
+        assert_matches_oracles(FC, gamma, oracles=(oracle_pruned_gap_dim,))
 
 
 class TestWindowDfsMatchesShattersDfs:
-    """PRUNED's window search returns what a shatters call per extension did."""
+    """The window search returns what a Fraction scan per extension did."""
 
     @pytest.mark.parametrize("spec", WINDOW_CORPUS)
     def test_generated_classes(self, spec):
@@ -486,7 +490,7 @@ class TestJoinMatchesProduct:
 
 
 class TestPinnedCertificates:
-    """PRUNED certificates, as written by the Fraction implementation."""
+    """gap_dim certificates, as written by the Fraction implementation."""
 
     @pytest.mark.parametrize(
         "spec,gamma,expected",

@@ -1,6 +1,7 @@
 """Rules about the library source itself."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -70,3 +71,24 @@ def test_no_floats_outside_report_formatting():
     for name, tree in TREES.items():
         scan(name, tree, None)
     assert found == []
+
+
+def test_traced_functions_exist():
+    """Every function the benchmark tracer wraps is still defined in gapdim."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for full in tracer.target_names():
+        module, _, attr = full.partition(".")
+        namespace = vars(importlib.import_module(f"gapdim.{module}"))
+        cls_name, _, method = attr.rpartition(".")
+        if cls_name:  # a method: defined in the class itself, as the tracer needs
+            cls = namespace.get(cls_name)
+            found = isinstance(cls, type) and method in vars(cls)
+        else:
+            found = callable(namespace.get(attr))
+        if not found:
+            missing.append(full)
+    assert tracer.target_names() and missing == []

@@ -20,7 +20,6 @@ from gapdim import (
     verify_certificate,
 )
 from gapdim.rng import SplitMix64
-from gapdim.shatter import NAIVE
 from gapdim.treelab import (
     MissingLabel,
     MissingPayload,
@@ -32,6 +31,7 @@ from oracles import (
     oracle_intersection_tree_build,
     oracle_level_counts,
     oracle_max_uniform_depth,
+    oracle_naive_gap_dim,
     oracle_uniform_depth,
 )
 
@@ -343,7 +343,10 @@ class TestMaximalJoin:
         k, k2 = mj.label
         cert = join_shatter(sub, k, k2, F(1, 5))
         assert verify_certificate(sub, F(1, 10), cert)
-        assert gap_dim(sub, F(1, 10), mode=NAIVE).dimension >= len(cert.points)
+        res, want = gap_dim(sub, F(1, 10)), oracle_naive_gap_dim(sub, F(1, 10))
+        assert res.dimension >= len(cert.points)
+        assert (res.dimension, res.exact) == (want.dimension, want.exact)
+        assert res.certificate.to_json() == want.certificate.to_json()
 
 
 class TestTreeJson:
