@@ -11,8 +11,6 @@ from .funclass import (
     interval_indicators,
     k_of_gamma,
     non_adjacent,
-    quantize,
-    regular_sets,
     random_step,
     segment,
     segment_partition,

@@ -12,11 +12,13 @@ exact; floats appear only in human-readable report columns.
 
 The discrepancy of a class on a path is the maximum over the class of
 |sample mean - expectation|, with expectations computed in closed form from
-piece measures under the process marginal rather than by simulation.  Sample
-means come from common-refinement cell counts: a tick x lies at or right of
-a cut c exactly when x >= ceil(c * N), so points are binned on integers.  A
-path is a prefix of the longer path drawn from the same seed, so one path and
-running cell counts give the discrepancy at every length of an m grid.
+piece lengths under the process marginal rather than by simulation.  Sample
+means come from common-refinement cell counts over the class's integer value
+table (``funclass.refinement``: cuts c over C, cell values over V): a tick x
+lies at or right of the cut c / C exactly when x >= ceil(c * N / C), so
+points are binned on integers and each mean is one sum over V * m.  A path is
+a prefix of the longer path drawn from the same seed, so one path and running
+cell counts give the discrepancy at every length of an m grid.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .exactset import ONE, ZERO, IntervalUnion, RationalLike, format_rational
+from .exactset import ONE, ZERO, RationalLike, format_rational
 from .funclass import (
     STEP,
     Function,
@@ -310,15 +312,15 @@ def expectation(f: Function, spec: ProcessSpec) -> Fraction:
     """Exact E f(X) under the process marginal.
 
     IID and ROTATION have the uniform marginal, so the expectation is the
-    measure-weighted sum of piece values.  The MARKOV marginal is the
-    stationary mixture of the emissions.
+    length-weighted sum of the values of f's sorted flat pieces [lo, hi).
+    The MARKOV marginal is the stationary mixture of the emissions; a
+    uniform emission on [a, b) weighs each piece by its overlap
+    max(0, min(hi, b) - max(lo, a)) / (b - a).
     """
     if f.kind != STEP:
         raise NoMarginalExpectation("expectations need a STEP function")
     if isinstance(spec, (IIDUniformSpec, RotationSpec)):
-        return sum(
-            (v * piece.measure for piece, v in zip(f.pieces, f.values)), ZERO
-        )
+        return sum((v * (hi - lo) for lo, hi, v in f._flat), ZERO)
     if isinstance(spec, MarkovSpec):
         pi = spec.stationary_distribution()
         total = ZERO
@@ -326,12 +328,8 @@ def expectation(f: Function, spec: ProcessSpec) -> Fraction:
             if e.kind == "point":
                 total += p * f.value_at(e.at)
             else:
-                window = IntervalUnion.interval(e.lo, e.hi)
                 integral = sum(
-                    (
-                        v * piece.intersect(window).measure
-                        for piece, v in zip(f.pieces, f.values)
-                    ),
+                    (v * max(ZERO, min(hi, e.hi) - max(lo, e.lo)) for lo, hi, v in f._flat),
                     ZERO,
                 )
                 total += p * integral / (e.hi - e.lo)
@@ -344,16 +342,15 @@ def _class_means(
 ) -> List[List[Fraction]]:
     """Exact per-function sample means of the path's first m points, for each
     m in the increasing ``lengths``, from running common-refinement cell
-    counts.  Ticks are binned against the integer ceilings ceil(cut * N) of
-    the interior cuts, and the cell values are scaled to integers over one
-    denominator D, so each mean is a single ``Fraction``.
+    counts.  The class's integer value table gives cuts c over C and cell
+    values over V; ticks are binned against ceil(c * N / C) for the interior
+    cuts, so each mean is the single ``Fraction`` sum / (V * m).
     """
     if F.kind != STEP:
         raise NoMarginalExpectation("discrepancies need a STEP class")
-    cuts, columns = refinement(F)
-    inner = [_ceil_scaled(c, path.scale) for c in cuts[1:-1]]
-    D = math.lcm(*(v.denominator for column in columns for v in column))
-    rows = [[v.numerator * (D // v.denominator) for v in column] for column in columns]
+    C, cuts, V, rows = refinement(F)
+    N = path.scale
+    inner = [-(-c * N // C) for c in cuts[1:-1]]
     counts = Counter()
     done = 0
     means = []
@@ -361,7 +358,7 @@ def _class_means(
         counts.update(map(bisect_right, repeat(inner), path.ticks[done:m]))
         done = m
         means.append([
-            Fraction(sum(c * row[j] for j, c in counts.items()), D * m) for row in rows
+            Fraction(sum(c * row[j] for j, c in counts.items()), V * m) for row in rows
         ])
     return means
 

@@ -45,14 +45,6 @@ class SegmentIndexOutOfRange(ValueError):
     """Band index outside [1, K]."""
 
 
-class RegularityUndefined(ValueError):
-    """Band preimages as interval unions exist only for STEP functions."""
-
-
-class InvalidMesh(ValueError):
-    """Quantization mesh must be positive."""
-
-
 class InvalidGeneratorSpec(ValueError):
     """Malformed generator description."""
 
@@ -113,7 +105,7 @@ class Function:
             raise ValueError("tabular function needs one value per point")
         if any(not (ZERO <= p < ONE) for p in pts):
             raise ValueError("tabular points must lie in [0, 1)")
-        if sorted(set(pts)) != list(pts):
+        if any(not a < b for a, b in zip(pts, pts[1:])):
             raise ValueError("tabular points must be sorted and distinct")
         if any(not (ZERO <= v <= ONE) for v in vals):
             raise ValueError("tabular values must lie in [0, 1]")
@@ -159,9 +151,13 @@ class Function:
 
 
 class FunctionClass:
-    """An ordered, finite, non-empty list of functions of one kind."""
+    """An ordered, finite, non-empty list of functions of one kind.
 
-    __slots__ = ("functions", "name")
+    Classes are immutable, so a STEP class builds its integer value table
+    (see :func:`refinement`) once, on first use.
+    """
+
+    __slots__ = ("functions", "name", "_table")
 
     def __init__(self, functions: Sequence[Function], name: str = ""):
         fns = tuple(functions)
@@ -176,6 +172,7 @@ class FunctionClass:
                 raise ValueError("tabular functions must share domain points")
         self.functions = fns
         self.name = name
+        self._table = None
 
     @property
     def kind(self) -> str:
@@ -203,17 +200,72 @@ class FunctionClass:
         return f"FunctionClass({self.name!r}, {len(self.functions)} {self.kind})"
 
 
-def refinement(F: FunctionClass) -> Tuple[List[Fraction], List[Tuple[Fraction, ...]]]:
-    """Common refinement of a STEP class.
+Table = Tuple[int, Tuple[int, ...], int, Tuple[Tuple[int, ...], ...]]
 
-    Returns the sorted cuts 0 = c_0 < ... < c_n = 1 (every piece endpoint of
-    every function) and, per function, its value on each cell [c_j, c_j+1).
-    Every function is constant on every cell.
+
+def refinement(F: FunctionClass) -> Table:
+    """The integer value table of a STEP class, built once per class.
+
+    Returns ``(C, cuts, V, rows)``: the cuts 0 = c_0 < ... < c_n = C of the
+    common refinement (every piece endpoint of every function) as integers
+    over C, and per function its value on each cell [c_j, c_j+1) / C as an
+    integer over V.  Every function is constant on every cell.
     """
     if F.kind != STEP:
         raise ValueError("refinement is defined for STEP classes")
-    cuts = sorted({x for f in F.functions for lo, hi, _ in f._flat for x in (lo, hi)})
-    return cuts, [tuple(f.value_at(lo) for lo in cuts[:-1]) for f in F.functions]
+    if F._table is None:
+        F._table = _refine(F)
+    return F._table
+
+
+def _refine(F: FunctionClass) -> Table:
+    # A STEP function's sorted flat pieces tile [0, 1), so every piece starts
+    # where the previous one ends and its right ends are all its cuts but 0.
+    flats = [f._flat for f in F.functions]
+    C = math.lcm(*{hi.denominator for flat in flats for _, hi, _ in flat})
+    V = math.lcm(*{v.denominator for f in F.functions for v in f.values})
+    ends = [
+        [(hi.numerator * (C // hi.denominator), v.numerator * (V // v.denominator))
+         for _, hi, v in flat]
+        for flat in flats
+    ]
+    cuts = tuple(sorted({0, *(c for piece_ends in ends for c, _ in piece_ends)}))
+    index = {c: j for j, c in enumerate(cuts)}
+    rows = []
+    for piece_ends in ends:
+        row, j = [], 0
+        for c, v in piece_ends:
+            row += [v] * (index[c] - j)
+            j = index[c]
+        rows.append(tuple(row))
+    return C, cuts, V, tuple(rows)
+
+
+def values_at(
+    F: FunctionClass, points: Sequence[RationalLike]
+) -> Tuple[int, List[Tuple[int, ...]]]:
+    """Every function's value at each point, as integers over one denominator.
+
+    Returns ``(V, columns)`` with ``columns[i][fi] == V * F[fi](points[i])``.
+    A STEP point x lies in the refinement cell j with c_j <= floor(x C) <
+    c_j+1, found by one integer bisect; a TABULAR point must be a domain
+    point.
+    """
+    points = [Fraction(x) for x in points]
+    if F.kind == STEP:
+        C, cuts, V, rows = refinement(F)
+        cells = [bisect_right(cuts, x.numerator * C // x.denominator) - 1 for x in points]
+        for x, j in zip(points, cells):
+            if not 0 <= j < len(cuts) - 1:
+                raise ValueError(f"point {x} outside [0, 1)")
+        return V, [tuple(row[j] for row in rows) for j in cells]
+    index = F.functions[0]._index
+    try:
+        columns = [[f.values[index[x]] for f in F.functions] for x in points]
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]} is not a tabular domain point") from None
+    V = math.lcm(*{v.denominator for column in columns for v in column})
+    return V, [tuple(v.numerator * (V // v.denominator) for v in col) for col in columns]
 
 
 def k_of_gamma(gamma: RationalLike) -> int:
@@ -281,67 +333,6 @@ def segment_partition(f: Function, gamma: RationalLike) -> List:
     gamma = Fraction(gamma)
     K = k_of_gamma(gamma)
     return [segment(f, gamma, k) for k in range(1, K + 1)]
-
-
-def regular_sets(
-    F: FunctionClass, level_pairs: Sequence[Tuple[RationalLike, RationalLike]]
-) -> List[IntervalUnion]:
-    """Preimages f^-1[a, b) for every f in F and every pair (a, b).
-
-    Pairs with b > 1 capture the inclusive top, f^-1[a, 1].  Each result is a
-    finite union of intervals, which certifies the structural regularity of a
-    STEP class.
-    """
-    if F.kind != STEP:
-        raise RegularityUndefined("regularity preimages need a STEP class")
-    out = []
-    for f in F.functions:
-        for a, b in level_pairs:
-            a, b = Fraction(a), Fraction(b)
-            if not (ZERO <= a < b < 2):
-                raise ValueError(f"level pair ({a}, {b}) must satisfy 0 <= a < b < 2")
-            members = [
-                piece for piece, v in zip(f.pieces, f.values) if a <= v < b
-            ]
-            out.append(IntervalUnion.union_all(members))
-    return out
-
-
-def value_grid(gamma: RationalLike, mesh: RationalLike) -> List[Fraction]:
-    """Grid 0 = a_0 < ... < a_N = 1 containing every band boundary k*gamma,
-    with all gaps strictly below mesh."""
-    gamma, mesh = Fraction(gamma), Fraction(mesh)
-    if mesh <= 0:
-        raise InvalidMesh(f"mesh must be positive, got {mesh}")
-    K = k_of_gamma(gamma)
-    base = sorted({ZERO, ONE} | {k * gamma for k in range(1, K)})
-    grid = []
-    for lo, hi in zip(base, base[1:]):
-        parts = int((hi - lo) / mesh) + 1
-        width = (hi - lo) / parts
-        grid.extend(lo + i * width for i in range(parts))
-    grid.append(ONE)
-    return grid
-
-
-def quantize(f: Function, gamma: RationalLike, mesh: RationalLike) -> Function:
-    """Snap every value of f down to the grid cell containing it.
-
-    The grid includes all band boundaries, so the quantized function sits in
-    the same gamma-band as f wherever f does not land exactly on a boundary,
-    and the pointwise error is strictly below mesh.
-    """
-    grid = value_grid(gamma, mesh)
-    tops = grid[1:]
-
-    def snap(v: Fraction) -> Fraction:
-        if v == ONE:
-            return grid[-2]
-        return grid[bisect_right(tops, v)]
-
-    if f.kind == STEP:
-        return Function.step(f.pieces, tuple(snap(v) for v in f.values))
-    return Function.tabular(f.points, tuple(snap(v) for v in f.values))
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ set.  Everything here is decided in exact rational arithmetic, and every
 positive answer is backed by a certificate that can be re-checked
 independently of the search that produced it.
 
-One kernel decides shattering.  `_window_sides` scales values and gamma to
-integers, cuts the alpha axis at the critical levels f(x) -+ gamma of a
-point set and records, per point and window, which functions lie above
-and below it; `_split` splits groups of functions by one point in one
-window.  `shatters` splits the whole class by every point of D, window by
-window.  The one solver, `gap_dim`, grows only currently-shattered sets of
+One kernel decides shattering.  `_window_sides` reads the values of a
+point set as integers over one denominator V from `funclass.values_at`
+(for a STEP class, the class's integer value table), scales them and
+gamma by 2 lcm(V, den gamma), cuts the alpha axis at the critical levels
+f(x) -+ gamma and records, per point and window, which functions lie
+above and below it; `_split` splits groups of functions by one point in
+one window.  `shatters` splits the whole class by every point of D,
+window by window.  The one solver, `gap_dim`, grows only currently-shattered sets of
 candidate points depth first, stops at the counting bound floor(log2 |F|)
 (2**d distinct functions are needed to shatter d points), and carries for
 every window where the current set is still shattered the live functions
@@ -35,7 +37,8 @@ from .exactset import (
     IntervalUnion, RationalLike, format_rational, parse_rational, read_json_object
 )
 from .funclass import (
-    TABULAR, FunctionClass, InvalidResolution, non_adjacent, refinement, segment
+    TABULAR, FunctionClass, InvalidResolution, non_adjacent, refinement, segment,
+    values_at,
 )
 
 INFINITE_CAP = "INFINITE_CAP"
@@ -176,12 +179,13 @@ def candidate_points(F: FunctionClass) -> List[Fraction]:
     contains two of them.
     """
     if F.kind == TABULAR:
-        pts, columns = F.domain_points, [f.values for f in F.functions]
+        pts, columns = F.domain_points, zip(*(f.values for f in F.functions))
     else:
-        cuts, columns = refinement(F)
-        pts = [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])]
+        C, cuts, _, rows = refinement(F)
+        pts = [Fraction(lo + hi, 2 * C) for lo, hi in zip(cuts, cuts[1:])]
+        columns = zip(*rows)
     out, seen = [], set()
-    for p, vec in zip(pts, zip(*columns)):
+    for p, vec in zip(pts, columns):
         if vec not in seen:
             seen.add(vec)
             out.append(p)
@@ -193,25 +197,28 @@ def _window_sides(
 ) -> Tuple[List[int], int, List[Tuple[List[int], List[Tuple[int, int]]]]]:
     """Alpha windows over `pts`, and per point who is above and below.
 
-    Values and gamma are scaled to integers by twice the lcm of their
-    denominators, so every critical level v - g, v + g is even and every
-    window midpoint exact.  The sorted critical levels of all (function,
-    point) values cut the alpha axis, and window w is the open gap between
-    levels w and w + 1.  The above/below/blocked pattern of every pair is
-    constant inside a window, so the windows are exhaustive over all real
-    alpha: below the lowest level every function is above every point and
-    above the highest level below it, and neither shatters a point.
-    Function f is above x throughout window w iff w < idx(v - g) and below
-    x iff w >= idx(v + g).  Returns the levels, the scale and, per point,
-    the sorted windows where its sides change (`keys`) and the (above,
-    below) bitmasks over F in force from each key on: window w reads
-    `pairs[bisect_right(keys, w)]`.  So the table holds at most two keys
-    per (function, point), however many windows there are.
+    `funclass.values_at` gives the values at `pts` as integers over one
+    denominator V; they and gamma are scaled to integers over twice
+    lcm(V, den gamma), so every critical level v - g, v + g is even and
+    every window midpoint exact.  Any common multiple gives the same
+    windows, so the certificate's alpha does not depend on V.  The sorted
+    critical levels of all (function, point) values cut the alpha axis, and
+    window w is the open gap between levels w and w + 1.  The
+    above/below/blocked pattern of every pair is constant inside a window,
+    so the windows are exhaustive over all real alpha: below the lowest
+    level every function is above every point and above the highest level
+    below it, and neither shatters a point.  Function f is above x
+    throughout window w iff w < idx(v - g) and below x iff w >= idx(v + g).
+    Returns the levels, the scale and, per point, the sorted windows where
+    its sides change (`keys`) and the (above, below) bitmasks over F in
+    force from each key on: window w reads `pairs[bisect_right(keys, w)]`.
+    So the table holds at most two keys per (function, point), however many
+    windows there are.
     """
-    columns = [[f.value_at(x) for f in F.functions] for x in pts]
-    scale = 2 * lcm(gamma.denominator, *{v.denominator for col in columns for v in col})
+    V, columns = values_at(F, pts)
+    scale = 2 * lcm(V, gamma.denominator)
     g = gamma.numerator * scale // gamma.denominator
-    columns = [[v.numerator * scale // v.denominator for v in col] for col in columns]
+    columns = [[v * (scale // V) for v in col] for col in columns]
     levels = sorted({v + s for col in columns for v in col for s in (-g, g)})
     index = {c: k for k, c in enumerate(levels)}
     sides = []

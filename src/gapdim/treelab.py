@@ -381,11 +381,11 @@ def intersection_tree_build(
     # Segments and path intersections are unions of refinement cells, held
     # as bitmasks over the cells; every cell has positive measure, so an
     # intersection has positive measure iff its mask is non-zero.
-    cuts, columns = refinement(F)
-    band = {v: band_of_value(v, gamma) for column in columns for v in set(column)}
-    masks = [[0] * (K + 1) for _ in columns]  # masks[fi][k]: cells of segment k
-    for seg, column in zip(masks, columns):
-        for j, v in enumerate(column):
+    _, cuts, V, rows = refinement(F)
+    band = {v: band_of_value(Fraction(v, V), gamma) for row in rows for v in set(row)}
+    masks = [[0] * (K + 1) for _ in rows]  # masks[fi][k]: cells of segment k
+    for seg, row in zip(masks, rows):
+        for j, v in enumerate(row):
             seg[band[v]] |= 1 << j
 
     stack: List[Tuple[int, List[Label]]] = []  # per level: (function, labels)

@@ -10,7 +10,7 @@ from itertools import combinations
 
 from gapdim import CompleteTree, FunctionClass, IntervalUnion, k_of_gamma, segment
 from gapdim.ergoproc import IIDUniformSpec, MarkovSpec, RotationSpec
-from gapdim.funclass import frac_mod1, refinement
+from gapdim.funclass import frac_mod1
 from gapdim.rng import SplitMix64
 from gapdim.shatter import (
     DimResult, ShatterCertificate, candidate_points, verify_certificate
@@ -65,19 +65,16 @@ def oracle_shatters(F: FunctionClass, points, gamma) -> bool:
     )
 
 
-def oracle_shatters_certificate(F: FunctionClass, points, gamma):
-    """The candidate-level scan in Fraction arithmetic, with sentinels.
+def _value_table(F: FunctionClass, points):
+    """Per point, every function's value there, by ``value_at``."""
+    return {x: [f.value_at(x) for f in F.functions] for x in points}
 
-    Candidate levels are a sentinel below the critical set
-    {f(x) - gamma, f(x) + gamma}, the midpoints between its consecutive
-    values, and a sentinel above it; the first level at which every subset
-    mask is realized gives (points, alpha, selector), the selector holding
-    the lowest function index per mask.  Returns None when no level works.
-    """
-    gamma = Fraction(gamma)
+
+def _scan(table, points, gamma):
+    """The candidate-level scan over a ``_value_table`` holding the points."""
     pts = sorted({Fraction(x) for x in points})
     d = len(pts)
-    values = [[f.value_at(x) for x in pts] for f in F.functions]
+    values = list(zip(*(table[x] for x in pts)))  # per function
     critical = sorted({v + s * gamma for row in values for v in row for s in (-1, 1)})
     candidates = [critical[0] - 1]
     candidates += [(a + b) / 2 for a, b in zip(critical, critical[1:])]
@@ -92,6 +89,19 @@ def oracle_shatters_certificate(F: FunctionClass, points, gamma):
         if len(selector) == 1 << d:
             return tuple(pts), alpha, selector
     return None
+
+
+def oracle_shatters_certificate(F: FunctionClass, points, gamma):
+    """The candidate-level scan in Fraction arithmetic, with sentinels.
+
+    Candidate levels are a sentinel below the critical set
+    {f(x) - gamma, f(x) + gamma}, the midpoints between its consecutive
+    values, and a sentinel above it; the first level at which every subset
+    mask is realized gives (points, alpha, selector), the selector holding
+    the lowest function index per mask.  Returns None when no level works.
+    """
+    pts = sorted({Fraction(x) for x in points})
+    return _scan(_value_table(F, pts), pts, Fraction(gamma))
 
 
 def oracle_join(families):
@@ -129,9 +139,9 @@ def oracle_gap_dim(F: FunctionClass, candidate_pts, gamma, max_d=None) -> int:
     return best
 
 
-def _scan_certificate(F: FunctionClass, points, gamma):
-    """``oracle_shatters_certificate`` as a ShatterCertificate, or None."""
-    found = oracle_shatters_certificate(F, points, gamma)
+def _scan_certificate(table, points, gamma):
+    """``_scan`` as a ShatterCertificate, or None."""
+    found = _scan(table, points, gamma)
     return found and ShatterCertificate(*found)
 
 
@@ -145,7 +155,8 @@ def _dim_result(F: FunctionClass, gamma, cap, n, log_bound, best, cert) -> DimRe
 def oracle_naive_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
     """The subset-by-subset search: by increasing size, the first shattered
     subset of the candidates in ``combinations`` order, each decided by the
-    Fraction scan, under the same cap and counting bound as ``gap_dim``.
+    Fraction scan over one ``value_at`` table, under the same cap and
+    counting bound as ``gap_dim``.
 
     Stops at the first size with no shattered subset, since supersets of
     unshattered sets are unshattered.
@@ -154,9 +165,10 @@ def oracle_naive_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
     pts = candidate_points(F)
     n = len(pts)
     log_bound = len(F).bit_length() - 1
+    table = _value_table(F, pts)
     best, best_cert = 0, None
     for d in range(1, min(cap, n, log_bound) + 1):
-        certs = (_scan_certificate(F, sub, gamma) for sub in combinations(pts, d))
+        certs = (_scan_certificate(table, sub, gamma) for sub in combinations(pts, d))
         found = next((c for c in certs if c is not None), None)
         if found is None:
             break
@@ -165,7 +177,8 @@ def oracle_naive_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
 
 
 def oracle_pruned_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
-    """The depth-first search deciding every extension by the Fraction scan.
+    """The depth-first search deciding every extension by the Fraction scan
+    over one ``value_at`` table.
 
     Grows shattered sets in ascending candidate order and keeps the first
     certificate reaching a new size, under the same cap and counting bound
@@ -177,6 +190,7 @@ def oracle_pruned_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
     n = len(pts)
     log_bound = len(F).bit_length() - 1
     limit = min(cap, n, log_bound)
+    table = _value_table(F, pts)
     best, best_cert = 0, None
 
     def extend(prefix):
@@ -185,7 +199,7 @@ def oracle_pruned_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
             if best >= limit:
                 return
             cand = prefix + [nxt]
-            cert = _scan_certificate(F, [pts[i] for i in cand], gamma)
+            cert = _scan_certificate(table, [pts[i] for i in cand], gamma)
             if cert is None:
                 continue
             if len(cand) > best:
@@ -352,10 +366,18 @@ def oracle_sample_path(spec, m: int, seed: int):
     return tuple(out)
 
 
+def oracle_refinement(F: FunctionClass):
+    """Common refinement of a STEP class in Fractions: the sorted cuts
+    (every piece endpoint of every function) and, per function, its
+    ``value_at`` the left end of each cell."""
+    cuts = sorted({x for f in F.functions for piece in f.pieces for iv in piece for x in iv})
+    return cuts, [tuple(f.value_at(lo) for lo in cuts[:-1]) for f in F.functions]
+
+
 def oracle_class_means(F: FunctionClass, values):
     """Per-function sample means by bisecting Fraction points against the
     Fraction cuts of the common refinement and summing Fraction products."""
-    cuts, columns = refinement(F)
+    cuts, columns = oracle_refinement(F)
     counts = [0] * (len(cuts) - 1)
     for x in values:
         counts[bisect_right(cuts, x) - 1] += 1
@@ -364,3 +386,22 @@ def oracle_class_means(F: FunctionClass, values):
         sum((c * v for c, v in zip(counts, column) if c), Fraction(0)) / m
         for column in columns
     ]
+
+
+def oracle_expectation(f, spec):
+    """E f(X) from piece measures: each piece, intersected as an
+    IntervalUnion with a uniform emission's interval, weighs its value."""
+    if isinstance(spec, (IIDUniformSpec, RotationSpec)):
+        return sum((v * piece.measure for piece, v in zip(f.pieces, f.values)), Fraction(0))
+    total = Fraction(0)
+    for p, e in zip(spec.stationary_distribution(), spec.emissions):
+        if e.kind == "point":
+            total += p * f.value_at(e.at)
+        else:
+            window = IntervalUnion.interval(e.lo, e.hi)
+            integral = sum(
+                (v * piece.intersect(window).measure for piece, v in zip(f.pieces, f.values)),
+                Fraction(0),
+            )
+            total += p * integral / (e.hi - e.lo)
+    return total

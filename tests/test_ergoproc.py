@@ -32,7 +32,7 @@ from gapdim.ergoproc import (
 )
 from gapdim.funclass import frac_mod1, random_step
 from gapdim.rng import SplitMix64
-from oracles import oracle_class_means, oracle_sample_path
+from oracles import oracle_class_means, oracle_expectation, oracle_sample_path
 
 F = Fraction
 
@@ -142,6 +142,52 @@ class TestExpectation:
         f = Function.tabular([F(1, 2)], [F(1, 2)])
         with pytest.raises(NoMarginalExpectation):
             expectation(f, IIDUniformSpec())
+
+
+def markov_straddling() -> MarkovSpec:
+    """Uniform emissions whose intervals straddle many piece boundaries."""
+    return MarkovSpec(
+        ((F(1, 5), F(4, 5), F(0)), (F(0), F(1, 2), F(1, 2)), (F(2, 3), F(0), F(1, 3))),
+        (Emission.uniform(F(1, 7), F(5, 6)), Emission.uniform(F(3, 10), F(11, 20)),
+         Emission.uniform(F(0), F(1))),
+    )
+
+
+class TestExpectationMatchesPieceMeasures:
+    """Sums over flat pieces equal the IntervalUnion piece-measure formula."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [IIDUniformSpec(), RotationSpec(theta=F(2, 7)), markov2(), markov3(),
+         markov_straddling()],
+        ids=["iid", "rotation", "markov2", "markov3", "straddling"],
+    )
+    def test_classes(self, spec):
+        classes = [thresholds(6), random_step(5, 9, 7, 6), random_step(8, 1, 3, 2)]
+        fns = [f for FC in classes for f in FC.functions] + [staircase(10)]
+        fns.append(Function.step(
+            [IntervalUnion([(0, F(1, 5)), (F(2, 3), 1)]), IntervalUnion.interval(F(1, 5), F(2, 3))],
+            [F(1, 3), F(5, 8)],
+        ))
+        for f in fns:
+            assert expectation(f, spec) == oracle_expectation(f, spec)
+
+    def test_one_expectation_per_function(self, monkeypatch):
+        from gapdim import ergoproc
+
+        calls = []
+        real = ergoproc.expectation
+        monkeypatch.setattr(ergoproc, "expectation", lambda f, s: calls.append(f) or real(f, s))
+        FC = random_step(2, 6, 5, 7)
+        path = sample_path(markov_straddling(), 50, 3)
+        for run in (
+            lambda: discrepancy(FC, path),
+            lambda: per_function_discrepancies(FC, path),
+            lambda: discrepancy(FC, path, [1, 20, 50]),
+        ):
+            calls.clear()
+            run()
+            assert calls == list(FC.functions)
 
 
 class TestDiscrepancy:

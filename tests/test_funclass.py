@@ -13,27 +13,24 @@ from gapdim import (
     interval_indicators,
     k_of_gamma,
     non_adjacent,
-    quantize,
     random_step,
-    regular_sets,
     segment,
     segment_partition,
     thresholds,
 )
 from gapdim.funclass import (
     InvalidGeneratorSpec,
-    InvalidMesh,
     InvalidResolution,
-    RegularityUndefined,
     SegmentIndexOutOfRange,
     band_of_value,
     class_from_json,
     class_to_json,
     refinement,
-    value_grid,
+    values_at,
 )
 from gapdim.rng import SplitMix64
 from gapdim.shatter import join
+from oracles import oracle_refinement
 
 F = Fraction
 
@@ -118,67 +115,6 @@ class TestNonAdjacent:
         assert non_adjacent(1, 3)
         assert not non_adjacent(2, 3)
         assert not non_adjacent(2, 2)
-
-
-class TestRegularSets:
-    def test_constant_below(self):
-        FC = FunctionClass([Function.constant(F(1, 2))])
-        (out,) = regular_sets(FC, [(0, F(1, 2))])
-        assert out.is_empty
-
-    def test_constant_inside_wide_band(self):
-        FC = FunctionClass([Function.constant(F(1, 2))])
-        (out,) = regular_sets(FC, [(F(1, 2), F(3, 2))])
-        assert out == IntervalUnion.full()
-
-    def test_ramp_band(self, ramp8):
-        FC = FunctionClass([ramp8])
-        (out,) = regular_sets(FC, [(F(1, 4), F(3, 4))])
-        assert out == IntervalUnion.interval(F(1, 4), F(3, 4))
-
-    def test_tabular_rejected(self):
-        FC = all_patterns(2)
-        with pytest.raises(RegularityUndefined):
-            regular_sets(FC, [(0, 1)])
-
-
-class TestQuantize:
-    def test_grid_contains_band_boundaries(self):
-        grid = value_grid(F(1, 4), F(1, 8))
-        for k in range(1, 4):
-            assert F(k, 4) in grid
-        assert all(b - a < F(1, 8) for a, b in zip(grid, grid[1:]))
-
-    def test_grid_valued_fixed_point(self):
-        f = Function.constant(F(1, 4))
-        assert quantize(f, F(1, 4), F(1, 8)) == f
-
-    def test_constant_37_over_100(self):
-        # grid search oracle: the cell of the 1/12-step grid holding 37/100
-        grid = value_grid(F(1, 4), F(1, 8))
-        expect = max(a for a in grid if a <= F(37, 100))
-        assert expect == F(1, 3)
-        h = quantize(Function.constant(F(37, 100)), F(1, 4), F(1, 8))
-        assert h.values == (F(1, 3),)
-
-    def test_constant_one_maps_to_top_cell(self):
-        grid = value_grid(F(1, 4), F(1, 8))
-        h = quantize(Function.constant(1), F(1, 4), F(1, 8))
-        assert h.values == (grid[-2],)
-
-    def test_error_bound_and_band_agreement(self, ramp8):
-        gamma, mesh = F(1, 4), F(1, 16)
-        h = quantize(ramp8, gamma, mesh)
-        rng = SplitMix64(11)
-        for _ in range(200):
-            x = rng.unit_fraction()
-            fv, hv = ramp8.value_at(x), h.value_at(x)
-            assert abs(fv - hv) < mesh
-            assert band_of_value(fv, gamma) == band_of_value(hv, gamma)
-
-    def test_bad_mesh(self, ramp8):
-        with pytest.raises(InvalidMesh):
-            quantize(ramp8, F(1, 4), 0)
 
 
 class TestGenerators:
@@ -277,6 +213,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             FunctionClass([ramp8, tab])
 
+    @pytest.mark.parametrize(
+        "points", [[F(1, 2), F(1, 4)], [F(1, 4), F(1, 4)], [0, F(1, 2), F(1, 2), F(3, 4)]]
+    )
+    def test_tabular_points_sorted_and_distinct(self, points):
+        with pytest.raises(ValueError, match="sorted and distinct"):
+            Function.tabular(points, [0] * len(points))
+
     def test_tabular_domains_must_match(self):
         a = Function.tabular([F(1, 4)], [0])
         b = Function.tabular([F(1, 2)], [0])
@@ -297,48 +240,91 @@ class TestTabularSegments:
                         x not in p for i, p in enumerate(parts) if i != k - 1
                     )
 
-    def test_quantize_tabular(self):
-        f = Function.tabular([F(1, 4), F(3, 4)], [F(37, 100), F(99, 100)])
-        h = quantize(f, F(1, 4), F(1, 8))
-        assert h.kind == f.kind and h.points == f.points
-        assert h.values[0] == F(1, 3)
-        assert all(abs(a - b) < F(1, 8) for a, b in zip(f.values, h.values))
+
+def table_classes():
+    return [
+        thresholds(5),
+        interval_indicators(4),
+        full_join_family(2, 1, 3, F(1, 5)),
+        random_step(3, 7, 5, 4),
+        FunctionClass(
+            [
+                Function.step(
+                    [IntervalUnion([(0, F(1, 3)), (F(2, 3), 1)]),
+                     IntervalUnion.interval(F(1, 3), F(2, 3))],
+                    [F(1, 4), F(3, 4)],
+                ),
+                Function.indicator(IntervalUnion.interval(F(1, 5), F(1, 2))),
+            ]
+        ),
+    ]
 
 
 class TestRefinement:
-    @pytest.mark.parametrize(
-        "FC",
-        [
-            thresholds(5),
-            interval_indicators(4),
-            full_join_family(2, 1, 3, F(1, 5)),
-            random_step(3, 7, 5, 4),
-            FunctionClass(
-                [
-                    Function.step(
-                        [IntervalUnion([(0, F(1, 3)), (F(2, 3), 1)]),
-                         IntervalUnion.interval(F(1, 3), F(2, 3))],
-                        [F(1, 4), F(3, 4)],
-                    ),
-                    Function.indicator(IntervalUnion.interval(F(1, 5), F(1, 2))),
-                ]
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("FC", table_classes())
     def test_functions_constant_on_cells(self, FC):
-        cuts, columns = refinement(FC)
-        assert cuts[0] == 0 and cuts[-1] == 1
+        C, cuts, V, rows = refinement(FC)
+        assert cuts[0] == 0 and cuts[-1] == C
         assert all(a < b for a, b in zip(cuts, cuts[1:]))
-        assert len(columns) == len(FC)
-        for f, column in zip(FC.functions, columns):
-            assert len(column) == len(cuts) - 1
+        assert len(rows) == len(FC)
+        for f, row in zip(FC.functions, rows):
+            assert len(row) == len(cuts) - 1
             for piece, value in zip(f.pieces, f.values):
                 for lo, hi in piece.intervals:
-                    assert lo in cuts and hi in cuts
+                    assert lo * C in cuts and hi * C in cuts
                     # every cell inside [lo, hi) carries this piece's value
-                    inner = range(cuts.index(lo), cuts.index(hi))
-                    assert all(column[j] == value for j in inner)
+                    inner = range(cuts.index(lo * C), cuts.index(hi * C))
+                    assert all(F(row[j], V) == value for j in inner)
 
     def test_tabular_rejected(self):
         with pytest.raises(ValueError):
             refinement(all_patterns(2))
+
+
+TABLE_CLASSES = (
+    [thresholds(n) for n in (1, 2, 7)]
+    + [interval_indicators(n) for n in (1, 3, 6)]
+    + [full_join_family(L, 1, 3, F(1, 5)) for L in (1, 2, 3)]
+    + [full_join_family(2, 4, 1, F(2, 9))]
+    + [random_step(s, p, g, c) for s, (p, g, c) in enumerate(
+        [(1, 1, 1), (1, 7, 3), (2, 3, 5), (5, 12, 4), (9, 6, 2), (13, 100, 3), (16, 8, 9)]
+    )]
+    + table_classes()[-1:]
+)
+
+
+class TestTableMatchesFractionRefinement:
+    """The integer table is the Fraction refinement scaled by C and V."""
+
+    @pytest.mark.parametrize("FC", TABLE_CLASSES, ids=repr)
+    def test_cuts_and_values(self, FC):
+        C, cuts, V, rows = refinement(FC)
+        ocuts, ocolumns = oracle_refinement(FC)
+        assert list(cuts) == [c * C for c in ocuts]
+        assert [tuple(F(v, V) for v in row) for row in rows] == ocolumns
+        assert all(type(x) is int for x in (C, V, *cuts, *(v for r in rows for v in r)))
+
+    @pytest.mark.parametrize("FC", TABLE_CLASSES, ids=repr)
+    def test_values_at_points(self, FC):
+        # 0, cuts, points just left of cuts and points between cells
+        C = refinement(FC)[0]
+        rng = SplitMix64(len(FC))
+        pts = [F(0), F(1, 2), F(1, 3), F(1, 3) - F(1, 10**9), F(999, 1000)]
+        pts += [F(rng.randint(7 * C), 7 * C) for _ in range(6)]
+        V, columns = values_at(FC, pts)
+        for x, column in zip(pts, columns):
+            assert [F(v, V) for v in column] == [f.value_at(x) for f in FC.functions]
+
+    @pytest.mark.parametrize("x", [F(-1, 8), F(1), F(9, 8)])
+    def test_step_point_outside_unit_interval(self, x):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            values_at(thresholds(3), [F(1, 2), x])
+
+    def test_tabular_points(self):
+        FC = FunctionClass([
+            Function.tabular([0, F(1, 3), F(1, 2)], [F(1, 6), 1, F(1, 4)]),
+            Function.tabular([0, F(1, 3), F(1, 2)], [0, F(2, 3), F(3, 10)]),
+        ])
+        assert values_at(FC, [F(1, 2), 0]) == (60, [(15, 18), (10, 0)])
+        with pytest.raises(ValueError, match="not a tabular domain point"):
+            values_at(FC, [F(1, 4)])

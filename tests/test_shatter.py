@@ -320,6 +320,39 @@ class TestGapDimPostcondition:
             gap_dim(zero_one_class, F(1, 4))
 
 
+class TestValueTable:
+    """The solver reads each STEP class's integer value table, built once."""
+
+    def test_gap_dim_builds_the_table_once(self, monkeypatch):
+        from gapdim import funclass
+
+        builds = []
+        build = funclass._refine
+        monkeypatch.setattr(funclass, "_refine", lambda F: builds.append(F) or build(F))
+        FC = random_step(3, 12, 8, 32)
+        res = gap_dim(FC, F(1, 8))
+        assert res.dimension >= 1 and builds == [FC]
+        gap_dim(FC, F(1, 5))
+        assert builds == [FC]
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["thresholds(4)", "interval_indicators(4)", "random_step(7,4,8,16)",
+         "random_step(2,8,4,24)", "full_join_family(2,1,3,1/5)"],
+    )
+    def test_shatters_off_cell_midpoints(self, spec):
+        # 0, points exactly on a cut and points just left of one
+        FC = generate(spec)
+        eps = F(1, 10**9)
+        pts = [F(0), F(1, 4), F(1, 4) - eps, F(1, 2), F(3, 4) - eps, F(5, 7)]
+        for gamma in (F(1, 8), F(1, 5), F(1, 4)):
+            for d in (1, 2, 3):
+                for sub in combinations(pts, d):
+                    cert = shatters(FC, sub, gamma)
+                    got = (cert.points, cert.alpha, cert.selector) if cert else None
+                    assert got == oracle_shatters_certificate(FC, sub, gamma)
+
+
 class TestCandidatePoints:
     def test_step_refinement_midpoints(self, ramp8):
         FC = FunctionClass([ramp8])
