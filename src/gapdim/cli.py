@@ -49,7 +49,6 @@ from .funclass import (
     generate,
     k_of_gamma,
     load_class,
-    segment,
     segment_partition,
 )
 from .shatter import (
@@ -230,8 +229,7 @@ def cmd_join(cfg: dict) -> int:
     k, k2 = _ints(cfg, "k", low=1, high=K), _ints(cfg, "kp", low=1, high=K)
     if k2 == k:
         raise ConfigError(f"field 'kp': must differ from k, got {cfg['kp']!r}")
-    families = [(segment(f, gamma, k), segment(f, gamma, k2)) for f in F.functions]
-    cells = join(families)
+    cells = join(F, gamma, k, k2)
     report = {
         "bands": [k, k2],
         "cell_count": len(cells),

@@ -26,12 +26,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .exactset import ONE, ZERO, RationalLike, format_rational
+from .exactset import ONE, ZERO, RationalLike
 from .funclass import (
     STEP,
     Function,
@@ -41,10 +41,6 @@ from .funclass import (
 )
 from .rng import TWO53, SplitMix64
 from .shatter import DimResult, gap_dim
-
-IID_UNIFORM = "iid"
-ROTATION = "rotation"
-MARKOV = "markov"
 
 
 class NotErgodic(ValueError):
@@ -99,32 +95,22 @@ class Emission:
 
 @dataclass(frozen=True)
 class IIDUniformSpec:
-    variant: str = field(default=IID_UNIFORM, init=False)
-
-    def describe(self) -> dict:
-        return {"variant": IID_UNIFORM}
+    """Independent uniform points on [0, 1)."""
 
 
 @dataclass(frozen=True)
 class RotationSpec:
     theta: Fraction
 
-    variant: str = field(default=ROTATION, init=False)
-
     def __post_init__(self):
         if not ZERO < self.theta < ONE:
             raise ValueError(f"theta must be in (0, 1), got {self.theta}")
-
-    def describe(self) -> dict:
-        return {"variant": ROTATION, "theta": format_rational(self.theta)}
 
 
 @dataclass(frozen=True)
 class MarkovSpec:
     transition: Tuple[Tuple[Fraction, ...], ...]
     emissions: Tuple[Emission, ...]
-
-    variant: str = field(default=MARKOV, init=False)
 
     def __post_init__(self):
         n = len(self.transition)
@@ -139,28 +125,6 @@ class MarkovSpec:
                 raise ValueError("transition rows must sum to 1 exactly")
         if not _irreducible(self.transition):
             raise NotErgodic("transition matrix is not irreducible")
-
-    @property
-    def n_states(self) -> int:
-        return len(self.transition)
-
-    def describe(self) -> dict:
-        return {
-            "variant": MARKOV,
-            "transition": [
-                [format_rational(p) for p in row] for row in self.transition
-            ],
-            "emissions": [
-                {"kind": "point", "at": format_rational(e.at)}
-                if e.kind == "point"
-                else {
-                    "kind": "uniform",
-                    "lo": format_rational(e.lo),
-                    "hi": format_rational(e.hi),
-                }
-                for e in self.emissions
-            ],
-        }
 
     def stationary_distribution(self) -> Tuple[Fraction, ...]:
         return _stationary(self.transition)
@@ -253,16 +217,16 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
     """m exact sample points, fully determined by (spec, m, seed).
 
     Draw order, documented for reproducibility: IID consumes one uniform per
-    point.  ROTATION consumes one uniform for the start x0 and emits
-    frac(x0 + i*theta) for i = 1..m.  MARKOV consumes one uniform for the
-    stationary initial state, then per step one uniform for the transition
-    (from step 2 on) followed by one uniform for the emission when the
-    state's emission is an interval.
+    point.  A rotation consumes one uniform for the start x0 and emits
+    frac(x0 + i*theta) for i = 1..m.  A Markov chain consumes one uniform
+    for the stationary initial state, then per step one uniform for the
+    transition (from step 2 on) followed by one uniform for the emission
+    when the state's emission is an interval.
 
     A uniform is a 53-bit integer k standing for k / 2**53, and the points
     are integer ticks over one scale N.  IID: N = 2**53 and the tick is k.
-    ROTATION: N = 2**53 * den(theta); each step adds theta * N to the start
-    tick x0 * N, modulo N.  MARKOV: N = 2**53 * L with L the lcm of the
+    Rotation: N = 2**53 * den(theta); each step adds theta * N to the start
+    tick x0 * N, modulo N.  Markov: N = 2**53 * L with L the lcm of the
     emission denominators; states are picked by comparing k against integer
     cumulative thresholds, a point emission at a is the tick a * N, and a
     uniform emission on [lo, hi) is lo * N + (hi - lo) * L * k.  Because the
@@ -311,9 +275,9 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
 def expectation(f: Function, spec: ProcessSpec) -> Fraction:
     """Exact E f(X) under the process marginal.
 
-    IID and ROTATION have the uniform marginal, so the expectation is the
-    length-weighted sum of the values of f's sorted flat pieces [lo, hi).
-    The MARKOV marginal is the stationary mixture of the emissions; a
+    IID and rotation specs have the uniform marginal, so the expectation is
+    the length-weighted sum of the values of f's sorted flat pieces [lo, hi).
+    The Markov marginal is the stationary mixture of the emissions; a
     uniform emission on [a, b) weighs each piece by its overlap
     max(0, min(hi, b) - max(lo, a)) / (b - a).
     """

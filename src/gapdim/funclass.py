@@ -10,7 +10,10 @@ For a resolution ``gamma`` the value range splits into K bands
 where ``K = floor(1/gamma) + 1`` unless ``1/gamma`` is an integer, in which
 case ``K = 1/gamma``.  The preimage of band k is the k-th segment of a
 function; two segments are non-adjacent when their band indices differ by
-at least 2.
+at least 2.  :func:`band_of_value` is the one rule that puts a value in a
+band.  A STEP class's integer value table (:func:`refinement`) serves the
+dimension search, the sample means, and, as bands per cell
+(:func:`cell_bands`), the segment join and the intersection-tree builder.
 """
 
 from __future__ import annotations
@@ -85,11 +88,10 @@ class Function:
         for v in vals:
             if not (ZERO <= v <= ONE):
                 raise ValueError(f"value {v} outside [0, 1]")
-        total = sum((p.measure for p in pieces), ZERO)
-        if total != ONE:
+        if IntervalUnion.union_all(pieces) != IntervalUnion.full():
             raise ValueError("step pieces must cover [0, 1)")
-        cover = IntervalUnion.union_all(pieces)
-        if cover.measure != ONE:
+        # pieces that cover [0, 1) are disjoint iff their measures sum to 1
+        if sum((p.measure for p in pieces), ZERO) != ONE:
             raise ValueError("step pieces must be pairwise disjoint")
         return cls(STEP, tuple(pieces), None, vals)
 
@@ -292,18 +294,29 @@ def non_adjacent(k: int, k2: int) -> bool:
     return abs(k - k2) >= 2
 
 
-def _band(gamma: Fraction, k: int) -> Tuple[Fraction, Fraction, bool]:
-    """Band k as (lo, hi, hi_inclusive)."""
-    K = k_of_gamma(gamma)
-    if not 1 <= k <= K:
-        raise SegmentIndexOutOfRange(f"band {k} outside [1, {K}]")
-    if k == K:
-        return (K - 1) * gamma, ONE, True
-    return (k - 1) * gamma, k * gamma, False
+def cell_bands(F: FunctionClass, gamma: RationalLike) -> Tuple[Tuple[int, ...], ...]:
+    """Each function's band on each cell of the STEP class's :func:`refinement`.
+
+    ``cell_bands(F, gamma)[fi][j]`` is the band of F[fi] on cell j; each
+    distinct integer value of the table goes through :func:`band_of_value`
+    once.
+    """
+    _, _, V, rows = refinement(F)
+    band = {v: band_of_value(Fraction(v, V), gamma) for v in set().union(*rows)}
+    return tuple(tuple(band[v] for v in row) for row in rows)
 
 
-def _value_in_band(v: Fraction, lo: Fraction, hi: Fraction, inclusive: bool) -> bool:
-    return lo <= v and (v <= hi if inclusive else v < hi)
+def _members_by_band(f: Function, gamma: RationalLike) -> List[list]:
+    """f's pieces (STEP) or domain points (TABULAR), grouped by band 1..K."""
+    band = {v: band_of_value(v, gamma) for v in set(f.values)}
+    groups = [[] for _ in range(k_of_gamma(gamma))]
+    for member, v in zip(f.pieces if f.kind == STEP else f.points, f.values):
+        groups[band[v] - 1].append(member)
+    return groups
+
+
+def _segment(f: Function, members: list) -> Union[IntervalUnion, Tuple[Fraction, ...]]:
+    return IntervalUnion.union_all(members) if f.kind == STEP else tuple(members)
 
 
 def segment(
@@ -314,25 +327,15 @@ def segment(
     For STEP functions this is an IntervalUnion; for TABULAR functions it is
     the tuple of domain points whose value lies in the band.
     """
-    gamma = Fraction(gamma)
-    lo, hi, inclusive = _band(gamma, k)
-    if f.kind == STEP:
-        members = [
-            piece
-            for piece, v in zip(f.pieces, f.values)
-            if _value_in_band(v, lo, hi, inclusive)
-        ]
-        return IntervalUnion.union_all(members)
-    return tuple(
-        p for p, v in zip(f.points, f.values) if _value_in_band(v, lo, hi, inclusive)
-    )
+    groups = _members_by_band(f, gamma)
+    if not 1 <= k <= len(groups):
+        raise SegmentIndexOutOfRange(f"band {k} outside [1, {len(groups)}]")
+    return _segment(f, groups[k - 1])
 
 
 def segment_partition(f: Function, gamma: RationalLike) -> List:
     """All K segments of f, in band order; together they partition the domain."""
-    gamma = Fraction(gamma)
-    K = k_of_gamma(gamma)
-    return [segment(f, gamma, k) for k in range(1, K + 1)]
+    return [_segment(f, members) for members in _members_by_band(f, gamma)]
 
 
 # ---------------------------------------------------------------------------

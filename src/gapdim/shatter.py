@@ -22,6 +22,9 @@ every window where the current set is still shattered the live functions
 grouped by the subset they realize.  A set shattered at alpha has every
 subset shattered at the same alpha, so windows only drop out deeper down.
 The winning set's certificate comes from one call of `shatters`.
+`join` reads the same STEP value table, as bands per refinement cell
+(`funclass.cell_bands`), and `join_shatter` turns a full join into a
+certificate at resolution gamma/2.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from .exactset import (
     IntervalUnion, RationalLike, format_rational, parse_rational, read_json_object
 )
 from .funclass import (
-    TABULAR, FunctionClass, InvalidResolution, non_adjacent, refinement, segment,
-    values_at,
+    TABULAR, FunctionClass, InvalidResolution, SegmentIndexOutOfRange, cell_bands,
+    k_of_gamma, non_adjacent, refinement, values_at,
 )
 
 INFINITE_CAP = "INFINITE_CAP"
@@ -62,10 +65,6 @@ class JoinNotFull(ValueError):
     def __init__(self, signature: Tuple[int, ...]):
         self.signature = signature
         super().__init__(f"join is missing the cell with signature {signature}")
-
-
-class NotDisjointFamily(ValueError):
-    """A join constituent family contains overlapping sets."""
 
 
 @dataclass(frozen=True)
@@ -355,24 +354,27 @@ class JoinCell:
     signature: Tuple[int, ...]
 
 
-def join(families: Sequence[Sequence[IntervalUnion]]) -> List[JoinCell]:
-    """All non-empty intersections picking one set from each family.
+def join(F: FunctionClass, gamma: RationalLike, k: int, k2: int) -> List[JoinCell]:
+    """The join of the segment pairs {segment k, segment k2} over a STEP class.
 
-    The endpoints of all sets cut [0, 1) into pieces [lo, hi), and a set
-    contains a piece iff it contains lo.  The pieces every family covers,
-    grouped by the member covering them in each family, are the cells, in
-    signature order.  Within each family the sets must be pairwise
-    disjoint, so the cells are pairwise disjoint and each is contained in
-    every constituent it picked.
+    Its cells, in signature order, are the non-empty intersections picking
+    per function f the segment {f in band k} (signature entry 0) or
+    {f in band k2} (entry 1): the refinement cells where every function
+    lies in band k or k2, grouped by signature.
     """
-    cuts = sorted({0, 1, *(x for fam in families for s in fam for iv in s for x in iv)})
+    K = k_of_gamma(gamma)
+    for band in (k, k2):
+        if not 1 <= band <= K:
+            raise SegmentIndexOutOfRange(f"band {band} outside [1, {K}]")
+    if k == k2:
+        raise ValueError(f"a join needs two different bands, got {k} twice")
+    C, cuts, _, _ = refinement(F)
+    side = {k: 0, k2: 1}
     groups: Dict[Tuple[int, ...], list] = {}
-    for lo, hi in zip(cuts, cuts[1:]):
-        hits = [[i for i, s in enumerate(fam) if lo in s] for fam in families]
-        if any(len(h) > 1 for h in hits):
-            raise NotDisjointFamily(f"two sets of a family overlap on [{lo}, {hi})")
-        if all(hits):
-            groups.setdefault(tuple(h[0] for h in hits), []).append((lo, hi))
+    for j, bands in enumerate(zip(*cell_bands(F, gamma))):
+        if all(b in side for b in bands):
+            sig = tuple(side[b] for b in bands)
+            groups.setdefault(sig, []).append((Fraction(cuts[j], C), Fraction(cuts[j + 1], C)))
     return [JoinCell(IntervalUnion(groups[sig]), sig) for sig in sorted(groups)]
 
 
@@ -396,8 +398,7 @@ def join_shatter(
     if not non_adjacent(k, k2):
         raise ValueError(f"bands ({k}, {k2}) must be non-adjacent")
 
-    families = [(segment(f, gamma, k), segment(f, gamma, k2)) for f in F0.functions]
-    cells = {jc.signature: jc.cell for jc in join(families)}
+    cells = {jc.signature: jc.cell for jc in join(F0, gamma, k, k2)}
     if len(cells) < 1 << n_fns:
         for sig_bits in range(1 << n_fns):
             sig = tuple((sig_bits >> b) & 1 for b in range(n_fns))

@@ -24,8 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .exactset import IntervalUnion, RationalLike, read_json_object
 from .funclass import (
-    STEP, FunctionClass, band_of_value, k_of_gamma, non_adjacent, refinement, segment,
-    segment_partition,
+    STEP, FunctionClass, cell_bands, k_of_gamma, non_adjacent, segment, segment_partition,
 )
 from .shatter import JoinCell, join
 
@@ -84,10 +83,6 @@ class CompleteTree:
 
     def children(self, t: int) -> Tuple[int, int]:
         return 2 * t, 2 * t + 1
-
-    @staticmethod
-    def parent(t: int) -> int:
-        return t // 2
 
     def internal_nodes(self) -> range:
         return range(1, 1 << self.depth)
@@ -230,9 +225,6 @@ class EmbeddedSubtree:
     nodes: Tuple[int, ...]
     label: Label
     levels: Tuple[int, ...]
-
-    def host_node(self, position: int) -> int:
-        return self.nodes[position - 1]
 
 
 def _majority_label(tree: CompleteTree, nodes: Sequence[int]) -> Tuple[Label, List[int]]:
@@ -381,12 +373,11 @@ def intersection_tree_build(
     # Segments and path intersections are unions of refinement cells, held
     # as bitmasks over the cells; every cell has positive measure, so an
     # intersection has positive measure iff its mask is non-zero.
-    _, cuts, V, rows = refinement(F)
-    band = {v: band_of_value(Fraction(v, V), gamma) for row in rows for v in set(row)}
-    masks = [[0] * (K + 1) for _ in rows]  # masks[fi][k]: cells of segment k
-    for seg, row in zip(masks, rows):
-        for j, v in enumerate(row):
-            seg[band[v]] |= 1 << j
+    bands = cell_bands(F, gamma)
+    masks = [[0] * (K + 1) for _ in bands]  # masks[fi][k]: cells of segment k
+    for seg, row in zip(masks, bands):
+        for j, k in enumerate(row):
+            seg[k] |= 1 << j
 
     stack: List[Tuple[int, List[Label]]] = []  # per level: (function, labels)
     visits = 0
@@ -412,7 +403,7 @@ def intersection_tree_build(
                 stack.pop()
         return False
 
-    if not attempt([(1 << (len(cuts) - 1)) - 1]):
+    if not attempt([(1 << len(bands[0])) - 1]):
         return None
     labels: Dict[int, Label] = {}
     sets: Dict[int, IntervalUnion] = {}
@@ -460,12 +451,9 @@ def intersection_tree_verify(
             if tree.sets[right] != segment(g, gamma, k2):
                 return False
         else:
-            K = k_of_gamma(gamma)
-            bands = {
-                kk: segment(g, gamma, kk) for kk in range(1, K + 1)
-            }
-            k = next((kk for kk, s in bands.items() if s == tree.sets[left]), None)
-            k2 = next((kk for kk, s in bands.items() if s == tree.sets[right]), None)
+            segs = segment_partition(g, gamma)
+            k = next((kk for kk, s in enumerate(segs, 1) if s == tree.sets[left]), None)
+            k2 = next((kk for kk, s in enumerate(segs, 1) if s == tree.sets[right]), None)
             if k is None or k2 is None or not non_adjacent(k, k2):
                 return False
 
@@ -509,10 +497,7 @@ def maximal_join_from_tree(
     hs = [built.functions[lv] for lv in emb.levels[:-1]]
     if len(set(hs)) != len(hs):
         raise RuntimeError("verified tree reused a function on chosen levels")
-    families = [
-        (segment(F[h], gamma, k), segment(F[h], gamma, k2)) for h in hs
-    ]
-    cells = join(families)
+    cells = join(F.subclass(hs), gamma, k, k2)
     if len(cells) != 1 << len(hs) or any(c.cell.measure <= 0 for c in cells):
         raise RuntimeError("subtree join unexpectedly not full")
     return MaximalJoin(

@@ -488,6 +488,23 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err.startswith("error: field 'class': this command needs a STEP class"), err
 
+    @pytest.mark.parametrize(
+        "sets,message",
+        [
+            (["[0/1,3/4)", "[1/2,1/1)"], "step pieces must be pairwise disjoint"),
+            (["[0/1,1/2)", "[1/4,3/4)"], "step pieces must cover [0, 1)"),
+        ],
+    )
+    def test_step_pieces_name_their_fault(self, tmp_path, sets, message):
+        doc = class_to_json(thresholds(2))
+        doc["functions"][0]["pieces"] = [
+            {"set": text, "value": value} for text, value in zip(sets, ("0/1", "1/1"))
+        ]
+        path = tmp_path / "class.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_main("dim", "--class", str(path), "--gamma", "1/4")
+        assert (code, out, err) == (2, "", f"error: field 'class': {message}\n")
+
     @pytest.mark.parametrize("command,field", INTEGER_FIELDS)
     def test_non_integer_flags(self, workdir, command, field):
         argv = [a.format(tree=workdir / "tree.json") for a in VALID[command]]

@@ -23,6 +23,7 @@ from gapdim.funclass import (
     InvalidResolution,
     SegmentIndexOutOfRange,
     band_of_value,
+    cell_bands,
     class_from_json,
     class_to_json,
     refinement,
@@ -159,8 +160,7 @@ class TestFullJoinFamily:
         assert len(FC) == 4
         # 16 domain cells, and the join of the band-(1,3) segment pairs
         # has all 16 cells, each of measure 1/16
-        fams = [(segment(f, F(1, 5), 1), segment(f, F(1, 5), 3)) for f in FC]
-        cells = join(fams)
+        cells = join(FC, F(1, 5), 1, 3)
         assert len(cells) == 16
         assert all(c.cell.measure == F(1, 16) for c in cells)
 
@@ -191,11 +191,12 @@ class TestJsonRoundTrip:
 
 class TestValidation:
     def test_step_must_cover(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"must cover \[0, 1\)"):
             Function.step([IntervalUnion.interval(0, F(1, 2))], [F(1, 2)])
 
     def test_step_must_be_disjoint(self):
-        with pytest.raises(ValueError):
+        # the pieces cover [0, 1) and overlap on [1/2, 3/4)
+        with pytest.raises(ValueError, match="pairwise disjoint"):
             Function.step(
                 [
                     IntervalUnion.interval(0, F(3, 4)),
@@ -203,6 +204,20 @@ class TestValidation:
                 ],
                 [0, 1],
             )
+
+    @pytest.mark.parametrize(
+        "pieces",
+        [
+            # a gap whose measure the overlap makes up: the measures sum to 1
+            [IntervalUnion.interval(0, F(1, 2)), IntervalUnion.interval(F(1, 4), F(3, 4))],
+            # a gap and an overlap that do not balance
+            [IntervalUnion.interval(0, F(1, 2)), IntervalUnion.interval(F(1, 4), F(1, 2))],
+            [IntervalUnion.interval(F(1, 4), 1), IntervalUnion.interval(F(1, 2), 1)],
+        ],
+    )
+    def test_step_gap_and_overlap_reports_the_gap(self, pieces):
+        with pytest.raises(ValueError, match=r"must cover \[0, 1\)"):
+            Function.step(pieces, [0, 1])
 
     def test_values_in_unit_range(self):
         with pytest.raises(ValueError):
@@ -328,3 +343,40 @@ class TestTableMatchesFractionRefinement:
         assert values_at(FC, [F(1, 2), 0]) == (60, [(15, 18), (10, 0)])
         with pytest.raises(ValueError, match="not a tabular domain point"):
             values_at(FC, [F(1, 4)])
+
+
+class TestOneBandRule:
+    """Segments, partitions and cell bands all put a value where band_of_value does."""
+
+    FUNCTIONS = [
+        random_step(4, 6, 4).functions[0],  # values on quarters, 1 included
+        Function.constant(1),
+        Function.indicator(IntervalUnion.interval(F(1, 3), F(2, 3))),
+        Function.tabular([0, F(1, 4), F(1, 2), F(3, 4)], [1, F(3, 4), 0, F(1, 4)]),
+        Function.tabular([F(1, 3)], [1]),
+    ]
+
+    @pytest.mark.parametrize("f", FUNCTIONS, ids=repr)
+    @pytest.mark.parametrize("gamma", [F(1, 4), F(1, 2), F(1), F(2, 7)])
+    def test_partition_is_the_segments(self, f, gamma):
+        K = k_of_gamma(gamma)
+        assert segment_partition(f, gamma) == [segment(f, gamma, k) for k in range(1, K + 1)]
+
+    def test_value_one_lies_in_the_top_band(self):
+        gamma = F(1, 4)  # 1/gamma is an integer, so K = 4 and 1 = K gamma
+        assert segment_partition(Function.constant(1), gamma)[3] == IntervalUnion.full()
+        assert segment_partition(Function.tabular([F(1, 3)], [1]), gamma)[3] == (F(1, 3),)
+
+    @pytest.mark.parametrize("FC", TABLE_CLASSES, ids=repr)
+    @pytest.mark.parametrize("gamma", [F(1, 4), F(1, 5), F(2, 7)])
+    def test_cell_bands_match_band_of_value(self, FC, gamma):
+        C, cuts, _, _ = refinement(FC)
+        bands = cell_bands(FC, gamma)
+        for f, row in zip(FC.functions, bands):
+            assert len(row) == len(cuts) - 1
+            for j, k in enumerate(row):
+                assert k == band_of_value(f.value_at(F(cuts[j], C)), gamma)
+
+    def test_cell_bands_reject_tabular_classes(self):
+        with pytest.raises(ValueError, match="STEP"):
+            cell_bands(all_patterns(2), F(1, 4))

@@ -20,13 +20,12 @@ from gapdim import (
     thresholds,
     verify_certificate,
 )
-from gapdim.funclass import InvalidResolution, generate, k_of_gamma
+from gapdim.funclass import InvalidResolution, SegmentIndexOutOfRange, generate, k_of_gamma
 from gapdim.shatter import (
     EmptyPointSet,
     InvalidCap,
     JoinNotFull,
     MalformedCertificate,
-    NotDisjointFamily,
     ShatterCertificate,
     candidate_points,
 )
@@ -212,41 +211,53 @@ class TestGapDim:
         assert res.dimension <= len(FC).bit_length() - 1
 
 
+def segment_pairs(FC, gamma, k, k2):
+    """Per function its (segment k, segment k2): the families oracle_join takes."""
+    return [(segment(f, gamma, k), segment(f, gamma, k2)) for f in FC.functions]
+
+
 class TestJoin:
-    def test_two_families(self):
-        a = [IntervalUnion.interval(0, F(1, 2)), IntervalUnion.interval(F(1, 2), 1)]
-        b = [IntervalUnion.interval(0, F(1, 4)), IntervalUnion.interval(F(1, 4), 1)]
-        cells = join([a, b])
-        assert len(cells) == 3
-        assert {c.cell for c in cells} == {
-            IntervalUnion.interval(0, F(1, 4)),
-            IntervalUnion.interval(F(1, 4), F(1, 2)),
-            IntervalUnion.interval(F(1, 2), 1),
-        }
+    def test_two_functions(self):
+        f = Function.indicator(IntervalUnion.interval(F(1, 2), 1))
+        g = Function.indicator(IntervalUnion.interval(F(1, 4), 1))
+        cells = join(FunctionClass([f, g]), F(1, 2), 1, 2)
+        assert [(c.cell, c.signature) for c in cells] == [
+            (IntervalUnion.interval(0, F(1, 4)), (0, 0)),
+            (IntervalUnion.interval(F(1, 4), F(1, 2)), (0, 1)),
+            (IntervalUnion.interval(F(1, 2), 1), (1, 1)),
+        ]
 
-    def test_single_family_is_identity(self):
-        a = [IntervalUnion.interval(0, F(1, 3)), IntervalUnion.interval(F(2, 3), 1)]
-        cells = join([a])
-        assert [c.cell for c in cells] == a
-        assert [c.signature for c in cells] == [(0,), (1,)]
-
-    def test_rejects_overlapping_family(self):
-        a = [IntervalUnion.interval(0, F(2, 3)), IntervalUnion.interval(F(1, 3), 1)]
-        with pytest.raises(NotDisjointFamily):
-            join([a])
+    def test_single_function_gives_its_two_segments(self, ramp8):
+        # bands 1 and 3 of the ramp at 1/4; the cells between drop out
+        cells = join(FunctionClass([ramp8]), F(1, 4), 3, 1)
+        assert [(c.cell, c.signature) for c in cells] == [
+            (IntervalUnion.interval(F(1, 2), F(3, 4)), (0,)),
+            (IntervalUnion.interval(0, F(1, 4)), (1,)),
+        ]
 
     def test_cells_disjoint_and_contained(self):
         FC = full_join_family(2, 1, 3, F(1, 5))
-        fams = [
-            (segment(f, F(1, 5), 1), segment(f, F(1, 5), 3)) for f in FC.functions
-        ]
-        cells = join(fams)
+        fams = segment_pairs(FC, F(1, 5), 1, 3)
+        cells = join(FC, F(1, 5), 1, 3)
         for i in range(len(cells)):
             for j in range(i + 1, len(cells)):
                 assert (cells[i].cell & cells[j].cell).is_empty
         for c in cells:
             for fam_idx, choice in enumerate(c.signature):
                 assert (c.cell & fams[fam_idx][choice]) == c.cell
+
+    def test_rejects_tabular_class(self):
+        with pytest.raises(ValueError, match="STEP"):
+            join(all_patterns(2), F(1, 4), 1, 3)
+
+    def test_rejects_equal_bands(self):
+        with pytest.raises(ValueError, match="two different bands"):
+            join(full_join_family(1, 1, 3, F(1, 5)), F(1, 5), 3, 3)
+
+    @pytest.mark.parametrize("k,k2,bad", [(0, 3, 0), (1, 6, 6), (6, 1, 6), (-1, 2, -1)])
+    def test_band_out_of_range(self, k, k2, bad):
+        with pytest.raises(SegmentIndexOutOfRange, match=rf"band {bad} outside \[1, 5\]"):
+            join(full_join_family(1, 1, 3, F(1, 5)), F(1, 5), k, k2)
 
 
 class TestJoinShatter:
@@ -399,21 +410,6 @@ def random_tabular(seed, n_points=4, n_fns=8, grid=8):
     ])
 
 
-def random_families(seed):
-    """Families of pairwise disjoint sets on a 1/12 grid; some pieces unowned."""
-    rng = random.Random(seed)
-    families = []
-    for _ in range(rng.randint(0, 4)):
-        cuts = sorted({0, 12, *rng.sample(range(1, 12), rng.randint(0, 6))})
-        members = [[] for _ in range(rng.randint(0, 3))]
-        for lo, hi in zip(cuts, cuts[1:]):
-            owner = rng.randrange(len(members) + 1)
-            if owner < len(members):
-                members[owner].append((F(lo, 12), F(hi, 12)))
-        families.append([IntervalUnion(m) for m in members])
-    return families
-
-
 SHATTER_CORPUS = (
     [f"random_step({s},{3 + s % 4},8,{4 + s % 7})" for s in range(12)]
     + [f"all_patterns({p})" for p in (1, 2, 3)]
@@ -485,41 +481,40 @@ class TestWindowDfsMatchesShattersDfs:
         assert_same_search(FC, [F(1, 16), F(1, 8), F(1, 4), F(3, 8)])
 
 
+def assert_join_matches_product(FC, gammas=(F(1, 8), F(1, 5), F(1, 4), F(2, 7))):
+    """Every ordered pair of different bands: adjacent and non-adjacent,
+    k < k2 and k > k2.  At 1/4 and 1/8 a value 1 lies in the top band."""
+    for gamma in gammas:
+        K = k_of_gamma(gamma)
+        for k in range(1, K + 1):
+            for k2 in range(1, K + 1):
+                if k != k2:
+                    got = [(c.cell.to_text(), c.signature) for c in join(FC, gamma, k, k2)]
+                    assert got == oracle_join(segment_pairs(FC, gamma, k, k2)), (gamma, k, k2)
+
+
 class TestJoinMatchesProduct:
-    @staticmethod
-    def cells(families):
-        return [(c.cell.to_text(), c.signature) for c in join(families)]
+    """The class-side join equals the product of the segment families."""
 
     @pytest.mark.parametrize(
         "L,k,k2", [(L, k, k2) for L in (1, 2, 3) for k, k2 in ((1, 3), (3, 1))]
     )
     def test_full_join_family(self, L, k, k2):
         FC = full_join_family(L, k, k2, F(1, 5))
-        fams = [(segment(f, F(1, 5), k), segment(f, F(1, 5), k2)) for f in FC.functions]
-        got = self.cells(fams)
-        assert got == oracle_join(fams) and len(got) == 1 << len(FC)
+        assert len(join(FC, F(1, 5), k, k2)) == 1 << len(FC)
+        assert_join_matches_product(FC, [F(1, 5)])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_segment_pairs_of_random_classes(self, seed):
-        FC = random_step(seed, pieces=5, grid=8, count=5)
-        for gamma in (F(1, 8), F(1, 5), F(1, 4)):
-            K = k_of_gamma(gamma)
-            for k, k2 in [(k, k2) for k in range(1, K + 1) for k2 in range(k + 2, K + 1)]:
-                fams = [(segment(f, gamma, k), segment(f, gamma, k2)) for f in FC.functions]
-                assert self.cells(fams) == oracle_join(fams)
+        assert_join_matches_product(random_step(seed, pieces=5, grid=8, count=5))
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_random_disjoint_families(self, seed):
-        fams = random_families(seed)
-        assert self.cells(fams) == oracle_join(fams)
-
-    def test_overlap_where_an_earlier_family_is_empty(self):
-        # the second family overlaps only on [3/4, 1), which the first
-        # family leaves uncovered: no cell lies there, yet it is an error
-        first = [IntervalUnion.interval(0, F(1, 2))]
-        second = [IntervalUnion.interval(F(1, 2), 1), IntervalUnion.interval(F(3, 4), 1)]
-        with pytest.raises(NotDisjointFamily):
-            join([first, second])
+    @pytest.mark.parametrize(
+        "spec",
+        [f"random_step({s},6,4,4)" for s in range(8, 12)]
+        + ["thresholds(5)", "interval_indicators(4)", "full_join_family(2,4,1,2/9)"],
+    )
+    def test_other_classes(self, spec):
+        assert_join_matches_product(generate(spec))
 
 
 class TestPinnedCertificates:

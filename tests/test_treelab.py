@@ -15,12 +15,14 @@ from gapdim import (
     maximal_join_from_tree,
     ptree_witness,
     random_step,
+    segment,
     subtree_guarantee,
     uniform_subtree,
     verify_certificate,
 )
 from gapdim.rng import SplitMix64
 from gapdim.treelab import (
+    IntersectionTree,
     MissingLabel,
     MissingPayload,
     PtreePreconditionViolated,
@@ -29,6 +31,7 @@ from gapdim.treelab import (
 from oracles import (
     is_host_ancestor,
     oracle_intersection_tree_build,
+    oracle_join,
     oracle_level_counts,
     oracle_max_uniform_depth,
     oracle_naive_gap_dim,
@@ -225,10 +228,21 @@ class TestIntersectionTree:
             with pytest.raises(ValueError, match="function indices"):
                 intersection_tree_verify(built.tree, FC, F(1, 5), bad)
 
+    def test_verify_reads_unlabeled_bands_from_the_sets(self):
+        FC = full_join_family(2, 1, 3, F(1, 5))
+        built = intersection_tree_build(FC, F(1, 5), 2)
+        bare = CompleteTree(2, sets=built.tree.sets)
+        assert intersection_tree_verify(bare, FC, F(1, 5), built.functions)
+        root_fn = FC[built.functions[0]]
+        for payload in (segment(root_fn, F(1, 5), 2), IntervalUnion.interval(0, F(1, 3))):
+            # an adjacent (here empty) segment, and a set that is no segment
+            sets = {**built.tree.sets, 3: payload}
+            assert not intersection_tree_verify(CompleteTree(2, sets=sets), FC, F(1, 5),
+                                                built.functions)
+
     def test_verify_rejects_adjacent_labels(self, ramp8):
         FC = FunctionClass([ramp8])
         gamma = F(1, 4)
-        from gapdim import segment
 
         tree = CompleteTree(
             1,
@@ -240,7 +254,6 @@ class TestIntersectionTree:
     def test_verify_rejects_empty_path_intersection(self, ramp8):
         FC = FunctionClass([ramp8, ramp8])
         gamma = F(1, 4)
-        from gapdim import segment
 
         # both levels reuse the ramp: child segments of a band-1 node are
         # disjoint from band-3/band-1 of the same function, so some path dies
@@ -331,6 +344,24 @@ class TestMaximalJoin:
         built = intersection_tree_build(FC, F(1, 4), 1)
         mj = maximal_join_from_tree(built, FC, F(1, 4))
         assert len(mj.cells) == 2
+
+    def test_unsorted_levels_keep_their_order(self):
+        # the same tree over the reversed class picks functions 7, 6, 5: the
+        # join's signature entries follow the levels, not the indices
+        FC = full_join_family(3, 1, 3, F(1, 5))
+        built = intersection_tree_build(FC, F(1, 5), 3)
+        n = len(FC)
+        reverse = IntersectionTree(built.tree, tuple(n - 1 - fi for fi in built.functions))
+        RC = FC.subclass(range(n - 1, -1, -1))
+        mj = maximal_join_from_tree(reverse, RC, F(1, 5))
+        hs = mj.function_indices
+        assert list(hs) == sorted(hs, reverse=True) and len(hs) == 3
+        pairs = [(segment(RC[h], F(1, 5), 1), segment(RC[h], F(1, 5), 3)) for h in hs]
+        assert [(c.cell.to_text(), c.signature) for c in mj.cells] == oracle_join(pairs)
+        forward = maximal_join_from_tree(built, FC, F(1, 5))
+        assert [(c.cell, c.signature) for c in mj.cells] == [
+            (c.cell, c.signature) for c in forward.cells
+        ]
 
     def test_cells_feed_join_shatter(self):
         FC = full_join_family(2, 1, 3, F(1, 5))
