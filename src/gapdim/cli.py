@@ -495,6 +495,9 @@ def _load_config(args: dict, fields: Tuple[str, ...]) -> dict:
     Config keys must be fields of the command and their values strings or
     integers; a field given both ways is an error, not an override.
     """
+    for key, value in args.items():
+        if value is not None and not isinstance(value, str):  # argparse reads --name=-- as []
+            raise ConfigError(f"field {key!r}: expected a value, got '--'")
     merged = {}
     if args["config"] is not None:
         for key, value in _load("config", read_json_object, args["config"]).items():

@@ -11,8 +11,9 @@ Every downstream decision (discrepancy, subadditivity, bound verdicts) is
 exact; floats appear only in human-readable report columns.
 
 The discrepancy of a class on a path is the maximum over the class of
-|sample mean - expectation|, with expectations computed in closed form from
-piece lengths under the process marginal rather than by simulation.  Sample
+|sample mean - expectation|, with expectations computed exactly from piece
+lengths (``Function.integral`` over [0, 1) or over an emission's interval,
+``Function.value_at`` at a point emission) rather than by simulation.  Sample
 means come from common-refinement cell counts over the class's integer value
 table (``funclass.refinement``: cuts c over C, cell values over V): a tick x
 lies at or right of the cut c / C exactly when x >= ceil(c * N / C), so
@@ -276,27 +277,21 @@ def expectation(f: Function, spec: ProcessSpec) -> Fraction:
     """Exact E f(X) under the process marginal.
 
     IID and rotation specs have the uniform marginal, so the expectation is
-    the length-weighted sum of the values of f's sorted flat pieces [lo, hi).
-    The Markov marginal is the stationary mixture of the emissions; a
-    uniform emission on [a, b) weighs each piece by its overlap
-    max(0, min(hi, b) - max(lo, a)) / (b - a).
+    f's integral over [0, 1).  The Markov marginal is the stationary mixture
+    of the emissions: a point emission at a weighs f(a), a uniform emission
+    on [a, b) weighs f's integral over [a, b) divided by b - a.
     """
     if f.kind != STEP:
         raise NoMarginalExpectation("expectations need a STEP function")
     if isinstance(spec, (IIDUniformSpec, RotationSpec)):
-        return sum((v * (hi - lo) for lo, hi, v in f._flat), ZERO)
+        return f.integral(ZERO, ONE)
     if isinstance(spec, MarkovSpec):
-        pi = spec.stationary_distribution()
         total = ZERO
-        for p, e in zip(pi, spec.emissions):
+        for p, e in zip(spec.stationary_distribution(), spec.emissions):
             if e.kind == "point":
                 total += p * f.value_at(e.at)
             else:
-                integral = sum(
-                    (v * max(ZERO, min(hi, e.hi) - max(lo, e.lo)) for lo, hi, v in f._flat),
-                    ZERO,
-                )
-                total += p * integral / (e.hi - e.lo)
+                total += p * f.integral(e.lo, e.hi) / (e.hi - e.lo)
         return total
     raise TypeError(f"unknown process spec {spec!r}")
 

@@ -107,10 +107,6 @@ class IntervalUnion:
         return cls(pairs)
 
     @property
-    def intervals(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
-        return self._ivs
-
-    @property
     def is_empty(self) -> bool:
         return not self._ivs
 

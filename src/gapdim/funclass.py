@@ -2,8 +2,13 @@
 
 Two exact representations are supported.  A STEP function is piecewise
 constant: a list of pairwise-disjoint :class:`IntervalUnion` pieces covering
-[0, 1) with one rational value per piece.  A TABULAR function is a table of
-values on a finite shared point set.  Both keep values in [0, 1].
+[0, 1) with one rational value per piece.  Its pieces are built once into one
+integer row ``(D, ends, W, vals)``: the intervals sorted, each right end hi
+as hi * D and each value v as v * W, with D and W the lcm of the
+denominators.  Values, integrals and the class table read that row.  A
+TABULAR function is a table of values on a finite point set, the
+:class:`Domain` that the functions of one class share; a domain is converted,
+checked and indexed once.  Both keep values in [0, 1].
 
 For a resolution ``gamma`` the value range splits into K bands
 ``[(k-1)*gamma, k*gamma)`` for k < K and ``[(K-1)*gamma, 1]`` for k = K,
@@ -11,9 +16,10 @@ where ``K = floor(1/gamma) + 1`` unless ``1/gamma`` is an integer, in which
 case ``K = 1/gamma``.  The preimage of band k is the k-th segment of a
 function; two segments are non-adjacent when their band indices differ by
 at least 2.  :func:`band_of_value` is the one rule that puts a value in a
-band.  A STEP class's integer value table (:func:`refinement`) serves the
-dimension search, the sample means, and, as bands per cell
-(:func:`cell_bands`), the segment join and the intersection-tree builder.
+band.  A STEP class's integer value table (:func:`refinement`, its
+functions' rows merged over one C and one V) serves the dimension search,
+the sample means, and, as bands per cell (:func:`cell_bands`), the segment
+join and the intersection-tree builder.
 """
 
 from __future__ import annotations
@@ -52,29 +58,39 @@ class InvalidGeneratorSpec(ValueError):
     """Malformed generator description."""
 
 
+class Domain(tuple):
+    """The sorted, distinct points of [0, 1) that the functions of a TABULAR
+    class share, converted, checked and indexed once."""
+
+    def __new__(cls, points: Sequence[RationalLike]) -> "Domain":
+        self = super().__new__(cls, (Fraction(p) for p in points))
+        if any(not (ZERO <= p < ONE) for p in self):
+            raise ValueError("tabular points must lie in [0, 1)")
+        if any(not a < b for a, b in zip(self, self[1:])):
+            raise ValueError("tabular points must be sorted and distinct")
+        self.position = {p: i for i, p in enumerate(self)}
+        return self
+
+
 class Function:
     """A [0, 1]-valued function, either STEP or TABULAR (see module docs)."""
 
-    __slots__ = ("kind", "pieces", "points", "values", "_flat_lows", "_flat", "_index")
+    __slots__ = ("kind", "pieces", "points", "values", "_row")
 
     def __init__(self, kind, pieces, points, values):
         self.kind = kind
         self.pieces = pieces
         self.points = points
         self.values = values
+        self._row = values  # a TABULAR function's row is its values on its domain
         if kind == STEP:
-            flat = []
-            for piece, value in zip(pieces, values):
-                for lo, hi in piece.intervals:
-                    flat.append((lo, hi, value))
-            flat.sort()
-            self._flat = tuple(flat)
-            self._flat_lows = tuple(f[0] for f in flat)
-            self._index = None
-        else:
-            self._flat = None
-            self._flat_lows = None
-            self._index = {p: i for i, p in enumerate(points)}
+            D = math.lcm(*(hi.denominator for piece in pieces for _, hi in piece))
+            W = math.lcm(*(v.denominator for v in values))
+            ends, vals = zip(*sorted(  # the pieces are disjoint, so the ends differ
+                (hi.numerator * (D // hi.denominator), v.numerator * (W // v.denominator))
+                for piece, v in zip(pieces, values) for _, hi in piece
+            ))
+            self._row = (D, ends, W, vals)
 
     @classmethod
     def step(
@@ -101,14 +117,10 @@ class Function:
         points: Sequence[RationalLike],
         values: Sequence[RationalLike],
     ) -> "Function":
-        pts = tuple(Fraction(p) for p in points)
+        pts = points if isinstance(points, Domain) else Domain(points)
         vals = tuple(Fraction(v) for v in values)
         if len(pts) != len(vals) or not pts:
             raise ValueError("tabular function needs one value per point")
-        if any(not (ZERO <= p < ONE) for p in pts):
-            raise ValueError("tabular points must lie in [0, 1)")
-        if any(not a < b for a, b in zip(pts, pts[1:])):
-            raise ValueError("tabular points must be sorted and distinct")
         if any(not (ZERO <= v <= ONE) for v in vals):
             raise ValueError("tabular values must lie in [0, 1]")
         return cls(TABULAR, None, pts, vals)
@@ -128,24 +140,38 @@ class Function:
     def value_at(self, x: RationalLike) -> Fraction:
         x = Fraction(x)
         if self.kind == STEP:
-            i = bisect_right(self._flat_lows, x) - 1
-            if i < 0 or x >= self._flat[i][1]:
+            D, ends, W, vals = self._row
+            # x < hi iff floor(x * D) < hi * D, since hi * D is an integer
+            i = bisect_right(ends, x.numerator * D // x.denominator)
+            if x.numerator < 0 or i == len(ends):
                 raise ValueError(f"point {x} outside [0, 1)")
-            return self._flat[i][2]
+            return Fraction(vals[i], W)
         try:
-            return self.values[self._index[x]]
+            return self.values[self.points.position[x]]
         except KeyError:
             raise ValueError(f"{x} is not a tabular domain point") from None
 
+    def integral(self, a: RationalLike, b: RationalLike) -> Fraction:
+        """The exact integral of a STEP function over [a, b), 0 <= a <= b <= 1."""
+        a, b = Fraction(a), Fraction(b)
+        if self.kind != STEP or not ZERO <= a <= b <= ONE:
+            raise ValueError(f"{self!r} has no integral over [{a}, {b})")
+        D, ends, W, vals = self._row
+        # everything over q * D, with q the lcm of the window's denominators
+        q = math.lcm(a.denominator, b.denominator)
+        A, B = (x.numerator * (q // x.denominator) * D for x in (a, b))
+        total = 0
+        for lo, hi, v in zip((0, *ends), ends, vals):
+            total += v * max(0, min(hi * q, B) - max(lo * q, A))
+        return Fraction(total, q * D * W)
+
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Function) or self.kind != other.kind:
-            return False
-        if self.kind == STEP:
-            return self._flat == other._flat
-        return self.points == other.points and self.values == other.values
+        return isinstance(other, Function) and (
+            (self.kind, self.points, self._row) == (other.kind, other.points, other._row)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.kind, self._flat, self.points, self.values))
+        return hash((self.kind, self._row))
 
     def __repr__(self) -> str:
         n = len(self.values)
@@ -221,26 +247,19 @@ def refinement(F: FunctionClass) -> Table:
 
 
 def _refine(F: FunctionClass) -> Table:
-    # A STEP function's sorted flat pieces tile [0, 1), so every piece starts
-    # where the previous one ends and its right ends are all its cuts but 0.
-    flats = [f._flat for f in F.functions]
-    C = math.lcm(*{hi.denominator for flat in flats for _, hi, _ in flat})
-    V = math.lcm(*{v.denominator for f in F.functions for v in f.values})
-    ends = [
-        [(hi.numerator * (C // hi.denominator), v.numerator * (V // v.denominator))
-         for _, hi, v in flat]
-        for flat in flats
+    # Rescaled to the class's C and V, the function rows merge on integers:
+    # cell [c_j, c_j+1) lies in the piece of the first right end past c_j.
+    C = math.lcm(*(f._row[0] for f in F.functions))
+    V = math.lcm(*(f._row[2] for f in F.functions))
+    scaled = [
+        ([e * (C // D) for e in ends], [v * (V // W) for v in vals])
+        for D, ends, W, vals in (f._row for f in F.functions)
     ]
-    cuts = tuple(sorted({0, *(c for piece_ends in ends for c, _ in piece_ends)}))
-    index = {c: j for j, c in enumerate(cuts)}
-    rows = []
-    for piece_ends in ends:
-        row, j = [], 0
-        for c, v in piece_ends:
-            row += [v] * (index[c] - j)
-            j = index[c]
-        rows.append(tuple(row))
-    return C, cuts, V, tuple(rows)
+    cuts = tuple(sorted({0, *(c for ends, _ in scaled for c in ends)}))
+    rows = tuple(
+        tuple(vals[bisect_right(ends, c)] for c in cuts[:-1]) for ends, vals in scaled
+    )
+    return C, cuts, V, rows
 
 
 def values_at(
@@ -261,11 +280,7 @@ def values_at(
             if not 0 <= j < len(cuts) - 1:
                 raise ValueError(f"point {x} outside [0, 1)")
         return V, [tuple(row[j] for row in rows) for j in cells]
-    index = F.functions[0]._index
-    try:
-        columns = [[f.values[index[x]] for f in F.functions] for x in points]
-    except KeyError as exc:
-        raise ValueError(f"{exc.args[0]} is not a tabular domain point") from None
+    columns = [[f.value_at(x) for f in F.functions] for x in points]
     V = math.lcm(*{v.denominator for column in columns for v in column})
     return V, [tuple(v.numerator * (V // v.denominator) for v in col) for col in columns]
 
@@ -375,7 +390,7 @@ def all_patterns(p: int) -> FunctionClass:
     """
     if p < 1:
         raise InvalidGeneratorSpec("all_patterns needs p >= 1")
-    points = [Fraction(2 * t + 1, 2 * p) for t in range(p)]
+    points = Domain([Fraction(2 * t + 1, 2 * p) for t in range(p)])
     fns = [
         Function.tabular(points, [(b >> (p - 1 - t)) & 1 for t in range(p)])
         for b in range(1 << p)
@@ -433,12 +448,12 @@ def trajectory_indicators(
                 raise InvalidGeneratorSpec(
                     f"orbits of base points {i} and {j} intersect within the window"
                 )
-    domain = sorted(set().union(*orbits)) if orbits else []
-    if not domain:
+    if not orbits:
         raise InvalidGeneratorSpec("need at least one base point")
+    domain = Domain(sorted(set().union(*orbits)))
     fns = [
-        Function.tabular(domain, [1 if x in orbit else 0 for x in domain])
-        for orbit in orbits
+        Function.tabular(domain, [int(i in hits) for i in range(len(domain))])
+        for hits in ({domain.position[x] for x in orbit} for orbit in orbits)
     ]
     return FunctionClass(fns, f"trajectory_indicators(window={window})")
 
@@ -490,6 +505,15 @@ def full_join_family(L: int, k: int, k2: int, gamma: RationalLike) -> FunctionCl
 
 
 _GEN_RE = re.compile(r"^\s*([a-z_]+)\s*\((.*)\)\s*$")
+# every generator's arguments, in positional order
+_GEN_ARGS = {
+    "thresholds": ("n",),
+    "interval_indicators": ("n",),
+    "all_patterns": ("p",),
+    "random_step": ("seed", "pieces", "grid", "count"),
+    "full_join_family": ("L", "k", "k2", "gamma"),
+    "trajectory_indicators": ("theta", "window", "base"),
+}
 
 
 def generate(spec: str) -> FunctionClass:
@@ -498,22 +522,28 @@ def generate(spec: str) -> FunctionClass:
     Supported: thresholds(n), interval_indicators(n), all_patterns(p),
     random_step(seed,pieces,grid[,count]), full_join_family(L,k,k2,gamma),
     trajectory_indicators(theta,window,b1+b2+...).  Scalars are integers or
-    rationals written num/den.
+    rationals written num/den.  random_step alone also takes its arguments
+    as keywords, as in random_step(3,4,8,count=2).  A missing, repeated,
+    unknown or extra argument is an error.
     """
     m = _GEN_RE.match(spec)
     if not m:
         raise InvalidGeneratorSpec(f"cannot parse generator spec {spec!r}")
     name, argstr = m.group(1), m.group(2)
+    if name not in _GEN_ARGS:
+        raise InvalidGeneratorSpec(f"unknown generator {name!r}")
+    names = _GEN_ARGS[name]
     raw = [a.strip() for a in argstr.split(",")] if argstr.strip() else []
-
-    kwargs = {}
-    args = []
-    for item in raw:
-        if "=" in item:
-            key, _, val = item.partition("=")
-            kwargs[key.strip()] = val.strip()
-        else:
-            args.append(item)
+    positional = [a for a in raw if "=" not in a]
+    args = dict(zip(names, positional))
+    wrong = InvalidGeneratorSpec(f"wrong arguments in {spec!r}")
+    if len(positional) > len(names):
+        raise wrong
+    for key, _, val in (a.partition("=") for a in raw if "=" in a):
+        key = key.strip()
+        if name != "random_step" or key not in names or key in args:
+            raise wrong
+        args[key] = val.strip()
 
     def as_int(s: str) -> int:
         try:
@@ -523,31 +553,28 @@ def generate(spec: str) -> FunctionClass:
 
     try:
         if name == "thresholds":
-            return thresholds(as_int(args[0]))
+            return thresholds(as_int(args["n"]))
         if name == "interval_indicators":
-            return interval_indicators(as_int(args[0]))
+            return interval_indicators(as_int(args["n"]))
         if name == "all_patterns":
-            return all_patterns(as_int(args[0]))
+            return all_patterns(as_int(args["p"]))
         if name == "random_step":
-            merged = dict(zip(("seed", "pieces", "grid", "count"), args))
-            merged.update(kwargs)
             return random_step(
-                as_int(merged["seed"]),
-                as_int(merged["pieces"]),
-                as_int(merged["grid"]),
-                as_int(merged.get("count", "1")),
+                as_int(args["seed"]),
+                as_int(args["pieces"]),
+                as_int(args["grid"]),
+                as_int(args.get("count", "1")),
             )
         if name == "full_join_family":
             return full_join_family(
-                as_int(args[0]), as_int(args[1]), as_int(args[2]),
-                parse_rational(args[3]),
+                as_int(args["L"]), as_int(args["k"]), as_int(args["k2"]),
+                parse_rational(args["gamma"]),
             )
-        if name == "trajectory_indicators":
-            base = [parse_rational(b) for b in args[2].split("+")]
-            return trajectory_indicators(parse_rational(args[0]), base, as_int(args[1]))
-    except (IndexError, KeyError):
-        raise InvalidGeneratorSpec(f"wrong arguments in {spec!r}") from None
-    raise InvalidGeneratorSpec(f"unknown generator {name!r}")
+        # the one generator left is trajectory_indicators
+        base = [parse_rational(b) for b in args["base"].split("+")]
+        return trajectory_indicators(parse_rational(args["theta"]), base, as_int(args["window"]))
+    except KeyError:
+        raise wrong from None
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +617,9 @@ def class_from_json(doc: dict) -> FunctionClass:
             for entry in doc["functions"]
         ]
     elif kind == TABULAR:
-        points = [parse_rational(p) for p in doc["points"]]
+        domain = Domain([parse_rational(p) for p in doc["points"]])
         fns = [
-            Function.tabular(points, [parse_rational(v) for v in entry["values"]])
+            Function.tabular(domain, [parse_rational(v) for v in entry["values"]])
             for entry in doc["functions"]
         ]
     else:

@@ -388,9 +388,24 @@ def oracle_class_means(F: FunctionClass, values):
     ]
 
 
+def oracle_value_at(f, x):
+    """The value of the STEP piece that contains x, by IntervalUnion
+    membership; None when no piece does (x outside [0, 1))."""
+    return next((v for piece, v in zip(f.pieces, f.values) if x in piece), None)
+
+
+def oracle_integral(f, a, b):
+    """The integral of a STEP function over [a, b) from piece measures: each
+    piece, intersected as an IntervalUnion with [a, b), weighs its value."""
+    window = IntervalUnion.interval(a, b)
+    return sum(
+        (v * piece.intersect(window).measure for piece, v in zip(f.pieces, f.values)),
+        Fraction(0),
+    )
+
+
 def oracle_expectation(f, spec):
-    """E f(X) from piece measures: each piece, intersected as an
-    IntervalUnion with a uniform emission's interval, weighs its value."""
+    """E f(X) from piece measures (see ``oracle_integral``)."""
     if isinstance(spec, (IIDUniformSpec, RotationSpec)):
         return sum((v * piece.measure for piece, v in zip(f.pieces, f.values)), Fraction(0))
     total = Fraction(0)
@@ -398,10 +413,5 @@ def oracle_expectation(f, spec):
         if e.kind == "point":
             total += p * f.value_at(e.at)
         else:
-            window = IntervalUnion.interval(e.lo, e.hi)
-            integral = sum(
-                (v * piece.intersect(window).measure for piece, v in zip(f.pieces, f.values)),
-                Fraction(0),
-            )
-            total += p * integral / (e.hi - e.lo)
+            total += p * oracle_integral(f, e.lo, e.hi) / (e.hi - e.lo)
     return total

@@ -454,6 +454,18 @@ class TestMalformedInput:
                          "--m-grid", "10", "--replicates", "1", "--seed", "1")),
             ("process", ("bound-check", "--class", "thresholds(4)", "--process", "rotation:0/1",
                          "--gamma", "1/4", "--m", "10", "--replicates", "1", "--seed", "1")),
+            # argparse hands `--name=--` over as an empty list, not a string
+            ("gamma", ("dim", "--class", "thresholds(4)", "--gamma=--")),
+            ("leaves", ("ptree", "--depth", "3", "--c", "1/2", "--leaves=--")),
+            ("class", ("dim", "--class=--", "--gamma", "1/4")),
+            # generator specs with arguments the generator does not take
+            ("class", ("dim", "--class", "thresholds(4,5)", "--gamma", "1/4")),
+            ("class", ("dim", "--class", "all_patterns(3,x=1)", "--gamma", "1/4")),
+            ("class", ("segments", "--class", "interval_indicators(3,,)", "--gamma", "1/4")),
+            ("class", ("join", "--class", "full_join_family(1,1,3,1/5,9)", "--gamma", "1/5",
+                       "--k", "1", "--kp", "3")),
+            ("class", ("discrepancy", "--class", "random_step(1,4,8,3,bogus=2)",
+                       "--process", "iid", "--m", "10", "--seed", "1")),
         ],
     )
     def test_out_of_range_values_name_their_field(self, tmp_path, field, argv):

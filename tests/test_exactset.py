@@ -90,7 +90,7 @@ class TestNormalization:
     @given(interval_unions())
     @settings(max_examples=100, deadline=None)
     def test_idempotent(self, u):
-        assert IntervalUnion(u.intervals) == u
+        assert IntervalUnion(tuple(u)) == u
 
 
 class TestAlgebra:

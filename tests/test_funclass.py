@@ -18,6 +18,7 @@ from gapdim import (
     segment_partition,
     thresholds,
 )
+from gapdim import funclass
 from gapdim.funclass import (
     InvalidGeneratorSpec,
     InvalidResolution,
@@ -26,12 +27,15 @@ from gapdim.funclass import (
     cell_bands,
     class_from_json,
     class_to_json,
+    load_class,
     refinement,
+    save_class,
+    trajectory_indicators,
     values_at,
 )
 from gapdim.rng import SplitMix64
 from gapdim.shatter import join
-from oracles import oracle_refinement
+from oracles import oracle_integral, oracle_refinement, oracle_value_at
 
 F = Fraction
 
@@ -152,6 +156,32 @@ class TestGenerators:
             generate("thresholds")
         with pytest.raises(InvalidGeneratorSpec):
             generate("thresholds(x)")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "thresholds(4,5)",
+            "all_patterns(3,x=1)",
+            "interval_indicators(3,,)",
+            "full_join_family(1,1,3,1/5,9)",
+            "random_step(1,4,8,3,bogus=2)",
+            "random_step(1,4,8,3,5)",
+            "random_step(1,4,8,seed=2)",
+            "random_step(1,4,count=2,count=3)",
+            "thresholds(n=4)",
+            "trajectory_indicators(1/1000,2,1/7,9)",
+            "trajectory_indicators(1/1000,2)",
+        ],
+    )
+    def test_generate_rejects_wrong_arguments(self, spec):
+        with pytest.raises(InvalidGeneratorSpec, match="wrong arguments"):
+            generate(spec)
+
+    def test_random_step_keywords(self):
+        by_keyword = generate("random_step(grid=8,seed=3,pieces=4,count=2)")
+        assert list(by_keyword) == list(generate("random_step(3,4,8,count=2)"))
+        assert list(by_keyword) == list(random_step(3, 4, 8, 2))
+        assert list(generate("random_step(3,4,8)")) == list(random_step(3, 4, 8))
 
 
 class TestFullJoinFamily:
@@ -285,7 +315,7 @@ class TestRefinement:
         for f, row in zip(FC.functions, rows):
             assert len(row) == len(cuts) - 1
             for piece, value in zip(f.pieces, f.values):
-                for lo, hi in piece.intervals:
+                for lo, hi in piece:
                     assert lo * C in cuts and hi * C in cuts
                     # every cell inside [lo, hi) carries this piece's value
                     inner = range(cuts.index(lo * C), cuts.index(hi * C))
@@ -343,6 +373,112 @@ class TestTableMatchesFractionRefinement:
         assert values_at(FC, [F(1, 2), 0]) == (60, [(15, 18), (10, 0)])
         with pytest.raises(ValueError, match="not a tabular domain point"):
             values_at(FC, [F(1, 4)])
+
+
+class TestStepRow:
+    """value_at and integral read each STEP function's integer row."""
+
+    @pytest.mark.parametrize("FC", TABLE_CLASSES, ids=repr)
+    def test_value_at_is_the_value_of_the_piece_holding_x(self, FC):
+        C, cuts = refinement(FC)[:2]
+        rng = SplitMix64(len(FC) + 7)
+        pts = [F(0), F(1, 3), F(999, 1000)]
+        pts += [F(c, C) for c in cuts[1:-1]]  # on cuts
+        pts += [F(c, C) - F(1, 10**12) for c in cuts[1:]]  # just left of cuts
+        pts += [F(rng.randint(10**6), 10**6) for _ in range(8)]
+        for f in FC.functions:
+            for x in pts:
+                assert f.value_at(x) == oracle_value_at(f, x), (f, x)
+            for x in (F(-1, 8), F(-1, 10**12), F(1), F(9, 8)):
+                assert oracle_value_at(f, x) is None
+                with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+                    f.value_at(x)
+
+    @pytest.mark.parametrize("FC", TABLE_CLASSES, ids=repr)
+    def test_integral_matches_piece_measures(self, FC):
+        rng = SplitMix64(len(FC) + 11)
+        windows = [(F(0), F(1)), (F(1, 3), F(1, 3)), (F(0), F(0)), (F(1), F(1))]
+        for _ in range(6):  # random windows, most across several pieces
+            a, b = sorted(F(rng.randint(10**4 + 1), 10**4) for _ in range(2))
+            windows.append((a, b))
+        for f in FC.functions:
+            for lo, hi in [iv for piece in f.pieces for iv in piece][:3]:
+                windows.append((lo + (hi - lo) / 3, hi - (hi - lo) / 5))  # inside one piece
+            for a, b in windows:
+                assert f.integral(a, b) == oracle_integral(f, a, b), (f, a, b)
+
+    @pytest.mark.parametrize(
+        "f,a,b",
+        [(thresholds(3)[0], F(1, 2), F(1, 4)), (thresholds(3)[0], F(-1, 4), F(1, 2)),
+         (thresholds(3)[0], 0, F(5, 4)), (all_patterns(2)[1], 0, 1)],
+    )
+    def test_no_integral_outside_the_unit_interval_or_of_a_table(self, f, a, b):
+        with pytest.raises(ValueError, match="no integral"):
+            f.integral(a, b)
+
+    def test_pieces_in_another_order_are_equal(self):
+        a = IntervalUnion([(0, F(1, 3)), (F(2, 3), 1)])
+        b = IntervalUnion.interval(F(1, 3), F(2, 3))
+        f, g = Function.step([a, b], [F(1, 4), F(3, 4)]), Function.step([b, a], [F(3, 4), F(1, 4)])
+        assert f == g and hash(f) == hash(g)
+        # the intervals of one piece given as pieces of their own: same row
+        split = Function.step(
+            [IntervalUnion.interval(0, F(1, 3)), b, IntervalUnion.interval(F(2, 3), 1)],
+            [F(1, 4), F(3, 4), F(1, 4)],
+        )
+        assert split == f and hash(split) == hash(f)
+
+    def test_a_piece_split_in_two_is_not_the_unsplit_piece(self):
+        halves = Function.step(
+            [IntervalUnion.interval(0, F(1, 2)), IntervalUnion.interval(F(1, 2), 1)], [0, 0]
+        )
+        assert halves != Function.constant(0)
+        assert halves.value_at(F(1, 3)) == Function.constant(0).value_at(F(1, 3))
+        assert halves.integral(0, 1) == Function.constant(0).integral(0, 1) == 0
+        assert Function.constant(F(1, 2)) != Function.constant(F(1, 3))
+
+
+class TestSharedDomain:
+    """A TABULAR class checks and indexes its one domain once."""
+
+    @pytest.fixture
+    def domain_checks(self, monkeypatch):
+        sizes = []
+
+        class CountingDomain(funclass.Domain):
+            def __new__(cls, points):
+                points = list(points)
+                sizes.append(len(points))
+                return super().__new__(cls, points)
+
+        monkeypatch.setattr(funclass, "Domain", CountingDomain)
+        return sizes
+
+    def test_trajectory_indicators_check_the_domain_once(self, domain_checks):
+        FC = trajectory_indicators(F(2, 7) + F(1, 10**6), [F(j, 11) for j in range(1, 4)], 9)
+        assert domain_checks == [3 * 19]
+        assert all(f.points is FC.domain_points for f in FC.functions)
+        assert [sum(f.values) for f in FC.functions] == [19] * 3
+
+    def test_generated_and_loaded_classes_check_the_domain_once(self, domain_checks, tmp_path):
+        FC = all_patterns(4)
+        save_class(FC, tmp_path / "class.json")
+        loaded = load_class(tmp_path / "class.json")
+        assert domain_checks == [4, 4]
+        for G in (FC, loaded):
+            assert all(f.points is G.domain_points for f in G.functions)
+        assert list(loaded) == list(FC)
+
+    @pytest.mark.parametrize(
+        "points", [[F(-1, 4)], [F(1)], [F(1, 2), F(3, 2)], [0, F(1, 2), F(9, 8)]]
+    )
+    def test_tabular_points_in_unit_interval(self, points):
+        with pytest.raises(ValueError, match=r"tabular points must lie in \[0, 1\)"):
+            Function.tabular(points, [0] * len(points))
+        doc = {"kind": "tabular", "points": [str(p) for p in points],
+               "functions": [{"values": ["0"] * len(points)}]}
+        with pytest.raises(ValueError, match=r"tabular points must lie in \[0, 1\)"):
+            class_from_json(doc)
 
 
 class TestOneBandRule:

@@ -92,3 +92,22 @@ def test_traced_functions_exist():
         if not found:
             missing.append(full)
     assert tracer.target_names() and missing == []
+
+
+def test_private_attributes_stay_in_their_module():
+    """A module reads ``obj._name`` only where obj is ``self`` or ``cls`` or
+    where the module itself assigns ``_name`` to some object, so only the
+    module that stores a private field reads it."""
+    found = []
+    for name, tree in TREES.items():
+        nodes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        assigned = {node.attr for node in nodes if isinstance(node.ctx, ast.Store)}
+        found += [
+            f"{name}:{node.lineno} {node.attr}"
+            for node in nodes
+            if node.attr.startswith("_")
+            and not node.attr.endswith("__")
+            and node.attr not in assigned
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+        ]
+    assert found == []
