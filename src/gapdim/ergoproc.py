@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -112,6 +112,7 @@ class RotationSpec:
 class MarkovSpec:
     transition: Tuple[Tuple[Fraction, ...], ...]
     emissions: Tuple[Emission, ...]
+    _pi: Tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.transition)
@@ -126,9 +127,11 @@ class MarkovSpec:
                 raise ValueError("transition rows must sum to 1 exactly")
         if not _irreducible(self.transition):
             raise NotErgodic("transition matrix is not irreducible")
+        # solved once per spec: every expectation and path start reads it
+        object.__setattr__(self, "_pi", _stationary(self.transition))
 
     def stationary_distribution(self) -> Tuple[Fraction, ...]:
-        return _stationary(self.transition)
+        return self._pi
 
 
 ProcessSpec = Union[IIDUniformSpec, RotationSpec, MarkovSpec]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Tuple
 
 ZERO = Fraction(0)
@@ -65,7 +66,7 @@ class IntervalUnion:
     same point set always compare equal.
     """
 
-    __slots__ = ("_ivs", "_lows")
+    __slots__ = ("_ivs",)
 
     def __init__(self, intervals: Iterable[Tuple[RationalLike, RationalLike]] = ()):
         pairs = []
@@ -85,7 +86,6 @@ class IntervalUnion:
             else:
                 merged.append((lo, hi))
         self._ivs: Tuple[Tuple[Fraction, Fraction], ...] = tuple(merged)
-        self._lows = tuple(lo for lo, _ in merged)
 
     @classmethod
     def empty(cls) -> "IntervalUnion":
@@ -131,7 +131,7 @@ class IntervalUnion:
 
     def __contains__(self, x: RationalLike) -> bool:
         x = Fraction(x)
-        i = bisect_right(self._lows, x) - 1
+        i = bisect_right(self._ivs, x, key=itemgetter(0)) - 1
         return i >= 0 and x < self._ivs[i][1]
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":

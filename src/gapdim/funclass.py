@@ -1,14 +1,17 @@
 """Function classes on the unit interval, value-band segments, and generators.
 
 Two exact representations are supported.  A STEP function is piecewise
-constant: a list of pairwise-disjoint :class:`IntervalUnion` pieces covering
-[0, 1) with one rational value per piece.  Its pieces are built once into one
-integer row ``(D, ends, W, vals)``: the intervals sorted, each right end hi
-as hi * D and each value v as v * W, with D and W the lcm of the
-denominators.  Values, integrals and the class table read that row.  A
-TABULAR function is a table of values on a finite point set, the
-:class:`Domain` that the functions of one class share; a domain is converted,
-checked and indexed once.  Both keep values in [0, 1].
+constant: a :class:`Partition`, pairwise-disjoint :class:`IntervalUnion`
+pieces covering [0, 1), with one rational value per piece.  A partition is
+checked once and shared by every function built on it; it holds the right
+end hi of each sorted interval as the integer hi * D, D the lcm of their
+denominators, and the index of the piece that owns it.  A function's one
+integer row ``(D, ends, W, vals)`` is those ends with the value of each
+interval as v * W, W the lcm of the value denominators.  Values, integrals
+and the class table read that row.  A TABULAR function is a table of values
+on a finite point set, the :class:`Domain` that the functions of one class
+share; a domain is likewise converted, checked and indexed once.  Both keep
+values in [0, 1].
 
 For a resolution ``gamma`` the value range splits into K bands
 ``[(k-1)*gamma, k*gamma)`` for k < K and ``[(K-1)*gamma, 1]`` for k = K,
@@ -64,11 +67,36 @@ class Domain(tuple):
 
     def __new__(cls, points: Sequence[RationalLike]) -> "Domain":
         self = super().__new__(cls, (Fraction(p) for p in points))
-        if any(not (ZERO <= p < ONE) for p in self):
+        if any(not 0 <= p.numerator < p.denominator for p in self):
             raise ValueError("tabular points must lie in [0, 1)")
         if any(not a < b for a, b in zip(self, self[1:])):
             raise ValueError("tabular points must be sorted and distinct")
         self.position = {p: i for i, p in enumerate(self)}
+        return self
+
+
+class Partition(tuple):
+    """Pairwise-disjoint pieces covering [0, 1), the pieces of a STEP
+    function, checked once and shared by every function built on them.
+
+    ``ends`` holds the right end hi of every interval of every piece, in
+    increasing order, as the integer hi * D, with ``D`` the lcm of their
+    denominators; ``owners`` holds, per interval, the index of the piece it
+    belongs to.
+    """
+
+    def __new__(cls, pieces: Sequence[IntervalUnion]) -> "Partition":
+        self = super().__new__(cls, pieces)
+        if IntervalUnion.union_all(self) != IntervalUnion.full():
+            raise ValueError("step pieces must cover [0, 1)")
+        # pieces that cover [0, 1) are disjoint iff their measures sum to 1
+        if sum((p.measure for p in self), ZERO) != ONE:
+            raise ValueError("step pieces must be pairwise disjoint")
+        self.D = D = math.lcm(*(hi.denominator for piece in self for _, hi in piece))
+        self.ends, self.owners = zip(*sorted(  # disjoint pieces: the ends differ
+            (hi.numerator * (D // hi.denominator), i)
+            for i, piece in enumerate(self) for _, hi in piece
+        ))
         return self
 
 
@@ -84,13 +112,9 @@ class Function:
         self.values = values
         self._row = values  # a TABULAR function's row is its values on its domain
         if kind == STEP:
-            D = math.lcm(*(hi.denominator for piece in pieces for _, hi in piece))
             W = math.lcm(*(v.denominator for v in values))
-            ends, vals = zip(*sorted(  # the pieces are disjoint, so the ends differ
-                (hi.numerator * (D // hi.denominator), v.numerator * (W // v.denominator))
-                for piece, v in zip(pieces, values) for _, hi in piece
-            ))
-            self._row = (D, ends, W, vals)
+            scaled = [v.numerator * (W // v.denominator) for v in values]
+            self._row = (pieces.D, pieces.ends, W, tuple(scaled[i] for i in pieces.owners))
 
     @classmethod
     def step(
@@ -98,18 +122,20 @@ class Function:
         pieces: Sequence[IntervalUnion],
         values: Sequence[RationalLike],
     ) -> "Function":
+        """The STEP function with value ``values[i]`` on ``pieces[i]``.
+
+        A :class:`Partition` is taken as already checked; any other sequence
+        of pieces is checked by building one.
+        """
         if len(pieces) != len(values) or not pieces:
             raise ValueError("step function needs one value per piece")
         vals = tuple(Fraction(v) for v in values)
         for v in vals:
-            if not (ZERO <= v <= ONE):
+            if not 0 <= v.numerator <= v.denominator:
                 raise ValueError(f"value {v} outside [0, 1]")
-        if IntervalUnion.union_all(pieces) != IntervalUnion.full():
-            raise ValueError("step pieces must cover [0, 1)")
-        # pieces that cover [0, 1) are disjoint iff their measures sum to 1
-        if sum((p.measure for p in pieces), ZERO) != ONE:
-            raise ValueError("step pieces must be pairwise disjoint")
-        return cls(STEP, tuple(pieces), None, vals)
+        if not isinstance(pieces, Partition):
+            pieces = Partition(pieces)
+        return cls(STEP, pieces, None, vals)
 
     @classmethod
     def tabular(
@@ -121,7 +147,7 @@ class Function:
         vals = tuple(Fraction(v) for v in values)
         if len(pts) != len(vals) or not pts:
             raise ValueError("tabular function needs one value per point")
-        if any(not (ZERO <= v <= ONE) for v in vals):
+        if any(not 0 <= v.numerator <= v.denominator for v in vals):
             raise ValueError("tabular values must lie in [0, 1]")
         return cls(TABULAR, None, pts, vals)
 
@@ -403,10 +429,10 @@ def random_step(seed: int, pieces: int, grid: int, count: int = 1) -> FunctionCl
     if pieces < 1 or grid < 1 or count < 1:
         raise InvalidGeneratorSpec("random_step needs pieces, grid, count >= 1")
     rng = SplitMix64(seed)
-    cells = [
+    cells = Partition([
         IntervalUnion.interval(Fraction(i, pieces), Fraction(i + 1, pieces))
         for i in range(pieces)
-    ]
+    ])
     fns = [
         Function.step(cells, [Fraction(rng.randint(grid + 1), grid) for _ in cells])
         for _ in range(count)
@@ -609,13 +635,17 @@ def class_to_json(F: FunctionClass) -> dict:
 def class_from_json(doc: dict) -> FunctionClass:
     kind = doc.get("kind")
     if kind == STEP:
-        fns = [
-            Function.step(
-                [IntervalUnion.from_text(p["set"]) for p in entry["pieces"]],
-                [parse_rational(p["value"]) for p in entry["pieces"]],
-            )
-            for entry in doc["functions"]
-        ]
+        # each distinct list of piece texts is parsed once, and checked once
+        # as the Partition that the functions listing it share
+        pieces = {}
+        fns = []
+        for entry in doc["functions"]:
+            texts = tuple(p["set"] for p in entry["pieces"])
+            if texts not in pieces:
+                pieces[texts] = [IntervalUnion.from_text(t) for t in texts]
+            f = Function.step(pieces[texts], [parse_rational(p["value"]) for p in entry["pieces"]])
+            pieces[texts] = f.pieces
+            fns.append(f)
     elif kind == TABULAR:
         domain = Domain([parse_rational(p) for p in doc["points"]])
         fns = [

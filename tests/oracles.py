@@ -4,13 +4,15 @@ Each oracle deliberately uses a different algorithm from the library code it
 checks, so agreement is evidence rather than tautology.
 """
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
-from gapdim import CompleteTree, FunctionClass, IntervalUnion, k_of_gamma, segment
+from gapdim import CompleteTree, Function, FunctionClass, IntervalUnion, k_of_gamma, segment
 from gapdim.ergoproc import IIDUniformSpec, MarkovSpec, RotationSpec
-from gapdim.funclass import frac_mod1
+from gapdim.exactset import parse_rational
+from gapdim.funclass import STEP, frac_mod1
 from gapdim.rng import SplitMix64
 from gapdim.shatter import (
     DimResult, ShatterCertificate, candidate_points, verify_certificate
@@ -415,3 +417,58 @@ def oracle_expectation(f, spec):
         else:
             total += p * oracle_integral(f, e.lo, e.hi) / (e.hi - e.lo)
     return total
+
+
+def oracle_step(pieces, values) -> Function:
+    """A STEP function checked and built on its own, with no shared partition.
+
+    The pieces' cover is checked by their own ``union_all`` and their
+    disjointness by the sum of their measures.  The integer row comes from
+    one sort of the function's (right end, value) pairs, the ends over the
+    lcm of the end denominators and the values over that of the values.
+    """
+    pieces = tuple(pieces)
+    vals = tuple(Fraction(v) for v in values)
+    if len(pieces) != len(vals) or not pieces:
+        raise ValueError("step function needs one value per piece")
+    for v in vals:
+        if not Fraction(0) <= v <= Fraction(1):
+            raise ValueError(f"value {v} outside [0, 1]")
+    if IntervalUnion.union_all(pieces) != IntervalUnion.full():
+        raise ValueError("step pieces must cover [0, 1)")
+    if sum((p.measure for p in pieces), Fraction(0)) != Fraction(1):
+        raise ValueError("step pieces must be pairwise disjoint")
+    D = math.lcm(*(hi.denominator for piece in pieces for _, hi in piece))
+    W = math.lcm(*(v.denominator for v in vals))
+    ends, row_vals = zip(*sorted(
+        (hi.numerator * (D // hi.denominator), v.numerator * (W // v.denominator))
+        for piece, v in zip(pieces, vals) for _, hi in piece
+    ))
+    f = object.__new__(Function)
+    f.kind, f.pieces, f.points, f.values = STEP, pieces, None, vals
+    f._row = (D, ends, W, row_vals)
+    return f
+
+
+def oracle_step_class(F: FunctionClass) -> FunctionClass:
+    """A STEP class rebuilt function by function with ``oracle_step``, each
+    piece a fresh IntervalUnion."""
+    return FunctionClass(
+        [oracle_step([IntervalUnion(piece) for piece in f.pieces], f.values) for f in F],
+        F.name,
+    )
+
+
+def oracle_step_class_from_json(doc) -> FunctionClass:
+    """A STEP class document read with ``oracle_step``, every piece text
+    parsed anew for every function."""
+    return FunctionClass(
+        [
+            oracle_step(
+                [IntervalUnion.from_text(p["set"]) for p in entry["pieces"]],
+                [parse_rational(p["value"]) for p in entry["pieces"]],
+            )
+            for entry in doc["functions"]
+        ],
+        doc.get("name", ""),
+    )

@@ -16,6 +16,7 @@ from gapdim import (
     subadditivity_check,
     thresholds,
 )
+from gapdim import ergoproc
 from gapdim.ergoproc import (
     Emission,
     IIDUniformSpec,
@@ -93,6 +94,29 @@ class TestSpecs:
         assert sum(pi, F(0)) == 1
         for j in range(3):
             assert sum(pi[i] * spec.transition[i][j] for i in range(3)) == pi[j]
+
+
+    def test_markov_discrepancy_solves_the_stationary_law_once(self, monkeypatch):
+        solves = []
+        solve = ergoproc._stationary
+        monkeypatch.setattr(ergoproc, "_stationary", lambda P: solves.append(P) or solve(P))
+        spec = MarkovSpec(
+            ((F(1, 3), F(2, 3)), (F(3, 4), F(1, 4))),
+            (Emission.point(F(1, 2)), Emission.uniform(F(1, 3), F(5, 7))),
+        )
+        FC = random_step(5, 16, 8, 32)
+        path = sample_path(spec, 300, 4)
+        expected = [oracle_expectation(f, spec) for f in FC]
+        assert discrepancy(FC, path, [10, 300])[-1] == discrepancy(FC, path)
+        assert per_function_discrepancies(FC, path) == [
+            abs(mean - e) for mean, e in zip(oracle_class_means(FC, path.values), expected)
+        ]
+        assert len(solves) == 1
+        assert spec.stationary_distribution() == (F(9, 17), F(8, 17))
+
+    def test_stationary_law_is_not_part_of_equality(self):
+        assert markov2() == markov2() and hash(markov2()) == hash(markov2())
+        assert "stationary" not in repr(markov2()) and "_pi" not in repr(markov2())
 
 
 class TestSamplePath:

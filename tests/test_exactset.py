@@ -123,6 +123,14 @@ class TestAlgebra:
         else:
             assert p in u
 
+    def test_membership_at_ends_and_between_intervals(self):
+        u = iu((1, 8, 1, 4), (1, 2, 3, 4))
+        inside = [F(1, 8), F(3, 16), F(1, 2), F(5, 8), F(3, 4) - F(1, 10**12)]
+        outside = [F(-1, 8), 0, F(1, 4), F(3, 8), F(3, 4), F(7, 8), 1, F(5, 4)]
+        assert all(x in u for x in inside)
+        assert not any(x in u for x in outside)
+        assert F(1, 2) not in IntervalUnion.empty() and 0 in IntervalUnion.full()
+
     @given(interval_unions(), interval_unions())
     @settings(max_examples=100, deadline=None)
     def test_union_measure(self, a, b):

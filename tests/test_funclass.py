@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from gapdim import funclass
 from gapdim.funclass import (
     InvalidGeneratorSpec,
     InvalidResolution,
+    Partition,
     SegmentIndexOutOfRange,
     band_of_value,
     cell_bands,
@@ -35,7 +37,14 @@ from gapdim.funclass import (
 )
 from gapdim.rng import SplitMix64
 from gapdim.shatter import join
-from oracles import oracle_integral, oracle_refinement, oracle_value_at
+from oracles import (
+    oracle_integral,
+    oracle_refinement,
+    oracle_step,
+    oracle_step_class,
+    oracle_step_class_from_json,
+    oracle_value_at,
+)
 
 F = Fraction
 
@@ -220,20 +229,26 @@ class TestJsonRoundTrip:
 
 
 class TestValidation:
+    """Faulty pieces are named by a Partition, by Function.step, which builds
+    one, and by the per-function oracle alike."""
+
+    @staticmethod
+    def all_raise(pieces, message):
+        with pytest.raises(ValueError, match=message):
+            Partition(pieces)
+        for build in (Function.step, oracle_step):
+            with pytest.raises(ValueError, match=message):
+                build(pieces, [0] * len(pieces))
+
     def test_step_must_cover(self):
-        with pytest.raises(ValueError, match=r"must cover \[0, 1\)"):
-            Function.step([IntervalUnion.interval(0, F(1, 2))], [F(1, 2)])
+        self.all_raise([IntervalUnion.interval(0, F(1, 2))], r"must cover \[0, 1\)")
 
     def test_step_must_be_disjoint(self):
         # the pieces cover [0, 1) and overlap on [1/2, 3/4)
-        with pytest.raises(ValueError, match="pairwise disjoint"):
-            Function.step(
-                [
-                    IntervalUnion.interval(0, F(3, 4)),
-                    IntervalUnion.interval(F(1, 2), 1),
-                ],
-                [0, 1],
-            )
+        self.all_raise(
+            [IntervalUnion.interval(0, F(3, 4)), IntervalUnion.interval(F(1, 2), 1)],
+            "pairwise disjoint",
+        )
 
     @pytest.mark.parametrize(
         "pieces",
@@ -246,8 +261,13 @@ class TestValidation:
         ],
     )
     def test_step_gap_and_overlap_reports_the_gap(self, pieces):
+        self.all_raise(pieces, r"must cover \[0, 1\)")
+
+    def test_no_pieces(self):
         with pytest.raises(ValueError, match=r"must cover \[0, 1\)"):
-            Function.step(pieces, [0, 1])
+            Partition([])
+        with pytest.raises(ValueError, match="one value per piece"):
+            Function.step([], [])
 
     def test_values_in_unit_range(self):
         with pytest.raises(ValueError):
@@ -479,6 +499,107 @@ class TestSharedDomain:
                "functions": [{"values": ["0"] * len(points)}]}
         with pytest.raises(ValueError, match=r"tabular points must lie in \[0, 1\)"):
             class_from_json(doc)
+
+
+ORACLE_CLASSES = (
+    [random_step(s, p, g, c) for s, (p, g, c) in enumerate([
+        (1, 1, 1), (1, 2, 4), (2, 3, 5), (3, 7, 6), (5, 12, 4), (8, 16, 32),
+        (9, 6, 2), (13, 100, 3), (16, 8, 9), (24, 16, 12), (64, 1, 24), (31, 7, 40),
+    ])]
+    + [thresholds(n) for n in (1, 4, 9)]
+    + [interval_indicators(n) for n in (1, 5)]
+    + [full_join_family(L, 1, 3, F(1, 5)) for L in (1, 3)]
+    + [full_join_family(2, 4, 1, F(2, 9))]
+    + [FunctionClass([
+        Function.constant(0), Function.constant(F(2, 7)), Function.constant(1),
+        Function.indicator(IntervalUnion([(0, F(1, 3)), (F(2, 3), 1)])),
+        Function.indicator(IntervalUnion.empty()), Function.indicator(IntervalUnion.full()),
+    ], "constants and indicators")]
+    + table_classes()[-1:]
+)
+
+
+def as_built(FC):
+    """What a class is built into: its rows, its table and its JSON."""
+    return [f._row for f in FC], refinement(FC), class_to_json(FC)
+
+
+class TestSharedPartition:
+    """STEP pieces are a Partition, checked once and shared by a class's functions."""
+
+    @pytest.fixture
+    def union_alls(self, monkeypatch):
+        """The number of pieces of every ``union_all`` call."""
+        calls = []
+        union_all = IntervalUnion.union_all.__func__
+
+        def counting(cls, unions):
+            unions = list(unions)
+            calls.append(len(unions))
+            return union_all(cls, unions)
+
+        monkeypatch.setattr(IntervalUnion, "union_all", classmethod(counting))
+        return calls
+
+    @pytest.mark.parametrize("FC", ORACLE_CLASSES, ids=repr)
+    def test_built_as_each_function_built_itself(self, FC):
+        assert as_built(FC) == as_built(oracle_step_class(FC))
+
+    @pytest.mark.parametrize("FC", ORACLE_CLASSES, ids=repr)
+    def test_saved_class_loads_as_the_oracle_reads_it(self, FC, tmp_path):
+        save_class(FC, tmp_path / "class.json")
+        doc = json.loads((tmp_path / "class.json").read_text())
+        loaded = load_class(tmp_path / "class.json")
+        assert as_built(loaded) == as_built(oracle_step_class_from_json(doc))
+        assert class_to_json(loaded) == doc and list(loaded) == list(FC)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_step_checks_its_cells_once(self, union_alls, seed):
+        FC = random_step(seed, 16, 8, 32)
+        assert union_alls == [16]
+        assert isinstance(FC[0].pieces, Partition)
+        assert all(f.pieces is FC[0].pieces for f in FC.functions)
+
+    def test_a_file_repeating_piece_lists_checks_each_once(self, union_alls, tmp_path):
+        a, b = random_step(3, 12, 8, 5), random_step(4, 5, 3, 4)
+        mixed = FunctionClass([f for pair in zip(a, b) for f in pair] + [a[4]], "mixed")
+        save_class(mixed, tmp_path / "class.json")
+        union_alls.clear()
+        loaded = load_class(tmp_path / "class.json")
+        assert sorted(union_alls) == [5, 12]
+        assert len({id(f.pieces) for f in loaded}) == 2
+        assert list(loaded) == list(mixed) and class_to_json(loaded) == class_to_json(mixed)
+
+    def test_ends_and_owners(self):
+        outer = IntervalUnion([(0, F(1, 3)), (F(2, 3), 1)])
+        pieces = Partition([outer, IntervalUnion.interval(F(1, 3), F(2, 3))])
+        assert list(pieces) == [outer, IntervalUnion.interval(F(1, 3), F(2, 3))]
+        assert (pieces.D, pieces.ends, pieces.owners) == (3, (1, 2, 3), (0, 1, 0))
+        f = Function.step(pieces, [F(1, 4), F(3, 4)])
+        assert f.pieces is pieces
+        assert f._row == oracle_step(list(pieces), f.values)._row == (3, (1, 2, 3), 4, (1, 3, 1))
+
+    @pytest.mark.parametrize("value", [F(-1, 4), F(5, 4), F(-1), F(2), F(10**12 + 1, 10**12)])
+    def test_a_value_outside_the_unit_range_is_reported_first(self, value):
+        gap = [IntervalUnion.interval(0, F(1, 2))]  # the pieces are at fault too
+        for build in (Function.step, oracle_step):
+            with pytest.raises(ValueError, match=rf"value {value} outside \[0, 1\]"):
+                build(gap, [value])
+        doc = {"kind": "step", "functions": [
+            {"pieces": [{"set": "[0/1,1/2)", "value": str(value)}]},
+        ]}
+        with pytest.raises(ValueError, match=rf"value {value} outside \[0, 1\]"):
+            class_from_json(doc)
+
+    @pytest.mark.parametrize("value", [0, 1, F(1, 3), F(10**12 - 1, 10**12)])
+    def test_values_at_the_ends_of_the_range_are_accepted(self, value):
+        assert Function.step(Partition([IntervalUnion.full()]), [value]).values == (value,)
+        assert Function.tabular([F(1, 2)], [value]).values == (value,)
+
+    @pytest.mark.parametrize("value", [F(-1, 4), F(5, 4), F(10**12 + 1, 10**12)])
+    def test_tabular_values_in_unit_range(self, value):
+        with pytest.raises(ValueError, match=r"tabular values must lie in \[0, 1\]"):
+            Function.tabular([0, F(1, 2)], [0, value])
 
 
 class TestOneBandRule:
