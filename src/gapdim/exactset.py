@@ -1,11 +1,13 @@
 """Exact subsets of the unit interval.
 
-All geometry in this package lives on [0, 1) and every coordinate is a
-``fractions.Fraction``.  An :class:`IntervalUnion` is a normalized finite
-union of half-open intervals ``[lo, hi)``: normalization sorts the
-constituents, merges touching or overlapping ones, and makes equality
-structural.  Measure, Boolean operations and point queries are exact; no
-floating point enters any decision.
+All geometry in this package lives on [0, 1).  An :class:`IntervalUnion` is
+a normalized finite union of half-open intervals ``[lo, hi)``, held as the
+least common denominator D of its endpoints and the integer pairs
+``(lo * D, hi * D)``: normalization sorts the constituents, merges touching
+or overlapping ones and reduces D, which makes equality structural.  Every
+operation runs on those integers.  ``fractions.Fraction`` appears only at
+the edges: rational pairs into the constructor, and the endpoints, measure
+and interior points handed back.  No floating point enters any decision.
 
 Under the half-open representation a union is non-empty iff it has positive
 measure iff it has non-empty interior, which is what lets "non-empty
@@ -15,10 +17,11 @@ interior" checks reduce to an exact measure comparison.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -61,31 +64,30 @@ class IntervalUnion:
     """A normalized finite union of half-open rational intervals in [0, 1).
 
     Instances are immutable and hashable.  The constructor accepts any
-    iterable of ``(lo, hi)`` pairs, drops empty pairs (``lo == hi``), and
-    merges overlapping or touching intervals, so two unions describing the
-    same point set always compare equal.
+    iterable of rational ``(lo, hi)`` pairs, drops empty pairs
+    (``lo == hi``), and merges overlapping or touching intervals.  A union is
+    stored as its :attr:`denominator` D, the least common denominator of its
+    endpoints, and the sorted, merged integer pairs ``(lo * D, hi * D)``;
+    that form is canonical, so two unions describing the same point set
+    always compare equal.  :meth:`over` builds a union from integer pairs.
     """
 
-    __slots__ = ("_ivs",)
+    __slots__ = ("_den", "_pairs")
 
     def __init__(self, intervals: Iterable[Tuple[RationalLike, RationalLike]] = ()):
-        pairs = []
-        for lo, hi in intervals:
-            lo, hi = Fraction(lo), Fraction(hi)
-            if lo == hi:
-                continue
-            if not (ZERO <= lo < hi <= ONE):
-                raise ValueError(f"invalid interval [{lo}, {hi}) in [0,1)")
-            pairs.append((lo, hi))
-        pairs.sort()
-        merged: list[Tuple[Fraction, Fraction]] = []
-        for lo, hi in pairs:
-            if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((lo, hi))
-        self._ivs: Tuple[Tuple[Fraction, Fraction], ...] = tuple(merged)
+        ends = [(Fraction(lo), Fraction(hi)) for lo, hi in intervals]
+        D = math.lcm(*(x.denominator for pair in ends for x in pair))
+        self._den, self._pairs = _normalized(D, _checked(D, [
+            (lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator))
+            for lo, hi in ends
+        ]))
+
+    @classmethod
+    def over(cls, D: int, pairs: Iterable[Tuple[int, int]]) -> "IntervalUnion":
+        """The union of the intervals ``[lo / D, hi / D)`` for integer pairs."""
+        if D < 1:
+            raise ValueError(f"denominator {D} must be positive")
+        return _union(*_normalized(D, _checked(D, list(pairs))))
 
     @classmethod
     def empty(cls) -> "IntervalUnion":
@@ -101,42 +103,67 @@ class IntervalUnion:
 
     @classmethod
     def union_all(cls, unions: Iterable["IntervalUnion"]) -> "IntervalUnion":
-        pairs: list[Tuple[Fraction, Fraction]] = []
-        for u in unions:
-            pairs.extend(u._ivs)
-        return cls(pairs)
+        unions = list(unions)
+        D = math.lcm(*(u._den for u in unions))
+        return _union(*_normalized(D, [
+            (lo * m, hi * m) for u in unions for m in (D // u._den,) for lo, hi in u._pairs
+        ]))
+
+    @property
+    def denominator(self) -> int:
+        """The least common denominator D of the endpoints (1 when empty)."""
+        return self._den
+
+    def scaled(self, D: int) -> Tuple[Tuple[int, int], ...]:
+        """The sorted pairs ``(lo * D, hi * D)``; D a multiple of :attr:`denominator`."""
+        m, r = divmod(D, self._den)
+        if r or m < 1:
+            raise ValueError(f"{D} is not a multiple of the denominator {self._den}")
+        if m == 1:
+            return self._pairs
+        return tuple((lo * m, hi * m) for lo, hi in self._pairs)
 
     @property
     def is_empty(self) -> bool:
-        return not self._ivs
+        return not self._pairs
 
     def __bool__(self) -> bool:
-        return bool(self._ivs)
+        return bool(self._pairs)
 
     def __iter__(self) -> Iterator[Tuple[Fraction, Fraction]]:
-        return iter(self._ivs)
+        D = self._den
+        return ((Fraction(lo, D), Fraction(hi, D)) for lo, hi in self._pairs)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntervalUnion) and self._ivs == other._ivs
+        return (
+            isinstance(other, IntervalUnion)
+            and self._den == other._den
+            and self._pairs == other._pairs
+        )
 
     def __hash__(self) -> int:
-        return hash(self._ivs)
+        return hash((self._den, self._pairs))
 
     def __repr__(self) -> str:
         return f"IntervalUnion({self.to_text()!r})"
 
     @property
     def measure(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self._ivs), ZERO)
+        return Fraction(sum(hi - lo for lo, hi in self._pairs), self._den)
 
     def __contains__(self, x: RationalLike) -> bool:
         x = Fraction(x)
-        i = bisect_right(self._ivs, x, key=itemgetter(0)) - 1
-        return i >= 0 and x < self._ivs[i][1]
+        # lo <= x * D < hi iff lo <= floor(x * D) < hi, as lo and hi are integers
+        t = x.numerator * self._den // x.denominator
+        i = bisect_right(self._pairs, t, key=itemgetter(0)) - 1
+        return i >= 0 and t < self._pairs[i][1]
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
+        D = math.lcm(self._den, other._den)
+        a, b = self.scaled(D), other.scaled(D)
+        # the pieces come out sorted, and disjoint without touching, as a
+        # and b are merged
         out = []
-        a, b = self._ivs, other._ivs
         i = j = 0
         while i < len(a) and j < len(b):
             lo = max(a[i][0], b[j][0])
@@ -147,26 +174,22 @@ class IntervalUnion:
                 i += 1
             else:
                 j += 1
-        return IntervalUnion(out)
+        return _union(*_reduced(D, out))
 
     __and__ = intersect
 
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(self._ivs + other._ivs)
-
-    __or__ = union
-
     def complement(self) -> "IntervalUnion":
         """The complement within [0, 1)."""
+        D = self._den
         out = []
-        cursor = ZERO
-        for lo, hi in self._ivs:
+        cursor = 0
+        for lo, hi in self._pairs:
             if cursor < lo:
                 out.append((cursor, lo))
             cursor = hi
-        if cursor < ONE:
-            out.append((cursor, ONE))
-        return IntervalUnion(out)
+        if cursor < D:
+            out.append((cursor, D))
+        return _union(*_reduced(D, out))
 
     def interior_point(self) -> Optional[Fraction]:
         """Midpoint of the longest constituent interval, leftmost on ties.
@@ -174,21 +197,25 @@ class IntervalUnion:
         Returns None iff the union is empty; any returned point lies in the
         union's interior.
         """
-        if not self._ivs:
+        if not self._pairs:
             return None
-        best_lo, best_hi = self._ivs[0]
-        for lo, hi in self._ivs[1:]:
+        best_lo, best_hi = self._pairs[0]
+        for lo, hi in self._pairs[1:]:
             if hi - lo > best_hi - best_lo:
                 best_lo, best_hi = lo, hi
-        return (best_lo + best_hi) / 2
+        return Fraction(best_lo + best_hi, 2 * self._den)
 
     def to_text(self) -> str:
         """Textual form ``"[a/b,c/d),..."``; the empty union reads "empty"."""
-        if not self._ivs:
+        if not self._pairs:
             return "empty"
-        return ",".join(
-            f"[{format_rational(lo)},{format_rational(hi)})" for lo, hi in self._ivs
-        )
+        D = self._den
+
+        def text(x: int) -> str:
+            g = math.gcd(x, D)
+            return f"{x // g}/{D // g}"
+
+        return ",".join(f"[{text(lo)},{text(hi)})" for lo, hi in self._pairs)
 
     @classmethod
     def from_text(cls, text: str) -> "IntervalUnion":
@@ -204,3 +231,47 @@ class IntervalUnion:
             lo_s, _, hi_s = body.partition(",")
             pairs.append((parse_rational(lo_s), parse_rational(hi_s)))
         return cls(pairs)
+
+
+Pairs = List[Tuple[int, int]]
+
+
+def _union(D: int, pairs: Tuple[Tuple[int, int], ...]) -> IntervalUnion:
+    """The union with denominator D and pairs already in canonical form."""
+    self = object.__new__(IntervalUnion)
+    self._den, self._pairs = D, pairs
+    return self
+
+
+def _checked(D: int, pairs: Pairs) -> Pairs:
+    """The non-empty pairs over D, each checked to lie in [0, D]."""
+    out = []
+    for lo, hi in pairs:
+        if lo == hi:
+            continue
+        if not 0 <= lo < hi <= D:
+            raise ValueError(f"invalid interval [{Fraction(lo, D)}, {Fraction(hi, D)}) in [0,1)")
+        out.append((lo, hi))
+    return out
+
+
+def _normalized(D: int, pairs: Pairs) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+    """Valid pairs over D sorted, overlapping or touching ones merged, and
+    brought to the least denominator."""
+    pairs.sort()
+    merged: Pairs = []
+    for lo, hi in pairs:
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return _reduced(D, merged)
+
+
+def _reduced(D: int, pairs: Pairs) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+    """Sorted, merged pairs over D, brought to the least denominator."""
+    g = math.gcd(D, *(x for pair in pairs for x in pair))
+    if g == 1:
+        return D, tuple(pairs)
+    return D // g, tuple((lo // g, hi // g) for lo, hi in pairs)

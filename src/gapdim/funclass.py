@@ -80,22 +80,22 @@ class Partition(tuple):
     function, checked once and shared by every function built on them.
 
     ``ends`` holds the right end hi of every interval of every piece, in
-    increasing order, as the integer hi * D, with ``D`` the lcm of their
-    denominators; ``owners`` holds, per interval, the index of the piece it
-    belongs to.
+    increasing order, as the integer hi * D, with ``D`` the lcm of the
+    pieces' denominators; ``owners`` holds, per interval, the index of the
+    piece it belongs to.
     """
 
     def __new__(cls, pieces: Sequence[IntervalUnion]) -> "Partition":
         self = super().__new__(cls, pieces)
         if IntervalUnion.union_all(self) != IntervalUnion.full():
             raise ValueError("step pieces must cover [0, 1)")
-        # pieces that cover [0, 1) are disjoint iff their measures sum to 1
-        if sum((p.measure for p in self), ZERO) != ONE:
+        self.D = D = math.lcm(*(piece.denominator for piece in self))
+        scaled = [piece.scaled(D) for piece in self]
+        # pieces that cover [0, 1) are disjoint iff their lengths sum to D
+        if sum(hi - lo for pairs in scaled for lo, hi in pairs) != D:
             raise ValueError("step pieces must be pairwise disjoint")
-        self.D = D = math.lcm(*(hi.denominator for piece in self for _, hi in piece))
         self.ends, self.owners = zip(*sorted(  # disjoint pieces: the ends differ
-            (hi.numerator * (D // hi.denominator), i)
-            for i, piece in enumerate(self) for _, hi in piece
+            (hi, i) for i, pairs in enumerate(scaled) for _, hi in pairs
         ))
         return self
 
@@ -129,7 +129,7 @@ class Function:
         """
         if len(pieces) != len(values) or not pieces:
             raise ValueError("step function needs one value per piece")
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
         for v in vals:
             if not 0 <= v.numerator <= v.denominator:
                 raise ValueError(f"value {v} outside [0, 1]")
@@ -429,12 +429,10 @@ def random_step(seed: int, pieces: int, grid: int, count: int = 1) -> FunctionCl
     if pieces < 1 or grid < 1 or count < 1:
         raise InvalidGeneratorSpec("random_step needs pieces, grid, count >= 1")
     rng = SplitMix64(seed)
-    cells = Partition([
-        IntervalUnion.interval(Fraction(i, pieces), Fraction(i + 1, pieces))
-        for i in range(pieces)
-    ])
+    cells = Partition([IntervalUnion.over(pieces, [(i, i + 1)]) for i in range(pieces)])
+    levels = [Fraction(k, grid) for k in range(grid + 1)]
     fns = [
-        Function.step(cells, [Fraction(rng.randint(grid + 1), grid) for _ in cells])
+        Function.step(cells, [levels[rng.randint(grid + 1)] for _ in cells])
         for _ in range(count)
     ]
     return FunctionClass(fns, f"random_step({seed},{pieces},{grid},{count})")
@@ -514,15 +512,15 @@ def full_join_family(L: int, k: int, k2: int, gamma: RationalLike) -> FunctionCl
 
     v_in = (Fraction(k) - Fraction(1, 2)) * gamma  # midband value of band k
     v_out = (Fraction(k2) - Fraction(1, 2)) * gamma
-    cell = lambda c: (Fraction(c, n_cells), Fraction(c + 1, n_cells))
 
     fns = []
     for b in range(n_fns):
-        cells_in = [cell(c) for c in range(n_cells) if (sigma[c] >> b) & 1]
-        cells_out = [cell(c) for c in range(n_cells) if not (sigma[c] >> b) & 1]
+        cells_in = [(c, c + 1) for c in range(n_cells) if (sigma[c] >> b) & 1]
+        cells_out = [(c, c + 1) for c in range(n_cells) if not (sigma[c] >> b) & 1]
         fns.append(
             Function.step(
-                (IntervalUnion(cells_in), IntervalUnion(cells_out)), (v_in, v_out)
+                (IntervalUnion.over(n_cells, cells_in), IntervalUnion.over(n_cells, cells_out)),
+                (v_in, v_out),
             )
         )
     return FunctionClass(

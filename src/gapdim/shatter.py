@@ -374,8 +374,8 @@ def join(F: FunctionClass, gamma: RationalLike, k: int, k2: int) -> List[JoinCel
     for j, bands in enumerate(zip(*cell_bands(F, gamma))):
         if all(b in side for b in bands):
             sig = tuple(side[b] for b in bands)
-            groups.setdefault(sig, []).append((Fraction(cuts[j], C), Fraction(cuts[j + 1], C)))
-    return [JoinCell(IntervalUnion(groups[sig]), sig) for sig in sorted(groups)]
+            groups.setdefault(sig, []).append((cuts[j], cuts[j + 1]))
+    return [JoinCell(IntervalUnion.over(C, groups[sig]), sig) for sig in sorted(groups)]
 
 
 def join_shatter(

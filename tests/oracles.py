@@ -20,6 +20,69 @@ from gapdim.shatter import (
 from gapdim.treelab import IntersectionTree, Label
 
 
+class OracleIntervalUnion:
+    """A union of half-open intervals in [0, 1) held as merged ``Fraction``
+    pairs, the reference for the integer-pair ``IntervalUnion``."""
+
+    def __init__(self, intervals=()):
+        pairs = []
+        for lo, hi in intervals:
+            lo, hi = Fraction(lo), Fraction(hi)
+            if lo == hi:
+                continue
+            if not (Fraction(0) <= lo < hi <= Fraction(1)):
+                raise ValueError(f"invalid interval [{lo}, {hi}) in [0,1)")
+            pairs.append((lo, hi))
+        pairs.sort()
+        merged = []
+        for lo, hi in pairs:
+            if merged and lo <= merged[-1][1]:
+                if hi > merged[-1][1]:
+                    merged[-1] = (merged[-1][0], hi)
+            else:
+                merged.append((lo, hi))
+        self.ivs = tuple(merged)
+
+    @classmethod
+    def union_all(cls, unions):
+        return cls([pair for u in unions for pair in u.ivs])
+
+    def __iter__(self):
+        return iter(self.ivs)
+
+    @property
+    def measure(self):
+        return sum((hi - lo for lo, hi in self.ivs), Fraction(0))
+
+    def __contains__(self, x):
+        x = Fraction(x)
+        return any(lo <= x < hi for lo, hi in self.ivs)
+
+    def intersect(self, other):
+        return OracleIntervalUnion(
+            (max(a, c), min(b, d))
+            for a, b in self.ivs for c, d in other.ivs if max(a, c) < min(b, d)
+        )
+
+    def complement(self):
+        ends = [Fraction(0)] + [x for pair in self.ivs for x in pair] + [Fraction(1)]
+        return OracleIntervalUnion(zip(ends[::2], ends[1::2]))
+
+    def interior_point(self):
+        if not self.ivs:
+            return None
+        lo, hi = max(self.ivs, key=lambda p: (p[1] - p[0], -p[0]))
+        return (lo + hi) / 2
+
+    def to_text(self):
+        if not self.ivs:
+            return "empty"
+        return ",".join(
+            f"[{lo.numerator}/{lo.denominator},{hi.numerator}/{hi.denominator})"
+            for lo, hi in self.ivs
+        )
+
+
 def oracle_shatters(F: FunctionClass, points, gamma) -> bool:
     """Interval-stabbing decision for shatterability of a point set.
 

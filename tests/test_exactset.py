@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from gapdim.exactset import (
     format_rational,
     parse_rational,
 )
+
+from oracles import OracleIntervalUnion
 
 F = Fraction
 
@@ -134,7 +137,124 @@ class TestAlgebra:
     @given(interval_unions(), interval_unions())
     @settings(max_examples=100, deadline=None)
     def test_union_measure(self, a, b):
-        assert (a | b).measure == a.measure + b.measure - (a & b).measure
+        union = IntervalUnion.union_all((a, b))
+        assert union.measure == a.measure + b.measure - (a & b).measure
+
+
+# Raw pair lists: unsorted, overlapping, touching, empty (lo == hi) pairs.
+raw_pairs = st.lists(
+    st.tuples(endpoints, endpoints).map(sorted).map(tuple), max_size=6
+)
+
+
+def points_to_probe(*unions):
+    """Every endpoint of the unions, the midpoints between consecutive ones,
+    and points just outside [0, 1)."""
+    ends = sorted({F(0), F(1), *(x for u in unions for pair in u for x in pair)})
+    mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    return ends + mids + [F(-1, 64), F(65, 64)]
+
+
+def assert_matches(u, ref):
+    assert list(u) == list(ref)
+    assert u.measure == ref.measure
+    assert u.to_text() == ref.to_text()
+    assert u.interior_point() == ref.interior_point()
+    assert u.denominator == math.lcm(*(x.denominator for pair in ref for x in pair))
+    assert all((x in u) == (x in ref) for x in points_to_probe(ref))
+
+
+class TestMatchesOracle:
+    """The integer-pair union against the Fraction-pair reference."""
+
+    @given(raw_pairs)
+    @settings(max_examples=200, deadline=None)
+    def test_normalization(self, pairs):
+        assert_matches(IntervalUnion(pairs), OracleIntervalUnion(pairs))
+
+    @given(st.integers(min_value=1, max_value=24), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_over(self, D, data):
+        ends = st.integers(min_value=0, max_value=D)
+        pairs = data.draw(st.lists(st.tuples(ends, ends).map(sorted).map(tuple), max_size=6))
+        u = IntervalUnion.over(D, pairs)
+        assert_matches(u, OracleIntervalUnion((F(lo, D), F(hi, D)) for lo, hi in pairs))
+        assert u == IntervalUnion([(F(lo, D), F(hi, D)) for lo, hi in pairs])
+
+    @given(st.lists(raw_pairs, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_union_all(self, lists):
+        u = IntervalUnion.union_all(IntervalUnion(p) for p in lists)
+        assert_matches(u, OracleIntervalUnion.union_all(OracleIntervalUnion(p) for p in lists))
+
+    @given(raw_pairs, raw_pairs)
+    @settings(max_examples=200, deadline=None)
+    def test_intersect(self, a, b):
+        u = IntervalUnion(a).intersect(IntervalUnion(b))
+        assert_matches(u, OracleIntervalUnion(a).intersect(OracleIntervalUnion(b)))
+
+    @given(raw_pairs)
+    @settings(max_examples=150, deadline=None)
+    def test_complement(self, pairs):
+        assert_matches(IntervalUnion(pairs).complement(), OracleIntervalUnion(pairs).complement())
+
+    @given(raw_pairs)
+    @settings(max_examples=150, deadline=None)
+    def test_text_round_trip(self, pairs):
+        u = IntervalUnion(pairs)
+        back = IntervalUnion.from_text(OracleIntervalUnion(pairs).to_text())
+        assert back == u and hash(back) == hash(u)
+
+    def test_interior_point_leftmost_on_ties(self):
+        pairs = [(F(3, 4), F(7, 8)), (F(1, 8), F(1, 4)), (F(1, 2), F(5, 8))]
+        assert IntervalUnion(pairs).interior_point() == F(3, 16)
+        assert OracleIntervalUnion(pairs).interior_point() == F(3, 16)
+
+
+class TestDenominator:
+    def test_equal_sets_over_different_denominators(self):
+        a = IntervalUnion.over(8, [(4, 8)])
+        b = IntervalUnion.interval(F(1, 2), 1)
+        c = IntervalUnion.over(6, [(3, 4), (4, 6)])
+        assert a == b == c and hash(a) == hash(b) == hash(c)
+        assert a.denominator == 2 and list(a) == [(F(1, 2), F(1))]
+
+    def test_empty_and_full(self):
+        assert IntervalUnion.over(7, [(3, 3)]) == IntervalUnion.empty()
+        assert IntervalUnion.empty().denominator == 1
+        assert IntervalUnion.over(5, [(0, 2), (2, 5)]) == IntervalUnion.full()
+        assert IntervalUnion.full().denominator == 1
+
+    def test_scaled(self):
+        u = iu((1, 4, 1, 2), (2, 3, 1, 1))
+        assert u.denominator == 12
+        assert u.scaled(12) == ((3, 6), (8, 12))
+        assert u.scaled(24) == ((6, 12), (16, 24))
+        with pytest.raises(ValueError):
+            u.scaled(18)
+        with pytest.raises(ValueError):
+            u.scaled(0)
+
+    @pytest.mark.parametrize("pairs, text", [
+        ([(F(1, 2), F(3, 2))], "invalid interval [1/2, 3/2) in [0,1)"),
+        ([(F(3, 4), F(1, 4))], "invalid interval [3/4, 1/4) in [0,1)"),
+        ([(F(-1, 3), F(1, 3))], "invalid interval [-1/3, 1/3) in [0,1)"),
+        ([(0, F(1, 2)), (F(1, 2), 2)], "invalid interval [1/2, 2) in [0,1)"),
+    ])
+    def test_bad_interval_message(self, pairs, text):
+        for build in (IntervalUnion, OracleIntervalUnion):
+            with pytest.raises(ValueError) as err:
+                build(pairs)
+            assert str(err.value) == text
+        D = math.lcm(*(F(x).denominator for pair in pairs for x in pair))
+        ints = [(F(lo) * D, F(hi) * D) for lo, hi in pairs]
+        with pytest.raises(ValueError) as err:
+            IntervalUnion.over(D, [(int(lo), int(hi)) for lo, hi in ints])
+        assert str(err.value) == text
+
+    def test_over_needs_a_positive_denominator(self):
+        with pytest.raises(ValueError):
+            IntervalUnion.over(0, [])
 
 
 class TestText:

@@ -240,6 +240,15 @@ class TestValidation:
             with pytest.raises(ValueError, match=message):
                 build(pieces, [0] * len(pieces))
 
+    def test_step_keeps_fraction_values(self):
+        half = F(1, 2)
+        assert Function.step([IntervalUnion.full()], [half]).values[0] is half
+        assert Function.step([IntervalUnion.full()], [1]).values == (F(1),)
+
+    def test_random_step_builds_each_level_once(self):
+        FC = random_step(4, pieces=16, grid=3, count=6)
+        assert len({id(v) for f in FC for v in f.values}) <= 4
+
     def test_step_must_cover(self):
         self.all_raise([IntervalUnion.interval(0, F(1, 2))], r"must cover \[0, 1\)")
 
