@@ -63,6 +63,8 @@ from .treelab import (
     PtreePreconditionViolated,
     intersection_tree_build,
     intersection_tree_verify,
+    pow2_text,
+    ptree_precondition,
     ptree_witness,
     subtree_guarantee,
     uniform_subtree,
@@ -142,10 +144,12 @@ def _load_markov(path) -> MarkovSpec:
     for e in doc["emissions"]:
         if e["kind"] == "point":
             emissions.append(Emission.point(parse_rational(e["at"])))
-        else:
+        elif e["kind"] == "uniform":
             emissions.append(
                 Emission.uniform(parse_rational(e["lo"]), parse_rational(e["hi"]))
             )
+        else:
+            raise ValueError(f"unknown emission kind {e['kind']!r}")
     return MarkovSpec(transition=transition, emissions=tuple(emissions))
 
 
@@ -246,15 +250,21 @@ def cmd_join(cfg: dict) -> int:
 
 def cmd_ptree(cfg: dict) -> int:
     depth = _ints(cfg, "depth", low=0)
-    tree = CompleteTree(depth)
-    offset = 1 << depth
-    leaves = sorted(_ints(cfg, "leaves", low=0, high=offset - 1, many=True))
-    S = [offset + i for i in leaves]
+    # 2**depth is built only once the leaves and c bound it: a leaf below it
+    # has at most depth bits, and c * 2**depth must not exceed the leaf count
+    leaves = sorted(_ints(cfg, "leaves", many=True))
+    if leaves[0] < 0 or leaves[-1] >> depth:
+        top = pow2_text(depth, plus=-1)
+        raise ConfigError(f"field 'leaves': must be in [0, {top}], got {cfg['leaves']!r}")
     c = _rat(cfg["c"], "c")
-    if not 4 <= c * offset <= offset:
+    # for c > 0, c * 2**depth >= 4 once depth passes the bit length of 4 * den(c)
+    big = depth > (4 * c.denominator).bit_length()
+    if not (0 < c <= 1 and (big or c * (1 << depth) >= 4)):
         raise ConfigError(f"field 'c': must be in [4/2^depth, 1], got {cfg['c']!r}")
     try:
-        witness = ptree_witness(tree, S, c)
+        ptree_precondition(len(set(leaves)), c, depth)
+        offset = 1 << depth
+        witness = ptree_witness(CompleteTree(depth), [offset + i for i in leaves], c)
     except PtreePreconditionViolated as exc:  # fewer leaves than c*2^depth
         raise ConfigError(f"field 'leaves': {exc}") from None
     report = {

@@ -37,6 +37,7 @@ from .funclass import (
     STEP,
     Function,
     FunctionClass,
+    frac_mod1,
     refinement,
     trajectory_indicators,
 )
@@ -45,7 +46,7 @@ from .shatter import DimResult, gap_dim
 
 
 class NotErgodic(ValueError):
-    """Markov chains must be irreducible."""
+    """Markov chains must be irreducible: pi P = pi needs one positive solution."""
 
 
 class NoMarginalExpectation(ValueError):
@@ -56,16 +57,16 @@ class InvalidSplit(ValueError):
     """A subadditivity split must leave both parts non-empty."""
 
 
-def golden_rotation_angle(min_denominator: int = 1 << 40) -> Fraction:
+def golden_rotation_angle() -> Fraction:
     """First continued-fraction convergent of (sqrt(5) - 1) / 2 whose
-    denominator reaches min_denominator.
+    denominator reaches 2**40.
 
     The convergents are ratios of consecutive Fibonacci numbers; a huge
     denominator keeps the rational orbit aperiodic at every feasible sample
     length while staying exact.
     """
     a, b = 1, 1
-    while b < min_denominator:
+    while b < 1 << 40:
         a, b = b, a + b
     return Fraction(a, b)
 
@@ -110,6 +111,9 @@ class RotationSpec:
 
 @dataclass(frozen=True)
 class MarkovSpec:
+    """A finite chain started from its stationary law, one emission per state;
+    the one solve for that law also decides irreducibility (`_stationary`)."""
+
     transition: Tuple[Tuple[Fraction, ...], ...]
     emissions: Tuple[Emission, ...]
     _pi: Tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
@@ -125,10 +129,11 @@ class MarkovSpec:
                 raise ValueError("transition probabilities must be >= 0")
             if sum(row, ZERO) != ONE:
                 raise ValueError("transition rows must sum to 1 exactly")
-        if not _irreducible(self.transition):
-            raise NotErgodic("transition matrix is not irreducible")
         # solved once per spec: every expectation and path start reads it
-        object.__setattr__(self, "_pi", _stationary(self.transition))
+        pi = _stationary(self.transition)
+        if pi is None or not all(pi):
+            raise NotErgodic("transition matrix is not irreducible")
+        object.__setattr__(self, "_pi", pi)
 
     def stationary_distribution(self) -> Tuple[Fraction, ...]:
         return self._pi
@@ -137,32 +142,22 @@ class MarkovSpec:
 ProcessSpec = Union[IIDUniformSpec, RotationSpec, MarkovSpec]
 
 
-def _irreducible(P: Sequence[Sequence[Fraction]]) -> bool:
-    n = len(P)
+def _stationary(P: Sequence[Sequence[Fraction]]) -> Optional[Tuple[Fraction, ...]]:
+    """The solution of pi P = pi, sum(pi) = 1, by exact elimination, or None
+    when the system is singular (some column has no pivot).
 
-    def reaches(edges) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j not in seen and edges(i, j):
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == n
-
-    return reaches(lambda i, j: P[i][j] > 0) and reaches(lambda i, j: P[j][i] > 0)
-
-
-def _stationary(P: Sequence[Sequence[Fraction]]) -> Tuple[Fraction, ...]:
-    """Unique solution of pi P = pi, sum(pi) = 1, by exact elimination."""
+    The system is nonsingular iff the chain has exactly one closed class.
+    The solution is positive everywhere iff that class contains every state.
+    """
     n = len(P)
     # rows of (P^T - I), last equation replaced by sum(pi) = 1
     A = [[P[j][i] - (ONE if i == j else ZERO) for j in range(n)] for i in range(n)]
     A[n - 1] = [ONE] * n
     b = [ZERO] * (n - 1) + [ONE]
     for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col] != 0)
+        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
+        if piv is None:
+            return None
         A[col], A[piv] = A[piv], A[col]
         b[col], b[piv] = b[piv], b[col]
         inv = 1 / A[col][col]
@@ -430,7 +425,7 @@ def estimate_gamma(
     )
 
 
-DEFAULT_BASE_POINTS = tuple(Fraction(j, 7) for j in range(1, 6))
+BASE_POINTS = tuple(Fraction(j, 7) for j in range(1, 6))
 
 
 @dataclass(frozen=True)
@@ -447,30 +442,29 @@ class RotationDemoReport:
 
 
 def rotation_counterexample(
-    m: int,
-    seed: int,
-    theta: Optional[RationalLike] = None,
-    base_points: Sequence[RationalLike] = DEFAULT_BASE_POINTS,
+    m: int, seed: int, theta: Optional[RationalLike] = None
 ) -> RotationDemoReport:
     """The uncountable-family cautionary demo at finite scale.
 
-    A rotation path is sampled.  Family (i) is the single indicator of the
-    sampled start's own truncated orbit; every sample point lies in it while
-    its expectation is 0 (a finite set has measure zero), so its discrepancy
-    is exactly 1.  Family (ii) holds indicators of five fixed base points'
-    truncated orbits, disjoint from the path, so its discrepancy is exactly
-    0.  The combined truncated family still has gap dimension 1 at any
-    resolution below 1/2 because the supports are pairwise disjoint.  The
-    family is finite and data dependent by construction, a truncation of an
-    uncountable ideal; that caveat is part of this report's meaning.
+    A rotation path x_1, ..., x_m is sampled, and its start x0 is read back
+    from it as frac(x_1 - theta).  Family (i) is the single indicator of the
+    start's own truncated orbit; every sample point lies in it while its
+    expectation is 0 (a finite set has measure zero), so its discrepancy is
+    exactly 1.  Family (ii) holds indicators of the orbits of the five fixed
+    base points j/7, j = 1..5, truncated likewise and disjoint from the path,
+    so its discrepancy is exactly 0.  The combined truncated family still has
+    gap dimension 1 at any resolution below 1/2 because the supports are
+    pairwise disjoint.  The family is finite and data dependent by
+    construction, a truncation of an uncountable ideal; that caveat is part
+    of this report's meaning.
     """
     if m < 1:
         raise ValueError("path length must be >= 1")
     theta = Fraction(theta) if theta is not None else golden_rotation_angle()
-    x0 = SplitMix64(seed).unit_fraction()
     path = sample_path(RotationSpec(theta=theta), m, seed).values
+    x0 = frac_mod1(path[0] - theta)
 
-    combined = trajectory_indicators(theta, (x0, *base_points), window=m)
+    combined = trajectory_indicators(theta, (x0, *BASE_POINTS), window=m)
     # Every expectation is 0, so each family's discrepancy is its path mean;
     # the path lies in the start's orbit, hence in the combined domain.
     means = [Fraction(sum(f.value_at(x) for x in path), m) for f in combined]
@@ -485,7 +479,7 @@ def rotation_counterexample(
         fixed_family_gamma=max(means[1:]),
         combined_dim=dim,
         gamma_resolution=resolution,
-        base_points=tuple(Fraction(b) for b in base_points),
+        base_points=BASE_POINTS,
     )
 
 

@@ -247,8 +247,8 @@ class FunctionClass:
     def __getitem__(self, i: int) -> Function:
         return self.functions[i]
 
-    def subclass(self, indices: Sequence[int], name: str = "") -> "FunctionClass":
-        return FunctionClass([self.functions[i] for i in indices], name or self.name)
+    def subclass(self, indices: Sequence[int]) -> "FunctionClass":
+        return FunctionClass([self.functions[i] for i in indices], self.name)
 
     def __repr__(self) -> str:
         return f"FunctionClass({self.name!r}, {len(self.functions)} {self.kind})"

@@ -133,7 +133,7 @@ def _resolution(gamma: RationalLike) -> Fraction:
 
 def _check_point(F: FunctionClass, x: Fraction) -> None:
     if F.kind == TABULAR:
-        if x not in F.domain_points:
+        if x not in F.domain_points.position:
             raise MalformedCertificate(f"{x} is not a domain point of the class")
     elif not (0 <= x < 1):
         raise MalformedCertificate(f"{x} lies outside [0, 1)")
@@ -147,7 +147,8 @@ def verify_certificate(F: FunctionClass, gamma: RationalLike, cert: ShatterCerti
         raise MalformedCertificate("certificate points must be distinct and non-empty")
     for x in cert.points:
         _check_point(F, x)
-    if sorted(cert.selector) != list(range(1 << d)):
+    # compare sizes first: with many points, 2**d masks are never listed
+    if len(cert.selector) != 1 << d or sorted(cert.selector) != list(range(1 << d)):
         raise MalformedCertificate("selector must cover every subset mask exactly once")
     if any(not 0 <= i < len(F) for i in cert.selector.values()):
         raise MalformedCertificate("selector references a function outside the class")

@@ -20,7 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import count, takewhile
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .exactset import IntervalUnion, RationalLike, read_json_object
 from .funclass import (
@@ -57,9 +58,9 @@ class CompleteTree:
         self.depth = depth
         self.labels: Dict[int, Label] = dict(labels or {})
         self.sets: Dict[int, IntervalUnion] = dict(sets or {})
-        last = self.size
         for t in list(self.labels) + list(self.sets):
-            if not 1 <= t <= last:
+            # the nodes are 1 .. 2**(depth+1) - 1: at most depth + 1 bits
+            if t < 1 or t.bit_length() > depth + 1:
                 raise ValueError(f"node {t} outside the tree")
 
     @property
@@ -84,8 +85,10 @@ class CompleteTree:
     def children(self, t: int) -> Tuple[int, int]:
         return 2 * t, 2 * t + 1
 
-    def internal_nodes(self) -> range:
-        return range(1, 1 << self.depth)
+    def internal_nodes(self) -> Iterator[int]:
+        """The nodes 1, 2, ... of the levels above the leaves, lazily: a scan
+        that stops at a missing label never counts up to 2**depth."""
+        return _heap_order(1, self.depth)
 
     def to_json(self) -> dict:
         nodes = {}
@@ -120,6 +123,22 @@ class CompleteTree:
         return cls.from_json(read_json_object(path))
 
 
+def _heap_order(first: int, levels: int) -> Iterator[int]:
+    """The nodes first, first + 1, ... of levels 0 .. levels - 1, lazily."""
+    return takewhile(lambda t: t.bit_length() <= levels, count(first))
+
+
+def pow2_text(L: int, c: RationalLike = 1, plus: int = 0) -> str:
+    """c * 2**L + plus in digits where Python prints them (2**L is built only
+    for L < 2**16), else as the expression "c*2^L+plus"."""
+    if L < 1 << 16:
+        try:
+            return str(Fraction(c) * (1 << L) + plus)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    return ("2" if c == 1 else f"{c}*2") + f"^{L}" + (f"{plus:+d}" if plus else "")
+
+
 @dataclass(frozen=True)
 class PtreeWitness:
     level: int
@@ -147,20 +166,16 @@ def _branching(down: Dict[int, Set[int]], l: int) -> List[int]:
     return sorted({t >> 1 for t in below if t ^ 1 in below})
 
 
-def level_counts(
-    tree: CompleteTree, S: Sequence[int], floor_level: Optional[int] = None
-) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """The ancestor counts (m_l, n_l) for levels above the member set S.
+def level_counts(tree: CompleteTree, S: Sequence[int]) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """The ancestor counts (m_l, n_l) for the levels above the leaf set S.
 
     m_l counts level-l nodes with a member of S strictly below them; n_l
     counts level-l nodes both of whose children either belong to S or have
-    a member of S below them.  S must live on one level (by default the
-    leaves).
+    a member of S below them.
     """
-    fl = tree.depth if floor_level is None else floor_level
     down = _downset(S)
-    m = {l: len({t >> 1 for t in down.get(l + 1, ())}) for l in range(fl)}
-    n = {l: len(_branching(down, l)) for l in range(fl)}
+    m = {l: len({t >> 1 for t in down.get(l + 1, ())}) for l in range(tree.depth)}
+    n = {l: len(_branching(down, l)) for l in range(tree.depth)}
     return m, n
 
 
@@ -186,6 +201,18 @@ def _pigeonhole_level(
     return best_level, best_nodes, u
 
 
+def ptree_precondition(size: int, c: Fraction, L: int) -> None:
+    """Raise PtreePreconditionViolated unless size >= c * 2**L >= 4, for c > 0.
+
+    Past the bit length of size * den(c), c * 2**L > size, so 2**L is built
+    only when it is at most that large.
+    """
+    if L > (size * c.denominator).bit_length() or not size >= c * (1 << L) >= 4:
+        raise PtreePreconditionViolated(
+            f"need |S| >= c*2^L >= 4, got |S|={size}, c*2^L={pow2_text(L, c)}"
+        )
+
+
 def ptree_witness(tree: CompleteTree, S: Sequence[int], c: RationalLike) -> PtreeWitness:
     """Ancestral pigeonhole: a level l0 in [L-u, L-1] whose set S' of nodes
     with both children leading into S has size at least c * 2**L / (4L).
@@ -198,13 +225,9 @@ def ptree_witness(tree: CompleteTree, S: Sequence[int], c: RationalLike) -> Ptre
         raise ValueError(f"c must be in (0, 1], got {c}")
     L = tree.depth
     S = set(S)
-    leaves = tree.leaves()
-    if any(t not in leaves for t in S):
+    if any(t >> L != 1 for t in S):  # the leaves are the nodes of L + 1 bits
         raise ValueError("S must be a set of leaves")
-    if not (len(S) >= c * (1 << L) >= 4):
-        raise PtreePreconditionViolated(
-            f"need |S| >= c*2^L >= 4, got |S|={len(S)}, c*2^L={c * (1 << L)}"
-        )
+    ptree_precondition(len(S), c, L)
     level, nodes, u = _pigeonhole_level(S, L, c)
     if len(nodes) < c * (1 << L) / (4 * L):
         raise RuntimeError(f"pigeonhole level {level} has only {len(nodes)} nodes")
@@ -433,7 +456,7 @@ def intersection_tree_verify(
         raise ValueError(f"need {L} function indices, got {len(functions)}")
     if any(not 0 <= i < len(F) for i in functions):
         raise ValueError(f"function indices must lie in [0, {len(F)})")
-    for t in range(2, tree.size + 1):
+    for t in _heap_order(2, L + 1):
         if t not in tree.sets:
             raise MissingPayload(f"node {t} has no set payload")
 

@@ -395,6 +395,48 @@ def oracle_intersection_tree_build(F: FunctionClass, gamma, L: int, visit_cap: i
     return IntersectionTree(CompleteTree(L, labels, sets), tuple(chosen))
 
 
+def oracle_irreducible(P) -> bool:
+    """Irreducibility by reachability: every state is reached from state 0
+    along positive transitions, and reaches it back."""
+    n = len(P)
+
+    def reaches(edges) -> bool:
+        seen = {0}
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j not in seen and edges(i, j):
+                    seen.add(j)
+                    stack.append(j)
+        return len(seen) == n
+
+    return reaches(lambda i, j: P[i][j] > 0) and reaches(lambda i, j: P[j][i] > 0)
+
+
+def oracle_stationary(P):
+    """The solution of pi P = pi, sum(pi) = 1 of an irreducible chain, by exact
+    elimination that assumes every column has a pivot."""
+    n = len(P)
+    # rows of (P^T - I), last equation replaced by sum(pi) = 1
+    A = [[P[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    A[n - 1] = [Fraction(1)] * n
+    b = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if A[r][col] != 0)
+        A[col], A[piv] = A[piv], A[col]
+        b[col], b[piv] = b[piv], b[col]
+        inv = 1 / A[col][col]
+        A[col] = [a * inv for a in A[col]]
+        b[col] *= inv
+        for r in range(n):
+            if r != col and A[r][col] != 0:
+                factor = A[r][col]
+                A[r] = [a - factor * c for a, c in zip(A[r], A[col])]
+                b[r] -= factor * b[col]
+    return tuple(b)
+
+
 def _pick_cumulative(weights, u):
     acc = Fraction(0)
     for i, w in enumerate(weights):

@@ -244,6 +244,70 @@ class TestInputErrors:
         code, _, err = run_err(capsys, *verify)
         assert code == 2 and err == "error: field 'cert': missing key 'selector'\n"
 
+    @pytest.mark.parametrize("n_points", [40, 64])
+    def test_certificate_with_many_points_and_a_short_selector(self, capsys, tmp_path, n_points):
+        # 2**40 masks would not fit in memory, and 2**64 would not fit a list
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({
+            "points": [f"{i}/128" for i in range(n_points)], "alpha": "1/2",
+            "selector": {"0": 0},
+        }))
+        code, out, err = run_err(
+            capsys, "verify", "--class", "thresholds(8)", "--gamma", "1/4", "--cert", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: field 'cert': selector must cover every subset mask exactly once\n"
+
+    @pytest.mark.parametrize("depth", [1 << 40, 40_000_000_000])
+    def test_huge_tree_depth(self, capsys, tmp_path, depth):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"depth": depth, "nodes": {"1": {"label": [1, 2]}}}))
+        for argv, message in [
+            (("subtree", "--tree", str(path), "--K", "3"),
+             "field 'tree': internal node 2 has no label"),
+            (("itree", "verify", "--class", "thresholds(4)", "--gamma", "1/4", "--tree",
+              str(path), "--functions", "0"),
+             f"field 'functions': need {depth} function indices in [0, 4), got '0'"),
+            (("ptree", "--depth", str(depth), "--leaves", "0", "--c", "1"),
+             f"field 'leaves': need |S| >= c*2^L >= 4, got |S|=1, c*2^L=2^{depth}"),
+            (("ptree", "--depth", str(depth), "--leaves=-1", "--c", "1"),
+             f"field 'leaves': must be in [0, 2^{depth}-1], got '-1'"),
+            (("ptree", "--depth", str(depth), "--leaves", "0", "--c", "0"),
+             "field 'c': must be in [4/2^depth, 1], got '0'"),
+        ]:
+            code, out, err = run_err(capsys, *argv)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+    def test_tree_depth_messages_stay(self, capsys, tmp_path):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"depth": 70, "nodes": {}}))
+        code, _, err = run_err(capsys, "subtree", "--tree", str(path), "--K", "3")
+        assert (code, err) == (2, "error: field 'tree': internal node 1 has no label\n")
+        code, _, err = run_err(capsys, "ptree", "--depth", "100", "--leaves", "0,1,2,3",
+                               "--c", "1")
+        assert (code, err) == (2, "error: field 'leaves': need |S| >= c*2^L >= 4, got |S|=4,"
+                                  f" c*2^L={1 << 100}\n")
+        # 2**20000 has more digits than Python prints
+        code, _, err = run_err(capsys, "ptree", "--depth", "20000", "--leaves", "0,1,2,3",
+                               "--c", "1")
+        assert (code, err) == (2, "error: field 'leaves': need |S| >= c*2^L >= 4, got |S|=4,"
+                                  " c*2^L=2^20000\n")
+
+    def test_unknown_emission_kind(self, capsys, tmp_path):
+        path = tmp_path / "markov.json"
+        path.write_text(json.dumps({
+            "variant": "markov",
+            "transition": [["1/2", "1/2"], ["1/1", "0/1"]],
+            "emissions": [{"kind": "banana", "lo": "0/1", "hi": "1/2"},
+                          {"kind": "point", "at": "1/2"}],
+        }))
+        code, out, err = run_err(
+            capsys, "discrepancy", "--class", "thresholds(4)",
+            "--process", str(path), "--m", "10", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: field 'process': unknown emission kind 'banana'\n"
+
 
 def run_main(*argv):
     """main() with its output captured; any exception escapes to the test."""
@@ -273,11 +337,33 @@ JUNK = st.recursive(
     max_leaves=5,
 )
 TREE_CLASS = "full_join_family(2,1,3,1/5)"
-# kind: (a well-formed document, keys it cannot do without, keys whose
-# value is replaced by junk, the command reading the file at {path})
+
+
+def replace_one(keys):
+    """Replacements of one key of a document by junk."""
+    return st.builds(lambda key, junk: {key: junk}, st.sampled_from(keys), JUNK)
+
+
+# depths that fail fast: a search or table of size 2**depth at 2**40 and up
+# runs out of memory at once instead of filling it
+DEPTHS = st.integers(-5, 20).filter(lambda d: d != 2) | st.integers(1 << 40, 1 << 62)
+# distinct points of [0, 1) for thresholds(8): at most 12 or at least 40 of
+# them, each with a selector far short of the 2**d masks
+MANY_POINTS = st.integers(2, 12) | st.integers(40, 64)
+CERT_POINTS = MANY_POINTS.flatmap(
+    lambda d: st.lists(st.integers(0, 999), min_size=d, max_size=d, unique=True)
+).map(lambda ks: [f"{k}/1000" for k in ks])
+SHORT_SELECTOR = st.dictionaries(
+    st.integers(0, 7).map(str), st.integers(0, 8), max_size=3
+)
+# any emission kind but the two there are, with both kinds' fields present
+EMISSION_KIND = st.text(max_size=8).filter(lambda kind: kind not in ("point", "uniform"))
+# kind: (a well-formed document, keys it cannot do without, replacements of
+# some of its keys, the command reading the file at {path})
 INPUT_FILES = {
     "class": (
-        class_to_json(thresholds(2)), {"kind", "functions"}, ["kind", "functions"],
+        class_to_json(thresholds(2)), {"kind", "functions"},
+        replace_one(["kind", "functions"]),
         ("dim", "--class", "{path}", "--gamma", "1/4"),
     ),
     "process": (
@@ -286,19 +372,30 @@ INPUT_FILES = {
             "transition": [["1/2", "1/2"], ["1/1", "0/1"]],
             "emissions": [{"kind": "point", "at": "1/10"}, {"kind": "point", "at": "1/2"}],
         },
-        {"variant", "transition", "emissions"}, ["variant", "transition", "emissions"],
+        {"variant", "transition", "emissions"},
+        replace_one(["variant", "transition", "emissions"]) | EMISSION_KIND.map(
+            lambda kind: {"emissions": [
+                {"kind": kind, "at": "1/10", "lo": "0/1", "hi": "1/2"},
+                {"kind": "point", "at": "1/2"},
+            ]}
+        ),
         ("discrepancy", "--class", "thresholds(4)", "--process", "{path}",
          "--m", "10", "--seed", "1"),
     ),
     "cert": (
         {"points": ["3/16"], "alpha": "1/2", "selector": {"0": 1, "1": 0}},
-        {"points", "alpha", "selector"}, ["points", "alpha", "selector"],
+        {"points", "alpha", "selector"},
+        replace_one(["points", "alpha", "selector"]) | st.builds(
+            lambda points, selector: {"points": points, "selector": selector},
+            CERT_POINTS, SHORT_SELECTOR,
+        ),
         ("verify", "--class", "thresholds(8)", "--gamma", "1/4", "--cert", "{path}"),
     ),
     "tree": (
         intersection_tree_build(full_join_family(2, 1, 3, Fraction(1, 5)), Fraction(1, 5), 2)
         .tree.to_json(),
-        {"depth"}, ["nodes"],
+        {"depth"},
+        replace_one(["nodes"]) | DEPTHS.map(lambda depth: {"depth": depth}),
         ("itree", "verify", "--class", TREE_CLASS, "--gamma", "1/5",
          "--tree", "{path}", "--functions", "0,1"),
     ),
@@ -306,12 +403,9 @@ INPUT_FILES = {
 
 
 def documents(kind):
-    valid, required, replaceable, _ = INPUT_FILES[kind]
+    valid, required, replacements, _ = INPUT_FILES[kind]
     arbitrary = JSON.filter(lambda d: not (isinstance(d, dict) and required <= d.keys()))
-    broken = st.builds(
-        lambda key, junk: {**valid, key: junk}, st.sampled_from(replaceable), JUNK
-    )
-    return arbitrary | broken
+    return arbitrary | replacements.map(lambda new: {**valid, **new})
 
 
 def not_int(text):

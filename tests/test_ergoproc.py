@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,13 @@ from gapdim.ergoproc import (
 )
 from gapdim.funclass import frac_mod1, random_step
 from gapdim.rng import SplitMix64
-from oracles import oracle_class_means, oracle_expectation, oracle_sample_path
+from oracles import (
+    oracle_class_means,
+    oracle_expectation,
+    oracle_irreducible,
+    oracle_sample_path,
+    oracle_stationary,
+)
 
 F = Fraction
 
@@ -326,6 +333,11 @@ class TestRotationCounterexample:
         with pytest.raises(ValueError, match="path length must be >= 1"):
             rotation_counterexample(m, 1)
 
+    @pytest.mark.parametrize("theta", [None, F(1, 1000003)])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123456789])
+    def test_start_is_the_first_draw_of_the_seed(self, seed, theta):
+        assert rotation_counterexample(5, seed, theta).x0 == SplitMix64(seed).unit_fraction()
+
 
 class TestBoundCheck:
     def test_thresholds_iid(self):
@@ -368,6 +380,78 @@ class TestStationarySolver:
         assert all(p > 0 for p in pi)
         for j in range(n):
             assert sum(pi[i] * rows[i][j] for i in range(n)) == pi[j]
+
+
+def random_chain(rng: SplitMix64):
+    """A chain of 1-6 states whose rows hold random zero patterns."""
+    n = 1 + rng.randint(6)
+    rows = []
+    for _ in range(n):
+        w = [rng.randint(4) if rng.randint(2) else 0 for _ in range(n)]
+        if not any(w):
+            w[rng.randint(n)] = 1
+        rows.append(tuple(F(x, sum(w)) for x in w))
+    return tuple(rows)
+
+
+def point_chain(P) -> MarkovSpec:
+    return MarkovSpec(P, tuple(Emission.point(F(i, len(P))) for i in range(len(P))))
+
+
+class TestErgodicity:
+    """The one exact solve decides irreducibility as reachability does."""
+
+    def test_verdict_and_law_match_reachability_on_random_chains(self):
+        rng = SplitMix64(14)
+        verdicts = Counter()
+        for _ in range(2500):
+            P = random_chain(rng)
+            singular = ergoproc._stationary(P) is None
+            try:
+                pi = point_chain(P).stationary_distribution()
+            except NotErgodic:
+                pi = None
+            assert (pi is not None) == oracle_irreducible(P), P
+            if pi is not None:
+                assert pi == oracle_stationary(P), P
+            verdicts[pi is not None, singular] += 1
+        # irreducible, reducible with a unique law, reducible and singular
+        assert min(verdicts[True, False], verdicts[False, False]) >= 500, verdicts
+        assert verdicts[False, True] >= 100 and verdicts[True, True] == 0, verdicts
+
+    @pytest.mark.parametrize(
+        "P",
+        [
+            ((F(1), F(0)), (F(0), F(1))),
+            ((F(1), F(0), F(0)), (F(0), F(1, 2), F(1, 2)), (F(0), F(1, 2), F(1, 2))),
+        ],
+        ids=["identity", "two-closed-classes"],
+    )
+    def test_two_closed_classes_make_a_singular_system(self, P):
+        assert ergoproc._stationary(P) is None
+        with pytest.raises(NotErgodic, match="transition matrix is not irreducible"):
+            point_chain(P)
+
+    def test_transient_state_gets_weight_zero(self):
+        P = ((F(1, 2), F(1, 2), F(0)), (F(1, 3), F(2, 3), F(0)), (F(1, 4), F(1, 4), F(1, 2)))
+        assert ergoproc._stationary(P) == (F(2, 5), F(3, 5), F(0))
+        with pytest.raises(NotErgodic, match="transition matrix is not irreducible"):
+            point_chain(P)
+
+    def test_periodic_chain_is_irreducible(self):
+        P = ((F(0), F(1)), (F(1), F(0)))
+        assert point_chain(P).stationary_distribution() == (F(1, 2), F(1, 2))
+
+    def test_one_state_chain(self):
+        assert point_chain(((F(1),),)).stationary_distribution() == (F(1),)
+
+    def test_shape_and_rows_are_checked_first(self):
+        with pytest.raises(ValueError, match="square"):
+            point_chain(((F(1), F(0)),))
+        with pytest.raises(ValueError, match=">= 0"):
+            point_chain(((F(2), F(-1)), (F(0), F(1))))
+        with pytest.raises(ValueError, match="sum to 1"):
+            point_chain(((F(1, 2), F(0)), (F(0), F(1))))
 
 
 class TestOrbitSeparation:

@@ -87,6 +87,15 @@ class TestVerifyCertificate:
         with pytest.raises(MalformedCertificate):
             verify_certificate(FC, F(1, 4), cert)
 
+    def test_tabular_points_are_looked_up_in_the_domain(self):
+        FC = all_patterns(2)
+        a, b = FC.domain_points
+        good = shatters(FC, [a, b], F(1, 4))
+        assert verify_certificate(FC, F(1, 4), good)
+        foreign = ShatterCertificate((a, (a + b) / 2), F(1, 2), good.selector)
+        with pytest.raises(MalformedCertificate, match="is not a domain point"):
+            verify_certificate(FC, F(1, 4), foreign)
+
     def test_json_round_trip(self, zero_one_class):
         cert = ShatterCertificate((F(1, 2),), F(1, 2), {0: 0, 1: 1})
         back = ShatterCertificate.from_json(cert.to_json())

@@ -27,6 +27,8 @@ from gapdim.treelab import (
     MissingPayload,
     PtreePreconditionViolated,
     level_counts,
+    pow2_text,
+    ptree_precondition,
 )
 from oracles import (
     is_host_ancestor,
@@ -145,6 +147,53 @@ class TestPtreeWitness:
         m, n = level_counts(tree, S)
         assert m == {l: 2 if l == L - 1 else 1 for l in range(L)}
         assert n == {l: {L - 1: 2, L - 2: 1}.get(l, 0) for l in range(L)}
+
+
+class TestHugeDepth:
+    """Nothing of size 2**depth is built for a tree that holds few nodes."""
+
+    DEPTH = 1 << 40
+
+    def test_nodes_are_checked_by_bit_length(self):
+        L = self.DEPTH
+        tree = CompleteTree(L, labels={1: (1, 2), 1 << 50: (2, 1)}, sets={2: IntervalUnion.full()})
+        assert not tree.is_leaf(1 << 50)
+        for t in (0, -1):
+            with pytest.raises(ValueError, match=f"node {t} outside the tree"):
+                CompleteTree(L, labels={t: (1, 2)})
+        CompleteTree(2, sets={7: IntervalUnion.full()})
+        with pytest.raises(ValueError, match="node 8 outside the tree"):
+            CompleteTree(2, sets={8: IntervalUnion.full()})
+
+    def test_label_scan_stops_at_the_first_missing_node(self):
+        tree = CompleteTree(self.DEPTH, labels={1: (1, 2), 2: (1, 2), 4: (1, 2)})
+        with pytest.raises(MissingLabel, match="internal node 3 has no label"):
+            uniform_subtree(tree, 2)
+        tree = CompleteTree(self.DEPTH, labels={1: (1, 2), 2: (3, 2)})
+        with pytest.raises(ValueError, match=r"label \(3, 2\) of node 2 outside \[1, 2\]\^2"):
+            uniform_subtree(tree, 2)
+
+    def test_payload_scan_stops_at_the_first_missing_node(self, ramp8):
+        L = 64
+        tree = CompleteTree(L, sets={2: IntervalUnion.full(), 3: IntervalUnion.full()})
+        with pytest.raises(MissingPayload, match="node 4 has no set payload"):
+            intersection_tree_verify(tree, FunctionClass([ramp8]), F(1, 4), [0] * L)
+
+    def test_precondition_without_the_power(self):
+        L = self.DEPTH
+        for size, c, power in ((4, F(1), f"2^{L}"), (10**6, F(1, 10**9), f"1/1000000000*2^{L}")):
+            with pytest.raises(PtreePreconditionViolated) as exc:
+                ptree_precondition(size, c, L)
+            assert str(exc.value) == f"need |S| >= c*2^L >= 4, got |S|={size}, c*2^L={power}"
+        ptree_precondition(4, F(4, 1 << 60), 60)  # holds: 4 >= 4 >= 4
+        with pytest.raises(PtreePreconditionViolated, match=f"c\\*2\\^L={1 << 60}$"):
+            ptree_precondition(4, F(1), 60)
+
+    def test_pow2_text(self):
+        assert pow2_text(3) == "8" and pow2_text(3, plus=-1) == "7"
+        assert pow2_text(3, F(3, 16)) == "3/2"
+        assert pow2_text(20000) == "2^20000"
+        assert pow2_text(self.DEPTH, F(1, 3), -1) == f"1/3*2^{self.DEPTH}-1"
 
 
 class TestUniformSubtree:
