@@ -46,6 +46,7 @@ from .funclass import (
     STEP,
     FunctionClass,
     InvalidResolution,
+    SegmentIndexOutOfRange,
     generate,
     k_of_gamma,
     load_class,
@@ -60,6 +61,7 @@ from .shatter import (
 )
 from .treelab import (
     CompleteTree,
+    MissingPayload,
     PtreePreconditionViolated,
     intersection_tree_build,
     intersection_tree_verify,
@@ -263,10 +265,18 @@ def cmd_ptree(cfg: dict) -> int:
         raise ConfigError(f"field 'c': must be in [4/2^depth, 1], got {cfg['c']!r}")
     try:
         ptree_precondition(len(set(leaves)), c, depth)
-        offset = 1 << depth
-        witness = ptree_witness(CompleteTree(depth), [offset + i for i in leaves], c)
     except PtreePreconditionViolated as exc:  # fewer leaves than c*2^depth
         raise ConfigError(f"field 'leaves': {exc}") from None
+    # node numbers below 2**depth print iff 2**depth <= 10**limit (limit 0: none),
+    # which holds up to depth 3 * limit, where 2**depth <= 8**limit
+    limit = sys.get_int_max_str_digits()
+    if limit and depth > 3 * limit and 1 << depth > 10**limit:
+        raise ConfigError(
+            f"field 'depth': node numbers below 2^{depth} exceed the {limit}-digit"
+            " limit on printed integers"
+        )
+    offset = 1 << depth
+    witness = ptree_witness(CompleteTree(depth), [offset + i for i in leaves], c)
     report = {
         "level": witness.level,
         "u": witness.u,
@@ -323,7 +333,10 @@ def cmd_itree(cfg: dict) -> int:
             f"field 'functions': need {tree.depth} function indices in [0, {len(F)}),"
             f" got {cfg['functions']!r}"
         )
-    ok = intersection_tree_verify(tree, F, gamma, functions)
+    try:
+        ok = intersection_tree_verify(tree, F, gamma, functions)
+    except (MissingPayload, SegmentIndexOutOfRange) as exc:
+        raise ConfigError(f"field 'tree': {exc}") from None
     _emit({"verified": ok}, cfg)
     return 0 if ok else 1
 

@@ -55,6 +55,21 @@ def read_json_object(path) -> dict:
     return doc
 
 
+def write_json(doc: dict, path) -> None:
+    """Write a JSON object to a file, indented, keys sorted, newline-terminated."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def json_int(value, what: str) -> int:
+    """A JSON integer read from a document; a float, a boolean or any other
+    value is a ValueError naming `what`."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def decimal12(q: RationalLike) -> str:
     """Render a rational as a decimal with 12 significant digits."""
     return f"{float(Fraction(q)):.12g}"

@@ -3,7 +3,8 @@
 Two exact representations are supported.  A STEP function is piecewise
 constant: a :class:`Partition`, pairwise-disjoint :class:`IntervalUnion`
 pieces covering [0, 1), with one rational value per piece.  A partition is
-checked once and shared by every function built on it; it holds the right
+checked once and shared by every function built on it (a generated class
+has one, the n equal cells [i/n, (i+1)/n)); it holds the right
 end hi of each sorted interval as the integer hi * D, D the lcm of their
 denominators, and the index of the piece that owns it.  A function's one
 integer row ``(D, ends, W, vals)`` is those ends with the value of each
@@ -19,6 +20,7 @@ where ``K = floor(1/gamma) + 1`` unless ``1/gamma`` is an integer, in which
 case ``K = 1/gamma``.  The preimage of band k is the k-th segment of a
 function; two segments are non-adjacent when their band indices differ by
 at least 2.  :func:`band_of_value` is the one rule that puts a value in a
+band; a STEP segment is one IntervalUnion over the row's intervals in the
 band.  A STEP class's integer value table (:func:`refinement`, its
 functions' rows merged over one C and one V) serves the dimension search,
 the sample means, and, as bands per cell (:func:`cell_bands`), the segment
@@ -27,12 +29,11 @@ join and the intersection-tree builder.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from bisect import bisect_right
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from .exactset import (
     ONE,
@@ -42,6 +43,7 @@ from .exactset import (
     format_rational,
     parse_rational,
     read_json_object,
+    write_json,
 )
 from .rng import SplitMix64
 
@@ -105,16 +107,12 @@ class Function:
 
     __slots__ = ("kind", "pieces", "points", "values", "_row")
 
-    def __init__(self, kind, pieces, points, values):
+    def __init__(self, kind, pieces, points, values, row):
         self.kind = kind
         self.pieces = pieces
         self.points = points
         self.values = values
-        self._row = values  # a TABULAR function's row is its values on its domain
-        if kind == STEP:
-            W = math.lcm(*(v.denominator for v in values))
-            scaled = [v.numerator * (W // v.denominator) for v in values]
-            self._row = (pieces.D, pieces.ends, W, tuple(scaled[i] for i in pieces.owners))
+        self._row = row
 
     @classmethod
     def step(
@@ -130,12 +128,16 @@ class Function:
         if len(pieces) != len(values) or not pieces:
             raise ValueError("step function needs one value per piece")
         vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
-        for v in vals:
-            if not 0 <= v.numerator <= v.denominator:
+        ratios = [v.as_integer_ratio() for v in vals]
+        for v, (p, q) in zip(vals, ratios):
+            if not 0 <= p <= q:
                 raise ValueError(f"value {v} outside [0, 1]")
         if not isinstance(pieces, Partition):
             pieces = Partition(pieces)
-        return cls(STEP, pieces, None, vals)
+        W = math.lcm(*{q for _, q in ratios})
+        scaled = [p * (W // q) for p, q in ratios]
+        row = (pieces.D, pieces.ends, W, tuple(scaled[i] for i in pieces.owners))
+        return cls(STEP, pieces, None, vals, row)
 
     @classmethod
     def tabular(
@@ -149,7 +151,7 @@ class Function:
             raise ValueError("tabular function needs one value per point")
         if any(not 0 <= v.numerator <= v.denominator for v in vals):
             raise ValueError("tabular values must lie in [0, 1]")
-        return cls(TABULAR, None, pts, vals)
+        return cls(TABULAR, None, pts, vals, vals)  # its row: the values on its domain
 
     @classmethod
     def constant(cls, value: RationalLike) -> "Function":
@@ -348,16 +350,22 @@ def cell_bands(F: FunctionClass, gamma: RationalLike) -> Tuple[Tuple[int, ...], 
 
 
 def _members_by_band(f: Function, gamma: RationalLike) -> List[list]:
-    """f's pieces (STEP) or domain points (TABULAR), grouped by band 1..K."""
-    band = {v: band_of_value(v, gamma) for v in set(f.values)}
+    """f's row intervals (STEP: integer pairs over the row's D) or domain
+    points (TABULAR), grouped by band 1..K, one band_of_value per value."""
+    if f.kind == STEP:
+        _, ends, W, values = f._row
+        members = zip((0, *ends), ends)
+    else:
+        members, values, W = f.points, f.values, 1
     groups = [[] for _ in range(k_of_gamma(gamma))]
-    for member, v in zip(f.pieces if f.kind == STEP else f.points, f.values):
-        groups[band[v] - 1].append(member)
+    add = {v: groups[band_of_value(Fraction(v, W), gamma) - 1].append for v in set(values)}
+    for member, v in zip(members, values):
+        add[v](member)
     return groups
 
 
 def _segment(f: Function, members: list) -> Union[IntervalUnion, Tuple[Fraction, ...]]:
-    return IntervalUnion.union_all(members) if f.kind == STEP else tuple(members)
+    return IntervalUnion.over(f._row[0], members) if f.kind == STEP else tuple(members)
 
 
 def segment(
@@ -383,29 +391,31 @@ def segment_partition(f: Function, gamma: RationalLike) -> List:
 # Generators
 
 
+def _on_equal_cells(n: int, rows: Iterable[Sequence[Fraction]]) -> List[Function]:
+    """STEP functions on the n cells [i/n, (i+1)/n), one value row each; the
+    cells are built and checked once, as the one Partition they share."""
+    cells = Partition([IntervalUnion.over(n, [(i, i + 1)]) for i in range(n)])
+    return [Function.step(cells, row) for row in rows]
+
+
 def thresholds(n: int) -> FunctionClass:
     """Indicators of [j/n, 1) for j = 1..n (the last one is identically 0)."""
     if n < 1:
         raise InvalidGeneratorSpec("thresholds needs n >= 1")
-    fns = [
-        Function.indicator(
-            IntervalUnion.interval(Fraction(j, n), ONE) if j < n else IntervalUnion.empty()
-        )
-        for j in range(1, n + 1)
-    ]
-    return FunctionClass(fns, f"thresholds({n})")
+    rows = ([ONE if c >= j else ZERO for c in range(n)] for j in range(1, n + 1))
+    return FunctionClass(_on_equal_cells(n, rows), f"thresholds({n})")
 
 
 def interval_indicators(n: int) -> FunctionClass:
     """Indicators of all intervals [i/n, j/n), 0 <= i < j <= n."""
     if n < 1:
         raise InvalidGeneratorSpec("interval_indicators needs n >= 1")
-    fns = [
-        Function.indicator(IntervalUnion.interval(Fraction(i, n), Fraction(j, n)))
+    rows = (
+        [ONE if i <= c < j else ZERO for c in range(n)]
         for i in range(n)
         for j in range(i + 1, n + 1)
-    ]
-    return FunctionClass(fns, f"interval_indicators({n})")
+    )
+    return FunctionClass(_on_equal_cells(n, rows), f"interval_indicators({n})")
 
 
 def all_patterns(p: int) -> FunctionClass:
@@ -429,13 +439,10 @@ def random_step(seed: int, pieces: int, grid: int, count: int = 1) -> FunctionCl
     if pieces < 1 or grid < 1 or count < 1:
         raise InvalidGeneratorSpec("random_step needs pieces, grid, count >= 1")
     rng = SplitMix64(seed)
-    cells = Partition([IntervalUnion.over(pieces, [(i, i + 1)]) for i in range(pieces)])
     levels = [Fraction(k, grid) for k in range(grid + 1)]
-    fns = [
-        Function.step(cells, [levels[rng.randint(grid + 1)] for _ in cells])
-        for _ in range(count)
-    ]
-    return FunctionClass(fns, f"random_step({seed},{pieces},{grid},{count})")
+    rows = ([levels[rng.randint(grid + 1)] for _ in range(pieces)] for _ in range(count))
+    name = f"random_step({seed},{pieces},{grid},{count})"
+    return FunctionClass(_on_equal_cells(pieces, rows), name)
 
 
 def frac_mod1(x: Fraction) -> Fraction:
@@ -513,19 +520,9 @@ def full_join_family(L: int, k: int, k2: int, gamma: RationalLike) -> FunctionCl
     v_in = (Fraction(k) - Fraction(1, 2)) * gamma  # midband value of band k
     v_out = (Fraction(k2) - Fraction(1, 2)) * gamma
 
-    fns = []
-    for b in range(n_fns):
-        cells_in = [(c, c + 1) for c in range(n_cells) if (sigma[c] >> b) & 1]
-        cells_out = [(c, c + 1) for c in range(n_cells) if not (sigma[c] >> b) & 1]
-        fns.append(
-            Function.step(
-                (IntervalUnion.over(n_cells, cells_in), IntervalUnion.over(n_cells, cells_out)),
-                (v_in, v_out),
-            )
-        )
-    return FunctionClass(
-        fns, f"full_join_family({L},{k},{k2},{format_rational(gamma)})"
-    )
+    rows = ([v_in if (s >> b) & 1 else v_out for s in sigma] for b in range(n_fns))
+    name = f"full_join_family({L},{k},{k2},{format_rational(gamma)})"
+    return FunctionClass(_on_equal_cells(n_cells, rows), name)
 
 
 _GEN_RE = re.compile(r"^\s*([a-z_]+)\s*\((.*)\)\s*$")
@@ -656,9 +653,7 @@ def class_from_json(doc: dict) -> FunctionClass:
 
 
 def save_class(F: FunctionClass, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(class_to_json(F), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(class_to_json(F), path)
 
 
 def load_class(path) -> FunctionClass:

@@ -29,7 +29,6 @@ certificate at resolution gamma/2.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +36,8 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactset import (
-    IntervalUnion, RationalLike, format_rational, parse_rational, read_json_object
+    IntervalUnion, RationalLike, format_rational, json_int, parse_rational, read_json_object,
+    write_json,
 )
 from .funclass import (
     TABULAR, FunctionClass, InvalidResolution, SegmentIndexOutOfRange, cell_bands,
@@ -92,13 +92,13 @@ class ShatterCertificate:
         return cls(
             points=tuple(parse_rational(p) for p in doc["points"]),
             alpha=parse_rational(doc["alpha"]),
-            selector={int(m): int(i) for m, i in doc["selector"].items()},
+            selector={
+                int(m): json_int(i, "selector value") for m, i in doc["selector"].items()
+            },
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_json(), path)
 
     @classmethod
     def load(cls, path) -> "ShatterCertificate":

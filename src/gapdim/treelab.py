@@ -12,20 +12,21 @@ Iterating it, together with label pigeonholes, extracts from any fully
 labeled tree an embedded complete subtree all of whose internal labels
 agree.  Intersection trees pair the tree structure with function segments:
 children carry non-adjacent segments of one function per level and every
-root path has an intersection of positive measure.
+root path has an intersection of positive measure; verification reads each
+level's segments once, in one pass down the tree.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, takewhile
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .exactset import IntervalUnion, RationalLike, read_json_object
+from .exactset import IntervalUnion, RationalLike, json_int, read_json_object, write_json
 from .funclass import (
-    STEP, FunctionClass, cell_bands, k_of_gamma, non_adjacent, segment, segment_partition,
+    STEP, FunctionClass, SegmentIndexOutOfRange, cell_bands, k_of_gamma, non_adjacent, segment,
+    segment_partition,
 )
 from .shatter import JoinCell, join
 
@@ -108,15 +109,13 @@ class CompleteTree:
             t = int(key)
             if entry.get("label") is not None:
                 k, k2 = entry["label"]
-                labels[t] = (int(k), int(k2))
+                labels[t] = (json_int(k, "label band"), json_int(k2, "label band"))
             if entry.get("set") is not None:
                 sets[t] = IntervalUnion.from_text(entry["set"])
-        return cls(int(doc["depth"]), labels, sets)
+        return cls(json_int(doc["depth"], "depth"), labels, sets)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_json(), path)
 
     @classmethod
     def load(cls, path) -> "CompleteTree":
@@ -431,10 +430,10 @@ def intersection_tree_build(
     labels: Dict[int, Label] = {}
     sets: Dict[int, IntervalUnion] = {}
     for level, (fi, picks) in enumerate(stack):
-        segs = segment_partition(F[fi], gamma)
+        segs = {k: segment(F[fi], gamma, k) for k in set().union(*picks)}
         for t, (k, k2) in enumerate(picks, start=1 << level):
             labels[t] = (k, k2)
-            sets[2 * t], sets[2 * t + 1] = segs[k - 1], segs[k2 - 1]
+            sets[2 * t], sets[2 * t + 1] = segs[k], segs[k2]
     return IntersectionTree(CompleteTree(L, labels, sets), tuple(fi for fi, _ in stack))
 
 
@@ -448,7 +447,9 @@ def intersection_tree_verify(
 
     (a) every internal node's children carry non-adjacent segments of the
     level's function, in label order; (b) the root-to-node intersection has
-    positive measure at every node.
+    positive measure at every node.  An unlabeled node takes the bands of
+    its children's sets, and a label must name those same segments.  A
+    missing payload or a band outside [1, K] raises before any verdict.
     """
     gamma = Fraction(gamma)
     L = tree.depth
@@ -459,38 +460,30 @@ def intersection_tree_verify(
     for t in _heap_order(2, L + 1):
         if t not in tree.sets:
             raise MissingPayload(f"node {t} has no set payload")
+    K = k_of_gamma(gamma)
+    bad = [k for t in tree.internal_nodes() for k in tree.labels.get(t, ()) if not 1 <= k <= K]
+    if bad:
+        raise SegmentIndexOutOfRange(f"band {bad[0]} outside [1, {K}]")
 
-    for t in tree.internal_nodes():
-        level = tree.level_of(t)
-        g = F[functions[level]]
-        left, right = tree.children(t)
-        label = tree.labels.get(t)
-        if label is not None:
-            k, k2 = label
-            if not non_adjacent(k, k2):
-                return False
-            if tree.sets[left] != segment(g, gamma, k):
-                return False
-            if tree.sets[right] != segment(g, gamma, k2):
-                return False
-        else:
-            segs = segment_partition(g, gamma)
-            k = next((kk for kk, s in enumerate(segs, 1) if s == tree.sets[left]), None)
-            k2 = next((kk for kk, s in enumerate(segs, 1) if s == tree.sets[right]), None)
+    paths = [IntervalUnion.full()]  # the root-to-node intersections of one level
+    for level, fi in enumerate(functions):
+        segs = segment_partition(F[fi], gamma)
+        # only empty segments repeat, and an empty child fails (b) anyway
+        band = {s: k for k, s in enumerate(segs, 1)}
+        below = []
+        for t, W in enumerate(paths, start=1 << level):
+            pair = tree.sets[2 * t], tree.sets[2 * t + 1]
+            k, k2 = tree.labels.get(t) or (band.get(pair[0]), band.get(pair[1]))
             if k is None or k2 is None or not non_adjacent(k, k2):
                 return False
-
-    def walk(t: int, W: IntervalUnion) -> bool:
-        if t != 1:
-            W = W.intersect(tree.sets[t])
-        if W.measure <= 0:
-            return False
-        if tree.is_leaf(t):
-            return True
-        left, right = tree.children(t)
-        return walk(left, W) and walk(right, W)
-
-    return walk(1, IntervalUnion.full())
+            if (segs[k - 1], segs[k2 - 1]) != pair:
+                return False
+            for s in pair:
+                below.append(W.intersect(s))
+                if not below[-1]:
+                    return False
+        paths = below
+    return True
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,15 @@ from itertools import combinations
 
 from gapdim import CompleteTree, Function, FunctionClass, IntervalUnion, k_of_gamma, segment
 from gapdim.ergoproc import IIDUniformSpec, MarkovSpec, RotationSpec
-from gapdim.exactset import parse_rational
-from gapdim.funclass import STEP, frac_mod1
+from gapdim.exactset import format_rational, parse_rational
+from gapdim.funclass import (
+    STEP, SegmentIndexOutOfRange, band_of_value, frac_mod1, non_adjacent
+)
 from gapdim.rng import SplitMix64
 from gapdim.shatter import (
     DimResult, ShatterCertificate, candidate_points, verify_certificate
 )
-from gapdim.treelab import IntersectionTree, Label
+from gapdim.treelab import IntersectionTree, Label, MissingPayload
 
 
 class OracleIntervalUnion:
@@ -577,3 +579,100 @@ def oracle_step_class_from_json(doc) -> FunctionClass:
         ],
         doc.get("name", ""),
     )
+
+
+# ---------------------------------------------------------------------------
+# Step classes built function by function, each on its own pieces
+
+
+def oracle_thresholds(n: int) -> FunctionClass:
+    """``thresholds(n)`` as indicators, each function checking its own two
+    pieces (one when it is constant)."""
+    fns = [
+        Function.indicator(
+            IntervalUnion.interval(Fraction(j, n), 1) if j < n else IntervalUnion.empty()
+        )
+        for j in range(1, n + 1)
+    ]
+    return FunctionClass(fns, f"thresholds({n})")
+
+
+def oracle_interval_indicators(n: int) -> FunctionClass:
+    """``interval_indicators(n)`` as indicators of their own intervals."""
+    fns = [
+        Function.indicator(IntervalUnion.interval(Fraction(i, n), Fraction(j, n)))
+        for i in range(n)
+        for j in range(i + 1, n + 1)
+    ]
+    return FunctionClass(fns, f"interval_indicators({n})")
+
+
+def oracle_full_join_family(L: int, k: int, k2: int, gamma) -> FunctionClass:
+    """``full_join_family`` with each function on two pieces of its own: the
+    union of the cells whose signature has its bit set, and the rest."""
+    gamma = Fraction(gamma)
+    n_fns = 1 << L
+    n_cells = 1 << n_fns
+    special = [sum(1 << b for b in range(n_fns) if (b >> c) & 1) for c in range(L)]
+    sigma = special + [s for s in range(n_cells) if s not in set(special)]
+    v_in = (k - Fraction(1, 2)) * gamma
+    v_out = (k2 - Fraction(1, 2)) * gamma
+    fns = []
+    for b in range(n_fns):
+        cells_in = [(c, c + 1) for c in range(n_cells) if (sigma[c] >> b) & 1]
+        cells_out = [(c, c + 1) for c in range(n_cells) if not (sigma[c] >> b) & 1]
+        pieces = (IntervalUnion.over(n_cells, cells_in), IntervalUnion.over(n_cells, cells_out))
+        fns.append(Function.step(pieces, (v_in, v_out)))
+    return FunctionClass(fns, f"full_join_family({L},{k},{k2},{format_rational(gamma)})")
+
+
+def oracle_segment_partition(f: Function, gamma):
+    """The K segments of a STEP function: the ``union_all`` of its pieces
+    whose value lies in each band."""
+    groups = [[] for _ in range(k_of_gamma(gamma))]
+    for piece, v in zip(f.pieces, f.values):
+        groups[band_of_value(v, gamma) - 1].append(piece)
+    return [IntervalUnion.union_all(group) for group in groups]
+
+
+def oracle_intersection_tree_verify(tree: CompleteTree, F: FunctionClass, gamma, functions):
+    """The two-branch tree check with a recursive walk.
+
+    A labeled node compares its children's sets with the segments its label
+    names; an unlabeled node looks them up among the level function's
+    segments (from ``oracle_segment_partition``).  A band outside [1, K]
+    raises only when a labeled node reaches it.  Then a walk down every root
+    path intersects the sets and needs positive measure at every node.
+    """
+    gamma = Fraction(gamma)
+    K = k_of_gamma(gamma)
+    for t in range(2, 1 << (tree.depth + 1)):
+        if t not in tree.sets:
+            raise MissingPayload(f"node {t} has no set payload")
+    for t in range(1, 1 << tree.depth):
+        segs = oracle_segment_partition(F[functions[tree.level_of(t)]], gamma)
+        left, right = tree.sets[2 * t], tree.sets[2 * t + 1]
+        label = tree.labels.get(t)
+        if label is not None:
+            k, k2 = label
+            if not non_adjacent(k, k2):
+                return False
+            for band in label:
+                if not 1 <= band <= K:
+                    raise SegmentIndexOutOfRange(f"band {band} outside [1, {K}]")
+            if (left, right) != (segs[k - 1], segs[k2 - 1]):
+                return False
+        else:
+            k = next((kk for kk, s in enumerate(segs, 1) if s == left), None)
+            k2 = next((kk for kk, s in enumerate(segs, 1) if s == right), None)
+            if k is None or k2 is None or not non_adjacent(k, k2):
+                return False
+
+    def walk(t, W):
+        if t != 1:
+            W = W.intersect(tree.sets[t])
+        if W.measure <= 0:
+            return False
+        return tree.is_leaf(t) or (walk(2 * t, W) and walk(2 * t + 1, W))
+
+    return walk(1, IntervalUnion.full())

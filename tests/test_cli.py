@@ -1,6 +1,8 @@
 import io
 import json
 import re
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -339,6 +341,19 @@ JUNK = st.recursive(
 TREE_CLASS = "full_join_family(2,1,3,1/5)"
 
 
+# JSON numbers that are no JSON integer, where only an integer belongs
+NON_INT = st.floats(allow_nan=False) | st.booleans()
+TREE_DOC = intersection_tree_build(
+    full_join_family(2, 1, 3, Fraction(1, 5)), Fraction(1, 5), 2
+).tree.to_json()
+
+
+def bad_label(node, bad, good, first):
+    """The tree document with one internal node's label holding one bad band."""
+    label = [bad, good] if first else [good, bad]
+    return {"nodes": {**TREE_DOC["nodes"], node: {**TREE_DOC["nodes"][node], "label": label}}}
+
+
 def replace_one(keys):
     """Replacements of one key of a document by junk."""
     return st.builds(lambda key, junk: {key: junk}, st.sampled_from(keys), JUNK)
@@ -388,14 +403,20 @@ INPUT_FILES = {
         replace_one(["points", "alpha", "selector"]) | st.builds(
             lambda points, selector: {"points": points, "selector": selector},
             CERT_POINTS, SHORT_SELECTOR,
+        ) | st.dictionaries(st.sampled_from(["0", "1"]), NON_INT, min_size=1).map(
+            lambda bad: {"selector": {"0": 1, "1": 0, **bad}}
         ),
         ("verify", "--class", "thresholds(8)", "--gamma", "1/4", "--cert", "{path}"),
     ),
     "tree": (
-        intersection_tree_build(full_join_family(2, 1, 3, Fraction(1, 5)), Fraction(1, 5), 2)
-        .tree.to_json(),
+        TREE_DOC,
         {"depth"},
-        replace_one(["nodes"]) | DEPTHS.map(lambda depth: {"depth": depth}),
+        replace_one(["nodes"]) | (DEPTHS | NON_INT).map(lambda depth: {"depth": depth})
+        | st.builds(
+            bad_label, st.sampled_from(["1", "2", "3"]),
+            NON_INT | st.integers(max_value=0) | st.integers(min_value=6),
+            st.integers(1, 5), st.booleans(),
+        ),
         ("itree", "verify", "--class", TREE_CLASS, "--gamma", "1/5",
          "--tree", "{path}", "--functions", "0,1"),
     ),
@@ -686,6 +707,102 @@ class TestSegmentsJoin:
         doc = json.loads(out)
         assert doc["report"]["cell_count"] == 4
         assert doc["report"]["full"] is True
+
+
+class TestJsonIntegersAndTreeFaults:
+    """Tree and certificate files hold JSON integers where they hold counts,
+    and a fault in a tree file is an error in field 'tree', never a verdict."""
+
+    VERIFY_TREE = ("itree", "verify", "--class", TREE_CLASS, "--gamma", "1/5",
+                   "--functions", "0,1", "--tree")
+
+    def write(self, tmp_path, doc):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "node,label,message",
+        [
+            ("5", None, "node 5 has no set payload"),
+            ("2", [7, 3], "band 7 outside [1, 5]"),
+            ("2", [1, -2], "band -2 outside [1, 5]"),
+            # node 2's adjacent label alone would be a FAIL verdict
+            ("3", [1, 9], "band 9 outside [1, 5]"),
+        ],
+    )
+    def test_tree_faults_name_the_tree(self, tmp_path, node, label, message):
+        doc = json.loads(json.dumps(TREE_DOC))
+        if label is None:
+            doc["nodes"][node]["set"] = None
+        else:
+            doc["nodes"][node]["label"] = label
+            if node == "3":
+                doc["nodes"]["2"]["label"] = [2, 3]
+        code, out, err = run_main(*self.VERIFY_TREE, self.write(tmp_path, doc))
+        assert (code, out, err) == (2, "", f"error: field 'tree': {message}\n")
+
+    @pytest.mark.parametrize(
+        "selector,shown",
+        [({"0": 1.9, "1": 0.9}, "1.9"), ({"0": 1, "1": 0.0}, "0.0"),
+         ({"0": True, "1": 0}, "true"), ({"0": 1, "1": "0"}, '"0"')],
+    )
+    def test_selector_values_are_integers(self, tmp_path, selector, shown):
+        cert = {"points": ["3/16"], "alpha": "1/2", "selector": selector}
+        argv = ("verify", "--class", "thresholds(8)", "--gamma", "1/4", "--cert")
+        code, out, err = run_main(*argv, self.write(tmp_path, cert))
+        assert (code, out) == (2, "")
+        assert err == f"error: field 'cert': selector value must be an integer, got {shown}\n"
+
+    @pytest.mark.parametrize(
+        "change,shown",
+        [({"depth": 2.9}, "depth must be an integer, got 2.9"),
+         ({"depth": True}, "depth must be an integer, got true"),
+         ({"label": [1.5, 3]}, "label band must be an integer, got 1.5"),
+         ({"label": [1, False]}, "label band must be an integer, got false")],
+    )
+    def test_depth_and_labels_are_integers(self, tmp_path, change, shown):
+        doc = json.loads(json.dumps(TREE_DOC))
+        if "depth" in change:
+            doc["depth"] = change["depth"]
+        else:
+            doc["nodes"]["1"]["label"] = change["label"]
+        path = self.write(tmp_path, doc)
+        for argv in (self.VERIFY_TREE + (path,), ("subtree", "--K", "5", "--tree", path)):
+            code, out, err = run_main(*argv)
+            assert (code, out, err) == (2, "", f"error: field 'tree': {shown}\n")
+
+    def test_ptree_depth_past_the_digit_limit_is_refused_at_once(self):
+        leaves = ",".join(map(str, range(600)))
+        start = time.perf_counter()
+        code, out, err = run_main(
+            "ptree", "--depth", "14290", "--leaves", leaves, "--c", "1/1" + "0" * 4299
+        )
+        assert time.perf_counter() - start < 2  # the witness took seconds
+        assert (code, out) == (2, "")
+        limit = sys.get_int_max_str_digits()
+        assert err == (
+            f"error: field 'depth': node numbers below 2^14290 exceed the {limit}-digit"
+            " limit on printed integers\n"
+        )
+
+    def test_ptree_depth_at_the_digit_limit(self):
+        """2**2126 < 10**640 < 2**2127: at a limit of 640 digits every node of
+        a depth-2126 tree prints, and depth 2127 is refused."""
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_main(
+                "ptree", "--depth", "2126", "--leaves", "0,1,2,3", "--c", f"1/{1 << 2124}"
+            )
+            assert code == 0, err
+            assert json.loads(out)["report"]["nodes"] == [1 << 2125, (1 << 2125) + 1]
+            code, out, err = run_main(
+                "ptree", "--depth", "2127", "--leaves", "0,1,2,3", "--c", f"1/{1 << 2125}"
+            )
+            assert (code, out) == (2, "") and err.startswith("error: field 'depth'"), err
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestTreeCommands:

@@ -1,15 +1,22 @@
+import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gapdim import full_join_family, gap_dim, intersection_tree_build, thresholds
 from gapdim.exactset import (
     IntervalUnion,
     decimal12,
     format_rational,
+    json_int,
     parse_rational,
+    read_json_object,
+    write_json,
 )
+from gapdim.funclass import class_to_json, save_class
 
 from oracles import OracleIntervalUnion
 
@@ -290,3 +297,30 @@ class TestRationalText:
 
     def test_decimal12(self):
         assert decimal12(F(1, 3)) == "0.333333333333"
+
+
+class TestJsonFiles:
+    """One writer serves class, certificate and tree files."""
+
+    def test_the_three_savers_write_the_same_bytes(self, tmp_path):
+        cert = gap_dim(thresholds(8), Fraction(1, 4)).certificate
+        tree = intersection_tree_build(full_join_family(2, 1, 3, Fraction(1, 5)), Fraction(1, 5), 2)
+        documents = [
+            (lambda path: save_class(thresholds(3), path), class_to_json(thresholds(3))),
+            (cert.save, cert.to_json()),
+            (tree.tree.save, tree.tree.to_json()),
+        ]
+        for save, doc in documents:
+            save(tmp_path / "saved.json")
+            write_json(doc, tmp_path / "written.json")
+            expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            assert (tmp_path / "saved.json").read_text() == expected
+            assert (tmp_path / "written.json").read_text() == expected
+            assert read_json_object(tmp_path / "saved.json") == json.loads(expected)
+
+    @pytest.mark.parametrize("value", [1.0, 2.9, True, False, "3", None, [1]])
+    def test_only_json_integers_pass(self, value):
+        shown = re.escape(json.dumps(value))
+        with pytest.raises(ValueError, match=f"depth must be an integer, got {shown}$"):
+            json_int(value, "depth")
+        assert json_int(-3, "depth") == -3 and json_int(10**30, "depth") == 10**30

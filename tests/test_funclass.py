@@ -38,11 +38,15 @@ from gapdim.funclass import (
 from gapdim.rng import SplitMix64
 from gapdim.shatter import join
 from oracles import (
+    oracle_full_join_family,
     oracle_integral,
+    oracle_interval_indicators,
     oracle_refinement,
+    oracle_segment_partition,
     oracle_step,
     oracle_step_class,
     oracle_step_class_from_json,
+    oracle_thresholds,
     oracle_value_at,
 )
 
@@ -646,3 +650,97 @@ class TestOneBandRule:
     def test_cell_bands_reject_tabular_classes(self):
         with pytest.raises(ValueError, match="STEP"):
             cell_bands(all_patterns(2), F(1, 4))
+
+
+# every generated step class beside the same class built function by function
+EQUAL_CELL_PAIRS = (
+    [(thresholds(n), oracle_thresholds(n)) for n in range(1, 9)]
+    + [(interval_indicators(n), oracle_interval_indicators(n)) for n in range(1, 9)]
+    + [
+        (full_join_family(L, k, k2, g), oracle_full_join_family(L, k, k2, g))
+        for L in (1, 2, 3)
+        for k, k2, g in ((1, 3, F(1, 5)), (4, 1, F(2, 9)), (2, 5, F(1, 6)))
+    ]
+)
+EQUAL_CELL_GAMMAS = [F(1, 5), F(1, 4), F(2, 7), F(1, 2), F(1)]
+
+
+class TestEqualCellGenerators:
+    """thresholds, interval_indicators and full_join_family put every function
+    on one Partition of equal cells; each class still reads as the class whose
+    functions each checked their own pieces."""
+
+    @pytest.fixture
+    def partitions(self, monkeypatch):
+        """The number of pieces of every Partition built."""
+        sizes = []
+
+        class CountingPartition(funclass.Partition):
+            def __new__(cls, pieces):
+                pieces = list(pieces)
+                sizes.append(len(pieces))
+                return super().__new__(cls, pieces)
+
+        monkeypatch.setattr(funclass, "Partition", CountingPartition)
+        return sizes
+
+    @pytest.mark.parametrize("FC,oracle", EQUAL_CELL_PAIRS, ids=lambda c: c.name)
+    def test_same_table(self, FC, oracle):
+        assert refinement(FC) == refinement(oracle)
+        assert FC.name == oracle.name
+
+    @pytest.mark.parametrize("FC,oracle", EQUAL_CELL_PAIRS, ids=lambda c: c.name)
+    def test_same_segments_and_joins(self, FC, oracle):
+        for gamma in EQUAL_CELL_GAMMAS:
+            for f, g in zip(FC, oracle):
+                assert segment_partition(f, gamma) == oracle_segment_partition(g, gamma)
+            K = k_of_gamma(gamma)
+            for k in range(1, K + 1):
+                for k2 in range(1, K + 1):
+                    if k != k2:
+                        assert join(FC, gamma, k, k2) == join(oracle, gamma, k, k2)
+
+    @pytest.mark.parametrize("FC,oracle", EQUAL_CELL_PAIRS, ids=lambda c: c.name)
+    def test_same_values_and_integrals(self, FC, oracle):
+        C, cuts, _, _ = refinement(FC)
+        points = [F(c, C) for c in cuts[:-1]] + [F(a + b, 2 * C) for a, b in zip(cuts, cuts[1:])]
+        rng = SplitMix64(len(FC))
+        windows = [(F(0), F(1)), (F(1, 3), F(1, 3))] + [
+            tuple(sorted(F(rng.randint(1001), 1000) for _ in range(2))) for _ in range(4)
+        ]
+        for f, g in zip(FC, oracle):
+            assert [f.value_at(x) for x in points] == [oracle_value_at(g, x) for x in points]
+            assert [f.integral(a, b) for a, b in windows] == [
+                oracle_integral(g, a, b) for a, b in windows
+            ]
+
+    @pytest.mark.parametrize(
+        "spec,cells",
+        [("thresholds(16)", 16), ("interval_indicators(10)", 10),
+         ("full_join_family(3,1,3,1/5)", 256), ("random_step(1,64,1,24)", 64)],
+    )
+    def test_one_partition_per_class(self, partitions, tmp_path, spec, cells):
+        FC = generate(spec)
+        assert partitions == [cells]
+        save_class(FC, tmp_path / "class.json")
+        partitions.clear()
+        loaded = load_class(tmp_path / "class.json")
+        assert partitions == [cells]
+        for G in (FC, loaded):
+            assert all(f.pieces is G[0].pieces for f in G.functions)
+        assert list(loaded) == list(FC) and refinement(loaded) == refinement(FC)
+
+    @pytest.mark.parametrize("FC,oracle", EQUAL_CELL_PAIRS[::4], ids=lambda c: c.name)
+    def test_segments_run_no_union_algebra(self, monkeypatch, FC, oracle):
+        """A STEP segment is one IntervalUnion over the row's integer pairs."""
+
+        def refuse(*args):
+            raise AssertionError("segments must not union pieces")
+
+        monkeypatch.setattr(IntervalUnion, "union_all", classmethod(refuse))
+        monkeypatch.setattr(IntervalUnion, "__init__", refuse)
+        for gamma in EQUAL_CELL_GAMMAS:
+            for f in FC:
+                K = k_of_gamma(gamma)
+                segments = [segment(f, gamma, k) for k in range(1, K + 1)]
+                assert segment_partition(f, gamma) == segments

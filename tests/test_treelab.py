@@ -20,6 +20,8 @@ from gapdim import (
     uniform_subtree,
     verify_certificate,
 )
+from gapdim import treelab
+from gapdim.funclass import SegmentIndexOutOfRange, k_of_gamma, segment_partition
 from gapdim.rng import SplitMix64
 from gapdim.treelab import (
     IntersectionTree,
@@ -33,6 +35,7 @@ from gapdim.treelab import (
 from oracles import (
     is_host_ancestor,
     oracle_intersection_tree_build,
+    oracle_intersection_tree_verify,
     oracle_join,
     oracle_level_counts,
     oracle_max_uniform_depth,
@@ -465,3 +468,144 @@ class TestDepthThreePipeline:
         assert mj.label == (1, 3)
         assert len(mj.cells) == 1 << len(mj.function_indices)
         assert all(c.cell.measure > 0 for c in mj.cells)
+
+
+def mutations(tree: CompleteTree, F: FunctionClass, gamma, functions, rng: SplitMix64):
+    """Copies of a built tree with one kind of fault each: swapped, adjacent
+    and removed labels, and payloads that are a sibling's, another band's or
+    another function's segment, empty, or the whole interval."""
+    K = k_of_gamma(gamma)
+    internal = range(1, 1 << tree.depth)
+    yield CompleteTree(tree.depth, {}, tree.sets)
+    for t in internal:
+        k, k2 = tree.labels[t]
+        for label in ((k2, k), (k, k + 1 if k < K else k - 1)):
+            yield CompleteTree(tree.depth, {**tree.labels, t: label}, tree.sets)
+        labels = {u: lbl for u, lbl in tree.labels.items() if u != t}
+        yield CompleteTree(tree.depth, labels, tree.sets)
+    for t in range(2, 1 << (tree.depth + 1)):
+        g = F[functions[tree.level_of(t) - 1]]
+        other = F[rng.randint(len(F))]
+        payloads = [tree.sets[t ^ 1], IntervalUnion.empty(), IntervalUnion.full()]
+        payloads += [segment(h, gamma, 1 + rng.randint(K)) for h in (g, other)]
+        for payload in payloads:
+            for labels in (tree.labels, {}):
+                yield CompleteTree(tree.depth, labels, {**tree.sets, t: payload})
+
+
+def segment_tree(F: FunctionClass, gamma, functions, labels) -> CompleteTree:
+    """A tree whose every node carries the segments its label names of its
+    level's function; repeated functions make path intersections empty."""
+    L = len(functions)
+    sets = {}
+    for t in range(1, 1 << L):
+        g = F[functions[t.bit_length() - 1]]
+        k, k2 = labels[t]
+        sets[2 * t], sets[2 * t + 1] = segment(g, gamma, k), segment(g, gamma, k2)
+    return CompleteTree(L, labels, sets)
+
+
+class TestOnePassVerify:
+    """intersection_tree_verify reads each level's segments once, with one
+    rule for labeled and unlabeled nodes, and agrees with the two-branch
+    check and its recursive walk."""
+
+    CASES = [
+        (full_join_family(L, 1, 3, F(1, 5)), F(1, 5), d) for L in (1, 2, 3) for d in (1, 2, 3)
+        if d <= 1 << L
+    ] + [
+        (full_join_family(2, 4, 1, F(2, 9)), F(2, 9), 2),
+        # trees whose labels name many different band pairs
+        (random_step(15, 24, 8, 8), F(1, 5), 3),
+        (random_step(23, 24, 8, 8), F(1, 5), 3),
+    ]
+
+    def built(self, FC, gamma, depth):
+        built = intersection_tree_build(FC, gamma, depth)
+        assert built is not None
+        return built
+
+    @pytest.mark.parametrize("FC,gamma,depth", CASES, ids=repr)
+    def test_mutated_trees_match_the_two_branch_check(self, FC, gamma, depth):
+        built = self.built(FC, gamma, depth)
+        assert intersection_tree_verify(built.tree, FC, gamma, built.functions)
+        assert oracle_intersection_tree_verify(built.tree, FC, gamma, built.functions)
+        verdicts = []
+        for tree in mutations(built.tree, FC, gamma, built.functions, SplitMix64(depth)):
+            ok = intersection_tree_verify(tree, FC, gamma, built.functions)
+            assert ok == oracle_intersection_tree_verify(tree, FC, gamma, built.functions)
+            verdicts.append(ok)
+        assert False in verdicts
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_path_intersections_match_the_walk(self, seed):
+        """Segment trees over random function sequences of a full join
+        family: a repeated function or an empty band empties a path."""
+        rng = SplitMix64(seed)
+        FC, gamma = full_join_family(2 + seed % 2, 1, 3, F(1, 5)), F(1, 5)
+        pairs = [(1, 3), (3, 1)] * 3 + [(1, 4), (5, 3)]  # bands 4 and 5 are empty
+        verdicts = set()
+        for _ in range(12):
+            L = 1 + rng.randint(3)
+            functions = [rng.randint(len(FC)) for _ in range(L)]
+            labels = {t: pairs[rng.randint(len(pairs))] for t in range(1, 1 << L)}
+            tree = segment_tree(FC, gamma, functions, labels)
+            for t in (tree, CompleteTree(L, {}, tree.sets)):
+                ok = intersection_tree_verify(t, FC, gamma, functions)
+                assert ok == oracle_intersection_tree_verify(t, FC, gamma, functions)
+                verdicts.add(ok)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5])
+    def test_segment_partition_runs_once_per_level(self, monkeypatch, depth):
+        FC, gamma = full_join_family(3, 1, 3, F(1, 5)), F(1, 5)
+        built = self.built(FC, gamma, depth)
+        calls = []
+
+        def counting(f, g):
+            calls.append(f)
+            return segment_partition(f, g)
+
+        monkeypatch.setattr(treelab, "segment_partition", counting)
+        assert intersection_tree_verify(built.tree, FC, gamma, built.functions)
+        assert calls == [FC[i] for i in built.functions]
+        calls.clear()
+        unlabeled = CompleteTree(depth, {}, built.tree.sets)
+        assert intersection_tree_verify(unlabeled, FC, gamma, built.functions)
+        assert len(calls) == depth
+
+    def test_builder_asks_only_for_the_bands_its_labels_name(self, monkeypatch):
+        FC, gamma = random_step(15, 24, 8, 8), F(1, 5)
+        asked = []
+
+        def counting(f, g, k):
+            asked.append(k)
+            return segment(f, g, k)
+
+        monkeypatch.setattr(treelab, "segment", counting)
+        monkeypatch.setattr(treelab, "segment_partition", None)  # never called
+        built = intersection_tree_build(FC, gamma, 3)
+        assert built is not None
+        named = [
+            {k for t in built.tree.nodes_at_level(level) for k in built.tree.labels[t]}
+            for level in range(3)
+        ]
+        assert len(asked) == sum(map(len, named)) < 3 * k_of_gamma(gamma)
+        assert sorted(asked) == sorted(k for bands in named for k in bands)
+
+    @pytest.mark.parametrize("bad", [7, -2, 0, 6])
+    def test_a_label_outside_the_bands_raises_before_any_verdict(self, bad):
+        FC, gamma = full_join_family(2, 1, 3, F(1, 5)), F(1, 5)
+        built = self.built(FC, gamma, 2)
+        # node 2's label is adjacent, so the two-branch check stopped there
+        labels = {**built.tree.labels, 2: (2, 3), 3: (1, bad)}
+        tree = CompleteTree(2, labels, built.tree.sets)
+        assert not oracle_intersection_tree_verify(tree, FC, gamma, built.functions)
+        with pytest.raises(SegmentIndexOutOfRange, match=rf"band {bad} outside \[1, 5\]"):
+            intersection_tree_verify(tree, FC, gamma, built.functions)
+
+    def test_labels_on_leaves_are_not_read(self):
+        FC, gamma = full_join_family(2, 1, 3, F(1, 5)), F(1, 5)
+        built = self.built(FC, gamma, 2)
+        tree = CompleteTree(2, {**built.tree.labels, 5: (9, 9)}, built.tree.sets)
+        assert intersection_tree_verify(tree, FC, gamma, built.functions)
