@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, repeat
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exactset import ONE, ZERO, RationalLike
 from .funclass import (
@@ -180,18 +180,6 @@ class SamplePath:
     seed: int
     spec: ProcessSpec
 
-    @classmethod
-    def of(cls, values: Sequence[RationalLike], seed: int, spec: ProcessSpec) -> "SamplePath":
-        """A path through given points of [0, 1), over the lcm of their denominators."""
-        values = [Fraction(v) for v in values]
-        if not values:
-            raise ValueError("a sample path needs at least one point")
-        if not all(ZERO <= v < ONE for v in values):
-            raise ValueError("sample points must lie in [0, 1)")
-        scale = math.lcm(*(v.denominator for v in values))
-        ticks = tuple(v.numerator * (scale // v.denominator) for v in values)
-        return cls(ticks, scale, seed, spec)
-
     @property
     def values(self) -> Tuple[Fraction, ...]:
         """The points as exact rationals."""
@@ -210,6 +198,19 @@ def _pick_thresholds(weights: Sequence[Fraction]) -> List[int]:
     """Cumulative weights as ceilings over 2**53: a 53-bit draw k picks the
     first i with k / 2**53 < w_0 + ... + w_i, which is bisect_right(..., k)."""
     return [_ceil_scaled(acc, TWO53) for acc in accumulate(weights)]
+
+
+def _markov_ticks(
+    draw: Callable[[], int], start: List[int], rows: List[List[int]],
+    emit: List[Tuple[int, int]], m: int,
+) -> Iterator[int]:
+    """The m emitted ticks of a chain, reading its uniforms from draw()."""
+    state = bisect_right(start, draw())
+    for i in range(m):
+        if i > 0:
+            state = bisect_right(rows[state], draw())
+        offset, width = emit[state]
+        yield offset + width * draw() if width else offset
 
 
 def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
@@ -231,13 +232,21 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
     uniform emission on [lo, hi) is lo * N + (hi - lo) * L * k.  Because the
     draws come in this order whatever m is, the path of length m is a prefix
     of every longer path from the same (spec, seed).
+
+    All uniforms come from one ``SplitMix64(seed)`` stream.  IID and Markov
+    paths draw it in bulk (``unit_ticks``, blocks of ``rng.BLOCK``), which
+    gives the same uniforms as one ``unit_tick()`` call per draw: the IID
+    path takes m of them, and a chain reads its draws one at a time, in the
+    order above, from a stream of 2m (it never needs more).  Blocks past
+    the last draw read are never mixed.  A rotation's start is one
+    ``unit_fraction()`` call.
     """
     if m < 1:
         raise ValueError("path length must be >= 1")
     rng = SplitMix64(seed)
     if isinstance(spec, IIDUniformSpec):
         scale = TWO53
-        ticks = tuple(rng.unit_tick() for _ in range(m))
+        ticks = tuple(rng.unit_ticks(m))
     elif isinstance(spec, RotationSpec):
         x0 = rng.unit_fraction()
         scale = TWO53 * spec.theta.denominator
@@ -258,14 +267,8 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
         ]
         start = _pick_thresholds(spec.stationary_distribution())
         rows = [_pick_thresholds(row) for row in spec.transition]
-        state = bisect_right(start, rng.unit_tick())
-        out = []
-        for i in range(m):
-            if i > 0:
-                state = bisect_right(rows[state], rng.unit_tick())
-            offset, width = emit[state]
-            out.append(offset + width * rng.unit_tick() if width else offset)
-        ticks = tuple(out)
+        # at most 2m draws: the start, m - 1 transitions and m emissions
+        ticks = tuple(_markov_ticks(rng.unit_ticks(2 * m).__next__, start, rows, emit, m))
     else:
         raise TypeError(f"unknown process spec {spec!r}")
     return SamplePath(ticks=ticks, scale=scale, seed=seed, spec=spec)

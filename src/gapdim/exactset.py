@@ -70,6 +70,19 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_key(key: str, what: str) -> int:
+    """An integer written as a JSON object key.  Only its canonical decimal
+    string is accepted: "5" and "-5", never "05", "+5", " 5" or "0_5"."""
+    try:
+        value = int(key)
+    except (TypeError, ValueError):
+        pass
+    else:
+        if str(value) == key:
+            return value
+    raise ValueError(f"{what} must be a decimal integer, got {json.dumps(key)}")
+
+
 def decimal12(q: RationalLike) -> str:
     """Render a rational as a decimal with 12 significant digits."""
     return f"{float(Fraction(q)):.12g}"

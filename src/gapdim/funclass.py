@@ -33,6 +33,7 @@ import math
 import re
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from .exactset import (
@@ -438,9 +439,10 @@ def random_step(seed: int, pieces: int, grid: int, count: int = 1) -> FunctionCl
     """count random step functions on `pieces` equal cells with values v/grid."""
     if pieces < 1 or grid < 1 or count < 1:
         raise InvalidGeneratorSpec("random_step needs pieces, grid, count >= 1")
-    rng = SplitMix64(seed)
+    # the draws of per-call randint(grid + 1), row by row, mixed in bulk
+    draws = SplitMix64(seed).u64s(pieces * count)
     levels = [Fraction(k, grid) for k in range(grid + 1)]
-    rows = ([levels[rng.randint(grid + 1)] for _ in range(pieces)] for _ in range(count))
+    rows = ([levels[u % (grid + 1)] for u in islice(draws, pieces)] for _ in range(count))
     name = f"random_step({seed},{pieces},{grid},{count})"
     return FunctionClass(_on_equal_cells(pieces, rows), name)
 

@@ -1,20 +1,74 @@
 """Deterministic pseudorandom numbers for simulations and generators.
 
 The package uses SplitMix64 everywhere randomness is needed.  SplitMix64 is
-counter based: the n-th output is ``mix(seed + n * GOLDEN_GAMMA)`` with a
-fixed 64-bit mixing function, so the integer stream is reproducible from the
-seed alone and easy to re-implement bit for bit in any language.  Uniform
-draws on [0, 1) are the top 53 bits of an output divided by 2**53, returned
-as an exact dyadic ``Fraction`` or as its integer numerator.
+counter based: the n-th output (n = 1, 2, ...) is
+``mix(seed + n * GOLDEN_GAMMA)`` with a fixed 64-bit mixing function, so the
+integer stream is reproducible from the seed alone and easy to re-implement
+bit for bit in any language.  Uniform draws on [0, 1) are the top 53 bits of
+an output divided by 2**53, returned as an exact dyadic ``Fraction`` or as
+its integer numerator (a "tick").
+
+Draws come one at a time (``next_u64``, ``unit_tick``, ``unit_fraction``,
+``randint``) or in bulk (``u64s``, ``unit_ticks``), and both give one
+identical stream: n bulk draws return what n per-call draws would and leave
+the generator in the same state.  Bulk draws mix up to ``BLOCK`` states at
+once.  The states of a block are packed into one Python int as 128-bit
+lanes, state k in bits 128k .. 128k + 63.  Each xor-shift and multiply of
+the mixer then runs on the whole int, and every lane is masked back to 64
+bits after each step.  The upper half of a lane is headroom: it holds the
+bits a right shift brings down from the next lane until the mask clears
+them, and the high half of each 64 x 64-bit product, so no lane ever
+carries into the next.  The lanes are unpacked with
+``to_bytes`` and ``array('Q')``, taking every second 64-bit word; on a
+big-endian host the words are byteswapped first.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
+from functools import cache
+from itertools import chain
+from typing import Iterator, Tuple
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 TWO53 = 1 << 53
+BLOCK = 4096  # lanes mixed at once by the bulk draws
+
+
+@cache
+def _lanes() -> Tuple[int, int, int]:
+    """(ones, lane mask, lane steps) for a full block: 1, 2**64 - 1 and
+    (k + 1) * GOLDEN_GAMMA mod 2**64 in lane k.  Built on the first bulk
+    draw, not at import."""
+    steps = array("Q", [0]) * (2 * BLOCK)
+    steps[::2] = array("Q", ((k * GOLDEN_GAMMA) & MASK64 for k in range(1, BLOCK + 1)))
+    if sys.byteorder == "big":
+        steps.byteswap()
+    return (
+        int.from_bytes((b"\x01" + bytes(15)) * BLOCK, "little"),
+        int.from_bytes((b"\xff" * 8 + bytes(8)) * BLOCK, "little"),
+        int.from_bytes(steps.tobytes(), "little"),
+    )
+
+
+def _mix_block(state: int, n: int, shift: int) -> array:
+    """The outputs after `state` of n <= BLOCK next_u64 calls, each shifted
+    right by `shift` bits, as an array of unsigned 64-bit words."""
+    ones, mask, steps = _lanes()
+    if n < BLOCK:
+        cut = (1 << (128 * n)) - 1
+        ones, mask, steps = ones & cut, mask & cut, steps & cut
+    z = (state * ones + steps) & mask
+    z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+    z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
+    z = ((z ^ (z >> 31)) >> shift) & mask
+    words = array("Q", z.to_bytes(16 * n, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words[::2]
 
 
 class SplitMix64:
@@ -45,3 +99,24 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("randint needs n >= 1")
         return self.next_u64() % n
+
+    def u64s(self, n: int) -> Iterator[int]:
+        """The next n ``next_u64()`` outputs, mixed a block at a time."""
+        return self._bulk(n, 0)
+
+    def unit_ticks(self, n: int) -> Iterator[int]:
+        """The next n ``unit_tick()`` draws, mixed a block at a time."""
+        return self._bulk(n, 11)
+
+    def _bulk(self, n: int, shift: int) -> Iterator[int]:
+        """n draws shifted right by `shift`.  The state moves past all n at
+        once; each block is mixed when the iterator first reaches it, so
+        draws left unread cost nothing."""
+        if n < 0:
+            raise ValueError("a bulk draw needs n >= 0")
+        start = self._state
+        self._state = (start + n * GOLDEN_GAMMA) & MASK64
+        return chain.from_iterable(
+            _mix_block((start + k * GOLDEN_GAMMA) & MASK64, min(BLOCK, n - k), shift)
+            for k in range(0, n, BLOCK)
+        )

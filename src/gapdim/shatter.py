@@ -36,8 +36,8 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactset import (
-    IntervalUnion, RationalLike, format_rational, json_int, parse_rational, read_json_object,
-    write_json,
+    IntervalUnion, RationalLike, format_rational, json_int, json_key, parse_rational,
+    read_json_object, write_json,
 )
 from .funclass import (
     TABULAR, FunctionClass, InvalidResolution, SegmentIndexOutOfRange, cell_bands,
@@ -93,7 +93,8 @@ class ShatterCertificate:
             points=tuple(parse_rational(p) for p in doc["points"]),
             alpha=parse_rational(doc["alpha"]),
             selector={
-                int(m): json_int(i, "selector value") for m, i in doc["selector"].items()
+                json_key(m, "selector key"): json_int(i, "selector value")
+                for m, i in doc["selector"].items()
             },
         )
 

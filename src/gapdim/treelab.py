@@ -23,7 +23,9 @@ from fractions import Fraction
 from itertools import count, takewhile
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .exactset import IntervalUnion, RationalLike, json_int, read_json_object, write_json
+from .exactset import (
+    IntervalUnion, RationalLike, json_int, json_key, read_json_object, write_json,
+)
 from .funclass import (
     STEP, FunctionClass, SegmentIndexOutOfRange, cell_bands, k_of_gamma, non_adjacent, segment,
     segment_partition,
@@ -106,7 +108,7 @@ class CompleteTree:
     def from_json(cls, doc: dict) -> "CompleteTree":
         labels, sets = {}, {}
         for key, entry in doc.get("nodes", {}).items():
-            t = int(key)
+            t = json_key(key, "node")
             if entry.get("label") is not None:
                 k, k2 = entry["label"]
                 labels[t] = (json_int(k, "label band"), json_int(k2, "label band"))

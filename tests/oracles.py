@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from gapdim import CompleteTree, Function, FunctionClass, IntervalUnion, k_of_gamma, segment
-from gapdim.ergoproc import IIDUniformSpec, MarkovSpec, RotationSpec
+from gapdim.ergoproc import IIDUniformSpec, MarkovSpec, RotationSpec, SamplePath
 from gapdim.exactset import format_rational, parse_rational
 from gapdim.funclass import (
     STEP, SegmentIndexOutOfRange, band_of_value, frac_mod1, non_adjacent
@@ -448,6 +448,29 @@ def _pick_cumulative(weights, u):
     return len(weights) - 1
 
 
+def oracle_u64s(rng: SplitMix64, n: int) -> list:
+    """n outputs of ``rng``, one ``next_u64()`` call each: the stream the
+    bulk draws must reproduce."""
+    return [rng.next_u64() for _ in range(n)]
+
+
+def oracle_unit_ticks(rng: SplitMix64, n: int) -> list:
+    """n 53-bit ticks of ``rng``, one ``unit_tick()`` call each."""
+    return [rng.unit_tick() for _ in range(n)]
+
+
+def sample_path_of(values, seed: int, spec) -> SamplePath:
+    """A path through given points of [0, 1), over the lcm of their denominators."""
+    values = [Fraction(v) for v in values]
+    if not values:
+        raise ValueError("a sample path needs at least one point")
+    if not all(Fraction(0) <= v < Fraction(1) for v in values):
+        raise ValueError("sample points must lie in [0, 1)")
+    scale = math.lcm(*(v.denominator for v in values))
+    ticks = tuple(v.numerator * (scale // v.denominator) for v in values)
+    return SamplePath(ticks, scale, seed, spec)
+
+
 def oracle_sample_path(spec, m: int, seed: int):
     """Path points in the documented draw order, every draw a Fraction.
 
@@ -583,6 +606,20 @@ def oracle_step_class_from_json(doc) -> FunctionClass:
 
 # ---------------------------------------------------------------------------
 # Step classes built function by function, each on its own pieces
+
+
+def oracle_random_step(seed: int, pieces: int, grid: int, count: int = 1) -> FunctionClass:
+    """``random_step`` drawing each value by its own ``randint(grid + 1)``
+    call, row by row, every function checking its own pieces."""
+    rng = SplitMix64(seed)
+    cells = [IntervalUnion.interval(Fraction(i, pieces), Fraction(i + 1, pieces))
+             for i in range(pieces)]
+    fns = [
+        oracle_step(cells, [Fraction(rng.randint(grid + 1), grid) for _ in range(pieces)])
+        for _ in range(count)
+    ]
+    return FunctionClass(fns, f"random_step({seed},{pieces},{grid},{count})")
+
 
 
 def oracle_thresholds(n: int) -> FunctionClass:

@@ -354,6 +354,21 @@ def bad_label(node, bad, good, first):
     return {"nodes": {**TREE_DOC["nodes"], node: {**TREE_DOC["nodes"][node], "label": label}}}
 
 
+# spellings int() reads as the integer k that are not its canonical key str(k)
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+KEY_SPELLINGS = {
+    "blank": " {}".format, "newline": "{}\n".format, "plus": "+{}".format,
+    "zero": "0{}".format, "underscore": "0_{}".format,
+    "arabic-indic": lambda k: k.translate(ARABIC_INDIC_DIGITS),
+}
+KEY_SPELLING = st.sampled_from(list(KEY_SPELLINGS.values()))
+
+
+def respelled(mapping, key, spell):
+    """The mapping with `key` written as spell(key), in its place."""
+    return {spell(k) if k == key else k: v for k, v in mapping.items()}
+
+
 def replace_one(keys):
     """Replacements of one key of a document by junk."""
     return st.builds(lambda key, junk: {key: junk}, st.sampled_from(keys), JUNK)
@@ -405,6 +420,9 @@ INPUT_FILES = {
             CERT_POINTS, SHORT_SELECTOR,
         ) | st.dictionaries(st.sampled_from(["0", "1"]), NON_INT, min_size=1).map(
             lambda bad: {"selector": {"0": 1, "1": 0, **bad}}
+        ) | st.builds(
+            lambda key, spell: {"selector": respelled({"0": 1, "1": 0}, key, spell)},
+            st.sampled_from(["0", "1"]), KEY_SPELLING,
         ),
         ("verify", "--class", "thresholds(8)", "--gamma", "1/4", "--cert", "{path}"),
     ),
@@ -416,6 +434,9 @@ INPUT_FILES = {
             bad_label, st.sampled_from(["1", "2", "3"]),
             NON_INT | st.integers(max_value=0) | st.integers(min_value=6),
             st.integers(1, 5), st.booleans(),
+        ) | st.builds(
+            lambda key, spell: {"nodes": respelled(TREE_DOC["nodes"], key, spell)},
+            st.sampled_from(sorted(TREE_DOC["nodes"])), KEY_SPELLING,
         ),
         ("itree", "verify", "--class", TREE_CLASS, "--gamma", "1/5",
          "--tree", "{path}", "--functions", "0,1"),
@@ -524,6 +545,20 @@ class TestMalformedInput:
                           "--tree", str(workdir / "tree.json")),
         }[flag]
         assert_field_error(*argv, value)
+
+    @pytest.mark.parametrize("spelling", sorted(KEY_SPELLINGS))
+    def test_json_keys_must_be_canonical(self, workdir, spelling):
+        spell = KEY_SPELLINGS[spelling]
+        tree = workdir / "respelled-tree.json"
+        tree.write_text(json.dumps({**TREE_DOC, "nodes": respelled(TREE_DOC["nodes"], "5", spell)}))
+        assert_field_error("itree", "verify", "--class", TREE_CLASS, "--gamma", "1/5",
+                           "--tree", str(tree), "--functions", "0,1")
+        assert_field_error("subtree", "--tree", str(tree), "--K", "5")
+        cert = workdir / "respelled-cert.json"
+        valid = INPUT_FILES["cert"][0]
+        cert.write_text(json.dumps({**valid, "selector": respelled(valid["selector"], "0", spell)}))
+        assert_field_error("verify", "--class", "thresholds(8)", "--gamma", "1/4",
+                           "--cert", str(cert))
 
     @given(st.integers(max_value=0))
     @settings(max_examples=20, deadline=None)

@@ -26,20 +26,20 @@ from gapdim.ergoproc import (
     NoMarginalExpectation,
     NotErgodic,
     RotationSpec,
-    SamplePath,
     _class_means,
     bound_check,
     per_function_discrepancies,
     pointwise_discrepancy,
 )
 from gapdim.funclass import frac_mod1, random_step
-from gapdim.rng import SplitMix64
+from gapdim.rng import BLOCK, SplitMix64
 from oracles import (
     oracle_class_means,
     oracle_expectation,
     oracle_irreducible,
     oracle_sample_path,
     oracle_stationary,
+    sample_path_of,
 )
 
 F = Fraction
@@ -225,13 +225,13 @@ class TestDiscrepancy:
     def test_exact_arithmetic_example(self):
         # staircase on tenths has E = 9/20; a hand path gives mean 4/10
         f = staircase(10)
-        path = SamplePath.of((F(1, 5), F(2, 5), F(3, 5)), 0, IIDUniformSpec())
+        path = sample_path_of((F(1, 5), F(2, 5), F(3, 5)), 0, IIDUniformSpec())
         assert pointwise_discrepancy(f, path) == abs(F(2, 5) - F(9, 20))
 
     def test_indicator_path_inside_support(self):
         f = Function.indicator(IntervalUnion.interval(0, F(1, 2)))
         FC = FunctionClass([f])
-        path = SamplePath.of((F(1, 8), F(1, 4), F(3, 8)), 0, IIDUniformSpec())
+        path = sample_path_of((F(1, 8), F(1, 4), F(3, 8)), 0, IIDUniformSpec())
         assert discrepancy(FC, path) == F(1, 2)
 
     def test_matches_per_function_enumeration(self):
@@ -269,7 +269,7 @@ class TestSubadditivity:
         f = Function.indicator(IntervalUnion.interval(0, F(1, 2)))
         FC = FunctionClass([f])
         values = (F(1, 4), F(3, 4)) * 5
-        path = SamplePath.of(values, 0, IIDUniformSpec())
+        path = sample_path_of(values, 0, IIDUniformSpec())
         assert subadditivity_check(FC, path, 5)
 
     def test_invalid_split(self):
@@ -501,6 +501,13 @@ class TestIntegerPathsMatchFractionOracle:
         assert tuple(F(t, path.scale) for t in path.ticks) == oracle_sample_path(spec, 400, seed)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    @pytest.mark.parametrize("m", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_points_across_a_block_of_bulk_draws(self, name, m):
+        spec = ORACLE_SPECS[name]
+        path = sample_path(spec, m, 12345)
+        assert tuple(F(t, path.scale) for t in path.ticks) == oracle_sample_path(spec, m, 12345)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
     @pytest.mark.parametrize("seed", [3, 8])
     def test_means(self, name, seed):
         spec = ORACLE_SPECS[name]
@@ -530,7 +537,7 @@ class TestIntegerPathsMatchFractionOracle:
     def test_cut_between_ticks_uses_the_ceiling(self):
         # scale 8: the cut 1/3 sits at 8/3 ticks, so tick 2 (1/4) lies left
         # of it and tick 3 (3/8) right of it
-        path = SamplePath.of((F(1, 4), F(3, 8)), 0, IIDUniformSpec())
+        path = sample_path_of((F(1, 4), F(3, 8)), 0, IIDUniformSpec())
         FC = cut_at([F(1, 3)])
         assert path.scale == 8
         assert _class_means(FC, path, [1, 2]) == [[F(1)], [F(1, 2)]]
@@ -561,19 +568,19 @@ class TestUnitTick:
 
 class TestSamplePathOf:
     def test_scale_is_lcm_of_denominators(self):
-        path = SamplePath.of((F(1, 4), F(1, 6), 0), 3, IIDUniformSpec())
+        path = sample_path_of((F(1, 4), F(1, 6), 0), 3, IIDUniformSpec())
         assert path.scale == 12 and path.ticks == (3, 2, 0) and len(path) == 3
         assert path.values == (F(1, 4), F(1, 6), F(0))
 
     @pytest.mark.parametrize("x", [F(-1, 3), F(1), F(5, 4)])
     def test_points_outside_unit_interval_rejected(self, x):
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
-            SamplePath.of((F(1, 2), x), 0, IIDUniformSpec())
+            sample_path_of((F(1, 2), x), 0, IIDUniformSpec())
 
     def test_no_points_rejected(self):
         # an empty path has no mean: discrepancy would divide by zero
         with pytest.raises(ValueError, match="at least one point"):
-            SamplePath.of((), 0, IIDUniformSpec())
+            sample_path_of((), 0, IIDUniformSpec())
 
 
 class TestDiscrepancyTrajectory:

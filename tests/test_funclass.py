@@ -41,6 +41,7 @@ from oracles import (
     oracle_full_join_family,
     oracle_integral,
     oracle_interval_indicators,
+    oracle_random_step,
     oracle_refinement,
     oracle_segment_partition,
     oracle_step,
@@ -155,6 +156,15 @@ class TestGenerators:
         a = random_step(9, pieces=5, grid=8, count=3)
         b = random_step(9, pieces=5, grid=8, count=3)
         assert all(fa == fb for fa, fb in zip(a.functions, b.functions))
+
+    @pytest.mark.parametrize(
+        "seed,pieces,grid,count",
+        [(7, 64, 1, 100), (2, 3, 5, 2000), (1, 4097, 2, 1), (9, 5, 8, 3)],
+    )
+    def test_draws_match_per_call_randint(self, seed, pieces, grid, count):
+        FC = random_step(seed, pieces, grid, count)
+        oracle = oracle_random_step(seed, pieces, grid, count)
+        assert list(FC) == list(oracle) and FC.name == oracle.name
 
     def test_generate_string_forms(self):
         assert len(generate("thresholds(8)")) == 8

@@ -1,0 +1,68 @@
+"""Bulk SplitMix64 draws against the per-call stream they replace."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gapdim
+from gapdim.rng import BLOCK, SplitMix64
+from oracles import oracle_u64s, oracle_unit_ticks
+
+SEEDS = [0, 1, -3, 2**63, 12345]
+LENGTHS = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+BULK = {"u64s": oracle_u64s, "unit_ticks": oracle_unit_ticks}
+
+
+@pytest.mark.parametrize("kind", sorted(BULK))
+@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bulk_draws_are_the_per_call_stream(kind, n, seed):
+    bulk, calls = SplitMix64(seed), SplitMix64(seed)
+    assert list(getattr(bulk, kind)(n)) == BULK[kind](calls, n)
+    # the state left behind: per-call draws, then another bulk draw
+    assert oracle_u64s(bulk, 3) == oracle_u64s(calls, 3)
+    assert list(bulk.unit_ticks(5)) == oracle_unit_ticks(calls, 5)
+    assert bulk.next_u64() == calls.next_u64()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_per_call_then_bulk_then_per_call(seed):
+    bulk, calls = SplitMix64(seed), SplitMix64(seed)
+    assert [bulk.unit_tick(), bulk.randint(7)] == [calls.unit_tick(), calls.randint(7)]
+    assert list(bulk.u64s(BLOCK + 3)) == oracle_u64s(calls, BLOCK + 3)
+    assert bulk.unit_fraction() == calls.unit_fraction()
+
+
+def test_state_moves_past_draws_left_unread():
+    bulk, calls = SplitMix64(8), SplitMix64(8)
+    first = bulk.u64s(2 * BLOCK + 1)
+    second = bulk.unit_ticks(3)
+    head = oracle_u64s(calls, 2 * BLOCK + 1)
+    assert list(second) == oracle_unit_ticks(calls, 3)
+    assert next(first) == head[0]
+    assert bulk.next_u64() == calls.next_u64()
+
+
+def test_empty_and_negative_counts():
+    rng = SplitMix64(4)
+    assert list(rng.u64s(0)) == [] and list(rng.unit_ticks(0)) == []
+    assert rng.next_u64() == SplitMix64(4).next_u64()
+    with pytest.raises(ValueError, match="n >= 0"):
+        rng.u64s(-1)
+
+
+def test_lane_constants_are_built_on_first_bulk_draw():
+    code = (
+        "import gapdim, gapdim.rng as r\n"
+        "before = r._lanes.cache_info().currsize\n"
+        "list(r.SplitMix64(1).unit_ticks(2))\n"
+        "print(before, r._lanes.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(gapdim.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.split() == ["0", "1"]
