@@ -18,9 +18,9 @@ the mixer then runs on the whole int, and every lane is masked back to 64
 bits after each step.  The upper half of a lane is headroom: it holds the
 bits a right shift brings down from the next lane until the mask clears
 them, and the high half of each 64 x 64-bit product, so no lane ever
-carries into the next.  The lanes are unpacked with
-``to_bytes`` and ``array('Q')``, taking every second 64-bit word; on a
-big-endian host the words are byteswapped first.
+carries into the next.  The lanes are unpacked with ``to_bytes`` and
+``array('Q')``, taking every second 64-bit word; on a big-endian host the
+words are byteswapped first.
 """
 
 from __future__ import annotations
