@@ -53,7 +53,6 @@ from .ergoproc import (
     pointwise_discrepancy,
     rotation_counterexample,
     sample_path,
-    subadditivity_check,
 )
 
 __version__ = "0.1.0"

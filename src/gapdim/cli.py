@@ -11,10 +11,11 @@ Each command is declared once, in the table :data:`COMMANDS`: its handler,
 its help line and its fields, required and optional (``itree`` also names
 the extra required fields of each action).  A field ``name`` is both the
 flag ``--name`` and the config-file key ``name``.  :func:`main` builds the
-argparse parser of the one command being run, merges its flags with the
-``--config`` file, checks the required fields and passes every field to the
-handler as the string the user gave.  The handlers parse and range-check
-their fields, so every bad value exits 2 with ``error: field 'name': ...``.
+argparse parser of the one command being run (once per process and
+command), merges its flags with the ``--config`` file, checks the required
+fields and passes every field to the handler as the string the user gave.
+The handlers parse and range-check their fields, so every bad value exits
+2 with ``error: field 'name': ...``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Dict, NamedTuple, Tuple
 
 from . import __version__
@@ -501,7 +503,11 @@ _HELP = {
 }
 
 
-def _parser(name: str, command: Command) -> argparse.ArgumentParser:
+@cache
+def _parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, built on its first run and kept: parsing
+    leaves a parser as it was."""
+    command = COMMANDS[name]
     parser = argparse.ArgumentParser(prog=f"gapdim {name}", description=command.help)
     for f in command.fields:
         if f == "action":
@@ -555,7 +561,7 @@ def main(argv=None) -> int:
             sub.add_parser(name, help=entry.help)
         parser.parse_args(argv)  # prints the help (exit 0) or a usage error (exit 2)
         parser.error("the command must come first")
-    args = vars(_parser(argv[0], command).parse_args(argv[1:]))
+    args = vars(_parser(argv[0]).parse_args(argv[1:]))
     try:
         cfg = _load_config(args, command.fields)
         for f in command.required + command.actions.get(cfg.get("action"), ()):

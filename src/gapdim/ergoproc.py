@@ -7,8 +7,11 @@ point or uniform-on-subinterval emission per state.  Path values are exact
 rationals built from 53-bit SplitMix64 draws, held as integer ticks over
 one scale N per path (x = tick / N): N = 2**53 for IID, 2**53 * den(theta)
 for a rotation, and 2**53 * lcm(emission denominators) for a Markov chain.
-Every downstream decision (discrepancy, subadditivity, bound verdicts) is
-exact; floats appear only in human-readable report columns.
+IID ticks are one ``array('Q')`` of 64-bit words, Markov ticks a tuple (N
+can pass 2**64), and a rotation path holds only its ``Orbit``: the first
+tick, the step theta * N, N and the length, from which any tick is one
+product and one remainder.  Every downstream decision (discrepancy, bound
+verdicts) is exact; floats appear only in human-readable report columns.
 
 The discrepancy of a class on a path is the maximum over the class of
 |sample mean - expectation|, with expectations computed exactly from piece
@@ -20,14 +23,28 @@ lies at or right of the cut c / C exactly when x >= ceil(c * N / C), so
 points are binned on integers and each mean is one sum over V * m.  A path is
 a prefix of the longer path drawn from the same seed, so one path and running
 cell counts give the discrepancy at every length of an m grid.
+
+An orbit is never binned.  Its i-th tick is (b + i * d) mod N, and an integer
+x lies below K (0 <= K <= N) modulo N exactly when
+floor(x / N) - floor((x - K + N) / N) = 1, else that difference is 0.  So
+
+    #{0 <= i < m : (b + i * d) mod N < K} = S(b) - S(b + N - K) + m,
+    S(c) = sum over i < m of floor((c + i * d) / N),
+
+and each S is one ``floor_sum``, Euclid's algorithm on (d, N).  The counts at
+one length cost one floor sum per interior cut plus the K-free S(b), however
+long the path: a rotation path of 10**9 points is counted as fast as one of
+10**3.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -51,10 +68,6 @@ class NotErgodic(ValueError):
 
 class NoMarginalExpectation(ValueError):
     """Exact expectations exist only for STEP functions."""
-
-
-class InvalidSplit(ValueError):
-    """A subadditivity split must leave both parts non-empty."""
 
 
 def golden_rotation_angle() -> Fraction:
@@ -171,11 +184,71 @@ def _stationary(P: Sequence[Sequence[Fraction]]) -> Optional[Tuple[Fraction, ...
     return tuple(b)
 
 
-@dataclass(frozen=True)
-class SamplePath:
-    """Sample points x_i = ticks[i] / scale, held as integers over one scale."""
+def floor_sum(n: int, M: int, a: int, b: int) -> int:
+    """sum(floor((a * i + b) / M) for i in range(n)), for n >= 0, M >= 1 and
+    a, b >= 0, in O(log M) rounds of Euclid's algorithm on (a, M)."""
+    total = 0
+    while True:
+        if a >= M:
+            total += n * (n - 1) // 2 * (a // M)
+            a %= M
+        if b >= M:
+            total += n * (b // M)
+            b %= M
+        top = a * n + b
+        if top < M:
+            return total
+        n, b = divmod(top, M)
+        M, a = a, M
 
-    ticks: Tuple[int, ...]
+
+@dataclass(frozen=True)
+class Orbit(Sequence[int]):
+    """The ticks (first + i * step) mod scale, i = 0 .. length - 1, of a
+    rotation path, as a read-only sequence of ints built on demand."""
+
+    first: int
+    step: int
+    scale: int
+    length: int
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, i):
+        j = range(self.length)[i]
+        if isinstance(j, range):  # a slice: explicit ticks, never an orbit
+            return tuple((self.first + k * self.step) % self.scale for k in j)
+        return (self.first + j * self.step) % self.scale
+
+    def __iter__(self) -> Iterator[int]:
+        stop = self.first + self.length * self.step
+        return map(operator.mod, range(self.first, stop, self.step), repeat(self.scale))
+
+    def cell_counts(self, thresholds: Sequence[int], m: int) -> List[int]:
+        """How many of the first m ticks lie below thresholds[0], in each
+        [thresholds[k - 1], thresholds[k]) and at or above thresholds[-1],
+        for increasing thresholds in (0, scale], by floor sums (module
+        docstring)."""
+        N, d, b = self.scale, self.step, self.first
+        top = floor_sum(m, N, d, b)
+        below = [top - floor_sum(m, N, d, b + N - K) + m for K in thresholds]
+        return list(map(operator.sub, [*below, m], [0, *below]))
+
+
+@dataclass(frozen=True, eq=False)
+class SamplePath:
+    """Sample points x_i = ticks[i] / scale, held as integers over one scale.
+
+    ``ticks`` is any sequence of ints: an ``array('Q')`` for an IID path, an
+    ``Orbit`` for a rotation path and a tuple otherwise.  Only an ``Orbit``
+    is counted by floor sums; a path built from explicit ticks (by hand, or
+    ``dataclasses.replace`` with a slice of an orbit) is binned.  Paths
+    compare equal when their scale, seed, spec and ticks do, whatever holds
+    the ticks.
+    """
+
+    ticks: Sequence[int]
     scale: int
     seed: int
     spec: ProcessSpec
@@ -187,6 +260,18 @@ class SamplePath:
 
     def __len__(self) -> int:
         return len(self.ticks)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SamplePath):
+            return NotImplemented
+        mine = (self.scale, self.seed, self.spec, len(self))
+        if mine != (other.scale, other.seed, other.spec, len(other)):
+            return False
+        a, b = self.ticks, other.ticks
+        return a == b if type(a) is type(b) else all(map(operator.eq, a, b))
+
+    def __hash__(self) -> int:
+        return hash((self.scale, self.seed, self.spec, len(self)))
 
 
 def _ceil_scaled(q: Fraction, scale: int) -> int:
@@ -226,33 +311,35 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
     A uniform is a 53-bit integer k standing for k / 2**53, and the points
     are integer ticks over one scale N.  IID: N = 2**53 and the tick is k.
     Rotation: N = 2**53 * den(theta); each step adds theta * N to the start
-    tick x0 * N, modulo N.  Markov: N = 2**53 * L with L the lcm of the
-    emission denominators; states are picked by comparing k against integer
-    cumulative thresholds, a point emission at a is the tick a * N, and a
-    uniform emission on [lo, hi) is lo * N + (hi - lo) * L * k.  Because the
+    tick x0 * N, modulo N, and the path is held as that ``Orbit`` (its ticks
+    are built only when read; counts come from floor sums).  Markov:
+    N = 2**53 * L with L the lcm of the emission denominators; states are
+    picked by comparing k against integer cumulative thresholds, a point
+    emission at a is the tick a * N, and a uniform emission on [lo, hi) is
+    lo * N + (hi - lo) * L * k.  Because the
     draws come in this order whatever m is, the path of length m is a prefix
     of every longer path from the same (spec, seed).
 
     All uniforms come from one ``SplitMix64(seed)`` stream.  IID and Markov
-    paths draw it in bulk (``unit_ticks``, blocks of ``rng.BLOCK``), which
-    gives the same uniforms as one ``unit_tick()`` call per draw: the IID
-    path takes m of them, and a chain reads its draws one at a time, in the
-    order above, from a stream of 2m (it never needs more).  Blocks past
-    the last draw read are never mixed.  A rotation's start is one
-    ``unit_fraction()`` call.
+    paths draw it in bulk (blocks of ``rng.BLOCK``), which gives the same
+    uniforms as one ``unit_tick()`` call per draw: the IID path keeps its m
+    ticks as the drawn 64-bit words (``unit_tick_words``), and a chain reads
+    its draws one at a time, in the order above, from a stream of 2m
+    (``unit_ticks``; it never needs more).  Blocks past the last draw read
+    are never mixed.  A rotation's start is one ``unit_fraction()`` call.
     """
     if m < 1:
         raise ValueError("path length must be >= 1")
     rng = SplitMix64(seed)
     if isinstance(spec, IIDUniformSpec):
         scale = TWO53
-        ticks = tuple(rng.unit_ticks(m))
+        ticks = rng.unit_tick_words(m)
     elif isinstance(spec, RotationSpec):
         x0 = rng.unit_fraction()
         scale = TWO53 * spec.theta.denominator
         step = TWO53 * spec.theta.numerator
         start = x0.numerator * (scale // x0.denominator)
-        ticks = tuple(t % scale for t in range(start + step, start + (m + 1) * step, step))
+        ticks = Orbit((start + step) % scale, step, scale, m)
     elif isinstance(spec, MarkovSpec):
         L = math.lcm(*(
             q.denominator for e in spec.emissions for q in (e.at, e.lo, e.hi) if q is not None
@@ -301,26 +388,41 @@ def _class_means(
     F: FunctionClass, path: SamplePath, lengths: Sequence[int]
 ) -> List[List[Fraction]]:
     """Exact per-function sample means of the path's first m points, for each
-    m in the increasing ``lengths``, from running common-refinement cell
-    counts.  The class's integer value table gives cuts c over C and cell
-    values over V; ticks are binned against ceil(c * N / C) for the interior
-    cuts, so each mean is the single ``Fraction`` sum / (V * m).
+    m in the increasing ``lengths``, from common-refinement cell counts.  The
+    class's integer value table gives cuts c over C and cell values over V;
+    the interior cuts become the tick thresholds ceil(c * N / C), so each
+    mean is the single ``Fraction`` sum / (V * m).  An orbit is counted by
+    floor sums at each length, any other path by running bin counts.
     """
     if F.kind != STEP:
         raise NoMarginalExpectation("discrepancies need a STEP class")
     C, cuts, V, rows = refinement(F)
     N = path.scale
     inner = [-(-c * N // C) for c in cuts[1:-1]]
+    if isinstance(path.ticks, Orbit):
+        tallies = (path.ticks.cell_counts(inner, m) for m in lengths)
+    else:
+        tallies = _binned_counts(path.ticks, inner, lengths)
+    return [
+        [Fraction(sum(map(operator.mul, tally, row)), V * m) for row in rows]
+        for m, tally in zip(lengths, tallies)
+    ]
+
+
+def _binned_counts(
+    ticks: Sequence[int], thresholds: List[int], lengths: Sequence[int]
+) -> Iterator[List[int]]:
+    """Per cell between the thresholds (as ``Orbit.cell_counts``), the count
+    of the first m ticks for each m in the increasing ``lengths``, binning
+    each tick once with ``bisect_right`` as one pass reaches it."""
+    if isinstance(ticks, array):
+        ticks = memoryview(ticks)  # slices without copies
     counts = Counter()
     done = 0
-    means = []
     for m in lengths:
-        counts.update(map(bisect_right, repeat(inner), path.ticks[done:m]))
+        counts.update(map(bisect_right, repeat(thresholds), ticks[done:m]))
         done = m
-        means.append([
-            Fraction(sum(c * row[j] for j, c in counts.items()), V * m) for row in rows
-        ])
-    return means
+        yield [counts[j] for j in range(len(thresholds) + 1)]
 
 
 def pointwise_discrepancy(f: Function, path: SamplePath) -> Fraction:
@@ -356,19 +458,6 @@ def per_function_discrepancies(F: FunctionClass, path: SamplePath) -> List[Fract
         abs(mean - expectation(f, path.spec))
         for f, mean in zip(F.functions, means)
     ]
-
-
-def subadditivity_check(F: FunctionClass, path: SamplePath, split: int) -> bool:
-    """Exact check of (m+n) G_{m+n} <= m G_m + n G_n across a path split."""
-    total = len(path)
-    if not 1 <= split < total:
-        raise InvalidSplit(f"split must be in [1, {total - 1}], got {split}")
-    head = replace(path, ticks=path.ticks[:split])
-    tail = replace(path, ticks=path.ticks[split:])
-    m, n = split, total - split
-    lhs = total * discrepancy(F, path)
-    rhs = m * discrepancy(F, head) + n * discrepancy(F, tail)
-    return lhs <= rhs
 
 
 @dataclass(frozen=True)

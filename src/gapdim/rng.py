@@ -9,7 +9,8 @@ an output divided by 2**53, returned as an exact dyadic ``Fraction`` or as
 its integer numerator (a "tick").
 
 Draws come one at a time (``next_u64``, ``unit_tick``, ``unit_fraction``,
-``randint``) or in bulk (``u64s``, ``unit_ticks``), and both give one
+``randint``) or in bulk (``u64s``, ``unit_ticks``, and ``unit_tick_words``,
+which keeps the ticks as one ``array('Q')``), and both give one
 identical stream: n bulk draws return what n per-call draws would and leave
 the generator in the same state.  Bulk draws mix up to ``BLOCK`` states at
 once.  The states of a block are packed into one Python int as 128-bit
@@ -102,21 +103,29 @@ class SplitMix64:
 
     def u64s(self, n: int) -> Iterator[int]:
         """The next n ``next_u64()`` outputs, mixed a block at a time."""
-        return self._bulk(n, 0)
+        return chain.from_iterable(self._blocks(n, 0))
 
     def unit_ticks(self, n: int) -> Iterator[int]:
         """The next n ``unit_tick()`` draws, mixed a block at a time."""
-        return self._bulk(n, 11)
+        return chain.from_iterable(self._blocks(n, 11))
 
-    def _bulk(self, n: int, shift: int) -> Iterator[int]:
-        """n draws shifted right by `shift`.  The state moves past all n at
-        once; each block is mixed when the iterator first reaches it, so
-        draws left unread cost nothing."""
+    def unit_tick_words(self, n: int) -> array:
+        """The next n ``unit_tick()`` draws as one ``array('Q')``, 8 bytes a
+        draw instead of one Python int each."""
+        words = array("Q")
+        for block in self._blocks(n, 11):
+            words += block
+        return words
+
+    def _blocks(self, n: int, shift: int) -> Iterator[array]:
+        """n draws shifted right by `shift`, as word arrays of up to BLOCK
+        draws.  The state moves past all n at once; each block is mixed when
+        the iterator first reaches it, so draws left unread cost nothing."""
         if n < 0:
             raise ValueError("a bulk draw needs n >= 0")
         start = self._state
         self._state = (start + n * GOLDEN_GAMMA) & MASK64
-        return chain.from_iterable(
+        return (
             _mix_block((start + k * GOLDEN_GAMMA) & MASK64, min(BLOCK, n - k), shift)
             for k in range(0, n, BLOCK)
         )

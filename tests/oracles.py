@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from gapdim import CompleteTree, Function, FunctionClass, IntervalUnion, k_of_gamma, segment
-from gapdim.ergoproc import IIDUniformSpec, MarkovSpec, RotationSpec, SamplePath
+from gapdim.ergoproc import IIDUniformSpec, MarkovSpec, RotationSpec, SamplePath, discrepancy
 from gapdim.exactset import format_rational, parse_rational
 from gapdim.funclass import (
     STEP, SegmentIndexOutOfRange, band_of_value, frac_mod1, non_adjacent
@@ -469,6 +469,30 @@ def sample_path_of(values, seed: int, spec) -> SamplePath:
     scale = math.lcm(*(v.denominator for v in values))
     ticks = tuple(v.numerator * (scale // v.denominator) for v in values)
     return SamplePath(ticks, scale, seed, spec)
+
+
+class InvalidSplit(ValueError):
+    """A subadditivity split must leave both parts non-empty."""
+
+
+def split_path(path: SamplePath, split: int):
+    """The head of ``split`` points and the tail after it, as paths of
+    explicit ticks (an orbit path's are materialised)."""
+    if not 1 <= split < len(path):
+        raise InvalidSplit(f"split must be in [1, {len(path) - 1}], got {split}")
+    ticks = tuple(path.ticks)
+    return (
+        SamplePath(ticks[:split], path.scale, path.seed, path.spec),
+        SamplePath(ticks[split:], path.scale, path.seed, path.spec),
+    )
+
+
+def subadditivity_check(F: FunctionClass, path: SamplePath, split: int) -> bool:
+    """Exact check of (m+n) G_{m+n} <= m G_m + n G_n across a path split."""
+    head, tail = split_path(path, split)
+    lhs = len(path) * discrepancy(F, path)
+    rhs = len(head) * discrepancy(F, head) + len(tail) * discrepancy(F, tail)
+    return lhs <= rhs
 
 
 def oracle_sample_path(spec, m: int, seed: int):

@@ -23,7 +23,6 @@ from gapdim import (
     rotation_counterexample,
     sample_path,
     segment_partition,
-    subadditivity_check,
     subtree_guarantee,
     thresholds,
     uniform_subtree,
@@ -40,7 +39,8 @@ from gapdim.funclass import band_of_value
 from gapdim.rng import SplitMix64
 from gapdim.shatter import candidate_points
 from oracles import (
-    is_host_ancestor, oracle_max_uniform_depth, oracle_naive_gap_dim, oracle_pruned_gap_dim
+    is_host_ancestor, oracle_max_uniform_depth, oracle_naive_gap_dim, oracle_pruned_gap_dim,
+    subadditivity_check,
 )
 
 F = Fraction

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gapdim import (
     full_join_family, intersection_tree_build, join_shatter, parse_rational, thresholds
 )
-from gapdim.cli import COMMANDS, main
+from gapdim.cli import COMMANDS, _parser, main
 from gapdim.funclass import class_to_json, save_class
 from gapdim.shatter import ShatterCertificate
 
@@ -162,6 +162,25 @@ class TestHelpAndUsage:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: gapdim")
+
+
+    def test_each_parser_is_built_once_and_reused(self, capsys):
+        # a kept parser answers a second run, a usage error and --help as a
+        # fresh one would
+        _parser.cache_clear()
+        argv = ["segments", "--class", "thresholds(4)", "--gamma", "1/8"]
+        first, second = run_main(*argv), run_main(*argv)
+        assert first == second and first[0] == 0
+        for bad in (["segments", "--bogus", "1"], ["segments", "--help"]):
+            seen = []
+            for _ in range(2):
+                with pytest.raises(SystemExit) as exc:
+                    main(bad)
+                seen.append((exc.value.code, capsys.readouterr()))
+            assert seen[0] == seen[1]
+        assert run_main(*argv) == first
+        assert _parser.cache_info().misses == 1
+        assert _parser("segments") is _parser("segments")
 
 
 class TestInputErrors:

@@ -1,4 +1,6 @@
+import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,34 +14,41 @@ from gapdim import (
     estimate_gamma,
     expectation,
     golden_rotation_angle,
+    interval_indicators,
     rotation_counterexample,
     sample_path,
-    subadditivity_check,
     thresholds,
 )
 from gapdim import ergoproc
 from gapdim.ergoproc import (
     Emission,
     IIDUniformSpec,
-    InvalidSplit,
     MarkovSpec,
     NoMarginalExpectation,
     NotErgodic,
+    Orbit,
     RotationSpec,
+    SamplePath,
     _class_means,
     bound_check,
+    floor_sum,
     per_function_discrepancies,
     pointwise_discrepancy,
 )
+from gapdim.cli import main
 from gapdim.funclass import frac_mod1, random_step
 from gapdim.rng import BLOCK, SplitMix64
 from oracles import (
+    InvalidSplit,
     oracle_class_means,
     oracle_expectation,
     oracle_irreducible,
     oracle_sample_path,
     oracle_stationary,
+    oracle_unit_ticks,
     sample_path_of,
+    split_path,
+    subadditivity_check,
 )
 
 F = Fraction
@@ -277,6 +286,21 @@ class TestSubadditivity:
         path = sample_path(IIDUniformSpec(), 10, 2)
         with pytest.raises(InvalidSplit):
             subadditivity_check(FC, path, 10)
+
+    @pytest.mark.parametrize("theta", [golden_rotation_angle(), F(1, 3)])
+    def test_parts_of_a_rotation_path_are_binned(self, theta):
+        # a head or tail keeps the parent's spec and seed but not its orbit:
+        # its discrepancy is that of the same points given by hand
+        spec = RotationSpec(theta=theta)
+        path = sample_path(spec, 60, 3)
+        FC = thresholds(16)
+        parts = [*split_path(path, 5), replace(path, ticks=path.ticks[:5]),
+                 replace(path, ticks=path.ticks[5:])]
+        for part in parts:
+            assert not isinstance(part.ticks, Orbit)
+            by_hand = sample_path_of(part.values, path.seed, spec)
+            assert discrepancy(FC, part) == discrepancy(FC, by_hand)
+        assert len(parts[0]) == 5 and parts[0].values == path.values[:5]
 
     @given(st.integers(0, 10**6), st.integers(2, 40))
     @settings(max_examples=60, deadline=None)
@@ -597,3 +621,92 @@ class TestDiscrepancyTrajectory:
         path = sample_path(IIDUniformSpec(), 10, 4)
         with pytest.raises(ValueError, match="prefix lengths"):
             discrepancy(thresholds(4), path, lengths)
+
+
+ORBIT_THETAS = [golden_rotation_angle(), F(1, 3), F(2, 5), F(5, 8)]
+
+
+@st.composite
+def orbit_cases(draw):
+    """(theta, seed, m, increasing lengths within [1, m])."""
+    theta = draw(st.sampled_from(ORBIT_THETAS))
+    seed = draw(st.integers(-(2**63), 2**64))
+    m = draw(st.sampled_from([1, 2]) | st.integers(1, 400))
+    lengths = draw(st.sets(st.integers(1, m), max_size=5))
+    return theta, seed, m, sorted(lengths | {m})
+
+
+class TestOrbitCounts:
+    """Rotation paths are counted by floor sums over their orbit; the counts
+    must equal binning the same ticks one by one."""
+
+    @given(st.integers(0, 40), st.integers(1, 60), st.integers(0, 200), st.integers(0, 200))
+    @settings(max_examples=200, deadline=None)
+    def test_floor_sum(self, n, M, a, b):
+        assert floor_sum(n, M, a, b) == sum((a * i + b) // M for i in range(n))
+
+    def test_floor_sum_on_orbit_sized_integers(self):
+        M, a, b = 7 << 53, 3 << 53, 12345 << 40
+        assert floor_sum(1000, M, a, b) == sum((a * i + b) // M for i in range(1000))
+
+    @given(orbit_cases(), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_orbit_means_match_binning(self, case, class_seed):
+        theta, seed, m, lengths = case
+        path = sample_path(RotationSpec(theta=theta), m, seed)
+        assert isinstance(path.ticks, Orbit) and len(path) == m
+        binned = replace(path, ticks=tuple(path.ticks))
+        assert not isinstance(binned.ticks, Orbit)
+        for FC in (thresholds(16), random_step(class_seed, 16, 8, 32), interval_indicators(10)):
+            assert _class_means(FC, path, lengths) == _class_means(FC, binned, lengths)
+
+    def test_orbit_ticks_are_the_drawn_rotation(self):
+        spec = RotationSpec(theta=F(2, 5))
+        path = sample_path(spec, 9, 4)
+        assert path.values == oracle_sample_path(spec, 9, 4)
+        assert path.ticks[3] == path.ticks[-6] == tuple(path.ticks)[3]
+        assert path.ticks[2:7] == tuple(path.ticks)[2:7]
+
+    def test_period_three_orbit_at_a_billion_points(self, capsys):
+        # x_{i+3} = x_i, so the first 10**9 points are 10**9 // 3 periods
+        # and the remainder's first point
+        spec, m, seed = RotationSpec(theta=F(1, 3)), 10**9, 7
+        FC = thresholds(16)
+        period = sample_path(spec, 3, seed).values
+        q, r = divmod(m, 3)
+        wholes, rests = oracle_class_means(FC, period), oracle_class_means(FC, period[:r])
+        sums = [3 * q * whole + r * rest for whole, rest in zip(wholes, rests)]
+        means = [s / m for s in sums]
+        assert _class_means(FC, sample_path(spec, m, seed), [m]) == [means]
+
+        expected = [abs(a - expectation(f, spec)) for a, f in zip(means, FC.functions)]
+        assert main(["discrepancy", "--class", "thresholds(16)", "--process", "rotation:1/3",
+                     "--m", str(m), "--seed", str(seed)]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert [F(d["exact"]) for d in report["per_function"]] == expected
+        assert F(report["gamma_m"]["exact"]) == max(expected)
+
+
+class TestPathStorage:
+    """IID ticks are one word array and rotation ticks an orbit; what a path
+    reads as (values, length, equality) is what a tuple of ticks gives."""
+
+    @pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, 2 * BLOCK + 1])
+    def test_iid_ticks_are_the_per_call_draws(self, m):
+        path = sample_path(IIDUniformSpec(), m, 77)
+        assert path.ticks.typecode == "Q"
+        assert tuple(path.ticks) == tuple(oracle_unit_ticks(SplitMix64(77), m))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    @pytest.mark.parametrize("m", [1, 2, BLOCK + 1])
+    def test_values_length_and_equality(self, name, m):
+        spec = ORACLE_SPECS[name]
+        path = sample_path(spec, m, 5)
+        as_tuple = SamplePath(tuple(path.ticks), path.scale, path.seed, spec)
+        assert path.values == as_tuple.values == oracle_sample_path(spec, m, 5)
+        assert len(path) == len(as_tuple) == m
+        assert path == as_tuple and as_tuple == path and hash(path) == hash(as_tuple)
+        assert path == sample_path(spec, m, 5)
+        assert path != sample_path(spec, m, 6)
+        assert path != sample_path(spec, m + 1, 5)
+        assert path != replace(as_tuple, ticks=(*as_tuple.ticks[:-1], as_tuple.ticks[-1] ^ 1))
