@@ -432,6 +432,16 @@ def pointwise_discrepancy(f: Function, path: SamplePath) -> Fraction:
     return abs(mean - ef)
 
 
+def _discrepancies(
+    F: FunctionClass, path: SamplePath, lengths: Sequence[int]
+) -> List[List[Fraction]]:
+    """Per function, |sample mean - expectation| over the path's first m
+    points, for each m in the increasing ``lengths``."""
+    means = _class_means(F, path, lengths)
+    expected = [expectation(f, path.spec) for f in F.functions]
+    return [[abs(a - e) for a, e in zip(row, expected)] for row in means]
+
+
 def discrepancy(
     F: FunctionClass, path: SamplePath, lengths: Optional[Sequence[int]] = None
 ) -> Union[Fraction, List[Fraction]]:
@@ -447,17 +457,11 @@ def discrepancy(
     increasing = lengths == sorted(set(lengths))
     if not (lengths and increasing and 1 <= lengths[0] and lengths[-1] <= len(path)):
         raise ValueError(f"prefix lengths must increase within [1, {len(path)}]")
-    means = _class_means(F, path, lengths)
-    expected = [expectation(f, path.spec) for f in F.functions]
-    return [max(abs(a - e) for a, e in zip(row, expected)) for row in means]
+    return [max(row) for row in _discrepancies(F, path, lengths)]
 
 
 def per_function_discrepancies(F: FunctionClass, path: SamplePath) -> List[Fraction]:
-    (means,) = _class_means(F, path, [len(path)])
-    return [
-        abs(mean - expectation(f, path.spec))
-        for f, mean in zip(F.functions, means)
-    ]
+    return _discrepancies(F, path, [len(path)])[0]
 
 
 @dataclass(frozen=True)

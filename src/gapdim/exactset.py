@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 ZERO = Fraction(0)
@@ -179,13 +177,6 @@ class IntervalUnion:
     def measure(self) -> Fraction:
         return Fraction(sum(hi - lo for lo, hi in self._pairs), self._den)
 
-    def __contains__(self, x: RationalLike) -> bool:
-        x = Fraction(x)
-        # lo <= x * D < hi iff lo <= floor(x * D) < hi, as lo and hi are integers
-        t = x.numerator * self._den // x.denominator
-        i = bisect_right(self._pairs, t, key=itemgetter(0)) - 1
-        return i >= 0 and t < self._pairs[i][1]
-
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         D = math.lcm(self._den, other._den)
         a, b = self.scaled(D), other.scaled(D)
@@ -205,19 +196,6 @@ class IntervalUnion:
         return _union(*_reduced(D, out))
 
     __and__ = intersect
-
-    def complement(self) -> "IntervalUnion":
-        """The complement within [0, 1)."""
-        D = self._den
-        out = []
-        cursor = 0
-        for lo, hi in self._pairs:
-            if cursor < lo:
-                out.append((cursor, lo))
-            cursor = hi
-        if cursor < D:
-            out.append((cursor, D))
-        return _union(*_reduced(D, out))
 
     def interior_point(self) -> Optional[Fraction]:
         """Midpoint of the longest constituent interval, leftmost on ties.

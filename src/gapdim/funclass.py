@@ -1,18 +1,20 @@
 """Function classes on the unit interval, value-band segments, and generators.
 
 Two exact representations are supported.  A STEP function is piecewise
-constant: a :class:`Partition`, pairwise-disjoint :class:`IntervalUnion`
-pieces covering [0, 1), with one rational value per piece.  A partition is
-checked once and shared by every function built on it (a generated class
-has one, the n equal cells [i/n, (i+1)/n)); it holds the right
-end hi of each sorted interval as the integer hi * D, D the lcm of their
-denominators, and the index of the piece that owns it.  A function's one
-integer row ``(D, ends, W, vals)`` is those ends with the value of each
-interval as v * W, W the lcm of the value denominators.  Values, integrals
-and the class table read that row.  A TABULAR function is a table of values
-on a finite point set, the :class:`Domain` that the functions of one class
-share; a domain is likewise converted, checked and indexed once.  Both keep
-values in [0, 1].
+constant: a :class:`Partition`, pairwise-disjoint pieces covering [0, 1),
+with one rational value per piece, shared by every function built on it.
+A partition is its integer cells: the right end hi of each sorted interval
+as the integer hi * D, D the lcm of their denominators, and the index of
+the piece that owns it.  :class:`IntervalUnion` pieces from outside are
+checked once, when it is built; a generated class's n equal cells
+[i/n, (i+1)/n) tile [0, 1) by construction and need no check.  The pieces
+are built back into IntervalUnions only when read, as for class JSON.  A
+function's one integer row ``(D, ends, W, vals)`` is those ends with the
+value of each interval as v * W, W the lcm of the value denominators.
+Values, integrals and the class table read that row.  A TABULAR function is
+a table of values on a finite point set, the :class:`Domain` that the
+functions of one class share; a domain is likewise converted, checked and
+indexed once.  Both keep values in [0, 1].
 
 For a resolution ``gamma`` the value range splits into K bands
 ``[(k-1)*gamma, k*gamma)`` for k < K and ``[(K-1)*gamma, 1]`` for k = K,
@@ -34,7 +36,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .exactset import (
     ONE,
@@ -78,29 +80,59 @@ class Domain(tuple):
         return self
 
 
-class Partition(tuple):
+class Partition(Sequence[IntervalUnion]):
     """Pairwise-disjoint pieces covering [0, 1), the pieces of a STEP
-    function, checked once and shared by every function built on them.
+    function, held as integer cells and shared by every function built on
+    them.
 
     ``ends`` holds the right end hi of every interval of every piece, in
     increasing order, as the integer hi * D, with ``D`` the lcm of the
     pieces' denominators; ``owners`` holds, per interval, the index of the
-    piece it belongs to.
+    piece it belongs to, and ``count`` the number of pieces (an empty piece
+    owns no interval).  The pieces, as IntervalUnions, are built from those
+    integers only when read.  ``Partition(pieces)`` checks outside pieces;
+    :meth:`cells` takes integers already known to tile [0, 1).
     """
 
-    def __new__(cls, pieces: Sequence[IntervalUnion]) -> "Partition":
-        self = super().__new__(cls, pieces)
-        if IntervalUnion.union_all(self) != IntervalUnion.full():
+    __slots__ = ("D", "ends", "owners", "count")
+
+    def __init__(self, pieces: Sequence[IntervalUnion]):
+        if IntervalUnion.union_all(pieces) != IntervalUnion.full():
             raise ValueError("step pieces must cover [0, 1)")
-        self.D = D = math.lcm(*(piece.denominator for piece in self))
-        scaled = [piece.scaled(D) for piece in self]
+        D = math.lcm(*(piece.denominator for piece in pieces))
+        scaled = [piece.scaled(D) for piece in pieces]
         # pieces that cover [0, 1) are disjoint iff their lengths sum to D
         if sum(hi - lo for pairs in scaled for lo, hi in pairs) != D:
             raise ValueError("step pieces must be pairwise disjoint")
-        self.ends, self.owners = zip(*sorted(  # disjoint pieces: the ends differ
+        ends, owners = zip(*sorted(  # disjoint pieces: the ends differ
             (hi, i) for i, pairs in enumerate(scaled) for _, hi in pairs
         ))
+        self.D, self.ends, self.owners, self.count = D, ends, owners, len(scaled)
+
+    @classmethod
+    def cells(
+        cls, D: int, ends: Tuple[int, ...], owners: Tuple[int, ...], count: int
+    ) -> "Partition":
+        """The partition with these integer cells, taken as already checked."""
+        self = object.__new__(cls)
+        self.D, self.ends, self.owners, self.count = D, ends, owners, count
         return self
+
+    def _pairs(self) -> List[List[Tuple[int, int]]]:
+        """Each piece's intervals, as integer pairs over D."""
+        pairs = [[] for _ in range(self.count)]
+        for lo, hi, i in zip((0, *self.ends), self.ends, self.owners):
+            pairs[i].append((lo, hi))
+        return pairs
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i: int) -> IntervalUnion:
+        return IntervalUnion.over(self.D, self._pairs()[i])
+
+    def __iter__(self) -> Iterator[IntervalUnion]:
+        return (IntervalUnion.over(self.D, pairs) for pairs in self._pairs())
 
 
 class Function:
@@ -153,18 +185,6 @@ class Function:
         if any(not 0 <= v.numerator <= v.denominator for v in vals):
             raise ValueError("tabular values must lie in [0, 1]")
         return cls(TABULAR, None, pts, vals, vals)  # its row: the values on its domain
-
-    @classmethod
-    def constant(cls, value: RationalLike) -> "Function":
-        return cls.step((IntervalUnion.full(),), (value,))
-
-    @classmethod
-    def indicator(cls, support: IntervalUnion) -> "Function":
-        if support.is_empty:
-            return cls.constant(0)
-        if support.measure == ONE:
-            return cls.constant(1)
-        return cls.step((support.complement(), support), (Fraction(0), Fraction(1)))
 
     def value_at(self, x: RationalLike) -> Fraction:
         x = Fraction(x)
@@ -393,9 +413,10 @@ def segment_partition(f: Function, gamma: RationalLike) -> List:
 
 
 def _on_equal_cells(n: int, rows: Iterable[Sequence[Fraction]]) -> List[Function]:
-    """STEP functions on the n cells [i/n, (i+1)/n), one value row each; the
-    cells are built and checked once, as the one Partition they share."""
-    cells = Partition([IntervalUnion.over(n, [(i, i + 1)]) for i in range(n)])
+    """STEP functions on the n cells [i/n, (i+1)/n), one value row each, all
+    on the one Partition of those cells; they tile [0, 1), so it is built
+    from its integers and not checked."""
+    cells = Partition.cells(n, tuple(range(1, n + 1)), tuple(range(n)), n)
     return [Function.step(cells, row) for row in rows]
 
 
@@ -606,14 +627,18 @@ def generate(spec: str) -> FunctionClass:
 
 def class_to_json(F: FunctionClass) -> dict:
     if F.kind == STEP:
+        texts = {}  # the piece texts of each shared partition, built once
+        for f in F.functions:
+            if id(f.pieces) not in texts:
+                texts[id(f.pieces)] = [piece.to_text() for piece in f.pieces]
         return {
             "name": F.name,
             "kind": STEP,
             "functions": [
                 {
                     "pieces": [
-                        {"set": piece.to_text(), "value": format_rational(v)}
-                        for piece, v in zip(f.pieces, f.values)
+                        {"set": text, "value": format_rational(v)}
+                        for text, v in zip(texts[id(f.pieces)], f.values)
                     ]
                 }
                 for f in F.functions

@@ -167,19 +167,6 @@ def _branching(down: Dict[int, Set[int]], l: int) -> List[int]:
     return sorted({t >> 1 for t in below if t ^ 1 in below})
 
 
-def level_counts(tree: CompleteTree, S: Sequence[int]) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """The ancestor counts (m_l, n_l) for the levels above the leaf set S.
-
-    m_l counts level-l nodes with a member of S strictly below them; n_l
-    counts level-l nodes both of whose children either belong to S or have
-    a member of S below them.
-    """
-    down = _downset(S)
-    m = {l: len({t >> 1 for t in down.get(l + 1, ())}) for l in range(tree.depth)}
-    n = {l: len(_branching(down, l)) for l in range(tree.depth)}
-    return m, n
-
-
 def _u_of(c: Fraction) -> int:
     """Smallest integer u with 2**(u-1) >= 1/c, i.e. ceil(log2(1/c) + 1)."""
     u = 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gapdim import Function, FunctionClass, IntervalUnion
+from oracles import oracle_constant
 
 
 @pytest.fixture
@@ -17,5 +18,5 @@ def ramp8() -> Function:
 @pytest.fixture
 def zero_one_class() -> FunctionClass:
     return FunctionClass(
-        [Function.constant(0), Function.constant(1)], "constants01"
+        [oracle_constant(0), oracle_constant(1)], "constants01"
     )

@@ -279,7 +279,9 @@ def oracle_pruned_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
 
 
 def oracle_level_counts(tree: CompleteTree, S):
-    """Ancestor counts recomputed from explicit descendant sets."""
+    """The ancestor counts (m_l, n_l) of a leaf set S, per level l above the
+    leaves, from explicit descendant sets: m_l counts the level-l nodes with
+    a member of S below them, n_l those with one below each child."""
     S = set(S)
     L = tree.depth
 
@@ -545,9 +547,11 @@ def oracle_class_means(F: FunctionClass, values):
 
 
 def oracle_value_at(f, x):
-    """The value of the STEP piece that contains x, by IntervalUnion
+    """The value of the STEP piece that contains x, by ``OracleIntervalUnion``
     membership; None when no piece does (x outside [0, 1))."""
-    return next((v for piece, v in zip(f.pieces, f.values) if x in piece), None)
+    return next(
+        (v for piece, v in zip(f.pieces, f.values) if x in OracleIntervalUnion(piece)), None
+    )
 
 
 def oracle_integral(f, a, b):
@@ -604,6 +608,34 @@ def oracle_step(pieces, values) -> Function:
     return f
 
 
+def oracle_constant(value) -> Function:
+    """The STEP function with one value on the one piece [0, 1)."""
+    return Function.step([IntervalUnion.full()], [value])
+
+
+def oracle_indicator(support: IntervalUnion) -> Function:
+    """The 0/1 STEP function of a support, on the two pieces complement and
+    support (the complement from ``OracleIntervalUnion``), or constant when
+    the support is empty or all of [0, 1)."""
+    if support.is_empty:
+        return oracle_constant(0)
+    if support.measure == 1:
+        return oracle_constant(1)
+    rest = IntervalUnion(OracleIntervalUnion(support).complement())
+    return Function.step([rest, support], [0, 1])
+
+
+def oracle_on_cells(F: FunctionClass, n: int) -> FunctionClass:
+    """A STEP class whose functions are constant on the n cells
+    [i/n, (i+1)/n), rewritten on those cells: each cell its own IntervalUnion,
+    valued by ``oracle_value_at`` at its left end."""
+    cells = [IntervalUnion.interval(Fraction(i, n), Fraction(i + 1, n)) for i in range(n)]
+    fns = [
+        Function.step(cells, [oracle_value_at(f, Fraction(i, n)) for i in range(n)]) for f in F
+    ]
+    return FunctionClass(fns, F.name)
+
+
 def oracle_step_class(F: FunctionClass) -> FunctionClass:
     """A STEP class rebuilt function by function with ``oracle_step``, each
     piece a fresh IntervalUnion."""
@@ -650,7 +682,7 @@ def oracle_thresholds(n: int) -> FunctionClass:
     """``thresholds(n)`` as indicators, each function checking its own two
     pieces (one when it is constant)."""
     fns = [
-        Function.indicator(
+        oracle_indicator(
             IntervalUnion.interval(Fraction(j, n), 1) if j < n else IntervalUnion.empty()
         )
         for j in range(1, n + 1)
@@ -661,7 +693,7 @@ def oracle_thresholds(n: int) -> FunctionClass:
 def oracle_interval_indicators(n: int) -> FunctionClass:
     """``interval_indicators(n)`` as indicators of their own intervals."""
     fns = [
-        Function.indicator(IntervalUnion.interval(Fraction(i, n), Fraction(j, n)))
+        oracle_indicator(IntervalUnion.interval(Fraction(i, n), Fraction(j, n)))
         for i in range(n)
         for j in range(i + 1, n + 1)
     ]

@@ -39,8 +39,8 @@ from gapdim.funclass import band_of_value
 from gapdim.rng import SplitMix64
 from gapdim.shatter import candidate_points
 from oracles import (
-    is_host_ancestor, oracle_max_uniform_depth, oracle_naive_gap_dim, oracle_pruned_gap_dim,
-    subadditivity_check,
+    OracleIntervalUnion, is_host_ancestor, oracle_max_uniform_depth, oracle_naive_gap_dim,
+    oracle_pruned_gap_dim, subadditivity_check,
 )
 
 F = Fraction
@@ -270,4 +270,4 @@ def test_segment_partition_exactness():
             x = rng.unit_fraction()
             v = f.value_at(x)
             for g in gammas:
-                assert x in parts[g][band_of_value(v, g) - 1]
+                assert x in OracleIntervalUnion(parts[g][band_of_value(v, g) - 1])

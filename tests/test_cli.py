@@ -15,6 +15,7 @@ from gapdim import (
 from gapdim.cli import COMMANDS, _parser, main
 from gapdim.funclass import class_to_json, save_class
 from gapdim.shatter import ShatterCertificate
+from oracles import oracle_constant
 
 F = Fraction
 
@@ -894,10 +895,10 @@ class TestTreeCommands:
         assert doc["report"]["depth"] >= 1
 
     def test_itree_build_failure_status(self, capsys, tmp_path):
-        from gapdim import Function, FunctionClass
+        from gapdim import FunctionClass
         from gapdim.funclass import save_class as save
 
-        FC = FunctionClass([Function.constant(F(1, 2))], "consts")
+        FC = FunctionClass([oracle_constant(F(1, 2))], "consts")
         path = tmp_path / "consts.json"
         save(FC, path)
         code, out = run(

@@ -41,7 +41,9 @@ from gapdim.rng import BLOCK, SplitMix64
 from oracles import (
     InvalidSplit,
     oracle_class_means,
+    oracle_constant,
     oracle_expectation,
+    oracle_indicator,
     oracle_irreducible,
     oracle_sample_path,
     oracle_stationary,
@@ -157,11 +159,11 @@ class TestSamplePath:
 
 class TestExpectation:
     def test_indicator_uniform(self):
-        f = Function.indicator(IntervalUnion.interval(0, F(1, 4)))
+        f = oracle_indicator(IntervalUnion.interval(0, F(1, 4)))
         assert expectation(f, IIDUniformSpec()) == F(1, 4)
 
     def test_constant_any_spec(self):
-        f = Function.constant(F(2, 7))
+        f = oracle_constant(F(2, 7))
         for spec in (IIDUniformSpec(), RotationSpec(theta=F(1, 3)), markov2()):
             assert expectation(f, spec) == F(2, 7)
 
@@ -174,7 +176,7 @@ class TestExpectation:
             ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))),
             (Emission.uniform(F(0), F(1, 2)), Emission.uniform(F(1, 2), F(1))),
         )
-        f = Function.indicator(IntervalUnion.interval(0, F(1, 4)))
+        f = oracle_indicator(IntervalUnion.interval(0, F(1, 4)))
         # pi = (1/2, 1/2); conditional expectations 1/2 and 0
         assert expectation(f, spec) == F(1, 4)
 
@@ -238,7 +240,7 @@ class TestDiscrepancy:
         assert pointwise_discrepancy(f, path) == abs(F(2, 5) - F(9, 20))
 
     def test_indicator_path_inside_support(self):
-        f = Function.indicator(IntervalUnion.interval(0, F(1, 2)))
+        f = oracle_indicator(IntervalUnion.interval(0, F(1, 2)))
         FC = FunctionClass([f])
         path = sample_path_of((F(1, 8), F(1, 4), F(3, 8)), 0, IIDUniformSpec())
         assert discrepancy(FC, path) == F(1, 2)
@@ -251,7 +253,7 @@ class TestDiscrepancy:
         assert discrepancy(FC, path) == max(per)
 
     def test_constant_class_zero(self):
-        FC = FunctionClass([Function.constant(F(1, 3))])
+        FC = FunctionClass([oracle_constant(F(1, 3))])
         for m in (1, 10, 100):
             path = sample_path(IIDUniformSpec(), m, 23)
             assert discrepancy(FC, path) == 0
@@ -275,7 +277,7 @@ class TestSubadditivity:
         assert all(subadditivity_check(FC, path, s) for s in range(1, 30))
 
     def test_identical_halves(self):
-        f = Function.indicator(IntervalUnion.interval(0, F(1, 2)))
+        f = oracle_indicator(IntervalUnion.interval(0, F(1, 2)))
         FC = FunctionClass([f])
         values = (F(1, 4), F(3, 4)) * 5
         path = sample_path_of(values, 0, IIDUniformSpec())
@@ -326,7 +328,7 @@ class TestEstimateGamma:
         assert a.rows == b.rows and a.estimate == b.estimate
 
     def test_constant_class_all_zero(self):
-        FC = FunctionClass([Function.constant(F(1, 2))])
+        FC = FunctionClass([oracle_constant(F(1, 2))])
         rep = estimate_gamma(FC, IIDUniformSpec(), [10, 100], 2, 5)
         assert all(g == 0 for _, _, g in rep.rows)
         assert rep.estimate == 0
@@ -372,7 +374,7 @@ class TestBoundCheck:
         assert rep.estimate < F(1, 10)
 
     def test_constants(self):
-        FC = FunctionClass([Function.constant(F(1, 2))])
+        FC = FunctionClass([oracle_constant(F(1, 2))])
         rep = bound_check(FC, IIDUniformSpec(), F(1, 10), 100, 1, 3)
         assert rep.estimate == 0 and rep.passed
 
@@ -509,7 +511,7 @@ ORACLE_SPECS = {
 def cut_at(points) -> FunctionClass:
     """Indicators of [0, p): a class with a cut at every positive point."""
     return FunctionClass([
-        Function.indicator(IntervalUnion.interval(0, p)) for p in sorted(set(points)) if p
+        oracle_indicator(IntervalUnion.interval(0, p)) for p in sorted(set(points)) if p
     ])
 
 

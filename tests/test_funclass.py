@@ -35,12 +35,17 @@ from gapdim.funclass import (
     trajectory_indicators,
     values_at,
 )
+from gapdim.exactset import write_json
 from gapdim.rng import SplitMix64
 from gapdim.shatter import join
 from oracles import (
+    OracleIntervalUnion,
+    oracle_constant,
     oracle_full_join_family,
+    oracle_indicator,
     oracle_integral,
     oracle_interval_indicators,
+    oracle_on_cells,
     oracle_random_step,
     oracle_refinement,
     oracle_segment_partition,
@@ -76,11 +81,11 @@ class TestSegments:
         assert segment(ramp8, F(1, 4), 2) == IntervalUnion.interval(F(1, 4), F(1, 2))
 
     def test_constant_zero_band1(self):
-        f = Function.constant(0)
+        f = oracle_constant(0)
         assert segment(f, F(1, 4), 1) == IntervalUnion.full()
 
     def test_constant_one_top_band_inclusive(self):
-        f = Function.constant(1)
+        f = oracle_constant(1)
         assert segment(f, F(1, 4), 4) == IntervalUnion.full()
 
     def test_out_of_range(self, ramp8):
@@ -99,7 +104,7 @@ class TestSegmentPartition:
         assert parts == [IntervalUnion.full()]
 
     def test_constant_half(self):
-        parts = segment_partition(Function.constant(F(1, 2)), F(1, 4))
+        parts = segment_partition(oracle_constant(F(1, 2)), F(1, 4))
         assert [p.measure for p in parts] == [0, 0, 1, 0]
 
     def test_ramp_quarters(self, ramp8):
@@ -125,7 +130,7 @@ class TestSegmentPartition:
         for _ in range(200):
             x = rng.unit_fraction()
             k = band_of_value(ramp8.value_at(x), gamma)
-            hits = [i + 1 for i, p in enumerate(parts) if x in p]
+            hits = [i + 1 for i, p in enumerate(parts) if x in OracleIntervalUnion(p)]
             assert hits == [k]
 
 
@@ -229,7 +234,7 @@ class TestFullJoinFamily:
 
 class TestJsonRoundTrip:
     def test_step_class(self, ramp8):
-        FC = FunctionClass([ramp8, Function.constant(F(1, 3))], "mix")
+        FC = FunctionClass([ramp8, oracle_constant(F(1, 3))], "mix")
         doc = class_to_json(FC)
         back = class_from_json(doc)
         assert back.name == "mix"
@@ -294,7 +299,7 @@ class TestValidation:
 
     def test_values_in_unit_range(self):
         with pytest.raises(ValueError):
-            Function.constant(F(3, 2))
+            oracle_constant(F(3, 2))
 
     def test_class_kinds_must_match(self, ramp8):
         tab = Function.tabular([F(1, 2)], [F(1, 2)])
@@ -342,7 +347,7 @@ def table_classes():
                      IntervalUnion.interval(F(1, 3), F(2, 3))],
                     [F(1, 4), F(3, 4)],
                 ),
-                Function.indicator(IntervalUnion.interval(F(1, 5), F(1, 2))),
+                oracle_indicator(IntervalUnion.interval(F(1, 5), F(1, 2))),
             ]
         ),
     ]
@@ -475,10 +480,10 @@ class TestStepRow:
         halves = Function.step(
             [IntervalUnion.interval(0, F(1, 2)), IntervalUnion.interval(F(1, 2), 1)], [0, 0]
         )
-        assert halves != Function.constant(0)
-        assert halves.value_at(F(1, 3)) == Function.constant(0).value_at(F(1, 3))
-        assert halves.integral(0, 1) == Function.constant(0).integral(0, 1) == 0
-        assert Function.constant(F(1, 2)) != Function.constant(F(1, 3))
+        assert halves != oracle_constant(0)
+        assert halves.value_at(F(1, 3)) == oracle_constant(0).value_at(F(1, 3))
+        assert halves.integral(0, 1) == oracle_constant(0).integral(0, 1) == 0
+        assert oracle_constant(F(1, 2)) != oracle_constant(F(1, 3))
 
 
 class TestSharedDomain:
@@ -534,9 +539,9 @@ ORACLE_CLASSES = (
     + [full_join_family(L, 1, 3, F(1, 5)) for L in (1, 3)]
     + [full_join_family(2, 4, 1, F(2, 9))]
     + [FunctionClass([
-        Function.constant(0), Function.constant(F(2, 7)), Function.constant(1),
-        Function.indicator(IntervalUnion([(0, F(1, 3)), (F(2, 3), 1)])),
-        Function.indicator(IntervalUnion.empty()), Function.indicator(IntervalUnion.full()),
+        oracle_constant(0), oracle_constant(F(2, 7)), oracle_constant(1),
+        oracle_indicator(IntervalUnion([(0, F(1, 3)), (F(2, 3), 1)])),
+        oracle_indicator(IntervalUnion.empty()), oracle_indicator(IntervalUnion.full()),
     ], "constants and indicators")]
     + table_classes()[-1:]
 )
@@ -547,22 +552,23 @@ def as_built(FC):
     return [f._row for f in FC], refinement(FC), class_to_json(FC)
 
 
+@pytest.fixture
+def union_alls(monkeypatch):
+    """The number of pieces of every ``union_all`` call."""
+    calls = []
+    union_all = IntervalUnion.union_all.__func__
+
+    def counting(cls, unions):
+        unions = list(unions)
+        calls.append(len(unions))
+        return union_all(cls, unions)
+
+    monkeypatch.setattr(IntervalUnion, "union_all", classmethod(counting))
+    return calls
+
+
 class TestSharedPartition:
     """STEP pieces are a Partition, checked once and shared by a class's functions."""
-
-    @pytest.fixture
-    def union_alls(self, monkeypatch):
-        """The number of pieces of every ``union_all`` call."""
-        calls = []
-        union_all = IntervalUnion.union_all.__func__
-
-        def counting(cls, unions):
-            unions = list(unions)
-            calls.append(len(unions))
-            return union_all(cls, unions)
-
-        monkeypatch.setattr(IntervalUnion, "union_all", classmethod(counting))
-        return calls
 
     @pytest.mark.parametrize("FC", ORACLE_CLASSES, ids=repr)
     def test_built_as_each_function_built_itself(self, FC):
@@ -577,9 +583,9 @@ class TestSharedPartition:
         assert class_to_json(loaded) == doc and list(loaded) == list(FC)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_random_step_checks_its_cells_once(self, union_alls, seed):
+    def test_random_step_checks_no_cells(self, union_alls, seed):
         FC = random_step(seed, 16, 8, 32)
-        assert union_alls == [16]
+        assert union_alls == []
         assert isinstance(FC[0].pieces, Partition)
         assert all(f.pieces is FC[0].pieces for f in FC.functions)
 
@@ -630,8 +636,8 @@ class TestOneBandRule:
 
     FUNCTIONS = [
         random_step(4, 6, 4).functions[0],  # values on quarters, 1 included
-        Function.constant(1),
-        Function.indicator(IntervalUnion.interval(F(1, 3), F(2, 3))),
+        oracle_constant(1),
+        oracle_indicator(IntervalUnion.interval(F(1, 3), F(2, 3))),
         Function.tabular([0, F(1, 4), F(1, 2), F(3, 4)], [1, F(3, 4), 0, F(1, 4)]),
         Function.tabular([F(1, 3)], [1]),
     ]
@@ -644,7 +650,7 @@ class TestOneBandRule:
 
     def test_value_one_lies_in_the_top_band(self):
         gamma = F(1, 4)  # 1/gamma is an integer, so K = 4 and 1 = K gamma
-        assert segment_partition(Function.constant(1), gamma)[3] == IntervalUnion.full()
+        assert segment_partition(oracle_constant(1), gamma)[3] == IntervalUnion.full()
         assert segment_partition(Function.tabular([F(1, 3)], [1]), gamma)[3] == (F(1, 3),)
 
     @pytest.mark.parametrize("FC", TABLE_CLASSES, ids=repr)
@@ -679,20 +685,6 @@ class TestEqualCellGenerators:
     """thresholds, interval_indicators and full_join_family put every function
     on one Partition of equal cells; each class still reads as the class whose
     functions each checked their own pieces."""
-
-    @pytest.fixture
-    def partitions(self, monkeypatch):
-        """The number of pieces of every Partition built."""
-        sizes = []
-
-        class CountingPartition(funclass.Partition):
-            def __new__(cls, pieces):
-                pieces = list(pieces)
-                sizes.append(len(pieces))
-                return super().__new__(cls, pieces)
-
-        monkeypatch.setattr(funclass, "Partition", CountingPartition)
-        return sizes
 
     @pytest.mark.parametrize("FC,oracle", EQUAL_CELL_PAIRS, ids=lambda c: c.name)
     def test_same_table(self, FC, oracle):
@@ -729,13 +721,12 @@ class TestEqualCellGenerators:
         [("thresholds(16)", 16), ("interval_indicators(10)", 10),
          ("full_join_family(3,1,3,1/5)", 256), ("random_step(1,64,1,24)", 64)],
     )
-    def test_one_partition_per_class(self, partitions, tmp_path, spec, cells):
+    def test_one_partition_per_class(self, union_alls, tmp_path, spec, cells):
         FC = generate(spec)
-        assert partitions == [cells]
+        assert union_alls == []
         save_class(FC, tmp_path / "class.json")
-        partitions.clear()
         loaded = load_class(tmp_path / "class.json")
-        assert partitions == [cells]
+        assert union_alls == [cells]
         for G in (FC, loaded):
             assert all(f.pieces is G[0].pieces for f in G.functions)
         assert list(loaded) == list(FC) and refinement(loaded) == refinement(FC)
@@ -754,3 +745,50 @@ class TestEqualCellGenerators:
                 K = k_of_gamma(gamma)
                 segments = [segment(f, gamma, k) for k in range(1, K + 1)]
                 assert segment_partition(f, gamma) == segments
+
+
+# each generated step class beside the same class built by an oracle on its
+# own IntervalUnions, and its number of equal cells
+GENERATED_ORACLES = [
+    ("thresholds(9)", oracle_thresholds(9), 9),
+    ("interval_indicators(6)", oracle_interval_indicators(6), 6),
+    ("full_join_family(2,4,1,2/9)", oracle_full_join_family(2, 4, 1, F(2, 9)), 16),
+    ("full_join_family(3,1,3,1/5)", oracle_full_join_family(3, 1, 3, F(1, 5)), 256),
+    ("random_step(5,12,4,6)", oracle_random_step(5, 12, 4, 6), 12),
+    ("random_step(1,64,1,24)", oracle_random_step(1, 64, 1, 24), 64),
+]
+
+
+class TestIntegerPartition:
+    """A Partition is its integer cells; its pieces are built only when read."""
+
+    @pytest.mark.parametrize(
+        "spec,oracle,cells", GENERATED_ORACLES, ids=[spec for spec, _, _ in GENERATED_ORACLES]
+    )
+    def test_generators_build_no_interval_union(self, monkeypatch, spec, oracle, cells):
+        def refuse(*args):
+            raise AssertionError("a generated class builds no IntervalUnion")
+
+        with monkeypatch.context() as m:
+            m.setattr(IntervalUnion, "__init__", refuse)
+            m.setattr(IntervalUnion, "over", classmethod(refuse))
+            m.setattr(IntervalUnion, "union_all", classmethod(refuse))
+            FC = generate(spec)
+        assert len(FC[0].pieces) == cells
+        assert class_to_json(FC) == class_to_json(oracle_on_cells(oracle, cells))
+
+    def test_empty_and_multi_interval_pieces_save_back_byte_for_byte(self, tmp_path):
+        def piece(text, value):
+            return {"set": text, "value": value}
+
+        doc = {"name": "gaps", "kind": "step", "functions": [
+            {"pieces": [piece("[0/1,1/3),[2/3,1/1)", "1/4"), piece("empty", "1/2"),
+                        piece("[1/3,2/3)", "3/4"), piece("empty", "0/1")]},
+            {"pieces": [piece("empty", "1/1"), piece("[0/1,1/1)", "2/5")]},
+        ]}
+        write_json(doc, tmp_path / "in.json")
+        loaded = load_class(tmp_path / "in.json")
+        assert [len(f.pieces) for f in loaded] == [4, 2]
+        assert loaded[0].pieces[1] == loaded[0].pieces[3] == IntervalUnion.empty()
+        save_class(loaded, tmp_path / "out.json")
+        assert (tmp_path / "out.json").read_bytes() == (tmp_path / "in.json").read_bytes()

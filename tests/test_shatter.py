@@ -30,7 +30,9 @@ from gapdim.shatter import (
     candidate_points,
 )
 from oracles import (
+    oracle_constant,
     oracle_gap_dim,
+    oracle_indicator,
     oracle_join,
     oracle_naive_gap_dim,
     oracle_pruned_gap_dim,
@@ -104,7 +106,7 @@ class TestVerifyCertificate:
 
 class TestShatters:
     def test_singleton_class_cannot_shatter(self):
-        FC = FunctionClass([Function.constant(F(1, 2))])
+        FC = FunctionClass([oracle_constant(F(1, 2))])
         assert shatters(FC, [F(1, 2)], F(1, 10)) is None
 
     def test_constants_shatter_one_point(self, zero_one_class):
@@ -165,7 +167,7 @@ class TestGapDim:
 
     def test_narrow_range_dim_zero(self):
         FC = FunctionClass(
-            [Function.constant(F(2, 5)), Function.constant(F(3, 5))]
+            [oracle_constant(F(2, 5)), oracle_constant(F(3, 5))]
         )
         res = gap_dim(FC, F(1, 5))
         assert res.dimension == 0
@@ -227,8 +229,8 @@ def segment_pairs(FC, gamma, k, k2):
 
 class TestJoin:
     def test_two_functions(self):
-        f = Function.indicator(IntervalUnion.interval(F(1, 2), 1))
-        g = Function.indicator(IntervalUnion.interval(F(1, 4), 1))
+        f = oracle_indicator(IntervalUnion.interval(F(1, 2), 1))
+        g = oracle_indicator(IntervalUnion.interval(F(1, 4), 1))
         cells = join(FunctionClass([f, g]), F(1, 2), 1, 2)
         assert [(c.cell, c.signature) for c in cells] == [
             (IntervalUnion.interval(0, F(1, 4)), (0, 0)),
@@ -287,7 +289,7 @@ class TestJoinShatter:
         FC = full_join_family(1, 1, 3, F(1, 5))
         # collapse one function to a constant: its band-3 segment vanishes
         broken = FunctionClass(
-            [FC.functions[0], Function.constant(F(1, 10))], "broken"
+            [FC.functions[0], oracle_constant(F(1, 10))], "broken"
         )
         with pytest.raises(JoinNotFull) as err:
             join_shatter(broken, 1, 3, F(1, 5))
@@ -380,7 +382,7 @@ class TestCandidatePoints:
         assert pts == [F(2 * j + 1, 16) for j in range(8)]
 
     def test_duplicate_vectors_collapse(self):
-        FC = FunctionClass([Function.constant(F(1, 2))])
+        FC = FunctionClass([oracle_constant(F(1, 2))])
         assert len(candidate_points(FC)) == 1
 
     def test_tabular_uses_domain(self):
@@ -451,7 +453,7 @@ class TestShattersMatchesFractionScan:
 
     def test_values_on_the_margin(self):
         # 1/4 and 3/4 sit exactly 2 gamma apart at gamma 1/4: no level works
-        FC = FunctionClass([Function.constant(F(1, 4)), Function.constant(F(3, 4))])
+        FC = FunctionClass([oracle_constant(F(1, 4)), oracle_constant(F(3, 4))])
         assert shatters(FC, [F(1, 2)], F(1, 4)) is None
         assert oracle_shatters_certificate(FC, [F(1, 2)], F(1, 4)) is None
         assert_matches_scan(FC, [F(1, 4), F(1, 5)])

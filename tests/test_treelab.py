@@ -4,7 +4,6 @@ import pytest
 
 from gapdim import (
     CompleteTree,
-    Function,
     FunctionClass,
     IntervalUnion,
     full_join_family,
@@ -28,12 +27,12 @@ from gapdim.treelab import (
     MissingLabel,
     MissingPayload,
     PtreePreconditionViolated,
-    level_counts,
     pow2_text,
     ptree_precondition,
 )
 from oracles import (
     is_host_ancestor,
+    oracle_constant,
     oracle_intersection_tree_build,
     oracle_intersection_tree_verify,
     oracle_join,
@@ -86,7 +85,7 @@ class TestPtreeWitness:
         tree = CompleteTree(3)
         w = ptree_witness(tree, [8, 9, 10, 11], F(1, 2))
         assert w.u == 2
-        _, n = level_counts(tree, [8, 9, 10, 11])
+        _, n = oracle_level_counts(tree, [8, 9, 10, 11])
         assert n[2] == 2 and n[1] == 1
         assert w.level == 2 and w.nodes == frozenset({4, 5})
         assert len(w.nodes) >= F(1, 2) * 8 / 12
@@ -107,22 +106,6 @@ class TestPtreeWitness:
         monkeypatch.setattr(treelab, "_pigeonhole_level", lambda *a: (1, [], 1))
         with pytest.raises(RuntimeError):
             ptree_witness(CompleteTree(2), [4, 5, 6, 7], 1)
-
-    def test_counts_match_oracle_and_sum_identity(self):
-        rng = SplitMix64(123)
-        for depth in (3, 4, 5, 6):
-            tree = CompleteTree(depth)
-            for _ in range(20):
-                size = 1 + rng.randint(1 << depth)
-                S = random_leaf_set(tree, rng, size)
-                m, n = level_counts(tree, S)
-                om, on = oracle_level_counts(tree, S)
-                assert m == om and n == on
-                for v in range(1, depth):
-                    total = m[depth - v] + sum(
-                        n[l] for l in range(depth - v, depth)
-                    )
-                    assert total == len(S)
 
     def test_randomized_stress(self):
         # L in 3..10, c in {1/2, 1/4, 1/8}, 200 seeded sets per feasible combo
@@ -147,9 +130,6 @@ class TestPtreeWitness:
         w = ptree_witness(tree, S, F(4, 1 << L))
         top = 1 << (L - 1)
         assert (w.level, w.nodes, w.u) == (L - 1, frozenset({top, top + 1}), L - 1)
-        m, n = level_counts(tree, S)
-        assert m == {l: 2 if l == L - 1 else 1 for l in range(L)}
-        assert n == {l: {L - 1: 2, L - 2: 1}.get(l, 0) for l in range(L)}
 
 
 class TestHugeDepth:
@@ -267,7 +247,7 @@ class TestIntersectionTree:
         assert intersection_tree_verify(built.tree, FC, F(1, 4), built.functions)
 
     def test_constants_fail(self):
-        FC = FunctionClass([Function.constant(F(1, 2))])
+        FC = FunctionClass([oracle_constant(F(1, 2))])
         assert intersection_tree_build(FC, F(1, 4), 1) is None
 
     def test_full_join_family_depth_two(self):
