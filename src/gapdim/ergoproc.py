@@ -14,14 +14,13 @@ product and one remainder.  Every downstream decision (discrepancy, bound
 verdicts) is exact; floats appear only in human-readable report columns.
 
 The discrepancy of a class on a path is the maximum over the class of
-|sample mean - expectation|, with expectations computed exactly from piece
-lengths (``Function.integral`` over [0, 1) or over an emission's interval,
-``Function.value_at`` at a point emission) rather than by simulation.  Sample
-means come from common-refinement cell counts over the class's integer value
-table (``funclass.refinement``: cuts c over C, cell values over V): a tick x
-lies at or right of the cut c / C exactly when x >= ceil(c * N / C), so
-points are binned on integers and each mean is one sum over V * m.  A path is
-a prefix of the longer path drawn from the same seed, so one path and running
+|sample mean - expectation|, and both sides read the class's integer value
+table (``funclass.refinement``: cuts c over C, cell values over V).  A tick
+x lies at or right of the cut c / C exactly when x >= ceil(c * N / C), so
+points are binned on integers and each mean is one sum over V * m.  The
+process marginal gives each cell an exact integer mass over one B
+(``_cell_masses``), so each expectation is one sum over V * B.  A path is a
+prefix of the longer path drawn from the same seed, so one path and running
 cell counts give the discrepancy at every length of an m grid.
 
 An orbit is never binned.  Its i-th tick is (b + i * d) mod N, and an integer
@@ -361,41 +360,53 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
     return SamplePath(ticks=ticks, scale=scale, seed=seed, spec=spec)
 
 
-def expectation(f: Function, spec: ProcessSpec) -> Fraction:
-    """Exact E f(X) under the process marginal.
+def _cell_masses(C: int, cuts: Sequence[int], spec: ProcessSpec) -> Tuple[int, List[int]]:
+    """The marginal law of the refinement cells [c_j, c_j+1) / C, as integer
+    masses over one denominator B: ``(B, masses)``, and they sum to B.
 
-    IID and rotation specs have the uniform marginal, so the expectation is
-    f's integral over [0, 1).  The Markov marginal is the stationary mixture
-    of the emissions: a point emission at a weighs f(a), a uniform emission
-    on [a, b) weighs f's integral over [a, b) divided by b - a.
+    The uniform marginal (IID, rotation) gives the cell widths over C.  The
+    Markov marginal is the stationary mixture of the emissions: a point
+    emission weighs the cell holding its point (the cell right of a cut it
+    lies on), a uniform one on [lo, hi) each cell's overlap with it over
+    hi - lo.
     """
-    if f.kind != STEP:
-        raise NoMarginalExpectation("expectations need a STEP function")
     if isinstance(spec, (IIDUniformSpec, RotationSpec)):
-        return f.integral(ZERO, ONE)
-    if isinstance(spec, MarkovSpec):
-        total = ZERO
-        for p, e in zip(spec.stationary_distribution(), spec.emissions):
-            if e.kind == "point":
-                total += p * f.value_at(e.at)
-            else:
-                total += p * f.integral(e.lo, e.hi) / (e.hi - e.lo)
-        return total
-    raise TypeError(f"unknown process spec {spec!r}")
+        return C, list(map(operator.sub, cuts[1:], cuts))
+    if not isinstance(spec, MarkovSpec):
+        raise TypeError(f"unknown process spec {spec!r}")
+    terms = []  # per state: its mass on each cell, over its own denominator
+    for p, e in zip(spec.stationary_distribution(), spec.emissions):
+        if e.kind == "point":
+            law = [0] * (len(cuts) - 1)
+            law[bisect_right(cuts, e.at.numerator * C // e.at.denominator) - 1] = 1
+        else:  # overlaps over q * C, q the lcm of the interval's denominators
+            q = math.lcm(e.lo.denominator, e.hi.denominator)
+            lo, hi = (x.numerator * (q // x.denominator) * C for x in (e.lo, e.hi))
+            law = [max(0, min(b * q, hi) - max(a * q, lo)) for a, b in zip(cuts, cuts[1:])]
+        terms.append(([p.numerator * x for x in law], p.denominator * sum(law)))
+    B = math.lcm(*(d for _, d in terms))
+    return B, list(map(sum, zip(*([x * (B // d) for x in law] for law, d in terms))))
+
+
+def expectation(F: FunctionClass, spec: ProcessSpec) -> List[Fraction]:
+    """Exact E f(X) under the process marginal for each f in F, in order:
+    f's row of the class table (values over V per cell) dotted with the cell
+    masses over B, one integer sum and one ``Fraction`` per function."""
+    if F.kind != STEP:
+        raise NoMarginalExpectation("expectations need a STEP class")
+    C, cuts, V, rows = refinement(F)
+    B, masses = _cell_masses(C, cuts, spec)
+    return [Fraction(sum(map(operator.mul, row, masses)), V * B) for row in rows]
 
 
 def _class_means(
     F: FunctionClass, path: SamplePath, lengths: Sequence[int]
 ) -> List[List[Fraction]]:
     """Exact per-function sample means of the path's first m points, for each
-    m in the increasing ``lengths``, from common-refinement cell counts.  The
-    class's integer value table gives cuts c over C and cell values over V;
-    the interior cuts become the tick thresholds ceil(c * N / C), so each
-    mean is the single ``Fraction`` sum / (V * m).  An orbit is counted by
-    floor sums at each length, any other path by running bin counts.
-    """
-    if F.kind != STEP:
-        raise NoMarginalExpectation("discrepancies need a STEP class")
+    m in the increasing ``lengths``: the interior cuts of the class table
+    become the tick thresholds ceil(c * N / C), and each mean is one
+    ``Fraction``, sum / (V * m).  An orbit is counted by floor sums at each
+    length, any other path by running bin counts."""
     C, cuts, V, rows = refinement(F)
     N = path.scale
     inner = [-(-c * N // C) for c in cuts[1:-1]]
@@ -427,7 +438,7 @@ def _binned_counts(
 
 def pointwise_discrepancy(f: Function, path: SamplePath) -> Fraction:
     """|sample mean - expectation| of a single function on a path."""
-    ef = expectation(f, path.spec)
+    ef = expectation(FunctionClass([f]), path.spec)[0]
     mean = sum((f.value_at(x) for x in path.values), ZERO) / len(path)
     return abs(mean - ef)
 
@@ -437,9 +448,8 @@ def _discrepancies(
 ) -> List[List[Fraction]]:
     """Per function, |sample mean - expectation| over the path's first m
     points, for each m in the increasing ``lengths``."""
-    means = _class_means(F, path, lengths)
-    expected = [expectation(f, path.spec) for f in F.functions]
-    return [[abs(a - e) for a, e in zip(row, expected)] for row in means]
+    expected = expectation(F, path.spec)  # rejects a TABULAR class
+    return [[abs(a - e) for a, e in zip(row, expected)] for row in _class_means(F, path, lengths)]
 
 
 def discrepancy(
@@ -449,7 +459,7 @@ def discrepancy(
 
     Given increasing prefix ``lengths`` instead, returns the trajectory
     [G_m for m in lengths] of the path's first m points, from one pass of
-    running cell counts and one expectation per function.
+    running cell counts and one ``expectation`` call for the class.
     """
     if lengths is None:
         return max(per_function_discrepancies(F, path))

@@ -160,6 +160,8 @@ class IntervalUnion:
         D = self._den
         return ((Fraction(lo, D), Fraction(hi, D)) for lo, hi in self._pairs)
 
+    __contains__ = None  # ``in`` is a TypeError, not a search of the (lo, hi) pairs
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IntervalUnion)

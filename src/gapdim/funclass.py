@@ -11,7 +11,7 @@ checked once, when it is built; a generated class's n equal cells
 are built back into IntervalUnions only when read, as for class JSON.  A
 function's one integer row ``(D, ends, W, vals)`` is those ends with the
 value of each interval as v * W, W the lcm of the value denominators.
-Values, integrals and the class table read that row.  A TABULAR function is
+Values and the class table read that row.  A TABULAR function is
 a table of values on a finite point set, the :class:`Domain` that the
 functions of one class share; a domain is likewise converted, checked and
 indexed once.  Both keep values in [0, 1].
@@ -25,8 +25,8 @@ at least 2.  :func:`band_of_value` is the one rule that puts a value in a
 band; a STEP segment is one IntervalUnion over the row's intervals in the
 band.  A STEP class's integer value table (:func:`refinement`, its
 functions' rows merged over one C and one V) serves the dimension search,
-the sample means, and, as bands per cell (:func:`cell_bands`), the segment
-join and the intersection-tree builder.
+the sample means and expectations, and, as bands per cell
+(:func:`cell_bands`), the segment join and the intersection-tree builder.
 """
 
 from __future__ import annotations
@@ -199,20 +199,6 @@ class Function:
             return self.values[self.points.position[x]]
         except KeyError:
             raise ValueError(f"{x} is not a tabular domain point") from None
-
-    def integral(self, a: RationalLike, b: RationalLike) -> Fraction:
-        """The exact integral of a STEP function over [a, b), 0 <= a <= b <= 1."""
-        a, b = Fraction(a), Fraction(b)
-        if self.kind != STEP or not ZERO <= a <= b <= ONE:
-            raise ValueError(f"{self!r} has no integral over [{a}, {b})")
-        D, ends, W, vals = self._row
-        # everything over q * D, with q the lcm of the window's denominators
-        q = math.lcm(a.denominator, b.denominator)
-        A, B = (x.numerator * (q // x.denominator) * D for x in (a, b))
-        total = 0
-        for lo, hi, v in zip((0, *ends), ends, vals):
-            total += v * max(0, min(hi * q, B) - max(lo * q, A))
-        return Fraction(total, q * D * W)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Function) and (

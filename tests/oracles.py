@@ -565,13 +565,14 @@ def oracle_integral(f, a, b):
 
 
 def oracle_expectation(f, spec):
-    """E f(X) from piece measures (see ``oracle_integral``)."""
+    """E f(X) from piece measures (see ``oracle_integral``) and, at a point
+    emission, the value of the piece holding the point (``oracle_value_at``)."""
     if isinstance(spec, (IIDUniformSpec, RotationSpec)):
         return sum((v * piece.measure for piece, v in zip(f.pieces, f.values)), Fraction(0))
     total = Fraction(0)
     for p, e in zip(spec.stationary_distribution(), spec.emissions):
         if e.kind == "point":
-            total += p * f.value_at(e.at)
+            total += p * oracle_value_at(f, e.at)
         else:
             total += p * oracle_integral(f, e.lo, e.hi) / (e.hi - e.lo)
     return total

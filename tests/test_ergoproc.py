@@ -29,6 +29,7 @@ from gapdim.ergoproc import (
     Orbit,
     RotationSpec,
     SamplePath,
+    _cell_masses,
     _class_means,
     bound_check,
     floor_sum,
@@ -36,7 +37,7 @@ from gapdim.ergoproc import (
     pointwise_discrepancy,
 )
 from gapdim.cli import main
-from gapdim.funclass import frac_mod1, random_step
+from gapdim.funclass import frac_mod1, full_join_family, load_class, random_step, refinement
 from gapdim.rng import BLOCK, SplitMix64
 from oracles import (
     InvalidSplit,
@@ -44,6 +45,7 @@ from oracles import (
     oracle_constant,
     oracle_expectation,
     oracle_indicator,
+    oracle_integral,
     oracle_irreducible,
     oracle_sample_path,
     oracle_stationary,
@@ -160,16 +162,16 @@ class TestSamplePath:
 class TestExpectation:
     def test_indicator_uniform(self):
         f = oracle_indicator(IntervalUnion.interval(0, F(1, 4)))
-        assert expectation(f, IIDUniformSpec()) == F(1, 4)
+        assert expectation(FunctionClass([f]), IIDUniformSpec()) == [F(1, 4)]
 
     def test_constant_any_spec(self):
         f = oracle_constant(F(2, 7))
         for spec in (IIDUniformSpec(), RotationSpec(theta=F(1, 3)), markov2()):
-            assert expectation(f, spec) == F(2, 7)
+            assert expectation(FunctionClass([f]), spec) == [F(2, 7)]
 
     def test_markov_staircase(self):
         # hand computation: (2/3) * 1/10 + (1/3) * 9/10 = 11/30
-        assert expectation(staircase(10), markov2()) == F(11, 30)
+        assert expectation(FunctionClass([staircase(10)]), markov2()) == [F(11, 30)]
 
     def test_markov_uniform_emission(self):
         spec = MarkovSpec(
@@ -178,12 +180,12 @@ class TestExpectation:
         )
         f = oracle_indicator(IntervalUnion.interval(0, F(1, 4)))
         # pi = (1/2, 1/2); conditional expectations 1/2 and 0
-        assert expectation(f, spec) == F(1, 4)
+        assert expectation(FunctionClass([f]), spec) == [F(1, 4)]
 
     def test_tabular_rejected(self):
-        f = Function.tabular([F(1, 2)], [F(1, 2)])
+        FC = FunctionClass([Function.tabular([F(1, 2)], [F(1, 2)])])
         with pytest.raises(NoMarginalExpectation):
-            expectation(f, IIDUniformSpec())
+            expectation(FC, IIDUniformSpec())
 
 
 def markov_straddling() -> MarkovSpec:
@@ -195,31 +197,110 @@ def markov_straddling() -> MarkovSpec:
     )
 
 
-class TestExpectationMatchesPieceMeasures:
-    """Sums over flat pieces equal the IntervalUnion piece-measure formula."""
-
-    @pytest.mark.parametrize(
-        "spec",
-        [IIDUniformSpec(), RotationSpec(theta=F(2, 7)), markov2(), markov3(),
-         markov_straddling()],
-        ids=["iid", "rotation", "markov2", "markov3", "straddling"],
+def markov_on_cuts() -> MarkovSpec:
+    """A point emission on the cut 1/2 and a uniform emission on [1/3, 5/7)."""
+    return MarkovSpec(
+        ((F(1, 3), F(2, 3)), (F(3, 4), F(1, 4))),
+        (Emission.point(F(1, 2)), Emission.uniform(F(1, 3), F(5, 7))),
     )
-    def test_classes(self, spec):
-        classes = [thresholds(6), random_step(5, 9, 7, 6), random_step(8, 1, 3, 2)]
-        fns = [f for FC in classes for f in FC.functions] + [staircase(10)]
-        fns.append(Function.step(
-            [IntervalUnion([(0, F(1, 5)), (F(2, 3), 1)]), IntervalUnion.interval(F(1, 5), F(2, 3))],
-            [F(1, 3), F(5, 8)],
-        ))
-        for f in fns:
-            assert expectation(f, spec) == oracle_expectation(f, spec)
 
-    def test_one_expectation_per_function(self, monkeypatch):
-        from gapdim import ergoproc
 
+def even_chain(*emissions) -> MarkovSpec:
+    """A chain that moves to each state with equal probability; its
+    stationary law is uniform."""
+    n = len(emissions)
+    return MarkovSpec(tuple((F(1, n),) * n for _ in range(n)), emissions)
+
+
+# A 2-state chain with point emissions at 0 and on the cut 1/2 of thresholds(4),
+# and a 3-state chain with uniform emissions inside one cell of thresholds(4),
+# between two of its cuts, and on all of [0, 1).
+POINTS_AT_ZERO_AND_ON_A_CUT = MarkovSpec(
+    ((F(1, 3), F(2, 3)), (F(3, 4), F(1, 4))), (Emission.point(0), Emission.point(F(1, 2)))
+)
+UNIFORMS_IN_A_CELL_ON_CUTS_AND_EVERYWHERE = even_chain(
+    Emission.uniform(F(1, 16), F(3, 16)),
+    Emission.uniform(F(1, 4), F(3, 4)),
+    Emission.uniform(0, 1),
+)
+
+MASS_SPECS = {
+    "iid": IIDUniformSpec(),
+    "golden": RotationSpec(theta=golden_rotation_angle()),
+    "rotation": RotationSpec(theta=F(2, 7)),
+    "markov2": markov2(),
+    "markov3": markov3(),
+    "straddling": markov_straddling(),
+    "on_cuts": markov_on_cuts(),
+    "points": POINTS_AT_ZERO_AND_ON_A_CUT,
+    "uniforms": UNIFORMS_IN_A_CELL_ON_CUTS_AND_EVERYWHERE,
+}
+
+# An uneven class file: cells of unequal widths and a piece that is empty.
+UNEVEN_CLASS = {
+    "kind": "step",
+    "name": "uneven",
+    "functions": [
+        {"pieces": [
+            {"set": "[0/1,1/7)", "value": "1/3"},
+            {"set": "empty", "value": "1/1"},
+            {"set": "[1/7,5/9),[5/6,1/1)", "value": "2/5"},
+            {"set": "[5/9,5/6)", "value": "0/1"},
+        ]},
+        {"pieces": [
+            {"set": "[0/1,1/2)", "value": "1/2"},
+            {"set": "[1/2,1/1)", "value": "1/1"},
+        ]},
+    ],
+}
+
+
+def mass_corpus(tmp_path):
+    path = tmp_path / "uneven.json"
+    path.write_text(json.dumps(UNEVEN_CLASS))
+    classes = (
+        [thresholds(n) for n in (1, 4, 6)]
+        + [interval_indicators(n) for n in (1, 5)]
+        + [full_join_family(2, 1, 3, F(1, 5))]
+        + [random_step(s, 4 + s % 5, 8, 3 + s % 6) for s in range(12)]
+        + [random_step(5, 9, 7, 6), random_step(8, 1, 3, 2), random_step(13, 100, 3, 3)]
+    )
+    # functions on different partitions in one class
+    mixed = [f for FC in classes[-3:] for f in FC.functions] + [staircase(10)]
+    mixed.append(Function.step(
+        [IntervalUnion([(0, F(1, 5)), (F(2, 3), 1)]), IntervalUnion.interval(F(1, 5), F(2, 3))],
+        [F(1, 3), F(5, 8)],
+    ))
+    return [*classes, FunctionClass(mixed), load_class(path)]
+
+
+# [0, 1), windows inside one cell and across many, ends on and off cuts
+WINDOWS = [(F(0), F(1)), (F(1, 7), F(5, 9)), (F(1, 3), F(1, 3) + F(1, 10**9)),
+           (F(1, 4), F(1, 2)), (F(0), F(1, 8)), (F(7, 8), F(1))] + [
+    (F(a, 10**4), F(b, 10**4)) for a, b in [(17, 9973), (2500, 2513), (4999, 5001), (6120, 8888)]
+]
+
+
+class TestExpectationMatchesPieceMeasures:
+    """Expectations from the cell masses of the class table equal the
+    IntervalUnion piece-measure formula, function by function."""
+
+    @pytest.mark.parametrize("name", sorted(MASS_SPECS))
+    def test_classes(self, name, tmp_path):
+        spec = MASS_SPECS[name]
+        for FC in mass_corpus(tmp_path):
+            assert expectation(FC, spec) == [oracle_expectation(f, spec) for f in FC], FC
+            C, cuts = refinement(FC)[:2]
+            B, masses = _cell_masses(C, cuts, spec)
+            assert len(masses) == len(cuts) - 1 and all(x >= 0 for x in masses)
+            assert sum(masses) == B
+
+    def test_one_expectation_per_class_and_path(self, monkeypatch):
         calls = []
         real = ergoproc.expectation
-        monkeypatch.setattr(ergoproc, "expectation", lambda f, s: calls.append(f) or real(f, s))
+        monkeypatch.setattr(
+            ergoproc, "expectation", lambda FC, s: calls.append((FC, s)) or real(FC, s)
+        )
         FC = random_step(2, 6, 5, 7)
         path = sample_path(markov_straddling(), 50, 3)
         for run in (
@@ -229,7 +310,43 @@ class TestExpectationMatchesPieceMeasures:
         ):
             calls.clear()
             run()
-            assert calls == list(FC.functions)
+            assert calls == [(FC, path.spec)]
+
+
+class TestCellMasses:
+    """Cell masses checked by hand, and one-state chains against integrals."""
+
+    def test_uneven_class_file(self, tmp_path):
+        FC = mass_corpus(tmp_path)[-1]
+        assert len(FC[0].pieces) == 4 and FC[0].pieces[1].is_empty
+        # 1/3 * 1/7 + 2/5 * ((5/9 - 1/7) + (1 - 5/6)), and 1/2 * 1/2 + 1/2
+        assert expectation(FC, IIDUniformSpec()) == [F(1, 21) + F(2, 5) * F(73, 126), F(3, 4)]
+
+    def test_points_at_zero_and_on_a_cut(self):
+        # pi = (9/17, 8/17); the point 1/2 on a cut lies in the cell right of it
+        C, cuts = refinement(thresholds(4))[:2]
+        B, masses = _cell_masses(C, cuts, POINTS_AT_ZERO_AND_ON_A_CUT)
+        assert [F(x, B) for x in masses] == [F(9, 17), 0, F(8, 17), 0]
+
+    def test_uniforms_in_a_cell_on_cuts_and_everywhere(self):
+        # each state weighs 1/3: all on cell 0, halves on cells 1 and 2,
+        # quarters on every cell
+        C, cuts = refinement(thresholds(4))[:2]
+        B, masses = _cell_masses(C, cuts, UNIFORMS_IN_A_CELL_ON_CUTS_AND_EVERYWHERE)
+        assert [F(x, B) for x in masses] == [F(5, 12), F(1, 4), F(1, 4), F(1, 12)]
+
+    @pytest.mark.parametrize("lo,hi", WINDOWS, ids=str)
+    def test_one_uniform_state_gives_the_mean_over_its_interval(self, lo, hi, tmp_path):
+        spec = even_chain(Emission.uniform(lo, hi))
+        for FC in mass_corpus(tmp_path):
+            means = [oracle_integral(f, lo, hi) / (hi - lo) for f in FC]
+            assert expectation(FC, spec) == means, FC
+
+    def test_unknown_spec_rejected(self):
+        with pytest.raises(TypeError, match="unknown process spec"):
+            expectation(thresholds(3), object())
+        with pytest.raises(TypeError, match="unknown process spec"):
+            _cell_masses(1, (0, 1), None)
 
 
 class TestDiscrepancy:
@@ -492,14 +609,6 @@ class TestOrbitSeparation:
             assert (n * theta % 1).denominator > 10**6
 
 
-def markov_on_cuts() -> MarkovSpec:
-    """A point emission on the cut 1/2 and a uniform emission on [1/3, 5/7)."""
-    return MarkovSpec(
-        ((F(1, 3), F(2, 3)), (F(3, 4), F(1, 4))),
-        (Emission.point(F(1, 2)), Emission.uniform(F(1, 3), F(5, 7))),
-    )
-
-
 ORACLE_SPECS = {
     "iid": IIDUniformSpec(),
     "golden": RotationSpec(theta=golden_rotation_angle()),
@@ -574,7 +683,7 @@ class TestIntegerPathsMatchFractionOracle:
         FC = random_step(4, 8, 5, 9)
         grid = [120, 5, 40, 120, 1]
         rep = estimate_gamma(FC, spec, grid, 3, 60)
-        expected = [expectation(f, spec) for f in FC.functions]
+        expected = expectation(FC, spec)
         rows = []
         for m in sorted(grid):
             for r in range(3):
@@ -681,7 +790,7 @@ class TestOrbitCounts:
         means = [s / m for s in sums]
         assert _class_means(FC, sample_path(spec, m, seed), [m]) == [means]
 
-        expected = [abs(a - expectation(f, spec)) for a, f in zip(means, FC.functions)]
+        expected = [abs(a - e) for a, e in zip(means, expectation(FC, spec))]
         assert main(["discrepancy", "--class", "thresholds(16)", "--process", "rotation:1/3",
                      "--m", str(m), "--seed", str(seed)]) == 0
         report = json.loads(capsys.readouterr().out)["report"]

@@ -102,6 +102,12 @@ class TestNormalization:
     def test_idempotent(self, u):
         assert IntervalUnion(tuple(u)) == u
 
+    @pytest.mark.parametrize("x", [F(1, 2), F(0), (F(0), F(1)), 5])
+    def test_membership_is_a_type_error(self, x):
+        # iteration yields (lo, hi) pairs; `in` must not fall back to it
+        with pytest.raises(TypeError):
+            x in IntervalUnion.full()
+
 
 class TestAlgebra:
     @given(interval_unions(), interval_unions())

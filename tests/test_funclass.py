@@ -43,7 +43,6 @@ from oracles import (
     oracle_constant,
     oracle_full_join_family,
     oracle_indicator,
-    oracle_integral,
     oracle_interval_indicators,
     oracle_on_cells,
     oracle_random_step,
@@ -424,7 +423,7 @@ class TestTableMatchesFractionRefinement:
 
 
 class TestStepRow:
-    """value_at and integral read each STEP function's integer row."""
+    """value_at reads each STEP function's integer row."""
 
     @pytest.mark.parametrize("FC", TABLE_CLASSES, ids=repr)
     def test_value_at_is_the_value_of_the_piece_holding_x(self, FC):
@@ -441,28 +440,6 @@ class TestStepRow:
                 assert oracle_value_at(f, x) is None
                 with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
                     f.value_at(x)
-
-    @pytest.mark.parametrize("FC", TABLE_CLASSES, ids=repr)
-    def test_integral_matches_piece_measures(self, FC):
-        rng = SplitMix64(len(FC) + 11)
-        windows = [(F(0), F(1)), (F(1, 3), F(1, 3)), (F(0), F(0)), (F(1), F(1))]
-        for _ in range(6):  # random windows, most across several pieces
-            a, b = sorted(F(rng.randint(10**4 + 1), 10**4) for _ in range(2))
-            windows.append((a, b))
-        for f in FC.functions:
-            for lo, hi in [iv for piece in f.pieces for iv in piece][:3]:
-                windows.append((lo + (hi - lo) / 3, hi - (hi - lo) / 5))  # inside one piece
-            for a, b in windows:
-                assert f.integral(a, b) == oracle_integral(f, a, b), (f, a, b)
-
-    @pytest.mark.parametrize(
-        "f,a,b",
-        [(thresholds(3)[0], F(1, 2), F(1, 4)), (thresholds(3)[0], F(-1, 4), F(1, 2)),
-         (thresholds(3)[0], 0, F(5, 4)), (all_patterns(2)[1], 0, 1)],
-    )
-    def test_no_integral_outside_the_unit_interval_or_of_a_table(self, f, a, b):
-        with pytest.raises(ValueError, match="no integral"):
-            f.integral(a, b)
 
     def test_pieces_in_another_order_are_equal(self):
         a = IntervalUnion([(0, F(1, 3)), (F(2, 3), 1)])
@@ -482,7 +459,6 @@ class TestStepRow:
         )
         assert halves != oracle_constant(0)
         assert halves.value_at(F(1, 3)) == oracle_constant(0).value_at(F(1, 3))
-        assert halves.integral(0, 1) == oracle_constant(0).integral(0, 1) == 0
         assert oracle_constant(F(1, 2)) != oracle_constant(F(1, 3))
 
 
@@ -703,18 +679,11 @@ class TestEqualCellGenerators:
                         assert join(FC, gamma, k, k2) == join(oracle, gamma, k, k2)
 
     @pytest.mark.parametrize("FC,oracle", EQUAL_CELL_PAIRS, ids=lambda c: c.name)
-    def test_same_values_and_integrals(self, FC, oracle):
+    def test_same_values(self, FC, oracle):
         C, cuts, _, _ = refinement(FC)
         points = [F(c, C) for c in cuts[:-1]] + [F(a + b, 2 * C) for a, b in zip(cuts, cuts[1:])]
-        rng = SplitMix64(len(FC))
-        windows = [(F(0), F(1)), (F(1, 3), F(1, 3))] + [
-            tuple(sorted(F(rng.randint(1001), 1000) for _ in range(2))) for _ in range(4)
-        ]
         for f, g in zip(FC, oracle):
             assert [f.value_at(x) for x in points] == [oracle_value_at(g, x) for x in points]
-            assert [f.integral(a, b) for a, b in windows] == [
-                oracle_integral(g, a, b) for a, b in windows
-            ]
 
     @pytest.mark.parametrize(
         "spec,cells",
