@@ -2,11 +2,12 @@
 
 Three process variants generate points in [0, 1): an i.i.d. uniform source,
 a circle rotation x -> x + theta (mod 1) started uniformly, and a finite
-irreducible Markov chain started from its stationary distribution with a
-point or uniform-on-subinterval emission per state.  Path values are exact
-rationals built from 53-bit SplitMix64 draws, held as integer ticks over
-one scale N per path (x = tick / N): N = 2**53 for IID, 2**53 * den(theta)
-for a rotation, and 2**53 * lcm(emission denominators) for a Markov chain.
+irreducible Markov chain started from its stationary distribution with an
+``Emission`` [lo, hi) per state: a uniform draw on it, or the point lo when
+lo == hi.  Path values are exact rationals built from 53-bit SplitMix64
+draws, held as integer ticks over one scale N per path (x = tick / N):
+N = 2**53 for IID, 2**53 * den(theta) for a rotation, and
+2**53 * lcm(emission denominators) for a Markov chain.
 IID ticks are one ``array('Q')`` of 64-bit words, Markov ticks a tuple (N
 can pass 2**64), and a rotation path holds only its ``Orbit``: the first
 tick, the step theta * N, N and the length, from which any tick is one
@@ -85,26 +86,25 @@ def golden_rotation_angle() -> Fraction:
 
 @dataclass(frozen=True)
 class Emission:
-    """Per-state output: a fixed point or a uniform draw on [lo, hi)."""
+    """Per-state output: a uniform draw on [lo, hi), or the point lo when
+    lo == hi."""
 
-    kind: str  # "point" | "uniform"
-    at: Optional[Fraction] = None
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
+    lo: Fraction
+    hi: Fraction
 
     @classmethod
     def point(cls, at: RationalLike) -> "Emission":
         at = Fraction(at)
         if not ZERO <= at < ONE:
             raise ValueError(f"emission point {at} outside [0, 1)")
-        return cls("point", at=at)
+        return cls(at, at)
 
     @classmethod
     def uniform(cls, lo: RationalLike, hi: RationalLike) -> "Emission":
         lo, hi = Fraction(lo), Fraction(hi)
         if not ZERO <= lo < hi <= ONE:
             raise ValueError(f"emission interval [{lo}, {hi}) invalid")
-        return cls("uniform", lo=lo, hi=hi)
+        return cls(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -214,11 +214,8 @@ class Orbit(Sequence[int]):
     def __len__(self) -> int:
         return self.length
 
-    def __getitem__(self, i):
-        j = range(self.length)[i]
-        if isinstance(j, range):  # a slice: explicit ticks, never an orbit
-            return tuple((self.first + k * self.step) % self.scale for k in j)
-        return (self.first + j * self.step) % self.scale
+    def __getitem__(self, i: int) -> int:
+        return (self.first + range(self.length)[i] * self.step) % self.scale
 
     def __iter__(self) -> Iterator[int]:
         stop = self.first + self.length * self.step
@@ -241,10 +238,8 @@ class SamplePath:
 
     ``ticks`` is any sequence of ints: an ``array('Q')`` for an IID path, an
     ``Orbit`` for a rotation path and a tuple otherwise.  Only an ``Orbit``
-    is counted by floor sums; a path built from explicit ticks (by hand, or
-    ``dataclasses.replace`` with a slice of an orbit) is binned.  Paths
-    compare equal when their scale, seed, spec and ticks do, whatever holds
-    the ticks.
+    is counted by floor sums; a path built from explicit ticks is binned.
+    Paths compare by identity.
     """
 
     ticks: Sequence[int]
@@ -259,18 +254,6 @@ class SamplePath:
 
     def __len__(self) -> int:
         return len(self.ticks)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SamplePath):
-            return NotImplemented
-        mine = (self.scale, self.seed, self.spec, len(self))
-        if mine != (other.scale, other.seed, other.spec, len(other)):
-            return False
-        a, b = self.ticks, other.ticks
-        return a == b if type(a) is type(b) else all(map(operator.eq, a, b))
-
-    def __hash__(self) -> int:
-        return hash((self.scale, self.seed, self.spec, len(self)))
 
 
 def _ceil_scaled(q: Fraction, scale: int) -> int:
@@ -305,7 +288,7 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
     frac(x0 + i*theta) for i = 1..m.  A Markov chain consumes one uniform
     for the stationary initial state, then per step one uniform for the
     transition (from step 2 on) followed by one uniform for the emission
-    when the state's emission is an interval.
+    when the state's emission is not a point (lo < hi).
 
     A uniform is a 53-bit integer k standing for k / 2**53, and the points
     are integer ticks over one scale N.  IID: N = 2**53 and the tick is k.
@@ -313,11 +296,11 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
     tick x0 * N, modulo N, and the path is held as that ``Orbit`` (its ticks
     are built only when read; counts come from floor sums).  Markov:
     N = 2**53 * L with L the lcm of the emission denominators; states are
-    picked by comparing k against integer cumulative thresholds, a point
-    emission at a is the tick a * N, and a uniform emission on [lo, hi) is
-    lo * N + (hi - lo) * L * k.  Because the
-    draws come in this order whatever m is, the path of length m is a prefix
-    of every longer path from the same (spec, seed).
+    picked by comparing k against integer cumulative thresholds, and an
+    emission on [lo, hi) is the tick lo * N + (hi - lo) * L * k: width 0,
+    and no draw, for a point.  Because the draws come in this order whatever
+    m is, the path of length m is a prefix of every longer path from the
+    same (spec, seed).
 
     All uniforms come from one ``SplitMix64(seed)`` stream.  IID and Markov
     paths draw it in bulk (blocks of ``rng.BLOCK``), which gives the same
@@ -340,17 +323,11 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
         start = x0.numerator * (scale // x0.denominator)
         ticks = Orbit((start + step) % scale, step, scale, m)
     elif isinstance(spec, MarkovSpec):
-        L = math.lcm(*(
-            q.denominator for e in spec.emissions for q in (e.at, e.lo, e.hi) if q is not None
-        ))
+        L = math.lcm(*(q.denominator for e in spec.emissions for q in (e.lo, e.hi)))
         scale = TWO53 * L
         # per state: tick = offset + width * k, with width 0 for a point
         # (exact products: L is a multiple of every emission denominator)
-        emit = [
-            (_ceil_scaled(e.at, scale), 0) if e.kind == "point"
-            else (_ceil_scaled(e.lo, scale), _ceil_scaled(e.hi - e.lo, L))
-            for e in spec.emissions
-        ]
+        emit = [(_ceil_scaled(e.lo, scale), _ceil_scaled(e.hi - e.lo, L)) for e in spec.emissions]
         start = _pick_thresholds(spec.stationary_distribution())
         rows = [_pick_thresholds(row) for row in spec.transition]
         # at most 2m draws: the start, m - 1 transitions and m emissions
@@ -376,9 +353,9 @@ def _cell_masses(C: int, cuts: Sequence[int], spec: ProcessSpec) -> Tuple[int, L
         raise TypeError(f"unknown process spec {spec!r}")
     terms = []  # per state: its mass on each cell, over its own denominator
     for p, e in zip(spec.stationary_distribution(), spec.emissions):
-        if e.kind == "point":
+        if e.lo == e.hi:
             law = [0] * (len(cuts) - 1)
-            law[bisect_right(cuts, e.at.numerator * C // e.at.denominator) - 1] = 1
+            law[bisect_right(cuts, e.lo.numerator * C // e.lo.denominator) - 1] = 1
         else:  # overlaps over q * C, q the lcm of the interval's denominators
             q = math.lcm(e.lo.denominator, e.hi.denominator)
             lo, hi = (x.numerator * (q // x.denominator) * C for x in (e.lo, e.hi))
@@ -452,17 +429,12 @@ def _discrepancies(
     return [[abs(a - e) for a, e in zip(row, expected)] for row in _class_means(F, path, lengths)]
 
 
-def discrepancy(
-    F: FunctionClass, path: SamplePath, lengths: Optional[Sequence[int]] = None
-) -> Union[Fraction, List[Fraction]]:
-    """Maximum over the class of |sample mean - expectation|, exact.
-
-    Given increasing prefix ``lengths`` instead, returns the trajectory
-    [G_m for m in lengths] of the path's first m points, from one pass of
-    running cell counts and one ``expectation`` call for the class.
+def discrepancy(F: FunctionClass, path: SamplePath, lengths: Sequence[int]) -> List[Fraction]:
+    """The trajectory [G_m for m in lengths]: G_m is the maximum over the
+    class of |sample mean - expectation| on the path's first m points, exact,
+    for increasing prefix ``lengths``.  One pass of running cell counts and
+    one ``expectation`` call serve every length.
     """
-    if lengths is None:
-        return max(per_function_discrepancies(F, path))
     lengths = list(lengths)
     increasing = lengths == sorted(set(lengths))
     if not (lengths and increasing and 1 <= lengths[0] and lengths[-1] <= len(path)):

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -124,10 +125,6 @@ class IntervalUnion:
         return cls(((ZERO, ONE),))
 
     @classmethod
-    def interval(cls, lo: RationalLike, hi: RationalLike) -> "IntervalUnion":
-        return cls(((lo, hi),))
-
-    @classmethod
     def union_all(cls, unions: Iterable["IntervalUnion"]) -> "IntervalUnion":
         unions = list(unions)
         D = math.lcm(*(u._den for u in unions))
@@ -149,18 +146,8 @@ class IntervalUnion:
             return self._pairs
         return tuple((lo * m, hi * m) for lo, hi in self._pairs)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._pairs
-
     def __bool__(self) -> bool:
         return bool(self._pairs)
-
-    def __iter__(self) -> Iterator[Tuple[Fraction, Fraction]]:
-        D = self._den
-        return ((Fraction(lo, D), Fraction(hi, D)) for lo, hi in self._pairs)
-
-    __contains__ = None  # ``in`` is a TypeError, not a search of the (lo, hi) pairs
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -197,8 +184,6 @@ class IntervalUnion:
                 j += 1
         return _union(*_reduced(D, out))
 
-    __and__ = intersect
-
     def interior_point(self) -> Optional[Fraction]:
         """Midpoint of the longest constituent interval, leftmost on ties.
 
@@ -227,19 +212,21 @@ class IntervalUnion:
 
     @classmethod
     def from_text(cls, text: str) -> "IntervalUnion":
+        """The union written by :meth:`to_text`; "" also reads as empty, and
+        whitespace may follow the comma between two intervals.  Any other
+        text outside the intervals is a ValueError."""
         s = text.strip()
         if s in ("", "empty"):
             return cls.empty()
-        pairs = []
-        for chunk in s.split("),"):
-            chunk = chunk.strip()
-            if not chunk.startswith("["):
-                raise ValueError(f"malformed interval union: {text!r}")
-            body = chunk[1:].rstrip(")")
-            lo_s, _, hi_s = body.partition(",")
-            pairs.append((parse_rational(lo_s), parse_rational(hi_s)))
-        return cls(pairs)
+        if not _UNION_TEXT.fullmatch(s):
+            raise ValueError(f"malformed interval union: {text!r}")
+        return cls(
+            (parse_rational(lo), parse_rational(hi)) for lo, hi in _INTERVAL_TEXT.findall(s)
+        )
 
+
+_INTERVAL_TEXT = re.compile(r"\[([^][(),]*),([^][(),]*)\)")
+_UNION_TEXT = re.compile(rf"{_INTERVAL_TEXT.pattern}(?:,\s*{_INTERVAL_TEXT.pattern})*")
 
 Pairs = List[Tuple[int, int]]
 

@@ -321,23 +321,17 @@ def values_at(
 
 
 def k_of_gamma(gamma: RationalLike) -> int:
-    """Number of gamma-wide value bands covering [0, 1]."""
+    """Number of gamma-wide value bands covering [0, 1]: ceil(1 / gamma)."""
     gamma = Fraction(gamma)
     if not (ZERO < gamma <= ONE):
         raise InvalidResolution(f"gamma must be in (0, 1], got {gamma}")
-    inv = 1 / gamma
-    if inv.denominator == 1:
-        return int(inv)
-    return int(inv) + 1
+    return -(-gamma.denominator // gamma.numerator)
 
 
 def band_of_value(v: RationalLike, gamma: RationalLike) -> int:
     """Index k of the band containing value v (value 1 belongs to band K)."""
     gamma, v = Fraction(gamma), Fraction(v)
-    K = k_of_gamma(gamma)
-    if v == ONE:
-        return K
-    return min(int(v / gamma) + 1, K)
+    return min(int(v / gamma) + 1, k_of_gamma(gamma))
 
 
 def non_adjacent(k: int, k2: int) -> bool:
@@ -446,7 +440,7 @@ def random_step(seed: int, pieces: int, grid: int, count: int = 1) -> FunctionCl
     """count random step functions on `pieces` equal cells with values v/grid."""
     if pieces < 1 or grid < 1 or count < 1:
         raise InvalidGeneratorSpec("random_step needs pieces, grid, count >= 1")
-    # the draws of per-call randint(grid + 1), row by row, mixed in bulk
+    # each value is one next_u64() draw mod grid + 1, row by row, mixed in bulk
     draws = SplitMix64(seed).u64s(pieces * count)
     levels = [Fraction(k, grid) for k in range(grid + 1)]
     rows = ([levels[u % (grid + 1)] for u in islice(draws, pieces)] for _ in range(count))

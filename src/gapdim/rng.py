@@ -8,9 +8,9 @@ bit for bit in any language.  Uniform draws on [0, 1) are the top 53 bits of
 an output divided by 2**53, returned as an exact dyadic ``Fraction`` or as
 its integer numerator (a "tick").
 
-Draws come one at a time (``next_u64``, ``unit_tick``, ``unit_fraction``,
-``randint``) or in bulk (``u64s``, ``unit_ticks``, and ``unit_tick_words``,
-which keeps the ticks as one ``array('Q')``), and both give one
+Draws come one at a time (``next_u64``, ``unit_tick``, ``unit_fraction``)
+or in bulk (``u64s``, ``unit_ticks``, and ``unit_tick_words``, which keeps
+the ticks as one ``array('Q')``), and both give one
 identical stream: n bulk draws return what n per-call draws would and leave
 the generator in the same state.  Bulk draws mix up to ``BLOCK`` states at
 once.  The states of a block are packed into one Python int as 128-bit
@@ -94,12 +94,6 @@ class SplitMix64:
     def unit_tick(self) -> int:
         """Numerator over 2**53 of the next ``unit_fraction()`` draw."""
         return self.next_u64() >> 11
-
-    def randint(self, n: int) -> int:
-        """Integer in [0, n) via modulo reduction (bias < 2**-50 for small n)."""
-        if n <= 0:
-            raise ValueError("randint needs n >= 1")
-        return self.next_u64() % n
 
     def u64s(self, n: int) -> Iterator[int]:
         """The next n ``next_u64()`` outputs, mixed a block at a time."""

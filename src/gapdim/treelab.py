@@ -79,9 +79,6 @@ class CompleteTree:
             raise ValueError(f"level {r} outside [0, {self.depth}]")
         return range(1 << r, 1 << (r + 1))
 
-    def leaves(self) -> range:
-        return self.nodes_at_level(self.depth)
-
     def is_leaf(self, t: int) -> bool:
         return self.level_of(t) == self.depth
 

@@ -10,7 +10,7 @@ from oracles import oracle_constant
 def ramp8() -> Function:
     """Identity ramp discretized on dyadic eighths, value = left endpoint."""
     pieces = [
-        IntervalUnion.interval(Fraction(j, 8), Fraction(j + 1, 8)) for j in range(8)
+        IntervalUnion([(Fraction(j, 8), Fraction(j + 1, 8))]) for j in range(8)
     ]
     return Function.step(pieces, [Fraction(j, 8) for j in range(8)])
 

@@ -10,7 +10,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from gapdim import CompleteTree, Function, FunctionClass, IntervalUnion, k_of_gamma, segment
-from gapdim.ergoproc import IIDUniformSpec, MarkovSpec, RotationSpec, SamplePath, discrepancy
+from gapdim.ergoproc import (
+    IIDUniformSpec, MarkovSpec, RotationSpec, SamplePath, per_function_discrepancies
+)
 from gapdim.exactset import format_rational, parse_rational
 from gapdim.funclass import (
     STEP, SegmentIndexOutOfRange, band_of_value, frac_mod1, non_adjacent
@@ -179,7 +181,7 @@ def oracle_join(families):
     """
     for fam in families:
         for a, b in combinations(fam, 2):
-            if not a.intersect(b).is_empty:
+            if a.intersect(b):
                 raise ValueError("overlapping family")
     cells = [(IntervalUnion.full(), ())]
     for fam in families:
@@ -187,7 +189,7 @@ def oracle_join(families):
             (cell.intersect(member), sig + (i,))
             for cell, sig in cells
             for i, member in enumerate(fam)
-            if not cell.intersect(member).is_empty
+            if cell.intersect(member)
         ]
     return [(cell.to_text(), sig) for cell, sig in cells]
 
@@ -361,9 +363,9 @@ def oracle_intersection_tree_build(F: FunctionClass, gamma, L: int, visit_cap: i
                     raise BudgetExceeded
                 pick = None
                 for k, k2 in pairs:
-                    if W.intersect(segs[fi][k - 1]).is_empty:
+                    if not W.intersect(segs[fi][k - 1]):
                         continue
-                    if W.intersect(segs[fi][k2 - 1]).is_empty:
+                    if not W.intersect(segs[fi][k2 - 1]):
                         continue
                     pick = (k, k2)
                     break
@@ -461,6 +463,18 @@ def oracle_unit_ticks(rng: SplitMix64, n: int) -> list:
     return [rng.unit_tick() for _ in range(n)]
 
 
+def randbelow(rng: SplitMix64, n: int) -> int:
+    """An integer in [0, n) from one ``next_u64()`` draw, by modulo
+    reduction (bias below 2**-50 for small n)."""
+    return rng.next_u64() % n
+
+
+def fraction_pairs(u: IntervalUnion) -> list:
+    """The sorted, merged ``(lo, hi)`` intervals of a union as Fractions."""
+    D = u.denominator
+    return [(Fraction(lo, D), Fraction(hi, D)) for lo, hi in u.scaled(D)]
+
+
 def sample_path_of(values, seed: int, spec) -> SamplePath:
     """A path through given points of [0, 1), over the lcm of their denominators."""
     values = [Fraction(v) for v in values]
@@ -492,9 +506,11 @@ def split_path(path: SamplePath, split: int):
 def subadditivity_check(F: FunctionClass, path: SamplePath, split: int) -> bool:
     """Exact check of (m+n) G_{m+n} <= m G_m + n G_n across a path split."""
     head, tail = split_path(path, split)
-    lhs = len(path) * discrepancy(F, path)
-    rhs = len(head) * discrepancy(F, head) + len(tail) * discrepancy(F, tail)
-    return lhs <= rhs
+
+    def weighted(p):
+        return len(p) * max(per_function_discrepancies(F, p))
+
+    return weighted(path) <= weighted(head) + weighted(tail)
 
 
 def oracle_sample_path(spec, m: int, seed: int):
@@ -517,8 +533,8 @@ def oracle_sample_path(spec, m: int, seed: int):
         if i > 0:
             state = _pick_cumulative(spec.transition[state], rng.unit_fraction())
         e = spec.emissions[state]
-        if e.kind == "point":
-            out.append(e.at)
+        if e.lo == e.hi:  # a point emission draws nothing
+            out.append(e.lo)
         else:
             out.append(e.lo + (e.hi - e.lo) * rng.unit_fraction())
     return tuple(out)
@@ -528,7 +544,9 @@ def oracle_refinement(F: FunctionClass):
     """Common refinement of a STEP class in Fractions: the sorted cuts
     (every piece endpoint of every function) and, per function, its
     ``value_at`` the left end of each cell."""
-    cuts = sorted({x for f in F.functions for piece in f.pieces for iv in piece for x in iv})
+    cuts = sorted({
+        x for f in F.functions for piece in f.pieces for iv in fraction_pairs(piece) for x in iv
+    })
     return cuts, [tuple(f.value_at(lo) for lo in cuts[:-1]) for f in F.functions]
 
 
@@ -550,14 +568,18 @@ def oracle_value_at(f, x):
     """The value of the STEP piece that contains x, by ``OracleIntervalUnion``
     membership; None when no piece does (x outside [0, 1))."""
     return next(
-        (v for piece, v in zip(f.pieces, f.values) if x in OracleIntervalUnion(piece)), None
+        (
+            v for piece, v in zip(f.pieces, f.values)
+            if x in OracleIntervalUnion(fraction_pairs(piece))
+        ),
+        None,
     )
 
 
 def oracle_integral(f, a, b):
     """The integral of a STEP function over [a, b) from piece measures: each
     piece, intersected as an IntervalUnion with [a, b), weighs its value."""
-    window = IntervalUnion.interval(a, b)
+    window = IntervalUnion([(a, b)])
     return sum(
         (v * piece.intersect(window).measure for piece, v in zip(f.pieces, f.values)),
         Fraction(0),
@@ -571,8 +593,8 @@ def oracle_expectation(f, spec):
         return sum((v * piece.measure for piece, v in zip(f.pieces, f.values)), Fraction(0))
     total = Fraction(0)
     for p, e in zip(spec.stationary_distribution(), spec.emissions):
-        if e.kind == "point":
-            total += p * oracle_value_at(f, e.at)
+        if e.lo == e.hi:  # a point emission
+            total += p * oracle_value_at(f, e.lo)
         else:
             total += p * oracle_integral(f, e.lo, e.hi) / (e.hi - e.lo)
     return total
@@ -597,11 +619,11 @@ def oracle_step(pieces, values) -> Function:
         raise ValueError("step pieces must cover [0, 1)")
     if sum((p.measure for p in pieces), Fraction(0)) != Fraction(1):
         raise ValueError("step pieces must be pairwise disjoint")
-    D = math.lcm(*(hi.denominator for piece in pieces for _, hi in piece))
+    D = math.lcm(*(hi.denominator for piece in pieces for _, hi in fraction_pairs(piece)))
     W = math.lcm(*(v.denominator for v in vals))
     ends, row_vals = zip(*sorted(
         (hi.numerator * (D // hi.denominator), v.numerator * (W // v.denominator))
-        for piece, v in zip(pieces, vals) for _, hi in piece
+        for piece, v in zip(pieces, vals) for _, hi in fraction_pairs(piece)
     ))
     f = object.__new__(Function)
     f.kind, f.pieces, f.points, f.values = STEP, pieces, None, vals
@@ -618,11 +640,11 @@ def oracle_indicator(support: IntervalUnion) -> Function:
     """The 0/1 STEP function of a support, on the two pieces complement and
     support (the complement from ``OracleIntervalUnion``), or constant when
     the support is empty or all of [0, 1)."""
-    if support.is_empty:
+    if not support:
         return oracle_constant(0)
     if support.measure == 1:
         return oracle_constant(1)
-    rest = IntervalUnion(OracleIntervalUnion(support).complement())
+    rest = IntervalUnion(OracleIntervalUnion(fraction_pairs(support)).complement())
     return Function.step([rest, support], [0, 1])
 
 
@@ -630,7 +652,7 @@ def oracle_on_cells(F: FunctionClass, n: int) -> FunctionClass:
     """A STEP class whose functions are constant on the n cells
     [i/n, (i+1)/n), rewritten on those cells: each cell its own IntervalUnion,
     valued by ``oracle_value_at`` at its left end."""
-    cells = [IntervalUnion.interval(Fraction(i, n), Fraction(i + 1, n)) for i in range(n)]
+    cells = [IntervalUnion([(Fraction(i, n), Fraction(i + 1, n))]) for i in range(n)]
     fns = [
         Function.step(cells, [oracle_value_at(f, Fraction(i, n)) for i in range(n)]) for f in F
     ]
@@ -641,7 +663,10 @@ def oracle_step_class(F: FunctionClass) -> FunctionClass:
     """A STEP class rebuilt function by function with ``oracle_step``, each
     piece a fresh IntervalUnion."""
     return FunctionClass(
-        [oracle_step([IntervalUnion(piece) for piece in f.pieces], f.values) for f in F],
+        [
+            oracle_step([IntervalUnion(fraction_pairs(piece)) for piece in f.pieces], f.values)
+            for f in F
+        ],
         F.name,
     )
 
@@ -666,13 +691,13 @@ def oracle_step_class_from_json(doc) -> FunctionClass:
 
 
 def oracle_random_step(seed: int, pieces: int, grid: int, count: int = 1) -> FunctionClass:
-    """``random_step`` drawing each value by its own ``randint(grid + 1)``
+    """``random_step`` drawing each value by its own ``randbelow(rng, grid + 1)``
     call, row by row, every function checking its own pieces."""
     rng = SplitMix64(seed)
-    cells = [IntervalUnion.interval(Fraction(i, pieces), Fraction(i + 1, pieces))
+    cells = [IntervalUnion([(Fraction(i, pieces), Fraction(i + 1, pieces))])
              for i in range(pieces)]
     fns = [
-        oracle_step(cells, [Fraction(rng.randint(grid + 1), grid) for _ in range(pieces)])
+        oracle_step(cells, [Fraction(randbelow(rng, grid + 1), grid) for _ in range(pieces)])
         for _ in range(count)
     ]
     return FunctionClass(fns, f"random_step({seed},{pieces},{grid},{count})")
@@ -684,7 +709,7 @@ def oracle_thresholds(n: int) -> FunctionClass:
     pieces (one when it is constant)."""
     fns = [
         oracle_indicator(
-            IntervalUnion.interval(Fraction(j, n), 1) if j < n else IntervalUnion.empty()
+            IntervalUnion([(Fraction(j, n), 1)]) if j < n else IntervalUnion.empty()
         )
         for j in range(1, n + 1)
     ]
@@ -694,7 +719,7 @@ def oracle_thresholds(n: int) -> FunctionClass:
 def oracle_interval_indicators(n: int) -> FunctionClass:
     """``interval_indicators(n)`` as indicators of their own intervals."""
     fns = [
-        oracle_indicator(IntervalUnion.interval(Fraction(i, n), Fraction(j, n)))
+        oracle_indicator(IntervalUnion([(Fraction(i, n), Fraction(j, n))]))
         for i in range(n)
         for j in range(i + 1, n + 1)
     ]

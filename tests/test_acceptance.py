@@ -39,8 +39,8 @@ from gapdim.funclass import band_of_value
 from gapdim.rng import SplitMix64
 from gapdim.shatter import candidate_points
 from oracles import (
-    OracleIntervalUnion, is_host_ancestor, oracle_max_uniform_depth, oracle_naive_gap_dim,
-    oracle_pruned_gap_dim, subadditivity_check,
+    OracleIntervalUnion, fraction_pairs, is_host_ancestor, oracle_max_uniform_depth,
+    oracle_naive_gap_dim, oracle_pruned_gap_dim, randbelow, subadditivity_check,
 )
 
 F = Fraction
@@ -63,9 +63,9 @@ def criterion(number, title):
 
 
 def sample_leaves(tree, rng, size):
-    leaves = list(tree.leaves())
+    leaves = list(tree.nodes_at_level(tree.depth))
     for i in range(size):
-        j = i + rng.randint(len(leaves) - i)
+        j = i + randbelow(rng, len(leaves) - i)
         leaves[i], leaves[j] = leaves[j], leaves[i]
     return leaves[:size]
 
@@ -97,7 +97,7 @@ def test_ptree_stress():
             if lo < 4:
                 continue  # the precondition |S| >= c*2^L >= 4 is unsatisfiable
             for _ in range(200):
-                size = int(lo) + rng.randint(n_leaves - int(lo) + 1)
+                size = int(lo) + randbelow(rng, n_leaves - int(lo) + 1)
                 S = set(sample_leaves(tree, rng, size))
                 w = ptree_witness(tree, S, c)
                 assert depth - w.u <= w.level <= depth - 1
@@ -219,8 +219,8 @@ def test_subadditivity():
     violations = 0
     for i in range(1000):
         rng = SplitMix64(10_000 + i)
-        m = 2 + rng.randint(28)
-        split = 1 + rng.randint(m - 1)
+        m = 2 + randbelow(rng, 28)
+        split = 1 + randbelow(rng, m - 1)
         spec = (IIDUniformSpec(), rotation, MARKOV3)[i % 3]
         path = sample_path(spec, m, seed=i)
         if not subadditivity_check(FC, path, split):
@@ -236,7 +236,7 @@ def test_uniform_subtree_guarantee():
             for trial in range(50):
                 rng = SplitMix64(depth * 1000 + K * 100 + trial)
                 labels = {
-                    t: (1 + rng.randint(K), 1 + rng.randint(K))
+                    t: (1 + randbelow(rng, K), 1 + randbelow(rng, K))
                     for t in range(1, 1 << depth)
                 }
                 tree = CompleteTree(depth, labels)
@@ -264,10 +264,10 @@ def test_segment_partition_exactness():
         for g, ps in parts.items():
             assert sum((p.measure for p in ps), F(0)) == 1
             for i, j in combinations(range(len(ps)), 2):
-                assert (ps[i] & ps[j]).is_empty
+                assert not ps[i].intersect(ps[j])
         rng = SplitMix64(9_000 + s)
         for _ in range(1000):
             x = rng.unit_fraction()
             v = f.value_at(x)
             for g in gammas:
-                assert x in OracleIntervalUnion(parts[g][band_of_value(v, g) - 1])
+                assert x in OracleIntervalUnion(fraction_pairs(parts[g][band_of_value(v, g) - 1]))

@@ -675,6 +675,9 @@ class TestMalformedInput:
         [
             (["[0/1,3/4)", "[1/2,1/1)"], "step pieces must be pairwise disjoint"),
             (["[0/1,1/2)", "[1/4,3/4)"], "step pieces must cover [0, 1)"),
+            # a missing or repeated ")" is not forgiven
+            (["[0/1,1/2", "[1/2,1/1)"], "malformed interval union: '[0/1,1/2'"),
+            (["[0/1,1/2)", "[1/2,1/1))"], "malformed interval union: '[1/2,1/1))'"),
         ],
     )
     def test_step_pieces_name_their_fault(self, tmp_path, sets, message):
@@ -796,6 +799,14 @@ class TestJsonIntegersAndTreeFaults:
                 doc["nodes"]["2"]["label"] = [2, 3]
         code, out, err = run_main(*self.VERIFY_TREE, self.write(tmp_path, doc))
         assert (code, out, err) == (2, "", f"error: field 'tree': {message}\n")
+
+    @pytest.mark.parametrize("text", ["[0/1,1/2", "[0/1,1/2))", "[0/1,1/4),[1/2,3/4"])
+    def test_malformed_payload_text_names_the_tree(self, tmp_path, text):
+        doc = json.loads(json.dumps(TREE_DOC))
+        doc["nodes"]["2"]["set"] = text
+        code, out, err = run_main(*self.VERIFY_TREE, self.write(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == f"error: field 'tree': malformed interval union: {text!r}\n"
 
     @pytest.mark.parametrize(
         "selector,shown",

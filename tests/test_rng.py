@@ -31,7 +31,7 @@ def test_bulk_draws_are_the_per_call_stream(kind, n, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_per_call_then_bulk_then_per_call(seed):
     bulk, calls = SplitMix64(seed), SplitMix64(seed)
-    assert [bulk.unit_tick(), bulk.randint(7)] == [calls.unit_tick(), calls.randint(7)]
+    assert bulk.unit_tick() == calls.unit_tick()
     assert list(bulk.u64s(BLOCK + 3)) == oracle_u64s(calls, BLOCK + 3)
     assert bulk.unit_fraction() == calls.unit_fraction()
 

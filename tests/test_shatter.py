@@ -229,21 +229,21 @@ def segment_pairs(FC, gamma, k, k2):
 
 class TestJoin:
     def test_two_functions(self):
-        f = oracle_indicator(IntervalUnion.interval(F(1, 2), 1))
-        g = oracle_indicator(IntervalUnion.interval(F(1, 4), 1))
+        f = oracle_indicator(IntervalUnion([(F(1, 2), 1)]))
+        g = oracle_indicator(IntervalUnion([(F(1, 4), 1)]))
         cells = join(FunctionClass([f, g]), F(1, 2), 1, 2)
         assert [(c.cell, c.signature) for c in cells] == [
-            (IntervalUnion.interval(0, F(1, 4)), (0, 0)),
-            (IntervalUnion.interval(F(1, 4), F(1, 2)), (0, 1)),
-            (IntervalUnion.interval(F(1, 2), 1), (1, 1)),
+            (IntervalUnion([(0, F(1, 4))]), (0, 0)),
+            (IntervalUnion([(F(1, 4), F(1, 2))]), (0, 1)),
+            (IntervalUnion([(F(1, 2), 1)]), (1, 1)),
         ]
 
     def test_single_function_gives_its_two_segments(self, ramp8):
         # bands 1 and 3 of the ramp at 1/4; the cells between drop out
         cells = join(FunctionClass([ramp8]), F(1, 4), 3, 1)
         assert [(c.cell, c.signature) for c in cells] == [
-            (IntervalUnion.interval(F(1, 2), F(3, 4)), (0,)),
-            (IntervalUnion.interval(0, F(1, 4)), (1,)),
+            (IntervalUnion([(F(1, 2), F(3, 4))]), (0,)),
+            (IntervalUnion([(0, F(1, 4))]), (1,)),
         ]
 
     def test_cells_disjoint_and_contained(self):
@@ -252,10 +252,10 @@ class TestJoin:
         cells = join(FC, F(1, 5), 1, 3)
         for i in range(len(cells)):
             for j in range(i + 1, len(cells)):
-                assert (cells[i].cell & cells[j].cell).is_empty
+                assert not cells[i].cell.intersect(cells[j].cell)
         for c in cells:
             for fam_idx, choice in enumerate(c.signature):
-                assert (c.cell & fams[fam_idx][choice]) == c.cell
+                assert c.cell.intersect(fams[fam_idx][choice]) == c.cell
 
     def test_rejects_tabular_class(self):
         with pytest.raises(ValueError, match="STEP"):

@@ -73,12 +73,19 @@ def test_no_floats_outside_report_formatting():
     assert found == []
 
 
-def test_traced_functions_exist():
-    """Every function the benchmark tracer wraps is still defined in gapdim."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_functions_exist():
+    """Every function the benchmark tracer wraps is still defined in gapdim."""
+    tracer = perfbench_tracer()
     missing = []
     for full in tracer.target_names():
         module, _, attr = full.partition(".")
@@ -110,4 +117,52 @@ def test_private_attributes_stay_in_their_module():
             and node.attr not in assigned
             and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
         ]
+    assert found == []
+
+
+# Kept without a caller: the planned ``itree witness`` command (ROADMAP item
+# 7) runs the tree-to-shattering chain through it.
+CALLER_ALLOWED = {"maximal_join_from_tree"}
+
+
+def referenced_names(tree):
+    """Every name a module reads, as an identifier, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_public_name_has_a_caller():
+    """Every public module-level function and class and every public method
+    of the library is reached from library code other than ``__init__.py``,
+    from ``perfbench``, or as a benchmark tracer target: a name that only
+    the tests reach is deleted.  Names match by name alone, so a
+    same-named variable anywhere in those sources hides a dead definition."""
+    callers = {full.rpartition(".")[2] for full in perfbench_tracer().target_names()}
+    callers |= CALLER_ALLOWED
+    for name, tree in TREES.items():
+        if name != "__init__.py":
+            callers.update(referenced_names(tree))
+    for path in sorted(PERFBENCH.glob("*.py")):
+        callers.update(referenced_names(ast.parse(path.read_text(), filename=str(path))))
+    defined = []
+    for name, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((name, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (name, f"{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+    found = [
+        f"{name}:{qualified}"
+        for name, qualified, bare in defined
+        if not bare.startswith("_") and bare not in callers
+    ]
     assert found == []

@@ -40,22 +40,23 @@ from oracles import (
     oracle_max_uniform_depth,
     oracle_naive_gap_dim,
     oracle_uniform_depth,
+    randbelow,
 )
 
 F = Fraction
 
 
 def random_leaf_set(tree: CompleteTree, rng: SplitMix64, size: int) -> list:
-    leaves = list(tree.leaves())
+    leaves = list(tree.nodes_at_level(tree.depth))
     for i in range(size):
-        j = i + rng.randint(len(leaves) - i)
+        j = i + randbelow(rng, len(leaves) - i)
         leaves[i], leaves[j] = leaves[j], leaves[i]
     return leaves[:size]
 
 
 def random_labels(depth: int, K: int, rng: SplitMix64) -> CompleteTree:
     labels = {
-        t: (1 + rng.randint(K), 1 + rng.randint(K)) for t in range(1, 1 << depth)
+        t: (1 + randbelow(rng, K), 1 + randbelow(rng, K)) for t in range(1, 1 << depth)
     }
     return CompleteTree(depth, labels)
 
@@ -117,7 +118,7 @@ class TestPtreeWitness:
                 if lo < 4:
                     continue
                 for _ in range(20):  # the acceptance suite runs the full 200
-                    size = int(lo) + rng.randint((1 << depth) - int(lo) + 1)
+                    size = int(lo) + randbelow(rng, (1 << depth) - int(lo) + 1)
                     S = random_leaf_set(tree, rng, size)
                     w = ptree_witness(tree, S, c)
                     check_witness(tree, S, c, w)
@@ -242,8 +243,8 @@ class TestIntersectionTree:
         assert built is not None
         assert built.functions == (0,)
         assert built.tree.labels[1] == (1, 3)  # lexicographically least pair
-        assert built.tree.sets[2] == IntervalUnion.interval(0, F(1, 4))
-        assert built.tree.sets[3] == IntervalUnion.interval(F(1, 2), F(3, 4))
+        assert built.tree.sets[2] == IntervalUnion([(0, F(1, 4))])
+        assert built.tree.sets[3] == IntervalUnion([(F(1, 2), F(3, 4))])
         assert intersection_tree_verify(built.tree, FC, F(1, 4), built.functions)
 
     def test_constants_fail(self):
@@ -266,7 +267,7 @@ class TestIntersectionTree:
         bare = CompleteTree(2, sets=built.tree.sets)
         assert intersection_tree_verify(bare, FC, F(1, 5), built.functions)
         root_fn = FC[built.functions[0]]
-        for payload in (segment(root_fn, F(1, 5), 2), IntervalUnion.interval(0, F(1, 3))):
+        for payload in (segment(root_fn, F(1, 5), 2), IntervalUnion([(0, F(1, 3))])):
             # an adjacent (here empty) segment, and a set that is no segment
             sets = {**built.tree.sets, 3: payload}
             assert not intersection_tree_verify(CompleteTree(2, sets=sets), FC, F(1, 5),
@@ -465,9 +466,9 @@ def mutations(tree: CompleteTree, F: FunctionClass, gamma, functions, rng: Split
         yield CompleteTree(tree.depth, labels, tree.sets)
     for t in range(2, 1 << (tree.depth + 1)):
         g = F[functions[tree.level_of(t) - 1]]
-        other = F[rng.randint(len(F))]
+        other = F[randbelow(rng, len(F))]
         payloads = [tree.sets[t ^ 1], IntervalUnion.empty(), IntervalUnion.full()]
-        payloads += [segment(h, gamma, 1 + rng.randint(K)) for h in (g, other)]
+        payloads += [segment(h, gamma, 1 + randbelow(rng, K)) for h in (g, other)]
         for payload in payloads:
             for labels in (tree.labels, {}):
                 yield CompleteTree(tree.depth, labels, {**tree.sets, t: payload})
@@ -526,9 +527,9 @@ class TestOnePassVerify:
         pairs = [(1, 3), (3, 1)] * 3 + [(1, 4), (5, 3)]  # bands 4 and 5 are empty
         verdicts = set()
         for _ in range(12):
-            L = 1 + rng.randint(3)
-            functions = [rng.randint(len(FC)) for _ in range(L)]
-            labels = {t: pairs[rng.randint(len(pairs))] for t in range(1, 1 << L)}
+            L = 1 + randbelow(rng, 3)
+            functions = [randbelow(rng, len(FC)) for _ in range(L)]
+            labels = {t: pairs[randbelow(rng, len(pairs))] for t in range(1, 1 << L)}
             tree = segment_tree(FC, gamma, functions, labels)
             for t in (tree, CompleteTree(L, {}, tree.sets)):
                 ok = intersection_tree_verify(t, FC, gamma, functions)
