@@ -5,9 +5,9 @@ a circle rotation x -> x + theta (mod 1) started uniformly, and a finite
 irreducible Markov chain started from its stationary distribution with an
 ``Emission`` [lo, hi) per state: a uniform draw on it, or the point lo when
 lo == hi.  Path values are exact rationals built from 53-bit SplitMix64
-draws, held as integer ticks over one scale N per path (x = tick / N):
-N = 2**53 for IID, 2**53 * den(theta) for a rotation, and
-2**53 * lcm(emission denominators) for a Markov chain.
+draws k, held as integer ticks over one scale N per path (x = tick / N):
+N = 2**64 and the tick k * 2**11 for IID, N = 2**53 * den(theta) for a
+rotation, and N = 2**53 * lcm(emission denominators) for a Markov chain.
 IID ticks are one ``array('Q')`` of 64-bit words, Markov ticks a tuple (N
 can pass 2**64), and a rotation path holds only its ``Orbit``: the first
 tick, the step theta * N, N and the length, from which any tick is one
@@ -18,7 +18,13 @@ The discrepancy of a class on a path is the maximum over the class of
 |sample mean - expectation|, and both sides read the class's integer value
 table (``funclass.refinement``: cuts c over C, cell values over V).  A tick
 x lies at or right of the cut c / C exactly when x >= ceil(c * N / C), so
-points are binned on integers and each mean is one sum over V * m.  The
+points are binned on integers and each mean is one sum over V * m.  IID
+ticks fill all 64 bits, so their top byte alone bins most of them: one
+256-entry table, built from the thresholds, maps each top byte to its cell,
+or to the marker 255 when a threshold splits that byte's range (or the cell
+is 255 or more).  One ``bytes.translate`` of the path's top bytes then gives
+each tick's cell, in C, and only the marked ticks, and the ticks of Markov
+and explicit paths, are binned with a bisect (``_binned_counts``).  The
 process marginal gives each cell an exact integer mass over one B
 (``_cell_masses``), so each expectation is one sum over V * B.  A path is a
 prefix of the longer path drawn from the same seed, so one path and running
@@ -41,12 +47,13 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exactset import ONE, ZERO, RationalLike
@@ -291,7 +298,8 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
     when the state's emission is not a point (lo < hi).
 
     A uniform is a 53-bit integer k standing for k / 2**53, and the points
-    are integer ticks over one scale N.  IID: N = 2**53 and the tick is k.
+    are integer ticks over one scale N.  IID: N = 2**64 and the tick is
+    k << 11, the same point, so that the top byte of a tick picks its cell.
     Rotation: N = 2**53 * den(theta); each step adds theta * N to the start
     tick x0 * N, modulo N, and the path is held as that ``Orbit`` (its ticks
     are built only when read; counts come from floor sums).  Markov:
@@ -305,7 +313,7 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
     All uniforms come from one ``SplitMix64(seed)`` stream.  IID and Markov
     paths draw it in bulk (blocks of ``rng.BLOCK``), which gives the same
     uniforms as one ``unit_tick()`` call per draw: the IID path keeps its m
-    ticks as the drawn 64-bit words (``unit_tick_words``), and a chain reads
+    ticks as the drawn 64-bit words (``unit_words``), and a chain reads
     its draws one at a time, in the order above, from a stream of 2m
     (``unit_ticks``; it never needs more).  Blocks past the last draw read
     are never mixed.  A rotation's start is one ``unit_fraction()`` call.
@@ -314,8 +322,8 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
         raise ValueError("path length must be >= 1")
     rng = SplitMix64(seed)
     if isinstance(spec, IIDUniformSpec):
-        scale = TWO53
-        ticks = rng.unit_tick_words(m)
+        scale = 1 << 64
+        ticks = rng.unit_words(m)
     elif isinstance(spec, RotationSpec):
         x0 = rng.unit_fraction()
         scale = TWO53 * spec.theta.denominator
@@ -397,18 +405,55 @@ def _class_means(
     ]
 
 
+MARKED = 255  # the table entry of a top byte whose ticks need a bisect
+_IS_MARKED = bytes(MARKED) + b"\x01"  # translates MARKED to 1, any other cell to 0
+_LOW56 = (1 << 56) - 1
+_TOP_BYTE = 0 if sys.byteorder == "big" else 7  # of each word, in memory order
+
+
+def _top_byte_table(thresholds: List[int]) -> bytes:
+    """The cell of each top byte b of a 64-bit tick, for thresholds in
+    (0, 2**64]: byte b covers the ticks in [b * 2**56, (b + 1) * 2**56), and
+    its entry is their one cell when no threshold falls strictly inside that
+    range and the cell is below MARKED, else the marker MARKED."""
+    starts = map(bisect_right, repeat(thresholds), range(0, 1 << 64, 1 << 56))
+    table = bytearray(map(min, starts, repeat(MARKED)))
+    for t in thresholds:
+        if t & _LOW56:  # a cell boundary inside the range of byte t >> 56
+            table[t >> 56] = MARKED
+    return bytes(table)
+
+
 def _binned_counts(
     ticks: Sequence[int], thresholds: List[int], lengths: Sequence[int]
 ) -> Iterator[List[int]]:
     """Per cell between the thresholds (as ``Orbit.cell_counts``), the count
-    of the first m ticks for each m in the increasing ``lengths``, binning
-    each tick once with ``bisect_right`` as one pass reaches it."""
-    if isinstance(ticks, array):
+    of the first m ticks for each m in the increasing ``lengths``.
+
+    The ticks of an ``array('Q')`` (an IID path, N = 2**64) are binned in C
+    by their top byte: one strided ``memoryview`` slice copies the top
+    bytes, one ``bytes.translate`` through ``_top_byte_table`` maps them to
+    their cells, and ``bytes.count`` counts each cell in each prefix.  Only
+    the ticks it marks MARKED are binned with ``bisect_right``, picked out
+    by ``itertools.compress``; so is every tick of any other sequence, each
+    once as one pass reaches it."""
+    words = isinstance(ticks, array)
+    if words:
+        table = _top_byte_table(thresholds)
+        cells = memoryview(ticks).cast("B")[_TOP_BYTE::8].tobytes().translate(table)
+        marked = cells.translate(_IS_MARKED) if MARKED in table else None
+        present = set(table) - {MARKED}
         ticks = memoryview(ticks)  # slices without copies
     counts = Counter()
     done = 0
     for m in lengths:
-        counts.update(map(bisect_right, repeat(thresholds), ticks[done:m]))
+        if words:
+            for j in present:
+                counts[j] += cells.count(j, done, m)
+            rest = () if marked is None else compress(ticks[done:m], marked[done:m])
+        else:
+            rest = ticks[done:m]
+        counts.update(map(bisect_right, repeat(thresholds), rest))
         done = m
         yield [counts[j] for j in range(len(thresholds) + 1)]
 

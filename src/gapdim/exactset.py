@@ -20,6 +20,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple
 
 ZERO = Fraction(0)
@@ -29,14 +30,29 @@ RationalLike = Fraction | int
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational written as ``"num/den"`` or a plain integer string."""
-    s = text.strip()
-    if "/" in s:
-        num, _, den = s.partition("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    """Parse a rational written ``"num/den"`` or as an integer, in ASCII
+    digits with at most a leading "-": ``-?[0-9]+(/[0-9]+)?`` and nothing
+    else, so never "+1", " 1 / 2", "1_0" or other digits.  Any other text or
+    a value that is not a string is a ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"must be a rational string, got {json.dumps(text, default=repr)}")
+    return _rational(text)
+
+
+@lru_cache(maxsize=1024)
+def _rational(text: str) -> Fraction:
+    """``parse_rational`` of a string, cached: input files repeat a few
+    rationals many times over."""
+    if _RATIONAL_TEXT.fullmatch(text) is None:
+        raise ValueError(f"cannot parse rational {text!r}")
+    num, _, den = text.partition("/")
+    if den and int(den) == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), int(den or 1))
+
+
+_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
+_RATIONAL_TEXT = re.compile(_RATIONAL)
 
 
 def format_rational(q: RationalLike) -> str:
@@ -212,20 +228,21 @@ class IntervalUnion:
 
     @classmethod
     def from_text(cls, text: str) -> "IntervalUnion":
-        """The union written by :meth:`to_text`; "" also reads as empty, and
-        whitespace may follow the comma between two intervals.  Any other
-        text outside the intervals is a ValueError."""
+        """The union written by :meth:`to_text`; "" also reads as empty,
+        whitespace may pad an endpoint and may follow the comma between two
+        intervals.  Any other text is a ValueError, and so is an endpoint
+        that ``parse_rational`` would not read."""
         s = text.strip()
         if s in ("", "empty"):
             return cls.empty()
         if not _UNION_TEXT.fullmatch(s):
             raise ValueError(f"malformed interval union: {text!r}")
         return cls(
-            (parse_rational(lo), parse_rational(hi)) for lo, hi in _INTERVAL_TEXT.findall(s)
+            (_rational(lo), _rational(hi)) for lo, hi in _INTERVAL_TEXT.findall(s)
         )
 
 
-_INTERVAL_TEXT = re.compile(r"\[([^][(),]*),([^][(),]*)\)")
+_INTERVAL_TEXT = re.compile(rf"\[\s*({_RATIONAL})\s*,\s*({_RATIONAL})\s*\)")
 _UNION_TEXT = re.compile(rf"{_INTERVAL_TEXT.pattern}(?:,\s*{_INTERVAL_TEXT.pattern})*")
 
 Pairs = List[Tuple[int, int]]

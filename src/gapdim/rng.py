@@ -9,19 +9,21 @@ an output divided by 2**53, returned as an exact dyadic ``Fraction`` or as
 its integer numerator (a "tick").
 
 Draws come one at a time (``next_u64``, ``unit_tick``, ``unit_fraction``)
-or in bulk (``u64s``, ``unit_ticks``, and ``unit_tick_words``, which keeps
-the ticks as one ``array('Q')``), and both give one
-identical stream: n bulk draws return what n per-call draws would and leave
-the generator in the same state.  Bulk draws mix up to ``BLOCK`` states at
-once.  The states of a block are packed into one Python int as 128-bit
-lanes, state k in bits 128k .. 128k + 63.  Each xor-shift and multiply of
-the mixer then runs on the whole int, and every lane is masked back to 64
-bits after each step.  The upper half of a lane is headroom: it holds the
-bits a right shift brings down from the next lane until the mask clears
-them, and the high half of each 64 x 64-bit product, so no lane ever
-carries into the next.  The lanes are unpacked with ``to_bytes`` and
-``array('Q')``, taking every second 64-bit word; on a big-endian host the
-words are byteswapped first.
+or in bulk (``u64s``, ``unit_ticks``, and ``unit_words``, which keeps each
+tick k as the 64-bit word k * 2**11, the output with its low 11 bits
+cleared, in one ``array('Q')``: over 2**64 it is the same point k / 2**53),
+and both give one identical stream: n bulk draws return what n per-call
+draws would and leave the generator in the same state.  Bulk draws mix up
+to ``BLOCK`` states at once.  The states of a block are packed into one
+Python int as 128-bit lanes, state k in bits 128k .. 128k + 63.  Each
+xor-shift and multiply of the mixer then runs on the whole int, and every
+lane is masked back to 64 bits after each step.  The upper half of a lane
+is headroom: it holds the bits a right shift brings down from the next lane
+until the mask clears them, and the high half of each 64 x 64-bit product,
+so no lane ever carries into the next.  The last mask also clears the low
+11 bits of every lane for ``unit_words``.  The lanes are unpacked with
+``to_bytes`` and ``array('Q')``, taking every second 64-bit word; on a
+big-endian host the words are byteswapped first.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ BLOCK = 4096  # lanes mixed at once by the bulk draws
 
 
 @cache
-def _lanes() -> Tuple[int, int, int]:
-    """(ones, lane mask, lane steps) for a full block: 1, 2**64 - 1 and
-    (k + 1) * GOLDEN_GAMMA mod 2**64 in lane k.  Built on the first bulk
-    draw, not at import."""
+def _lanes() -> Tuple[int, int, int, int]:
+    """(ones, lane mask, word mask, lane steps) for a full block: 1,
+    2**64 - 1, 2**64 - 2**11 and (k + 1) * GOLDEN_GAMMA mod 2**64 in lane k.
+    Built on the first bulk draw, not at import."""
     steps = array("Q", [0]) * (2 * BLOCK)
     steps[::2] = array("Q", ((k * GOLDEN_GAMMA) & MASK64 for k in range(1, BLOCK + 1)))
     if sys.byteorder == "big":
@@ -51,25 +53,28 @@ def _lanes() -> Tuple[int, int, int]:
     return (
         int.from_bytes((b"\x01" + bytes(15)) * BLOCK, "little"),
         int.from_bytes((b"\xff" * 8 + bytes(8)) * BLOCK, "little"),
+        int.from_bytes((b"\x00\xf8" + b"\xff" * 6 + bytes(8)) * BLOCK, "little"),
         int.from_bytes(steps.tobytes(), "little"),
     )
 
 
-def _mix_block(state: int, n: int, shift: int) -> array:
+def _mix_block(state: int, n: int, shift: int, words: bool = False) -> array:
     """The outputs after `state` of n <= BLOCK next_u64 calls, each shifted
-    right by `shift` bits, as an array of unsigned 64-bit words."""
-    ones, mask, steps = _lanes()
+    right by `shift` bits, or with its low 11 bits cleared for `words`, as an
+    array of unsigned 64-bit words."""
+    ones, mask, word_mask, steps = _lanes()
+    out = word_mask if words else mask
     if n < BLOCK:
         cut = (1 << (128 * n)) - 1
-        ones, mask, steps = ones & cut, mask & cut, steps & cut
+        ones, mask, out, steps = ones & cut, mask & cut, out & cut, steps & cut
     z = (state * ones + steps) & mask
     z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
     z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
-    z = ((z ^ (z >> 31)) >> shift) & mask
-    words = array("Q", z.to_bytes(16 * n, "little"))
+    z = ((z ^ (z >> 31)) >> shift) & out
+    lanes = array("Q", z.to_bytes(16 * n, "little"))
     if sys.byteorder == "big":
-        words.byteswap()
-    return words[::2]
+        lanes.byteswap()
+    return lanes[::2]
 
 
 class SplitMix64:
@@ -103,23 +108,25 @@ class SplitMix64:
         """The next n ``unit_tick()`` draws, mixed a block at a time."""
         return chain.from_iterable(self._blocks(n, 11))
 
-    def unit_tick_words(self, n: int) -> array:
-        """The next n ``unit_tick()`` draws as one ``array('Q')``, 8 bytes a
-        draw instead of one Python int each."""
+    def unit_words(self, n: int) -> array:
+        """The next n ``unit_tick()`` draws k as the words k << 11, which is
+        ``next_u64() & ~0x7FF``, in one ``array('Q')``: 8 bytes a draw
+        instead of one Python int each, and k / 2**53 = (k << 11) / 2**64."""
         words = array("Q")
-        for block in self._blocks(n, 11):
+        for block in self._blocks(n, 0, words=True):
             words += block
         return words
 
-    def _blocks(self, n: int, shift: int) -> Iterator[array]:
-        """n draws shifted right by `shift`, as word arrays of up to BLOCK
-        draws.  The state moves past all n at once; each block is mixed when
-        the iterator first reaches it, so draws left unread cost nothing."""
+    def _blocks(self, n: int, shift: int, words: bool = False) -> Iterator[array]:
+        """n draws in the form ``_mix_block`` gives for (`shift`, `words`),
+        as word arrays of up to BLOCK draws.  The state moves past all n at
+        once; each block is mixed when the iterator first reaches it, so
+        draws left unread cost nothing."""
         if n < 0:
             raise ValueError("a bulk draw needs n >= 0")
         start = self._state
         self._state = (start + n * GOLDEN_GAMMA) & MASK64
         return (
-            _mix_block((start + k * GOLDEN_GAMMA) & MASK64, min(BLOCK, n - k), shift)
+            _mix_block((start + k * GOLDEN_GAMMA) & MASK64, min(BLOCK, n - k), shift, words)
             for k in range(0, n, BLOCK)
         )

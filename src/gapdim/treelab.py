@@ -145,16 +145,16 @@ class PtreeWitness:
 
 
 def _downset(S: Iterable[int]) -> Dict[int, Set[int]]:
-    """The members of S and their ancestors, by level: the nodes whose subtree
-    meets S.  That is at most |S| nodes a level, whatever the tree's size."""
-    down: Dict[int, Set[int]] = {}
-    for t in S:
-        while t:
-            level = down.setdefault(t.bit_length() - 1, set())
-            if t in level:
-                break  # its ancestors are in already
-            level.add(t)
-            t >>= 1
+    """The members of S, all nodes of one level, and their ancestors, by
+    level: the nodes whose subtree meets S.  That is at most |S| nodes a
+    level, whatever the tree's size, each level the parents of the one below."""
+    level = set(S)
+    if not level:
+        return {}
+    depth = next(iter(level)).bit_length() - 1
+    down = {depth: level}
+    for l in range(depth - 1, -1, -1):
+        level = down[l] = {t >> 1 for t in level}
     return down
 
 

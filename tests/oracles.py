@@ -6,8 +6,9 @@ checks, so agreement is evidence rather than tautology.
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 
 from gapdim import CompleteTree, Function, FunctionClass, IntervalUnion, k_of_gamma, segment
 from gapdim.ergoproc import (
@@ -562,6 +563,17 @@ def oracle_class_means(F: FunctionClass, values):
         sum((c * v for c, v in zip(counts, column) if c), Fraction(0)) / m
         for column in columns
     ]
+
+
+def oracle_binned_counts(ticks, thresholds, lengths):
+    """``ergoproc._binned_counts`` as one ``bisect_right`` per tick: a
+    ``Counter`` of cells over running prefixes of the ticks."""
+    counts = Counter()
+    done = 0
+    for m in lengths:
+        counts.update(map(bisect_right, repeat(thresholds), ticks[done:m]))
+        done = m
+        yield [counts[j] for j in range(len(thresholds) + 1)]
 
 
 def oracle_value_at(f, x):

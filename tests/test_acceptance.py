@@ -63,11 +63,31 @@ def criterion(number, title):
 
 
 def sample_leaves(tree, rng, size):
+    """size distinct leaves by a partial Fisher-Yates shuffle: draw i picks
+    among the leaves left as ``randbelow`` would, from one bulk draw."""
+    leaves = list(tree.nodes_at_level(tree.depth))
+    for i, x in enumerate(rng.u64s(size)):
+        j = i + x % (len(leaves) - i)
+        leaves[i], leaves[j] = leaves[j], leaves[i]
+    return leaves[:size]
+
+
+def sample_leaves_per_call(tree, rng, size):
+    """``sample_leaves`` with one ``randbelow`` call per leaf."""
     leaves = list(tree.nodes_at_level(tree.depth))
     for i in range(size):
         j = i + randbelow(rng, len(leaves) - i)
         leaves[i], leaves[j] = leaves[j], leaves[i]
     return leaves[:size]
+
+
+def test_bulk_leaf_samples_are_the_per_call_samples():
+    bulk, calls = SplitMix64(1), SplitMix64(1)
+    for depth in (3, 7, 10):
+        tree = CompleteTree(depth)
+        for size in (0, 1, 5, 1 << depth):
+            assert sample_leaves(tree, bulk, size) == sample_leaves_per_call(tree, calls, size)
+    assert bulk.next_u64() == calls.next_u64()  # the same state left behind
 
 
 MARKOV3 = MarkovSpec(

@@ -13,7 +13,7 @@ from gapdim import (
     full_join_family, intersection_tree_build, join_shatter, parse_rational, thresholds
 )
 from gapdim.cli import COMMANDS, _parser, main
-from gapdim.funclass import class_to_json, save_class
+from gapdim.funclass import class_to_json, generate, save_class
 from gapdim.shatter import ShatterCertificate
 from oracles import oracle_constant
 
@@ -366,6 +366,7 @@ NON_INT = st.floats(allow_nan=False) | st.booleans()
 TREE_DOC = intersection_tree_build(
     full_join_family(2, 1, 3, Fraction(1, 5)), Fraction(1, 5), 2
 ).tree.to_json()
+TABULAR_DOC = class_to_json(generate("trajectory_indicators(1/1000,2,1/7)"))
 
 
 def bad_label(node, bad, good, first):
@@ -468,6 +469,65 @@ def documents(kind):
     valid, required, replacements, _ = INPUT_FILES[kind]
     arbitrary = JSON.filter(lambda d: not (isinstance(d, dict) and required <= d.keys()))
     return arbitrary | replacements.map(lambda new: {**valid, **new})
+
+
+# spellings int() or Fraction() would read as the rational q that are not
+# the canonical ASCII -?digits(/digits)?
+RATIONAL_SPELLINGS = {
+    "plus": "+{}".format, "blank": " {} ".format, "newline": "{}\n".format,
+    "spaced-slash": lambda q: q.replace("/", " / "),
+    "plus-denominator": lambda q: q.replace("/", "/+"),
+    "underscore": "0_{}".format,
+    "arabic-indic": lambda q: q.translate(ARABIC_INDIC_DIGITS),
+    "decimal": lambda q: str(float(Fraction(q))),
+}
+# JSON values where a rational string belongs
+NON_STRINGS = [0.5, 1, None, True, ["1/2"]]
+UNIFORM_CHAIN = {
+    **INPUT_FILES["process"][0],
+    "emissions": [{"kind": "uniform", "lo": "1/4", "hi": "3/4"}, {"kind": "point", "at": "1/2"}],
+}
+# (a well-formed document, where one rational q sits in it, q, the command
+# reading the file at {path}); the place is a value q itself or a text
+# holding q
+RATIONAL_PLACES = {
+    "step-value": (INPUT_FILES["class"][0], ("functions", 0, "pieces", 1, "value"), "1/1",
+                   INPUT_FILES["class"][3]),
+    "step-set": (INPUT_FILES["class"][0], ("functions", 0, "pieces", 0, "set"), "1/2",
+                 INPUT_FILES["class"][3]),
+    "tabular-point": (TABULAR_DOC, ("points", 2), "1/7", INPUT_FILES["class"][3]),
+    "tabular-value": (TABULAR_DOC, ("functions", 0, "values", 1), "1/1",
+                      INPUT_FILES["class"][3]),
+    "transition": (INPUT_FILES["process"][0], ("transition", 0, 1), "1/2",
+                   INPUT_FILES["process"][3]),
+    "point-emission": (INPUT_FILES["process"][0], ("emissions", 0, "at"), "1/10",
+                       INPUT_FILES["process"][3]),
+    "uniform-emission": (UNIFORM_CHAIN, ("emissions", 0, "hi"), "3/4",
+                         INPUT_FILES["process"][3]),
+    "cert-point": (INPUT_FILES["cert"][0], ("points", 0), "3/16", INPUT_FILES["cert"][3]),
+    "cert-alpha": (INPUT_FILES["cert"][0], ("alpha",), "1/2", INPUT_FILES["cert"][3]),
+    "tree-set": (TREE_DOC, ("nodes", "4", "set"), "1/16", INPUT_FILES["tree"][3]),
+}
+# the same for a flag: its value holds q
+RATIONAL_FLAGS = {
+    "gamma": (("dim", "--class", "thresholds(4)", "--gamma", "{}"), "1/4"),
+    "c": (("ptree", "--depth", "3", "--leaves", "0,1,2,3", "--c", "{}"), "1/2"),
+    "process": (("discrepancy", "--class", "thresholds(4)", "--process", "rotation:{}",
+                 "--m", "10", "--seed", "1"), "1/3"),
+    "theta": (("demo-rotation", "--m", "10", "--seed", "3", "--theta", "{}"), "2/1000003"),
+}
+
+
+def placed(doc, place, q, value):
+    """A copy of the document with q, at `place`, written as `value`."""
+    doc = json.loads(json.dumps(doc))
+    *path, last = place
+    owner = doc
+    for key in path:
+        owner = owner[key]
+    old = owner[last]
+    owner[last] = value if old == q else old.replace(q, str(value), 1)
+    return doc
 
 
 def not_int(text):
@@ -579,6 +639,48 @@ class TestMalformedInput:
         cert.write_text(json.dumps({**valid, "selector": respelled(valid["selector"], "0", spell)}))
         assert_field_error("verify", "--class", "thresholds(8)", "--gamma", "1/4",
                            "--cert", str(cert))
+
+    @pytest.mark.parametrize("place", sorted(RATIONAL_PLACES))
+    def test_rationals_in_files_must_be_canonical(self, workdir, place):
+        doc, where, q, argv = RATIONAL_PLACES[place]
+        path = workdir / f"rational-{place}.json"
+        values = [q, *(spell(q) for spell in RATIONAL_SPELLINGS.values())]
+        if where[-1] == "set":  # whitespace may pad an endpoint of an interval
+            values = [v for v in values if v == q or v.strip() != q]
+        else:  # a value of its own, not text in an interval
+            values += NON_STRINGS
+        for value in values:
+            path.write_text(json.dumps(placed(doc, where, q, value)))
+            command = [a.replace("{path}", str(path)) for a in argv]
+            if value == q:
+                code, _, err = run_main(*command)
+                assert code == 0, err
+            else:
+                assert_field_error(*command)
+
+    @pytest.mark.parametrize("flag", sorted(RATIONAL_FLAGS))
+    def test_rational_flags_must_be_canonical(self, flag):
+        argv, q = RATIONAL_FLAGS[flag]
+        code, _, err = run_main(*(a.format(q) for a in argv))
+        assert code == 0, err
+        for spell in RATIONAL_SPELLINGS.values():
+            code, out, err = run_main(*(a.format(spell(q)) for a in argv))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: field '{flag}': cannot parse rational"), err
+
+    def test_non_string_rationals_say_what_they_got(self, workdir, capsys):
+        path = workdir / "float-emission.json"
+        doc = placed(INPUT_FILES["process"][0], ("emissions", 0, "at"), "1/10", 0.5)
+        path.write_text(json.dumps(doc))
+        argv = [a.replace("{path}", str(path)) for a in INPUT_FILES["process"][3]]
+        code, out, err = run_err(capsys, *argv)
+        assert (code, out, err) == (
+            2, "", "error: field 'process': must be a rational string, got 0.5\n"
+        )
+        code, out, err = run_err(capsys, "dim", "--class", "thresholds(4)", "--gamma", " +1_0/40 ")
+        assert (code, out, err) == (
+            2, "", "error: field 'gamma': cannot parse rational ' +1_0/40 '\n"
+        )
 
     @given(st.integers(max_value=0))
     @settings(max_examples=20, deadline=None)

@@ -41,6 +41,7 @@ from gapdim.funclass import frac_mod1, full_join_family, load_class, random_step
 from gapdim.rng import BLOCK, SplitMix64
 from oracles import (
     InvalidSplit,
+    oracle_binned_counts,
     oracle_class_means,
     oracle_constant,
     oracle_expectation,
@@ -810,9 +811,10 @@ class TestPathStorage:
 
     @pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, 2 * BLOCK + 1])
     def test_iid_ticks_are_the_per_call_draws(self, m):
+        # the 53-bit draw k is the tick k << 11 over 2**64: the same point
         path = sample_path(IIDUniformSpec(), m, 77)
-        assert path.ticks.typecode == "Q"
-        assert tuple(path.ticks) == tuple(oracle_unit_ticks(SplitMix64(77), m))
+        assert path.ticks.typecode == "Q" and path.scale == 2**64
+        assert tuple(path.ticks) == tuple(k << 11 for k in oracle_unit_ticks(SplitMix64(77), m))
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
     @pytest.mark.parametrize("m", [1, 2, BLOCK + 1])
@@ -822,3 +824,55 @@ class TestPathStorage:
         as_tuple = SamplePath(tuple(path.ticks), path.scale, path.seed, spec)
         assert path.values == as_tuple.values == oracle_sample_path(spec, m, 5)
         assert len(path) == len(as_tuple) == m
+
+
+BUCKET = 1 << 56  # the tick range of one top byte
+
+
+def grid_thresholds(cells: int):
+    """The cuts i / cells of an even grid as thresholds over 2**64."""
+    return [-(-i * 2**64 // cells) for i in range(1, cells)]
+
+
+@st.composite
+def word_paths(draw, cells: int):
+    """(words, thresholds, increasing lengths): a path of IID words whose
+    length sits at a block edge, with some ticks moved onto or next to a
+    threshold or a bucket edge, and cells - 1 thresholds in (0, 2**64]."""
+    cut = st.one_of(
+        st.integers(1, 255).map(lambda b: b * BUCKET),  # on a bucket edge
+        st.integers(1, 2**53 - 1).map(lambda k: k << 11),  # on a tick
+        st.integers(1, 2**64),
+    )
+    if draw(st.booleans()):
+        thresholds = grid_thresholds(cells)
+    else:
+        thresholds = sorted(draw(st.lists(cut, min_size=cells - 1, max_size=cells - 1)))
+    m = draw(st.sampled_from([1, BLOCK - 1, BLOCK, 2 * BLOCK + 1]))
+    words = SplitMix64(draw(st.integers(0, 2**64 - 1))).unit_words(m)
+    edges = [*thresholds, *(b * BUCKET for b in range(1, 256))]
+    for _ in range(draw(st.integers(0, 8))):
+        near = draw(st.sampled_from(edges)) + draw(st.integers(-1, 1))
+        words[draw(st.integers(0, m - 1))] = min(max(near, 0), 2**64 - 1)
+    lengths = draw(st.sets(st.integers(1, m), max_size=4))
+    return words, thresholds, sorted(lengths | {m})
+
+
+class TestTopByteBinning:
+    """IID words binned by their top byte, with a bisect only for the ticks
+    the table marks, give the counts of one bisect per tick."""
+
+    @pytest.mark.parametrize("cells", [1, 16, 24, 128, 254, 255, 256, 300])
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_counts_match_bisecting_every_tick(self, cells, data):
+        words, thresholds, lengths = data.draw(word_paths(cells))
+        got = list(ergoproc._binned_counts(words, thresholds, lengths))
+        assert got == list(oracle_binned_counts(tuple(words), thresholds, lengths))
+
+    def test_even_grids_mark_only_split_bytes(self):
+        # 16 and 128 cells cut on bucket edges, 24 cells inside 16 buckets;
+        # from 255 cells on, every byte of cell 255 or more is marked too
+        marked = {n: ergoproc._top_byte_table(grid_thresholds(n)).count(ergoproc.MARKED)
+                  for n in (16, 24, 128, 256)}
+        assert marked == {16: 0, 24: 16, 128: 0, 256: 1}

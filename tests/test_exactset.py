@@ -299,6 +299,35 @@ class TestRationalText:
         with pytest.raises(ValueError):
             parse_rational("1/0")
 
+    @given(st.integers(), st.integers(1, 10**30))
+    def test_format_round_trips(self, num, den):
+        assert parse_rational(format_rational(F(num, den))) == F(num, den)
+        assert parse_rational(str(num)) == num
+
+    @pytest.mark.parametrize("text", [
+        "1_0/20", "+1/1", " 1 / 2 ", "1/2 ", "1 /2", "1/+2", "1/-2", "--1", "0x1",
+        "1/2/3", "1.5", "", "/2", "1/", "\u0661/\u0662", "1/2\n",
+    ])
+    def test_only_canonical_spellings(self, text):
+        with pytest.raises(ValueError, match="cannot parse rational"):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("text", [
+        "[1_0/20,+1/1)", "[0/1,1 / 2)", "[0/1,1/+2)", "[0/1,\u0661/2)", "[0/1,1.0)",
+    ])
+    def test_union_endpoints_are_canonical(self, text):
+        # whitespace may pad an endpoint, as in test_accepted_forms, but an
+        # endpoint itself is a canonical rational
+        with pytest.raises(ValueError):
+            IntervalUnion.from_text(text)
+
+    @pytest.mark.parametrize(
+        "value,shown", [(0.5, "0.5"), (1, "1"), (None, "null"), (["1/2"], '["1/2"]')]
+    )
+    def test_non_strings_name_their_value(self, value, shown):
+        with pytest.raises(ValueError, match=re.escape(f"must be a rational string, got {shown}")):
+            parse_rational(value)
+
     def test_format(self):
         assert format_rational(F(1, 2)) == "1/2"
         assert format_rational(2) == "2/1"

@@ -13,7 +13,14 @@ from oracles import oracle_u64s, oracle_unit_ticks
 
 SEEDS = [0, 1, -3, 2**63, 12345]
 LENGTHS = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
-BULK = {"u64s": oracle_u64s, "unit_ticks": oracle_unit_ticks, "unit_tick_words": oracle_unit_ticks}
+
+
+def oracle_unit_words(rng, n):
+    """The per-call ticks k as the words k << 11 over 2**64."""
+    return [k << 11 for k in oracle_unit_ticks(rng, n)]
+
+
+BULK = {"u64s": oracle_u64s, "unit_ticks": oracle_unit_ticks, "unit_words": oracle_unit_words}
 
 
 @pytest.mark.parametrize("kind", sorted(BULK))
@@ -49,7 +56,7 @@ def test_state_moves_past_draws_left_unread():
 def test_empty_and_negative_counts():
     rng = SplitMix64(4)
     assert list(rng.u64s(0)) == [] and list(rng.unit_ticks(0)) == []
-    assert len(rng.unit_tick_words(0)) == 0
+    assert len(rng.unit_words(0)) == 0
     assert rng.next_u64() == SplitMix64(4).next_u64()
     with pytest.raises(ValueError, match="n >= 0"):
         rng.u64s(-1)
