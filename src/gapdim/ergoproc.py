@@ -64,6 +64,7 @@ from .funclass import (
     frac_mod1,
     refinement,
     trajectory_indicators,
+    values_at,
 )
 from .rng import TWO53, SplitMix64
 from .shatter import DimResult, gap_dim
@@ -590,7 +591,8 @@ def rotation_counterexample(
     combined = trajectory_indicators(theta, (x0, *BASE_POINTS), window=m)
     # Every expectation is 0, so each family's discrepancy is its path mean;
     # the path lies in the start's orbit, hence in the combined domain.
-    means = [Fraction(sum(f.value_at(x) for x in path), m) for f in combined]
+    V, columns = values_at(combined, path)
+    means = [Fraction(sum(row), m * V) for row in zip(*columns)]
     resolution = Fraction(1, 4)
     dim = gap_dim(combined, resolution)
     return RotationDemoReport(

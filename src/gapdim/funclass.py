@@ -1,20 +1,27 @@
 """Function classes on the unit interval, value-band segments, and generators.
 
-Two exact representations are supported.  A STEP function is piecewise
-constant: a :class:`Partition`, pairwise-disjoint pieces covering [0, 1),
-with one rational value per piece, shared by every function built on it.
-A partition is its integer cells: the right end hi of each sorted interval
-as the integer hi * D, D the lcm of their denominators, and the index of
-the piece that owns it.  :class:`IntervalUnion` pieces from outside are
-checked once, when it is built; a generated class's n equal cells
-[i/n, (i+1)/n) tile [0, 1) by construction and need no check.  The pieces
-are built back into IntervalUnions only when read, as for class JSON.  A
-function's one integer row ``(D, ends, W, vals)`` is those ends with the
-value of each interval as v * W, W the lcm of the value denominators.
-Values and the class table read that row.  A TABULAR function is
-a table of values on a finite point set, the :class:`Domain` that the
-functions of one class share; a domain is likewise converted, checked and
-indexed once.  Both keep values in [0, 1].
+Two exact representations are supported, both with values in [0, 1].  A
+STEP function is piecewise constant on a :class:`Partition`, pairwise-
+disjoint pieces covering [0, 1): the right end hi of each sorted interval
+as the integer hi * D, D the lcm of their denominators, and the piece that
+owns it.  A TABULAR function is a table of values on a finite point set,
+the :class:`Domain` that the functions of one class share.  Partitions and
+domains from outside are converted and checked once, when built.
+
+Every quantity of a class is read from its integer value table.  For STEP
+(:func:`refinement`) it is ``(C, cuts, V, rows)``: the cuts of the common
+refinement as integers over C and each function's value per cell as an
+integer over V; for TABULAR, every function's value at each domain point
+over one V (:func:`values_at`).  A function is a read-only view of its one
+integer row, its values over W, the lcm of its own value denominators
+(STEP: ``(D, ends, W, vals)``, one value per interval; TABULAR: ``(W,
+vals)``); equality, hashing and ``value_at`` read it.  The four STEP
+generators build the table from integers: n equal cells [i/n, (i+1)/n)
+tile [0, 1) by construction, so C = n, the cuts are 0..n, nothing is
+checked, and the class is born with its table.  Their functions' values
+as Fractions, and the pieces as IntervalUnions, are built only when read,
+as for class JSON.  A class assembled from functions (a class file, a
+subclass) merges its functions' rows into its table on first use.
 
 For a resolution ``gamma`` the value range splits into K bands
 ``[(k-1)*gamma, k*gamma)`` for k < K and ``[(K-1)*gamma, 1]`` for k = K,
@@ -23,10 +30,9 @@ case ``K = 1/gamma``.  The preimage of band k is the k-th segment of a
 function; two segments are non-adjacent when their band indices differ by
 at least 2.  :func:`band_of_value` is the one rule that puts a value in a
 band; a STEP segment is one IntervalUnion over the row's intervals in the
-band.  A STEP class's integer value table (:func:`refinement`, its
-functions' rows merged over one C and one V) serves the dimension search,
-the sample means and expectations, and, as bands per cell
-(:func:`cell_bands`), the segment join and the intersection-tree builder.
+band.  The STEP table serves the dimension search, the sample means and
+expectations, and, as bands per cell (:func:`cell_bands`), the segment
+join and the intersection-tree builder.
 """
 
 from __future__ import annotations
@@ -136,16 +142,22 @@ class Partition(Sequence[IntervalUnion]):
 
 
 class Function:
-    """A [0, 1]-valued function, either STEP or TABULAR (see module docs)."""
+    """A [0, 1]-valued function, either STEP or TABULAR (see module docs).
 
-    __slots__ = ("kind", "pieces", "points", "values", "_row")
+    A function is a read-only view of its integer row: ``(D, ends, W, vals)``
+    for STEP, ``(W, vals)`` over its domain for TABULAR, with W the lcm of
+    its value denominators.  Its values as Fractions are kept when it is
+    built from them, and otherwise built from the row when first read.
+    """
 
-    def __init__(self, kind, pieces, points, values, row):
+    __slots__ = ("kind", "pieces", "points", "_values", "_row")
+
+    def __init__(self, kind, pieces, points, row, values=None):
         self.kind = kind
         self.pieces = pieces
         self.points = points
-        self.values = values
         self._row = row
+        self._values = values
 
     @classmethod
     def step(
@@ -161,16 +173,11 @@ class Function:
         if len(pieces) != len(values) or not pieces:
             raise ValueError("step function needs one value per piece")
         vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
-        ratios = [v.as_integer_ratio() for v in vals]
-        for v, (p, q) in zip(vals, ratios):
-            if not 0 <= p <= q:
-                raise ValueError(f"value {v} outside [0, 1]")
+        W, scaled = _scaled(vals, "value {} outside [0, 1]")
         if not isinstance(pieces, Partition):
             pieces = Partition(pieces)
-        W = math.lcm(*{q for _, q in ratios})
-        scaled = [p * (W // q) for p, q in ratios]
         row = (pieces.D, pieces.ends, W, tuple(scaled[i] for i in pieces.owners))
-        return cls(STEP, pieces, None, vals, row)
+        return cls(STEP, pieces, None, row, vals)
 
     @classmethod
     def tabular(
@@ -179,12 +186,20 @@ class Function:
         values: Sequence[RationalLike],
     ) -> "Function":
         pts = points if isinstance(points, Domain) else Domain(points)
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
         if len(pts) != len(vals) or not pts:
             raise ValueError("tabular function needs one value per point")
-        if any(not 0 <= v.numerator <= v.denominator for v in vals):
-            raise ValueError("tabular values must lie in [0, 1]")
-        return cls(TABULAR, None, pts, vals, vals)  # its row: the values on its domain
+        W, scaled = _scaled(vals, "tabular values must lie in [0, 1]")
+        return cls(TABULAR, None, pts, (W, tuple(scaled)), vals)
+
+    @property
+    def values(self) -> Tuple[Fraction, ...]:
+        """The value of each piece (STEP) or domain point (TABULAR)."""
+        if self._values is None:
+            # born from its row, whose intervals are its pieces in order
+            W, vals = self._row[-2:]
+            self._values = tuple(Fraction(v, W) for v in vals)
+        return self._values
 
     def value_at(self, x: RationalLike) -> Fraction:
         x = Fraction(x)
@@ -194,11 +209,12 @@ class Function:
             i = bisect_right(ends, x.numerator * D // x.denominator)
             if x.numerator < 0 or i == len(ends):
                 raise ValueError(f"point {x} outside [0, 1)")
-            return Fraction(vals[i], W)
-        try:
-            return self.values[self.points.position[x]]
-        except KeyError:
-            raise ValueError(f"{x} is not a tabular domain point") from None
+        else:
+            W, vals = self._row
+            i = self.points.position.get(x)
+            if i is None:
+                raise ValueError(f"{x} is not a tabular domain point")
+        return Fraction(vals[i], W)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Function) and (
@@ -209,15 +225,29 @@ class Function:
         return hash((self.kind, self._row))
 
     def __repr__(self) -> str:
-        n = len(self.values)
+        n = len(self.pieces if self.kind == STEP else self.points)
         return f"Function({self.kind}, {n} {'pieces' if self.kind == STEP else 'points'})"
+
+
+def _scaled(vals: Tuple[Fraction, ...], message: str) -> Tuple[int, List[int]]:
+    """W, the lcm of the values' denominators, and each value * W; the first
+    value outside [0, 1] is named by ``message``."""
+    ratios = [v.as_integer_ratio() for v in vals]
+    for v, (p, q) in zip(vals, ratios):
+        if not 0 <= p <= q:
+            raise ValueError(message.format(v))
+    W = math.lcm(*{q for _, q in ratios})
+    return W, [p * (W // q) for p, q in ratios]
 
 
 class FunctionClass:
     """An ordered, finite, non-empty list of functions of one kind.
 
-    Classes are immutable, so a STEP class builds its integer value table
-    (see :func:`refinement`) once, on first use.
+    Classes are immutable, so each holds one integer value table, built once:
+    for STEP the table of :func:`refinement`, for TABULAR ``(V, columns)``,
+    every function's value at each domain point over one V.  A generated
+    STEP class is born with its table; any other class builds it on first
+    use.
     """
 
     __slots__ = ("functions", "name", "_table")
@@ -282,8 +312,9 @@ def refinement(F: FunctionClass) -> Table:
 
 
 def _refine(F: FunctionClass) -> Table:
-    # Rescaled to the class's C and V, the function rows merge on integers:
-    # cell [c_j, c_j+1) lies in the piece of the first right end past c_j.
+    # A class assembled from functions: rescaled to the class's C and V, the
+    # function rows merge on integers, and cell [c_j, c_j+1) lies in the
+    # piece of the first right end past c_j.
     C = math.lcm(*(f._row[0] for f in F.functions))
     V = math.lcm(*(f._row[2] for f in F.functions))
     scaled = [
@@ -303,9 +334,10 @@ def values_at(
     """Every function's value at each point, as integers over one denominator.
 
     Returns ``(V, columns)`` with ``columns[i][fi] == V * F[fi](points[i])``.
-    A STEP point x lies in the refinement cell j with c_j <= floor(x C) <
-    c_j+1, found by one integer bisect; a TABULAR point must be a domain
-    point.
+    V is the class's: the V of :func:`refinement` for STEP, the lcm of every
+    function's W for TABULAR.  A STEP point x lies in the refinement cell j
+    with c_j <= floor(x C) < c_j+1, found by one integer bisect; a TABULAR
+    point must be a domain point, whose column the class's table holds.
     """
     points = [Fraction(x) for x in points]
     if F.kind == STEP:
@@ -315,14 +347,25 @@ def values_at(
             if not 0 <= j < len(cuts) - 1:
                 raise ValueError(f"point {x} outside [0, 1)")
         return V, [tuple(row[j] for row in rows) for j in cells]
-    columns = [[f.value_at(x) for f in F.functions] for x in points]
-    V = math.lcm(*{v.denominator for column in columns for v in column})
-    return V, [tuple(v.numerator * (V // v.denominator) for v in col) for col in columns]
+    if F._table is None:
+        V = math.lcm(*(f._row[0] for f in F.functions))
+        rows = (vals if W == V else [v * (V // W) for v in vals] for W, vals in
+                (f._row for f in F.functions))
+        F._table = V, list(zip(*rows))
+    V, columns = F._table
+    position = F.domain_points.position
+    out = []
+    for x in points:
+        i = position.get(x)
+        if i is None:
+            raise ValueError(f"{x} is not a tabular domain point")
+        out.append(columns[i])
+    return V, out
 
 
 def k_of_gamma(gamma: RationalLike) -> int:
     """Number of gamma-wide value bands covering [0, 1]: ceil(1 / gamma)."""
-    gamma = Fraction(gamma)
+    gamma = gamma if isinstance(gamma, Fraction) else Fraction(gamma)
     if not (ZERO < gamma <= ONE):
         raise InvalidResolution(f"gamma must be in (0, 1], got {gamma}")
     return -(-gamma.denominator // gamma.numerator)
@@ -357,7 +400,7 @@ def _members_by_band(f: Function, gamma: RationalLike) -> List[list]:
         _, ends, W, values = f._row
         members = zip((0, *ends), ends)
     else:
-        members, values, W = f.points, f.values, 1
+        members, (W, values) = f.points, f._row
     groups = [[] for _ in range(k_of_gamma(gamma))]
     add = {v: groups[band_of_value(Fraction(v, W), gamma) - 1].append for v in set(values)}
     for member, v in zip(members, values):
@@ -392,20 +435,38 @@ def segment_partition(f: Function, gamma: RationalLike) -> List:
 # Generators
 
 
-def _on_equal_cells(n: int, rows: Iterable[Sequence[Fraction]]) -> List[Function]:
-    """STEP functions on the n cells [i/n, (i+1)/n), one value row each, all
-    on the one Partition of those cells; they tile [0, 1), so it is built
-    from its integers and not checked."""
-    cells = Partition.cells(n, tuple(range(1, n + 1)), tuple(range(n)), n)
-    return [Function.step(cells, row) for row in rows]
+def _equal_cells(n: int, q: int, rows: Iterable[Tuple[int, ...]], name: str) -> FunctionClass:
+    """The STEP class whose functions take the value row[i] / q, 0 <= row[i]
+    <= q, on the cell [i/n, (i+1)/n), born with its table.
+
+    The cells tile [0, 1), so their one shared Partition is built from its
+    integers and not checked.  Each function's row is its values over its
+    own W = q / g, g the gcd of q and the row; the class's table is
+    ``(n, (0, ..., n), V, rows)`` with V = q / gcd of those g, the lcm of the
+    Ws, as :func:`refinement` would merge it.
+    """
+    def over(g: int, row: Tuple[int, ...]) -> Tuple[int, ...]:
+        return row if g == 1 else tuple(v // g for v in row)
+
+    ends = tuple(range(1, n + 1))
+    cells = Partition.cells(n, ends, tuple(range(n)), n)
+    rows = list(rows)
+    gs = [math.gcd(q, *row) for row in rows]
+    F = FunctionClass(
+        [Function(STEP, cells, None, (n, ends, q // g, over(g, row))) for g, row in zip(gs, rows)],
+        name,
+    )
+    g = math.gcd(*gs)
+    F._table = (n, (0, *ends), q // g, tuple(over(g, row) for row in rows))
+    return F
 
 
 def thresholds(n: int) -> FunctionClass:
     """Indicators of [j/n, 1) for j = 1..n (the last one is identically 0)."""
     if n < 1:
         raise InvalidGeneratorSpec("thresholds needs n >= 1")
-    rows = ([ONE if c >= j else ZERO for c in range(n)] for j in range(1, n + 1))
-    return FunctionClass(_on_equal_cells(n, rows), f"thresholds({n})")
+    rows = ((0,) * j + (1,) * (n - j) for j in range(1, n + 1))
+    return _equal_cells(n, 1, rows, f"thresholds({n})")
 
 
 def interval_indicators(n: int) -> FunctionClass:
@@ -413,11 +474,11 @@ def interval_indicators(n: int) -> FunctionClass:
     if n < 1:
         raise InvalidGeneratorSpec("interval_indicators needs n >= 1")
     rows = (
-        [ONE if i <= c < j else ZERO for c in range(n)]
+        (0,) * i + (1,) * (j - i) + (0,) * (n - j)
         for i in range(n)
         for j in range(i + 1, n + 1)
     )
-    return FunctionClass(_on_equal_cells(n, rows), f"interval_indicators({n})")
+    return _equal_cells(n, 1, rows, f"interval_indicators({n})")
 
 
 def all_patterns(p: int) -> FunctionClass:
@@ -430,7 +491,7 @@ def all_patterns(p: int) -> FunctionClass:
         raise InvalidGeneratorSpec("all_patterns needs p >= 1")
     points = Domain([Fraction(2 * t + 1, 2 * p) for t in range(p)])
     fns = [
-        Function.tabular(points, [(b >> (p - 1 - t)) & 1 for t in range(p)])
+        Function(TABULAR, None, points, (1, tuple((b >> (p - 1 - t)) & 1 for t in range(p))))
         for b in range(1 << p)
     ]
     return FunctionClass(fns, f"all_patterns({p})")
@@ -442,10 +503,8 @@ def random_step(seed: int, pieces: int, grid: int, count: int = 1) -> FunctionCl
         raise InvalidGeneratorSpec("random_step needs pieces, grid, count >= 1")
     # each value is one next_u64() draw mod grid + 1, row by row, mixed in bulk
     draws = SplitMix64(seed).u64s(pieces * count)
-    levels = [Fraction(k, grid) for k in range(grid + 1)]
-    rows = ([levels[u % (grid + 1)] for u in islice(draws, pieces)] for _ in range(count))
-    name = f"random_step({seed},{pieces},{grid},{count})"
-    return FunctionClass(_on_equal_cells(pieces, rows), name)
+    rows = (tuple(u % (grid + 1) for u in islice(draws, pieces)) for _ in range(count))
+    return _equal_cells(pieces, grid, rows, f"random_step({seed},{pieces},{grid},{count})")
 
 
 def frac_mod1(x: Fraction) -> Fraction:
@@ -486,7 +545,7 @@ def trajectory_indicators(
         raise InvalidGeneratorSpec("need at least one base point")
     domain = Domain(sorted(set().union(*orbits)))
     fns = [
-        Function.tabular(domain, [int(i in hits) for i in range(len(domain))])
+        Function(TABULAR, None, domain, (1, tuple(int(i in hits) for i in range(len(domain)))))
         for hits in ({domain.position[x] for x in orbit} for orbit in orbits)
     ]
     return FunctionClass(fns, f"trajectory_indicators(window={window})")
@@ -505,7 +564,7 @@ def full_join_family(L: int, k: int, k2: int, gamma: RationalLike) -> FunctionCl
     midpoints already form a set shattered at resolution gamma/2, which keeps
     brute-force dimension searches on these families cheap.
     """
-    gamma = Fraction(gamma)
+    gamma = gamma if isinstance(gamma, Fraction) else Fraction(gamma)
     K = k_of_gamma(gamma)
     if not (1 <= k <= K and 1 <= k2 <= K):
         raise InvalidGeneratorSpec(f"bands ({k}, {k2}) outside [1, {K}]")
@@ -517,15 +576,17 @@ def full_join_family(L: int, k: int, k2: int, gamma: RationalLike) -> FunctionCl
     n_cells = 1 << n_fns
 
     special = [sum(1 << b for b in range(n_fns) if (b >> c) & 1) for c in range(L)]
-    rest = [s for s in range(n_cells) if s not in set(special)]
+    rest = [s for s in range(n_cells) if s not in special]
     sigma = special + rest
 
-    v_in = (Fraction(k) - Fraction(1, 2)) * gamma  # midband value of band k
-    v_out = (Fraction(k2) - Fraction(1, 2)) * gamma
-
-    rows = ([v_in if (s >> b) & 1 else v_out for s in sigma] for b in range(n_fns))
-    name = f"full_join_family({L},{k},{k2},{format_rational(gamma)})"
-    return FunctionClass(_on_equal_cells(n_cells, rows), name)
+    # the midband values (k - 1/2) gamma and (k2 - 1/2) gamma, over q = 2 den(gamma)
+    q = 2 * gamma.denominator
+    v_in, v_out = (2 * k - 1) * gamma.numerator, (2 * k2 - 1) * gamma.numerator
+    if max(v_in, v_out) > q:  # the midband value of a top band K may pass 1
+        raise ValueError(f"value {Fraction(max(v_in, v_out), q)} outside [0, 1]")
+    rows = (tuple(v_in if (s >> b) & 1 else v_out for s in sigma) for b in range(n_fns))
+    name = f"full_join_family({L},{k},{k2},{gamma.numerator}/{gamma.denominator})"
+    return _equal_cells(n_cells, q, rows, name)
 
 
 _GEN_RE = re.compile(r"^\s*([a-z_]+)\s*\((.*)\)\s*$")

@@ -180,7 +180,8 @@ def candidate_points(F: FunctionClass) -> List[Fraction]:
     contains two of them.
     """
     if F.kind == TABULAR:
-        pts, columns = F.domain_points, zip(*(f.values for f in F.functions))
+        pts = F.domain_points
+        columns = values_at(F, pts)[1]
     else:
         C, cuts, _, rows = refinement(F)
         pts = [Fraction(lo + hi, 2 * C) for lo, hi in zip(cuts, cuts[1:])]

@@ -16,7 +16,7 @@ from gapdim.ergoproc import (
 )
 from gapdim.exactset import format_rational, parse_rational
 from gapdim.funclass import (
-    STEP, SegmentIndexOutOfRange, band_of_value, frac_mod1, non_adjacent
+    STEP, TABULAR, SegmentIndexOutOfRange, band_of_value, frac_mod1, non_adjacent
 )
 from gapdim.rng import SplitMix64
 from gapdim.shatter import (
@@ -578,7 +578,10 @@ def oracle_binned_counts(ticks, thresholds, lengths):
 
 def oracle_value_at(f, x):
     """The value of the STEP piece that contains x, by ``OracleIntervalUnion``
-    membership; None when no piece does (x outside [0, 1))."""
+    membership, or of the TABULAR domain point equal to x, by a scan; None
+    when there is none (x outside [0, 1), or off the domain)."""
+    if f.kind == TABULAR:
+        return next((v for p, v in zip(f.points, f.values) if p == x), None)
     return next(
         (
             v for piece, v in zip(f.pieces, f.values)
@@ -586,6 +589,14 @@ def oracle_value_at(f, x):
         ),
         None,
     )
+
+
+def oracle_values_at(F: FunctionClass, points):
+    """``(V, columns)`` of ``values_at`` from ``oracle_value_at``: V the lcm
+    of the denominators of every value of the class, ``columns[i][fi]`` the
+    value of F[fi] at points[i] times V."""
+    V = math.lcm(*(v.denominator for f in F for v in f.values))
+    return V, [tuple(int(oracle_value_at(f, x) * V) for f in F) for x in points]
 
 
 def oracle_integral(f, a, b):
@@ -637,10 +648,7 @@ def oracle_step(pieces, values) -> Function:
         (hi.numerator * (D // hi.denominator), v.numerator * (W // v.denominator))
         for piece, v in zip(pieces, vals) for _, hi in fraction_pairs(piece)
     ))
-    f = object.__new__(Function)
-    f.kind, f.pieces, f.points, f.values = STEP, pieces, None, vals
-    f._row = (D, ends, W, row_vals)
-    return f
+    return Function(STEP, pieces, None, (D, ends, W, row_vals), vals)
 
 
 def oracle_constant(value) -> Function:

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,7 @@ from oracles import (
     oracle_step_class_from_json,
     oracle_thresholds,
     oracle_value_at,
+    oracle_values_at,
     randbelow,
 )
 
@@ -266,10 +268,6 @@ class TestValidation:
         half = F(1, 2)
         assert Function.step([IntervalUnion.full()], [half]).values[0] is half
         assert Function.step([IntervalUnion.full()], [1]).values == (F(1),)
-
-    def test_random_step_builds_each_level_once(self):
-        FC = random_step(4, pieces=16, grid=3, count=6)
-        assert len({id(v) for f in FC for v in f.values}) <= 4
 
     def test_step_must_cover(self):
         self.all_raise([IntervalUnion([(0, F(1, 2))])], r"must cover \[0, 1\)")
@@ -657,14 +655,21 @@ EQUAL_CELL_PAIRS = (
         for L in (1, 2, 3)
         for k, k2, g in ((1, 3, F(1, 5)), (4, 1, F(2, 9)), (2, 5, F(1, 6)))
     ]
+    # grid 1, grid 9, one piece, one function, rows whose own W is below the
+    # class's V (seed 0) and a class whose V is below its grid (seed 9)
+    + [
+        (random_step(*args), oracle_random_step(*args))
+        for args in ((1, 64, 1, 24), (3, 16, 1, 8), (2, 8, 9, 6), (5, 1, 4, 7),
+                     (6, 12, 5, 1), (0, 2, 4, 4), (9, 2, 6, 2))
+    ]
 )
 EQUAL_CELL_GAMMAS = [F(1, 5), F(1, 4), F(2, 7), F(1, 2), F(1)]
 
 
 class TestEqualCellGenerators:
-    """thresholds, interval_indicators and full_join_family put every function
-    on one Partition of equal cells; each class still reads as the class whose
-    functions each checked their own pieces."""
+    """thresholds, interval_indicators, random_step and full_join_family put
+    every function on one Partition of equal cells; each class still reads as
+    the class whose functions each checked their own pieces."""
 
     @pytest.mark.parametrize("FC,oracle", EQUAL_CELL_PAIRS, ids=lambda c: c.name)
     def test_same_table(self, FC, oracle):
@@ -765,3 +770,144 @@ class TestIntegerPartition:
         assert loaded[0].pieces[1] == loaded[0].pieces[3] == IntervalUnion.empty()
         save_class(loaded, tmp_path / "out.json")
         assert (tmp_path / "out.json").read_bytes() == (tmp_path / "in.json").read_bytes()
+
+
+def on_cells_oracle(FC):
+    """The oracle of a generated STEP class, rewritten on its equal cells
+    (``oracle_on_cells``), or rebuilt function by function from its own
+    pieces (``oracle_step_class``) when no generator named it."""
+    name, _, args = FC.name.partition("(")
+    oracles = {
+        "thresholds": oracle_thresholds,
+        "interval_indicators": oracle_interval_indicators,
+        "random_step": oracle_random_step,
+        "full_join_family": oracle_full_join_family,
+    }
+    if name not in oracles:
+        return oracle_step_class(FC)
+    oracle = oracles[name](*(F(a) if "/" in a else int(a) for a in args[:-1].split(",")))
+    return oracle_on_cells(oracle, len(FC[0].pieces))
+
+
+STEP_GENERATORS = [
+    ("thresholds(7)", lambda: thresholds(7)),
+    ("interval_indicators(5)", lambda: interval_indicators(5)),
+    ("random_step(3,12,4,6)", lambda: random_step(3, 12, 4, 6)),
+    ("random_step(9,2,6,2)", lambda: random_step(9, 2, 6, 2)),
+    ("random_step(1,64,1,24)", lambda: random_step(1, 64, 1, 24)),
+    # gamma is built beforehand, as parsing the spec would build it
+    ("full_join_family(3,1,3,1/5)", lambda g=F(1, 5): full_join_family(3, 1, 3, g)),
+    ("full_join_family(2,4,1,2/9)", lambda g=F(2, 9): full_join_family(2, 4, 1, g)),
+]
+
+
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """Every Fraction construction, as its arguments."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return built
+
+
+class TestBornWithItsTable:
+    """A generated STEP class is built as its integer table; its functions'
+    Fraction values are built only when read."""
+
+    @pytest.mark.parametrize("spec", [spec for spec, _ in STEP_GENERATORS])
+    def test_refinement_is_the_generated_table(self, monkeypatch, spec):
+        def refuse(F):
+            raise AssertionError("a generated class merges no rows")
+
+        monkeypatch.setattr(funclass, "_refine", refuse)
+        FC = generate(spec)
+        C, cuts, V, rows = refinement(FC)
+        assert (C, cuts) == (len(FC[0].pieces), tuple(range(C + 1)))
+        ocuts, ocolumns = oracle_refinement(FC)
+        assert list(cuts) == [c * C for c in ocuts]
+        assert [tuple(F(v, V) for v in row) for row in rows] == ocolumns
+        # V is the lcm of the functions' own W, as the merge would take it
+        assert V == math.lcm(*(f._row[2] for f in FC))
+        assert V == math.lcm(*(v.denominator for f in FC for v in f.values))
+        monkeypatch.undo()
+        assert refinement(FunctionClass(list(FC))) == refinement(FC)
+
+    @pytest.mark.parametrize("spec,make", STEP_GENERATORS, ids=[s for s, _ in STEP_GENERATORS])
+    def test_no_fraction_until_values_are_read(self, fractions_built, spec, make):
+        FC = make()
+        refinement(FC)
+        assert fractions_built == []
+        assert [f.values for f in FC] == [g.values for g in on_cells_oracle(FC)]
+        assert len(fractions_built) >= len(FC)
+
+    def test_full_join_family_rejects_a_value_above_one(self):
+        # gamma = 9/20: K = 3, and the midband value of band 3 is 9/8
+        for k, k2 in ((1, 3), (3, 1)):
+            with pytest.raises(ValueError, match=r"value 9/8 outside \[0, 1\]"):
+                full_join_family(1, k, k2, F(9, 20))
+
+
+IDENTITY_CLASSES = ORACLE_CLASSES + [full_join_family(3, 1, 3, F(1, 5))]
+
+
+class TestFunctionIdentity:
+    """A generated function equals, and hashes as, the same function read
+    back from its class file and built by its oracle."""
+
+    @pytest.mark.parametrize("FC", IDENTITY_CLASSES, ids=repr)
+    def test_round_trip_and_oracle(self, FC, tmp_path):
+        save_class(FC, tmp_path / "class.json")
+        for other in (load_class(tmp_path / "class.json"), on_cells_oracle(FC)):
+            assert len(other) == len(FC)
+            for f, g in zip(FC, other):
+                assert f == g and hash(f) == hash(g)
+                assert f.values == g.values
+
+    def test_full_join_family_value_denominator(self):
+        FC = full_join_family(3, 1, 3, F(1, 5))
+        assert refinement(FC)[2] == 10 and {f._row[2] for f in FC} == {10}
+
+
+def random_tabular(seed, points, count):
+    """A TABULAR class with values k/den for random k and den."""
+    rng = SplitMix64(seed)
+    pts = [F(2 * t + 1, 2 * points) for t in range(points)]
+    fns = []
+    for _ in range(count):
+        den = 1 + randbelow(rng, 12)
+        fns.append(Function.tabular(pts, [F(randbelow(rng, den + 1), den) for _ in pts]))
+    return FunctionClass(fns, f"random_tabular({seed})")
+
+
+class TestTabularValuesAt:
+    """values_at reads a TABULAR class's integer columns, never value_at."""
+
+    @staticmethod
+    def check(FC, monkeypatch):
+        def refuse(self, x):
+            raise AssertionError("values_at reads the class's integer table")
+
+        pts = list(FC.domain_points)
+        queries = [pts, pts[::-1], pts[len(pts) // 2:] + pts[:1]]
+        with monkeypatch.context() as m:
+            m.setattr(Function, "value_at", refuse)
+            got = [values_at(FC, q) for q in queries]
+        assert got == [oracle_values_at(FC, q) for q in queries]
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_all_patterns(self, monkeypatch, p):
+        self.check(all_patterns(p), monkeypatch)
+
+    def test_trajectory_indicators(self, monkeypatch):
+        FC = trajectory_indicators(F(2, 7) + F(1, 10**6), [F(j, 11) for j in range(1, 4)], 9)
+        self.check(FC, monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_saved_and_loaded_random_class(self, monkeypatch, tmp_path, seed):
+        save_class(random_tabular(seed, 7, 20), tmp_path / "class.json")
+        self.check(load_class(tmp_path / "class.json"), monkeypatch)

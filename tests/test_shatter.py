@@ -351,11 +351,14 @@ class TestValueTable:
         builds = []
         build = funclass._refine
         monkeypatch.setattr(funclass, "_refine", lambda F: builds.append(F) or build(F))
-        FC = random_step(3, 12, 8, 32)
+        generated = random_step(3, 12, 8, 32)
+        FC = FunctionClass(list(generated))  # assembled from functions
         res = gap_dim(FC, F(1, 8))
         assert res.dimension >= 1 and builds == [FC]
         gap_dim(FC, F(1, 5))
         assert builds == [FC]
+        # a generated class is born with its table
+        assert gap_dim(generated, F(1, 8)) == res and builds == [FC]
 
     @pytest.mark.parametrize(
         "spec",
@@ -553,3 +556,12 @@ class TestPinnedCertificates:
         res = gap_dim(generate(spec), gamma)
         assert res.exact and res.dimension == len(expected["points"])
         assert res.certificate.to_json() == expected
+
+    def test_all_patterns_8(self):
+        # mask m is realized by the function whose index is m's 8 bits reversed
+        res = gap_dim(generate("all_patterns(8)"), F(1, 4))
+        assert res.exact and res.certificate.to_json() == {
+            "alpha": "1/2",
+            "points": [f"{2 * t + 1}/16" for t in range(8)],
+            "selector": {str(m): int(f"{m:08b}"[::-1], 2) for m in range(256)},
+        }

@@ -18,6 +18,9 @@ from pathlib import Path
 import pytest
 
 from gapdim import cli
+from gapdim.exactset import parse_rational
+from gapdim.funclass import load_class
+from gapdim.shatter import gap_dim
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -51,3 +54,26 @@ def test_one_cycle_enters_every_traced_function(tmp_path, workload):
         tracer.on = False
         tracer.uninstall()
     assert tracer.unexercised(workloads.EXERCISED[workload]) == []
+
+
+# gap_dim certificates of the seed-1 dim plan's TABULAR class files, as the
+# Fraction value lookups wrote them
+TAB_CERTIFICATES = {
+    "tab0-s1.json": ("1/8", {"points": ["1/4", "5/12", "3/4"], "alpha": "7/16", "selector": {
+        "0": 1, "1": 4, "2": 9, "3": 3, "4": 11, "5": 10, "6": 6, "7": 0}}),
+    "tab1-s1.json": ("1/4", {"points": ["1/12", "7/12"], "alpha": "9/16", "selector": {
+        "0": 1, "1": 7, "2": 2, "3": 13}}),
+    "tab2-s1.json": ("1/8", {"points": ["1/12", "1/4"], "alpha": "9/16", "selector": {
+        "0": 19, "1": 3, "2": 4, "3": 8}}),
+    "tab3-s1.json": ("1/4", {"points": ["1/12", "1/4"], "alpha": "7/16", "selector": {
+        "0": 5, "1": 10, "2": 11, "3": 6}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAB_CERTIFICATES))
+def test_dim_plan_tabular_certificates(tmp_path, name):
+    gamma, expected = TAB_CERTIFICATES[name]
+    path = str(tmp_path / name)
+    workloads.PLANS["dim"](1).files[name](path, str(tmp_path))
+    res = gap_dim(load_class(path), parse_rational(gamma))
+    assert res.exact and res.certificate.to_json() == expected
