@@ -30,7 +30,8 @@ from typing import Callable, Dict, NamedTuple, Tuple
 
 from . import __version__
 from .exactset import (
-    IntervalUnion, decimal12, format_rational, parse_rational, read_json_object
+    IntervalUnion, decimal12, format_rational, json_list, json_object, parse_rational,
+    read_json_object,
 )
 from .ergoproc import (
     Emission,
@@ -101,14 +102,11 @@ def _ints(cfg: dict, field: str, low=None, high=None, many=False):
 
 
 def _load(field: str, load, path):
-    """Read an input file; content of any wrong shape is an error in `field`.
-
-    The loaders index untyped JSON, so a list where an object belongs, say,
-    surfaces as a TypeError or AttributeError rather than a ValueError.
-    """
+    """Read an input file; an unreadable file, a missing key or content of
+    any wrong shape (a ValueError of the loader) is an error in `field`."""
     try:
         return load(path)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"field {field!r}: {detail}") from None
 
@@ -142,10 +140,12 @@ def _load_markov(path) -> MarkovSpec:
     if doc.get("variant") != "markov":
         raise ValueError("JSON file must describe a markov spec")
     transition = tuple(
-        tuple(parse_rational(p) for p in row) for row in doc["transition"]
+        tuple(parse_rational(p) for p in json_list(row, "transition row"))
+        for row in json_list(doc["transition"], "transition")
     )
     emissions = []
-    for e in doc["emissions"]:
+    for e in json_list(doc["emissions"], "emissions"):
+        e = json_object(e, "emission")
         if e["kind"] == "point":
             emissions.append(Emission.point(parse_rational(e["at"])))
         elif e["kind"] == "uniform":
@@ -439,8 +439,6 @@ def cmd_demo_rotation(cfg: dict) -> int:
     }
     _emit(report, cfg)
     return 0
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -61,21 +61,12 @@ from .funclass import (
     STEP,
     Function,
     FunctionClass,
-    frac_mod1,
     refinement,
     trajectory_indicators,
     values_at,
 )
 from .rng import TWO53, SplitMix64
 from .shatter import DimResult, gap_dim
-
-
-class NotErgodic(ValueError):
-    """Markov chains must be irreducible: pi P = pi needs one positive solution."""
-
-
-class NoMarginalExpectation(ValueError):
-    """Exact expectations exist only for STEP functions."""
 
 
 def golden_rotation_angle() -> Fraction:
@@ -152,7 +143,7 @@ class MarkovSpec:
         # solved once per spec: every expectation and path start reads it
         pi = _stationary(self.transition)
         if pi is None or not all(pi):
-            raise NotErgodic("transition matrix is not irreducible")
+            raise ValueError("transition matrix is not irreducible")
         object.__setattr__(self, "_pi", pi)
 
     def stationary_distribution(self) -> Tuple[Fraction, ...]:
@@ -379,7 +370,7 @@ def expectation(F: FunctionClass, spec: ProcessSpec) -> List[Fraction]:
     f's row of the class table (values over V per cell) dotted with the cell
     masses over B, one integer sum and one ``Fraction`` per function."""
     if F.kind != STEP:
-        raise NoMarginalExpectation("expectations need a STEP class")
+        raise ValueError("expectations need a STEP class")
     C, cuts, V, rows = refinement(F)
     B, masses = _cell_masses(C, cuts, spec)
     return [Fraction(sum(map(operator.mul, row, masses)), V * B) for row in rows]
@@ -496,9 +487,6 @@ def per_function_discrepancies(F: FunctionClass, path: SamplePath) -> List[Fract
 class GammaReport:
     """Discrepancies over an (m, replicate) grid plus per-m summaries."""
 
-    m_grid: Tuple[int, ...]
-    replicates: int
-    seed: int
     rows: Tuple[Tuple[int, int, Fraction], ...]  # (m, replicate, gamma_m)
     summary: Dict[int, Dict[str, Fraction]]
     estimate: Fraction  # mean at the largest m
@@ -539,14 +527,7 @@ def estimate_gamma(
             "min": min(vals),
             "max": max(vals),
         }
-    return GammaReport(
-        m_grid=grid,
-        replicates=replicates,
-        seed=seed,
-        rows=tuple(rows),
-        summary=summary,
-        estimate=summary[grid[-1]]["mean"],
-    )
+    return GammaReport(rows=tuple(rows), summary=summary, estimate=summary[grid[-1]]["mean"])
 
 
 BASE_POINTS = tuple(Fraction(j, 7) for j in range(1, 6))
@@ -555,7 +536,6 @@ BASE_POINTS = tuple(Fraction(j, 7) for j in range(1, 6))
 @dataclass(frozen=True)
 class RotationDemoReport:
     m: int
-    seed: int
     theta: Fraction
     x0: Fraction
     data_dependent_gamma: Fraction  # exactly 1
@@ -582,11 +562,9 @@ def rotation_counterexample(
     construction, a truncation of an uncountable ideal; that caveat is part
     of this report's meaning.
     """
-    if m < 1:
-        raise ValueError("path length must be >= 1")
     theta = Fraction(theta) if theta is not None else golden_rotation_angle()
     path = sample_path(RotationSpec(theta=theta), m, seed).values
-    x0 = frac_mod1(path[0] - theta)
+    x0 = (path[0] - theta) % 1
 
     combined = trajectory_indicators(theta, (x0, *BASE_POINTS), window=m)
     # Every expectation is 0, so each family's discrepancy is its path mean;
@@ -597,7 +575,6 @@ def rotation_counterexample(
     dim = gap_dim(combined, resolution)
     return RotationDemoReport(
         m=m,
-        seed=seed,
         theta=theta,
         x0=x0,
         data_dependent_gamma=means[0],
@@ -610,13 +587,11 @@ def rotation_counterexample(
 
 @dataclass(frozen=True)
 class BoundCheckReport:
-    gamma: Fraction
     dim: DimResult
     estimate: Fraction
     bound: Fraction  # 10 * gamma
     passed: bool
     margin: Fraction  # bound - estimate
-    report: GammaReport
 
 
 def bound_check(
@@ -635,14 +610,8 @@ def bound_check(
     """
     gamma = Fraction(gamma)
     dim = gap_dim(F, gamma)
-    report = estimate_gamma(F, spec, [m], replicates, seed)
+    estimate = estimate_gamma(F, spec, [m], replicates, seed).estimate
     bound = 10 * gamma
     return BoundCheckReport(
-        gamma=gamma,
-        dim=dim,
-        estimate=report.estimate,
-        bound=bound,
-        passed=report.estimate <= bound,
-        margin=bound - report.estimate,
-        report=report,
+        dim=dim, estimate=estimate, bound=bound, passed=estimate <= bound, margin=bound - estimate
     )

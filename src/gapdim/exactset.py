@@ -85,6 +85,22 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_list(value, what: str) -> list:
+    """A JSON array read from a document; any other value, a string too, is a
+    ValueError naming `what`."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list, got {json.dumps(value)}")
+    return value
+
+
+def json_object(value, what: str) -> dict:
+    """A JSON object read from a document; any other value is a ValueError
+    naming `what`."""
+    if type(value) is not dict:
+        raise ValueError(f"{what} must be an object, got {json.dumps(value)}")
+    return value
+
+
 def json_key(key: str, what: str) -> int:
     """An integer written as a JSON object key.  Only its canonical decimal
     string is accepted: "5" and "-5", never "05", "+5", " 5" or "0_5"."""
@@ -230,8 +246,13 @@ class IntervalUnion:
     def from_text(cls, text: str) -> "IntervalUnion":
         """The union written by :meth:`to_text`; "" also reads as empty,
         whitespace may pad an endpoint and may follow the comma between two
-        intervals.  Any other text is a ValueError, and so is an endpoint
-        that ``parse_rational`` would not read."""
+        intervals.  Any other text or a value that is not a string is a
+        ValueError, and so is an endpoint that ``parse_rational`` would not
+        read."""
+        if not isinstance(text, str):
+            raise ValueError(
+                f"must be an interval union string, got {json.dumps(text, default=repr)}"
+            )
         s = text.strip()
         if s in ("", "empty"):
             return cls.empty()

@@ -41,7 +41,7 @@ import math
 import re
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .exactset import (
@@ -50,6 +50,8 @@ from .exactset import (
     IntervalUnion,
     RationalLike,
     format_rational,
+    json_list,
+    json_object,
     parse_rational,
     read_json_object,
     write_json,
@@ -61,15 +63,12 @@ TABULAR = "tabular"
 
 
 class InvalidResolution(ValueError):
-    """gamma must satisfy 0 < gamma <= 1."""
+    """A resolution gamma out of range: value bands (:func:`k_of_gamma`) need
+    0 < gamma <= 1, while shattering (``shatter``) accepts any gamma > 0."""
 
 
 class SegmentIndexOutOfRange(ValueError):
     """Band index outside [1, K]."""
-
-
-class InvalidGeneratorSpec(ValueError):
-    """Malformed generator description."""
 
 
 class Domain(tuple):
@@ -77,7 +76,8 @@ class Domain(tuple):
     class share, converted, checked and indexed once."""
 
     def __new__(cls, points: Sequence[RationalLike]) -> "Domain":
-        self = super().__new__(cls, (Fraction(p) for p in points))
+        pts = (p if isinstance(p, Fraction) else Fraction(p) for p in points)
+        self = super().__new__(cls, pts)
         if any(not 0 <= p.numerator < p.denominator for p in self):
             raise ValueError("tabular points must lie in [0, 1)")
         if any(not a < b for a, b in zip(self, self[1:])):
@@ -464,7 +464,7 @@ def _equal_cells(n: int, q: int, rows: Iterable[Tuple[int, ...]], name: str) -> 
 def thresholds(n: int) -> FunctionClass:
     """Indicators of [j/n, 1) for j = 1..n (the last one is identically 0)."""
     if n < 1:
-        raise InvalidGeneratorSpec("thresholds needs n >= 1")
+        raise ValueError("thresholds needs n >= 1")
     rows = ((0,) * j + (1,) * (n - j) for j in range(1, n + 1))
     return _equal_cells(n, 1, rows, f"thresholds({n})")
 
@@ -472,7 +472,7 @@ def thresholds(n: int) -> FunctionClass:
 def interval_indicators(n: int) -> FunctionClass:
     """Indicators of all intervals [i/n, j/n), 0 <= i < j <= n."""
     if n < 1:
-        raise InvalidGeneratorSpec("interval_indicators needs n >= 1")
+        raise ValueError("interval_indicators needs n >= 1")
     rows = (
         (0,) * i + (1,) * (j - i) + (0,) * (n - j)
         for i in range(n)
@@ -488,7 +488,7 @@ def all_patterns(p: int) -> FunctionClass:
     of b is the value at point t.
     """
     if p < 1:
-        raise InvalidGeneratorSpec("all_patterns needs p >= 1")
+        raise ValueError("all_patterns needs p >= 1")
     points = Domain([Fraction(2 * t + 1, 2 * p) for t in range(p)])
     fns = [
         Function(TABULAR, None, points, (1, tuple((b >> (p - 1 - t)) & 1 for t in range(p))))
@@ -500,15 +500,11 @@ def all_patterns(p: int) -> FunctionClass:
 def random_step(seed: int, pieces: int, grid: int, count: int = 1) -> FunctionClass:
     """count random step functions on `pieces` equal cells with values v/grid."""
     if pieces < 1 or grid < 1 or count < 1:
-        raise InvalidGeneratorSpec("random_step needs pieces, grid, count >= 1")
+        raise ValueError("random_step needs pieces, grid, count >= 1")
     # each value is one next_u64() draw mod grid + 1, row by row, mixed in bulk
     draws = SplitMix64(seed).u64s(pieces * count)
     rows = (tuple(u % (grid + 1) for u in islice(draws, pieces)) for _ in range(count))
     return _equal_cells(pieces, grid, rows, f"random_step({seed},{pieces},{grid},{count})")
-
-
-def frac_mod1(x: Fraction) -> Fraction:
-    return x - math.floor(x)
 
 
 def trajectory_indicators(
@@ -521,32 +517,33 @@ def trajectory_indicators(
     For each base point b the support is {frac(b + i*theta) : |i| <= window}.
     The orbits must be pairwise disjoint at this truncation (the generator
     checks and refuses otherwise), so the resulting tabular functions have
-    pairwise disjoint supports on the shared domain.
+    pairwise disjoint supports on the shared domain.  The orbits are built,
+    checked and sorted as integers over D, the lcm of the denominators of
+    theta and the base points; each domain point becomes a Fraction once.
     """
     theta = Fraction(theta)
     if window < 0:
-        raise InvalidGeneratorSpec("window must be >= 0")
+        raise ValueError("window must be >= 0")
+    base_points = [Fraction(b) for b in base_points]
+    D = math.lcm(theta.denominator, *(b.denominator for b in base_points))
+    step = theta.numerator * (D // theta.denominator)
     orbits = []
     for b in base_points:
-        b = Fraction(b)
-        orbit = {frac_mod1(b + i * theta) for i in range(-window, window + 1)}
+        start = b.numerator * (D // b.denominator)
+        orbit = {(start + i * step) % D for i in range(-window, window + 1)}
         if len(orbit) != 2 * window + 1:
-            raise InvalidGeneratorSpec(
-                f"orbit of {b} self-intersects within the window; theta too coarse"
-            )
+            raise ValueError(f"orbit of {b} self-intersects within the window; theta too coarse")
         orbits.append(orbit)
-    for i in range(len(orbits)):
-        for j in range(i + 1, len(orbits)):
-            if orbits[i] & orbits[j]:
-                raise InvalidGeneratorSpec(
-                    f"orbits of base points {i} and {j} intersect within the window"
-                )
+    for i, j in combinations(range(len(orbits)), 2):
+        if orbits[i] & orbits[j]:
+            raise ValueError(f"orbits of base points {i} and {j} intersect within the window")
     if not orbits:
-        raise InvalidGeneratorSpec("need at least one base point")
-    domain = Domain(sorted(set().union(*orbits)))
+        raise ValueError("need at least one base point")
+    ticks = sorted(set().union(*orbits))
+    domain = Domain([Fraction(t, D) for t in ticks])
     fns = [
-        Function(TABULAR, None, domain, (1, tuple(int(i in hits) for i in range(len(domain)))))
-        for hits in ({domain.position[x] for x in orbit} for orbit in orbits)
+        Function(TABULAR, None, domain, (1, tuple(int(t in orbit) for t in ticks)))
+        for orbit in orbits
     ]
     return FunctionClass(fns, f"trajectory_indicators(window={window})")
 
@@ -567,11 +564,11 @@ def full_join_family(L: int, k: int, k2: int, gamma: RationalLike) -> FunctionCl
     gamma = gamma if isinstance(gamma, Fraction) else Fraction(gamma)
     K = k_of_gamma(gamma)
     if not (1 <= k <= K and 1 <= k2 <= K):
-        raise InvalidGeneratorSpec(f"bands ({k}, {k2}) outside [1, {K}]")
+        raise ValueError(f"bands ({k}, {k2}) outside [1, {K}]")
     if not non_adjacent(k, k2):
-        raise InvalidGeneratorSpec(f"bands ({k}, {k2}) must be non-adjacent")
+        raise ValueError(f"bands ({k}, {k2}) must be non-adjacent")
     if L < 1 or L > 4:
-        raise InvalidGeneratorSpec("full_join_family supports 1 <= L <= 4")
+        raise ValueError("full_join_family supports 1 <= L <= 4")
     n_fns = 1 << L
     n_cells = 1 << n_fns
 
@@ -589,15 +586,28 @@ def full_join_family(L: int, k: int, k2: int, gamma: RationalLike) -> FunctionCl
     return _equal_cells(n_cells, q, rows, name)
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected integer, got {text!r}") from None
+
+
 _GEN_RE = re.compile(r"^\s*([a-z_]+)\s*\((.*)\)\s*$")
-# every generator's arguments, in positional order
-_GEN_ARGS = {
-    "thresholds": ("n",),
-    "interval_indicators": ("n",),
-    "all_patterns": ("p",),
-    "random_step": ("seed", "pieces", "grid", "count"),
-    "full_join_family": ("L", "k", "k2", "gamma"),
-    "trajectory_indicators": ("theta", "window", "base"),
+# every generator: its constructor, and in spec order the keyword and the
+# parser of each argument; random_step's count alone may be left out
+_GENERATORS = {
+    "thresholds": (thresholds, {"n": _integer}),
+    "interval_indicators": (interval_indicators, {"n": _integer}),
+    "all_patterns": (all_patterns, {"p": _integer}),
+    "random_step": (random_step, dict.fromkeys(("seed", "pieces", "grid", "count"), _integer)),
+    "full_join_family": (
+        full_join_family, {"L": _integer, "k": _integer, "k2": _integer, "gamma": parse_rational},
+    ),
+    "trajectory_indicators": (trajectory_indicators, {
+        "theta": parse_rational, "window": _integer,
+        "base_points": lambda text: [parse_rational(b) for b in text.split("+")],
+    }),
 }
 
 
@@ -606,60 +616,38 @@ def generate(spec: str) -> FunctionClass:
 
     Supported: thresholds(n), interval_indicators(n), all_patterns(p),
     random_step(seed,pieces,grid[,count]), full_join_family(L,k,k2,gamma),
-    trajectory_indicators(theta,window,b1+b2+...).  Scalars are integers or
-    rationals written num/den.  random_step alone also takes its arguments
-    as keywords, as in random_step(3,4,8,count=2).  A missing, repeated,
-    unknown or extra argument is an error.
+    trajectory_indicators(theta,window,b1+b2+...), each declared once, in
+    ``_GENERATORS``.  Scalars are integers or rationals written num/den.
+    random_step alone also takes its arguments as keywords, as in
+    random_step(3,4,8,count=2).  A missing, repeated, unknown or extra
+    argument is a ValueError; arguments are parsed in order, and the first
+    bad one is named.
     """
     m = _GEN_RE.match(spec)
     if not m:
-        raise InvalidGeneratorSpec(f"cannot parse generator spec {spec!r}")
+        raise ValueError(f"cannot parse generator spec {spec!r}")
     name, argstr = m.group(1), m.group(2)
-    if name not in _GEN_ARGS:
-        raise InvalidGeneratorSpec(f"unknown generator {name!r}")
-    names = _GEN_ARGS[name]
+    if name not in _GENERATORS:
+        raise ValueError(f"unknown generator {name!r}")
+    make, parsers = _GENERATORS[name]
     raw = [a.strip() for a in argstr.split(",")] if argstr.strip() else []
     positional = [a for a in raw if "=" not in a]
-    args = dict(zip(names, positional))
-    wrong = InvalidGeneratorSpec(f"wrong arguments in {spec!r}")
-    if len(positional) > len(names):
+    args = dict(zip(parsers, positional))
+    wrong = ValueError(f"wrong arguments in {spec!r}")
+    if len(positional) > len(parsers):
         raise wrong
     for key, _, val in (a.partition("=") for a in raw if "=" in a):
         key = key.strip()
-        if name != "random_step" or key not in names or key in args:
+        if name != "random_step" or key not in parsers or key in args:
             raise wrong
         args[key] = val.strip()
-
-    def as_int(s: str) -> int:
-        try:
-            return int(s)
-        except ValueError:
-            raise InvalidGeneratorSpec(f"expected integer, got {s!r}") from None
-
-    try:
-        if name == "thresholds":
-            return thresholds(as_int(args["n"]))
-        if name == "interval_indicators":
-            return interval_indicators(as_int(args["n"]))
-        if name == "all_patterns":
-            return all_patterns(as_int(args["p"]))
-        if name == "random_step":
-            return random_step(
-                as_int(args["seed"]),
-                as_int(args["pieces"]),
-                as_int(args["grid"]),
-                as_int(args.get("count", "1")),
-            )
-        if name == "full_join_family":
-            return full_join_family(
-                as_int(args["L"]), as_int(args["k"]), as_int(args["k2"]),
-                parse_rational(args["gamma"]),
-            )
-        # the one generator left is trajectory_indicators
-        base = [parse_rational(b) for b in args["base"].split("+")]
-        return trajectory_indicators(parse_rational(args["theta"]), base, as_int(args["window"]))
-    except KeyError:
-        raise wrong from None
+    kwargs = {}
+    for key, parse in parsers.items():
+        if key in args:
+            kwargs[key] = parse(args[key])
+        elif key != "count":  # random_step's count defaults to 1
+            raise wrong
+    return make(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -702,19 +690,22 @@ def class_from_json(doc: dict) -> FunctionClass:
         # as the Partition that the functions listing it share
         pieces = {}
         fns = []
-        for entry in doc["functions"]:
-            texts = tuple(p["set"] for p in entry["pieces"])
-            if texts not in pieces:
+        for entry in json_list(doc["functions"], "functions"):
+            listed = json_list(json_object(entry, "function")["pieces"], "pieces")
+            listed = [json_object(p, "piece") for p in listed]
+            texts = tuple(p["set"] for p in listed)
+            # only strings key the cache; from_text names any other set
+            if not all(isinstance(t, str) for t in texts) or texts not in pieces:
                 pieces[texts] = [IntervalUnion.from_text(t) for t in texts]
-            f = Function.step(pieces[texts], [parse_rational(p["value"]) for p in entry["pieces"]])
+            f = Function.step(pieces[texts], [parse_rational(p["value"]) for p in listed])
             pieces[texts] = f.pieces
             fns.append(f)
     elif kind == TABULAR:
-        domain = Domain([parse_rational(p) for p in doc["points"]])
-        fns = [
-            Function.tabular(domain, [parse_rational(v) for v in entry["values"]])
-            for entry in doc["functions"]
-        ]
+        domain = Domain([parse_rational(p) for p in json_list(doc["points"], "points")])
+        fns = []
+        for entry in json_list(doc["functions"], "functions"):
+            values = json_list(json_object(entry, "function")["values"], "values")
+            fns.append(Function.tabular(domain, [parse_rational(v) for v in values]))
     else:
         raise ValueError(f"unknown class kind {kind!r}")
     return FunctionClass(fns, doc.get("name", ""))

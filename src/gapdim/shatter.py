@@ -36,8 +36,8 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactset import (
-    IntervalUnion, RationalLike, format_rational, json_int, json_key, parse_rational,
-    read_json_object, write_json,
+    IntervalUnion, RationalLike, format_rational, json_int, json_key, json_list, json_object,
+    parse_rational, read_json_object, write_json,
 )
 from .funclass import (
     TABULAR, FunctionClass, InvalidResolution, SegmentIndexOutOfRange, cell_bands,
@@ -49,22 +49,6 @@ INFINITE_CAP = "INFINITE_CAP"
 
 class MalformedCertificate(ValueError):
     """Certificate refers to unknown functions, foreign points, or misses masks."""
-
-
-class EmptyPointSet(ValueError):
-    """Shattering queries need at least one point."""
-
-
-class InvalidCap(ValueError):
-    """Search cap must be at least 1."""
-
-
-class JoinNotFull(ValueError):
-    """A join expected to be full is missing a cell."""
-
-    def __init__(self, signature: Tuple[int, ...]):
-        self.signature = signature
-        super().__init__(f"join is missing the cell with signature {signature}")
 
 
 @dataclass(frozen=True)
@@ -90,11 +74,11 @@ class ShatterCertificate:
     @classmethod
     def from_json(cls, doc: dict) -> "ShatterCertificate":
         return cls(
-            points=tuple(parse_rational(p) for p in doc["points"]),
+            points=tuple(parse_rational(p) for p in json_list(doc["points"], "points")),
             alpha=parse_rational(doc["alpha"]),
             selector={
                 json_key(m, "selector key"): json_int(i, "selector value")
-                for m, i in doc["selector"].items()
+                for m, i in json_object(doc["selector"], "selector").items()
             },
         )
 
@@ -278,7 +262,7 @@ def shatters(
     gamma = _resolution(gamma)
     pts = sorted({Fraction(x) for x in D})
     if not pts:
-        raise EmptyPointSet("cannot shatter the empty set")
+        raise ValueError("cannot shatter the empty set")
     for x in pts:
         _check_point(F, x)
     if len(F) < (1 << len(pts)):
@@ -310,7 +294,7 @@ def gap_dim(F: FunctionClass, gamma: RationalLike, cap: int = 20) -> DimResult:
     live functions (bitmasks over F) that realize its subset masks.
     """
     if cap < 1:
-        raise InvalidCap(f"cap must be >= 1, got {cap}")
+        raise ValueError(f"cap must be >= 1, got {cap}")
     gamma = _resolution(gamma)
     pts = candidate_points(F)
     n = len(pts)
@@ -406,7 +390,7 @@ def join_shatter(
         for sig_bits in range(1 << n_fns):
             sig = tuple((sig_bits >> b) & 1 for b in range(n_fns))
             if sig not in cells:
-                raise JoinNotFull(sig)
+                raise ValueError(f"join is missing the cell with signature {sig}")
 
     points = []
     for i in range(L):

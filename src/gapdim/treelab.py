@@ -18,13 +18,15 @@ level's segments once, in one pass down the tree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, takewhile
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .exactset import (
-    IntervalUnion, RationalLike, json_int, json_key, read_json_object, write_json,
+    IntervalUnion, RationalLike, json_int, json_key, json_list, json_object, read_json_object,
+    write_json,
 )
 from .funclass import (
     STEP, FunctionClass, SegmentIndexOutOfRange, cell_bands, k_of_gamma, non_adjacent, segment,
@@ -37,10 +39,6 @@ Label = Tuple[int, int]
 
 class PtreePreconditionViolated(ValueError):
     """The ancestral pigeonhole needs |S| >= c * 2**L >= 4."""
-
-
-class MissingLabel(ValueError):
-    """Every internal node must be labeled for subtree extraction."""
 
 
 class MissingPayload(ValueError):
@@ -104,11 +102,14 @@ class CompleteTree:
     @classmethod
     def from_json(cls, doc: dict) -> "CompleteTree":
         labels, sets = {}, {}
-        for key, entry in doc.get("nodes", {}).items():
+        for key, entry in json_object(doc.get("nodes", {}), "nodes").items():
             t = json_key(key, "node")
+            entry = json_object(entry, f"node {key}")
             if entry.get("label") is not None:
-                k, k2 = entry["label"]
-                labels[t] = (json_int(k, "label band"), json_int(k2, "label band"))
+                label = json_list(entry["label"], "label")
+                if len(label) != 2:
+                    raise ValueError(f"label must hold 2 bands, got {len(label)}")
+                labels[t] = tuple(json_int(k, "label band") for k in label)
             if entry.get("set") is not None:
                 sets[t] = IntervalUnion.from_text(entry["set"])
         return cls(json_int(doc["depth"], "depth"), labels, sets)
@@ -264,7 +265,7 @@ def uniform_subtree(tree: CompleteTree, K: int) -> EmbeddedSubtree:
     for t in tree.internal_nodes():
         label = tree.labels.get(t)
         if label is None:
-            raise MissingLabel(f"internal node {t} has no label")
+            raise ValueError(f"internal node {t} has no label")
         if not (1 <= label[0] <= K and 1 <= label[1] <= K):
             raise ValueError(f"label {label} of node {t} outside [1, {K}]^2")
 
@@ -293,9 +294,7 @@ def uniform_subtree(tree: CompleteTree, K: int) -> EmbeddedSubtree:
         label, subset = _majority_label(tree, _branching(down, l0))
         stages.append((l0, label, subset))
 
-    counts: Dict[Label, int] = {}
-    for _, lbl, _ in stages:
-        counts[lbl] = counts.get(lbl, 0) + 1
+    counts = Counter(lbl for _, lbl, _ in stages)
     top = max(counts.values())
     chosen_label = min(lbl for lbl, cnt in counts.items() if cnt == top)
     chosen = sorted(
@@ -331,17 +330,10 @@ def subtree_guarantee(L: int, K: int) -> Tuple[int, Fraction]:
     above 4, and the resulting lower bound on extractable uniform depth."""
     if L < 1 or K < 1:
         raise ValueError("need L >= 1 and K >= 1")
-    numerator = 1 << (L - 1)
-    R = 0
-    r = 1
-    while True:
-        denom = (4**r) * (K ** (2 * r + 1)) * ((2 * L * K * K) ** (r * (r + 1) // 2))
-        if Fraction(numerator, denom) > 4:
-            R = r
-            r += 1
-        else:
-            break
-    return R, Fraction(R, K * K)
+    numerator, r = 1 << (L - 1), 1  # R is the last r whose bound passes 4
+    while Fraction(numerator, 4**r * K ** (2 * r + 1) * (2 * L * K * K) ** (r * (r + 1) // 2)) > 4:
+        r += 1
+    return r - 1, Fraction(r - 1, K * K)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,18 @@ from gapdim.ergoproc import (
 )
 from gapdim.exactset import format_rational, parse_rational
 from gapdim.funclass import (
-    STEP, TABULAR, SegmentIndexOutOfRange, band_of_value, frac_mod1, non_adjacent
+    STEP, TABULAR, SegmentIndexOutOfRange, band_of_value, non_adjacent
 )
 from gapdim.rng import SplitMix64
 from gapdim.shatter import (
     DimResult, ShatterCertificate, candidate_points, verify_certificate
 )
 from gapdim.treelab import IntersectionTree, Label, MissingPayload
+
+
+def frac_mod1(x: Fraction) -> Fraction:
+    """The fractional part x - floor(x), in [0, 1)."""
+    return x - math.floor(x)
 
 
 class OracleIntervalUnion:
@@ -763,6 +768,30 @@ def oracle_full_join_family(L: int, k: int, k2: int, gamma) -> FunctionClass:
         pieces = (IntervalUnion.over(n_cells, cells_in), IntervalUnion.over(n_cells, cells_out))
         fns.append(Function.step(pieces, (v_in, v_out)))
     return FunctionClass(fns, f"full_join_family({L},{k},{k2},{format_rational(gamma)})")
+
+
+def oracle_trajectory_indicators(theta, base_points, window: int) -> FunctionClass:
+    """``trajectory_indicators`` on Fractions: each orbit point is
+    ``frac_mod1(b + i * theta)``, the orbits are checked as sets of
+    Fractions, and the domain is sorted by Fraction comparison."""
+    theta = Fraction(theta)
+    if window < 0:
+        raise ValueError("window must be >= 0")
+    orbits = []
+    for b in base_points:
+        b = Fraction(b)
+        orbit = {frac_mod1(b + i * theta) for i in range(-window, window + 1)}
+        if len(orbit) != 2 * window + 1:
+            raise ValueError(f"orbit of {b} self-intersects within the window; theta too coarse")
+        orbits.append(orbit)
+    for i, j in combinations(range(len(orbits)), 2):
+        if orbits[i] & orbits[j]:
+            raise ValueError(f"orbits of base points {i} and {j} intersect within the window")
+    if not orbits:
+        raise ValueError("need at least one base point")
+    domain = sorted(set().union(*orbits))
+    fns = [Function.tabular(domain, [int(x in orbit) for x in domain]) for orbit in orbits]
+    return FunctionClass(fns, f"trajectory_indicators(window={window})")
 
 
 def oracle_segment_partition(f: Function, gamma):

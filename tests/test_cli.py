@@ -792,6 +792,41 @@ class TestMalformedInput:
         code, out, err = run_main("dim", "--class", str(path), "--gamma", "1/4")
         assert (code, out, err) == (2, "", f"error: field 'class': {message}\n")
 
+    @pytest.mark.parametrize(
+        "kind,doc,message",
+        [
+            # a string where a list belongs is not read one character at a time
+            ("cert", {**INPUT_FILES["cert"][0], "points": "0"}, 'points must be a list, got "0"'),
+            ("process", {"variant": "markov", "transition": ["1"],
+                         "emissions": [{"kind": "point", "at": "1/10"}]},
+             'transition row must be a list, got "1"'),
+            ("class", {"kind": "tabular", "points": "0", "functions": [{"values": "1"}]},
+             'points must be a list, got "0"'),
+            ("class", {"kind": "tabular", "points": ["0/1"], "functions": [{"values": "1"}]},
+             'values must be a list, got "1"'),
+            ("cert", {**INPUT_FILES["cert"][0], "selector": [1, 0]},
+             "selector must be an object, got [1, 0]"),
+            ("process", {**INPUT_FILES["process"][0], "emissions": ["x", "y"]},
+             'emission must be an object, got "x"'),
+            ("class", {"kind": "step", "functions": [{"pieces": [{"set": 5, "value": "0/1"}]}]},
+             "must be an interval union string, got 5"),
+            ("tree", {**TREE_DOC, "nodes": {**TREE_DOC["nodes"], "2": ["x"]}},
+             'node 2 must be an object, got ["x"]'),
+            ("tree", {**TREE_DOC, "nodes": {**TREE_DOC["nodes"], "1": {"label": [1]}}},
+             "label must hold 2 bands, got 1"),
+            ("tree", {**TREE_DOC, "nodes": {**TREE_DOC["nodes"], "2": {"set": 5}}},
+             "must be an interval union string, got 5"),
+        ],
+        ids=["cert-points", "markov-row", "tabular-points", "tabular-values", "cert-selector",
+             "emission", "step-set", "tree-node", "tree-label", "tree-set"],
+    )
+    def test_wrong_shapes_name_their_field(self, tmp_path, kind, doc, message):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        argv = INPUT_FILES[kind][3]
+        code, out, err = run_main(*(a.replace("{path}", str(path)) for a in argv))
+        assert (code, out, err) == (2, "", f"error: field {kind!r}: {message}\n")
+
     @pytest.mark.parametrize("command,field", INTEGER_FIELDS)
     def test_non_integer_flags(self, workdir, command, field):
         argv = [a.format(tree=workdir / "tree.json") for a in VALID[command]]

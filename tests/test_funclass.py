@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,9 +21,8 @@ from gapdim import (
     segment_partition,
     thresholds,
 )
-from gapdim import funclass
+from gapdim import ergoproc, funclass
 from gapdim.funclass import (
-    InvalidGeneratorSpec,
     InvalidResolution,
     Partition,
     SegmentIndexOutOfRange,
@@ -54,6 +54,7 @@ from oracles import (
     oracle_step_class,
     oracle_step_class_from_json,
     oracle_thresholds,
+    oracle_trajectory_indicators,
     oracle_value_at,
     oracle_values_at,
     randbelow,
@@ -183,11 +184,11 @@ class TestGenerators:
         assert len(generate("full_join_family(1,1,3,1/5)")) == 2
 
     def test_generate_rejects_junk(self):
-        with pytest.raises(InvalidGeneratorSpec):
+        with pytest.raises(ValueError, match="unknown generator 'nonsense'"):
             generate("nonsense(3)")
-        with pytest.raises(InvalidGeneratorSpec):
+        with pytest.raises(ValueError, match="cannot parse generator spec 'thresholds'"):
             generate("thresholds")
-        with pytest.raises(InvalidGeneratorSpec):
+        with pytest.raises(ValueError, match="expected integer, got 'x'"):
             generate("thresholds(x)")
 
     @pytest.mark.parametrize(
@@ -207,7 +208,23 @@ class TestGenerators:
         ],
     )
     def test_generate_rejects_wrong_arguments(self, spec):
-        with pytest.raises(InvalidGeneratorSpec, match="wrong arguments"):
+        with pytest.raises(ValueError, match="wrong arguments"):
+            generate(spec)
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("trajectory_indicators(x,2)", "cannot parse rational 'x'"),
+            ("trajectory_indicators(1/7,x,y)", "expected integer, got 'x'"),
+            ("trajectory_indicators(1/7,2,1/3+y)", "cannot parse rational 'y'"),
+            ("random_step(x)", "expected integer, got 'x'"),
+            ("random_step(1,2)", "wrong arguments in 'random_step(1,2)'"),
+            ("full_join_family(1,1,3,x)", "cannot parse rational 'x'"),
+        ],
+    )
+    def test_arguments_parse_in_spec_order(self, spec, message):
+        """The first missing or unreadable argument, in spec order, is named."""
+        with pytest.raises(ValueError, match=re.escape(message)):
             generate(spec)
 
     def test_random_step_keywords(self):
@@ -228,7 +245,7 @@ class TestFullJoinFamily:
         assert all(c.cell.measure == F(1, 16) for c in cells)
 
     def test_rejects_adjacent_bands(self):
-        with pytest.raises(InvalidGeneratorSpec):
+        with pytest.raises(ValueError, match=r"bands \(2, 3\) must be non-adjacent"):
             full_join_family(2, 2, 3, F(1, 5))
 
     def test_values_sit_midband(self):
@@ -911,3 +928,70 @@ class TestTabularValuesAt:
     def test_saved_and_loaded_random_class(self, monkeypatch, tmp_path, seed):
         save_class(random_tabular(seed, 7, 20), tmp_path / "class.json")
         self.check(load_class(tmp_path / "class.json"), monkeypatch)
+
+
+def built(make, *args):
+    """The class ``make(*args)`` builds, as its name, domain and functions,
+    or the message of the ValueError it raises."""
+    try:
+        FC = make(*args)
+    except ValueError as exc:
+        return str(exc)
+    return FC.name, tuple(FC.domain_points), tuple(FC.functions), [f.values for f in FC]
+
+
+class TestTrajectoryIndicators:
+    """Orbits built, checked and sorted on integers give the class, or the
+    error, of the construction on Fractions."""
+
+    @pytest.mark.parametrize(
+        "theta,base,window",
+        [
+            (F(1, 1000), [F(1, 7)], 2),  # the CLI tests' TABULAR class
+            (F(2, 7) + F(1, 10**6), [F(j, 11) for j in range(1, 4)], 9),
+            (F(1, 3), [F(1, 2)], 0),
+            (F(-3, 10**4), [F(5, 2), F(-1, 3), 0], 4),  # theta < 0, points off [0, 1)
+            (F(12, 5), [F(1, 9), F(1, 8)], 1),  # theta > 1
+            (F(1, 2), [F(1, 5)], 2),  # an orbit closes
+            (0, [F(1, 3)], 1),
+            (F(1, 10), [0, F(3, 10)], 2),  # orbits 0 and 1 meet
+            (F(1, 10), [0, F(1, 20), F(3, 10)], 2),  # orbits 0 and 2 meet
+            (F(1, 10), [], 1),
+            (F(1, 10), [0], -1),
+        ],
+    )
+    def test_matches_the_fraction_construction(self, theta, base, window):
+        got = built(trajectory_indicators, theta, base, window)
+        assert got == built(oracle_trajectory_indicators, theta, base, window)
+
+    @pytest.mark.parametrize(
+        "spec,args",
+        [("trajectory_indicators(1/1000,2,1/7)", (F(1, 1000), [F(1, 7)], 2)),
+         ("trajectory_indicators(1/3,5,0+1/7+5/7)", (F(1, 3), [0, F(1, 7), F(5, 7)], 5))],
+    )
+    def test_generated(self, spec, args):
+        assert built(generate, spec) == built(oracle_trajectory_indicators, *args)
+
+    @pytest.mark.parametrize(
+        "m,seed,theta",
+        [(100, 7, None), (1000, 7, None), (50, 7, None), (10, 1, None), (100, 5, None),
+         (10, 3, F(2, 1000003)), (1000, 3, F(3, 7)), (5, 0, F(1, 1000003))],
+    )
+    def test_rotation_demo_classes(self, monkeypatch, m, seed, theta):
+        """The classes ``rotation_counterexample`` builds for the acceptance,
+        CLI and benchmark runs, including one whose orbit closes."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            call = (*args, kwargs["window"])
+            calls.append(built(oracle_trajectory_indicators, *call))
+            FC = trajectory_indicators(*args, **kwargs)
+            assert built(lambda: FC) == calls[-1]
+            return FC
+
+        monkeypatch.setattr(ergoproc, "trajectory_indicators", spy)
+        try:
+            ergoproc.rotation_counterexample(m, seed, theta)
+        except ValueError as exc:
+            assert str(exc) == calls[-1]
+        assert len(calls) == 1

@@ -166,3 +166,30 @@ def test_every_public_name_has_a_caller():
         if not bare.startswith("_") and bare not in callers
     ]
     assert found == []
+
+
+def caught_names(tree):
+    """Every name an ``except`` clause of a module names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            yield from (t.id if isinstance(t, ast.Name) else t.attr for t in types)
+
+
+def test_every_exception_class_is_caught():
+    """Every exception class the library defines is named in an ``except``
+    clause of library code: a type that no handler tells apart is a plain
+    ValueError with the same message."""
+    caught = {name for tree in TREES.values() for name in caught_names(tree)}
+    found = []
+    for name, tree in TREES.items():
+        stem = name.removesuffix(".py")
+        module = gapdim if stem == "__init__" else importlib.import_module(f"gapdim.{stem}")
+        found += [
+            f"{name}:{node.name}"
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            and issubclass(getattr(module, node.name), BaseException)
+            and node.name not in caught
+        ]
+    assert found == []

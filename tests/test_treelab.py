@@ -24,7 +24,6 @@ from gapdim.funclass import SegmentIndexOutOfRange, k_of_gamma, segment_partitio
 from gapdim.rng import SplitMix64
 from gapdim.treelab import (
     IntersectionTree,
-    MissingLabel,
     MissingPayload,
     PtreePreconditionViolated,
     pow2_text,
@@ -151,7 +150,7 @@ class TestHugeDepth:
 
     def test_label_scan_stops_at_the_first_missing_node(self):
         tree = CompleteTree(self.DEPTH, labels={1: (1, 2), 2: (1, 2), 4: (1, 2)})
-        with pytest.raises(MissingLabel, match="internal node 3 has no label"):
+        with pytest.raises(ValueError, match="internal node 3 has no label"):
             uniform_subtree(tree, 2)
         tree = CompleteTree(self.DEPTH, labels={1: (1, 2), 2: (3, 2)})
         with pytest.raises(ValueError, match=r"label \(3, 2\) of node 2 outside \[1, 2\]\^2"):
@@ -197,7 +196,7 @@ class TestUniformSubtree:
 
     def test_missing_label(self):
         tree = CompleteTree(2, labels={1: (1, 3)})
-        with pytest.raises(MissingLabel):
+        with pytest.raises(ValueError, match="internal node 2 has no label"):
             uniform_subtree(tree, 3)
 
     @staticmethod
