@@ -11,16 +11,16 @@ domains from outside are converted and checked once, when built.
 Every quantity of a class is read from its integer value table.  For STEP
 (:func:`refinement`) it is ``(C, cuts, V, rows)``: the cuts of the common
 refinement as integers over C and each function's value per cell as an
-integer over V; for TABULAR, every function's value at each domain point
-over one V (:func:`values_at`).  A function is a read-only view of its one
-integer row, its values over W, the lcm of its own value denominators
-(STEP: ``(D, ends, W, vals)``, one value per interval; TABULAR: ``(W,
-vals)``); equality, hashing and ``value_at`` read it.  The four STEP
-generators build the table from integers: n equal cells [i/n, (i+1)/n)
-tile [0, 1) by construction, so C = n, the cuts are 0..n, nothing is
-checked, and the class is born with its table.  Their functions' values
-as Fractions, and the pieces as IntervalUnions, are built only when read,
-as for class JSON.  A class assembled from functions (a class file, a
+integer over V; for TABULAR (:func:`domain_columns`), every function's
+value at each domain point over one V.  A function is a read-only view of
+its one integer row, its values over W, the lcm of its own value
+denominators (STEP: ``(D, ends, W, vals)``, one value per interval;
+TABULAR: ``(W, vals)``); equality, hashing and ``value_at`` read it.  The
+four STEP generators build the table from integers: n equal cells
+[i/n, (i+1)/n) tile [0, 1) by construction, so C = n, the cuts are 0..n,
+nothing is checked, and the class is born with its table.  Their
+functions' values as Fractions, and the pieces as IntervalUnions, are
+built only when read, as for class JSON.  A class assembled from functions (a class file, a
 subclass) merges its functions' rows into its table on first use.
 
 For a resolution ``gamma`` the value range splits into K bands
@@ -28,11 +28,13 @@ For a resolution ``gamma`` the value range splits into K bands
 where ``K = floor(1/gamma) + 1`` unless ``1/gamma`` is an integer, in which
 case ``K = 1/gamma``.  The preimage of band k is the k-th segment of a
 function; two segments are non-adjacent when their band indices differ by
-at least 2.  :func:`band_of_value` is the one rule that puts a value in a
-band; a STEP segment is one IntervalUnion over the row's intervals in the
-band.  The STEP table serves the dimension search, the sample means and
-expectations, and, as bands per cell (:func:`cell_bands`), the segment
-join and the intersection-tree builder.
+at least 2.  One rule puts a value in a band: with gamma = a/b, the value
+v/W lies in band min(v b // (W a) + 1, K), on integers, and
+:func:`band_of_value` is its one-value form; a STEP segment is one
+IntervalUnion over the row's intervals in the band.  The STEP table
+serves the dimension search, the sample means and expectations, and, as
+bands per cell (:func:`cell_bands`), the segment join and the
+intersection-tree builder.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .exactset import (
     ONE,
@@ -328,6 +330,23 @@ def _refine(F: FunctionClass) -> Table:
     return C, cuts, V, rows
 
 
+def domain_columns(F: FunctionClass) -> Tuple[int, List[Tuple[int, ...]]]:
+    """The integer value table of a TABULAR class, built once per class.
+
+    Returns ``(V, columns)``: ``columns[i][fi] == V * F[fi](x_i)`` for the
+    domain points x_0 < x_1 < ... in order, over V, the lcm of every
+    function's W.
+    """
+    if F.kind != TABULAR:
+        raise ValueError("domain_columns are defined for TABULAR classes")
+    if F._table is None:
+        V = math.lcm(*(f._row[0] for f in F.functions))
+        rows = (vals if W == V else [v * (V // W) for v in vals] for W, vals in
+                (f._row for f in F.functions))
+        F._table = V, list(zip(*rows))
+    return F._table
+
+
 def values_at(
     F: FunctionClass, points: Sequence[RationalLike]
 ) -> Tuple[int, List[Tuple[int, ...]]]:
@@ -347,12 +366,7 @@ def values_at(
             if not 0 <= j < len(cuts) - 1:
                 raise ValueError(f"point {x} outside [0, 1)")
         return V, [tuple(row[j] for row in rows) for j in cells]
-    if F._table is None:
-        V = math.lcm(*(f._row[0] for f in F.functions))
-        rows = (vals if W == V else [v * (V // W) for v in vals] for W, vals in
-                (f._row for f in F.functions))
-        F._table = V, list(zip(*rows))
-    V, columns = F._table
+    V, columns = domain_columns(F)
     position = F.domain_points.position
     out = []
     for x in points:
@@ -372,9 +386,22 @@ def k_of_gamma(gamma: RationalLike) -> int:
 
 
 def band_of_value(v: RationalLike, gamma: RationalLike) -> int:
-    """Index k of the band containing value v (value 1 belongs to band K)."""
-    gamma, v = Fraction(gamma), Fraction(v)
-    return min(int(v / gamma) + 1, k_of_gamma(gamma))
+    """Index k of the band containing value v (value 1 belongs to band K):
+    the one-value form of :func:`_bands`."""
+    v = v if isinstance(v, Fraction) else Fraction(v)
+    return _bands(v.denominator, (v.numerator,), gamma)[v.numerator]
+
+
+def _bands(W: int, values: Iterable[int], gamma: RationalLike) -> Dict[int, int]:
+    """The band of each value v / W, for integers v in [0, W], keyed by v.
+
+    With gamma = a / b, v / W lies in band floor(v b / (W a)) + 1, capped at
+    K so that the value 1 lies in band K: integer work, one k_of_gamma in all.
+    """
+    K = k_of_gamma(gamma)
+    gamma = gamma if isinstance(gamma, Fraction) else Fraction(gamma)
+    b, Wa = gamma.denominator, W * gamma.numerator
+    return {v: min(v * b // Wa + 1, K) for v in values}
 
 
 def non_adjacent(k: int, k2: int) -> bool:
@@ -385,24 +412,23 @@ def cell_bands(F: FunctionClass, gamma: RationalLike) -> Tuple[Tuple[int, ...], 
     """Each function's band on each cell of the STEP class's :func:`refinement`.
 
     ``cell_bands(F, gamma)[fi][j]`` is the band of F[fi] on cell j; each
-    distinct integer value of the table goes through :func:`band_of_value`
-    once.
+    distinct integer value of the table is banded once, by :func:`_bands`.
     """
     _, _, V, rows = refinement(F)
-    band = {v: band_of_value(Fraction(v, V), gamma) for v in set().union(*rows)}
+    band = _bands(V, set().union(*rows), gamma)
     return tuple(tuple(band[v] for v in row) for row in rows)
 
 
 def _members_by_band(f: Function, gamma: RationalLike) -> List[list]:
     """f's row intervals (STEP: integer pairs over the row's D) or domain
-    points (TABULAR), grouped by band 1..K, one band_of_value per value."""
+    points (TABULAR), grouped by band 1..K, each distinct value banded once."""
     if f.kind == STEP:
         _, ends, W, values = f._row
         members = zip((0, *ends), ends)
     else:
         members, (W, values) = f.points, f._row
     groups = [[] for _ in range(k_of_gamma(gamma))]
-    add = {v: groups[band_of_value(Fraction(v, W), gamma) - 1].append for v in set(values)}
+    add = {v: groups[k - 1].append for v, k in _bands(W, set(values), gamma).items()}
     for member, v in zip(members, values):
         add[v](member)
     return groups

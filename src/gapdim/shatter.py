@@ -41,7 +41,7 @@ from .exactset import (
 )
 from .funclass import (
     TABULAR, FunctionClass, InvalidResolution, SegmentIndexOutOfRange, cell_bands,
-    k_of_gamma, non_adjacent, refinement, values_at,
+    domain_columns, k_of_gamma, non_adjacent, refinement, values_at,
 )
 
 INFINITE_CAP = "INFINITE_CAP"
@@ -165,7 +165,7 @@ def candidate_points(F: FunctionClass) -> List[Fraction]:
     """
     if F.kind == TABULAR:
         pts = F.domain_points
-        columns = values_at(F, pts)[1]
+        columns = domain_columns(F)[1]
     else:
         C, cuts, _, rows = refinement(F)
         pts = [Fraction(lo + hi, 2 * C) for lo, hi in zip(cuts, cuts[1:])]

@@ -29,8 +29,8 @@ from .exactset import (
     write_json,
 )
 from .funclass import (
-    STEP, FunctionClass, SegmentIndexOutOfRange, cell_bands, k_of_gamma, non_adjacent, segment,
-    segment_partition,
+    STEP, Function, FunctionClass, SegmentIndexOutOfRange, band_of_value, cell_bands, k_of_gamma,
+    non_adjacent, segment, segment_partition,
 )
 from .shatter import JoinCell, join
 
@@ -89,19 +89,26 @@ class CompleteTree:
         return _heap_order(1, self.depth)
 
     def to_json(self) -> dict:
+        """The tree as a JSON document.  A level's few segments repeat at
+        each of its nodes, so each distinct payload is written once."""
+        texts: Dict[IntervalUnion, str] = {}
         nodes = {}
         for t in range(1, self.size + 1):
             label = self.labels.get(t)
             payload = self.sets.get(t)
-            nodes[str(t)] = {
-                "label": list(label) if label else None,
-                "set": payload.to_text() if payload is not None else None,
-            }
+            text = texts.get(payload)
+            if text is None and payload is not None:
+                text = texts[payload] = payload.to_text()
+            nodes[str(t)] = {"label": list(label) if label else None, "set": text}
         return {"depth": self.depth, "nodes": nodes}
 
     @classmethod
     def from_json(cls, doc: dict) -> "CompleteTree":
+        """The tree of a JSON document, read node by node in file order.
+        Each distinct payload text is parsed once, and the nodes that repeat
+        it share the one immutable union."""
         labels, sets = {}, {}
+        unions: Dict[str, IntervalUnion] = {}
         for key, entry in json_object(doc.get("nodes", {}), "nodes").items():
             t = json_key(key, "node")
             entry = json_object(entry, f"node {key}")
@@ -110,8 +117,11 @@ class CompleteTree:
                 if len(label) != 2:
                     raise ValueError(f"label must hold 2 bands, got {len(label)}")
                 labels[t] = tuple(json_int(k, "label band") for k in label)
-            if entry.get("set") is not None:
-                sets[t] = IntervalUnion.from_text(entry["set"])
+            text = entry.get("set")
+            if type(text) is str and text in unions:
+                sets[t] = unions[text]
+            elif text is not None:  # from_text names a value that is no string
+                sets[t] = unions[text] = IntervalUnion.from_text(text)
         return cls(json_int(doc["depth"], "depth"), labels, sets)
 
     def save(self, path) -> None:
@@ -426,8 +436,9 @@ def intersection_tree_verify(
     (a) every internal node's children carry non-adjacent segments of the
     level's function, in label order; (b) the root-to-node intersection has
     positive measure at every node.  An unlabeled node takes the bands of
-    its children's sets, and a label must name those same segments.  A
-    missing payload or a band outside [1, K] raises before any verdict.
+    the level's function on its children's sets, and a label must name
+    those same segments.  A missing payload or a band outside [1, K] raises
+    before any verdict.
     """
     gamma = Fraction(gamma)
     L = tree.depth
@@ -445,13 +456,12 @@ def intersection_tree_verify(
 
     paths = [IntervalUnion.full()]  # the root-to-node intersections of one level
     for level, fi in enumerate(functions):
-        segs = segment_partition(F[fi], gamma)
-        # only empty segments repeat, and an empty child fails (b) anyway
-        band = {s: k for k, s in enumerate(segs, 1)}
+        f = F[fi]
+        segs = segment_partition(f, gamma)
         below = []
         for t, W in enumerate(paths, start=1 << level):
             pair = tree.sets[2 * t], tree.sets[2 * t + 1]
-            k, k2 = tree.labels.get(t) or (band.get(pair[0]), band.get(pair[1]))
+            k, k2 = tree.labels.get(t) or [_band_on(f, s, gamma) for s in pair]
             if k is None or k2 is None or not non_adjacent(k, k2):
                 return False
             if (segs[k - 1], segs[k2 - 1]) != pair:
@@ -462,6 +472,13 @@ def intersection_tree_verify(
                     return False
         paths = below
     return True
+
+
+def _band_on(f: Function, s: IntervalUnion, gamma: Fraction) -> Optional[int]:
+    """The band of f at an interior point of s, None for an empty s: the
+    band that s is the segment of, if it is a segment of f."""
+    x = s.interior_point()
+    return None if x is None else band_of_value(f.value_at(x), gamma)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,7 @@ from gapdim.ergoproc import (
     IIDUniformSpec, MarkovSpec, RotationSpec, SamplePath, per_function_discrepancies
 )
 from gapdim.exactset import format_rational, parse_rational
-from gapdim.funclass import (
-    STEP, TABULAR, SegmentIndexOutOfRange, band_of_value, non_adjacent
-)
+from gapdim.funclass import STEP, TABULAR, SegmentIndexOutOfRange, non_adjacent
 from gapdim.rng import SplitMix64
 from gapdim.shatter import (
     DimResult, ShatterCertificate, candidate_points, verify_certificate
@@ -794,12 +792,19 @@ def oracle_trajectory_indicators(theta, base_points, window: int) -> FunctionCla
     return FunctionClass(fns, f"trajectory_indicators(window={window})")
 
 
+def oracle_band_of_value(v, gamma) -> int:
+    """The band of value v by ``Fraction`` division: int(v / gamma) + 1,
+    capped at K."""
+    gamma, v = Fraction(gamma), Fraction(v)
+    return min(int(v / gamma) + 1, k_of_gamma(gamma))
+
+
 def oracle_segment_partition(f: Function, gamma):
     """The K segments of a STEP function: the ``union_all`` of its pieces
     whose value lies in each band."""
     groups = [[] for _ in range(k_of_gamma(gamma))]
     for piece, v in zip(f.pieces, f.values):
-        groups[band_of_value(v, gamma) - 1].append(piece)
+        groups[oracle_band_of_value(v, gamma) - 1].append(piece)
     return [IntervalUnion.union_all(group) for group in groups]
 
 
@@ -844,3 +849,28 @@ def oracle_intersection_tree_verify(tree: CompleteTree, F: FunctionClass, gamma,
         return tree.is_leaf(t) or (walk(2 * t, W) and walk(2 * t + 1, W))
 
     return walk(1, IntervalUnion.full())
+
+
+def oracle_tree_to_json(tree: CompleteTree) -> dict:
+    """A tree's JSON document with every payload written at its own node."""
+    nodes = {}
+    for t in range(1, tree.size + 1):
+        label = tree.labels.get(t)
+        payload = tree.sets.get(t)
+        nodes[str(t)] = {
+            "label": list(label) if label else None,
+            "set": payload.to_text() if payload is not None else None,
+        }
+    return {"depth": tree.depth, "nodes": nodes}
+
+
+def oracle_tree_from_json(doc: dict) -> CompleteTree:
+    """The tree of a well-formed JSON document, every payload parsed at its
+    own node."""
+    labels, sets = {}, {}
+    for key, entry in doc["nodes"].items():
+        if entry.get("label") is not None:
+            labels[int(key)] = tuple(entry["label"])
+        if entry.get("set") is not None:
+            sets[int(key)] = IntervalUnion.from_text(entry["set"])
+    return CompleteTree(doc["depth"], labels, sets)

@@ -827,6 +827,30 @@ class TestMalformedInput:
         code, out, err = run_main(*(a.replace("{path}", str(path)) for a in argv))
         assert (code, out, err) == (2, "", f"error: field {kind!r}: {message}\n")
 
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ("[0/1,1/2", "malformed interval union: '[0/1,1/2'"),
+            (["[0/1,1/2)"], 'must be an interval union string, got ["[0/1,1/2)"]'),
+            ({"set": "[0/1,1/2)"}, 'must be an interval union string, got {"set": "[0/1,1/2)"}'),
+        ],
+        ids=["text", "list", "object"],
+    )
+    def test_a_bad_payload_repeated_at_several_nodes(self, tmp_path, value, message):
+        """Tree files parse each distinct payload text once; a bad payload
+        at several nodes still names itself, with no traceback."""
+        nodes = {key: {**entry, "set": value} if key in ("2", "4", "5") else entry
+                 for key, entry in TREE_DOC["nodes"].items()}
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({**TREE_DOC, "nodes": nodes}))
+        for argv in (
+            ("itree", "verify", "--class", TREE_CLASS, "--gamma", "1/5", "--tree", str(path),
+             "--functions", "0,1"),
+            ("subtree", "--tree", str(path), "--K", "5"),
+        ):
+            code, out, err = run_main(*argv)
+            assert (code, out, err) == (2, "", f"error: field 'tree': {message}\n")
+
     @pytest.mark.parametrize("command,field", INTEGER_FIELDS)
     def test_non_integer_flags(self, workdir, command, field):
         argv = [a.format(tree=workdir / "tree.json") for a in VALID[command]]

@@ -30,6 +30,7 @@ from gapdim.funclass import (
     cell_bands,
     class_from_json,
     class_to_json,
+    domain_columns,
     load_class,
     refinement,
     save_class,
@@ -42,6 +43,7 @@ from gapdim.shatter import join
 from oracles import (
     OracleIntervalUnion,
     fraction_pairs,
+    oracle_band_of_value,
     oracle_constant,
     oracle_full_join_family,
     oracle_indicator,
@@ -662,6 +664,45 @@ class TestOneBandRule:
         with pytest.raises(ValueError, match="STEP"):
             cell_bands(all_patterns(2), F(1, 4))
 
+    GAMMAS = [F(1), F(1, 2), F(1, 4), F(1, 5), F(3, 10), F(2, 7), F(2, 9), F(5, 7)]
+
+    @staticmethod
+    def edge_values(gamma):
+        """The band edges j * gamma in [0, 1], the value 1, and each edge's
+        nearest neighbours over a finer denominator."""
+        edges = [j * gamma for j in range(k_of_gamma(gamma) + 1) if j * gamma <= 1]
+        eps = F(1, 7 * gamma.denominator)
+        return sorted({v + d for v in edges + [F(1)] for d in (-eps, 0, eps) if 0 <= v + d <= 1})
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_band_of_value_matches_the_fraction_rule(self, gamma):
+        values = self.edge_values(gamma) + [F(v, 12) for v in range(13)]
+        assert {0, gamma, 1} <= set(values)
+        for v in values:
+            assert band_of_value(v, gamma) == oracle_band_of_value(v, gamma), v
+        assert band_of_value(1, gamma) == k_of_gamma(gamma)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_integer_bands_match_the_fraction_rule_on_edges(self, gamma):
+        """Step and tabular functions whose values sit on every band edge:
+        cell bands and segments both agree with the Fraction rule."""
+        values = self.edge_values(gamma)
+        W = math.lcm(*(v.denominator for v in values))
+        n = len(values)
+        f = Function.step(Partition([IntervalUnion([(F(i, n), F(i + 1, n))]) for i in range(n)]),
+                          values)
+        FC = FunctionClass([f, oracle_constant(1)])
+        assert refinement(FC)[2] == W
+        assert cell_bands(FC, gamma) == (
+            tuple(oracle_band_of_value(v, gamma) for v in values), (k_of_gamma(gamma),) * n,
+        )
+        assert segment_partition(f, gamma) == oracle_segment_partition(f, gamma)
+        g = Function.tabular([F(i, n) for i in range(n)], values)
+        for k, points in enumerate(segment_partition(g, gamma), 1):
+            assert points == tuple(
+                F(i, n) for i, v in enumerate(values) if oracle_band_of_value(v, gamma) == k
+            )
+
 
 # every generated step class beside the same class built function by function
 EQUAL_CELL_PAIRS = (
@@ -902,7 +943,8 @@ def random_tabular(seed, points, count):
 
 
 class TestTabularValuesAt:
-    """values_at reads a TABULAR class's integer columns, never value_at."""
+    """values_at and domain_columns read a TABULAR class's integer columns,
+    never value_at."""
 
     @staticmethod
     def check(FC, monkeypatch):
@@ -914,7 +956,13 @@ class TestTabularValuesAt:
         with monkeypatch.context() as m:
             m.setattr(Function, "value_at", refuse)
             got = [values_at(FC, q) for q in queries]
+            columns = domain_columns(FC)
         assert got == [oracle_values_at(FC, q) for q in queries]
+        assert columns == got[0]
+
+    def test_domain_columns_reject_step_classes(self):
+        with pytest.raises(ValueError, match="TABULAR"):
+            domain_columns(thresholds(2))
 
     @pytest.mark.parametrize("p", range(1, 9))
     def test_all_patterns(self, monkeypatch, p):

@@ -20,6 +20,7 @@ from gapdim import (
     thresholds,
     verify_certificate,
 )
+from gapdim import shatter
 from gapdim.funclass import InvalidResolution, SegmentIndexOutOfRange, generate, k_of_gamma
 from gapdim.shatter import (
     MalformedCertificate,
@@ -35,6 +36,7 @@ from oracles import (
     oracle_pruned_gap_dim,
     oracle_shatters,
     oracle_shatters_certificate,
+    oracle_values_at,
 )
 
 F = Fraction
@@ -388,6 +390,29 @@ class TestCandidatePoints:
     def test_tabular_uses_domain(self):
         FC = all_patterns(3)
         assert candidate_points(FC) == list(FC.domain_points)
+
+    @pytest.mark.parametrize(
+        "FC",
+        [
+            all_patterns(4),
+            generate("trajectory_indicators(1/1000,3,1/7+2/7)"),
+            # columns (0, 1), (0, 1), (1, 1), (1, 0): the point 1/4 collapses
+            FunctionClass([Function.tabular([0, F(1, 4), F(1, 2), F(3, 4)], values)
+                           for values in ([0, 0, 1, 1], [1, 1, 1, 0])]),
+        ],
+        ids=repr,
+    )
+    def test_tabular_reads_the_columns_in_domain_order(self, monkeypatch, FC):
+        """No domain point is looked up again by its Fraction."""
+        pts = FC.domain_points
+        want, seen = [], set()
+        for p, column in zip(pts, oracle_values_at(FC, pts)[1]):
+            if column not in seen:
+                seen.add(column)
+                want.append(p)
+        monkeypatch.setattr(shatter, "values_at", None)  # never called
+        monkeypatch.setattr(pts, "position", {})  # never read
+        assert candidate_points(FC) == want
 
 
 class TestIndicatorClassesMatchVcDimension:

@@ -1,4 +1,9 @@
+import importlib.util
+import json
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -38,11 +43,14 @@ from oracles import (
     oracle_level_counts,
     oracle_max_uniform_depth,
     oracle_naive_gap_dim,
+    oracle_tree_from_json,
+    oracle_tree_to_json,
     oracle_uniform_depth,
     randbelow,
 )
 
 F = Fraction
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def random_leaf_set(tree: CompleteTree, rng: SplitMix64, size: int) -> list:
@@ -412,7 +420,35 @@ class TestMaximalJoin:
         assert res.certificate.to_json() == want.certificate.to_json()
 
 
+def tree_file_text(doc: dict) -> str:
+    """A tree document as ``CompleteTree.save`` writes it."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def setup_tree_files(tmp_path, seed: int) -> list:
+    """The tree files that the trees workload of perfbench writes at set-up."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    files = workloads.PLANS["trees"](seed).files
+    names = sorted(name for name in files if name.startswith("tree"))
+    for name in names:
+        files[name](str(tmp_path / name), str(tmp_path))
+    return [tmp_path / name for name in names]
+
+
+def fjf_tree(depth: int) -> CompleteTree:
+    built = intersection_tree_build(full_join_family(3, 1, 3, F(1, 5)), F(1, 5), depth)
+    assert built is not None
+    return built.tree
+
+
 class TestTreeJson:
+    """Tree files repeat a level's segments at every node of the level;
+    each distinct payload is written and parsed once, and the files are
+    those that writing and parsing every node on its own gives."""
+
     def test_round_trip(self, ramp8):
         FC = FunctionClass([ramp8])
         built = intersection_tree_build(FC, F(1, 4), 1)
@@ -420,6 +456,89 @@ class TestTreeJson:
         assert back.depth == built.tree.depth
         assert back.labels == built.tree.labels
         assert back.sets == built.tree.sets
+
+    @staticmethod
+    def check_files(tree: CompleteTree, path) -> None:
+        want = oracle_tree_to_json(tree)
+        tree.save(path)
+        assert path.read_text() == tree_file_text(want)
+        back = CompleteTree.from_json(tree.to_json())
+        ref = oracle_tree_from_json(want)
+        assert (back.depth, back.labels, back.sets) == (ref.depth, ref.labels, ref.sets)
+        assert (back.labels, back.sets) == (tree.labels, tree.sets)
+        assert back.to_json() == want
+
+    def test_corpus_files_match_per_node_text(self, tmp_path):
+        trees = [
+            built.tree
+            for FC, gamma in TestBuilderMatchesOracle().corpus()
+            for depth in range(1, 6)
+            for built in [intersection_tree_build(FC, gamma, depth, 400)]
+            if built is not None
+        ]
+        assert len(trees) > 50 and max(tree.depth for tree in trees) == 5
+        # a tree without payloads, and one whose equal payloads are copies
+        copies = {t: IntervalUnion.from_text(s.to_text()) for t, s in trees[-1].sets.items()}
+        trees += [CompleteTree(3), CompleteTree(trees[-1].depth, trees[-1].labels, copies)]
+        for tree in trees:
+            self.check_files(tree, tmp_path / "tree.json")
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_setup_tree_files_match_per_node_text(self, tmp_path, seed):
+        paths = setup_tree_files(tmp_path, seed)
+        assert len(paths) == 8
+        for path in paths:
+            text = path.read_text()
+            doc = json.loads(text)
+            assert tree_file_text(oracle_tree_to_json(oracle_tree_from_json(doc))) == text
+            tree = CompleteTree.load(path)
+            self.check_files(tree, tmp_path / "again.json")
+            assert (tmp_path / "again.json").read_text() == text
+
+    @pytest.mark.parametrize("copied", [False, True])
+    def test_each_distinct_payload_is_written_once(self, monkeypatch, copied):
+        tree = fjf_tree(6)
+        if copied:  # equal payloads that are not one object
+            sets = {t: IntervalUnion.from_text(s.to_text()) for t, s in tree.sets.items()}
+            tree = CompleteTree(tree.depth, tree.labels, sets)
+        to_text, written = IntervalUnion.to_text, []
+        monkeypatch.setattr(IntervalUnion, "to_text", lambda s: written.append(s) or to_text(s))
+        doc = tree.to_json()
+        monkeypatch.undo()
+        distinct = set(tree.sets.values())
+        assert len(written) == len(set(written)) == len(distinct) < len(tree.sets) // 4
+        assert doc == oracle_tree_to_json(tree)
+
+    def test_each_distinct_text_is_parsed_once(self, monkeypatch):
+        doc = fjf_tree(6).to_json()
+        texts = [entry["set"] for entry in doc["nodes"].values() if entry["set"] is not None]
+        from_text, parsed = IntervalUnion.from_text, []
+        monkeypatch.setattr(
+            IntervalUnion, "from_text", classmethod(lambda c, s: parsed.append(s) or from_text(s))
+        )
+        tree = CompleteTree.from_json(doc)
+        monkeypatch.undo()
+        assert sorted(parsed) == sorted(set(texts)) and len(parsed) < len(texts) // 4
+        # the nodes that repeat a text share its one union
+        assert len({id(s) for s in tree.sets.values()}) == len(parsed)
+        assert tree.sets == oracle_tree_from_json(doc).sets
+
+    def test_a_bad_text_raises_at_its_first_node(self):
+        doc = fjf_tree(3).to_json()
+        nodes = dict(doc["nodes"])
+        for key, text in (("5", "[0/1,1/2"), ("9", "[0/1,1/2"), ("12", "[0/1,1/3")):
+            nodes[key] = {**nodes[key], "set": text}
+        with pytest.raises(ValueError, match=re.escape("malformed interval union: '[0/1,1/2'")):
+            CompleteTree.from_json({**doc, "nodes": nodes})
+
+    @pytest.mark.parametrize("value", [["[0/1,1/2)"], {"set": "[0/1,1/2)"}, 5, 0.5, True])
+    def test_a_set_that_is_no_string_is_named(self, value):
+        doc = fjf_tree(3).to_json()
+        nodes = {key: {**entry, "set": value} if key in ("6", "7") else entry
+                 for key, entry in doc["nodes"].items()}
+        message = f"must be an interval union string, got {json.dumps(value)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CompleteTree.from_json({**doc, "nodes": nodes})
 
 
 class TestDeterminism:
