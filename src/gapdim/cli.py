@@ -30,7 +30,7 @@ from typing import Callable, Dict, NamedTuple, Tuple
 
 from . import __version__
 from .exactset import (
-    IntervalUnion, decimal12, format_rational, json_list, json_object, parse_rational,
+    IntervalUnion, decimal12, dumps, format_rational, json_list, json_object, parse_rational,
     read_json_object,
 )
 from .ergoproc import (
@@ -163,7 +163,7 @@ def _emit(report: dict, cfg: dict, csv_rows=None, csv_header=None) -> None:
         "version": __version__,
         "report": report,
     }
-    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    text = dumps(document) + "\n"
     sys.stdout.write(text)
     out_dir = cfg.get("out")
     if out_dir:

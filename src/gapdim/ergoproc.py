@@ -61,9 +61,9 @@ from .funclass import (
     STEP,
     Function,
     FunctionClass,
+    domain_columns,
     refinement,
     trajectory_indicators,
-    values_at,
 )
 from .rng import TWO53, SplitMix64
 from .shatter import DimResult, gap_dim
@@ -563,13 +563,21 @@ def rotation_counterexample(
     of this report's meaning.
     """
     theta = Fraction(theta) if theta is not None else golden_rotation_angle()
-    path = sample_path(RotationSpec(theta=theta), m, seed).values
-    x0 = (path[0] - theta) % 1
+    path = sample_path(RotationSpec(theta=theta), m, seed)
+    N = path.scale
+    x0 = (Fraction(path.ticks[0], N) - theta) % 1
 
     combined = trajectory_indicators(theta, (x0, *BASE_POINTS), window=m)
     # Every expectation is 0, so each family's discrepancy is its path mean;
-    # the path lies in the start's orbit, hence in the combined domain.
-    V, columns = values_at(combined, path)
+    # the path lies in the start's orbit, hence in the combined domain.  The
+    # domain points and the path's ticks are read as integers over one scale
+    # S, and each tick reads the column of its domain point by index.
+    domain = combined.domain_points
+    S = math.lcm(N, *{p.denominator for p in domain})
+    index = {p.numerator * (S // p.denominator): i for i, p in enumerate(domain)}
+    V, table = domain_columns(combined)
+    up = S // N
+    columns = [table[index[t * up]] for t in path.ticks]
     means = [Fraction(sum(row), m * V) for row in zip(*columns)]
     resolution = Fraction(1, 4)
     dim = gap_dim(combined, resolution)

@@ -12,15 +12,22 @@ and interior points handed back.  No floating point enters any decision.
 Under the half-open representation a union is non-empty iff it has positive
 measure iff it has non-empty interior, which is what lets "non-empty
 interior" checks reduce to an exact measure comparison.
+
+The module also holds the package's JSON edges.  :func:`dumps` is the one
+writer of every report and file: it reproduces ``json.dumps(doc, indent=2,
+sort_keys=True)`` byte for byte, with json's C encoder doing the work that
+an indent alone would leave to json's pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import json
+import json.encoder
 import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple
 
 ZERO = Fraction(0)
@@ -62,19 +69,101 @@ def format_rational(q: RationalLike) -> str:
 
 
 def read_json_object(path) -> dict:
-    """The JSON object stored in a file; any other top level is a ValueError."""
+    """The JSON object stored in a file; any other top level, or arrays and
+    objects nested past the parser's recursion limit, is a ValueError."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("must hold a JSON object")
     return doc
 
 
 def write_json(doc: dict, path) -> None:
-    """Write a JSON object to a file, indented, keys sorted, newline-terminated."""
+    """Write a JSON object to a file as :func:`dumps` does, newline-terminated."""
+    text = dumps(doc) + "\n"
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+
+
+def dumps(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+
+    With an indent, ``json`` encodes the whole document in pure Python.
+    Here a flat container, one whose members (and keys) are all exactly
+    str, int, float, bool or None, is encoded by one call to json's C
+    encoder, whose item separator carries the newline and indent; only the
+    other containers are joined in Python.  Circular documents are not
+    detected.
+    """
+    return _dumps(doc, 0)
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _dumps(value, depth: int) -> str:
+    inner, outer, encode = _layout(depth)
+    if isinstance(value, (list, tuple)):
+        if _SCALARS.issuperset(map(type, value)):
+            return _spread(encode(value), inner, outer)
+        items = [_dumps(v, depth + 1) for v in value]
+        return f"[{inner}{f',{inner}'.join(items)}{outer}]"
+    if isinstance(value, dict):
+        # keys too: json's C encoder words its error on some bad keys unlike json
+        flat = _SCALARS.issuperset(map(type, value.values()))
+        if flat and _SCALARS.issuperset(map(type, value)):
+            return _spread(encode(value), inner, outer)
+        items = [
+            f"{_key(k)}: {_dumps(v, depth + 1)}"
+            for k, v in sorted(value.items(), key=itemgetter(0))
+        ]
+        return f"{{{inner}{f',{inner}'.join(items)}{outer}}}"
+    return encode(value)  # a scalar, or the TypeError json raises
+
+
+def _spread(text: str, inner: str, outer: str) -> str:
+    """A flat container's text with its first member and its closing
+    bracket moved onto lines of their own; "[]" and "{}" stay."""
+    if len(text) == 2:
+        return text
+    return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
+
+
+def _key(key) -> str:
+    """An object key as json writes it: a string, or the quoted JSON text of
+    a number, a boolean or None."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+        key = json.dumps(key)
+    return json.encoder.encode_basestring_ascii(key)
+
+
+@lru_cache(maxsize=None)
+def _layout(depth: int):
+    """For a container at `depth`: the newline and indent before each member,
+    the one before the closing bracket, and an encoder of flat containers
+    whose item separator is "," and the first."""
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    make = json.encoder.c_make_encoder
+    if make is None:
+        encode = json.JSONEncoder(separators=("," + inner, ": "), sort_keys=True).encode
+    else:
+        # markers (none: a flat container cannot be circular), default, string
+        # encoder, indent, key and item separators, sort_keys, skipkeys, allow_nan
+        encoder = make(
+            None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+            ": ", "," + inner, True, False, True,
+        )
+
+        def encode(value) -> str:
+            return "".join(encoder(value, 0))
+    return inner, outer, encode
 
 
 def json_int(value, what: str) -> int:

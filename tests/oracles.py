@@ -4,6 +4,7 @@ Each oracle deliberately uses a different algorithm from the library code it
 checks, so agreement is evidence rather than tautology.
 """
 
+import json
 import math
 from bisect import bisect_right
 from collections import Counter
@@ -874,3 +875,9 @@ def oracle_tree_from_json(doc: dict) -> CompleteTree:
         if entry.get("set") is not None:
             sets[int(key)] = IntervalUnion.from_text(entry["set"])
     return CompleteTree(doc["depth"], labels, sets)
+
+
+def oracle_dumps(doc) -> str:
+    """The text of ``exactset.dumps``: json's own indented, key-sorted
+    writer, which with an indent runs its pure-Python encoder."""
+    return json.dumps(doc, indent=2, sort_keys=True)

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gapdim import (
-    full_join_family, intersection_tree_build, join_shatter, parse_rational, thresholds
+    full_join_family, gap_dim, intersection_tree_build, join_shatter, parse_rational, thresholds
 )
 from gapdim.cli import COMMANDS, _parser, main
 from gapdim.funclass import class_to_json, generate, save_class
 from gapdim.shatter import ShatterCertificate
-from oracles import oracle_constant
+from oracles import oracle_constant, oracle_dumps
 
 F = Fraction
 
@@ -198,6 +198,21 @@ class TestInputErrors:
         assert (code, out) == (2, "") and "gamma must be positive" in err
         code, out, err = run_err(capsys, "dim", "--class", "thresholds(8)", "--gamma", "0")
         assert (code, out) == (2, "") and "gamma must be positive" in err
+
+    @pytest.mark.parametrize("field, argv", [
+        ("class", ["dim", "--class", "{}", "--gamma", "1/4"]),
+        ("cert", ["verify", "--class", "thresholds(8)", "--cert", "{}", "--gamma", "1/4"]),
+        ("tree", ["subtree", "--tree", "{}", "--K", "2"]),
+        ("process", ["discrepancy", "--class", "thresholds(4)", "--process", "{}",
+                     "--m", "5", "--seed", "1"]),
+        ("config", ["dim", "--config", "{}"]),
+    ])
+    def test_deeply_nested_input_file(self, capsys, tmp_path, field, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_err(capsys, *(str(path) if a == "{}" else a for a in argv))
+        assert (code, out) == (2, "")
+        assert err == f"error: field {field!r}: nested too deeply\n"
 
     def test_zero_denominator_in_class_file(self, capsys, tmp_path):
         path = tmp_path / "class.json"
@@ -1134,3 +1149,56 @@ class TestSimulationCommands:
             "--process", str(path), "--m", "60", "--seed", "9",
         )
         assert code == 0
+
+
+class TestReportLayout:
+    """Every command writes its report to stdout and ``--out`` as
+    ``oracle_dumps`` lays it out: indent 2, keys sorted, one final newline."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        save_class(thresholds(8), root / "class.json")
+        gap_dim(thresholds(8), F(1, 4)).certificate.save(root / "cert.json")
+        built = intersection_tree_build(full_join_family(2, 1, 3, F(1, 5)), F(1, 5), 2)
+        built.tree.save(root / "tree.json")
+        (root / "markov.json").write_text(json.dumps({
+            "variant": "markov",
+            "transition": [["1/2", "1/2"], ["1/1", "0/1"]],
+            "emissions": [
+                {"kind": "point", "at": "1/10"},
+                {"kind": "uniform", "lo": "1/2", "hi": "9/10"},
+            ],
+        }))
+        return root, ",".join(map(str, built.functions))
+
+    COMMAND_LINES = {
+        "dim": "dim --class {root}/class.json --gamma 1/4",
+        "verify": "verify --class {root}/class.json --cert {root}/cert.json --gamma 1/4",
+        "segments": "segments --class thresholds(3) --gamma 1/4",
+        "join": "join --class full_join_family(1,1,3,1/5) --gamma 1/5 --k 1 --kp 3",
+        "ptree": "ptree --depth 3 --leaves 0,1,2,3 --c 1/2",
+        "subtree": "subtree --tree {root}/tree.json --K 5",
+        "itree build": "itree build --class full_join_family(2,1,3,1/5) --gamma 1/5 --depth 2",
+        "itree verify": "itree verify --class full_join_family(2,1,3,1/5) --gamma 1/5"
+                        " --tree {root}/tree.json --functions {functions}",
+        "discrepancy": "discrepancy --class thresholds(4) --process iid --m 20 --seed 5",
+        "gc-curve": "gc-curve --class thresholds(4) --process rotation --m-grid 5,10"
+                    " --replicates 2 --seed 3",
+        "bound-check": "bound-check --class thresholds(4) --process {root}/markov.json"
+                       " --gamma 1/4 --m 30 --replicates 2 --seed 9",
+        "demo-rotation": "demo-rotation --m 20 --seed 7",
+    }
+
+    def test_every_command_is_listed(self):
+        listed = {line.split()[0] for line in self.COMMAND_LINES.values()}
+        assert listed == set(COMMANDS) and len(self.COMMAND_LINES) == 12
+
+    @pytest.mark.parametrize("name", sorted(COMMAND_LINES))
+    def test_report_is_a_fixed_point_of_the_oracle(self, capsys, tmp_path, inputs, name):
+        root, functions = inputs
+        argv = self.COMMAND_LINES[name].format(root=root, functions=functions).split()
+        code, out = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert oracle_dumps(json.loads(out)) + "\n" == out
+        assert (tmp_path / "out" / "report.json").read_text() == out

@@ -1,15 +1,21 @@
 import json
+import json.encoder
 import math
 import re
+from collections import OrderedDict
+from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gapdim import full_join_family, gap_dim, intersection_tree_build, thresholds
+from gapdim import exactset, full_join_family, gap_dim, intersection_tree_build, thresholds
 from gapdim.exactset import (
     IntervalUnion,
     decimal12,
+    dumps,
     format_rational,
     json_int,
     parse_rational,
@@ -18,7 +24,7 @@ from gapdim.exactset import (
 )
 from gapdim.funclass import class_to_json, save_class
 
-from oracles import OracleIntervalUnion, fraction_pairs
+from oracles import OracleIntervalUnion, fraction_pairs, oracle_dumps
 
 F = Fraction
 
@@ -350,8 +356,9 @@ class TestJsonFiles:
         for save, doc in documents:
             save(tmp_path / "saved.json")
             write_json(doc, tmp_path / "written.json")
-            expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            expected = oracle_dumps(doc) + "\n"
             assert (tmp_path / "saved.json").read_text() == expected
+            assert oracle_dumps(json.loads(expected)) + "\n" == expected
             assert (tmp_path / "written.json").read_text() == expected
             assert read_json_object(tmp_path / "saved.json") == json.loads(expected)
 
@@ -361,3 +368,108 @@ class TestJsonFiles:
         with pytest.raises(ValueError, match=f"depth must be an integer, got {shown}$"):
             json_int(value, "depth")
         assert json_int(-3, "depth") == -3 and json_int(10**30, "depth") == 10**30
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+class Pair(NamedTuple):
+    first: object
+    second: object
+
+
+TRICKY_TEXT = ['"', "\\", "\x00\x1f\x7f", "\n\t", "é", "漢字", "\U0001f600", "\ud800", " "]
+json_text = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(TRICKY_TEXT)
+json_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+json_ints = (
+    st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-(2**64))
+)
+json_scalars = (
+    json_text | json_ints | json_floats | st.booleans() | st.none() | st.sampled_from(Level)
+)
+# one kind of key per object, so that most objects sort; a mixed object
+# must fail in both writers alike
+json_key_kinds = st.sampled_from([
+    json_text, json_ints, json_floats, st.booleans() | st.none(), st.sampled_from(Level),
+    json_text | json_ints | st.none(),
+])
+
+
+def json_documents(leaves):
+    """Nested lists, tuples, dicts, OrderedDicts and NamedTuples over `leaves`."""
+    def containers(children):
+        objects = json_key_kinds.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4))
+        return (
+            st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | objects
+            | objects.map(OrderedDict)
+            | st.builds(Pair, children, children)
+        )
+    return st.recursive(leaves, containers, max_leaves=24)
+
+
+def poisoned(documents):
+    """Documents holding a value json cannot encode somewhere inside."""
+    def around(inner):
+        return (
+            st.tuples(st.lists(documents, max_size=2), inner, st.lists(documents, max_size=2))
+            .map(lambda t: [*t[0], t[1], *t[2]])
+            | st.tuples(st.dictionaries(json_text, documents, max_size=2), json_text, inner)
+            .map(lambda t: {**t[0], t[1]: t[2]})
+        )
+    return st.recursive(st.sampled_from([Fraction(1, 3), {1, 2}]), around, max_leaves=4)
+
+
+def outcome(write, doc):
+    """The text written, or the type and message of the error raised."""
+    try:
+        return write(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(params=["c", "python"], scope="class")
+def encoder(request):
+    """json's C encoder, or none as on an interpreter without ``_json``."""
+    with pytest.MonkeyPatch.context() as patch:
+        if request.param == "python":
+            patch.setattr(json.encoder, "c_make_encoder", None)
+        exactset._layout.cache_clear()
+        yield request.param
+    exactset._layout.cache_clear()
+
+
+@pytest.mark.usefixtures("encoder")
+class TestDumps:
+    """``dumps`` writes ``oracle_dumps``'s bytes, with json's C encoder and without."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_documents(json_scalars))
+    def test_matches_the_oracle(self, doc):
+        assert outcome(dumps, doc) == outcome(oracle_dumps, doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(poisoned(json_documents(json_scalars)))
+    def test_unencodable_values_raise_as_in_json(self, doc):
+        expected = outcome(oracle_dumps, doc)
+        assert expected[0] is TypeError
+        assert outcome(dumps, doc) == expected
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], (), OrderedDict(), [[], {}, ()], {"": {"": []}}, "x", 0, None, -0.0,
+        {1: "a", 2.5: [True], None: {}, False: (None,)}, [Level.LOW, Pair(1, [2])],
+        {Level.HIGH: Level.LOW}, {(1,): 2}, {Decimal(1): 2}, {"a": 1, 1: [2]},
+        [Fraction(1, 2)], {"s": {3}},
+    ])
+    def test_edge_documents(self, doc):
+        assert outcome(dumps, doc) == outcome(oracle_dumps, doc)
+
+    def test_the_encoder_in_use(self, encoder):
+        assert exactset._layout(0)[2]([1, "a"]) == '[1,\n  "a"]'
+        built_in_c = json.encoder.c_make_encoder is not None
+        assert built_in_c == (encoder == "c")

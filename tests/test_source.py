@@ -193,3 +193,36 @@ def test_every_exception_class_is_caught():
             and node.name not in caught
         ]
     assert found == []
+
+
+def indented_json_writes(tree):
+    """The function (or None at module level) around every ``json.dump`` or
+    ``json.dumps`` call that passes ``indent``."""
+    def scan(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dump", "dumps")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"
+            and any(keyword.arg == "indent" for keyword in node.keywords)
+        ):
+            yield scope
+        for child in ast.iter_child_nodes(node):
+            yield from scan(child, scope)
+
+    return list(scan(tree, None))
+
+
+def test_one_indented_json_writer():
+    """``exactset.dumps`` is the only indented JSON writer: with an indent,
+    ``json`` encodes in pure Python, and ``dumps`` writes the same bytes
+    through its C encoder."""
+    found = [
+        f"{name.removesuffix('.py')}.{scope}"
+        for name, tree in TREES.items()
+        for scope in indented_json_writes(tree)
+    ]
+    assert found == []
