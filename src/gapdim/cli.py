@@ -164,17 +164,20 @@ def _emit(report: dict, cfg: dict, csv_rows=None, csv_header=None) -> None:
         "report": report,
     }
     text = dumps(document) + "\n"
-    sys.stdout.write(text)
     out_dir = cfg.get("out")
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            fh.write(text)
-        if csv_rows is not None:
-            with open(os.path.join(out_dir, "report.csv"), "w") as fh:
-                fh.write(csv_header + "\n")
-                for row in csv_rows:
-                    fh.write(",".join(str(c) for c in row) + "\n")
+    if out_dir:  # the files first: a bad --out prints no report
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            with open(os.path.join(out_dir, "report.json"), "w") as fh:
+                fh.write(text)
+            if csv_rows is not None:
+                with open(os.path.join(out_dir, "report.csv"), "w") as fh:
+                    fh.write(csv_header + "\n")
+                    for row in csv_rows:
+                        fh.write(",".join(str(c) for c in row) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"field 'out': {exc}") from None
+    sys.stdout.write(text)
 
 
 def _rational_pair(q: Fraction) -> dict:
@@ -220,10 +223,10 @@ def cmd_segments(cfg: dict) -> int:
                 "segments": [
                     s.to_text() if isinstance(s, IntervalUnion)
                     else [format_rational(p) for p in s]
-                    for s in segment_partition(f, gamma)
+                    for s in segment_partition(F, i, gamma)
                 ],
             }
-            for i, f in enumerate(F.functions)
+            for i in range(len(F))
         ],
     }
     _emit(report, cfg)

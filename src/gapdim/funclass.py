@@ -28,13 +28,14 @@ For a resolution ``gamma`` the value range splits into K bands
 where ``K = floor(1/gamma) + 1`` unless ``1/gamma`` is an integer, in which
 case ``K = 1/gamma``.  The preimage of band k is the k-th segment of a
 function; two segments are non-adjacent when their band indices differ by
-at least 2.  One rule puts a value in a band: with gamma = a/b, the value
-v/W lies in band min(v b // (W a) + 1, K), on integers, and
-:func:`band_of_value` is its one-value form; a STEP segment is one
-IntervalUnion over the row's intervals in the band.  The STEP table
-serves the dimension search, the sample means and expectations, and, as
-bands per cell (:func:`cell_bands`), the segment join and the
-intersection-tree builder.
+at least 2.  One table puts values in bands: :func:`cell_bands` bands the
+class table, per function and cell (a STEP refinement cell or a TABULAR
+domain point), with gamma = a/b putting v/V in band
+min(v b // (V a) + 1, K), on integers.  A segment of F[i] is the cells of
+row i in one band, made into a set by :func:`segment_of_cells` (one
+IntervalUnion over the cells for STEP, the domain points for TABULAR);
+segments, the segment join and the intersection-tree builder and verifier
+all read that one table.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .exactset import (
     ONE,
@@ -249,10 +250,11 @@ class FunctionClass:
     for STEP the table of :func:`refinement`, for TABULAR ``(V, columns)``,
     every function's value at each domain point over one V.  A generated
     STEP class is born with its table; any other class builds it on first
-    use.
+    use.  The band table of :func:`cell_bands` is kept for the last gamma
+    asked.
     """
 
-    __slots__ = ("functions", "name", "_table")
+    __slots__ = ("functions", "name", "_table", "_bands")
 
     def __init__(self, functions: Sequence[Function], name: str = ""):
         fns = tuple(functions)
@@ -268,6 +270,7 @@ class FunctionClass:
         self.functions = fns
         self.name = name
         self._table = None
+        self._bands = None  # (gamma, table) of the last cell_bands call
 
     @property
     def kind(self) -> str:
@@ -385,76 +388,74 @@ def k_of_gamma(gamma: RationalLike) -> int:
     return -(-gamma.denominator // gamma.numerator)
 
 
-def band_of_value(v: RationalLike, gamma: RationalLike) -> int:
-    """Index k of the band containing value v (value 1 belongs to band K):
-    the one-value form of :func:`_bands`."""
-    v = v if isinstance(v, Fraction) else Fraction(v)
-    return _bands(v.denominator, (v.numerator,), gamma)[v.numerator]
-
-
-def _bands(W: int, values: Iterable[int], gamma: RationalLike) -> Dict[int, int]:
-    """The band of each value v / W, for integers v in [0, W], keyed by v.
-
-    With gamma = a / b, v / W lies in band floor(v b / (W a)) + 1, capped at
-    K so that the value 1 lies in band K: integer work, one k_of_gamma in all.
-    """
-    K = k_of_gamma(gamma)
-    gamma = gamma if isinstance(gamma, Fraction) else Fraction(gamma)
-    b, Wa = gamma.denominator, W * gamma.numerator
-    return {v: min(v * b // Wa + 1, K) for v in values}
-
-
 def non_adjacent(k: int, k2: int) -> bool:
     return abs(k - k2) >= 2
 
 
 def cell_bands(F: FunctionClass, gamma: RationalLike) -> Tuple[Tuple[int, ...], ...]:
-    """Each function's band on each cell of the STEP class's :func:`refinement`.
+    """The band table of a class: each function's band on each cell, the
+    refinement cells of a STEP class (:func:`refinement`) or the domain
+    points of a TABULAR one (:func:`domain_columns`).
 
-    ``cell_bands(F, gamma)[fi][j]`` is the band of F[fi] on cell j; each
-    distinct integer value of the table is banded once, by :func:`_bands`.
+    ``cell_bands(F, gamma)[fi][j]`` is the band of F[fi] on cell j.  With
+    gamma = a / b, the table value v / V lies in band min(v b // (V a) + 1, K),
+    on integers, so the value 1 lies in band K; each distinct value is banded
+    once.  The class keeps the table of the last gamma asked.
     """
-    _, _, V, rows = refinement(F)
-    band = _bands(V, set().union(*rows), gamma)
-    return tuple(tuple(band[v] for v in row) for row in rows)
+    gamma = gamma if isinstance(gamma, Fraction) else Fraction(gamma)
+    if F._bands is None or F._bands[0] != gamma:
+        K = k_of_gamma(gamma)
+        if F.kind == STEP:
+            _, _, V, rows = refinement(F)
+        else:
+            V, columns = domain_columns(F)
+            rows = list(zip(*columns))
+        b, Va = gamma.denominator, V * gamma.numerator
+        band = {v: min(v * b // Va + 1, K) for v in set().union(*rows)}
+        F._bands = gamma, tuple(tuple(map(band.__getitem__, row)) for row in rows)
+    return F._bands[1]
 
 
-def _members_by_band(f: Function, gamma: RationalLike) -> List[list]:
-    """f's row intervals (STEP: integer pairs over the row's D) or domain
-    points (TABULAR), grouped by band 1..K, each distinct value banded once."""
-    if f.kind == STEP:
-        _, ends, W, values = f._row
-        members = zip((0, *ends), ends)
-    else:
-        members, (W, values) = f.points, f._row
-    groups = [[] for _ in range(k_of_gamma(gamma))]
-    add = {v: groups[k - 1].append for v, k in _bands(W, set(values), gamma).items()}
-    for member, v in zip(members, values):
-        add[v](member)
-    return groups
+def segment_of_cells(
+    F: FunctionClass, cells: Iterable[int]
+) -> Union[IntervalUnion, Tuple[Fraction, ...]]:
+    """The set made of these cells of the class (see :func:`cell_bands`): for
+    STEP one IntervalUnion over the refinement cells, for TABULAR the tuple
+    of the domain points."""
+    if F.kind == STEP:
+        C, cuts, _, _ = refinement(F)
+        return IntervalUnion.over(C, [(cuts[j], cuts[j + 1]) for j in cells])
+    points = F.domain_points
+    return tuple(points[j] for j in cells)
 
 
-def _segment(f: Function, members: list) -> Union[IntervalUnion, Tuple[Fraction, ...]]:
-    return IntervalUnion.over(f._row[0], members) if f.kind == STEP else tuple(members)
+def _band_row(F: FunctionClass, i: int, gamma: RationalLike) -> Tuple[int, ...]:
+    if not 0 <= i < len(F):
+        raise ValueError(f"function index {i} outside [0, {len(F)})")
+    return cell_bands(F, gamma)[i]
 
 
 def segment(
-    f: Function, gamma: RationalLike, k: int
+    F: FunctionClass, i: int, gamma: RationalLike, k: int
 ) -> Union[IntervalUnion, Tuple[Fraction, ...]]:
-    """Preimage of value band k.
+    """Preimage of value band k under F[i], read from row i of the band table.
 
     For STEP functions this is an IntervalUnion; for TABULAR functions it is
     the tuple of domain points whose value lies in the band.
     """
-    groups = _members_by_band(f, gamma)
-    if not 1 <= k <= len(groups):
-        raise SegmentIndexOutOfRange(f"band {k} outside [1, {len(groups)}]")
-    return _segment(f, groups[k - 1])
+    row = _band_row(F, i, gamma)
+    K = k_of_gamma(gamma)
+    if not 1 <= k <= K:
+        raise SegmentIndexOutOfRange(f"band {k} outside [1, {K}]")
+    return segment_of_cells(F, [j for j, band in enumerate(row) if band == k])
 
 
-def segment_partition(f: Function, gamma: RationalLike) -> List:
-    """All K segments of f, in band order; together they partition the domain."""
-    return [_segment(f, members) for members in _members_by_band(f, gamma)]
+def segment_partition(F: FunctionClass, i: int, gamma: RationalLike) -> List:
+    """All K segments of F[i], in band order; together they partition the domain."""
+    groups = [[] for _ in range(k_of_gamma(gamma))]
+    for j, band in enumerate(_band_row(F, i, gamma)):
+        groups[band - 1].append(j)
+    return [segment_of_cells(F, cells) for cells in groups]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ grouped by the subset they realize.  A set shattered at alpha has every
 subset shattered at the same alpha, so windows only drop out deeper down.
 The winning set's certificate comes from one call of `shatters`.
 `join` reads the same STEP value table, as bands per refinement cell
-(`funclass.cell_bands`), and `join_shatter` turns a full join into a
+(`funclass.cell_bands`), and makes each cell with
+`funclass.segment_of_cells`; `join_shatter` turns a full join into a
 certificate at resolution gamma/2.
 """
 
@@ -40,8 +41,8 @@ from .exactset import (
     parse_rational, read_json_object, write_json,
 )
 from .funclass import (
-    TABULAR, FunctionClass, InvalidResolution, SegmentIndexOutOfRange, cell_bands,
-    domain_columns, k_of_gamma, non_adjacent, refinement, values_at,
+    STEP, TABULAR, FunctionClass, InvalidResolution, SegmentIndexOutOfRange, cell_bands,
+    domain_columns, k_of_gamma, non_adjacent, refinement, segment_of_cells, values_at,
 )
 
 INFINITE_CAP = "INFINITE_CAP"
@@ -355,14 +356,14 @@ def join(F: FunctionClass, gamma: RationalLike, k: int, k2: int) -> List[JoinCel
             raise SegmentIndexOutOfRange(f"band {band} outside [1, {K}]")
     if k == k2:
         raise ValueError(f"a join needs two different bands, got {k} twice")
-    C, cuts, _, _ = refinement(F)
+    if F.kind != STEP:
+        raise ValueError("join is defined for STEP classes")
     side = {k: 0, k2: 1}
-    groups: Dict[Tuple[int, ...], list] = {}
+    groups: Dict[Tuple[int, ...], List[int]] = {}
     for j, bands in enumerate(zip(*cell_bands(F, gamma))):
         if all(b in side for b in bands):
-            sig = tuple(side[b] for b in bands)
-            groups.setdefault(sig, []).append((cuts[j], cuts[j + 1]))
-    return [JoinCell(IntervalUnion.over(C, groups[sig]), sig) for sig in sorted(groups)]
+            groups.setdefault(tuple(side[b] for b in bands), []).append(j)
+    return [JoinCell(segment_of_cells(F, groups[sig]), sig) for sig in sorted(groups)]
 
 
 def join_shatter(

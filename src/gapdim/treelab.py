@@ -29,8 +29,8 @@ from .exactset import (
     write_json,
 )
 from .funclass import (
-    STEP, Function, FunctionClass, SegmentIndexOutOfRange, band_of_value, cell_bands, k_of_gamma,
-    non_adjacent, segment, segment_partition,
+    STEP, FunctionClass, SegmentIndexOutOfRange, cell_bands, k_of_gamma, non_adjacent, segment,
+    segment_partition,
 )
 from .shatter import JoinCell, join
 
@@ -418,7 +418,7 @@ def intersection_tree_build(
     labels: Dict[int, Label] = {}
     sets: Dict[int, IntervalUnion] = {}
     for level, (fi, picks) in enumerate(stack):
-        segs = {k: segment(F[fi], gamma, k) for k in set().union(*picks)}
+        segs = {k: segment(F, fi, gamma, k) for k in set().union(*picks)}
         for t, (k, k2) in enumerate(picks, start=1 << level):
             labels[t] = (k, k2)
             sets[2 * t], sets[2 * t + 1] = segs[k], segs[k2]
@@ -435,10 +435,10 @@ def intersection_tree_verify(
 
     (a) every internal node's children carry non-adjacent segments of the
     level's function, in label order; (b) the root-to-node intersection has
-    positive measure at every node.  An unlabeled node takes the bands of
-    the level's function on its children's sets, and a label must name
-    those same segments.  A missing payload or a band outside [1, K] raises
-    before any verdict.
+    positive measure at every node.  An unlabeled node takes the bands whose
+    segments of the level's function equal its children's sets, and a label
+    must name those same segments.  A missing payload or a band outside
+    [1, K] raises before any verdict.
     """
     gamma = Fraction(gamma)
     L = tree.depth
@@ -456,12 +456,11 @@ def intersection_tree_verify(
 
     paths = [IntervalUnion.full()]  # the root-to-node intersections of one level
     for level, fi in enumerate(functions):
-        f = F[fi]
-        segs = segment_partition(f, gamma)
+        segs = segment_partition(F, fi, gamma)
         below = []
         for t, W in enumerate(paths, start=1 << level):
             pair = tree.sets[2 * t], tree.sets[2 * t + 1]
-            k, k2 = tree.labels.get(t) or [_band_on(f, s, gamma) for s in pair]
+            k, k2 = tree.labels.get(t) or [segs.index(s) + 1 if s in segs else None for s in pair]
             if k is None or k2 is None or not non_adjacent(k, k2):
                 return False
             if (segs[k - 1], segs[k2 - 1]) != pair:
@@ -472,13 +471,6 @@ def intersection_tree_verify(
                     return False
         paths = below
     return True
-
-
-def _band_on(f: Function, s: IntervalUnion, gamma: Fraction) -> Optional[int]:
-    """The band of f at an interior point of s, None for an empty s: the
-    band that s is the segment of, if it is a segment of f."""
-    x = s.interior_point()
-    return None if x is None else band_of_value(f.value_at(x), gamma)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, repeat
 
-from gapdim import CompleteTree, Function, FunctionClass, IntervalUnion, k_of_gamma, segment
+from gapdim import CompleteTree, Function, FunctionClass, IntervalUnion, k_of_gamma
 from gapdim.ergoproc import (
     IIDUniformSpec, MarkovSpec, RotationSpec, SamplePath, per_function_discrepancies
 )
@@ -349,7 +349,7 @@ def oracle_intersection_tree_build(F: FunctionClass, gamma, L: int, visit_cap: i
     gamma = Fraction(gamma)
     K = k_of_gamma(gamma)
     pairs = [(k, k2) for k in range(1, K + 1) for k2 in range(k + 2, K + 1)]
-    segs = [[segment(f, gamma, k) for k in range(1, K + 1)] for f in F.functions]
+    segs = [oracle_segment_partition(f, gamma) for f in F.functions]
     labels, sets, chosen = {}, {}, []
     visits = 0
 
@@ -580,19 +580,29 @@ def oracle_binned_counts(ticks, thresholds, lengths):
         yield [counts[j] for j in range(len(thresholds) + 1)]
 
 
+_PIECE_UNIONS = {}  # id(f) -> (f, its pieces as OracleIntervalUnions beside their values)
+
+
+def oracle_pieces(f):
+    """f's STEP pieces as ``OracleIntervalUnion``s beside their values, built
+    once per function: the entry holds f, so its id is not reused while the
+    entry lasts."""
+    entry = _PIECE_UNIONS.get(id(f))
+    if entry is None:
+        if len(_PIECE_UNIONS) >= 256:
+            _PIECE_UNIONS.clear()
+        unions = [OracleIntervalUnion(fraction_pairs(piece)) for piece in f.pieces]
+        entry = _PIECE_UNIONS[id(f)] = f, list(zip(unions, f.values))
+    return entry[1]
+
+
 def oracle_value_at(f, x):
     """The value of the STEP piece that contains x, by ``OracleIntervalUnion``
     membership, or of the TABULAR domain point equal to x, by a scan; None
     when there is none (x outside [0, 1), or off the domain)."""
     if f.kind == TABULAR:
         return next((v for p, v in zip(f.points, f.values) if p == x), None)
-    return next(
-        (
-            v for piece, v in zip(f.pieces, f.values)
-            if x in OracleIntervalUnion(fraction_pairs(piece))
-        ),
-        None,
-    )
+    return next((v for piece, v in oracle_pieces(f) if x in piece), None)
 
 
 def oracle_values_at(F: FunctionClass, points):
@@ -801,11 +811,14 @@ def oracle_band_of_value(v, gamma) -> int:
 
 
 def oracle_segment_partition(f: Function, gamma):
-    """The K segments of a STEP function: the ``union_all`` of its pieces
-    whose value lies in each band."""
+    """The K segments of a function: for STEP the ``union_all`` of its
+    pieces whose value lies in each band, for TABULAR the tuple of its
+    domain points whose value does."""
     groups = [[] for _ in range(k_of_gamma(gamma))]
-    for piece, v in zip(f.pieces, f.values):
-        groups[oracle_band_of_value(v, gamma) - 1].append(piece)
+    for member, v in zip(f.pieces if f.kind == STEP else f.points, f.values):
+        groups[oracle_band_of_value(v, gamma) - 1].append(member)
+    if f.kind == TABULAR:
+        return [tuple(group) for group in groups]
     return [IntervalUnion.union_all(group) for group in groups]
 
 

@@ -1,5 +1,7 @@
+import errno
 import io
 import json
+import os
 import re
 import sys
 import time
@@ -55,6 +57,16 @@ class TestDim:
         )
         assert code == 0
         assert (out_dir / "report.json").read_text() == out
+
+    def test_an_out_dir_that_cannot_be_made_prints_no_report(self, capsys, tmp_path):
+        regular = tmp_path / "file"
+        regular.write_text("")
+        out_dir = regular / "x"
+        got = run_err(
+            capsys, "dim", "--class", "thresholds(4)", "--gamma", "1/4", "--out", str(out_dir),
+        )
+        reason = f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: {str(out_dir)!r}"
+        assert got == (2, "", f"error: field 'out': {reason}\n")
 
 
 class TestVerify:

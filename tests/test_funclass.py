@@ -26,7 +26,6 @@ from gapdim.funclass import (
     InvalidResolution,
     Partition,
     SegmentIndexOutOfRange,
-    band_of_value,
     cell_bands,
     class_from_json,
     class_to_json,
@@ -81,40 +80,54 @@ class TestKOfGamma:
             k_of_gamma(bad)
 
 
+def one(f: Function) -> FunctionClass:
+    """The class of f alone, whose segments are f's."""
+    return FunctionClass([f])
+
+
 class TestSegments:
     def test_ramp_band2(self, ramp8):
         # enumerate pieces with value in [1/4, 1/2)
-        assert segment(ramp8, F(1, 4), 2) == IntervalUnion([(F(1, 4), F(1, 2))])
+        assert segment(one(ramp8), 0, F(1, 4), 2) == IntervalUnion([(F(1, 4), F(1, 2))])
 
     def test_constant_zero_band1(self):
         f = oracle_constant(0)
-        assert segment(f, F(1, 4), 1) == IntervalUnion.full()
+        assert segment(one(f), 0, F(1, 4), 1) == IntervalUnion.full()
 
     def test_constant_one_top_band_inclusive(self):
         f = oracle_constant(1)
-        assert segment(f, F(1, 4), 4) == IntervalUnion.full()
+        assert segment(one(f), 0, F(1, 4), 4) == IntervalUnion.full()
 
     def test_out_of_range(self, ramp8):
         with pytest.raises(SegmentIndexOutOfRange):
-            segment(ramp8, F(1, 4), 5)
+            segment(one(ramp8), 0, F(1, 4), 5)
 
     def test_tabular_returns_points(self):
         f = Function.tabular([F(1, 4), F(3, 4)], [F(1, 8), F(7, 8)])
-        assert segment(f, F(1, 2), 1) == (F(1, 4),)
-        assert segment(f, F(1, 2), 2) == (F(3, 4),)
+        assert segment(one(f), 0, F(1, 2), 1) == (F(1, 4),)
+        assert segment(one(f), 0, F(1, 2), 2) == (F(3, 4),)
+
+    @pytest.mark.parametrize("FC", [thresholds(3), all_patterns(2)], ids=repr)
+    @pytest.mark.parametrize("i", [-1, -4, 4, 100])
+    def test_function_index_outside_the_class(self, FC, i):
+        n = len(FC)
+        with pytest.raises(ValueError, match=rf"function index {i} outside \[0, {n}\)"):
+            segment(FC, i, F(1, 4), 1)
+        with pytest.raises(ValueError, match=rf"function index {i} outside \[0, {n}\)"):
+            segment_partition(FC, i, F(1, 4))
 
 
 class TestSegmentPartition:
     def test_gamma_one_single_segment(self, ramp8):
-        parts = segment_partition(ramp8, 1)
+        parts = segment_partition(one(ramp8), 0, 1)
         assert parts == [IntervalUnion.full()]
 
     def test_constant_half(self):
-        parts = segment_partition(oracle_constant(F(1, 2)), F(1, 4))
+        parts = segment_partition(one(oracle_constant(F(1, 2))), 0, F(1, 4))
         assert [p.measure for p in parts] == [0, 0, 1, 0]
 
     def test_ramp_quarters(self, ramp8):
-        parts = segment_partition(ramp8, F(1, 4))
+        parts = segment_partition(one(ramp8), 0, F(1, 4))
         assert parts == [
             IntervalUnion([(F(j, 4), F(j + 1, 4))]) for j in range(4)
         ]
@@ -122,8 +135,7 @@ class TestSegmentPartition:
     @given(st.integers(0, 2**32), st.sampled_from([F(1, 5), F(1, 4), F(1, 3)]))
     @settings(max_examples=40, deadline=None)
     def test_exact_partition(self, seed, gamma):
-        f = random_step(seed, pieces=6, grid=7).functions[0]
-        parts = segment_partition(f, gamma)
+        parts = segment_partition(random_step(seed, pieces=6, grid=7), 0, gamma)
         assert sum((p.measure for p in parts), F(0)) == 1
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
@@ -131,11 +143,11 @@ class TestSegmentPartition:
 
     def test_band_membership_matches_pointwise(self, ramp8):
         gamma = F(1, 4)
-        parts = segment_partition(ramp8, gamma)
+        parts = segment_partition(one(ramp8), 0, gamma)
         rng = SplitMix64(5)
         for _ in range(200):
             x = rng.unit_fraction()
-            k = band_of_value(ramp8.value_at(x), gamma)
+            k = oracle_band_of_value(ramp8.value_at(x), gamma)
             hits = [
                 i + 1 for i, p in enumerate(parts) if x in OracleIntervalUnion(fraction_pairs(p))
             ]
@@ -344,10 +356,10 @@ class TestTabularSegments:
     def test_pointwise_recomputation_over_domain(self):
         FC = all_patterns(3)
         for gamma in (F(1, 4), F(2, 5)):
-            for f in FC.functions:
-                parts = segment_partition(f, gamma)
+            for i, f in enumerate(FC.functions):
+                parts = segment_partition(FC, i, gamma)
                 for x in FC.domain_points:
-                    k = band_of_value(f.value_at(x), gamma)
+                    k = oracle_band_of_value(f.value_at(x), gamma)
                     assert x in parts[k - 1]
                     assert all(
                         x not in p for i, p in enumerate(parts) if i != k - 1
@@ -404,6 +416,16 @@ TABLE_CLASSES = (
     )]
     + table_classes()[-1:]
 )
+
+TABULAR_CLASSES = [
+    all_patterns(1),
+    all_patterns(3),
+    trajectory_indicators(F(1, 7), [0, F(1, 14)], 2),
+    FunctionClass([
+        Function.tabular([F(i, 9) for i in range(9)], [F((i * j) % 11, 10) for i in range(9)])
+        for j in range(6)
+    ], "tab"),
+]
 
 
 class TestTableMatchesFractionRefinement:
@@ -629,7 +651,7 @@ class TestSharedPartition:
 
 
 class TestOneBandRule:
-    """Segments, partitions and cell bands all put a value where band_of_value does."""
+    """Segments, partitions and cell bands all put a value where the Fraction rule does."""
 
     FUNCTIONS = [
         random_step(4, 6, 4).functions[0],  # values on quarters, 1 included
@@ -643,26 +665,35 @@ class TestOneBandRule:
     @pytest.mark.parametrize("gamma", [F(1, 4), F(1, 2), F(1), F(2, 7)])
     def test_partition_is_the_segments(self, f, gamma):
         K = k_of_gamma(gamma)
-        assert segment_partition(f, gamma) == [segment(f, gamma, k) for k in range(1, K + 1)]
+        assert segment_partition(one(f), 0, gamma) == [
+            segment(one(f), 0, gamma, k) for k in range(1, K + 1)
+        ]
 
     def test_value_one_lies_in_the_top_band(self):
         gamma = F(1, 4)  # 1/gamma is an integer, so K = 4 and 1 = K gamma
-        assert segment_partition(oracle_constant(1), gamma)[3] == IntervalUnion.full()
-        assert segment_partition(Function.tabular([F(1, 3)], [1]), gamma)[3] == (F(1, 3),)
+        assert segment_partition(one(oracle_constant(1)), 0, gamma)[3] == IntervalUnion.full()
+        tab = one(Function.tabular([F(1, 3)], [1]))
+        assert segment_partition(tab, 0, gamma)[3] == (F(1, 3),)
 
     @pytest.mark.parametrize("FC", TABLE_CLASSES, ids=repr)
     @pytest.mark.parametrize("gamma", [F(1, 4), F(1, 5), F(2, 7)])
-    def test_cell_bands_match_band_of_value(self, FC, gamma):
+    def test_cell_bands_match_the_fraction_rule(self, FC, gamma):
         C, cuts, _, _ = refinement(FC)
         bands = cell_bands(FC, gamma)
         for f, row in zip(FC.functions, bands):
             assert len(row) == len(cuts) - 1
             for j, k in enumerate(row):
-                assert k == band_of_value(f.value_at(F(cuts[j], C)), gamma)
+                assert k == oracle_band_of_value(f.value_at(F(cuts[j], C)), gamma)
 
-    def test_cell_bands_reject_tabular_classes(self):
-        with pytest.raises(ValueError, match="STEP"):
-            cell_bands(all_patterns(2), F(1, 4))
+    @pytest.mark.parametrize("FC", TABULAR_CLASSES, ids=repr)
+    @pytest.mark.parametrize("gamma", [F(1, 4), F(1, 5), F(2, 7), F(1, 2), F(1)])
+    def test_tabular_cell_bands_are_the_bands_of_the_domain_points(self, FC, gamma):
+        bands = cell_bands(FC, gamma)
+        assert len(bands) == len(FC)
+        for f, row in zip(FC.functions, bands):
+            assert row == tuple(
+                oracle_band_of_value(f.value_at(x), gamma) for x in FC.domain_points
+            )
 
     GAMMAS = [F(1), F(1, 2), F(1, 4), F(1, 5), F(3, 10), F(2, 7), F(2, 9), F(5, 7)]
 
@@ -675,12 +706,13 @@ class TestOneBandRule:
         return sorted({v + d for v in edges + [F(1)] for d in (-eps, 0, eps) if 0 <= v + d <= 1})
 
     @pytest.mark.parametrize("gamma", GAMMAS)
-    def test_band_of_value_matches_the_fraction_rule(self, gamma):
+    def test_tabular_bands_match_the_fraction_rule_on_edges(self, gamma):
         values = self.edge_values(gamma) + [F(v, 12) for v in range(13)]
         assert {0, gamma, 1} <= set(values)
-        for v in values:
-            assert band_of_value(v, gamma) == oracle_band_of_value(v, gamma), v
-        assert band_of_value(1, gamma) == k_of_gamma(gamma)
+        n = len(values)
+        (row,) = cell_bands(one(Function.tabular([F(i, n) for i in range(n)], values)), gamma)
+        assert row == tuple(oracle_band_of_value(v, gamma) for v in values)
+        assert row[values.index(1)] == k_of_gamma(gamma)
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_integer_bands_match_the_fraction_rule_on_edges(self, gamma):
@@ -696,12 +728,84 @@ class TestOneBandRule:
         assert cell_bands(FC, gamma) == (
             tuple(oracle_band_of_value(v, gamma) for v in values), (k_of_gamma(gamma),) * n,
         )
-        assert segment_partition(f, gamma) == oracle_segment_partition(f, gamma)
+        assert segment_partition(FC, 0, gamma) == oracle_segment_partition(f, gamma)
         g = Function.tabular([F(i, n) for i in range(n)], values)
-        for k, points in enumerate(segment_partition(g, gamma), 1):
+        for k, points in enumerate(segment_partition(one(g), 0, gamma), 1):
             assert points == tuple(
                 F(i, n) for i, v in enumerate(values) if oracle_band_of_value(v, gamma) == k
             )
+
+
+def coarse_pieces_class() -> FunctionClass:
+    """A class file's functions on pieces of several intervals each, coarser
+    than the class's refinement cells, with values on band edges (1/4, 1/2)."""
+    a, b = IntervalUnion([(0, F(1, 3)), (F(2, 3), 1)]), IntervalUnion([(F(1, 3), F(2, 3))])
+    p = IntervalUnion([(0, F(1, 5)), (F(2, 5), F(3, 5))])
+    q = IntervalUnion([(F(1, 5), F(2, 5)), (F(3, 5), 1)])
+    sevenths = [IntervalUnion([(F(i, 7), F(i + 1, 7))]) for i in range(7)]
+    return FunctionClass([
+        Function.step([a, b], [F(1, 10), F(9, 10)]),
+        Function.step([p, q], [F(7, 8), F(1, 4)]),
+        Function.step(sevenths, [F(i, 6) for i in range(7)]),
+        Function.step([a, b], [1, 0]),
+        Function.step([p, q], [F(1, 2), F(3, 10)]),
+        Function.step([IntervalUnion.full()], [F(1, 4)]),
+    ], "coarse")
+
+
+# the classes of the trees benchmark: full join families and 0/1 step classes
+TREES_CORPUS = [
+    full_join_family(3, 1, 3, F(1, 5)),
+    full_join_family(2, 1, 3, F(1, 5)),
+    full_join_family(3, 2, 4, F(1, 6)),
+    full_join_family(2, 1, 5, F(1, 7)),
+    random_step(11, 64, 1, 24),
+    random_step(402, 64, 1, 24),
+]
+
+
+class TestClassSegments:
+    """segment and segment_partition read row i of the class's band table;
+    each segment is the one the Fraction oracle builds from F[i] alone."""
+
+    GAMMAS = [F(1, 4), F(1, 5), F(1, 8), F(2, 7), F(1)]
+
+    @pytest.mark.parametrize("FC", TREES_CORPUS, ids=repr)
+    def test_trees_corpus(self, FC):
+        for gamma in self.GAMMAS:
+            for i, f in enumerate(FC):
+                assert segment_partition(FC, i, gamma) == oracle_segment_partition(f, gamma)
+
+    def test_a_class_file_with_pieces_coarser_than_its_cells(self, tmp_path):
+        save_class(coarse_pieces_class(), tmp_path / "class.json")
+        FC = load_class(tmp_path / "class.json")
+        assert len(refinement(FC)[1]) - 1 > max(len(f.pieces) for f in FC)
+        for gamma in self.GAMMAS + [F(1, 2), F(1, 10)]:
+            for i, f in enumerate(FC):
+                assert segment_partition(FC, i, gamma) == oracle_segment_partition(f, gamma)
+
+    @pytest.mark.parametrize("FC", TABULAR_CLASSES, ids=repr)
+    def test_tabular_classes(self, FC):
+        for gamma in self.GAMMAS:
+            K = k_of_gamma(gamma)
+            for i, f in enumerate(FC):
+                parts = segment_partition(FC, i, gamma)
+                assert parts == oracle_segment_partition(f, gamma)
+                assert parts == [segment(FC, i, gamma, k) for k in range(1, K + 1)]
+
+    @pytest.mark.parametrize(
+        "FC", [TREES_CORPUS[0], coarse_pieces_class(), TABULAR_CLASSES[-1]], ids=repr
+    )
+    def test_alternating_gammas_each_read_their_own_table(self, FC):
+        """The class keeps the band table of the last gamma only: a call at
+        another gamma must not read the kept one."""
+        for gamma in [F(1, 4), F(1, 5), F(1, 4), F(2, 7), F(2, 7), F(1, 8), F(1, 4)] * 2:
+            for i, f in enumerate(FC):
+                want = oracle_segment_partition(f, gamma)
+                assert segment_partition(FC, i, gamma) == want
+                k = 1 + i % len(want)
+                assert segment(FC, i, gamma, k) == want[k - 1]
+            assert cell_bands(FC, gamma) is cell_bands(FC, gamma)
 
 
 # every generated step class beside the same class built function by function
@@ -737,8 +841,8 @@ class TestEqualCellGenerators:
     @pytest.mark.parametrize("FC,oracle", EQUAL_CELL_PAIRS, ids=lambda c: c.name)
     def test_same_segments_and_joins(self, FC, oracle):
         for gamma in EQUAL_CELL_GAMMAS:
-            for f, g in zip(FC, oracle):
-                assert segment_partition(f, gamma) == oracle_segment_partition(g, gamma)
+            for i, g in enumerate(oracle):
+                assert segment_partition(FC, i, gamma) == oracle_segment_partition(g, gamma)
             K = k_of_gamma(gamma)
             for k in range(1, K + 1):
                 for k2 in range(1, K + 1):
@@ -769,7 +873,7 @@ class TestEqualCellGenerators:
 
     @pytest.mark.parametrize("FC,oracle", EQUAL_CELL_PAIRS[::4], ids=lambda c: c.name)
     def test_segments_run_no_union_algebra(self, monkeypatch, FC, oracle):
-        """A STEP segment is one IntervalUnion over the row's integer pairs."""
+        """A STEP segment is one IntervalUnion over the class's integer cells."""
 
         def refuse(*args):
             raise AssertionError("segments must not union pieces")
@@ -777,10 +881,10 @@ class TestEqualCellGenerators:
         monkeypatch.setattr(IntervalUnion, "union_all", classmethod(refuse))
         monkeypatch.setattr(IntervalUnion, "__init__", refuse)
         for gamma in EQUAL_CELL_GAMMAS:
-            for f in FC:
+            for i in range(len(FC)):
                 K = k_of_gamma(gamma)
-                segments = [segment(f, gamma, k) for k in range(1, K + 1)]
-                assert segment_partition(f, gamma) == segments
+                segments = [segment(FC, i, gamma, k) for k in range(1, K + 1)]
+                assert segment_partition(FC, i, gamma) == segments
 
 
 # each generated step class beside the same class built by an oracle on its

@@ -15,7 +15,6 @@ from gapdim import (
     join,
     join_shatter,
     random_step,
-    segment,
     shatters,
     thresholds,
     verify_certificate,
@@ -34,6 +33,7 @@ from oracles import (
     oracle_join,
     oracle_naive_gap_dim,
     oracle_pruned_gap_dim,
+    oracle_segment_partition,
     oracle_shatters,
     oracle_shatters_certificate,
     oracle_values_at,
@@ -222,8 +222,10 @@ class TestGapDim:
 
 
 def segment_pairs(FC, gamma, k, k2):
-    """Per function its (segment k, segment k2): the families oracle_join takes."""
-    return [(segment(f, gamma, k), segment(f, gamma, k2)) for f in FC.functions]
+    """Per function its (segment k, segment k2), from the Fraction oracle:
+    the families oracle_join takes."""
+    parts = [oracle_segment_partition(f, gamma) for f in FC.functions]
+    return [(segs[k - 1], segs[k2 - 1]) for segs in parts]
 
 
 class TestJoin:

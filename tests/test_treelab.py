@@ -273,8 +273,7 @@ class TestIntersectionTree:
         built = intersection_tree_build(FC, F(1, 5), 2)
         bare = CompleteTree(2, sets=built.tree.sets)
         assert intersection_tree_verify(bare, FC, F(1, 5), built.functions)
-        root_fn = FC[built.functions[0]]
-        for payload in (segment(root_fn, F(1, 5), 2), IntervalUnion([(0, F(1, 3))])):
+        for payload in (segment(FC, built.functions[0], F(1, 5), 2), IntervalUnion([(0, F(1, 3))])):
             # an adjacent (here empty) segment, and a set that is no segment
             sets = {**built.tree.sets, 3: payload}
             assert not intersection_tree_verify(CompleteTree(2, sets=sets), FC, F(1, 5),
@@ -287,7 +286,7 @@ class TestIntersectionTree:
         tree = CompleteTree(
             1,
             labels={1: (2, 3)},
-            sets={2: segment(ramp8, gamma, 2), 3: segment(ramp8, gamma, 3)},
+            sets={2: segment(FC, 0, gamma, 2), 3: segment(FC, 0, gamma, 3)},
         )
         assert not intersection_tree_verify(tree, FC, gamma, [0])
 
@@ -301,12 +300,12 @@ class TestIntersectionTree:
             2,
             labels={1: (1, 3), 2: (1, 3), 3: (1, 3)},
             sets={
-                2: segment(ramp8, gamma, 1),
-                3: segment(ramp8, gamma, 3),
-                4: segment(ramp8, gamma, 1),
-                5: segment(ramp8, gamma, 3),
-                6: segment(ramp8, gamma, 1),
-                7: segment(ramp8, gamma, 3),
+                2: segment(FC, 0, gamma, 1),
+                3: segment(FC, 0, gamma, 3),
+                4: segment(FC, 0, gamma, 1),
+                5: segment(FC, 0, gamma, 3),
+                6: segment(FC, 0, gamma, 1),
+                7: segment(FC, 0, gamma, 3),
             },
         )
         assert not intersection_tree_verify(tree, FC, gamma, [0, 0])
@@ -396,7 +395,7 @@ class TestMaximalJoin:
         mj = maximal_join_from_tree(reverse, RC, F(1, 5))
         hs = mj.function_indices
         assert list(hs) == sorted(hs, reverse=True) and len(hs) == 3
-        pairs = [(segment(RC[h], F(1, 5), 1), segment(RC[h], F(1, 5), 3)) for h in hs]
+        pairs = [(segment(RC, h, F(1, 5), 1), segment(RC, h, F(1, 5), 3)) for h in hs]
         assert [(c.cell.to_text(), c.signature) for c in mj.cells] == oracle_join(pairs)
         forward = maximal_join_from_tree(built, FC, F(1, 5))
         assert [(c.cell, c.signature) for c in mj.cells] == [
@@ -583,10 +582,10 @@ def mutations(tree: CompleteTree, F: FunctionClass, gamma, functions, rng: Split
         labels = {u: lbl for u, lbl in tree.labels.items() if u != t}
         yield CompleteTree(tree.depth, labels, tree.sets)
     for t in range(2, 1 << (tree.depth + 1)):
-        g = F[functions[tree.level_of(t) - 1]]
-        other = F[randbelow(rng, len(F))]
+        g = functions[tree.level_of(t) - 1]
+        other = randbelow(rng, len(F))
         payloads = [tree.sets[t ^ 1], IntervalUnion.empty(), IntervalUnion.full()]
-        payloads += [segment(h, gamma, 1 + randbelow(rng, K)) for h in (g, other)]
+        payloads += [segment(F, h, gamma, 1 + randbelow(rng, K)) for h in (g, other)]
         for payload in payloads:
             for labels in (tree.labels, {}):
                 yield CompleteTree(tree.depth, labels, {**tree.sets, t: payload})
@@ -598,9 +597,9 @@ def segment_tree(F: FunctionClass, gamma, functions, labels) -> CompleteTree:
     L = len(functions)
     sets = {}
     for t in range(1, 1 << L):
-        g = F[functions[t.bit_length() - 1]]
+        g = functions[t.bit_length() - 1]
         k, k2 = labels[t]
-        sets[2 * t], sets[2 * t + 1] = segment(g, gamma, k), segment(g, gamma, k2)
+        sets[2 * t], sets[2 * t + 1] = segment(F, g, gamma, k), segment(F, g, gamma, k2)
     return CompleteTree(L, labels, sets)
 
 
@@ -661,13 +660,13 @@ class TestOnePassVerify:
         built = self.built(FC, gamma, depth)
         calls = []
 
-        def counting(f, g):
-            calls.append(f)
-            return segment_partition(f, g)
+        def counting(G, i, g):
+            calls.append(i)
+            return segment_partition(G, i, g)
 
         monkeypatch.setattr(treelab, "segment_partition", counting)
         assert intersection_tree_verify(built.tree, FC, gamma, built.functions)
-        assert calls == [FC[i] for i in built.functions]
+        assert calls == list(built.functions)
         calls.clear()
         unlabeled = CompleteTree(depth, {}, built.tree.sets)
         assert intersection_tree_verify(unlabeled, FC, gamma, built.functions)
@@ -677,9 +676,9 @@ class TestOnePassVerify:
         FC, gamma = random_step(15, 24, 8, 8), F(1, 5)
         asked = []
 
-        def counting(f, g, k):
+        def counting(G, i, g, k):
             asked.append(k)
-            return segment(f, g, k)
+            return segment(G, i, g, k)
 
         monkeypatch.setattr(treelab, "segment", counting)
         monkeypatch.setattr(treelab, "segment_partition", None)  # never called
