@@ -7,7 +7,7 @@ irreducible Markov chain started from its stationary distribution with an
 lo == hi.  Path values are exact rationals built from 53-bit SplitMix64
 draws k, held as integer ticks over one scale N per path (x = tick / N):
 N = 2**64 and the tick k * 2**11 for IID, N = 2**53 * den(theta) for a
-rotation, and N = 2**53 * lcm(emission denominators) for a Markov chain.
+rotation, and N = 2**64 * lcm(emission denominators) for a Markov chain.
 IID ticks are one ``array('Q')`` of 64-bit words, Markov ticks a tuple (N
 can pass 2**64), and a rotation path holds only its ``Orbit``: the first
 tick, the step theta * N, N and the length, from which any tick is one
@@ -61,9 +61,9 @@ from .funclass import (
     STEP,
     Function,
     FunctionClass,
-    domain_columns,
     refinement,
     trajectory_indicators,
+    value_rows,
 )
 from .rng import TWO53, SplitMix64
 from .shatter import DimResult, gap_dim
@@ -261,16 +261,16 @@ def _ceil_scaled(q: Fraction, scale: int) -> int:
 
 
 def _pick_thresholds(weights: Sequence[Fraction]) -> List[int]:
-    """Cumulative weights as ceilings over 2**53: a 53-bit draw k picks the
-    first i with k / 2**53 < w_0 + ... + w_i, which is bisect_right(..., k)."""
-    return [_ceil_scaled(acc, TWO53) for acc in accumulate(weights)]
+    """Cumulative weights as ceilings over 2**64: a draw word w picks the
+    first i with w / 2**64 < w_0 + ... + w_i, which is bisect_right(..., w)."""
+    return [_ceil_scaled(acc, 1 << 64) for acc in accumulate(weights)]
 
 
 def _markov_ticks(
     draw: Callable[[], int], start: List[int], rows: List[List[int]],
     emit: List[Tuple[int, int]], m: int,
 ) -> Iterator[int]:
-    """The m emitted ticks of a chain, reading its uniforms from draw()."""
+    """The m emitted ticks of a chain, reading its uniform words from draw()."""
     state = bisect_right(start, draw())
     for i in range(m):
         if i > 0:
@@ -295,20 +295,20 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
     Rotation: N = 2**53 * den(theta); each step adds theta * N to the start
     tick x0 * N, modulo N, and the path is held as that ``Orbit`` (its ticks
     are built only when read; counts come from floor sums).  Markov:
-    N = 2**53 * L with L the lcm of the emission denominators; states are
-    picked by comparing k against integer cumulative thresholds, and an
-    emission on [lo, hi) is the tick lo * N + (hi - lo) * L * k: width 0,
-    and no draw, for a point.  Because the draws come in this order whatever
-    m is, the path of length m is a prefix of every longer path from the
-    same (spec, seed).
+    N = 2**64 * L with L the lcm of the emission denominators; states are
+    picked by comparing the word w = k << 11 against integer cumulative
+    thresholds over 2**64, and an emission on [lo, hi) is the tick
+    lo * N + (hi - lo) * L * w: width 0, and no draw, for a point.  Because
+    the draws come in this order whatever m is, the path of length m is a
+    prefix of every longer path from the same (spec, seed).
 
     All uniforms come from one ``SplitMix64(seed)`` stream.  IID and Markov
-    paths draw it in bulk (blocks of ``rng.BLOCK``), which gives the same
-    uniforms as one ``unit_tick()`` call per draw: the IID path keeps its m
-    ticks as the drawn 64-bit words (``unit_words``), and a chain reads
-    its draws one at a time, in the order above, from a stream of 2m
-    (``unit_ticks``; it never needs more).  Blocks past the last draw read
-    are never mixed.  A rotation's start is one ``unit_fraction()`` call.
+    paths draw it in bulk as 64-bit words (``unit_words``, blocks of
+    ``rng.BLOCK``), which gives the same uniforms as one ``unit_tick()``
+    call per draw: the IID path keeps its m words as its ticks, and a chain
+    reads its words one at a time, in the order above, from 2m drawn and
+    mixed at once (it never needs more).  A rotation's start is one
+    ``unit_fraction()`` call.
     """
     if m < 1:
         raise ValueError("path length must be >= 1")
@@ -324,14 +324,14 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
         ticks = Orbit((start + step) % scale, step, scale, m)
     elif isinstance(spec, MarkovSpec):
         L = math.lcm(*(q.denominator for e in spec.emissions for q in (e.lo, e.hi)))
-        scale = TWO53 * L
+        scale = L << 64
         # per state: tick = offset + width * k, with width 0 for a point
         # (exact products: L is a multiple of every emission denominator)
         emit = [(_ceil_scaled(e.lo, scale), _ceil_scaled(e.hi - e.lo, L)) for e in spec.emissions]
         start = _pick_thresholds(spec.stationary_distribution())
         rows = [_pick_thresholds(row) for row in spec.transition]
         # at most 2m draws: the start, m - 1 transitions and m emissions
-        ticks = tuple(_markov_ticks(rng.unit_ticks(2 * m).__next__, start, rows, emit, m))
+        ticks = tuple(_markov_ticks(iter(rng.unit_words(2 * m)).__next__, start, rows, emit, m))
     else:
         raise TypeError(f"unknown process spec {spec!r}")
     return SamplePath(ticks=ticks, scale=scale, seed=seed, spec=spec)
@@ -571,14 +571,15 @@ def rotation_counterexample(
     # Every expectation is 0, so each family's discrepancy is its path mean;
     # the path lies in the start's orbit, hence in the combined domain.  The
     # domain points and the path's ticks are read as integers over one scale
-    # S, and each tick reads the column of its domain point by index.
+    # S, the ticks are counted per domain index, and each function's row of
+    # the class table is dotted with those counts.
     domain = combined.domain_points
     S = math.lcm(N, *{p.denominator for p in domain})
     index = {p.numerator * (S // p.denominator): i for i, p in enumerate(domain)}
-    V, table = domain_columns(combined)
     up = S // N
-    columns = [table[index[t * up]] for t in path.ticks]
-    means = [Fraction(sum(row), m * V) for row in zip(*columns)]
+    counts = Counter(index[t * up] for t in path.ticks)
+    V, rows = value_rows(combined)
+    means = [Fraction(sum(row[i] * c for i, c in counts.items()), m * V) for row in rows]
     resolution = Fraction(1, 4)
     dim = gap_dim(combined, resolution)
     return RotationDemoReport(

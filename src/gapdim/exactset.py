@@ -223,12 +223,13 @@ class IntervalUnion:
     __slots__ = ("_den", "_pairs")
 
     def __init__(self, intervals: Iterable[Tuple[RationalLike, RationalLike]] = ()):
-        ends = [(Fraction(lo), Fraction(hi)) for lo, hi in intervals]
-        D = math.lcm(*(x.denominator for pair in ends for x in pair))
-        self._den, self._pairs = _normalized(D, _checked(D, [
-            (lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator))
-            for lo, hi in ends
-        ]))
+        ends = [  # a Fraction or int as it is, anything else through Fraction
+            (x if isinstance(x, (Fraction, int)) else Fraction(x)).as_integer_ratio()
+            for lo, hi in intervals for x in (lo, hi)
+        ]
+        D = math.lcm(*{q for _, q in ends})
+        scaled = iter([p * (D // q) for p, q in ends])
+        self._den, self._pairs = _normalized(D, _checked(D, list(zip(scaled, scaled))))
 
     @classmethod
     def over(cls, D: int, pairs: Iterable[Tuple[int, int]]) -> "IntervalUnion":

@@ -8,20 +8,21 @@ owns it.  A TABULAR function is a table of values on a finite point set,
 the :class:`Domain` that the functions of one class share.  Partitions and
 domains from outside are converted and checked once, when built.
 
-Every quantity of a class is read from its integer value table.  For STEP
-(:func:`refinement`) it is ``(C, cuts, V, rows)``: the cuts of the common
-refinement as integers over C and each function's value per cell as an
-integer over V; for TABULAR (:func:`domain_columns`), every function's
-value at each domain point over one V.  A function is a read-only view of
-its one integer row, its values over W, the lcm of its own value
-denominators (STEP: ``(D, ends, W, vals)``, one value per interval;
-TABULAR: ``(W, vals)``); equality, hashing and ``value_at`` read it.  The
-four STEP generators build the table from integers: n equal cells
-[i/n, (i+1)/n) tile [0, 1) by construction, so C = n, the cuts are 0..n,
-nothing is checked, and the class is born with its table.  Their
-functions' values as Fractions, and the pieces as IntervalUnions, are
-built only when read, as for class JSON.  A class assembled from functions (a class file, a
-subclass) merges its functions' rows into its table on first use.
+Every quantity of a class is read from its integer value table
+(:func:`value_rows`): ``(V, rows)``, one row per function and one value per
+cell, as integers over one V.  The cells of a STEP class are those of its
+common refinement (:func:`refinement` gives ``(C, cuts, V, rows)``, the
+cuts as integers over C); the cells of a TABULAR class are its domain
+points.  A function is a read-only view of its one integer row, its values
+over W, the lcm of its own value denominators (STEP: ``(D, ends, W,
+vals)``, one value per interval; TABULAR: ``(W, vals)``); equality, hashing
+and ``value_at`` read it.  The four STEP generators build the table from
+integers: n equal cells [i/n, (i+1)/n) tile [0, 1) by construction, so
+C = n, the cuts are 0..n, nothing is checked, and the class is born with
+its table.  Their functions' values as Fractions, and the pieces as
+IntervalUnions, are built only when read, as for class JSON.  Any other
+class builds its table from its functions' rows on first use: STEP rows
+merged over the common refinement, TABULAR rows rescaled to V.
 
 For a resolution ``gamma`` the value range splits into K bands
 ``[(k-1)*gamma, k*gamma)`` for k < K and ``[(K-1)*gamma, 1]`` for k = K,
@@ -247,8 +248,8 @@ class FunctionClass:
     """An ordered, finite, non-empty list of functions of one kind.
 
     Classes are immutable, so each holds one integer value table, built once:
-    for STEP the table of :func:`refinement`, for TABULAR ``(V, columns)``,
-    every function's value at each domain point over one V.  A generated
+    for STEP the table of :func:`refinement`, for TABULAR the ``(V, rows)``
+    of :func:`value_rows`.  A generated
     STEP class is born with its table; any other class builds it on first
     use.  The band table of :func:`cell_bands` is kept for the last gamma
     asked.
@@ -333,20 +334,20 @@ def _refine(F: FunctionClass) -> Table:
     return C, cuts, V, rows
 
 
-def domain_columns(F: FunctionClass) -> Tuple[int, List[Tuple[int, ...]]]:
-    """The integer value table of a TABULAR class, built once per class.
-
-    Returns ``(V, columns)``: ``columns[i][fi] == V * F[fi](x_i)`` for the
-    domain points x_0 < x_1 < ... in order, over V, the lcm of every
-    function's W.
-    """
-    if F.kind != TABULAR:
-        raise ValueError("domain_columns are defined for TABULAR classes")
+def value_rows(F: FunctionClass) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """The value table of a class, ``(V, rows)``: ``rows[fi][j]`` is V
+    times the value of F[fi] on cell j.  STEP: ``refinement(F)[2:]``.
+    TABULAR: the cells are the domain points, V is the lcm of every
+    function's W, and the rows are rescaled to V once and kept on the class;
+    a row already over V is shared, not copied."""
+    if F.kind == STEP:
+        return refinement(F)[2:]
     if F._table is None:
         V = math.lcm(*(f._row[0] for f in F.functions))
-        rows = (vals if W == V else [v * (V // W) for v in vals] for W, vals in
-                (f._row for f in F.functions))
-        F._table = V, list(zip(*rows))
+        F._table = V, tuple(
+            vals if W == V else tuple(v * (V // W) for v in vals)
+            for W, vals in (f._row for f in F.functions)
+        )
     return F._table
 
 
@@ -355,29 +356,26 @@ def values_at(
 ) -> Tuple[int, List[Tuple[int, ...]]]:
     """Every function's value at each point, as integers over one denominator.
 
-    Returns ``(V, columns)`` with ``columns[i][fi] == V * F[fi](points[i])``.
-    V is the class's: the V of :func:`refinement` for STEP, the lcm of every
-    function's W for TABULAR.  A STEP point x lies in the refinement cell j
-    with c_j <= floor(x C) < c_j+1, found by one integer bisect; a TABULAR
-    point must be a domain point, whose column the class's table holds.
+    Returns ``(V, columns)`` with ``columns[i][fi] == V * F[fi](points[i])``,
+    read across the rows of :func:`value_rows` at each point's cell.  A
+    STEP point x lies in the refinement cell j with c_j <= floor(x C) <
+    c_j+1, found by one integer bisect; a TABULAR point must be a domain
+    point, and its cell is its position.
     """
     points = [Fraction(x) for x in points]
     if F.kind == STEP:
-        C, cuts, V, rows = refinement(F)
+        C, cuts, _, _ = refinement(F)
         cells = [bisect_right(cuts, x.numerator * C // x.denominator) - 1 for x in points]
         for x, j in zip(points, cells):
             if not 0 <= j < len(cuts) - 1:
                 raise ValueError(f"point {x} outside [0, 1)")
-        return V, [tuple(row[j] for row in rows) for j in cells]
-    V, columns = domain_columns(F)
-    position = F.domain_points.position
-    out = []
-    for x in points:
-        i = position.get(x)
-        if i is None:
-            raise ValueError(f"{x} is not a tabular domain point")
-        out.append(columns[i])
-    return V, out
+    else:
+        cells = list(map(F.domain_points.position.get, points))
+        for x, j in zip(points, cells):
+            if j is None:
+                raise ValueError(f"{x} is not a tabular domain point")
+    V, rows = value_rows(F)
+    return V, [tuple(row[j] for row in rows) for j in cells]
 
 
 def k_of_gamma(gamma: RationalLike) -> int:
@@ -393,9 +391,9 @@ def non_adjacent(k: int, k2: int) -> bool:
 
 
 def cell_bands(F: FunctionClass, gamma: RationalLike) -> Tuple[Tuple[int, ...], ...]:
-    """The band table of a class: each function's band on each cell, the
-    refinement cells of a STEP class (:func:`refinement`) or the domain
-    points of a TABULAR one (:func:`domain_columns`).
+    """The band table of a class: each function's band on each cell of its
+    value table (:func:`value_rows`), a refinement cell of a STEP class or a
+    domain point of a TABULAR one.
 
     ``cell_bands(F, gamma)[fi][j]`` is the band of F[fi] on cell j.  With
     gamma = a / b, the table value v / V lies in band min(v b // (V a) + 1, K),
@@ -405,11 +403,7 @@ def cell_bands(F: FunctionClass, gamma: RationalLike) -> Tuple[Tuple[int, ...], 
     gamma = gamma if isinstance(gamma, Fraction) else Fraction(gamma)
     if F._bands is None or F._bands[0] != gamma:
         K = k_of_gamma(gamma)
-        if F.kind == STEP:
-            _, _, V, rows = refinement(F)
-        else:
-            V, columns = domain_columns(F)
-            rows = list(zip(*columns))
+        V, rows = value_rows(F)
         b, Va = gamma.denominator, V * gamma.numerator
         band = {v: min(v * b // Va + 1, K) for v in set().union(*rows)}
         F._bands = gamma, tuple(tuple(map(band.__getitem__, row)) for row in rows)

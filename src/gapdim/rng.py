@@ -9,7 +9,7 @@ an output divided by 2**53, returned as an exact dyadic ``Fraction`` or as
 its integer numerator (a "tick").
 
 Draws come one at a time (``next_u64``, ``unit_tick``, ``unit_fraction``)
-or in bulk (``u64s``, ``unit_ticks``, and ``unit_words``, which keeps each
+or in bulk, in two forms (``u64s``, and ``unit_words``, which keeps each
 tick k as the 64-bit word k * 2**11, the output with its low 11 bits
 cleared, in one ``array('Q')``: over 2**64 it is the same point k / 2**53),
 and both give one identical stream: n bulk draws return what n per-call
@@ -58,10 +58,10 @@ def _lanes() -> Tuple[int, int, int, int]:
     )
 
 
-def _mix_block(state: int, n: int, shift: int, words: bool = False) -> array:
-    """The outputs after `state` of n <= BLOCK next_u64 calls, each shifted
-    right by `shift` bits, or with its low 11 bits cleared for `words`, as an
-    array of unsigned 64-bit words."""
+def _mix_block(state: int, n: int, words: bool = False) -> array:
+    """The outputs after `state` of n <= BLOCK next_u64 calls, with the low
+    11 bits of each cleared for `words`, as an array of unsigned 64-bit
+    words."""
     ones, mask, word_mask, steps = _lanes()
     out = word_mask if words else mask
     if n < BLOCK:
@@ -70,7 +70,7 @@ def _mix_block(state: int, n: int, shift: int, words: bool = False) -> array:
     z = (state * ones + steps) & mask
     z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
     z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
-    z = ((z ^ (z >> 31)) >> shift) & out
+    z = (z ^ (z >> 31)) & out
     lanes = array("Q", z.to_bytes(16 * n, "little"))
     if sys.byteorder == "big":
         lanes.byteswap()
@@ -102,23 +102,19 @@ class SplitMix64:
 
     def u64s(self, n: int) -> Iterator[int]:
         """The next n ``next_u64()`` outputs, mixed a block at a time."""
-        return chain.from_iterable(self._blocks(n, 0))
-
-    def unit_ticks(self, n: int) -> Iterator[int]:
-        """The next n ``unit_tick()`` draws, mixed a block at a time."""
-        return chain.from_iterable(self._blocks(n, 11))
+        return chain.from_iterable(self._blocks(n))
 
     def unit_words(self, n: int) -> array:
         """The next n ``unit_tick()`` draws k as the words k << 11, which is
         ``next_u64() & ~0x7FF``, in one ``array('Q')``: 8 bytes a draw
         instead of one Python int each, and k / 2**53 = (k << 11) / 2**64."""
         words = array("Q")
-        for block in self._blocks(n, 0, words=True):
+        for block in self._blocks(n, words=True):
             words += block
         return words
 
-    def _blocks(self, n: int, shift: int, words: bool = False) -> Iterator[array]:
-        """n draws in the form ``_mix_block`` gives for (`shift`, `words`),
+    def _blocks(self, n: int, words: bool = False) -> Iterator[array]:
+        """n draws in the form ``_mix_block`` gives for `words`,
         as word arrays of up to BLOCK draws.  The state moves past all n at
         once; each block is mixed when the iterator first reaches it, so
         draws left unread cost nothing."""
@@ -127,6 +123,6 @@ class SplitMix64:
         start = self._state
         self._state = (start + n * GOLDEN_GAMMA) & MASK64
         return (
-            _mix_block((start + k * GOLDEN_GAMMA) & MASK64, min(BLOCK, n - k), shift, words)
+            _mix_block((start + k * GOLDEN_GAMMA) & MASK64, min(BLOCK, n - k), words)
             for k in range(0, n, BLOCK)
         )

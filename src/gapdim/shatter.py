@@ -42,7 +42,7 @@ from .exactset import (
 )
 from .funclass import (
     STEP, TABULAR, FunctionClass, InvalidResolution, SegmentIndexOutOfRange, cell_bands,
-    domain_columns, k_of_gamma, non_adjacent, refinement, segment_of_cells, values_at,
+    k_of_gamma, non_adjacent, refinement, segment_of_cells, value_rows, values_at,
 )
 
 INFINITE_CAP = "INFINITE_CAP"
@@ -156,23 +156,22 @@ def verify_certificate(F: FunctionClass, gamma: RationalLike, cert: ShatterCerti
 def candidate_points(F: FunctionClass) -> List[Fraction]:
     """Canonical candidate points for dimension searches.
 
+    One point per cell of the class's value table (`funclass.value_rows`).
     TABULAR: the shared domain points.  STEP: one interior point (the
     midpoint) per cell of the common refinement of all piece partitions;
     step functions are constant on those cells, so a shattered set can
-    always be moved onto distinct cells.  Points with identical value
-    vectors are collapsed to the leftmost representative, because no
-    (f, alpha) pair can split such a pair and a shattered set never
-    contains two of them.
+    always be moved onto distinct cells.  Points whose cells hold identical
+    value vectors (columns of the table) are collapsed to the leftmost
+    representative, because no (f, alpha) pair can split such a pair and a
+    shattered set never contains two of them.
     """
     if F.kind == TABULAR:
         pts = F.domain_points
-        columns = domain_columns(F)[1]
     else:
-        C, cuts, _, rows = refinement(F)
+        C, cuts, _, _ = refinement(F)
         pts = [Fraction(lo + hi, 2 * C) for lo, hi in zip(cuts, cuts[1:])]
-        columns = zip(*rows)
     out, seen = [], set()
-    for p, vec in zip(pts, columns):
+    for p, vec in zip(pts, zip(*value_rows(F)[1])):
         if vec not in seen:
             seen.add(vec)
             out.append(p)

@@ -322,10 +322,14 @@ def test_segment_partition_exactness():
             assert sum((p.measure for p in ps), F(0)) == 1
             for i, j in combinations(range(len(ps)), 2):
                 assert not ps[i].intersect(ps[j])
+        # each segment as an oracle union, built once per (gamma, band)
+        oracle_parts = {
+            g: [OracleIntervalUnion(fraction_pairs(p)) for p in ps] for g, ps in parts.items()
+        }
         rng = SplitMix64(9_000 + s)
         for _ in range(1000):
             x = rng.unit_fraction()
             v = f.value_at(x)
             for g in gammas:
                 k = oracle_band_of_value(v, g)
-                assert x in OracleIntervalUnion(fraction_pairs(parts[g][k - 1]))
+                assert x in oracle_parts[g][k - 1]

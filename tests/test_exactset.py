@@ -115,6 +115,26 @@ class TestNormalization:
             x in IntervalUnion.full()
 
 
+class TestConstructorEndpoints:
+    """Fraction and int endpoints are read as their integer ratios; any
+    other endpoint goes through Fraction, with its value and its error."""
+
+    @pytest.mark.parametrize("lo,hi", [
+        (F(1, 3), F(2, 3)), (0, 1), (0, F(1, 2)), (False, True), ("1/4", 0.5),
+        (Decimal("0.25"), F(3, 4)), (F(6, 8), 1),
+    ])
+    def test_each_endpoint_is_its_fraction(self, lo, hi):
+        u = IntervalUnion([(lo, hi), (F(1, 7), F(1, 5))])
+        assert_matches(u, OracleIntervalUnion([(F(lo), F(hi)), (F(1, 7), F(1, 5))]))
+
+    @pytest.mark.parametrize("bad", [None, "x", "1/0", float("nan"), [1]])
+    def test_a_bad_endpoint_raises_as_fraction_does(self, bad):
+        with pytest.raises((TypeError, ValueError, ZeroDivisionError)) as expected:
+            F(bad)
+        with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+            IntervalUnion([(0, F(1, 2)), (F(1, 2), bad)])
+
+
 class TestAlgebra:
     @given(interval_unions(), interval_unions())
     @settings(max_examples=100, deadline=None)

@@ -29,16 +29,16 @@ from gapdim.funclass import (
     cell_bands,
     class_from_json,
     class_to_json,
-    domain_columns,
     load_class,
     refinement,
     save_class,
     trajectory_indicators,
+    value_rows,
     values_at,
 )
 from gapdim.exactset import write_json
 from gapdim.rng import SplitMix64
-from gapdim.shatter import join
+from gapdim.shatter import candidate_points, join
 from oracles import (
     OracleIntervalUnion,
     fraction_pairs,
@@ -1047,26 +1047,33 @@ def random_tabular(seed, points, count):
 
 
 class TestTabularValuesAt:
-    """values_at and domain_columns read a TABULAR class's integer columns,
-    never value_at."""
+    """values_at, value_rows, cell_bands and candidate_points read a TABULAR
+    class's integer rows, never value_at."""
 
     @staticmethod
     def check(FC, monkeypatch):
         def refuse(self, x):
-            raise AssertionError("values_at reads the class's integer table")
+            raise AssertionError("a class is read from its integer table")
 
         pts = list(FC.domain_points)
         queries = [pts, pts[::-1], pts[len(pts) // 2:] + pts[:1]]
+        gamma = F(1, 3)
         with monkeypatch.context() as m:
             m.setattr(Function, "value_at", refuse)
             got = [values_at(FC, q) for q in queries]
-            columns = domain_columns(FC)
-        assert got == [oracle_values_at(FC, q) for q in queries]
-        assert columns == got[0]
-
-    def test_domain_columns_reject_step_classes(self):
-        with pytest.raises(ValueError, match="TABULAR"):
-            domain_columns(thresholds(2))
+            V, rows = value_rows(FC)
+            bands = cell_bands(FC, gamma)
+            candidates = candidate_points(FC)
+        expected = [oracle_values_at(FC, q) for q in queries]
+        assert got == expected
+        assert (V, list(zip(*rows))) == got[0]
+        assert bands == tuple(
+            tuple(oracle_band_of_value(F(v, V), gamma) for v in row) for row in rows
+        )
+        leftmost = {}  # each distinct column's first domain point
+        for p, column in zip(pts, expected[0][1]):
+            leftmost.setdefault(column, p)
+        assert candidates == list(leftmost.values())
 
     @pytest.mark.parametrize("p", range(1, 9))
     def test_all_patterns(self, monkeypatch, p):
@@ -1080,6 +1087,47 @@ class TestTabularValuesAt:
     def test_saved_and_loaded_random_class(self, monkeypatch, tmp_path, seed):
         save_class(random_tabular(seed, 7, 20), tmp_path / "class.json")
         self.check(load_class(tmp_path / "class.json"), monkeypatch)
+
+
+class TestValueRows:
+    """value_rows is the one (V, rows) table of both kinds: the refinement
+    rows of a STEP class, each TABULAR function's values rescaled to V."""
+
+    @pytest.mark.parametrize("FC", TABLE_CLASSES, ids=repr)
+    def test_step_rows_are_the_refinement_rows(self, FC):
+        assert value_rows(FC) == refinement(FC)[2:]
+
+    @staticmethod
+    def check(FC):
+        V, rows = value_rows(FC)
+        assert [tuple(F(v, V) for v in row) for row in rows] == [f.values for f in FC]
+        assert all(type(v) is int for row in rows for v in row)
+        assert value_rows(FC) is value_rows(FC)  # kept on the class
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_all_patterns(self, p):
+        FC = all_patterns(p)
+        self.check(FC)
+        assert all(row is f._row[1] for row, f in zip(value_rows(FC)[1], FC))
+
+    def test_trajectory_indicators(self):
+        self.check(trajectory_indicators(F(2, 7) + F(1, 10**6), [F(j, 11) for j in range(1, 4)], 9))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_tabular(self, seed):
+        self.check(random_tabular(seed, 7, 20))
+
+    def test_functions_over_different_denominators(self):
+        pts = [0, F(1, 3), F(1, 2)]
+        FC = FunctionClass([
+            Function.tabular(pts, [F(1, 6), 1, F(1, 4)]),
+            Function.tabular(pts, [0, F(2, 3), F(3, 10)]),
+            Function.tabular(pts, [F(1, 60), 0, 1]),
+        ])
+        self.check(FC)
+        V, rows = value_rows(FC)
+        assert V == 60 and rows == ((10, 60, 15), (0, 40, 18), (1, 0, 60))
+        assert rows[2] is FC[2]._row[1] and rows[0] is not FC[0]._row[1]
 
 
 def built(make, *args):

@@ -20,7 +20,7 @@ def oracle_unit_words(rng, n):
     return [k << 11 for k in oracle_unit_ticks(rng, n)]
 
 
-BULK = {"u64s": oracle_u64s, "unit_ticks": oracle_unit_ticks, "unit_words": oracle_unit_words}
+BULK = {"u64s": oracle_u64s, "unit_words": oracle_unit_words}
 
 
 @pytest.mark.parametrize("kind", sorted(BULK))
@@ -31,7 +31,7 @@ def test_bulk_draws_are_the_per_call_stream(kind, n, seed):
     assert list(getattr(bulk, kind)(n)) == BULK[kind](calls, n)
     # the state left behind: per-call draws, then another bulk draw
     assert oracle_u64s(bulk, 3) == oracle_u64s(calls, 3)
-    assert list(bulk.unit_ticks(5)) == oracle_unit_ticks(calls, 5)
+    assert list(bulk.unit_words(5)) == oracle_unit_words(calls, 5)
     assert bulk.next_u64() == calls.next_u64()
 
 
@@ -46,16 +46,16 @@ def test_per_call_then_bulk_then_per_call(seed):
 def test_state_moves_past_draws_left_unread():
     bulk, calls = SplitMix64(8), SplitMix64(8)
     first = bulk.u64s(2 * BLOCK + 1)
-    second = bulk.unit_ticks(3)
+    second = bulk.unit_words(3)
     head = oracle_u64s(calls, 2 * BLOCK + 1)
-    assert list(second) == oracle_unit_ticks(calls, 3)
+    assert list(second) == oracle_unit_words(calls, 3)
     assert next(first) == head[0]
     assert bulk.next_u64() == calls.next_u64()
 
 
 def test_empty_and_negative_counts():
     rng = SplitMix64(4)
-    assert list(rng.u64s(0)) == [] and list(rng.unit_ticks(0)) == []
+    assert list(rng.u64s(0)) == []
     assert len(rng.unit_words(0)) == 0
     assert rng.next_u64() == SplitMix64(4).next_u64()
     with pytest.raises(ValueError, match="n >= 0"):
@@ -66,7 +66,7 @@ def test_lane_constants_are_built_on_first_bulk_draw():
     code = (
         "import gapdim, gapdim.rng as r\n"
         "before = r._lanes.cache_info().currsize\n"
-        "list(r.SplitMix64(1).unit_ticks(2))\n"
+        "list(r.SplitMix64(1).u64s(2))\n"
         "print(before, r._lanes.cache_info().currsize)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(gapdim.__file__).parents[1])}
