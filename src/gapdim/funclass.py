@@ -360,7 +360,8 @@ def values_at(
     read across the rows of :func:`value_rows` at each point's cell.  A
     STEP point x lies in the refinement cell j with c_j <= floor(x C) <
     c_j+1, found by one integer bisect; a TABULAR point must be a domain
-    point, and its cell is its position.
+    point, and its cell is its position.  `shatter` validates and reads
+    every point it is given here.
     """
     points = [Fraction(x) for x in points]
     if F.kind == STEP:

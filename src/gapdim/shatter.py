@@ -6,7 +6,11 @@ f strictly above alpha + gamma on D0 and strictly below alpha - gamma off
 D0.  The gap dimension at gamma is the largest cardinality of a shattered
 set.  Everything here is decided in exact rational arithmetic, and every
 positive answer is backed by a certificate that can be re-checked
-independently of the search that produced it.
+independently of the search that produced it: `verify_certificate` reads
+the certificate's points off the class table (`funclass.values_at`,
+which also rejects a foreign point) and compares each value with
+alpha -+ gamma on integers.  `tests/oracles.py` keeps the Fraction
+check, `oracle_verify_certificate`, as its reference.
 
 One kernel decides shattering.  `_window_sides` reads the values of a
 point set as integers over one denominator V from `funclass.values_at`
@@ -117,38 +121,35 @@ def _resolution(gamma: RationalLike) -> Fraction:
     return gamma
 
 
-def _check_point(F: FunctionClass, x: Fraction) -> None:
-    if F.kind == TABULAR:
-        if x not in F.domain_points.position:
-            raise MalformedCertificate(f"{x} is not a domain point of the class")
-    elif not (0 <= x < 1):
-        raise MalformedCertificate(f"{x} lies outside [0, 1)")
-
-
 def verify_certificate(F: FunctionClass, gamma: RationalLike, cert: ShatterCertificate) -> bool:
-    """Re-check a certificate in exact arithmetic; boundary ties never pass."""
+    """Re-check a certificate on the class table; boundary ties never pass.
+
+    One `values_at` call reads the values at the points as integers v over
+    one denominator V and rejects a foreign point.  v / V lies above
+    alpha + gamma = n / e iff v e > n V, and likewise below alpha - gamma.
+    Its reference is the Fraction check `oracle_verify_certificate`.
+    """
     gamma = _resolution(gamma)
     d = len(cert.points)
     if d == 0 or len(set(cert.points)) != d:
         raise MalformedCertificate("certificate points must be distinct and non-empty")
-    for x in cert.points:
-        _check_point(F, x)
+    try:
+        V, columns = values_at(F, cert.points)
+    except ValueError as exc:  # a point outside [0, 1), or off the domain
+        raise MalformedCertificate(str(exc)) from None
     # compare sizes first: with many points, 2**d masks are never listed
     if len(cert.selector) != 1 << d or sorted(cert.selector) != list(range(1 << d)):
         raise MalformedCertificate("selector must cover every subset mask exactly once")
     if any(not 0 <= i < len(F) for i in cert.selector.values()):
         raise MalformedCertificate("selector references a function outside the class")
 
-    hi = cert.alpha + gamma
-    lo = cert.alpha - gamma
+    hi, lo = cert.alpha + gamma, cert.alpha - gamma
     for mask, fi in cert.selector.items():
-        f = F[fi]
-        for i, x in enumerate(cert.points):
-            v = f.value_at(x)
+        for i, col in enumerate(columns):
             if (mask >> i) & 1:
-                if not v > hi:
+                if not col[fi] * hi.denominator > hi.numerator * V:
                     return False
-            elif not v < lo:
+            elif not col[fi] * lo.denominator < lo.numerator * V:
                 return False
     return True
 
@@ -258,16 +259,12 @@ def shatters(
     order and splits the whole class by every point of D; the first window
     where every subset mask keeps a function gives the certificate, with
     alpha the window midpoint and, per mask, the lowest function index.
+    A point outside the class's domain raises `values_at`'s ValueError.
     """
     gamma = _resolution(gamma)
     pts = sorted({Fraction(x) for x in D})
     if not pts:
         raise ValueError("cannot shatter the empty set")
-    for x in pts:
-        _check_point(F, x)
-    if len(F) < (1 << len(pts)):
-        return None  # 2**d distinct realizations are needed
-
     levels, scale, sides = _window_sides(F, pts, gamma)
     for w in range(len(levels) - 1):
         groups: Optional[List[int]] = [(1 << len(F)) - 1]

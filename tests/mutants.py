@@ -1,0 +1,171 @@
+"""Mutation check of the exact kernels: can their tests fail?
+
+Each mutant is one ``ast`` edit of one kernel function: a strict
+comparison loosened, two operands swapped, a denominator dropped, an error
+mapping removed.  The script copies ``src``, ``tests`` and
+``pyproject.toml`` to a temporary directory, first runs the kernels' test
+files there on the unmutated code (which must pass), then writes each
+mutant in turn and runs the same files against it.  A mutant is killed
+when a test fails, and survives when they all pass: a survivor is a fault
+the tests cannot see.
+
+Run it from anywhere, on demand; pytest does not collect it and the tier-1
+suite does not run it::
+
+    python tests/mutants.py
+
+It prints one line per mutant, then the number of survivors, and exits 1
+when any mutant survives.  It needs pytest and hypothesis, as the tests
+do, and nothing outside the standard library besides.
+
+Every ``old`` text must occur exactly once in its function, compared as
+syntax trees, so a kernel that changes shape fails here loudly instead of
+leaving a mutant that edits nothing.  A change that adds a kernel adds its
+mutants here.
+"""
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TESTS = ("tests/test_shatter.py", "tests/test_cli.py")  # the kernels' own test files
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # path under src/gapdim
+    function: str  # the function the edit is confined to
+    old: str  # one expression or statement of that function
+    new: str  # what replaces it
+
+
+MUTANTS = [
+    Mutant(
+        "verify_certificate: > for >= at alpha + gamma", "shatter.py", "verify_certificate",
+        "col[fi] * hi.denominator > hi.numerator * V",
+        "col[fi] * hi.denominator >= hi.numerator * V",
+    ),
+    Mutant(
+        "verify_certificate: < for <= at alpha - gamma", "shatter.py", "verify_certificate",
+        "col[fi] * lo.denominator < lo.numerator * V",
+        "col[fi] * lo.denominator <= lo.numerator * V",
+    ),
+    Mutant(
+        "verify_certificate: alpha + gamma swapped with alpha - gamma", "shatter.py",
+        "verify_certificate",
+        "hi, lo = cert.alpha + gamma, cert.alpha - gamma",
+        "hi, lo = cert.alpha - gamma, cert.alpha + gamma",
+    ),
+    Mutant(
+        "verify_certificate: table denominator V dropped", "shatter.py", "verify_certificate",
+        "col[fi] * hi.denominator > hi.numerator * V",
+        "col[fi] * hi.denominator > hi.numerator",
+    ),
+    Mutant(
+        "verify_certificate: denominator of alpha - gamma dropped", "shatter.py",
+        "verify_certificate",
+        "col[fi] * lo.denominator < lo.numerator * V",
+        "col[fi] < lo.numerator * V",
+    ),
+    Mutant(
+        "verify_certificate: a foreign point stays a bare ValueError", "shatter.py",
+        "verify_certificate",
+        "try:\n"
+        "    V, columns = values_at(F, cert.points)\n"
+        "except ValueError as exc:\n"
+        "    raise MalformedCertificate(str(exc)) from None",
+        "V, columns = values_at(F, cert.points)",
+    ),
+    Mutant("_split: lo and hi for lo or hi", "shatter.py", "_split", "lo and hi", "lo or hi"),
+]
+
+
+def parse_fragment(text: str):
+    """One expression, or else a list of statements."""
+    try:
+        return ast.parse(text, mode="eval").body
+    except SyntaxError:
+        return ast.parse(text).body
+
+
+class Edit(ast.NodeTransformer):
+    """Replace every node equal to `old` (as a tree) inside function `name`."""
+
+    def __init__(self, name: str, old: str, new: str):
+        self.name, self.new, self.hits, self.inside = name, new, 0, False
+        old = parse_fragment(old)
+        self.old = ast.dump(old[0] if isinstance(old, list) else old)
+
+    def visit(self, node):
+        if self.inside and ast.dump(node) == self.old:
+            self.hits += 1
+            return parse_fragment(self.new)
+        if isinstance(node, ast.FunctionDef) and node.name == self.name:
+            self.inside = True
+            node = self.generic_visit(node)
+            self.inside = False
+            return node
+        return self.generic_visit(node)
+
+
+def mutated_source(text: str, mutant: Mutant) -> str:
+    edit = Edit(mutant.function, mutant.old, mutant.new)
+    tree = ast.fix_missing_locations(edit.visit(ast.parse(text)))
+    if edit.hits != 1:
+        raise SystemExit(
+            f"mutant {mutant.name!r}: {mutant.old!r} occurs {edit.hits} times "
+            f"in {mutant.module}:{mutant.function}, not once"
+        )
+    return ast.unparse(tree)
+
+
+def run_tests(workdir: Path) -> Tuple[bool, str]:
+    """Whether the test files pass in `workdir`, and the first failure."""
+    env = {**os.environ, "PYTHONPATH": str(workdir / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS],
+        cwd=workdir, env=env, capture_output=True, text=True,
+    )
+    failed = [line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    return done.returncode == 0, (failed or [done.stdout.strip()[-200:]])[0]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="gapdim-mutants-") as tmp:
+        work = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", work)
+        modules = {m.module for m in MUTANTS}
+        originals = {m: (work / "src/gapdim" / m).read_text() for m in modules}
+        # the baseline runs the unparsed, unmutated modules, as the mutants are unparsed
+        for module, text in originals.items():
+            (work / "src/gapdim" / module).write_text(ast.unparse(ast.parse(text)))
+        passed, failure = run_tests(work)
+        if not passed:
+            print(f"the unmutated code fails its tests: {failure}")
+            return 2
+        survivors = []
+        for mutant in MUTANTS:
+            path = work / "src/gapdim" / mutant.module
+            path.write_text(mutated_source(originals[mutant.module], mutant))
+            passed, failure = run_tests(work)
+            path.write_text(ast.unparse(ast.parse(originals[mutant.module])))
+            if passed:
+                survivors.append(mutant)
+                print(f"SURVIVED  {mutant.name}")
+            else:
+                print(f"killed    {mutant.name}  ({failure})")
+        print(f"{len(survivors)} of {len(MUTANTS)} mutants survived")
+        return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -613,6 +613,22 @@ def oracle_values_at(F: FunctionClass, points):
     return V, [tuple(int(oracle_value_at(f, x) * V) for f in F) for x in points]
 
 
+def oracle_verify_certificate(F: FunctionClass, gamma, cert: ShatterCertificate) -> bool:
+    """The Fraction check of a well-formed certificate: per subset mask, the
+    selected function's ``oracle_value_at`` lies strictly above alpha + gamma
+    at the mask's points and strictly below alpha - gamma at the others."""
+    hi, lo = cert.alpha + gamma, cert.alpha - gamma
+    for mask, fi in cert.selector.items():
+        for i, x in enumerate(cert.points):
+            v = oracle_value_at(F[fi], x)
+            if (mask >> i) & 1:
+                if not v > hi:
+                    return False
+            elif not v < lo:
+                return False
+    return True
+
+
 def oracle_integral(f, a, b):
     """The integral of a STEP function over [a, b) from piece measures: each
     piece, intersected as an IntervalUnion with [a, b), weighs its value."""

@@ -226,6 +226,19 @@ class TestInputErrors:
         assert (code, out) == (2, "")
         assert err == f"error: field {field!r}: nested too deeply\n"
 
+    @pytest.mark.parametrize("spec, points, selector, message", [
+        ("thresholds(8)", ["3/2"], {"0": 0, "1": 1}, "point 3/2 outside [0, 1)"),
+        ("all_patterns(2)", ["1/2"], {"0": 0, "1": 1}, "1/2 is not a tabular domain point"),
+        ("thresholds(8)", ["1/2"], {"0": 0}, "selector must cover every subset mask exactly once"),
+        # the point is checked before the selector
+        ("thresholds(8)", ["-1/8"], {"0": 0}, "point -1/8 outside [0, 1)"),
+    ])
+    def test_malformed_certificate(self, capsys, tmp_path, spec, points, selector, message):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({"points": points, "alpha": "1/2", "selector": selector}))
+        got = run_err(capsys, "verify", "--class", spec, "--gamma", "1/4", "--cert", str(path))
+        assert got == (2, "", f"error: field 'cert': {message}\n")
+
     def test_zero_denominator_in_class_file(self, capsys, tmp_path):
         path = tmp_path / "class.json"
         path.write_text(json.dumps({

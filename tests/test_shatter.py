@@ -36,7 +36,9 @@ from oracles import (
     oracle_segment_partition,
     oracle_shatters,
     oracle_shatters_certificate,
+    oracle_value_at,
     oracle_values_at,
+    oracle_verify_certificate,
 )
 
 F = Fraction
@@ -53,6 +55,14 @@ def assert_matches_oracles(
         assert (got.dimension, got.exact) == (want.dimension, want.exact)
         assert cert == (want.certificate and want.certificate.to_json())
     return got
+
+
+# a point outside [0, 1) or off the domain, and the message values_at gives
+FOREIGN_POINTS = [
+    ("thresholds(8)", F(1), r"^point 1 outside \[0, 1\)$"),
+    ("thresholds(8)", F(-1, 8), r"^point -1/8 outside \[0, 1\)$"),
+    ("all_patterns(2)", F(1, 2), r"^1/2 is not a tabular domain point$"),
+]
 
 
 class TestVerifyCertificate:
@@ -94,8 +104,17 @@ class TestVerifyCertificate:
         good = shatters(FC, [a, b], F(1, 4))
         assert verify_certificate(FC, F(1, 4), good)
         foreign = ShatterCertificate((a, (a + b) / 2), F(1, 2), good.selector)
-        with pytest.raises(MalformedCertificate, match="is not a domain point"):
+        with pytest.raises(MalformedCertificate, match="is not a tabular domain point"):
             verify_certificate(FC, F(1, 4), foreign)
+
+    @pytest.mark.parametrize("spec,point,message", FOREIGN_POINTS)
+    def test_foreign_points_keep_the_values_at_wording(self, spec, point, message):
+        FC = generate(spec)
+        # the point check fires before the selector check
+        for selector in ({0: 0, 1: 1, 2: 0, 3: 1}, {0: 0}):
+            cert = ShatterCertificate((F(1, 4), point), F(1, 2), selector)
+            with pytest.raises(MalformedCertificate, match=message):
+                verify_certificate(FC, F(1, 8), cert)
 
     def test_json_round_trip(self, zero_one_class):
         cert = ShatterCertificate((F(1, 2),), F(1, 2), {0: 0, 1: 1})
@@ -118,6 +137,16 @@ class TestShatters:
         FC = thresholds(8)
         assert shatters(FC, [F(1, 8), F(5, 8)], F(1, 4)) is None
         assert not oracle_shatters(FC, [F(1, 8), F(5, 8)], F(1, 4))
+
+    @pytest.mark.parametrize("spec,D,message", [
+        *((spec, [point], message) for spec, point, message in FOREIGN_POINTS),
+        # fewer than 2**d functions: the class cannot shatter D either way
+        ("thresholds(2)", [F(1, 8), F(1), F(5, 8)], r"^point 1 outside \[0, 1\)$"),
+        ("all_patterns(1)", [F(1, 2), F(1, 3)], r"^1/3 is not a tabular domain point$"),
+    ])
+    def test_foreign_point_raises_whatever_the_class_size(self, spec, D, message):
+        with pytest.raises(ValueError, match=message):
+            shatters(generate(spec), D, F(1, 8))
 
     def test_empty_point_set(self, zero_one_class):
         with pytest.raises(ValueError, match="cannot shatter the empty set"):
@@ -517,6 +546,75 @@ class TestWindowDfsMatchesShattersDfs:
         # lattice values at 1/8 and 1/4 steps sit exactly on alpha +- gamma
         FC = random_tabular(seed, n_points=6, n_fns=16 << seed % 3, grid=4 << seed % 2)
         assert_same_search(FC, [F(1, 16), F(1, 8), F(1, 4), F(3, 8)])
+
+
+def margin_alphas(FC, gamma, cert):
+    """The ends of the open interval of levels where the certificate's
+    selector works: there one value meets alpha + gamma or alpha - gamma
+    exactly, and every other comparison still passes."""
+    highs, lows = [], []
+    for mask, fi in cert.selector.items():
+        for i, x in enumerate(cert.points):
+            (highs if (mask >> i) & 1 else lows).append(oracle_value_at(FC[fi], x))
+    return max(lows) + gamma, min(highs) - gamma
+
+
+@st.composite
+def certificates(draw):
+    """A STEP or TABULAR class on a 1/8 lattice, a gamma, and a certificate
+    over its points.  Three draws in four try for an honest one: the
+    Fraction scan's certificate, if the points are shattered, with
+    its alpha or with alpha moved onto a margin; any other has alpha + gamma
+    or alpha - gamma on a value of the class, or alpha on a 1/16 lattice,
+    and a random selector."""
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 6))
+        FC = random_step(seed, pieces=n, grid=8, count=draw(st.integers(2, 24)))
+        # cell midpoints, cuts and points just left of a cut
+        eps = F(1, 10**9)
+        pool = sorted({*candidate_points(FC), *(F(k, n) for k in range(n)),
+                       *(F(k, n) - eps for k in range(1, n + 1))})
+    else:
+        FC = random_tabular(seed, n_fns=draw(st.integers(2, 32)))
+        pool = list(FC.domain_points)
+    points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    gamma = draw(st.sampled_from([F(1, 8), F(1, 5), F(1, 4), F(3, 8), F(3, 2)]))
+    found = draw(st.integers(0, 3)) and oracle_shatters_certificate(FC, points, gamma)
+    if found:
+        cert = ShatterCertificate(*found)
+        alpha = draw(st.sampled_from([cert.alpha, *margin_alphas(FC, gamma, cert)]))
+        return FC, gamma, ShatterCertificate(cert.points, alpha, cert.selector)
+    levels = sorted({v + s for f in FC for v in f.values for s in (-gamma, gamma)})
+    alpha = draw(st.sampled_from(levels) | st.builds(F, st.integers(-16, 32), st.just(16)))
+    selector = {m: draw(st.integers(0, len(FC) - 1)) for m in range(1 << len(points))}
+    return FC, gamma, ShatterCertificate(tuple(points), alpha, selector)
+
+
+class TestVerifyMatchesFractionCheck:
+    """The integer check on the class table returns what the Fraction
+    check per value returns."""
+
+    @given(certificates())
+    @settings(max_examples=200, deadline=None)
+    def test_random_certificates(self, drawn):
+        FC, gamma, cert = drawn
+        assert verify_certificate(FC, gamma, cert) == oracle_verify_certificate(FC, gamma, cert)
+
+    @pytest.mark.parametrize("spec", WINDOW_CORPUS)
+    def test_gap_dim_certificates_and_their_margins(self, spec):
+        FC = generate(spec)
+        for gamma in WINDOW_GAMMAS:
+            cert = gap_dim(FC, gamma).certificate
+            if cert is None:
+                continue
+            assert verify_certificate(FC, gamma, cert)
+            assert oracle_verify_certificate(FC, gamma, cert)
+            # alpha moved onto either margin: a boundary tie, which never passes
+            for alpha in margin_alphas(FC, gamma, cert):
+                tied = ShatterCertificate(cert.points, alpha, cert.selector)
+                assert not verify_certificate(FC, gamma, tied)
+                assert not oracle_verify_certificate(FC, gamma, tied)
 
 
 def assert_join_matches_product(FC, gammas=(F(1, 8), F(1, 5), F(1, 4), F(2, 7))):

@@ -121,7 +121,7 @@ def test_private_attributes_stay_in_their_module():
 
 
 # Kept without a caller: the planned ``itree witness`` command (ROADMAP item
-# 7) runs the tree-to-shattering chain through it.
+# 9) runs the tree-to-shattering chain through it.
 CALLER_ALLOWED = {"maximal_join_from_tree"}
 
 
