@@ -363,7 +363,7 @@ def values_at(
     point, and its cell is its position.  `shatter` validates and reads
     every point it is given here.
     """
-    points = [Fraction(x) for x in points]
+    points = [x if isinstance(x, Fraction) else Fraction(x) for x in points]
     if F.kind == STEP:
         C, cuts, _, _ = refinement(F)
         cells = [bisect_right(cuts, x.numerator * C // x.denominator) - 1 for x in points]
@@ -608,11 +608,15 @@ def full_join_family(L: int, k: int, k2: int, gamma: RationalLike) -> FunctionCl
     return _equal_cells(n_cells, q, rows, name)
 
 
+_INTEGER_TEXT = re.compile(r"-?[0-9]+")
+
+
 def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"expected integer, got {text!r}") from None
+    """An integer in ASCII digits with at most a leading "-", as rationals
+    are written (`parse_rational`): never "+4", "1_0" or other digits."""
+    if not _INTEGER_TEXT.fullmatch(text):
+        raise ValueError(f"expected integer, got {text!r}")
+    return int(text)
 
 
 _GEN_RE = re.compile(r"^\s*([a-z_]+)\s*\((.*)\)\s*$")

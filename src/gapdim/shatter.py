@@ -15,15 +15,16 @@ check, `oracle_verify_certificate`, as its reference.
 One kernel decides shattering.  `_window_sides` reads the values of a
 point set as integers over one denominator V from `funclass.values_at`
 (for a STEP class, the class's integer value table), scales them and
-gamma by 2 lcm(V, den gamma), cuts the alpha axis at the critical levels
+gamma by lcm(V, den gamma), cuts the alpha axis at the critical levels
 f(x) -+ gamma and records, per point and window, which functions lie
-above and below it; `_split` splits groups of functions by one point in
-one window.  `shatters` splits the whole class by every point of D,
-window by window.  The one solver, `gap_dim`, grows only currently-shattered sets of
-candidate points depth first, stops at the counting bound floor(log2 |F|)
-(2**d distinct functions are needed to shatter d points), and carries for
-every window where the current set is still shattered the live functions
-grouped by the subset they realize.  A set shattered at alpha has every
+above and below it.  One step, `_grow`, adds a point: it splits the
+function groups of every live window by the point's sides and keeps the
+windows where every group has functions on both sides.  `shatters` folds
+`_grow` over the points of D from all windows.  The one solver, `gap_dim`,
+grows only currently-shattered sets of candidate points depth first with
+the same step, stops at the counting bound floor(log2 |F|) (2**d distinct
+functions are needed to shatter d points), and carries down the search
+the live windows of the current set.  A set shattered at alpha has every
 subset shattered at the same alpha, so windows only drop out deeper down.
 The winning set's certificate comes from one call of `shatters`.
 `join` reads the same STEP value table, as bands per refinement cell
@@ -115,7 +116,7 @@ class DimResult:
 
 def _resolution(gamma: RationalLike) -> Fraction:
     """gamma as a Fraction; a shattering margin must be positive."""
-    gamma = Fraction(gamma)
+    gamma = gamma if isinstance(gamma, Fraction) else Fraction(gamma)
     if gamma <= 0:
         raise InvalidResolution(f"gamma must be positive, got {gamma}")
     return gamma
@@ -179,31 +180,34 @@ def candidate_points(F: FunctionClass) -> List[Fraction]:
     return out
 
 
+Sides = Tuple[List[int], List[Tuple[int, int]]]  # one point's (keys, pairs)
+Windows = List[Tuple[int, List[int]]]  # live windows in ascending order, with their groups
+
+
 def _window_sides(
     F: FunctionClass, pts: Sequence[Fraction], gamma: Fraction
-) -> Tuple[List[int], int, List[Tuple[List[int], List[Tuple[int, int]]]]]:
+) -> Tuple[List[int], int, List[Sides]]:
     """Alpha windows over `pts`, and per point who is above and below.
 
     `funclass.values_at` gives the values at `pts` as integers over one
-    denominator V; they and gamma are scaled to integers over twice
-    lcm(V, den gamma), so every critical level v - g, v + g is even and
-    every window midpoint exact.  Any common multiple gives the same
-    windows, so the certificate's alpha does not depend on V.  The sorted
-    critical levels of all (function, point) values cut the alpha axis, and
-    window w is the open gap between levels w and w + 1.  The
-    above/below/blocked pattern of every pair is constant inside a window,
-    so the windows are exhaustive over all real alpha: below the lowest
-    level every function is above every point and above the highest level
-    below it, and neither shatters a point.  Function f is above x
-    throughout window w iff w < idx(v - g) and below x iff w >= idx(v + g).
-    Returns the levels, the scale and, per point, the sorted windows where
-    its sides change (`keys`) and the (above, below) bitmasks over F in
-    force from each key on: window w reads `pairs[bisect_right(keys, w)]`.
-    So the table holds at most two keys per (function, point), however many
-    windows there are.
+    denominator V; they and gamma are scaled to integers over
+    lcm(V, den gamma).  Any common multiple gives the same windows, so the
+    certificate's alpha, the midpoint (l_w + l_w+1) / (2 scale), does not
+    depend on V.  The sorted critical levels of all (function, point)
+    values cut the alpha axis, and window w is the open gap between levels
+    w and w + 1.  The above/below/blocked pattern of every pair is constant
+    inside a window, so the windows are exhaustive over all real alpha:
+    below the lowest level every function is above every point and above
+    the highest level below it, and neither shatters a point.  Function f
+    is above x throughout window w iff w < idx(v - g) and below x iff
+    w >= idx(v + g).  Returns the levels, the scale and, per point, the
+    sorted windows where its sides change (`keys`) and the (above, below)
+    bitmasks over F in force from each key on: window w reads
+    `pairs[bisect_right(keys, w)]`.  So the table holds at most two keys
+    per (function, point), however many windows there are.
     """
     V, columns = values_at(F, pts)
-    scale = 2 * lcm(V, gamma.denominator)
+    scale = lcm(V, gamma.denominator)
     g = gamma.numerator * scale // gamma.denominator
     columns = [[v * (scale // V) for v in col] for col in columns]
     levels = sorted({v + s for col in columns for v in col for s in (-g, g)})
@@ -228,26 +232,29 @@ def _window_sides(
     return levels, scale, sides
 
 
-def _split(
-    groups: List[int], side: Tuple[List[int], List[Tuple[int, int]]], w: int
-) -> Optional[List[int]]:
-    """Split every function group by one point's sides in window w.
+def _grow(state: Windows, side: Sides) -> Windows:
+    """Add one point: split every window's groups by the point's sides.
 
-    Returns the parts below the point, then the parts above it, so after
-    splitting by points 0..i-1 group m holds the functions realizing mask m
-    (bit i set: above point i).  Functions within the margin of the point
-    drop out.  None when some group has no function on one side.
+    After points 0..i-1, group m of a window holds the functions realizing
+    mask m (bit i set: above point i).  The parts below the new point come
+    first, then the parts above it; functions within its margin drop out.
+    Only the windows where every group has functions on both sides are
+    kept, in the order given.
     """
     keys, pairs = side
-    above, below = pairs[bisect_right(keys, w)]
-    lows, highs = [], []
-    for group in groups:
-        lo, hi = group & below, group & above
-        if not (lo and hi):
-            return None
-        lows.append(lo)
-        highs.append(hi)
-    return lows + highs
+    grown = []
+    for w, groups in state:
+        above, below = pairs[bisect_right(keys, w)]
+        lows, highs = [], []
+        for group in groups:
+            lo, hi = group & below, group & above
+            if not (lo and hi):
+                break
+            lows.append(lo)
+            highs.append(hi)
+        else:
+            grown.append((w, lows + highs))
+    return grown
 
 
 def shatters(
@@ -255,28 +262,25 @@ def shatters(
 ) -> Optional[ShatterCertificate]:
     """Search for a level alpha shattering D; return a certificate or None.
 
-    Sweeps the windows of `_window_sides` over D's own points in ascending
-    order and splits the whole class by every point of D; the first window
-    where every subset mask keeps a function gives the certificate, with
-    alpha the window midpoint and, per mask, the lowest function index.
-    A point outside the class's domain raises `values_at`'s ValueError.
+    Starts from every window of `_window_sides` over D's own points and
+    folds `_grow` over them.  The lowest window left gives the certificate:
+    alpha is its midpoint and, per mask, the lowest function index.  A
+    point outside the class's domain raises `values_at`'s ValueError.
     """
     gamma = _resolution(gamma)
-    pts = sorted({Fraction(x) for x in D})
+    pts = sorted({x if isinstance(x, Fraction) else Fraction(x) for x in D})
     if not pts:
         raise ValueError("cannot shatter the empty set")
     levels, scale, sides = _window_sides(F, pts, gamma)
-    for w in range(len(levels) - 1):
-        groups: Optional[List[int]] = [(1 << len(F)) - 1]
-        for side in sides:
-            groups = _split(groups, side, w)
-            if groups is None:
-                break
-        else:
-            selector = {m: (g & -g).bit_length() - 1 for m, g in enumerate(groups)}
-            alpha = Fraction(levels[w] + levels[w + 1], 2 * scale)
-            return ShatterCertificate(tuple(pts), alpha, selector)
-    return None
+    state = [(w, [(1 << len(F)) - 1]) for w in range(len(levels) - 1)]
+    for side in sides:
+        state = _grow(state, side)
+        if not state:
+            return None
+    w, groups = state[0]
+    selector = {m: (g & -g).bit_length() - 1 for m, g in enumerate(groups)}
+    alpha = Fraction(levels[w] + levels[w + 1], 2 * scale)
+    return ShatterCertificate(tuple(pts), alpha, selector)
 
 
 def gap_dim(F: FunctionClass, gamma: RationalLike, cap: int = 20) -> DimResult:
@@ -286,9 +290,8 @@ def gap_dim(F: FunctionClass, gamma: RationalLike, cap: int = 20) -> DimResult:
     without exhausting the candidates reports INFINITE_CAP instead of a
     number.  The search extends sets depth first in ascending point order
     and keeps the first set reaching a new size, so the result is the
-    lexicographically least shattered set of the largest size.  A state
-    holds, per window where the prefix is shattered, the 2**d groups of
-    live functions (bitmasks over F) that realize its subset masks.
+    lexicographically least shattered set of the largest size.  Each node
+    holds the live windows of its set, and `_grow` gives a child's.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -300,17 +303,12 @@ def gap_dim(F: FunctionClass, gamma: RationalLike, cap: int = 20) -> DimResult:
     levels, _, sides = _window_sides(F, pts, gamma)
     best_set: List[int] = []
 
-    def extend(prefix: List[int], state: List[Tuple[int, List[int]]]) -> None:
+    def extend(prefix: List[int], state: Windows) -> None:
         nonlocal best_set
         for nxt in range(prefix[-1] + 1 if prefix else 0, n):
             if len(best_set) >= limit:
                 return
-            side = sides[nxt]
-            grown = []
-            for w, groups in state:
-                parts = _split(groups, side, w)
-                if parts is not None:
-                    grown.append((w, parts))
+            grown = _grow(state, sides[nxt])
             if not grown:
                 continue
             cand = prefix + [nxt]

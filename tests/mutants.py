@@ -82,7 +82,19 @@ MUTANTS = [
         "    raise MalformedCertificate(str(exc)) from None",
         "V, columns = values_at(F, cert.points)",
     ),
-    Mutant("_split: lo and hi for lo or hi", "shatter.py", "_split", "lo and hi", "lo or hi"),
+    Mutant("_grow: lo and hi for lo or hi", "shatter.py", "_grow", "lo and hi", "lo or hi"),
+    Mutant(
+        "_grow: the parts above the point put first", "shatter.py", "_grow",
+        "lows + highs", "highs + lows",
+    ),
+    Mutant(
+        "_window_sides: a function stops being above at v + g", "shatter.py", "_window_sides",
+        "index[v - g]", "index[v + g]",
+    ),
+    Mutant(
+        "gap_dim: a later set of the best size replaces the first", "shatter.py", "gap_dim",
+        "len(cand) > len(best_set)", "len(cand) >= len(best_set)",
+    ),
 ]
 
 

@@ -832,6 +832,11 @@ class TestMalformedInput:
         code, out, err = run_main("dim", "--class", str(path), "--gamma", "1/4")
         assert (code, out, err) == (2, "", f"error: field 'class': {message}\n")
 
+    def test_generator_integers_are_canonical(self):
+        # int() would read "1_0" as 10; a spec's integers are written as its rationals are
+        code, out, err = run_main("dim", "--class", "thresholds(1_0)", "--gamma", "1/4")
+        assert (code, out, err) == (2, "", "error: field 'class': expected integer, got '1_0'\n")
+
     @pytest.mark.parametrize(
         "kind,doc,message",
         [

@@ -234,6 +234,10 @@ class TestGenerators:
             ("random_step(x)", "expected integer, got 'x'"),
             ("random_step(1,2)", "wrong arguments in 'random_step(1,2)'"),
             ("full_join_family(1,1,3,x)", "cannot parse rational 'x'"),
+            # integers are canonical, as rationals are: int() would take all three
+            ("thresholds(1_0)", "expected integer, got '1_0'"),
+            ("thresholds(+4)", "expected integer, got '+4'"),
+            ("thresholds(\u0664)", "expected integer, got '\u0664'"),
         ],
     )
     def test_arguments_parse_in_spec_order(self, spec, message):
@@ -463,6 +467,15 @@ class TestTableMatchesFractionRefinement:
         assert values_at(FC, [F(1, 2), 0]) == (60, [(15, 18), (10, 0)])
         with pytest.raises(ValueError, match="not a tabular domain point"):
             values_at(FC, [F(1, 4)])
+
+    def test_fraction_points_build_no_fraction(self, fractions_built):
+        step, tabular = thresholds(4), all_patterns(3)
+        value_rows(step), value_rows(tabular)  # both tables exist beforehand
+        queries = [(step, [F(1, 8), F(5, 8)]), (tabular, list(tabular.domain_points))]
+        fractions_built.clear()
+        for FC, pts in queries:
+            values_at(FC, pts)
+        assert fractions_built == []
 
 
 class TestStepRow:
