@@ -64,6 +64,7 @@ from .funclass import (
     refinement,
     trajectory_indicators,
     value_rows,
+    values_at,
 )
 from .rng import TWO53, SplitMix64
 from .shatter import DimResult, gap_dim
@@ -452,9 +453,10 @@ def _binned_counts(
 
 def pointwise_discrepancy(f: Function, path: SamplePath) -> Fraction:
     """|sample mean - expectation| of a single function on a path."""
-    ef = expectation(FunctionClass([f]), path.spec)[0]
-    mean = sum((f.value_at(x) for x in path.values), ZERO) / len(path)
-    return abs(mean - ef)
+    F = FunctionClass([f])
+    ef = expectation(F, path.spec)[0]  # rejects a TABULAR function
+    V, columns = values_at(F, path.values)
+    return abs(Fraction(sum(column[0] for column in columns), V * len(path)) - ef)
 
 
 def _discrepancies(

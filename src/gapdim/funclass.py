@@ -15,8 +15,8 @@ common refinement (:func:`refinement` gives ``(C, cuts, V, rows)``, the
 cuts as integers over C); the cells of a TABULAR class are its domain
 points.  A function is a read-only view of its one integer row, its values
 over W, the lcm of its own value denominators (STEP: ``(D, ends, W,
-vals)``, one value per interval; TABULAR: ``(W, vals)``); equality, hashing
-and ``value_at`` read it.  The four STEP generators build the table from
+vals)``, one value per interval; TABULAR: ``(W, vals)``); equality and
+hashing read it.  The four STEP generators build the table from
 integers: n equal cells [i/n, (i+1)/n) tile [0, 1) by construction, so
 C = n, the cuts are 0..n, nothing is checked, and the class is born with
 its table.  Their functions' values as Fractions, and the pieces as
@@ -41,6 +41,7 @@ all read that one table.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from bisect import bisect_right
@@ -151,7 +152,8 @@ class Function:
     A function is a read-only view of its integer row: ``(D, ends, W, vals)``
     for STEP, ``(W, vals)`` over its domain for TABULAR, with W the lcm of
     its value denominators.  Its values as Fractions are kept when it is
-    built from them, and otherwise built from the row when first read.
+    built from them, and otherwise built from the row when first read; its
+    value at a point is read by :func:`values_at` on a class holding it.
     """
 
     __slots__ = ("kind", "pieces", "points", "_values", "_row")
@@ -204,21 +206,6 @@ class Function:
             W, vals = self._row[-2:]
             self._values = tuple(Fraction(v, W) for v in vals)
         return self._values
-
-    def value_at(self, x: RationalLike) -> Fraction:
-        x = Fraction(x)
-        if self.kind == STEP:
-            D, ends, W, vals = self._row
-            # x < hi iff floor(x * D) < hi * D, since hi * D is an integer
-            i = bisect_right(ends, x.numerator * D // x.denominator)
-            if x.numerator < 0 or i == len(ends):
-                raise ValueError(f"point {x} outside [0, 1)")
-        else:
-            W, vals = self._row
-            i = self.points.position.get(x)
-            if i is None:
-                raise ValueError(f"{x} is not a tabular domain point")
-        return Fraction(vals[i], W)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Function) and (
@@ -734,7 +721,10 @@ def class_from_json(doc: dict) -> FunctionClass:
             fns.append(Function.tabular(domain, [parse_rational(v) for v in values]))
     else:
         raise ValueError(f"unknown class kind {kind!r}")
-    return FunctionClass(fns, doc.get("name", ""))
+    name = doc.get("name", "")
+    if type(name) is not str:
+        raise ValueError(f"name must be a string, got {json.dumps(name)}")
+    return FunctionClass(fns, name)
 
 
 def save_class(F: FunctionClass, path) -> None:

@@ -59,7 +59,11 @@ class CompleteTree:
         self.depth = depth
         self.labels: Dict[int, Label] = dict(labels or {})
         self.sets: Dict[int, IntervalUnion] = dict(sets or {})
-        for t in list(self.labels) + list(self.sets):
+        self._check_nodes(depth, [*self.labels, *self.sets])
+
+    @staticmethod
+    def _check_nodes(depth: int, nodes: Iterable[int]) -> None:
+        for t in nodes:
             # the nodes are 1 .. 2**(depth+1) - 1: at most depth + 1 bits
             if t < 1 or t.bit_length() > depth + 1:
                 raise ValueError(f"node {t} outside the tree")
@@ -107,10 +111,11 @@ class CompleteTree:
         """The tree of a JSON document, read node by node in file order.
         Each distinct payload text is parsed once, and the nodes that repeat
         it share the one immutable union."""
-        labels, sets = {}, {}
+        labels, sets, keys = {}, {}, []
         unions: Dict[str, IntervalUnion] = {}
         for key, entry in json_object(doc.get("nodes", {}), "nodes").items():
             t = json_key(key, "node")
+            keys.append(t)
             entry = json_object(entry, f"node {key}")
             if entry.get("label") is not None:
                 label = json_list(entry["label"], "label")
@@ -122,7 +127,9 @@ class CompleteTree:
                 sets[t] = unions[text]
             elif text is not None:  # from_text names a value that is no string
                 sets[t] = unions[text] = IntervalUnion.from_text(text)
-        return cls(json_int(doc["depth"], "depth"), labels, sets)
+        tree = cls(json_int(doc["depth"], "depth"), labels, sets)
+        cls._check_nodes(tree.depth, keys)  # a node without data must lie in the tree too
+        return tree
 
     def save(self, path) -> None:
         write_json(self.to_json(), path)

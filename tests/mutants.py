@@ -34,7 +34,8 @@ from pathlib import Path
 from typing import NamedTuple, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
-TESTS = ("tests/test_shatter.py", "tests/test_cli.py")  # the kernels' own test files
+# the kernels' own test files
+TESTS = ("tests/test_shatter.py", "tests/test_cli.py", "tests/test_funclass.py")
 
 
 class Mutant(NamedTuple):
@@ -94,6 +95,31 @@ MUTANTS = [
     Mutant(
         "gap_dim: a later set of the best size replaces the first", "shatter.py", "gap_dim",
         "len(cand) > len(best_set)", "len(cand) >= len(best_set)",
+    ),
+    Mutant(
+        "values_at: a point read one cell to the right", "funclass.py", "values_at",
+        "bisect_right(cuts, x.numerator * C // x.denominator) - 1",
+        "bisect_right(cuts, x.numerator * C // x.denominator)",
+    ),
+    Mutant(
+        "values_at: the point 1 taken into the last cell", "funclass.py", "values_at",
+        "0 <= j < len(cuts) - 1", "0 <= j <= len(cuts) - 1",
+    ),
+    Mutant(
+        "values_at: the ceiling of x * C for its floor", "funclass.py", "values_at",
+        "x.numerator * C // x.denominator", "-(-x.numerator * C // x.denominator)",
+    ),
+    Mutant(
+        "cell_bands: the value 1 put in band K + 1", "funclass.py", "cell_bands",
+        "min(v * b // Va + 1, K)", "v * b // Va + 1",
+    ),
+    Mutant(
+        "cell_bands: every band moved one lower", "funclass.py", "cell_bands",
+        "v * b // Va + 1", "v * b // Va",
+    ),
+    Mutant(
+        "_refine: a cell valued by the piece left of it", "funclass.py", "_refine",
+        "bisect_right(ends, c)", "bisect_right(ends, c) - 1",
     ),
 ]
 

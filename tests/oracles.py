@@ -108,7 +108,7 @@ def oracle_shatters(F: FunctionClass, points, gamma) -> bool:
     windows = {mask: [] for mask in range(1 << d)}
     endpoints = set()
     for f in F.functions:
-        vals = [f.value_at(x) for x in pts]
+        vals = [oracle_value_at(f, x) for x in pts]
         for mask in range(1 << d):
             inside = [v for i, v in enumerate(vals) if (mask >> i) & 1]
             outside = [v for i, v in enumerate(vals) if not (mask >> i) & 1]
@@ -140,8 +140,8 @@ def oracle_shatters(F: FunctionClass, points, gamma) -> bool:
 
 
 def _value_table(F: FunctionClass, points):
-    """Per point, every function's value there, by ``value_at``."""
-    return {x: [f.value_at(x) for f in F.functions] for x in points}
+    """Per point, every function's value there, by ``oracle_value_at``."""
+    return {x: [oracle_value_at(f, x) for f in F.functions] for x in points}
 
 
 def _scan(table, points, gamma):
@@ -229,7 +229,7 @@ def _dim_result(F: FunctionClass, gamma, cap, n, log_bound, best, cert) -> DimRe
 def oracle_naive_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
     """The subset-by-subset search: by increasing size, the first shattered
     subset of the candidates in ``combinations`` order, each decided by the
-    Fraction scan over one ``value_at`` table, under the same cap and
+    Fraction scan over one ``oracle_value_at`` table, under the same cap and
     counting bound as ``gap_dim``.
 
     Stops at the first size with no shattered subset, since supersets of
@@ -252,7 +252,7 @@ def oracle_naive_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
 
 def oracle_pruned_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
     """The depth-first search deciding every extension by the Fraction scan
-    over one ``value_at`` table.
+    over one ``oracle_value_at`` table.
 
     Grows shattered sets in ascending candidate order and keeps the first
     certificate reaching a new size, under the same cap and counting bound
@@ -548,11 +548,11 @@ def oracle_sample_path(spec, m: int, seed: int):
 def oracle_refinement(F: FunctionClass):
     """Common refinement of a STEP class in Fractions: the sorted cuts
     (every piece endpoint of every function) and, per function, its
-    ``value_at`` the left end of each cell."""
+    ``oracle_value_at`` the left end of each cell."""
     cuts = sorted({
         x for f in F.functions for piece in f.pieces for iv in fraction_pairs(piece) for x in iv
     })
-    return cuts, [tuple(f.value_at(lo) for lo in cuts[:-1]) for f in F.functions]
+    return cuts, [tuple(oracle_value_at(f, lo) for lo in cuts[:-1]) for f in F.functions]
 
 
 def oracle_class_means(F: FunctionClass, values):
@@ -580,29 +580,39 @@ def oracle_binned_counts(ticks, thresholds, lengths):
         yield [counts[j] for j in range(len(thresholds) + 1)]
 
 
-_PIECE_UNIONS = {}  # id(f) -> (f, its pieces as OracleIntervalUnions beside their values)
+_PIECE_UNIONS = {}  # id(f) -> (f, its piece intervals beside their values, values found)
 
 
 def oracle_pieces(f):
-    """f's STEP pieces as ``OracleIntervalUnion``s beside their values, built
-    once per function: the entry holds f, so its id is not reused while the
-    entry lasts."""
+    """The intervals of f's STEP pieces, each merged as an
+    ``OracleIntervalUnion``, beside their values, and a dict of f's values
+    found so far by point, built once per function: the entry holds f, so
+    its id is not reused while the entry lasts."""
     entry = _PIECE_UNIONS.get(id(f))
     if entry is None:
         if len(_PIECE_UNIONS) >= 256:
             _PIECE_UNIONS.clear()
-        unions = [OracleIntervalUnion(fraction_pairs(piece)) for piece in f.pieces]
-        entry = _PIECE_UNIONS[id(f)] = f, list(zip(unions, f.values))
-    return entry[1]
+        intervals = [
+            (lo, hi, v)
+            for piece, v in zip(f.pieces, f.values)
+            for lo, hi in OracleIntervalUnion(fraction_pairs(piece))
+        ]
+        entry = _PIECE_UNIONS[id(f)] = f, intervals, {}
+    return entry[1:]
 
 
 def oracle_value_at(f, x):
-    """The value of the STEP piece that contains x, by ``OracleIntervalUnion``
-    membership, or of the TABULAR domain point equal to x, by a scan; None
-    when there is none (x outside [0, 1), or off the domain)."""
+    """The value of the STEP piece that contains x, by a scan of the pieces'
+    ``OracleIntervalUnion`` intervals, or of the TABULAR domain point equal
+    to x, by a scan; None when there is none (x outside [0, 1), or off the
+    domain).  A STEP function's value at a point is looked up once, then
+    kept: the solver oracles ask for the same points at every gamma."""
     if f.kind == TABULAR:
         return next((v for p, v in zip(f.points, f.values) if p == x), None)
-    return next((v for piece, v in oracle_pieces(f) if x in piece), None)
+    intervals, found = oracle_pieces(f)
+    if x not in found:
+        found[x] = next((v for lo, hi, v in intervals if lo <= x < hi), None)
+    return found[x]
 
 
 def oracle_values_at(F: FunctionClass, points):

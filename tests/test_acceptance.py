@@ -40,8 +40,8 @@ from gapdim.rng import SplitMix64
 from gapdim.shatter import candidate_points
 from oracles import (
     OracleIntervalUnion, fraction_pairs, is_host_ancestor, oracle_band_of_value,
-    oracle_max_uniform_depth, oracle_naive_gap_dim, oracle_pruned_gap_dim, randbelow,
-    subadditivity_check,
+    oracle_max_uniform_depth, oracle_naive_gap_dim, oracle_pruned_gap_dim, oracle_value_at,
+    randbelow, subadditivity_check,
 )
 
 F = Fraction
@@ -329,7 +329,7 @@ def test_segment_partition_exactness():
         rng = SplitMix64(9_000 + s)
         for _ in range(1000):
             x = rng.unit_fraction()
-            v = f.value_at(x)
+            v = oracle_value_at(f, x)
             for g in gammas:
                 k = oracle_band_of_value(v, g)
                 assert x in oracle_parts[g][k - 1]

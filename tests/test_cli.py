@@ -15,7 +15,7 @@ from gapdim import (
     full_join_family, gap_dim, intersection_tree_build, join_shatter, parse_rational, thresholds
 )
 from gapdim.cli import COMMANDS, _parser, main
-from gapdim.funclass import class_to_json, generate, save_class
+from gapdim.funclass import class_to_json, generate, load_class, save_class
 from gapdim.shatter import ShatterCertificate
 from oracles import oracle_constant, oracle_dumps
 
@@ -1005,6 +1005,36 @@ class TestJsonIntegersAndTreeFaults:
                 doc["nodes"]["2"]["label"] = [2, 3]
         code, out, err = run_main(*self.VERIFY_TREE, self.write(tmp_path, doc))
         assert (code, out, err) == (2, "", f"error: field 'tree': {message}\n")
+
+    @pytest.mark.parametrize("key", ["999", "0", "-3"])
+    def test_a_node_without_data_outside_the_tree_is_refused(self, tmp_path, key):
+        doc = intersection_tree_build(
+            full_join_family(2, 1, 3, Fraction(1, 5)), Fraction(1, 5), 3
+        ).tree.to_json()
+        path = self.write(tmp_path, doc)
+        verify = ("itree", "verify", "--class", TREE_CLASS, "--gamma", "1/5",
+                  "--functions", "0,1,2", "--tree", path)
+        subtree = ("subtree", "--K", "5", "--tree", path)
+        assert [run_main(*argv)[0] for argv in (verify, subtree)] == [0, 0]
+        doc["nodes"][key] = {"label": None, "set": None}
+        self.write(tmp_path, doc)
+        message = f"error: field 'tree': node {key} outside the tree\n"
+        for argv in (verify, subtree):
+            assert run_main(*argv) == (2, "", message)
+
+    @pytest.mark.parametrize("doc", [class_to_json(generate(TREE_CLASS)), TABULAR_DOC],
+                             ids=["step", "tabular"])
+    def test_a_class_name_must_be_a_string(self, tmp_path, doc):
+        argv = ("dim", "--class", str(tmp_path / "input.json"), "--gamma", "1/5")
+        for name, shown in [(5, "5"), (["x"], '["x"]')]:
+            self.write(tmp_path, {**doc, "name": name})
+            code, out, err = run_main(*argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: field 'class': name must be a string, got {shown}\n"
+        self.write(tmp_path, {key: value for key, value in doc.items() if key != "name"})
+        code, out, err = run_main(*argv)
+        assert (code, err) == (0, "")
+        assert load_class(tmp_path / "input.json").name == ""
 
     @pytest.mark.parametrize("text", ["[0/1,1/2", "[0/1,1/2))", "[0/1,1/4),[1/2,3/4"])
     def test_malformed_payload_text_names_the_tree(self, tmp_path, text):

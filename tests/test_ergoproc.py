@@ -35,11 +35,12 @@ from gapdim.ergoproc import (
     pointwise_discrepancy,
 )
 from gapdim.cli import main
-from gapdim.funclass import full_join_family, load_class, random_step, refinement
+from gapdim.funclass import full_join_family, load_class, random_step, refinement, save_class
 from gapdim.rng import BLOCK, SplitMix64
 from oracles import (
     InvalidSplit,
     frac_mod1,
+    fraction_pairs,
     oracle_binned_counts,
     oracle_class_means,
     oracle_constant,
@@ -50,6 +51,7 @@ from oracles import (
     oracle_sample_path,
     oracle_stationary,
     oracle_unit_ticks,
+    oracle_value_at,
     randbelow,
     sample_path_of,
     split_path,
@@ -387,6 +389,61 @@ class TestDiscrepancy:
         assert max(per_function_discrepancies(small, path)) <= max(
             per_function_discrepancies(big, path)
         )
+
+
+# Pieces that are unions of several intervals, one of them empty, with cuts
+# at 1/2 (where markov_on_cuts emits a point) and at 1/3 and 5/7 (the ends
+# of its uniform emission).
+MULTI_INTERVAL_PIECES = [
+    ([[(0, F(1, 5)), (F(2, 3), 1)], [(F(1, 5), F(2, 3))]], [F(1, 3), F(5, 8)]),
+    (
+        [[(0, F(1, 7)), (F(3, 7), F(1, 2)), (F(6, 7), 1)], [],
+         [(F(1, 7), F(3, 7)), (F(1, 2), F(6, 7))]],
+        [F(1, 2), F(1), F(1, 9)],
+    ),
+    (
+        [[(0, F(1, 3)), (F(5, 7), F(4, 5))], [(F(1, 3), F(1, 2)), (F(4, 5), 1)],
+         [(F(1, 2), F(5, 7))]],
+        [F(0), F(7, 11), F(1)],
+    ),
+]
+
+
+class TestPointwiseDiscrepancy:
+    """pointwise_discrepancy reads a path's values by one values_at call on
+    the function's class of one, and agrees with the class-level count."""
+
+    @pytest.fixture
+    def reloaded(self, tmp_path):
+        FC = FunctionClass([
+            Function.step([IntervalUnion(pairs) for pairs in pieces], values)
+            for pieces, values in MULTI_INTERVAL_PIECES
+        ], "multi")
+        save_class(FC, tmp_path / "multi.json")
+        return load_class(tmp_path / "multi.json")
+
+    @pytest.mark.parametrize(
+        "spec", [IIDUniformSpec(), RotationSpec(theta=F(2, 7)), markov_on_cuts(), markov3()],
+        ids=["iid", "rotation", "markov_on_cuts", "markov3"],
+    )
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_saved_class_matches_the_class_discrepancies(self, reloaded, spec, seed):
+        assert [len(fraction_pairs(piece)) for piece in reloaded[1].pieces] == [3, 0, 2]
+        path = sample_path(spec, 400, seed)
+        per = [pointwise_discrepancy(f, path) for f in reloaded]
+        assert per == per_function_discrepancies(reloaded, path)
+        values = path.values
+        assert per == [
+            abs(sum((oracle_value_at(f, x) for x in values), F(0)) / len(values)
+                - oracle_expectation(f, spec))
+            for f in reloaded
+        ]
+
+    def test_tabular_function_is_rejected(self):
+        f = Function.tabular([F(1, 4), F(1, 2)], [0, 1])
+        path = sample_path_of((F(1, 4), F(1, 2)), 0, IIDUniformSpec())
+        with pytest.raises(ValueError, match="expectations need a STEP class"):
+            pointwise_discrepancy(f, path)
 
 
 class TestSubadditivity:

@@ -147,7 +147,7 @@ class TestSegmentPartition:
         rng = SplitMix64(5)
         for _ in range(200):
             x = rng.unit_fraction()
-            k = oracle_band_of_value(ramp8.value_at(x), gamma)
+            k = oracle_band_of_value(oracle_value_at(ramp8, x), gamma)
             hits = [
                 i + 1 for i, p in enumerate(parts) if x in OracleIntervalUnion(fraction_pairs(p))
             ]
@@ -165,9 +165,9 @@ class TestGenerators:
     def test_thresholds_size_and_shape(self):
         FC = thresholds(4)
         assert len(FC) == 4
-        assert FC[0].value_at(F(1, 2)) == 1
-        assert FC[0].value_at(F(1, 8)) == 0
-        assert all(FC[3].value_at(F(i, 8)) == 0 for i in range(8))
+        assert oracle_value_at(FC[0], F(1, 2)) == 1
+        assert oracle_value_at(FC[0], F(1, 8)) == 0
+        assert all(oracle_value_at(FC[3], F(i, 8)) == 0 for i in range(8))
 
     def test_interval_indicators_count(self):
         assert len(interval_indicators(3)) == 6
@@ -363,7 +363,7 @@ class TestTabularSegments:
             for i, f in enumerate(FC.functions):
                 parts = segment_partition(FC, i, gamma)
                 for x in FC.domain_points:
-                    k = oracle_band_of_value(f.value_at(x), gamma)
+                    k = oracle_band_of_value(oracle_value_at(f, x), gamma)
                     assert x in parts[k - 1]
                     assert all(
                         x not in p for i, p in enumerate(parts) if i != k - 1
@@ -452,7 +452,7 @@ class TestTableMatchesFractionRefinement:
         pts += [F(randbelow(rng, 7 * C), 7 * C) for _ in range(6)]
         V, columns = values_at(FC, pts)
         for x, column in zip(pts, columns):
-            assert [F(v, V) for v in column] == [f.value_at(x) for f in FC.functions]
+            assert [F(v, V) for v in column] == [oracle_value_at(f, x) for f in FC.functions]
 
     @pytest.mark.parametrize("x", [F(-1, 8), F(1), F(9, 8)])
     def test_step_point_outside_unit_interval(self, x):
@@ -479,7 +479,8 @@ class TestTableMatchesFractionRefinement:
 
 
 class TestStepRow:
-    """value_at reads each STEP function's integer row."""
+    """A STEP function is its integer row; ``values_at`` on its class of one
+    reads its value at a point."""
 
     @pytest.mark.parametrize("FC", TABLE_CLASSES, ids=repr)
     def test_value_at_is_the_value_of_the_piece_holding_x(self, FC):
@@ -490,12 +491,13 @@ class TestStepRow:
         pts += [F(c, C) - F(1, 10**12) for c in cuts[1:]]  # just left of cuts
         pts += [F(randbelow(rng, 10**6), 10**6) for _ in range(8)]
         for f in FC.functions:
-            for x in pts:
-                assert f.value_at(x) == oracle_value_at(f, x), (f, x)
+            V, columns = values_at(one(f), pts)
+            for x, (v,) in zip(pts, columns):
+                assert F(v, V) == oracle_value_at(f, x), (f, x)
             for x in (F(-1, 8), F(-1, 10**12), F(1), F(9, 8)):
                 assert oracle_value_at(f, x) is None
                 with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
-                    f.value_at(x)
+                    values_at(one(f), [x])
 
     def test_pieces_in_another_order_are_equal(self):
         a = IntervalUnion([(0, F(1, 3)), (F(2, 3), 1)])
@@ -514,7 +516,7 @@ class TestStepRow:
             [IntervalUnion([(0, F(1, 2))]), IntervalUnion([(F(1, 2), 1)])], [0, 0]
         )
         assert halves != oracle_constant(0)
-        assert halves.value_at(F(1, 3)) == oracle_constant(0).value_at(F(1, 3))
+        assert values_at(one(halves), [F(1, 3)]) == values_at(one(oracle_constant(0)), [F(1, 3)])
         assert oracle_constant(F(1, 2)) != oracle_constant(F(1, 3))
 
 
@@ -696,7 +698,7 @@ class TestOneBandRule:
         for f, row in zip(FC.functions, bands):
             assert len(row) == len(cuts) - 1
             for j, k in enumerate(row):
-                assert k == oracle_band_of_value(f.value_at(F(cuts[j], C)), gamma)
+                assert k == oracle_band_of_value(oracle_value_at(f, F(cuts[j], C)), gamma)
 
     @pytest.mark.parametrize("FC", TABULAR_CLASSES, ids=repr)
     @pytest.mark.parametrize("gamma", [F(1, 4), F(1, 5), F(2, 7), F(1, 2), F(1)])
@@ -705,7 +707,7 @@ class TestOneBandRule:
         assert len(bands) == len(FC)
         for f, row in zip(FC.functions, bands):
             assert row == tuple(
-                oracle_band_of_value(f.value_at(x), gamma) for x in FC.domain_points
+                oracle_band_of_value(oracle_value_at(f, x), gamma) for x in FC.domain_points
             )
 
     GAMMAS = [F(1), F(1, 2), F(1, 4), F(1, 5), F(3, 10), F(2, 7), F(2, 9), F(5, 7)]
@@ -867,7 +869,8 @@ class TestEqualCellGenerators:
         C, cuts, _, _ = refinement(FC)
         points = [F(c, C) for c in cuts[:-1]] + [F(a + b, 2 * C) for a, b in zip(cuts, cuts[1:])]
         for f, g in zip(FC, oracle):
-            assert [f.value_at(x) for x in points] == [oracle_value_at(g, x) for x in points]
+            V, columns = values_at(one(f), points)
+            assert [F(v, V) for (v,) in columns] == [oracle_value_at(g, x) for x in points]
 
     @pytest.mark.parametrize(
         "spec,cells",
@@ -1061,22 +1064,17 @@ def random_tabular(seed, points, count):
 
 class TestTabularValuesAt:
     """values_at, value_rows, cell_bands and candidate_points read a TABULAR
-    class's integer rows, never value_at."""
+    class's integer rows."""
 
     @staticmethod
-    def check(FC, monkeypatch):
-        def refuse(self, x):
-            raise AssertionError("a class is read from its integer table")
-
+    def check(FC):
         pts = list(FC.domain_points)
         queries = [pts, pts[::-1], pts[len(pts) // 2:] + pts[:1]]
         gamma = F(1, 3)
-        with monkeypatch.context() as m:
-            m.setattr(Function, "value_at", refuse)
-            got = [values_at(FC, q) for q in queries]
-            V, rows = value_rows(FC)
-            bands = cell_bands(FC, gamma)
-            candidates = candidate_points(FC)
+        got = [values_at(FC, q) for q in queries]
+        V, rows = value_rows(FC)
+        bands = cell_bands(FC, gamma)
+        candidates = candidate_points(FC)
         expected = [oracle_values_at(FC, q) for q in queries]
         assert got == expected
         assert (V, list(zip(*rows))) == got[0]
@@ -1089,17 +1087,17 @@ class TestTabularValuesAt:
         assert candidates == list(leftmost.values())
 
     @pytest.mark.parametrize("p", range(1, 9))
-    def test_all_patterns(self, monkeypatch, p):
-        self.check(all_patterns(p), monkeypatch)
+    def test_all_patterns(self, p):
+        self.check(all_patterns(p))
 
-    def test_trajectory_indicators(self, monkeypatch):
+    def test_trajectory_indicators(self):
         FC = trajectory_indicators(F(2, 7) + F(1, 10**6), [F(j, 11) for j in range(1, 4)], 9)
-        self.check(FC, monkeypatch)
+        self.check(FC)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_saved_and_loaded_random_class(self, monkeypatch, tmp_path, seed):
+    def test_saved_and_loaded_random_class(self, tmp_path, seed):
         save_class(random_tabular(seed, 7, 20), tmp_path / "class.json")
-        self.check(load_class(tmp_path / "class.json"), monkeypatch)
+        self.check(load_class(tmp_path / "class.json"))
 
 
 class TestValueRows:

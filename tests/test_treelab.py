@@ -539,6 +539,16 @@ class TestTreeJson:
         with pytest.raises(ValueError, match=re.escape(message)):
             CompleteTree.from_json({**doc, "nodes": nodes})
 
+    @pytest.mark.parametrize("key", ["999", "16", "0", "-3"])
+    def test_a_node_without_data_is_checked_against_the_depth(self, key):
+        doc = fjf_tree(3).to_json()
+        nodes = {**doc["nodes"], key: {"label": None, "set": None}}
+        with pytest.raises(ValueError, match=f"^node {key} outside the tree$"):
+            CompleteTree.from_json({**doc, "nodes": nodes})
+        # the tree's own nodes without data still read
+        nodes = {**doc["nodes"], "15": {"label": None, "set": None}}
+        assert 15 not in CompleteTree.from_json({**doc, "nodes": nodes}).sets
+
 
 class TestDeterminism:
     def test_uniform_subtree_repeatable(self):
