@@ -8,27 +8,33 @@ lo == hi.  Path values are exact rationals built from 53-bit SplitMix64
 draws k, held as integer ticks over one scale N per path (x = tick / N):
 N = 2**64 and the tick k * 2**11 for IID, N = 2**53 * den(theta) for a
 rotation, and N = 2**64 * lcm(emission denominators) for a Markov chain.
-IID ticks are one ``array('Q')`` of 64-bit words, Markov ticks a tuple (N
-can pass 2**64), and a rotation path holds only its ``Orbit``: the first
-tick, the step theta * N, N and the length, from which any tick is one
-product and one remainder.  Every downstream decision (discrepancy, bound
-verdicts) is exact; floats appear only in human-readable report columns.
+IID ticks are one ``array('Q')`` of 64-bit words.  A rotation path holds
+only its ``Orbit``: the first tick, the step theta * N, N and the length,
+from which any tick is one product and one remainder.  A Markov path holds
+its ``Walk``: the state of each step and, per state, the words its uniform
+emissions drew, from which any tick is one product and one sum.  Every
+downstream decision (discrepancy, bound verdicts) is exact; floats appear
+only in human-readable report columns.
 
 The discrepancy of a class on a path is the maximum over the class of
 |sample mean - expectation|, and both sides read the class's integer value
 table (``funclass.refinement``: cuts c over C, cell values over V).  A tick
 x lies at or right of the cut c / C exactly when x >= ceil(c * N / C), so
-points are binned on integers and each mean is one sum over V * m.  IID
+points are binned on integers and each mean is one sum s over V * m.  IID
 ticks fill all 64 bits, so their top byte alone bins most of them: one
 256-entry table, built from the thresholds, maps each top byte to its cell,
 or to the marker 255 when a threshold splits that byte's range (or the cell
 is 255 or more).  One ``bytes.translate`` of the path's top bytes then gives
-each tick's cell, in C, and only the marked ticks, and the ticks of Markov
-and explicit paths, are binned with a bisect (``_binned_counts``).  The
-process marginal gives each cell an exact integer mass over one B
-(``_cell_masses``), so each expectation is one sum over V * B.  A path is a
-prefix of the longer path drawn from the same seed, so one path and running
-cell counts give the discrepancy at every length of an m grid.
+each tick's cell, in C, and only the marked ticks, and the ticks of explicit
+paths, are binned with a bisect (``_binned_counts``).  A walk is binned
+state by state (``_walk_counts``): a point state's steps all fall in one
+cell, and a uniform state's words go through the same kernel against the
+thresholds moved into word space.  The process marginal gives each cell an
+exact integer mass over one B (``_cell_masses``), so each expectation p / q
+is one sum over V * B, and each discrepancy is the one ``Fraction``
+|s * q - p * V * m| / (V * m * q).  A path is a prefix of the longer path
+drawn from the same seed, so one path and running cell counts give the
+discrepancy at every length of an m grid.
 
 An orbit is never binned.  Its i-th tick is (b + i * d) mod N, and an integer
 x lies below K (0 <= K <= N) modulo N exactly when
@@ -54,7 +60,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exactset import ONE, ZERO, RationalLike
 from .funclass import (
@@ -232,13 +238,45 @@ class Orbit(Sequence[int]):
         return list(map(operator.sub, [*below, m], [0, *below]))
 
 
+class Walk(Sequence[int]):
+    """The ticks of a Markov path, held as the walk that emitted them: the
+    state of each step and, per state, the words its uniform emissions drew,
+    in order.  The tick of a step in state s is offset_s + width_s * w, w
+    the state's next word (width 0, and no word, for a point).  Like an
+    ``Orbit`` it is a read-only sequence of ints built on demand, and it is
+    not sliced."""
+
+    __slots__ = ("states", "words", "emit")
+
+    def __init__(self, states: Sequence[int], words: List[array], emit: List[Tuple[int, int]]):
+        self.states = states  # a bytearray, or an array('I') past 256 states
+        self.words = words
+        self.emit = emit
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, i: int) -> int:
+        i = range(len(self.states))[operator.index(i)]
+        s = self.states[i]
+        offset, width = self.emit[s]
+        return offset + width * self.words[s][self.states[:i].count(s)] if width else offset
+
+    def __iter__(self) -> Iterator[int]:
+        draws = [iter(words) for words in self.words]
+        for s in self.states:
+            offset, width = self.emit[s]
+            yield offset + width * next(draws[s]) if width else offset
+
+
 @dataclass(frozen=True, eq=False)
 class SamplePath:
     """Sample points x_i = ticks[i] / scale, held as integers over one scale.
 
     ``ticks`` is any sequence of ints: an ``array('Q')`` for an IID path, an
-    ``Orbit`` for a rotation path and a tuple otherwise.  Only an ``Orbit``
-    is counted by floor sums; a path built from explicit ticks is binned.
+    ``Orbit`` for a rotation path, a ``Walk`` for a Markov path and a tuple
+    otherwise.  An ``Orbit`` is counted by floor sums and a ``Walk`` state
+    by state; a path built from explicit ticks is binned tick by tick.
     Paths compare by identity.
     """
 
@@ -267,17 +305,28 @@ def _pick_thresholds(weights: Sequence[Fraction]) -> List[int]:
     return [_ceil_scaled(acc, 1 << 64) for acc in accumulate(weights)]
 
 
-def _markov_ticks(
-    draw: Callable[[], int], start: List[int], rows: List[List[int]],
-    emit: List[Tuple[int, int]], m: int,
-) -> Iterator[int]:
-    """The m emitted ticks of a chain, reading its uniform words from draw()."""
-    state = bisect_right(start, draw())
-    for i in range(m):
-        if i > 0:
-            state = bisect_right(rows[state], draw())
-        offset, width = emit[state]
-        yield offset + width * draw() if width else offset
+def _walk(
+    words: array, start: List[int], rows: List[List[int]], emit: List[Tuple[int, int]], m: int
+) -> Walk:
+    """The first m steps of a chain, reading its uniform words in the draw
+    order of ``sample_path``.  The start law acts as one more row, and a
+    state is picked from the current row's ``_top_byte_table`` by the top
+    byte of its word, with a bisect only when that byte is MARKED."""
+    rows = [*rows, start]
+    tables = [_top_byte_table(row) for row in rows]
+    states = bytearray(m) if len(emit) <= 256 else array("I", [0]) * m
+    drawn = [array("Q") for _ in emit]
+    push = [d.append if width else None for d, (_, width) in zip(drawn, emit)]
+    draw = iter(words)
+    state = len(emit)
+    for i, w in zip(range(m), draw):
+        s = tables[state][w >> 56]
+        state = bisect_right(rows[state], w) if s == MARKED else s
+        states[i] = state
+        p = push[state]
+        if p:
+            p(next(draw))
+    return Walk(states, drawn, emit)
 
 
 def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
@@ -299,9 +348,11 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
     N = 2**64 * L with L the lcm of the emission denominators; states are
     picked by comparing the word w = k << 11 against integer cumulative
     thresholds over 2**64, and an emission on [lo, hi) is the tick
-    lo * N + (hi - lo) * L * w: width 0, and no draw, for a point.  Because
-    the draws come in this order whatever m is, the path of length m is a
-    prefix of every longer path from the same (spec, seed).
+    lo * N + (hi - lo) * L * w: width 0, and no draw, for a point.  The path
+    is held as that ``Walk``: each step's state and each state's emission
+    words, its ticks built only when read.  Because the draws come in this
+    order whatever m is, the path of length m is a prefix of every longer
+    path from the same (spec, seed).
 
     All uniforms come from one ``SplitMix64(seed)`` stream.  IID and Markov
     paths draw it in bulk as 64-bit words (``unit_words``, blocks of
@@ -332,7 +383,7 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
         start = _pick_thresholds(spec.stationary_distribution())
         rows = [_pick_thresholds(row) for row in spec.transition]
         # at most 2m draws: the start, m - 1 transitions and m emissions
-        ticks = tuple(_markov_ticks(iter(rng.unit_words(2 * m)).__next__, start, rows, emit, m))
+        ticks = _walk(rng.unit_words(2 * m), start, rows, emit, m)
     else:
         raise TypeError(f"unknown process spec {spec!r}")
     return SamplePath(ticks=ticks, scale=scale, seed=seed, spec=spec)
@@ -377,25 +428,26 @@ def expectation(F: FunctionClass, spec: ProcessSpec) -> List[Fraction]:
     return [Fraction(sum(map(operator.mul, row, masses)), V * B) for row in rows]
 
 
-def _class_means(
+def _class_sums(
     F: FunctionClass, path: SamplePath, lengths: Sequence[int]
-) -> List[List[Fraction]]:
-    """Exact per-function sample means of the path's first m points, for each
-    m in the increasing ``lengths``: the interior cuts of the class table
-    become the tick thresholds ceil(c * N / C), and each mean is one
-    ``Fraction``, sum / (V * m).  An orbit is counted by floor sums at each
-    length, any other path by running bin counts."""
+) -> Tuple[int, List[List[int]]]:
+    """V and, for each m in the increasing ``lengths``, each function's sum
+    of V * f(x) over the path's first m points, an integer: the sample mean
+    is that sum over V * m.  The interior cuts of the class table become the
+    tick thresholds ceil(c * N / C).  An orbit is counted by floor sums at
+    each length, a walk state by state (``_walk_counts``) and any other path
+    by running bin counts."""
     C, cuts, V, rows = refinement(F)
     N = path.scale
     inner = [-(-c * N // C) for c in cuts[1:-1]]
-    if isinstance(path.ticks, Orbit):
-        tallies = (path.ticks.cell_counts(inner, m) for m in lengths)
+    ticks = path.ticks
+    if isinstance(ticks, Orbit):
+        tallies = (ticks.cell_counts(inner, m) for m in lengths)
+    elif isinstance(ticks, Walk):
+        tallies = _walk_counts(ticks, inner, lengths)
     else:
-        tallies = _binned_counts(path.ticks, inner, lengths)
-    return [
-        [Fraction(sum(map(operator.mul, tally, row)), V * m) for row in rows]
-        for m, tally in zip(lengths, tallies)
-    ]
+        tallies = _binned_counts(ticks, inner, lengths)
+    return V, [[sum(map(operator.mul, tally, row)) for row in rows] for tally in tallies]
 
 
 MARKED = 255  # the table entry of a top byte whose ticks need a bisect
@@ -405,12 +457,17 @@ _TOP_BYTE = 0 if sys.byteorder == "big" else 7  # of each word, in memory order
 
 
 def _top_byte_table(thresholds: List[int]) -> bytes:
-    """The cell of each top byte b of a 64-bit tick, for thresholds in
-    (0, 2**64]: byte b covers the ticks in [b * 2**56, (b + 1) * 2**56), and
-    its entry is their one cell when no threshold falls strictly inside that
-    range and the cell is below MARKED, else the marker MARKED."""
-    starts = map(bisect_right, repeat(thresholds), range(0, 1 << 64, 1 << 56))
-    table = bytearray(map(min, starts, repeat(MARKED)))
+    """The cell of each top byte b of a 64-bit tick, for increasing
+    thresholds in [0, 2**64]: byte b covers the ticks in
+    [b * 2**56, (b + 1) * 2**56), and its entry is their one cell when no
+    threshold falls strictly inside that range and the cell is below MARKED,
+    else the marker MARKED.  The range starts right of the thresholds t with
+    ceil(t / 2**56) <= b, so a histogram of those first bytes, accumulated,
+    gives every byte's first cell."""
+    firsts = [0] * 257
+    for t in thresholds[:MARKED]:  # the rest only count into cells past MARKED
+        firsts[-(-t >> 56)] += 1
+    table = bytearray(accumulate(firsts[:256]))
     for t in thresholds:
         if t & _LOW56:  # a cell boundary inside the range of byte t >> 56
             table[t >> 56] = MARKED
@@ -421,12 +478,13 @@ def _binned_counts(
     ticks: Sequence[int], thresholds: List[int], lengths: Sequence[int]
 ) -> Iterator[List[int]]:
     """Per cell between the thresholds (as ``Orbit.cell_counts``), the count
-    of the first m ticks for each m in the increasing ``lengths``.
+    of the first m ticks for each m in the non-decreasing ``lengths``.
 
-    The ticks of an ``array('Q')`` (an IID path, N = 2**64) are binned in C
-    by their top byte: one strided ``memoryview`` slice copies the top
-    bytes, one ``bytes.translate`` through ``_top_byte_table`` maps them to
-    their cells, and ``bytes.count`` counts each cell in each prefix.  Only
+    The 64-bit ticks of an ``array('Q')`` (an IID path, or the words of one
+    state of a walk) are binned in C by their top byte: one strided
+    ``memoryview`` slice copies the top bytes, one ``bytes.translate``
+    through ``_top_byte_table`` maps them to their cells, and
+    ``bytes.count`` counts each cell in each prefix.  Only
     the ticks it marks MARKED are binned with ``bisect_right``, picked out
     by ``itertools.compress``; so is every tick of any other sequence, each
     once as one pass reaches it."""
@@ -451,6 +509,31 @@ def _binned_counts(
         yield [counts[j] for j in range(len(thresholds) + 1)]
 
 
+def _walk_counts(walk: Walk, thresholds: List[int], lengths: Sequence[int]) -> List[List[int]]:
+    """Per cell between the thresholds, the count of the walk's first m
+    ticks for each m in the increasing ``lengths``, state by state.  Every
+    step of a point state lands in the one cell of its tick.  A uniform
+    state's tick offset + width * w lies at or right of t exactly when its
+    word w >= ceil((t - offset) / width), so its words are binned by
+    ``_binned_counts`` against those thresholds, clamped to [0, 2**64]."""
+    totals = [[0] * (len(thresholds) + 1) for _ in lengths]
+    for s, ((offset, width), words) in enumerate(zip(walk.emit, walk.words)):
+        visits = list(accumulate(
+            walk.states[a:b].count(s) for a, b in zip([0, *lengths], lengths)
+        ))
+        if not visits[-1]:
+            continue
+        if width:
+            moved = [min(max(-((offset - t) // width), 0), 1 << 64) for t in thresholds]
+            for total, counts in zip(totals, _binned_counts(words, moved, visits)):
+                total[:] = map(operator.add, total, counts)
+        else:
+            cell = bisect_right(thresholds, offset)
+            for total, n in zip(totals, visits):
+                total[cell] += n
+    return totals
+
+
 def pointwise_discrepancy(f: Function, path: SamplePath) -> Fraction:
     """|sample mean - expectation| of a single function on a path."""
     F = FunctionClass([f])
@@ -465,7 +548,13 @@ def _discrepancies(
     """Per function, |sample mean - expectation| over the path's first m
     points, for each m in the increasing ``lengths``."""
     expected = expectation(F, path.spec)  # rejects a TABULAR class
-    return [[abs(a - e) for a, e in zip(row, expected)] for row in _class_means(F, path, lengths)]
+    V, sums = _class_sums(F, path, lengths)
+    # |s / (V * m) - p / q| is one Fraction, |s * q - p * V * m| / (V * m * q)
+    return [
+        [Fraction(abs(s * e.denominator - e.numerator * V * m), V * m * e.denominator)
+         for s, e in zip(row, expected)]
+        for m, row in zip(lengths, sums)
+    ]
 
 
 def discrepancy(F: FunctionClass, path: SamplePath, lengths: Sequence[int]) -> List[Fraction]:

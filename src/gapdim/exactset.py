@@ -64,7 +64,8 @@ _RATIONAL_TEXT = re.compile(_RATIONAL)
 
 def format_rational(q: RationalLike) -> str:
     """Render a rational as ``"num/den"`` (denominator kept even when 1)."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -205,7 +206,7 @@ def json_key(key: str, what: str) -> int:
 
 def decimal12(q: RationalLike) -> str:
     """Render a rational as a decimal with 12 significant digits."""
-    return f"{float(Fraction(q)):.12g}"
+    return f"{float(q if isinstance(q, Fraction) else Fraction(q)):.12g}"
 
 
 class IntervalUnion:

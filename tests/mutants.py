@@ -5,9 +5,9 @@ comparison loosened, two operands swapped, a denominator dropped, an error
 mapping removed.  The script copies ``src``, ``tests`` and
 ``pyproject.toml`` to a temporary directory, first runs the kernels' test
 files there on the unmutated code (which must pass), then writes each
-mutant in turn and runs the same files against it.  A mutant is killed
-when a test fails, and survives when they all pass: a survivor is a fault
-the tests cannot see.
+mutant in turn and runs the test files it names against it.  A mutant is
+killed when a test fails, and survives when they all pass: a survivor is a
+fault the tests cannot see.
 
 Run it from anywhere, on demand; pytest does not collect it and the tier-1
 suite does not run it::
@@ -34,8 +34,9 @@ from pathlib import Path
 from typing import NamedTuple, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
-# the kernels' own test files
+# the class kernels' own test files
 TESTS = ("tests/test_shatter.py", "tests/test_cli.py", "tests/test_funclass.py")
+ERGOPROC_TESTS = ("tests/test_ergoproc.py",)
 
 
 class Mutant(NamedTuple):
@@ -44,6 +45,7 @@ class Mutant(NamedTuple):
     function: str  # the function the edit is confined to
     old: str  # one expression or statement of that function
     new: str  # what replaces it
+    tests: Tuple[str, ...] = TESTS  # the test files that should kill it
 
 
 MUTANTS = [
@@ -121,6 +123,26 @@ MUTANTS = [
         "_refine: a cell valued by the piece left of it", "funclass.py", "_refine",
         "bisect_right(ends, c)", "bisect_right(ends, c) - 1",
     ),
+    Mutant(
+        "_walk: a MARKED byte taken for the state", "ergoproc.py", "_walk",
+        "bisect_right(rows[state], w) if s == MARKED else s", "s", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "_walk_counts: the floor of the word-space threshold for its ceiling", "ergoproc.py",
+        "_walk_counts", "-((offset - t) // width)", "(t - offset) // width", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "_walk_counts: word-space thresholds not clamped at 0", "ergoproc.py", "_walk_counts",
+        "max(-((offset - t) // width), 0)", "-((offset - t) // width)", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "_top_byte_table: a split byte left unmarked", "ergoproc.py", "_top_byte_table",
+        "table[t >> 56] = MARKED", "pass", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "_discrepancies: the expectation's denominator q dropped from s * q", "ergoproc.py",
+        "_discrepancies", "s * e.denominator", "s", ERGOPROC_TESTS,
+    ),
 ]
 
 
@@ -163,11 +185,11 @@ def mutated_source(text: str, mutant: Mutant) -> str:
     return ast.unparse(tree)
 
 
-def run_tests(workdir: Path) -> Tuple[bool, str]:
+def run_tests(workdir: Path, tests: Tuple[str, ...]) -> Tuple[bool, str]:
     """Whether the test files pass in `workdir`, and the first failure."""
     env = {**os.environ, "PYTHONPATH": str(workdir / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
         cwd=workdir, env=env, capture_output=True, text=True,
     )
     failed = [line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
@@ -186,7 +208,7 @@ def main() -> int:
         # the baseline runs the unparsed, unmutated modules, as the mutants are unparsed
         for module, text in originals.items():
             (work / "src/gapdim" / module).write_text(ast.unparse(ast.parse(text)))
-        passed, failure = run_tests(work)
+        passed, failure = run_tests(work, tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests)))
         if not passed:
             print(f"the unmutated code fails its tests: {failure}")
             return 2
@@ -194,7 +216,7 @@ def main() -> int:
         for mutant in MUTANTS:
             path = work / "src/gapdim" / mutant.module
             path.write_text(mutated_source(originals[mutant.module], mutant))
-            passed, failure = run_tests(work)
+            passed, failure = run_tests(work, mutant.tests)
             path.write_text(ast.unparse(ast.parse(originals[mutant.module])))
             if passed:
                 survivors.append(mutant)

@@ -580,6 +580,18 @@ def oracle_binned_counts(ticks, thresholds, lengths):
         yield [counts[j] for j in range(len(thresholds) + 1)]
 
 
+def oracle_top_byte_table(thresholds) -> bytes:
+    """``ergoproc._top_byte_table`` by one ``bisect_right`` per byte: the
+    cell of the byte's first tick, capped at the marker 255, and the marker
+    for every byte whose range a threshold splits."""
+    starts = map(bisect_right, repeat(thresholds), range(0, 1 << 64, 1 << 56))
+    table = bytearray(map(min, starts, repeat(255)))
+    for t in thresholds:
+        if t % (1 << 56):  # a cell boundary inside the range of byte t >> 56
+            table[t >> 56] = 255
+    return bytes(table)
+
+
 _PIECE_UNIONS = {}  # id(f) -> (f, its piece intervals beside their values, values found)
 
 

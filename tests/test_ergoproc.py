@@ -1,4 +1,5 @@
 import json
+from array import array
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -28,7 +29,7 @@ from gapdim.ergoproc import (
     RotationSpec,
     SamplePath,
     _cell_masses,
-    _class_means,
+    _class_sums,
     bound_check,
     floor_sum,
     per_function_discrepancies,
@@ -50,6 +51,7 @@ from oracles import (
     oracle_irreducible,
     oracle_sample_path,
     oracle_stationary,
+    oracle_top_byte_table,
     oracle_unit_ticks,
     oracle_value_at,
     randbelow,
@@ -59,6 +61,12 @@ from oracles import (
 )
 
 F = Fraction
+
+
+def class_means(FC: FunctionClass, path: SamplePath, lengths):
+    """The sample means of ``_class_sums``: each sum over V * m."""
+    V, sums = _class_sums(FC, path, lengths)
+    return [[F(s, V * m) for s in row] for m, row in zip(lengths, sums)]
 
 
 def staircase(n: int) -> Function:
@@ -672,11 +680,22 @@ class TestOrbitSeparation:
             assert (n * theta % 1).denominator > 10**6
 
 
+def split_byte_chain() -> MarkovSpec:
+    """Transition thresholds at 2**64 / 3 and 2**65 / 3, each strictly
+    inside the range of one top byte, so the walk bisects there."""
+    return MarkovSpec(
+        ((F(1, 3), F(2, 3)), (F(2, 3), F(1, 3))),
+        (Emission.uniform(F(1, 5), F(4, 5)), Emission.point(F(1, 3))),
+    )
+
+
 ORACLE_SPECS = {
     "iid": IIDUniformSpec(),
     "golden": RotationSpec(theta=golden_rotation_angle()),
     "quarter": RotationSpec(theta=F(1, 4)),
     "markov": markov_on_cuts(),
+    "markov3": markov3(),
+    "split_byte": split_byte_chain(),
 }
 
 
@@ -716,7 +735,7 @@ class TestIntegerPathsMatchFractionOracle:
         # Markov point land; cut_at puts a cut on points of the path itself.
         classes = [thresholds(4), random_step(seed, 6, 4, 7), cut_at(values[:12])]
         for FC in classes:
-            got = _class_means(FC, path, lengths)
+            got = class_means(FC, path, lengths)
             assert got == [oracle_class_means(FC, values[:m]) for m in lengths]
 
     def test_points_on_cuts_are_binned_right_of_them(self):
@@ -727,7 +746,7 @@ class TestIntegerPathsMatchFractionOracle:
         FC = cut_at(values)
         assert len(FC) == 4
         path = sample_path(spec, 40, 5)
-        assert _class_means(FC, path, [40]) == [oracle_class_means(FC, values)]
+        assert class_means(FC, path, [40]) == [oracle_class_means(FC, values)]
         assert per_function_discrepancies(FC, path) == [
             pointwise_discrepancy(f, path) for f in FC.functions
         ]
@@ -738,7 +757,22 @@ class TestIntegerPathsMatchFractionOracle:
         path = sample_path_of((F(1, 4), F(3, 8)), 0, IIDUniformSpec())
         FC = cut_at([F(1, 3)])
         assert path.scale == 8
-        assert _class_means(FC, path, [1, 2]) == [[F(1)], [F(1, 2)]]
+        assert class_means(FC, path, [1, 2]) == [[F(1)], [F(1, 2)]]
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_discrepancies(self, name):
+        spec = ORACLE_SPECS[name]
+        FC = random_step(6, 8, 5, 9)
+        values = oracle_sample_path(spec, 300, 2)
+        expected = [oracle_expectation(f, spec) for f in FC]
+        lengths = [1, 99, 300]
+        want = [
+            [abs(mean - e) for mean, e in zip(oracle_class_means(FC, values[:m]), expected)]
+            for m in lengths
+        ]
+        path = sample_path(spec, 300, 2)
+        assert ergoproc._discrepancies(FC, path, lengths) == want
+        assert per_function_discrepancies(FC, path) == want[-1]
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
     def test_estimate_gamma_rows_match_resampling(self, name):
@@ -832,7 +866,7 @@ class TestOrbitCounts:
         binned = replace(path, ticks=tuple(path.ticks))
         assert not isinstance(binned.ticks, Orbit)
         for FC in (thresholds(16), random_step(class_seed, 16, 8, 32), interval_indicators(10)):
-            assert _class_means(FC, path, lengths) == _class_means(FC, binned, lengths)
+            assert class_means(FC, path, lengths) == class_means(FC, binned, lengths)
 
     def test_orbit_ticks_are_the_drawn_rotation(self):
         spec = RotationSpec(theta=F(2, 5))
@@ -852,7 +886,7 @@ class TestOrbitCounts:
         wholes, rests = oracle_class_means(FC, period), oracle_class_means(FC, period[:r])
         sums = [3 * q * whole + r * rest for whole, rest in zip(wholes, rests)]
         means = [s / m for s in sums]
-        assert _class_means(FC, sample_path(spec, m, seed), [m]) == [means]
+        assert class_means(FC, sample_path(spec, m, seed), [m]) == [means]
 
         expected = [abs(a - e) for a, e in zip(means, expectation(FC, spec))]
         assert main(["discrepancy", "--class", "thresholds(16)", "--process", "rotation:1/3",
@@ -881,6 +915,33 @@ class TestPathStorage:
         as_tuple = SamplePath(tuple(path.ticks), path.scale, path.seed, spec)
         assert path.values == as_tuple.values == oracle_sample_path(spec, m, 5)
         assert len(path) == len(as_tuple) == m
+
+    @pytest.mark.parametrize("name", ["markov", "markov3", "split_byte"])
+    def test_walk_reads_as_a_tuple(self, name):
+        path = sample_path(ORACLE_SPECS[name], 50, 9)
+        walk, ticks = path.ticks, tuple(path.ticks)
+        assert isinstance(walk, ergoproc.Walk) and len(walk) == len(ticks) == 50
+        assert [walk[i] for i in range(-50, 50)] == [ticks[i] for i in range(-50, 50)]
+        assert list(walk) == list(ticks) and walk.index(ticks[7]) == ticks.index(ticks[7])
+        for i in (50, -51):
+            with pytest.raises(IndexError):
+                walk[i]
+        with pytest.raises(TypeError):  # a walk is not sliced: read its ticks
+            walk[2:7]
+
+    def test_discrepancies_read_no_tick_of_a_walk(self, monkeypatch):
+        path = sample_path(markov3(), 300, 1)
+        FC = thresholds(8)
+        want = [abs(mean - e) for mean, e in zip(
+            oracle_class_means(FC, oracle_sample_path(markov3(), 300, 1)), expectation(FC, markov3())
+        )]
+
+        def refuse(*args):
+            raise AssertionError("a tick of the walk was built")
+
+        monkeypatch.setattr(ergoproc.Walk, "__iter__", refuse)
+        monkeypatch.setattr(ergoproc.Walk, "__getitem__", refuse)
+        assert per_function_discrepancies(FC, path) == want
 
 
 BUCKET = 1 << 56  # the tick range of one top byte
@@ -927,9 +988,116 @@ class TestTopByteBinning:
         got = list(ergoproc._binned_counts(words, thresholds, lengths))
         assert got == list(oracle_binned_counts(tuple(words), thresholds, lengths))
 
+    @pytest.mark.parametrize("cells", [1, 16, 254, 255, 256, 300])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_table_matches_one_bisect_per_byte(self, cells, data):
+        cut = st.one_of(
+            st.sampled_from([0, 2**64]),
+            st.integers(0, 256).map(lambda b: b * BUCKET),  # on a bucket edge
+            st.integers(0, 2**53 - 1).map(lambda k: k << 11),  # on a tick
+            st.integers(0, 2**64),
+        )
+        if data.draw(st.booleans()):
+            thresholds = grid_thresholds(cells)
+        else:
+            thresholds = sorted(data.draw(st.lists(cut, min_size=cells - 1, max_size=cells - 1)))
+        assert ergoproc._top_byte_table(thresholds) == oracle_top_byte_table(thresholds)
+
     def test_even_grids_mark_only_split_bytes(self):
         # 16 and 128 cells cut on bucket edges, 24 cells inside 16 buckets;
         # from 255 cells on, every byte of cell 255 or more is marked too
         marked = {n: ergoproc._top_byte_table(grid_thresholds(n)).count(ergoproc.MARKED)
                   for n in (16, 24, 128, 256)}
         assert marked == {16: 0, 24: 16, 128: 0, 256: 1}
+
+
+CHAIN_POINTS = sorted({F(k, d) for d in (2, 3, 5, 8) for k in range(d)})
+
+
+@st.composite
+def chains(draw):
+    """A 2-4-state chain that moves from each state to the next with
+    positive weight, so it is irreducible, and to every state with weight 0
+    to 3; each state emits a point or a uniform interval on CHAIN_POINTS,
+    which are also the cuts of ``chain_cases``."""
+    n = draw(st.integers(2, 4))
+    rows = []
+    for i in range(n):
+        weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        weights[(i + 1) % n] += 1
+        rows.append(tuple(F(w, sum(weights)) for w in weights))
+    emissions = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            emissions.append(Emission.point(draw(st.sampled_from(CHAIN_POINTS))))
+        else:
+            ends = draw(st.sets(st.sampled_from([*CHAIN_POINTS, F(1)]), min_size=2, max_size=2))
+            emissions.append(Emission.uniform(*sorted(ends)))
+    return MarkovSpec(tuple(rows), tuple(emissions))
+
+
+@st.composite
+def chain_cases(draw):
+    """(spec, seed, m, lengths with repeats, cuts): m at a block edge or
+    small, the cuts on emission ends and points or anywhere in (0, 1)."""
+    spec = draw(chains())
+    m = draw(st.sampled_from([1, 2, 37, BLOCK - 1, BLOCK, BLOCK + 1]))
+    lengths = sorted(draw(st.lists(st.integers(1, m), max_size=4)) + [m])
+    anywhere = st.fractions(0, 1, max_denominator=1000).filter(lambda x: 0 < x < 1)
+    cuts = draw(st.sets(st.sampled_from(CHAIN_POINTS[1:]) | anywhere, max_size=6))
+    return spec, draw(st.integers(-(2**63), 2**64)), m, lengths, sorted(cuts)
+
+
+class TestChainPaths:
+    """A walk is binned state by state: point states by their visit counts
+    and uniform states by the IID kernel on thresholds moved into word
+    space.  Its counts, means and discrepancies are those of its ticks."""
+
+    @given(chain_cases(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_counts_match_bisecting_every_tick(self, case, data):
+        spec, seed, m, lengths, cuts = case
+        path = sample_path(spec, m, seed)
+        assert path.values == oracle_sample_path(spec, m, seed)
+        walk, N = path.ticks, path.scale
+        thresholds = [-(-c.numerator * N // c.denominator) for c in cuts]
+        # move some words onto and next to a threshold in word space
+        for (offset, width), words in zip(walk.emit, walk.words):
+            if width and words:
+                for t in thresholds:
+                    at = -((offset - t) // width) + data.draw(st.integers(-1, 1))
+                    words[data.draw(st.integers(0, len(words) - 1))] = min(max(at, 0), 2**64 - 1)
+        got = ergoproc._walk_counts(walk, thresholds, lengths)
+        assert got == list(oracle_binned_counts(tuple(walk), thresholds, lengths))
+
+
+@pytest.fixture(scope="module")
+def cycle257() -> MarkovSpec:
+    """257 states in a cycle: each stays with probability 1/3 and moves on
+    with 2/3; even states emit a point, odd ones a uniform interval."""
+    n = 257
+    rows = tuple(
+        tuple(F(1, 3) if j == i else F(2, 3) if j == (i + 1) % n else F(0) for j in range(n))
+        for i in range(n)
+    )
+    emissions = tuple(
+        Emission.point(F(i, 2 * n)) if i % 2 == 0 else Emission.uniform(F(i, 2 * n), F(i + 1, 2 * n))
+        for i in range(n)
+    )
+    return MarkovSpec(rows, emissions)
+
+
+class TestManyStates:
+    """A state past 255 fits no byte and no top-byte table entry: the walk
+    stores its states in an array and bisects every such pick."""
+
+    def test_path_and_discrepancies(self, cycle257):
+        path = sample_path(cycle257, 1000, 3)
+        assert isinstance(path.ticks.states, array) and max(path.ticks.states) > 255
+        assert path.values == oracle_sample_path(cycle257, 1000, 3)
+        as_tuple = replace(path, ticks=tuple(path.ticks))
+        lengths = [1, 400, 1000]
+        for FC in (thresholds(16), random_step(5, 12, 8, 9), cut_at(path.values[:40])):
+            assert discrepancy(FC, path, lengths) == discrepancy(FC, as_tuple, lengths)
+            assert per_function_discrepancies(FC, path) == per_function_discrepancies(FC, as_tuple)
