@@ -59,8 +59,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import accumulate, chain, compress, repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exactset import ONE, ZERO, RationalLike
 from .funclass import (
@@ -72,7 +72,7 @@ from .funclass import (
     value_rows,
     values_at,
 )
-from .rng import TWO53, SplitMix64
+from .rng import BLOCK, TWO53, SplitMix64
 from .shatter import DimResult, gap_dim
 
 
@@ -306,7 +306,8 @@ def _pick_thresholds(weights: Sequence[Fraction]) -> List[int]:
 
 
 def _walk(
-    words: array, start: List[int], rows: List[List[int]], emit: List[Tuple[int, int]], m: int
+    words: Iterable[int], start: List[int], rows: List[List[int]],
+    emit: List[Tuple[int, int]], m: int,
 ) -> Walk:
     """The first m steps of a chain, reading its uniform words in the draw
     order of ``sample_path``.  The start law acts as one more row, and a
@@ -358,9 +359,9 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
     paths draw it in bulk as 64-bit words (``unit_words``, blocks of
     ``rng.BLOCK``), which gives the same uniforms as one ``unit_tick()``
     call per draw: the IID path keeps its m words as its ticks, and a chain
-    reads its words one at a time, in the order above, from 2m drawn and
-    mixed at once (it never needs more).  A rotation's start is one
-    ``unit_fraction()`` call.
+    reads its words one at a time, in the order above, from a stream of 2m
+    (it never needs more), each block mixed only when the walk reaches it.
+    A rotation's start is one ``unit_fraction()`` call.
     """
     if m < 1:
         raise ValueError("path length must be >= 1")
@@ -382,8 +383,10 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
         emit = [(_ceil_scaled(e.lo, scale), _ceil_scaled(e.hi - e.lo, L)) for e in spec.emissions]
         start = _pick_thresholds(spec.stationary_distribution())
         rows = [_pick_thresholds(row) for row in spec.transition]
-        # at most 2m draws: the start, m - 1 transitions and m emissions
-        ticks = _walk(rng.unit_words(2 * m), start, rows, emit, m)
+        # at most 2m draws (the start, m - 1 transitions and m emissions),
+        # each block mixed only when the walk reaches it
+        blocks = (rng.unit_words(min(BLOCK, 2 * m - k)) for k in range(0, 2 * m, BLOCK))
+        ticks = _walk(chain.from_iterable(blocks), start, rows, emit, m)
     else:
         raise TypeError(f"unknown process spec {spec!r}")
     return SamplePath(ticks=ticks, scale=scale, seed=seed, spec=spec)

@@ -5,9 +5,10 @@ a normalized finite union of half-open intervals ``[lo, hi)``, held as the
 least common denominator D of its endpoints and the integer pairs
 ``(lo * D, hi * D)``: normalization sorts the constituents, merges touching
 or overlapping ones and reduces D, which makes equality structural.  Every
-operation runs on those integers.  ``fractions.Fraction`` appears only at
-the edges: rational pairs into the constructor, and the endpoints, measure
-and interior points handed back.  No floating point enters any decision.
+operation runs on those integers, and the constructor takes integer pairs
+over D.  ``fractions.Fraction`` appears only at the edges: the rationals
+:meth:`IntervalUnion.from_text` parses, and the endpoints, measure and
+interior points handed back.  No floating point enters any decision.
 
 Under the half-open representation a union is non-empty iff it has positive
 measure iff it has non-empty interior, which is what lets "non-empty
@@ -25,6 +26,7 @@ import json
 import json.encoder
 import math
 import re
+from decimal import Context
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
@@ -205,47 +207,36 @@ def json_key(key: str, what: str) -> int:
 
 
 def decimal12(q: RationalLike) -> str:
-    """Render a rational as a decimal with 12 significant digits."""
-    return f"{float(q if isinstance(q, Fraction) else Fraction(q)):.12g}"
+    """Render a rational as a decimal with 12 significant digits: the
+    ``.12g`` text of its float, or of its exact value past the float range."""
+    try:
+        return f"{float(q):.12g}"
+    except OverflowError:
+        return f"{Context(prec=12).divide(q.numerator, q.denominator).normalize():.12g}"
 
 
 class IntervalUnion:
     """A normalized finite union of half-open rational intervals in [0, 1).
 
-    Instances are immutable and hashable.  The constructor accepts any
-    iterable of rational ``(lo, hi)`` pairs, drops empty pairs
-    (``lo == hi``), and merges overlapping or touching intervals.  A union is
-    stored as its :attr:`denominator` D, the least common denominator of its
-    endpoints, and the sorted, merged integer pairs ``(lo * D, hi * D)``;
-    that form is canonical, so two unions describing the same point set
-    always compare equal.  :meth:`over` builds a union from integer pairs.
+    Instances are immutable and hashable.  ``IntervalUnion(D, pairs)`` is
+    the union of the intervals ``[lo / D, hi / D)`` for integer pairs over a
+    positive integer D: it drops empty pairs (``lo == hi``) and merges
+    overlapping or touching intervals.  A union is stored as its
+    :attr:`denominator`, the least common denominator of its endpoints, and
+    the sorted, merged integer pairs over it; that form is canonical, so two
+    unions describing the same point set always compare equal.
     """
 
     __slots__ = ("_den", "_pairs")
 
-    def __init__(self, intervals: Iterable[Tuple[RationalLike, RationalLike]] = ()):
-        ends = [  # a Fraction or int as it is, anything else through Fraction
-            (x if isinstance(x, (Fraction, int)) else Fraction(x)).as_integer_ratio()
-            for lo, hi in intervals for x in (lo, hi)
-        ]
-        D = math.lcm(*{q for _, q in ends})
-        scaled = iter([p * (D // q) for p, q in ends])
-        self._den, self._pairs = _normalized(D, _checked(D, list(zip(scaled, scaled))))
-
-    @classmethod
-    def over(cls, D: int, pairs: Iterable[Tuple[int, int]]) -> "IntervalUnion":
-        """The union of the intervals ``[lo / D, hi / D)`` for integer pairs."""
+    def __init__(self, D: int, pairs: Iterable[Tuple[int, int]] = ()):
         if D < 1:
             raise ValueError(f"denominator {D} must be positive")
-        return _union(*_normalized(D, _checked(D, list(pairs))))
-
-    @classmethod
-    def empty(cls) -> "IntervalUnion":
-        return cls(())
+        self._den, self._pairs = _normalized(D, _checked(D, list(pairs)))
 
     @classmethod
     def full(cls) -> "IntervalUnion":
-        return cls(((ZERO, ONE),))
+        return cls(1, ((0, 1),))
 
     @classmethod
     def union_all(cls, unions: Iterable["IntervalUnion"]) -> "IntervalUnion":
@@ -346,12 +337,13 @@ class IntervalUnion:
             )
         s = text.strip()
         if s in ("", "empty"):
-            return cls.empty()
+            return cls(1)
         if not _UNION_TEXT.fullmatch(s):
             raise ValueError(f"malformed interval union: {text!r}")
-        return cls(
-            (_rational(lo), _rational(hi)) for lo, hi in _INTERVAL_TEXT.findall(s)
-        )
+        ends = [_rational(x).as_integer_ratio() for pair in _INTERVAL_TEXT.findall(s) for x in pair]
+        D = math.lcm(*{q for _, q in ends})
+        scaled = iter([p * (D // q) for p, q in ends])
+        return cls(D, zip(scaled, scaled))
 
 
 _INTERVAL_TEXT = re.compile(rf"\[\s*({_RATIONAL})\s*,\s*({_RATIONAL})\s*\)")

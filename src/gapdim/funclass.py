@@ -140,10 +140,10 @@ class Partition(Sequence[IntervalUnion]):
         return self.count
 
     def __getitem__(self, i: int) -> IntervalUnion:
-        return IntervalUnion.over(self.D, self._pairs()[i])
+        return IntervalUnion(self.D, self._pairs()[i])
 
     def __iter__(self) -> Iterator[IntervalUnion]:
-        return (IntervalUnion.over(self.D, pairs) for pairs in self._pairs())
+        return (IntervalUnion(self.D, pairs) for pairs in self._pairs())
 
 
 class Function:
@@ -406,7 +406,7 @@ def segment_of_cells(
     of the domain points."""
     if F.kind == STEP:
         C, cuts, _, _ = refinement(F)
-        return IntervalUnion.over(C, [(cuts[j], cuts[j + 1]) for j in cells])
+        return IntervalUnion(C, [(cuts[j], cuts[j + 1]) for j in cells])
     points = F.domain_points
     return tuple(points[j] for j in cells)
 

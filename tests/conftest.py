@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from gapdim import Function, FunctionClass, IntervalUnion
-from oracles import oracle_constant
+from gapdim import Function, FunctionClass
+from oracles import oracle_constant, union_of
 
 
 @pytest.fixture
 def ramp8() -> Function:
     """Identity ramp discretized on dyadic eighths, value = left endpoint."""
     pieces = [
-        IntervalUnion([(Fraction(j, 8), Fraction(j + 1, 8))]) for j in range(8)
+        union_of([(Fraction(j, 8), Fraction(j + 1, 8))]) for j in range(8)
     ]
     return Function.step(pieces, [Fraction(j, 8) for j in range(8)])
 

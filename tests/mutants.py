@@ -37,6 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # the class kernels' own test files
 TESTS = ("tests/test_shatter.py", "tests/test_cli.py", "tests/test_funclass.py")
 ERGOPROC_TESTS = ("tests/test_ergoproc.py",)
+EXACTSET_TESTS = ("tests/test_exactset.py",)
 
 
 class Mutant(NamedTuple):
@@ -142,6 +143,30 @@ MUTANTS = [
     Mutant(
         "_discrepancies: the expectation's denominator q dropped from s * q", "ergoproc.py",
         "_discrepancies", "s * e.denominator", "s", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "_normalized: touching intervals kept apart", "exactset.py", "_normalized",
+        "lo <= merged[-1][1]", "lo < merged[-1][1]", EXACTSET_TESTS,
+    ),
+    Mutant(
+        "_checked: an interval ending at 1 refused", "exactset.py", "_checked",
+        "0 <= lo < hi <= D", "0 <= lo < hi < D", EXACTSET_TESTS,
+    ),
+    Mutant(
+        "_reduced: pairs never brought to the least denominator", "exactset.py", "_reduced",
+        "math.gcd(D, *(x for pair in pairs for x in pair))", "1", EXACTSET_TESTS,
+    ),
+    Mutant(
+        "IntervalUnion: the denominator 0 accepted", "exactset.py", "__init__",
+        "D < 1", "D < 0", EXACTSET_TESTS,
+    ),
+    Mutant(
+        "from_text: the largest denominator taken for their lcm", "exactset.py", "from_text",
+        "math.lcm(*{q for _, q in ends})", "max({q for _, q in ends})", EXACTSET_TESTS,
+    ),
+    Mutant(
+        "intersect: empty pieces kept", "exactset.py", "intersect",
+        "lo < hi", "lo <= hi", EXACTSET_TESTS,
     ),
 ]
 

@@ -480,6 +480,16 @@ def fraction_pairs(u: IntervalUnion) -> list:
     return [(Fraction(lo, D), Fraction(hi, D)) for lo, hi in u.scaled(D)]
 
 
+def union_of(pairs) -> IntervalUnion:
+    """The union of the intervals ``[lo, hi)`` for Fraction or int pairs,
+    built from integer pairs over the lcm of their denominators: the
+    inverse of :func:`fraction_pairs`."""
+    ends = [x.as_integer_ratio() for pair in pairs for x in pair]
+    D = math.lcm(*(q for _, q in ends))
+    scaled = iter([p * (D // q) for p, q in ends])
+    return IntervalUnion(D, zip(scaled, scaled))
+
+
 def sample_path_of(values, seed: int, spec) -> SamplePath:
     """A path through given points of [0, 1), over the lcm of their denominators."""
     values = [Fraction(v) for v in values]
@@ -654,7 +664,7 @@ def oracle_verify_certificate(F: FunctionClass, gamma, cert: ShatterCertificate)
 def oracle_integral(f, a, b):
     """The integral of a STEP function over [a, b) from piece measures: each
     piece, intersected as an IntervalUnion with [a, b), weighs its value."""
-    window = IntervalUnion([(a, b)])
+    window = union_of([(a, b)])
     return sum(
         (v * piece.intersect(window).measure for piece, v in zip(f.pieces, f.values)),
         Fraction(0),
@@ -716,7 +726,7 @@ def oracle_indicator(support: IntervalUnion) -> Function:
         return oracle_constant(0)
     if support.measure == 1:
         return oracle_constant(1)
-    rest = IntervalUnion(OracleIntervalUnion(fraction_pairs(support)).complement())
+    rest = union_of(OracleIntervalUnion(fraction_pairs(support)).complement())
     return Function.step([rest, support], [0, 1])
 
 
@@ -724,7 +734,7 @@ def oracle_on_cells(F: FunctionClass, n: int) -> FunctionClass:
     """A STEP class whose functions are constant on the n cells
     [i/n, (i+1)/n), rewritten on those cells: each cell its own IntervalUnion,
     valued by ``oracle_value_at`` at its left end."""
-    cells = [IntervalUnion([(Fraction(i, n), Fraction(i + 1, n))]) for i in range(n)]
+    cells = [union_of([(Fraction(i, n), Fraction(i + 1, n))]) for i in range(n)]
     fns = [
         Function.step(cells, [oracle_value_at(f, Fraction(i, n)) for i in range(n)]) for f in F
     ]
@@ -736,7 +746,7 @@ def oracle_step_class(F: FunctionClass) -> FunctionClass:
     piece a fresh IntervalUnion."""
     return FunctionClass(
         [
-            oracle_step([IntervalUnion(fraction_pairs(piece)) for piece in f.pieces], f.values)
+            oracle_step([union_of(fraction_pairs(piece)) for piece in f.pieces], f.values)
             for f in F
         ],
         F.name,
@@ -766,7 +776,7 @@ def oracle_random_step(seed: int, pieces: int, grid: int, count: int = 1) -> Fun
     """``random_step`` drawing each value by its own ``randbelow(rng, grid + 1)``
     call, row by row, every function checking its own pieces."""
     rng = SplitMix64(seed)
-    cells = [IntervalUnion([(Fraction(i, pieces), Fraction(i + 1, pieces))])
+    cells = [union_of([(Fraction(i, pieces), Fraction(i + 1, pieces))])
              for i in range(pieces)]
     fns = [
         oracle_step(cells, [Fraction(randbelow(rng, grid + 1), grid) for _ in range(pieces)])
@@ -781,7 +791,7 @@ def oracle_thresholds(n: int) -> FunctionClass:
     pieces (one when it is constant)."""
     fns = [
         oracle_indicator(
-            IntervalUnion([(Fraction(j, n), 1)]) if j < n else IntervalUnion.empty()
+            union_of([(Fraction(j, n), 1)]) if j < n else IntervalUnion(1)
         )
         for j in range(1, n + 1)
     ]
@@ -791,7 +801,7 @@ def oracle_thresholds(n: int) -> FunctionClass:
 def oracle_interval_indicators(n: int) -> FunctionClass:
     """``interval_indicators(n)`` as indicators of their own intervals."""
     fns = [
-        oracle_indicator(IntervalUnion([(Fraction(i, n), Fraction(j, n))]))
+        oracle_indicator(union_of([(Fraction(i, n), Fraction(j, n))]))
         for i in range(n)
         for j in range(i + 1, n + 1)
     ]
@@ -812,7 +822,7 @@ def oracle_full_join_family(L: int, k: int, k2: int, gamma) -> FunctionClass:
     for b in range(n_fns):
         cells_in = [(c, c + 1) for c in range(n_cells) if (sigma[c] >> b) & 1]
         cells_out = [(c, c + 1) for c in range(n_cells) if not (sigma[c] >> b) & 1]
-        pieces = (IntervalUnion.over(n_cells, cells_in), IntervalUnion.over(n_cells, cells_out))
+        pieces = (IntervalUnion(n_cells, cells_in), IntervalUnion(n_cells, cells_out))
         fns.append(Function.step(pieces, (v_in, v_out)))
     return FunctionClass(fns, f"full_join_family({L},{k},{k2},{format_rational(gamma)})")
 

@@ -1185,6 +1185,19 @@ class TestSimulationCommands:
         assert code == 0
         assert json.loads(out)["report"]["verdict"] == "PASS"
 
+    def test_bound_check_past_the_float_range(self, capsys):
+        # 10 * gamma is past the largest float: its decimal column is
+        # written from the exact value
+        gamma = str(10**400)
+        code, out, err = run_err(
+            capsys, "bound-check", "--class", "thresholds(4)", "--process", "iid",
+            "--gamma", gamma, "--m", "10", "--replicates", "1", "--seed", "1",
+        )
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        assert report["bound"] == {"decimal": "1e+401", "exact": f"{gamma}0/1"}
+        assert report["verdict"] == "PASS"
+
     def test_demo_rotation(self, capsys):
         code, out = run(capsys, "demo-rotation", "--m", "50", "--seed", "7")
         assert code == 0

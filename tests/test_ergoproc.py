@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from gapdim import (
     Function,
     FunctionClass,
-    IntervalUnion,
     discrepancy,
     estimate_gamma,
     expectation,
@@ -58,6 +57,7 @@ from oracles import (
     sample_path_of,
     split_path,
     subadditivity_check,
+    union_of,
 )
 
 F = Fraction
@@ -70,7 +70,7 @@ def class_means(FC: FunctionClass, path: SamplePath, lengths):
 
 
 def staircase(n: int) -> Function:
-    pieces = [IntervalUnion([(F(j, n), F(j + 1, n))]) for j in range(n)]
+    pieces = [union_of([(F(j, n), F(j + 1, n))]) for j in range(n)]
     return Function.step(pieces, [F(j, n) for j in range(n)])
 
 
@@ -172,7 +172,7 @@ class TestSamplePath:
 
 class TestExpectation:
     def test_indicator_uniform(self):
-        f = oracle_indicator(IntervalUnion([(0, F(1, 4))]))
+        f = oracle_indicator(union_of([(0, F(1, 4))]))
         assert expectation(FunctionClass([f]), IIDUniformSpec()) == [F(1, 4)]
 
     def test_constant_any_spec(self):
@@ -189,7 +189,7 @@ class TestExpectation:
             ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))),
             (Emission.uniform(F(0), F(1, 2)), Emission.uniform(F(1, 2), F(1))),
         )
-        f = oracle_indicator(IntervalUnion([(0, F(1, 4))]))
+        f = oracle_indicator(union_of([(0, F(1, 4))]))
         # pi = (1/2, 1/2); conditional expectations 1/2 and 0
         assert expectation(FunctionClass([f]), spec) == [F(1, 4)]
 
@@ -279,7 +279,7 @@ def mass_corpus(tmp_path):
     # functions on different partitions in one class
     mixed = [f for FC in classes[-3:] for f in FC.functions] + [staircase(10)]
     mixed.append(Function.step(
-        [IntervalUnion([(0, F(1, 5)), (F(2, 3), 1)]), IntervalUnion([(F(1, 5), F(2, 3))])],
+        [union_of([(0, F(1, 5)), (F(2, 3), 1)]), union_of([(F(1, 5), F(2, 3))])],
         [F(1, 3), F(5, 8)],
     ))
     return [*classes, FunctionClass(mixed), load_class(path)]
@@ -367,7 +367,7 @@ class TestDiscrepancy:
         assert pointwise_discrepancy(f, path) == abs(F(2, 5) - F(9, 20))
 
     def test_indicator_path_inside_support(self):
-        f = oracle_indicator(IntervalUnion([(0, F(1, 2))]))
+        f = oracle_indicator(union_of([(0, F(1, 2))]))
         FC = FunctionClass([f])
         path = sample_path_of((F(1, 8), F(1, 4), F(3, 8)), 0, IIDUniformSpec())
         assert max(per_function_discrepancies(FC, path)) == F(1, 2)
@@ -424,7 +424,7 @@ class TestPointwiseDiscrepancy:
     @pytest.fixture
     def reloaded(self, tmp_path):
         FC = FunctionClass([
-            Function.step([IntervalUnion(pairs) for pairs in pieces], values)
+            Function.step([union_of(pairs) for pairs in pieces], values)
             for pieces, values in MULTI_INTERVAL_PIECES
         ], "multi")
         save_class(FC, tmp_path / "multi.json")
@@ -461,7 +461,7 @@ class TestSubadditivity:
         assert all(subadditivity_check(FC, path, s) for s in range(1, 30))
 
     def test_identical_halves(self):
-        f = oracle_indicator(IntervalUnion([(0, F(1, 2))]))
+        f = oracle_indicator(union_of([(0, F(1, 2))]))
         FC = FunctionClass([f])
         values = (F(1, 4), F(3, 4)) * 5
         path = sample_path_of(values, 0, IIDUniformSpec())
@@ -702,7 +702,7 @@ ORACLE_SPECS = {
 def cut_at(points) -> FunctionClass:
     """Indicators of [0, p): a class with a cut at every positive point."""
     return FunctionClass([
-        oracle_indicator(IntervalUnion([(0, p)])) for p in sorted(set(points)) if p
+        oracle_indicator(union_of([(0, p)])) for p in sorted(set(points)) if p
     ])
 
 
@@ -1070,6 +1070,20 @@ class TestChainPaths:
                     words[data.draw(st.integers(0, len(words) - 1))] = min(max(at, 0), 2**64 - 1)
         got = ergoproc._walk_counts(walk, thresholds, lengths)
         assert got == list(oracle_binned_counts(tuple(walk), thresholds, lengths))
+
+    def test_a_walk_mixes_only_the_blocks_it_reads(self, monkeypatch):
+        # a chain half of whose steps emit a point reads about 3m/2 of the
+        # 2m words it may need, so its last blocks are never mixed
+        mixed = []
+        unit_words = SplitMix64.unit_words
+        monkeypatch.setattr(
+            SplitMix64, "unit_words", lambda rng, n: mixed.append(n) or unit_words(rng, n)
+        )
+        spec, m = split_byte_chain(), 10**5
+        path = sample_path(spec, m, 7)
+        assert sum(mixed) < 2 * m
+        assert all(n <= BLOCK for n in mixed)
+        assert path.values == oracle_sample_path(spec, m, 7)
 
 
 @pytest.fixture(scope="module")

@@ -59,6 +59,7 @@ from oracles import (
     oracle_value_at,
     oracle_values_at,
     randbelow,
+    union_of,
 )
 
 F = Fraction
@@ -88,7 +89,7 @@ def one(f: Function) -> FunctionClass:
 class TestSegments:
     def test_ramp_band2(self, ramp8):
         # enumerate pieces with value in [1/4, 1/2)
-        assert segment(one(ramp8), 0, F(1, 4), 2) == IntervalUnion([(F(1, 4), F(1, 2))])
+        assert segment(one(ramp8), 0, F(1, 4), 2) == union_of([(F(1, 4), F(1, 2))])
 
     def test_constant_zero_band1(self):
         f = oracle_constant(0)
@@ -129,7 +130,7 @@ class TestSegmentPartition:
     def test_ramp_quarters(self, ramp8):
         parts = segment_partition(one(ramp8), 0, F(1, 4))
         assert parts == [
-            IntervalUnion([(F(j, 4), F(j + 1, 4))]) for j in range(4)
+            union_of([(F(j, 4), F(j + 1, 4))]) for j in range(4)
         ]
 
     @given(st.integers(0, 2**32), st.sampled_from([F(1, 5), F(1, 4), F(1, 3)]))
@@ -305,12 +306,12 @@ class TestValidation:
         assert Function.step([IntervalUnion.full()], [1]).values == (F(1),)
 
     def test_step_must_cover(self):
-        self.all_raise([IntervalUnion([(0, F(1, 2))])], r"must cover \[0, 1\)")
+        self.all_raise([union_of([(0, F(1, 2))])], r"must cover \[0, 1\)")
 
     def test_step_must_be_disjoint(self):
         # the pieces cover [0, 1) and overlap on [1/2, 3/4)
         self.all_raise(
-            [IntervalUnion([(0, F(3, 4))]), IntervalUnion([(F(1, 2), 1)])],
+            [union_of([(0, F(3, 4))]), union_of([(F(1, 2), 1)])],
             "pairwise disjoint",
         )
 
@@ -318,10 +319,10 @@ class TestValidation:
         "pieces",
         [
             # a gap whose measure the overlap makes up: the measures sum to 1
-            [IntervalUnion([(0, F(1, 2))]), IntervalUnion([(F(1, 4), F(3, 4))])],
+            [union_of([(0, F(1, 2))]), union_of([(F(1, 4), F(3, 4))])],
             # a gap and an overlap that do not balance
-            [IntervalUnion([(0, F(1, 2))]), IntervalUnion([(F(1, 4), F(1, 2))])],
-            [IntervalUnion([(F(1, 4), 1)]), IntervalUnion([(F(1, 2), 1)])],
+            [union_of([(0, F(1, 2))]), union_of([(F(1, 4), F(1, 2))])],
+            [union_of([(F(1, 4), 1)]), union_of([(F(1, 2), 1)])],
         ],
     )
     def test_step_gap_and_overlap_reports_the_gap(self, pieces):
@@ -379,11 +380,11 @@ def table_classes():
         FunctionClass(
             [
                 Function.step(
-                    [IntervalUnion([(0, F(1, 3)), (F(2, 3), 1)]),
-                     IntervalUnion([(F(1, 3), F(2, 3))])],
+                    [union_of([(0, F(1, 3)), (F(2, 3), 1)]),
+                     union_of([(F(1, 3), F(2, 3))])],
                     [F(1, 4), F(3, 4)],
                 ),
-                oracle_indicator(IntervalUnion([(F(1, 5), F(1, 2))])),
+                oracle_indicator(union_of([(F(1, 5), F(1, 2))])),
             ]
         ),
     ]
@@ -500,20 +501,20 @@ class TestStepRow:
                     values_at(one(f), [x])
 
     def test_pieces_in_another_order_are_equal(self):
-        a = IntervalUnion([(0, F(1, 3)), (F(2, 3), 1)])
-        b = IntervalUnion([(F(1, 3), F(2, 3))])
+        a = union_of([(0, F(1, 3)), (F(2, 3), 1)])
+        b = union_of([(F(1, 3), F(2, 3))])
         f, g = Function.step([a, b], [F(1, 4), F(3, 4)]), Function.step([b, a], [F(3, 4), F(1, 4)])
         assert f == g and hash(f) == hash(g)
         # the intervals of one piece given as pieces of their own: same row
         split = Function.step(
-            [IntervalUnion([(0, F(1, 3))]), b, IntervalUnion([(F(2, 3), 1)])],
+            [union_of([(0, F(1, 3))]), b, union_of([(F(2, 3), 1)])],
             [F(1, 4), F(3, 4), F(1, 4)],
         )
         assert split == f and hash(split) == hash(f)
 
     def test_a_piece_split_in_two_is_not_the_unsplit_piece(self):
         halves = Function.step(
-            [IntervalUnion([(0, F(1, 2))]), IntervalUnion([(F(1, 2), 1)])], [0, 0]
+            [union_of([(0, F(1, 2))]), union_of([(F(1, 2), 1)])], [0, 0]
         )
         assert halves != oracle_constant(0)
         assert values_at(one(halves), [F(1, 3)]) == values_at(one(oracle_constant(0)), [F(1, 3)])
@@ -574,8 +575,8 @@ ORACLE_CLASSES = (
     + [full_join_family(2, 4, 1, F(2, 9))]
     + [FunctionClass([
         oracle_constant(0), oracle_constant(F(2, 7)), oracle_constant(1),
-        oracle_indicator(IntervalUnion([(0, F(1, 3)), (F(2, 3), 1)])),
-        oracle_indicator(IntervalUnion.empty()), oracle_indicator(IntervalUnion.full()),
+        oracle_indicator(union_of([(0, F(1, 3)), (F(2, 3), 1)])),
+        oracle_indicator(IntervalUnion(1)), oracle_indicator(IntervalUnion.full()),
     ], "constants and indicators")]
     + table_classes()[-1:]
 )
@@ -634,9 +635,9 @@ class TestSharedPartition:
         assert list(loaded) == list(mixed) and class_to_json(loaded) == class_to_json(mixed)
 
     def test_ends_and_owners(self):
-        outer = IntervalUnion([(0, F(1, 3)), (F(2, 3), 1)])
-        pieces = Partition([outer, IntervalUnion([(F(1, 3), F(2, 3))])])
-        assert list(pieces) == [outer, IntervalUnion([(F(1, 3), F(2, 3))])]
+        outer = union_of([(0, F(1, 3)), (F(2, 3), 1)])
+        pieces = Partition([outer, union_of([(F(1, 3), F(2, 3))])])
+        assert list(pieces) == [outer, union_of([(F(1, 3), F(2, 3))])]
         assert (pieces.D, pieces.ends, pieces.owners) == (3, (1, 2, 3), (0, 1, 0))
         f = Function.step(pieces, [F(1, 4), F(3, 4)])
         assert f.pieces is pieces
@@ -644,7 +645,7 @@ class TestSharedPartition:
 
     @pytest.mark.parametrize("value", [F(-1, 4), F(5, 4), F(-1), F(2), F(10**12 + 1, 10**12)])
     def test_a_value_outside_the_unit_range_is_reported_first(self, value):
-        gap = [IntervalUnion([(0, F(1, 2))])]  # the pieces are at fault too
+        gap = [union_of([(0, F(1, 2))])]  # the pieces are at fault too
         for build in (Function.step, oracle_step):
             with pytest.raises(ValueError, match=rf"value {value} outside \[0, 1\]"):
                 build(gap, [value])
@@ -671,7 +672,7 @@ class TestOneBandRule:
     FUNCTIONS = [
         random_step(4, 6, 4).functions[0],  # values on quarters, 1 included
         oracle_constant(1),
-        oracle_indicator(IntervalUnion([(F(1, 3), F(2, 3))])),
+        oracle_indicator(union_of([(F(1, 3), F(2, 3))])),
         Function.tabular([0, F(1, 4), F(1, 2), F(3, 4)], [1, F(3, 4), 0, F(1, 4)]),
         Function.tabular([F(1, 3)], [1]),
     ]
@@ -736,7 +737,7 @@ class TestOneBandRule:
         values = self.edge_values(gamma)
         W = math.lcm(*(v.denominator for v in values))
         n = len(values)
-        f = Function.step(Partition([IntervalUnion([(F(i, n), F(i + 1, n))]) for i in range(n)]),
+        f = Function.step(Partition([union_of([(F(i, n), F(i + 1, n))]) for i in range(n)]),
                           values)
         FC = FunctionClass([f, oracle_constant(1)])
         assert refinement(FC)[2] == W
@@ -754,10 +755,10 @@ class TestOneBandRule:
 def coarse_pieces_class() -> FunctionClass:
     """A class file's functions on pieces of several intervals each, coarser
     than the class's refinement cells, with values on band edges (1/4, 1/2)."""
-    a, b = IntervalUnion([(0, F(1, 3)), (F(2, 3), 1)]), IntervalUnion([(F(1, 3), F(2, 3))])
-    p = IntervalUnion([(0, F(1, 5)), (F(2, 5), F(3, 5))])
-    q = IntervalUnion([(F(1, 5), F(2, 5)), (F(3, 5), 1)])
-    sevenths = [IntervalUnion([(F(i, 7), F(i + 1, 7))]) for i in range(7)]
+    a, b = union_of([(0, F(1, 3)), (F(2, 3), 1)]), union_of([(F(1, 3), F(2, 3))])
+    p = union_of([(0, F(1, 5)), (F(2, 5), F(3, 5))])
+    q = union_of([(F(1, 5), F(2, 5)), (F(3, 5), 1)])
+    sevenths = [union_of([(F(i, 7), F(i + 1, 7))]) for i in range(7)]
     return FunctionClass([
         Function.step([a, b], [F(1, 10), F(9, 10)]),
         Function.step([p, q], [F(7, 8), F(1, 4)]),
@@ -894,13 +895,19 @@ class TestEqualCellGenerators:
         def refuse(*args):
             raise AssertionError("segments must not union pieces")
 
+        built, init = [], IntervalUnion.__init__
         monkeypatch.setattr(IntervalUnion, "union_all", classmethod(refuse))
-        monkeypatch.setattr(IntervalUnion, "__init__", refuse)
+        monkeypatch.setattr(
+            IntervalUnion, "__init__", lambda u, D, pairs=(): built.append(D) or init(u, D, pairs)
+        )
         for gamma in EQUAL_CELL_GAMMAS:
             for i in range(len(FC)):
                 K = k_of_gamma(gamma)
+                built.clear()
                 segments = [segment(FC, i, gamma, k) for k in range(1, K + 1)]
                 assert segment_partition(FC, i, gamma) == segments
+                # one union per segment, over the cells' own denominator
+                assert built == [refinement(FC)[0]] * (2 * K)
 
 
 # each generated step class beside the same class built by an oracle on its
@@ -927,7 +934,6 @@ class TestIntegerPartition:
 
         with monkeypatch.context() as m:
             m.setattr(IntervalUnion, "__init__", refuse)
-            m.setattr(IntervalUnion, "over", classmethod(refuse))
             m.setattr(IntervalUnion, "union_all", classmethod(refuse))
             FC = generate(spec)
         assert len(FC[0].pieces) == cells
@@ -945,7 +951,7 @@ class TestIntegerPartition:
         write_json(doc, tmp_path / "in.json")
         loaded = load_class(tmp_path / "in.json")
         assert [len(f.pieces) for f in loaded] == [4, 2]
-        assert loaded[0].pieces[1] == loaded[0].pieces[3] == IntervalUnion.empty()
+        assert loaded[0].pieces[1] == loaded[0].pieces[3] == IntervalUnion(1)
         save_class(loaded, tmp_path / "out.json")
         assert (tmp_path / "out.json").read_bytes() == (tmp_path / "in.json").read_bytes()
 

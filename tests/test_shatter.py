@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from gapdim import (
     Function,
     FunctionClass,
-    IntervalUnion,
     all_patterns,
     full_join_family,
     gap_dim,
@@ -39,6 +38,7 @@ from oracles import (
     oracle_value_at,
     oracle_values_at,
     oracle_verify_certificate,
+    union_of,
 )
 
 F = Fraction
@@ -259,21 +259,21 @@ def segment_pairs(FC, gamma, k, k2):
 
 class TestJoin:
     def test_two_functions(self):
-        f = oracle_indicator(IntervalUnion([(F(1, 2), 1)]))
-        g = oracle_indicator(IntervalUnion([(F(1, 4), 1)]))
+        f = oracle_indicator(union_of([(F(1, 2), 1)]))
+        g = oracle_indicator(union_of([(F(1, 4), 1)]))
         cells = join(FunctionClass([f, g]), F(1, 2), 1, 2)
         assert [(c.cell, c.signature) for c in cells] == [
-            (IntervalUnion([(0, F(1, 4))]), (0, 0)),
-            (IntervalUnion([(F(1, 4), F(1, 2))]), (0, 1)),
-            (IntervalUnion([(F(1, 2), 1)]), (1, 1)),
+            (union_of([(0, F(1, 4))]), (0, 0)),
+            (union_of([(F(1, 4), F(1, 2))]), (0, 1)),
+            (union_of([(F(1, 2), 1)]), (1, 1)),
         ]
 
     def test_single_function_gives_its_two_segments(self, ramp8):
         # bands 1 and 3 of the ramp at 1/4; the cells between drop out
         cells = join(FunctionClass([ramp8]), F(1, 4), 3, 1)
         assert [(c.cell, c.signature) for c in cells] == [
-            (IntervalUnion([(F(1, 2), F(3, 4))]), (0,)),
-            (IntervalUnion([(0, F(1, 4))]), (1,)),
+            (union_of([(F(1, 2), F(3, 4))]), (0,)),
+            (union_of([(0, F(1, 4))]), (1,)),
         ]
 
     def test_cells_disjoint_and_contained(self):

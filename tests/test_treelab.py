@@ -47,6 +47,7 @@ from oracles import (
     oracle_tree_to_json,
     oracle_uniform_depth,
     randbelow,
+    union_of,
 )
 
 F = Fraction
@@ -250,8 +251,8 @@ class TestIntersectionTree:
         assert built is not None
         assert built.functions == (0,)
         assert built.tree.labels[1] == (1, 3)  # lexicographically least pair
-        assert built.tree.sets[2] == IntervalUnion([(0, F(1, 4))])
-        assert built.tree.sets[3] == IntervalUnion([(F(1, 2), F(3, 4))])
+        assert built.tree.sets[2] == union_of([(0, F(1, 4))])
+        assert built.tree.sets[3] == union_of([(F(1, 2), F(3, 4))])
         assert intersection_tree_verify(built.tree, FC, F(1, 4), built.functions)
 
     def test_constants_fail(self):
@@ -273,7 +274,7 @@ class TestIntersectionTree:
         built = intersection_tree_build(FC, F(1, 5), 2)
         bare = CompleteTree(2, sets=built.tree.sets)
         assert intersection_tree_verify(bare, FC, F(1, 5), built.functions)
-        for payload in (segment(FC, built.functions[0], F(1, 5), 2), IntervalUnion([(0, F(1, 3))])):
+        for payload in (segment(FC, built.functions[0], F(1, 5), 2), union_of([(0, F(1, 3))])):
             # an adjacent (here empty) segment, and a set that is no segment
             sets = {**built.tree.sets, 3: payload}
             assert not intersection_tree_verify(CompleteTree(2, sets=sets), FC, F(1, 5),
@@ -594,7 +595,7 @@ def mutations(tree: CompleteTree, F: FunctionClass, gamma, functions, rng: Split
     for t in range(2, 1 << (tree.depth + 1)):
         g = functions[tree.level_of(t) - 1]
         other = randbelow(rng, len(F))
-        payloads = [tree.sets[t ^ 1], IntervalUnion.empty(), IntervalUnion.full()]
+        payloads = [tree.sets[t ^ 1], IntervalUnion(1), IntervalUnion.full()]
         payloads += [segment(F, h, gamma, 1 + randbelow(rng, K)) for h in (g, other)]
         for payload in payloads:
             for labels in (tree.labels, {}):
