@@ -8,9 +8,12 @@ lo == hi.  Path values are exact rationals built from 53-bit SplitMix64
 draws k, held as integer ticks over one scale N per path (x = tick / N):
 N = 2**64 and the tick k * 2**11 for IID, N = 2**53 * den(theta) for a
 rotation, and N = 2**64 * lcm(emission denominators) for a Markov chain.
-IID ticks are one ``array('Q')`` of 64-bit words.  A rotation path holds
-only its ``Orbit``: the first tick, the step theta * N, N and the length,
-from which any tick is one product and one remainder.  A Markov path holds
+An IID path holds only its ``Draws``: the seed and the length, from which
+the 64-bit word ticks come a block of ``rng.BLOCK`` at a time, each block
+mixed only when it is read, and any tick is one SplitMix64 step.  A
+rotation path holds only its ``Orbit``: the first tick, the step
+theta * N, N and the length, from which any tick is one product and one
+remainder.  A Markov path holds
 its ``Walk``: the state of each step and, per state, the words its uniform
 emissions drew, from which any tick is one product and one sum.  Every
 downstream decision (discrepancy, bound verdicts) is exact; floats appear
@@ -24,12 +27,14 @@ points are binned on integers and each mean is one sum s over V * m.  IID
 ticks fill all 64 bits, so their top byte alone bins most of them: one
 256-entry table, built from the thresholds, maps each top byte to its cell,
 or to the marker 255 when a threshold splits that byte's range (or the cell
-is 255 or more).  One ``bytes.translate`` of the path's top bytes then gives
-each tick's cell, in C, and only the marked ticks, and the ticks of explicit
-paths, are binned with a bisect (``_binned_counts``).  A walk is binned
-state by state (``_walk_counts``): a point state's steps all fall in one
-cell, and a uniform state's words go through the same kernel against the
-thresholds moved into word space.  The process marginal gives each cell an
+is 255 or more).  One ``bytes.translate`` of the top bytes then gives each
+tick's cell, in C, and only the marked ticks, and the ticks of explicit
+paths, are binned with a bisect (``_binned_counts``).  The words are binned
+a block at a time as they are drawn, so counting an IID path of any length
+holds only one block of words.  A walk is binned state by state
+(``_walk_counts``): a point state's steps all fall in one cell, and a
+uniform state's words go through the same kernel against the thresholds
+moved into word space.  The process marginal gives each cell an
 exact integer mass over one B (``_cell_masses``), so each expectation p / q
 is one sum over V * B, and each discrepancy is the one ``Fraction``
 |s * q - p * V * m| / (V * m * q).  A path is a prefix of the longer path
@@ -72,7 +77,7 @@ from .funclass import (
     value_rows,
     values_at,
 )
-from .rng import BLOCK, TWO53, SplitMix64
+from .rng import GOLDEN_GAMMA, TWO53, SplitMix64
 from .shatter import DimResult, gap_dim
 
 
@@ -269,14 +274,44 @@ class Walk(Sequence[int]):
             yield offset + width * next(draws[s]) if width else offset
 
 
+class Draws(Sequence[int]):
+    """The ticks of an IID path, held as the draws that make them: tick i
+    is the word k << 11 of the (i + 1)-th ``unit_tick()`` of
+    ``SplitMix64(seed)``.  ``blocks()`` yields the words as ``array('Q')``
+    blocks of up to ``rng.BLOCK``, each mixed only when it is reached, so a
+    pass over the path holds one block at a time.  Like an ``Orbit`` it is
+    a read-only sequence of ints built on demand: one index is one
+    SplitMix64 step, and it is not sliced."""
+
+    __slots__ = ("seed", "length")
+
+    def __init__(self, seed: int, length: int):
+        self.seed = seed
+        self.length = length
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, i: int) -> int:
+        i = range(self.length)[operator.index(i)]
+        return SplitMix64(self.seed + i * GOLDEN_GAMMA).unit_tick() << 11
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(self.blocks())
+
+    def blocks(self) -> Iterator[array]:
+        return SplitMix64(self.seed).word_blocks(self.length)
+
+
 @dataclass(frozen=True, eq=False)
 class SamplePath:
     """Sample points x_i = ticks[i] / scale, held as integers over one scale.
 
-    ``ticks`` is any sequence of ints: an ``array('Q')`` for an IID path, an
+    ``ticks`` is any sequence of ints: ``Draws`` for an IID path, an
     ``Orbit`` for a rotation path, a ``Walk`` for a Markov path and a tuple
-    otherwise.  An ``Orbit`` is counted by floor sums and a ``Walk`` state
-    by state; a path built from explicit ticks is binned tick by tick.
+    otherwise.  ``Draws`` are binned a block of words at a time, an
+    ``Orbit`` is counted by floor sums and a ``Walk`` state by state; a path
+    built from explicit ticks is binned tick by tick.
     Paths compare by identity.
     """
 
@@ -342,7 +377,9 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
 
     A uniform is a 53-bit integer k standing for k / 2**53, and the points
     are integer ticks over one scale N.  IID: N = 2**64 and the tick is
-    k << 11, the same point, so that the top byte of a tick picks its cell.
+    k << 11, the same point, so that the top byte of a tick picks its cell;
+    the path is held as its ``Draws`` (seed and length), its words drawn a
+    block at a time whenever the path is read.
     Rotation: N = 2**53 * den(theta); each step adds theta * N to the start
     tick x0 * N, modulo N, and the path is held as that ``Orbit`` (its ticks
     are built only when read; counts come from floor sums).  Markov:
@@ -356,11 +393,11 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
     path from the same (spec, seed).
 
     All uniforms come from one ``SplitMix64(seed)`` stream.  IID and Markov
-    paths draw it in bulk as 64-bit words (``unit_words``, blocks of
+    paths draw it in bulk as 64-bit words (``word_blocks``, blocks of
     ``rng.BLOCK``), which gives the same uniforms as one ``unit_tick()``
-    call per draw: the IID path keeps its m words as its ticks, and a chain
-    reads its words one at a time, in the order above, from a stream of 2m
-    (it never needs more), each block mixed only when the walk reaches it.
+    call per draw: the IID path keeps no word, and a chain reads its words
+    one at a time, in the order above, from a stream of 2m (it never needs
+    more), each block mixed only when the walk reaches it.
     A rotation's start is one ``unit_fraction()`` call.
     """
     if m < 1:
@@ -368,7 +405,7 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
     rng = SplitMix64(seed)
     if isinstance(spec, IIDUniformSpec):
         scale = 1 << 64
-        ticks = rng.unit_words(m)
+        ticks = Draws(seed, m)
     elif isinstance(spec, RotationSpec):
         x0 = rng.unit_fraction()
         scale = TWO53 * spec.theta.denominator
@@ -385,8 +422,7 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
         rows = [_pick_thresholds(row) for row in spec.transition]
         # at most 2m draws (the start, m - 1 transitions and m emissions),
         # each block mixed only when the walk reaches it
-        blocks = (rng.unit_words(min(BLOCK, 2 * m - k)) for k in range(0, 2 * m, BLOCK))
-        ticks = _walk(chain.from_iterable(blocks), start, rows, emit, m)
+        ticks = _walk(chain.from_iterable(rng.word_blocks(2 * m)), start, rows, emit, m)
     else:
         raise TypeError(f"unknown process spec {spec!r}")
     return SamplePath(ticks=ticks, scale=scale, seed=seed, spec=spec)
@@ -483,32 +519,46 @@ def _binned_counts(
     """Per cell between the thresholds (as ``Orbit.cell_counts``), the count
     of the first m ticks for each m in the non-decreasing ``lengths``.
 
-    The 64-bit ticks of an ``array('Q')`` (an IID path, or the words of one
-    state of a walk) are binned in C by their top byte: one strided
-    ``memoryview`` slice copies the top bytes, one ``bytes.translate``
-    through ``_top_byte_table`` maps them to their cells, and
-    ``bytes.count`` counts each cell in each prefix.  Only
-    the ticks it marks MARKED are binned with ``bisect_right``, picked out
-    by ``itertools.compress``; so is every tick of any other sequence, each
-    once as one pass reaches it."""
-    words = isinstance(ticks, array)
-    if words:
-        table = _top_byte_table(thresholds)
-        cells = memoryview(ticks).cast("B")[_TOP_BYTE::8].tobytes().translate(table)
-        marked = cells.translate(_IS_MARKED) if MARKED in table else None
-        present = set(table) - {MARKED}
-        ticks = memoryview(ticks)  # slices without copies
+    64-bit word ticks (the ``blocks()`` of an IID path's ``Draws``, or the
+    one ``array('Q')`` of a walk state's words) are binned in C a block at a
+    time by their top byte: one strided ``memoryview`` slice copies the top
+    bytes, one ``bytes.translate`` through ``_top_byte_table`` maps them to
+    their cells, and ``bytes.count`` counts each cell in each part of the
+    block before the next prefix length, which may end inside it.  Only the
+    ticks it marks MARKED are binned with ``bisect_right``, picked out by
+    ``itertools.compress``; so is every tick of any other sequence, each
+    once as one pass reaches it.  A block is read only when a length
+    reaches into it, and only one block is held at a time."""
     counts = Counter()
-    done = 0
+    if not isinstance(ticks, (Draws, array)):
+        done = 0
+        for m in lengths:
+            counts.update(map(bisect_right, repeat(thresholds), ticks[done:m]))
+            done = m
+            yield [counts[j] for j in range(len(thresholds) + 1)]
+        return
+    table = _top_byte_table(thresholds)
+    present = set(table) - {MARKED}
+    marks = MARKED in table
+    blocks = ticks.blocks() if isinstance(ticks, Draws) else iter((ticks,))
+    block = cells = marked = b""
+    start = done = 0  # the path index of the block's first tick, its ticks counted
     for m in lengths:
-        if words:
+        while True:
+            stop = min(m - start, len(block))
             for j in present:
-                counts[j] += cells.count(j, done, m)
-            rest = () if marked is None else compress(ticks[done:m], marked[done:m])
-        else:
-            rest = ticks[done:m]
-        counts.update(map(bisect_right, repeat(thresholds), rest))
-        done = m
+                counts[j] += cells.count(j, done, stop)
+            if marks:
+                ticked = compress(block[done:stop], marked[done:stop])
+                counts.update(map(bisect_right, repeat(thresholds), ticked))
+            done = stop
+            if m - start <= len(block):
+                break
+            start += len(block)
+            block = next(blocks)
+            cells = memoryview(block).cast("B")[_TOP_BYTE::8].tobytes().translate(table)
+            marked = cells.translate(_IS_MARKED) if marks else None
+            block, done = memoryview(block), 0  # slices without copies
         yield [counts[j] for j in range(len(thresholds) + 1)]
 
 

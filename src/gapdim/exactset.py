@@ -26,6 +26,7 @@ import json
 import json.encoder
 import math
 import re
+import sys
 from decimal import Context
 from fractions import Fraction
 from functools import lru_cache
@@ -208,11 +209,16 @@ def json_key(key: str, what: str) -> int:
 
 def decimal12(q: RationalLike) -> str:
     """Render a rational as a decimal with 12 significant digits: the
-    ``.12g`` text of its float, or of its exact value past the float range."""
+    ``.12g`` text of its float, or of its exact value past the float range
+    or, when it is not 0, below the normal floats (where a float loses
+    digits or underflows to 0)."""
     try:
-        return f"{float(q):.12g}"
+        x = float(q)
     except OverflowError:
+        x = None
+    if x is None or (q and abs(x) < sys.float_info.min):
         return f"{Context(prec=12).divide(q.numerator, q.denominator).normalize():.12g}"
+    return f"{x:.12g}"
 
 
 class IntervalUnion:

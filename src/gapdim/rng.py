@@ -9,19 +9,20 @@ an output divided by 2**53, returned as an exact dyadic ``Fraction`` or as
 its integer numerator (a "tick").
 
 Draws come one at a time (``next_u64``, ``unit_tick``, ``unit_fraction``)
-or in bulk, in two forms (``u64s``, and ``unit_words``, which keeps each
+or in bulk, in two forms (``u64s``, and ``word_blocks``, which keeps each
 tick k as the 64-bit word k * 2**11, the output with its low 11 bits
-cleared, in one ``array('Q')``: over 2**64 it is the same point k / 2**53),
-and both give one identical stream: n bulk draws return what n per-call
-draws would and leave the generator in the same state.  Bulk draws mix up
-to ``BLOCK`` states at once.  The states of a block are packed into one
+cleared: over 2**64 it is the same point k / 2**53), and both give one
+identical stream: n bulk draws return what n per-call draws would and leave
+the generator in the same state.  Bulk draws mix up to ``BLOCK`` states at
+once, and only when their block is reached, so a long stream is held one
+block at a time.  The states of a block are packed into one
 Python int as 128-bit lanes, state k in bits 128k .. 128k + 63.  Each
 xor-shift and multiply of the mixer then runs on the whole int, and every
 lane is masked back to 64 bits after each step.  The upper half of a lane
 is headroom: it holds the bits a right shift brings down from the next lane
 until the mask clears them, and the high half of each 64 x 64-bit product,
 so no lane ever carries into the next.  The last mask also clears the low
-11 bits of every lane for ``unit_words``.  The lanes are unpacked with
+11 bits of every lane for ``word_blocks``.  The lanes are unpacked with
 ``to_bytes`` and ``array('Q')``, taking every second 64-bit word; on a
 big-endian host the words are byteswapped first.
 """
@@ -104,14 +105,13 @@ class SplitMix64:
         """The next n ``next_u64()`` outputs, mixed a block at a time."""
         return chain.from_iterable(self._blocks(n))
 
-    def unit_words(self, n: int) -> array:
+    def word_blocks(self, n: int) -> Iterator[array]:
         """The next n ``unit_tick()`` draws k as the words k << 11, which is
-        ``next_u64() & ~0x7FF``, in one ``array('Q')``: 8 bytes a draw
-        instead of one Python int each, and k / 2**53 = (k << 11) / 2**64."""
-        words = array("Q")
-        for block in self._blocks(n, words=True):
-            words += block
-        return words
+        ``next_u64() & ~0x7FF``, in ``array('Q')`` blocks of up to BLOCK
+        words: 8 bytes a draw instead of one Python int each, and
+        k / 2**53 = (k << 11) / 2**64.  The state moves past all n at once,
+        and each block is mixed when the iterator reaches it."""
+        return self._blocks(n, words=True)
 
     def _blocks(self, n: int, words: bool = False) -> Iterator[array]:
         """n draws in the form ``_mix_block`` gives for `words`,

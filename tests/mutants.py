@@ -141,6 +141,19 @@ MUTANTS = [
         "table[t >> 56] = MARKED", "pass", ERGOPROC_TESTS,
     ),
     Mutant(
+        "_binned_counts: a length inside a block counted to the block's end", "ergoproc.py",
+        "_binned_counts", "min(m - start, len(block))", "len(block)", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "_binned_counts: the path index not advanced past a block", "ergoproc.py",
+        "_binned_counts", "start += len(block)", "pass", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "_binned_counts: the MARKED ticks of the whole block bisected", "ergoproc.py",
+        "_binned_counts", "compress(block[done:stop], marked[done:stop])",
+        "compress(block, marked)", ERGOPROC_TESTS,
+    ),
+    Mutant(
         "_discrepancies: the expectation's denominator q dropped from s * q", "ergoproc.py",
         "_discrepancies", "s * e.denominator", "s", ERGOPROC_TESTS,
     ),

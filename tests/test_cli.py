@@ -1198,6 +1198,19 @@ class TestSimulationCommands:
         assert report["bound"] == {"decimal": "1e+401", "exact": f"{gamma}0/1"}
         assert report["verdict"] == "PASS"
 
+    def test_bound_check_below_the_float_range(self, capsys):
+        # 10 * gamma underflows a float: its decimal column is written from
+        # the exact value, not as 0; ten points miss so tiny a bound
+        gamma = f"1/{10**400}"
+        code, out, err = run_err(
+            capsys, "bound-check", "--class", "thresholds(4)", "--process", "iid",
+            "--gamma", gamma, "--m", "10", "--replicates", "1", "--seed", "1",
+        )
+        assert (code, err) == (1, "")
+        report = json.loads(out)["report"]
+        assert report["bound"] == {"decimal": "1e-399", "exact": f"1/{10**399}"}
+        assert report["verdict"] == "FAIL"
+
     def test_demo_rotation(self, capsys):
         code, out = run(capsys, "demo-rotation", "--m", "50", "--seed", "7")
         assert code == 0

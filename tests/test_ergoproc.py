@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 from array import array
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from gapdim import (
 )
 from gapdim import ergoproc
 from gapdim.ergoproc import (
+    Draws,
     Emission,
     IIDUniformSpec,
     MarkovSpec,
@@ -897,15 +900,28 @@ class TestOrbitCounts:
 
 
 class TestPathStorage:
-    """IID ticks are one word array and rotation ticks an orbit; what a path
+    """IID ticks are their draws and rotation ticks an orbit; what a path
     reads as (values, length) is what a tuple of ticks gives."""
 
     @pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, 2 * BLOCK + 1])
     def test_iid_ticks_are_the_per_call_draws(self, m):
         # the 53-bit draw k is the tick k << 11 over 2**64: the same point
         path = sample_path(IIDUniformSpec(), m, 77)
-        assert path.ticks.typecode == "Q" and path.scale == 2**64
-        assert tuple(path.ticks) == tuple(k << 11 for k in oracle_unit_ticks(SplitMix64(77), m))
+        draws, want = path.ticks, tuple(k << 11 for k in oracle_unit_ticks(SplitMix64(77), m))
+        assert isinstance(draws, Draws) and path.scale == 2**64
+        assert tuple(chain.from_iterable(draws.blocks())) == want
+        assert all(len(block) <= BLOCK for block in draws.blocks())
+        # it reads as a tuple
+        assert len(draws) == m and tuple(draws) == want
+        assert draws[0] == want[0] and draws[m - 1] == draws[-1] == want[-1]
+        assert [draws[i] for i in range(-m, m, max(1, m // 7))] == [
+            want[i] for i in range(-m, m, max(1, m // 7))
+        ]
+        for i in (m, -m - 1):
+            with pytest.raises(IndexError):
+                draws[i]
+        with pytest.raises(TypeError):  # the draws are not sliced: read their blocks
+            draws[0:1]
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
     @pytest.mark.parametrize("m", [1, 2, BLOCK + 1])
@@ -967,7 +983,7 @@ def word_paths(draw, cells: int):
     else:
         thresholds = sorted(draw(st.lists(cut, min_size=cells - 1, max_size=cells - 1)))
     m = draw(st.sampled_from([1, BLOCK - 1, BLOCK, 2 * BLOCK + 1]))
-    words = SplitMix64(draw(st.integers(0, 2**64 - 1))).unit_words(m)
+    words = array("Q", chain.from_iterable(SplitMix64(draw(st.integers(0, 2**64 - 1))).word_blocks(m)))
     edges = [*thresholds, *(b * BUCKET for b in range(1, 256))]
     for _ in range(draw(st.integers(0, 8))):
         near = draw(st.sampled_from(edges)) + draw(st.integers(-1, 1))
@@ -1003,6 +1019,36 @@ class TestTopByteBinning:
         else:
             thresholds = sorted(data.draw(st.lists(cut, min_size=cells - 1, max_size=cells - 1)))
         assert ergoproc._top_byte_table(thresholds) == oracle_top_byte_table(thresholds)
+
+    @pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_draws_are_binned_across_block_edges(self, m):
+        # thresholds on the ticks either side of each block edge (and one
+        # past them) split their top bytes, so those ticks are bisected
+        path = sample_path(IIDUniformSpec(), m, 41)
+        ticks = tuple(path.ticks)
+        edges = [i for i in (0, 1, BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK) if i < m]
+        thresholds = sorted({t + d for t in map(ticks.__getitem__, edges) for d in (0, 1)})
+        table = ergoproc._top_byte_table(thresholds)
+        assert all(table[t >> 56] == ergoproc.MARKED for t in thresholds)
+        cuts = sorted(n for n in {1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, m} if n <= m)
+        for lengths in ([m], cuts, [1, 1, m, m]):
+            got = list(ergoproc._binned_counts(path.ticks, thresholds, lengths))
+            assert got == list(oracle_binned_counts(ticks, thresholds, lengths))
+
+    def test_counting_draws_holds_one_block_of_words(self):
+        def peak(m):
+            FC = thresholds(16)
+            tracemalloc.start()
+            try:
+                discrepancy(FC, sample_path(IIDUniformSpec(), m, 3), [BLOCK + 1, m])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2 * BLOCK)  # the lane constants and the class table, built once
+        small, large = peak(8 * BLOCK), peak(64 * BLOCK)
+        # holding all the words would add 8 bytes a tick, 1.75 MiB here
+        assert large < small + BLOCK
 
     def test_even_grids_mark_only_split_bytes(self):
         # 16 and 128 cells cut on bucket edges, 24 cells inside 16 buckets;
@@ -1075,9 +1121,10 @@ class TestChainPaths:
         # a chain half of whose steps emit a point reads about 3m/2 of the
         # 2m words it may need, so its last blocks are never mixed
         mixed = []
-        unit_words = SplitMix64.unit_words
+        word_blocks = SplitMix64.word_blocks
         monkeypatch.setattr(
-            SplitMix64, "unit_words", lambda rng, n: mixed.append(n) or unit_words(rng, n)
+            SplitMix64, "word_blocks",
+            lambda rng, n: (mixed.append(len(b)) or b for b in word_blocks(rng, n)),
         )
         spec, m = split_byte_chain(), 10**5
         path = sample_path(spec, m, 7)

@@ -368,6 +368,12 @@ class TestRationalText:
         (15 * 10**400, "1.5e+401"),
         (F(-(10**401), 3), "-3.33333333333e+400"),
         (123456789012567 * 10**400, "1.23456789013e+414"),
+        # below the normal floats, from the exact value; 0 stays 0
+        (F(1, 10**400), "1e-400"),
+        (F(-1, 10**400), "-1e-400"),
+        (F(1, 10**320), "1e-320"),
+        (F(2) ** -1022, "2.22507385851e-308"),  # the least normal float
+        (0, "0"),
     ])
     def test_decimal12(self, q, shown):
         assert decimal12(q) == shown

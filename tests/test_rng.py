@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from array import array
+from itertools import chain
+
 import pytest
 
 import gapdim
@@ -20,7 +23,13 @@ def oracle_unit_words(rng, n):
     return [k << 11 for k in oracle_unit_ticks(rng, n)]
 
 
-BULK = {"u64s": oracle_u64s, "unit_words": oracle_unit_words}
+def words(rng, n):
+    """The words of ``word_blocks(n)``, one after another."""
+    return chain.from_iterable(rng.word_blocks(n))
+
+
+BULK = {"u64s": oracle_u64s, "word_blocks": oracle_unit_words}
+DRAW = {"u64s": SplitMix64.u64s, "word_blocks": words}
 
 
 @pytest.mark.parametrize("kind", sorted(BULK))
@@ -28,10 +37,10 @@ BULK = {"u64s": oracle_u64s, "unit_words": oracle_unit_words}
 @pytest.mark.parametrize("seed", SEEDS)
 def test_bulk_draws_are_the_per_call_stream(kind, n, seed):
     bulk, calls = SplitMix64(seed), SplitMix64(seed)
-    assert list(getattr(bulk, kind)(n)) == BULK[kind](calls, n)
+    assert list(DRAW[kind](bulk, n)) == BULK[kind](calls, n)
     # the state left behind: per-call draws, then another bulk draw
     assert oracle_u64s(bulk, 3) == oracle_u64s(calls, 3)
-    assert list(bulk.unit_words(5)) == oracle_unit_words(calls, 5)
+    assert list(words(bulk, 5)) == oracle_unit_words(calls, 5)
     assert bulk.next_u64() == calls.next_u64()
 
 
@@ -46,7 +55,7 @@ def test_per_call_then_bulk_then_per_call(seed):
 def test_state_moves_past_draws_left_unread():
     bulk, calls = SplitMix64(8), SplitMix64(8)
     first = bulk.u64s(2 * BLOCK + 1)
-    second = bulk.unit_words(3)
+    second = words(bulk, 3)
     head = oracle_u64s(calls, 2 * BLOCK + 1)
     assert list(second) == oracle_unit_words(calls, 3)
     assert next(first) == head[0]
@@ -56,10 +65,19 @@ def test_state_moves_past_draws_left_unread():
 def test_empty_and_negative_counts():
     rng = SplitMix64(4)
     assert list(rng.u64s(0)) == []
-    assert len(rng.unit_words(0)) == 0
+    assert list(rng.word_blocks(0)) == []
     assert rng.next_u64() == SplitMix64(4).next_u64()
     with pytest.raises(ValueError, match="n >= 0"):
         rng.u64s(-1)
+    with pytest.raises(ValueError, match="n >= 0"):
+        rng.word_blocks(-1)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_word_blocks_are_full_blocks_then_the_rest(n):
+    blocks = list(SplitMix64(6).word_blocks(n))
+    assert all(isinstance(block, array) and block.typecode == "Q" for block in blocks)
+    assert [len(block) for block in blocks] == [BLOCK] * (n // BLOCK) + [n % BLOCK] * (n % BLOCK > 0)
 
 
 def test_lane_constants_are_built_on_first_bulk_draw():
