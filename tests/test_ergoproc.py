@@ -910,7 +910,6 @@ class TestPathStorage:
         draws, want = path.ticks, tuple(k << 11 for k in oracle_unit_ticks(SplitMix64(77), m))
         assert isinstance(draws, Draws) and path.scale == 2**64
         assert tuple(chain.from_iterable(draws.blocks())) == want
-        assert all(len(block) <= BLOCK for block in draws.blocks())
         # it reads as a tuple
         assert len(draws) == m and tuple(draws) == want
         assert draws[0] == want[0] and draws[m - 1] == draws[-1] == want[-1]
