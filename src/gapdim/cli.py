@@ -30,8 +30,8 @@ from typing import Callable, Dict, NamedTuple, Tuple
 
 from . import __version__
 from .exactset import (
-    IntervalUnion, decimal12, dumps, format_rational, json_list, json_object, parse_rational,
-    read_json_object,
+    IntervalUnion, decimal12, dumps, format_rational, json_list, json_object, parse_integer,
+    parse_rational, read_json_object,
 )
 from .ergoproc import (
     Emission,
@@ -92,7 +92,7 @@ def _ints(cfg: dict, field: str, low=None, high=None, many=False):
     [`low`, `high`]; `high` is only given together with `low`."""
     text = cfg[field]
     try:
-        values = [int(x) for x in text.split(",")] if many else [int(text)]
+        values = [parse_integer(x) for x in text.split(",")] if many else [parse_integer(text)]
     except ValueError:
         raise ConfigError(f"field {field!r}: cannot parse integers {text!r}") from None
     if (low is not None and min(values) < low) or (high is not None and max(values) > high):

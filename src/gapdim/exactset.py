@@ -3,12 +3,12 @@
 All geometry in this package lives on [0, 1).  An :class:`IntervalUnion` is
 a normalized finite union of half-open intervals ``[lo, hi)``, held as the
 least common denominator D of its endpoints and the integer pairs
-``(lo * D, hi * D)``: normalization sorts the constituents, merges touching
-or overlapping ones and reduces D, which makes equality structural.  Every
-operation runs on those integers, and the constructor takes integer pairs
-over D.  ``fractions.Fraction`` appears only at the edges: the rationals
-:meth:`IntervalUnion.from_text` parses, and the endpoints, measure and
-interior points handed back.  No floating point enters any decision.
+``(lo * D, hi * D)``.  The constructor takes integer pairs over D and is the
+one place that form is made: it sorts the constituents, merges touching or
+overlapping ones and reduces D, which makes equality structural.  Every
+operation runs on those integers.  ``fractions.Fraction`` appears only at
+the edges: the rationals :meth:`IntervalUnion.from_text` parses, and the
+endpoints and measure handed back.  No floating point enters any decision.
 
 Under the half-open representation a union is non-empty iff it has positive
 measure iff it has non-empty interior, which is what lets "non-empty
@@ -31,7 +31,7 @@ from decimal import Context
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Tuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -63,6 +63,15 @@ def _rational(text: str) -> Fraction:
 
 _RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
 _RATIONAL_TEXT = re.compile(_RATIONAL)
+_INTEGER_TEXT = re.compile(r"-?[0-9]+")
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer as :func:`parse_rational` reads a numerator: ``-?[0-9]+``
+    and nothing else, so never "+4", " 4", "1_0" or other digits."""
+    if _INTEGER_TEXT.fullmatch(text) is None:
+        raise ValueError(f"expected integer, got {text!r}")
+    return int(text)
 
 
 def format_rational(q: RationalLike) -> str:
@@ -226,11 +235,12 @@ class IntervalUnion:
 
     Instances are immutable and hashable.  ``IntervalUnion(D, pairs)`` is
     the union of the intervals ``[lo / D, hi / D)`` for integer pairs over a
-    positive integer D: it drops empty pairs (``lo == hi``) and merges
-    overlapping or touching intervals.  A union is stored as its
-    :attr:`denominator`, the least common denominator of its endpoints, and
-    the sorted, merged integer pairs over it; that form is canonical, so two
-    unions describing the same point set always compare equal.
+    positive integer D: it drops empty pairs (``lo == hi``), checks the rest
+    in the order given and merges overlapping or touching ones.  A union is
+    stored as its :attr:`denominator`, the least common denominator of its
+    endpoints, and the sorted, merged integer pairs over it; that form is
+    canonical, so two unions describing the same point set always compare
+    equal.  ``union_all`` and ``intersect`` return the constructor's union of their pairs.
     """
 
     __slots__ = ("_den", "_pairs")
@@ -238,7 +248,26 @@ class IntervalUnion:
     def __init__(self, D: int, pairs: Iterable[Tuple[int, int]] = ()):
         if D < 1:
             raise ValueError(f"denominator {D} must be positive")
-        self._den, self._pairs = _normalized(D, _checked(D, list(pairs)))
+        kept = []
+        for lo, hi in pairs:
+            if lo != hi:
+                if not 0 <= lo < hi <= D:
+                    raise ValueError(
+                        f"invalid interval [{Fraction(lo, D)}, {Fraction(hi, D)}) in [0,1)"
+                    )
+                kept.append((lo, hi))
+        kept.sort()
+        merged, end = [], -1  # the merged pairs, and the end of the last
+        for lo, hi in kept:
+            if lo > end:
+                merged.append((lo, hi))
+                end = hi
+            elif hi > end:
+                merged[-1], end = (merged[-1][0], hi), hi
+        g = math.gcd(D, *(x for pair in merged for x in pair))
+        if g > 1:
+            D, merged = D // g, [(lo // g, hi // g) for lo, hi in merged]
+        self._den, self._pairs = D, tuple(merged)
 
     @classmethod
     def full(cls) -> "IntervalUnion":
@@ -248,9 +277,9 @@ class IntervalUnion:
     def union_all(cls, unions: Iterable["IntervalUnion"]) -> "IntervalUnion":
         unions = list(unions)
         D = math.lcm(*(u._den for u in unions))
-        return _union(*_normalized(D, [
+        return cls(D, [
             (lo * m, hi * m) for u in unions for m in (D // u._den,) for lo, hi in u._pairs
-        ]))
+        ])
 
     @property
     def denominator(self) -> int:
@@ -289,8 +318,6 @@ class IntervalUnion:
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         D = math.lcm(self._den, other._den)
         a, b = self.scaled(D), other.scaled(D)
-        # the pieces come out sorted, and disjoint without touching, as a
-        # and b are merged
         out = []
         i = j = 0
         while i < len(a) and j < len(b):
@@ -302,21 +329,7 @@ class IntervalUnion:
                 i += 1
             else:
                 j += 1
-        return _union(*_reduced(D, out))
-
-    def interior_point(self) -> Optional[Fraction]:
-        """Midpoint of the longest constituent interval, leftmost on ties.
-
-        Returns None iff the union is empty; any returned point lies in the
-        union's interior.
-        """
-        if not self._pairs:
-            return None
-        best_lo, best_hi = self._pairs[0]
-        for lo, hi in self._pairs[1:]:
-            if hi - lo > best_hi - best_lo:
-                best_lo, best_hi = lo, hi
-        return Fraction(best_lo + best_hi, 2 * self._den)
+        return IntervalUnion(D, out)
 
     def to_text(self) -> str:
         """Textual form ``"[a/b,c/d),..."``; the empty union reads "empty"."""
@@ -354,46 +367,3 @@ class IntervalUnion:
 
 _INTERVAL_TEXT = re.compile(rf"\[\s*({_RATIONAL})\s*,\s*({_RATIONAL})\s*\)")
 _UNION_TEXT = re.compile(rf"{_INTERVAL_TEXT.pattern}(?:,\s*{_INTERVAL_TEXT.pattern})*")
-
-Pairs = List[Tuple[int, int]]
-
-
-def _union(D: int, pairs: Tuple[Tuple[int, int], ...]) -> IntervalUnion:
-    """The union with denominator D and pairs already in canonical form."""
-    self = object.__new__(IntervalUnion)
-    self._den, self._pairs = D, pairs
-    return self
-
-
-def _checked(D: int, pairs: Pairs) -> Pairs:
-    """The non-empty pairs over D, each checked to lie in [0, D]."""
-    out = []
-    for lo, hi in pairs:
-        if lo == hi:
-            continue
-        if not 0 <= lo < hi <= D:
-            raise ValueError(f"invalid interval [{Fraction(lo, D)}, {Fraction(hi, D)}) in [0,1)")
-        out.append((lo, hi))
-    return out
-
-
-def _normalized(D: int, pairs: Pairs) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
-    """Valid pairs over D sorted, overlapping or touching ones merged, and
-    brought to the least denominator."""
-    pairs.sort()
-    merged: Pairs = []
-    for lo, hi in pairs:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return _reduced(D, merged)
-
-
-def _reduced(D: int, pairs: Pairs) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
-    """Sorted, merged pairs over D, brought to the least denominator."""
-    g = math.gcd(D, *(x for pair in pairs for x in pair))
-    if g == 1:
-        return D, tuple(pairs)
-    return D // g, tuple((lo // g, hi // g) for lo, hi in pairs)

@@ -57,6 +57,7 @@ from .exactset import (
     format_rational,
     json_list,
     json_object,
+    parse_integer,
     parse_rational,
     read_json_object,
     write_json,
@@ -595,30 +596,21 @@ def full_join_family(L: int, k: int, k2: int, gamma: RationalLike) -> FunctionCl
     return _equal_cells(n_cells, q, rows, name)
 
 
-_INTEGER_TEXT = re.compile(r"-?[0-9]+")
-
-
-def _integer(text: str) -> int:
-    """An integer in ASCII digits with at most a leading "-", as rationals
-    are written (`parse_rational`): never "+4", "1_0" or other digits."""
-    if not _INTEGER_TEXT.fullmatch(text):
-        raise ValueError(f"expected integer, got {text!r}")
-    return int(text)
-
-
 _GEN_RE = re.compile(r"^\s*([a-z_]+)\s*\((.*)\)\s*$")
 # every generator: its constructor, and in spec order the keyword and the
 # parser of each argument; random_step's count alone may be left out
 _GENERATORS = {
-    "thresholds": (thresholds, {"n": _integer}),
-    "interval_indicators": (interval_indicators, {"n": _integer}),
-    "all_patterns": (all_patterns, {"p": _integer}),
-    "random_step": (random_step, dict.fromkeys(("seed", "pieces", "grid", "count"), _integer)),
-    "full_join_family": (
-        full_join_family, {"L": _integer, "k": _integer, "k2": _integer, "gamma": parse_rational},
+    "thresholds": (thresholds, {"n": parse_integer}),
+    "interval_indicators": (interval_indicators, {"n": parse_integer}),
+    "all_patterns": (all_patterns, {"p": parse_integer}),
+    "random_step": (
+        random_step, dict.fromkeys(("seed", "pieces", "grid", "count"), parse_integer),
     ),
+    "full_join_family": (full_join_family, {
+        "L": parse_integer, "k": parse_integer, "k2": parse_integer, "gamma": parse_rational,
+    }),
     "trajectory_indicators": (trajectory_indicators, {
-        "theta": parse_rational, "window": _integer,
+        "theta": parse_rational, "window": parse_integer,
         "base_points": lambda text: [parse_rational(b) for b in text.split("+")],
     }),
 }

@@ -391,7 +391,9 @@ def join_shatter(
     for i in range(L):
         # choose segment k for functions whose subset contains i, else k2
         sig = tuple(0 if (b >> i) & 1 else 1 for b in range(n_fns))
-        points.append(cells[sig].interior_point())
+        D = cells[sig].denominator
+        lo, hi = cells[sig].scaled(D)[0]  # the cell's first interval: its midpoint is interior
+        points.append(Fraction(lo + hi, 2 * D))
 
     alpha = gamma * (k + k2 - 1) / 2
     # The function for mask m must be high exactly on the mask's points;

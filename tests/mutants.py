@@ -158,16 +158,31 @@ MUTANTS = [
         "_discrepancies", "s * e.denominator", "s", ERGOPROC_TESTS,
     ),
     Mutant(
-        "_normalized: touching intervals kept apart", "exactset.py", "_normalized",
-        "lo <= merged[-1][1]", "lo < merged[-1][1]", EXACTSET_TESTS,
+        "floor_sum: the (a // M) * i terms summed over i = 1 .. n", "ergoproc.py",
+        "floor_sum", "n * (n - 1) // 2 * (a // M)", "n * (n + 1) // 2 * (a // M)",
+        ERGOPROC_TESTS,
     ),
     Mutant(
-        "_checked: an interval ending at 1 refused", "exactset.py", "_checked",
+        "_cell_masses: a uniform emission's overlaps not clamped at 0", "ergoproc.py",
+        "_cell_masses", "max(0, min(b * q, hi) - max(a * q, lo))",
+        "min(b * q, hi) - max(a * q, lo)", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "_cell_masses: a point emission on a cut weighs the cell left of it", "ergoproc.py",
+        "_cell_masses", "bisect_right(cuts, e.lo.numerator * C // e.lo.denominator)",
+        "bisect_left(cuts, e.lo.numerator * C // e.lo.denominator)", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "IntervalUnion: touching intervals kept apart", "exactset.py", "__init__",
+        "lo > end", "lo >= end", EXACTSET_TESTS,
+    ),
+    Mutant(
+        "IntervalUnion: an interval ending at 1 refused", "exactset.py", "__init__",
         "0 <= lo < hi <= D", "0 <= lo < hi < D", EXACTSET_TESTS,
     ),
     Mutant(
-        "_reduced: pairs never brought to the least denominator", "exactset.py", "_reduced",
-        "math.gcd(D, *(x for pair in pairs for x in pair))", "1", EXACTSET_TESTS,
+        "IntervalUnion: pairs never brought to the least denominator", "exactset.py",
+        "__init__", "math.gcd(D, *(x for pair in merged for x in pair))", "1", EXACTSET_TESTS,
     ),
     Mutant(
         "IntervalUnion: the denominator 0 accepted", "exactset.py", "__init__",
@@ -178,8 +193,8 @@ MUTANTS = [
         "math.lcm(*{q for _, q in ends})", "max({q for _, q in ends})", EXACTSET_TESTS,
     ),
     Mutant(
-        "intersect: empty pieces kept", "exactset.py", "intersect",
-        "lo < hi", "lo <= hi", EXACTSET_TESTS,
+        "intersect: a piece starts at the lower of the two left ends", "exactset.py",
+        "intersect", "max(a[i][0], b[j][0])", "min(a[i][0], b[j][0])", EXACTSET_TESTS,
     ),
 ]
 

@@ -18,9 +18,7 @@ from gapdim.ergoproc import (
 from gapdim.exactset import format_rational, parse_rational
 from gapdim.funclass import STEP, TABULAR, SegmentIndexOutOfRange, non_adjacent
 from gapdim.rng import SplitMix64
-from gapdim.shatter import (
-    DimResult, ShatterCertificate, candidate_points, verify_certificate
-)
+from gapdim.shatter import DimResult, ShatterCertificate, candidate_points
 from gapdim.treelab import IntersectionTree, Label, MissingPayload
 
 
@@ -76,12 +74,6 @@ class OracleIntervalUnion:
     def complement(self):
         ends = [Fraction(0)] + [x for pair in self.ivs for x in pair] + [Fraction(1)]
         return OracleIntervalUnion(zip(ends[::2], ends[1::2]))
-
-    def interior_point(self):
-        if not self.ivs:
-            return None
-        lo, hi = max(self.ivs, key=lambda p: (p[1] - p[0], -p[0]))
-        return (lo + hi) / 2
 
     def to_text(self):
         if not self.ivs:
@@ -220,7 +212,7 @@ def _scan_certificate(table, points, gamma):
 
 
 def _dim_result(F: FunctionClass, gamma, cap, n, log_bound, best, cert) -> DimResult:
-    if cert is not None and not verify_certificate(F, gamma, cert):
+    if cert is not None and not oracle_verify_certificate(F, gamma, cert):
         raise RuntimeError("oracle certificate does not verify")
     exact = not (best == cap and cap < min(n, log_bound))
     return DimResult(dimension=best, exact=exact, certificate=cert)

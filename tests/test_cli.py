@@ -571,11 +571,9 @@ def placed(doc, place, q, value):
 
 
 def not_int(text):
-    try:
-        int(text)
-    except ValueError:
-        return True
-    return False
+    """Whether the text is not an integer as the CLI reads one: ASCII
+    digits with at most a leading "-"."""
+    return re.fullmatch(r"-?[0-9]+", text) is None
 
 
 def not_positive_rational(text):
@@ -903,6 +901,19 @@ class TestMalformedInput:
         code, out, err = run_main(*argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: field '{field}': cannot parse integers '2.5'"), err
+
+    @pytest.mark.parametrize("text", ["1_0", "+3", " 3", "3 ", "\u0663"])
+    def test_integers_have_one_spelling(self, tmp_path, text):
+        # int() reads each of these, and the report would echo the spelling
+        argv = ("dim", "--class", "thresholds(4)", "--gamma", "1/4")
+        message = f"error: field 'cap': cannot parse integers {text!r}\n"
+        assert run_main(*argv, "--cap", text) == (2, "", message)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"cap": text}))
+        assert run_main(*argv, "--config", str(path)) == (2, "", message)
+        assert run_main("ptree", "--depth", "3", "--c", "1/2", f"--leaves=0,{text}") == (
+            2, "", f"error: field 'leaves': cannot parse integers '0,{text}'\n"
+        )
 
     def test_valid_argv_pass(self, workdir):
         for argv in VALID.values():

@@ -73,20 +73,6 @@ class TestIntersect:
         assert a.intersect(b) == iu((1, 16, 1, 8), (1, 2, 9, 16))
 
 
-class TestInteriorPoint:
-    def test_midpoint(self):
-        assert iu((1, 4, 1, 2)).interior_point() == F(3, 8)
-
-    def test_empty_is_none(self):
-        assert IntervalUnion(1).interior_point() is None
-
-    def test_longest_interval_wins(self):
-        assert iu((0, 1, 1, 8), (1, 2, 1, 1)).interior_point() == F(3, 4)
-
-    def test_leftmost_on_ties(self):
-        assert iu((0, 1, 1, 4), (1, 2, 3, 4)).interior_point() == F(1, 8)
-
-
 class TestNormalization:
     def test_merges_touching(self):
         assert iu((0, 1, 1, 4), (1, 4, 1, 2)) == iu((0, 1, 1, 2))
@@ -150,15 +136,6 @@ class TestAlgebra:
     def test_intersect_monotone_in_measure(self, a, b):
         assert a.intersect(b).measure <= min(a.measure, b.measure)
 
-    @given(interval_unions())
-    @settings(max_examples=100, deadline=None)
-    def test_interior_point_membership(self, u):
-        p = u.interior_point()
-        if p is None:
-            assert not u
-        else:
-            assert p in OracleIntervalUnion(fraction_pairs(u))
-
     @given(interval_unions(), interval_unions())
     @settings(max_examples=100, deadline=None)
     def test_union_measure(self, a, b):
@@ -176,7 +153,6 @@ def assert_matches(u, ref):
     assert fraction_pairs(u) == list(ref)
     assert u.measure == ref.measure
     assert u.to_text() == ref.to_text()
-    assert u.interior_point() == ref.interior_point()
     assert u.denominator == math.lcm(*(x.denominator for pair in ref for x in pair))
 
 
@@ -216,11 +192,6 @@ class TestMatchesOracle:
         back = IntervalUnion.from_text(OracleIntervalUnion(pairs).to_text())
         assert back == u and hash(back) == hash(u)
 
-    def test_interior_point_leftmost_on_ties(self):
-        pairs = [(F(3, 4), F(7, 8)), (F(1, 8), F(1, 4)), (F(1, 2), F(5, 8))]
-        assert union_of(pairs).interior_point() == F(3, 16)
-        assert OracleIntervalUnion(pairs).interior_point() == F(3, 16)
-
 
 class TestDenominator:
     def test_equal_sets_over_different_denominators(self):
@@ -251,6 +222,8 @@ class TestDenominator:
         ([(F(3, 4), F(1, 4))], "invalid interval [3/4, 1/4) in [0,1)"),
         ([(F(-1, 3), F(1, 3))], "invalid interval [-1/3, 1/3) in [0,1)"),
         ([(0, F(1, 2)), (F(1, 2), 2)], "invalid interval [1/2, 2) in [0,1)"),
+        # two bad pairs: the first as given is named, not the first in sorted order
+        ([(F(3, 4), F(5, 4)), (F(-1, 4), F(1, 2))], "invalid interval [3/4, 5/4) in [0,1)"),
     ])
     def test_bad_interval_message(self, pairs, text):
         written = ",".join(f"[{F(lo)},{F(hi)})" for lo, hi in pairs)

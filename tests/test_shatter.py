@@ -26,6 +26,7 @@ from gapdim.shatter import (
     candidate_points,
 )
 from oracles import (
+    fraction_pairs,
     oracle_constant,
     oracle_gap_dim,
     oracle_indicator,
@@ -324,6 +325,16 @@ class TestJoinShatter:
         # the first missing signature, in bit order, has function 1 in band 3
         with pytest.raises(ValueError, match=r"missing the cell with signature \(0, 1\)$"):
             join_shatter(broken, 1, 3, F(1, 5))
+
+    @pytest.mark.parametrize("L,k,k2", [(1, 1, 3), (2, 1, 3), (3, 1, 3), (2, 3, 1)])
+    def test_each_point_lies_inside_its_join_cell(self, L, k, k2):
+        FC = full_join_family(L, k, k2, F(1, 5))
+        cert = join_shatter(FC, k, k2, F(1, 5))
+        cells = {jc.signature: jc.cell for jc in join(FC, F(1, 5), k, k2)}
+        for i, x in enumerate(cert.points):
+            # the functions whose subset holds i sit in band k (signature 0)
+            sig = tuple(0 if (b >> i) & 1 else 1 for b in range(len(FC)))
+            assert any(lo < x < hi for lo, hi in fraction_pairs(cells[sig]))
 
     def test_swapped_bands(self):
         FC = full_join_family(1, 3, 1, F(1, 5))
