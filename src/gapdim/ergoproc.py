@@ -9,8 +9,9 @@ draws k, held as integer ticks over one scale N per path (x = tick / N):
 N = 2**64 and the tick k * 2**11 for IID, N = 2**53 * den(theta) for a
 rotation, and N = 2**64 * lcm(emission denominators) for a Markov chain.
 An IID path holds only its ``Draws``: the seed and the length, from which
-the 64-bit word ticks come a block of ``rng.BLOCK`` at a time, each block
-mixed only when it is read, and any tick is one SplitMix64 step.  A
+the 64-bit word ticks come a block of ``rng.BLOCK`` at a time as the lane
+bytes of ``SplitMix64.lane_blocks``, each block mixed only when it is read,
+and any tick is one SplitMix64 step.  A
 rotation path holds only its ``Orbit``: the first tick, the step
 theta * N, N and the length, from which any tick is one product and one
 remainder.  A Markov path holds
@@ -27,11 +28,13 @@ points are binned on integers and each mean is one sum s over V * m.  IID
 ticks fill all 64 bits, so their top byte alone bins most of them: one
 256-entry table, built from the thresholds, maps each top byte to its cell,
 or to the marker 255 when a threshold splits that byte's range (or the cell
-is 255 or more).  One ``bytes.translate`` of the top bytes then gives each
-tick's cell, in C, and only the marked ticks, and the ticks of explicit
-paths, are binned with a bisect (``_binned_counts``).  The words are binned
+is 255 or more).  A block's top bytes are one slice of its lane bytes
+(every 16th byte), and one ``bytes.translate`` of them gives each tick's
+cell, in C; only the marked ticks, and the ticks of explicit paths, are
+binned with a bisect (``_binned_counts``), so the words themselves are
+unpacked only when the table marks a byte.  The words are binned
 a block at a time as they are drawn, so counting an IID path of any length
-holds only one block of words.  A walk is binned state by state
+holds only one block.  A walk is binned state by state
 (``_walk_counts``): a point state's steps all fall in one cell, and a
 uniform state's words go through the same kernel against the thresholds
 moved into word space.  The process marginal gives each cell an
@@ -77,7 +80,7 @@ from .funclass import (
     value_rows,
     values_at,
 )
-from .rng import GOLDEN_GAMMA, TWO53, SplitMix64
+from .rng import GOLDEN_GAMMA, TWO53, SplitMix64, lane_words
 from .shatter import DimResult, gap_dim
 
 
@@ -277,10 +280,11 @@ class Walk(Sequence[int]):
 class Draws(Sequence[int]):
     """The ticks of an IID path, held as the draws that make them: tick i
     is the word k << 11 of the (i + 1)-th ``unit_tick()`` of
-    ``SplitMix64(seed)``.  ``blocks()`` yields the words as ``array('Q')``
-    blocks of up to ``rng.BLOCK``, each mixed only when it is reached, so a
-    pass over the path holds one block at a time.  Like an ``Orbit`` it is
-    a read-only sequence of ints built on demand: one index is one
+    ``SplitMix64(seed)``.  ``lanes()`` yields the words as the lane bytes
+    of ``SplitMix64.lane_blocks``, blocks of up to ``rng.BLOCK`` each mixed
+    only when it is reached, so a pass over the path holds one block at a
+    time; ``blocks()`` unpacks them into ``array('Q')`` words.  Like an ``Orbit``
+    it is a read-only sequence of ints built on demand: one index is one
     SplitMix64 step, and it is not sliced."""
 
     __slots__ = ("seed", "length")
@@ -299,8 +303,11 @@ class Draws(Sequence[int]):
     def __iter__(self) -> Iterator[int]:
         return chain.from_iterable(self.blocks())
 
+    def lanes(self) -> Iterator[bytes]:
+        return SplitMix64(self.seed).lane_blocks(self.length, words=True)
+
     def blocks(self) -> Iterator[array]:
-        return SplitMix64(self.seed).word_blocks(self.length)
+        return map(lane_words, self.lanes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -519,16 +526,19 @@ def _binned_counts(
     """Per cell between the thresholds (as ``Orbit.cell_counts``), the count
     of the first m ticks for each m in the non-decreasing ``lengths``.
 
-    64-bit word ticks (the ``blocks()`` of an IID path's ``Draws``, or the
+    64-bit word ticks (the ``lanes()`` of an IID path's ``Draws``, or the
     one ``array('Q')`` of a walk state's words) are binned in C a block at a
-    time by their top byte: one strided ``memoryview`` slice copies the top
-    bytes, one ``bytes.translate`` through ``_top_byte_table`` maps them to
-    their cells, and ``bytes.count`` counts each cell in each part of the
-    block before the next prefix length, which may end inside it.  Only the
-    ticks it marks MARKED are binned with ``bisect_right``, picked out by
-    ``itertools.compress``; so is every tick of any other sequence, each
-    once as one pass reaches it.  A block is read only when a length
-    reaches into it, and only one block is held at a time."""
+    time by their top byte: one strided slice copies the top bytes (every
+    16th byte of the lane bytes, or of the words' memory for an array), one
+    ``bytes.translate`` through ``_top_byte_table`` maps them to their
+    cells, and ``bytes.count`` counts each cell in each part of the block
+    before the next prefix length, which may end inside it.  Only the ticks
+    it marks MARKED are binned with ``bisect_right``, picked out by
+    ``itertools.compress``, so a block's lane bytes are unpacked into words
+    only when the table has a MARKED byte; every tick of any other sequence
+    is bisected too, each once as one pass reaches it.  A block is read
+    only when a length reaches into it, and only one block is held at a
+    time."""
     counts = Counter()
     if not isinstance(ticks, (Draws, array)):
         done = 0
@@ -540,25 +550,30 @@ def _binned_counts(
     table = _top_byte_table(thresholds)
     present = set(table) - {MARKED}
     marks = MARKED in table
-    blocks = ticks.blocks() if isinstance(ticks, Draws) else iter((ticks,))
+    if isinstance(ticks, Draws):  # (top bytes, words or None) per block
+        blocks = ((lanes[7::16], lane_words(lanes) if marks else None) for lanes in ticks.lanes())
+    else:
+        blocks = iter(((memoryview(ticks).cast("B")[_TOP_BYTE::8].tobytes(), ticks),))
     block = cells = marked = b""
     start = done = 0  # the path index of the block's first tick, its ticks counted
     for m in lengths:
         while True:
-            stop = min(m - start, len(block))
+            stop = min(m - start, len(cells))
             for j in present:
                 counts[j] += cells.count(j, done, stop)
             if marks:
                 ticked = compress(block[done:stop], marked[done:stop])
                 counts.update(map(bisect_right, repeat(thresholds), ticked))
             done = stop
-            if m - start <= len(block):
+            if m - start <= len(cells):
                 break
-            start += len(block)
-            block = next(blocks)
-            cells = memoryview(block).cast("B")[_TOP_BYTE::8].tobytes().translate(table)
-            marked = cells.translate(_IS_MARKED) if marks else None
-            block, done = memoryview(block), 0  # slices without copies
+            start += len(cells)
+            tops, block = next(blocks)
+            cells = tops.translate(table)
+            if marks:
+                marked = cells.translate(_IS_MARKED)
+                block = memoryview(block)  # slices without copies
+            done = 0
         yield [counts[j] for j in range(len(thresholds) + 1)]
 
 

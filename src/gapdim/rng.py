@@ -22,9 +22,14 @@ lane is masked back to 64 bits after each step.  The upper half of a lane
 is headroom: it holds the bits a right shift brings down from the next lane
 until the mask clears them, and the high half of each 64 x 64-bit product,
 so no lane ever carries into the next.  The last mask also clears the low
-11 bits of every lane for ``word_blocks``.  The lanes are unpacked with
-``to_bytes`` and ``array('Q')``, taking every second 64-bit word; on a
-big-endian host the words are byteswapped first.
+11 bits of every lane for ``word_blocks``.  One generator,
+``_lane_blocks``, builds the first block's lanes once, and moves them on to
+each later block with one add of BLOCK * GOLDEN_GAMMA to every lane and
+one mask.  It hands each block out as its lane bytes
+(``SplitMix64.lane_blocks``), little-endian on every host: word k in bytes
+16k .. 16k + 7, so byte 16k + 7 is its top byte.  ``lane_words`` unpacks
+them with ``array('Q')``, taking every second 64-bit word; on a big-endian
+host the words are byteswapped first.
 """
 
 from __future__ import annotations
@@ -43,39 +48,54 @@ BLOCK = 4096  # lanes mixed at once by the bulk draws
 
 
 @cache
-def _lanes() -> Tuple[int, int, int, int]:
-    """(ones, lane mask, word mask, lane steps) for a full block: 1,
-    2**64 - 1, 2**64 - 2**11 and (k + 1) * GOLDEN_GAMMA mod 2**64 in lane k.
-    Built on the first bulk draw, not at import."""
+def _lanes() -> Tuple[int, int, int, int, int]:
+    """(ones, lane mask, word mask, lane steps, stride) for a full block: 1,
+    2**64 - 1, 2**64 - 2**11, (k + 1) * GOLDEN_GAMMA mod 2**64 and
+    BLOCK * GOLDEN_GAMMA mod 2**64 in lane k.  Built on the first bulk
+    draw, not at import."""
     steps = array("Q", [0]) * (2 * BLOCK)
     steps[::2] = array("Q", ((k * GOLDEN_GAMMA) & MASK64 for k in range(1, BLOCK + 1)))
     if sys.byteorder == "big":
         steps.byteswap()
+    ones = int.from_bytes((b"\x01" + bytes(15)) * BLOCK, "little")
     return (
-        int.from_bytes((b"\x01" + bytes(15)) * BLOCK, "little"),
+        ones,
         int.from_bytes((b"\xff" * 8 + bytes(8)) * BLOCK, "little"),
         int.from_bytes((b"\x00\xf8" + b"\xff" * 6 + bytes(8)) * BLOCK, "little"),
         int.from_bytes(steps.tobytes(), "little"),
+        ((BLOCK * GOLDEN_GAMMA) & MASK64) * ones,
     )
 
 
-def _mix_block(state: int, n: int, words: bool = False) -> array:
-    """The outputs after `state` of n <= BLOCK next_u64 calls, with the low
-    11 bits of each cleared for `words`, as an array of unsigned 64-bit
-    words."""
-    ones, mask, word_mask, steps = _lanes()
+def _lane_blocks(state: int, n: int, words: bool = False) -> Iterator[bytes]:
+    """The outputs of n next_u64 calls from `state`, with the low 11 bits of
+    each cleared for `words`, in blocks of up to BLOCK as lane bytes: output
+    k of a block in its little-endian bytes 16k .. 16k + 7, then 8 zero
+    bytes.  The lanes of the first block are built once; each later block's
+    are the last block's plus BLOCK * GOLDEN_GAMMA, and only a partial last
+    block is cut to its n mod BLOCK lanes."""
+    ones, mask, word_mask, steps, stride = _lanes()
     out = word_mask if words else mask
-    if n < BLOCK:
-        cut = (1 << (128 * n)) - 1
-        ones, mask, out, steps = ones & cut, mask & cut, out & cut, steps & cut
-    z = (state * ones + steps) & mask
-    z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
-    z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
-    z = (z ^ (z >> 31)) & out
-    lanes = array("Q", z.to_bytes(16 * n, "little"))
+    for k in range(0, n, BLOCK):
+        size = min(BLOCK, n - k)
+        if size < BLOCK:
+            cut = (1 << (128 * size)) - 1
+            ones, steps, mask, out = ones & cut, steps & cut, mask & cut, out & cut
+        if k:
+            lanes = (lanes + stride) & mask
+        else:
+            lanes = (state * ones + steps) & mask
+        z = (((lanes ^ (lanes >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+        z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
+        yield ((z ^ (z >> 31)) & out).to_bytes(16 * size, "little")
+
+
+def lane_words(lanes: bytes) -> array:
+    """The 64-bit words of a block of lane bytes."""
+    words = array("Q", lanes)
     if sys.byteorder == "big":
-        lanes.byteswap()
-    return lanes[::2]
+        words.byteswap()
+    return words[::2]
 
 
 class SplitMix64:
@@ -103,7 +123,7 @@ class SplitMix64:
 
     def u64s(self, n: int) -> Iterator[int]:
         """The next n ``next_u64()`` outputs, mixed a block at a time."""
-        return chain.from_iterable(self._blocks(n))
+        return chain.from_iterable(map(lane_words, self.lane_blocks(n)))
 
     def word_blocks(self, n: int) -> Iterator[array]:
         """The next n ``unit_tick()`` draws k as the words k << 11, which is
@@ -111,18 +131,16 @@ class SplitMix64:
         words: 8 bytes a draw instead of one Python int each, and
         k / 2**53 = (k << 11) / 2**64.  The state moves past all n at once,
         and each block is mixed when the iterator reaches it."""
-        return self._blocks(n, words=True)
+        return map(lane_words, self.lane_blocks(n, words=True))
 
-    def _blocks(self, n: int, words: bool = False) -> Iterator[array]:
-        """n draws in the form ``_mix_block`` gives for `words`,
-        as word arrays of up to BLOCK draws.  The state moves past all n at
-        once; each block is mixed when the iterator first reaches it, so
-        draws left unread cost nothing."""
+    def lane_blocks(self, n: int, words: bool = False) -> Iterator[bytes]:
+        """The next n ``next_u64()`` outputs, with the low 11 bits of each
+        cleared for `words`, as lane bytes in blocks of up to BLOCK: output k
+        of a block in its little-endian bytes 16k .. 16k + 7.  The state
+        moves past all n at once; each block is mixed when the iterator
+        first reaches it, so draws left unread cost nothing."""
         if n < 0:
             raise ValueError("a bulk draw needs n >= 0")
         start = self._state
         self._state = (start + n * GOLDEN_GAMMA) & MASK64
-        return (
-            _mix_block((start + k * GOLDEN_GAMMA) & MASK64, min(BLOCK, n - k), words)
-            for k in range(0, n, BLOCK)
-        )
+        return _lane_blocks(start, n, words)

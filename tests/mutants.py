@@ -38,6 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TESTS = ("tests/test_shatter.py", "tests/test_cli.py", "tests/test_funclass.py")
 ERGOPROC_TESTS = ("tests/test_ergoproc.py",)
 EXACTSET_TESTS = ("tests/test_exactset.py",)
+RNG_TESTS = ("tests/test_rng.py",)
 
 
 class Mutant(NamedTuple):
@@ -142,16 +143,20 @@ MUTANTS = [
     ),
     Mutant(
         "_binned_counts: a length inside a block counted to the block's end", "ergoproc.py",
-        "_binned_counts", "min(m - start, len(block))", "len(block)", ERGOPROC_TESTS,
+        "_binned_counts", "min(m - start, len(cells))", "len(cells)", ERGOPROC_TESTS,
     ),
     Mutant(
         "_binned_counts: the path index not advanced past a block", "ergoproc.py",
-        "_binned_counts", "start += len(block)", "pass", ERGOPROC_TESTS,
+        "_binned_counts", "start += len(cells)", "pass", ERGOPROC_TESTS,
     ),
     Mutant(
         "_binned_counts: the MARKED ticks of the whole block bisected", "ergoproc.py",
         "_binned_counts", "compress(block[done:stop], marked[done:stop])",
         "compress(block, marked)", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "_binned_counts: the low byte of each lane taken for its top byte", "ergoproc.py",
+        "_binned_counts", "lanes[7::16]", "lanes[0::16]", ERGOPROC_TESTS,
     ),
     Mutant(
         "_discrepancies: the expectation's denominator q dropped from s * q", "ergoproc.py",
@@ -195,6 +200,22 @@ MUTANTS = [
     Mutant(
         "intersect: a piece starts at the lower of the two left ends", "exactset.py",
         "intersect", "max(a[i][0], b[j][0])", "min(a[i][0], b[j][0])", EXACTSET_TESTS,
+    ),
+    Mutant(
+        "_lane_blocks: the carried lanes not masked after the add", "rng.py", "_lane_blocks",
+        "(lanes + stride) & mask", "lanes + stride", RNG_TESTS,
+    ),
+    Mutant(
+        "_lane_blocks: the first block's lanes built without steps", "rng.py", "_lane_blocks",
+        "(state * ones + steps) & mask", "(state * ones) & mask", RNG_TESTS,
+    ),
+    Mutant(
+        "_lane_blocks: the partial last block cut one lane short", "rng.py", "_lane_blocks",
+        "(1 << (128 * size)) - 1", "(1 << (128 * (size - 1))) - 1", RNG_TESTS,
+    ),
+    Mutant(
+        "_lanes: the lanes carried one state short of a block", "rng.py", "_lanes",
+        "(BLOCK * GOLDEN_GAMMA) & MASK64", "((BLOCK - 1) * GOLDEN_GAMMA) & MASK64", RNG_TESTS,
     ),
 ]
 

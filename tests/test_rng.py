@@ -11,11 +11,12 @@ from itertools import chain
 import pytest
 
 import gapdim
-from gapdim.rng import BLOCK, SplitMix64
+from gapdim.rng import BLOCK, SplitMix64, lane_words
 from oracles import oracle_u64s, oracle_unit_ticks
 
-SEEDS = [0, 1, -3, 2**63, 12345]
-LENGTHS = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+SEEDS = [0, 1, -3, 2**63, 12345, 2**64 - 1]
+# the last: three blocks whose lanes are carried on, then a partial tail
+LENGTHS = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 5]
 
 
 def oracle_unit_words(rng, n):
@@ -42,6 +43,18 @@ def test_bulk_draws_are_the_per_call_stream(kind, n, seed):
     assert oracle_u64s(bulk, 3) == oracle_u64s(calls, 3)
     assert list(words(bulk, 5)) == oracle_unit_words(calls, 5)
     assert bulk.next_u64() == calls.next_u64()
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lane_bytes_are_the_word_blocks(n, seed):
+    # word k of a block in bytes 16k .. 16k + 7, little-endian on every host
+    lanes = list(SplitMix64(seed).lane_blocks(n, words=True))
+    blocks = list(SplitMix64(seed).word_blocks(n))
+    assert [lane_words(b) for b in lanes] == blocks
+    little = [b"".join(w.to_bytes(8, "little") + bytes(8) for w in block) for block in blocks]
+    assert lanes == little
+    assert [b[7::16] for b in lanes] == [bytes(w >> 56 for w in block) for block in blocks]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -11,6 +11,7 @@ modules are loaded from their files and left unchanged.
 
 import importlib.util
 import io
+import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -34,6 +35,7 @@ def load(name):
 
 
 tracer_module, workloads = load("tracer"), load("workloads")
+BENCH_FILES = sorted(PERFBENCH.parent.glob("BENCH_*.json"))
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.PLANS))
@@ -77,3 +79,13 @@ def test_dim_plan_tabular_certificates(tmp_path, name):
     workloads.PLANS["dim"](1).files[name](path, str(tmp_path))
     res = gap_dim(load_class(path), parse_rational(gamma))
     assert res.exact and res.certificate.to_json() == expected
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda path: path.name)
+def test_committed_bench_files_record_correct_runs(path):
+    # each summary.py file holds an untraced and a traced run of every workload
+    runs = json.loads(path.read_text())["workloads"]
+    for name in ("dim", "trees", "sampling"):
+        for mode in ("traced", "untraced"):
+            result = runs[name][mode]["result"]
+            assert (result["correct"], result["failed"]) == (True, 0), (name, mode)
