@@ -10,22 +10,22 @@ output.  Exit codes: 0 success, 1 a FAIL verdict from a verifying command,
 Each command is declared once, in the table :data:`COMMANDS`: its handler,
 its help line and its fields, required and optional (``itree`` also names
 the extra required fields of each action).  A field ``name`` is both the
-flag ``--name`` and the config-file key ``name``.  :func:`main` builds the
-argparse parser of the one command being run (once per process and
-command), merges its flags with the ``--config`` file, checks the required
-fields and passes every field to the handler as the string the user gave.
-The handlers parse and range-check their fields, so every bad value exits
-2 with ``error: field 'name': ...``.
+flag ``--name`` (``_`` written as ``-``) and the config-file key ``name``.
+:func:`main` reads the command line straight from that table: each flag is
+``--name value`` or ``--name=value``, its value the next token verbatim,
+and ``itree`` takes its action as one positional word.  It merges the flags
+with the ``--config`` file, checks the required fields and passes every
+field to the handler as the string the user gave.  The handlers parse and
+range-check their fields, so every bad value, and every unknown, repeated
+or valueless flag, exits 2 with ``error: field 'name': ...``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
-from functools import cache
 from typing import Callable, Dict, NamedTuple, Tuple
 
 from . import __version__
@@ -34,6 +34,7 @@ from .exactset import (
     parse_rational, read_json_object,
 )
 from .ergoproc import (
+    MAX_DRAWN_POINTS,
     Emission,
     IIDUniformSpec,
     MarkovSpec,
@@ -117,6 +118,14 @@ def _resolve_class(text: str, step: bool = False) -> FunctionClass:
     if step and F.kind != STEP:
         raise ConfigError(f"field 'class': this command needs a STEP class, got {F.kind}")
     return F
+
+
+def _lengths(cfg: dict, field: str, spec, many=False):
+    """A field's path length (comma-separated lengths when `many`), each at
+    least 1 and, for a process that draws every point, at most
+    MAX_DRAWN_POINTS."""
+    high = None if isinstance(spec, RotationSpec) else MAX_DRAWN_POINTS
+    return _ints(cfg, field, low=1, high=high, many=many)
 
 
 def _resolve_process(text: str):
@@ -349,7 +358,7 @@ def cmd_itree(cfg: dict) -> int:
 def cmd_discrepancy(cfg: dict) -> int:
     F = _resolve_class(cfg["class"], step=True)
     spec = _resolve_process(cfg["process"])
-    m = _ints(cfg, "m", low=1)
+    m = _lengths(cfg, "m", spec)
     seed = _ints(cfg, "seed")
     path = sample_path(spec, m, seed)
     per = per_function_discrepancies(F, path)
@@ -369,7 +378,7 @@ def cmd_discrepancy(cfg: dict) -> int:
 def cmd_gc_curve(cfg: dict) -> int:
     F = _resolve_class(cfg["class"], step=True)
     spec = _resolve_process(cfg["process"])
-    grid = _ints(cfg, "m_grid", low=1, many=True)
+    grid = _lengths(cfg, "m_grid", spec, many=True)
     replicates = _ints(cfg, "replicates", low=1)
     rep = estimate_gamma(F, spec, grid, replicates, _ints(cfg, "seed"))
     report = {
@@ -397,7 +406,7 @@ def cmd_bound_check(cfg: dict) -> int:
         F,
         spec,
         _rat(cfg["gamma"], "gamma"),
-        _ints(cfg, "m", low=1),
+        _lengths(cfg, "m", spec),
         _ints(cfg, "replicates", low=1),
         _ints(cfg, "seed"),
     )
@@ -501,70 +510,106 @@ _HELP = {
     "process": "iid | rotation | rotation:p/q | markov JSON file",
     "m_grid": "comma-separated path lengths",
     "out": "directory for report files",
+    "config": "JSON config file; flags must not repeat its keys",
 }
 
 
-@cache
-def _parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command, built on its first run and kept: parsing
-    leaves a parser as it was."""
-    command = COMMANDS[name]
-    parser = argparse.ArgumentParser(prog=f"gapdim {name}", description=command.help)
-    for f in command.fields:
-        if f == "action":
-            parser.add_argument(f, nargs="?", help=" | ".join(command.actions))
-        else:
-            parser.add_argument("--" + f.replace("_", "-"), help=_HELP.get(f))
-    parser.add_argument("--config", help="JSON config file; flags must not repeat its keys")
-    return parser
+def _help(name: str, command: Command) -> str:
+    """A command's usage line, help line and one line per flag."""
+    rows = [("-h, --help", "show this help and exit")]
+    for f in command.fields + ("config",):
+        flag = "action" if f == "action" else f"--{f.replace('_', '-')} {f.upper()}"
+        rows.append((flag, " | ".join(command.actions) if f == "action" else _HELP.get(f, "")))
+    action = "action " if command.actions else ""
+    lines = [f"  {flag:<25}{text}".rstrip() for flag, text in rows]
+    return "\n".join([f"usage: gapdim {name} {action}[--name value ...]", "", command.help, "",
+                      "flags:", *lines]) + "\n"
 
 
-def _load_config(args: dict, fields: Tuple[str, ...]) -> dict:
-    """Merge --config JSON with explicit flags; every value is a string.
+_OVERVIEW = "\n".join([
+    "usage: gapdim <command> [--name value ...]",
+    "",
+    "Exact gap-dimension certificates and ergodic discrepancy experiments",
+    "",
+    "commands:",
+    *(f"  {name:<15}{command.help}" for name, command in COMMANDS.items()),
+    "",
+    "gapdim <command> --help lists the fields of a command.",
+]) + "\n"
 
-    Config keys must be fields of the command and their values strings or
-    integers; a field given both ways is an error, not an override.
+
+def _config(name: str, command: Command, args) -> dict:
+    """The fields a command line gives, merged with its --config file, as
+    ``{field: text}``; ``-h`` or ``--help`` in place of a flag prints the
+    command's help.
+
+    Flags follow the grammar of the module docstring.  Config keys must be
+    fields of the command and their values strings or integers.  A field
+    given twice, as a repeated flag or both as a flag and in the config
+    file, is an error, not an override.
     """
-    for key, value in args.items():
-        if value is not None and not isinstance(value, str):  # argparse reads --name=-- as []
-            raise ConfigError(f"field {key!r}: expected a value, got '--'")
-    merged = {}
-    if args["config"] is not None:
-        for key, value in _load("config", read_json_object, args["config"]).items():
-            if key not in fields:
-                raise ConfigError(f"field {key!r}: not a field of this command")
-            if type(value) not in (str, int):
+    flags = {"--" + f.replace("_", "-"): f for f in command.fields + ("config",) if f != "action"}
+    given = {}
+    tokens = iter(args)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help(name, command))
+            raise SystemExit(0)
+        flag, eq, value = token.partition("=")
+        if token.startswith("--") and len(token) > 2:
+            field = flags.get(flag)
+            if field is None:
                 raise ConfigError(
-                    f"field {key!r}: must be a string or an integer, got {json.dumps(value)}"
+                    f"field {flag[2:].replace('-', '_')!r}: not a field of this command"
                 )
-            merged[key] = str(value)
-    for key, value in args.items():
-        if key == "config" or value is None:
-            continue
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise ConfigError(f"field {field!r}: expected a value")
+        elif command.actions and "action" not in given:
+            field, value = "action", token
+        elif given:  # a stray word after the value of the field given last
+            last = next(reversed(given))
+            raise ConfigError(
+                f"field {last!r}: takes one value, got {given[last]!r} and then {token!r}"
+            )
+        else:
+            raise ConfigError(f"field 'action': not a field of this command, got {token!r}")
+        if field in given:
+            raise ConfigError(f"field {field!r}: given more than once")
+        given[field] = value
+    if "config" not in given:
+        return given
+    merged = {}
+    for key, value in _load("config", read_json_object, given.pop("config")).items():
+        if key not in command.fields:
+            raise ConfigError(f"field {key!r}: not a field of this command")
+        if type(value) not in (str, int):
+            raise ConfigError(
+                f"field {key!r}: must be a string or an integer, got {json.dumps(value)}"
+            )
+        merged[key] = str(value)
+    for key in given:
         if key in merged:
             raise ConfigError(
                 f"field {key!r}: given both on the command line and in the config file"
             )
-        merged[key] = value
-    return merged
+    return {**merged, **given}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = COMMANDS.get(argv[0]) if argv else None
     if command is None:  # only the overview: every command and its help line
-        parser = argparse.ArgumentParser(
-            prog="gapdim",
-            description="Exact gap-dimension certificates and ergodic discrepancy experiments",
-        )
-        sub = parser.add_subparsers(dest="command", required=True)
-        for name, entry in COMMANDS.items():
-            sub.add_parser(name, help=entry.help)
-        parser.parse_args(argv)  # prints the help (exit 0) or a usage error (exit 2)
-        parser.error("the command must come first")
-    args = vars(_parser(argv[0]).parse_args(argv[1:]))
+        if argv[:1] in (["-h"], ["--help"]):
+            sys.stdout.write(_OVERVIEW)
+            raise SystemExit(0)
+        problem = f"unknown command {argv[0]!r}" if argv else "no command given"
+        usage = _OVERVIEW.partition("\n")[0]
+        sys.stderr.write(f"{usage}\nerror: {problem}; see gapdim --help\n")
+        raise SystemExit(2)
     try:
-        cfg = _load_config(args, command.fields)
+        cfg = _config(argv[0], command, argv[1:])
         for f in command.required + command.actions.get(cfg.get("action"), ()):
             if f not in cfg:
                 raise ConfigError(f"field {f!r}: required but missing")

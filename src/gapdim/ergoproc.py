@@ -83,6 +83,12 @@ from .funclass import (
 from .rng import GOLDEN_GAMMA, TWO53, SplitMix64, lane_words
 from .shatter import DimResult, gap_dim
 
+# The most points an i.i.d. or Markov path may have: it draws each of its
+# points, so its time grows with its length, and a walk also holds a state
+# byte and up to one 8-byte word per step.  A rotation path has no cap, as
+# its counts come from floor sums at any length.
+MAX_DRAWN_POINTS = 10**8
+
 
 def golden_rotation_angle() -> Fraction:
     """First continued-fraction convergent of (sqrt(5) - 1) / 2 whose
@@ -332,8 +338,15 @@ class SamplePath:
         """The points as exact rationals."""
         return tuple(Fraction(t, self.scale) for t in self.ticks)
 
+    @property
+    def length(self) -> int:
+        """The number of points, an int of any size: ``len()`` raises past
+        ``sys.maxsize``, which a rotation orbit may exceed."""
+        ticks = self.ticks
+        return ticks.length if isinstance(ticks, Orbit) else len(ticks)
+
     def __len__(self) -> int:
-        return len(self.ticks)
+        return self.length
 
 
 def _ceil_scaled(q: Fraction, scale: int) -> int:
@@ -409,6 +422,8 @@ def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
     """
     if m < 1:
         raise ValueError("path length must be >= 1")
+    if m > MAX_DRAWN_POINTS and not isinstance(spec, RotationSpec):
+        raise ValueError(f"path length must be <= {MAX_DRAWN_POINTS} for {spec!r}, got {m}")
     rng = SplitMix64(seed)
     if isinstance(spec, IIDUniformSpec):
         scale = 1 << 64
@@ -607,7 +622,7 @@ def pointwise_discrepancy(f: Function, path: SamplePath) -> Fraction:
     F = FunctionClass([f])
     ef = expectation(F, path.spec)[0]  # rejects a TABULAR function
     V, columns = values_at(F, path.values)
-    return abs(Fraction(sum(column[0] for column in columns), V * len(path)) - ef)
+    return abs(Fraction(sum(column[0] for column in columns), V * path.length) - ef)
 
 
 def _discrepancies(
@@ -633,13 +648,13 @@ def discrepancy(F: FunctionClass, path: SamplePath, lengths: Sequence[int]) -> L
     """
     lengths = list(lengths)
     increasing = lengths == sorted(set(lengths))
-    if not (lengths and increasing and 1 <= lengths[0] and lengths[-1] <= len(path)):
-        raise ValueError(f"prefix lengths must increase within [1, {len(path)}]")
+    if not (lengths and increasing and 1 <= lengths[0] and lengths[-1] <= path.length):
+        raise ValueError(f"prefix lengths must increase within [1, {path.length}]")
     return [max(row) for row in _discrepancies(F, path, lengths)]
 
 
 def per_function_discrepancies(F: FunctionClass, path: SamplePath) -> List[Fraction]:
-    return _discrepancies(F, path, [len(path)])[0]
+    return _discrepancies(F, path, [path.length])[0]
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ TESTS = ("tests/test_shatter.py", "tests/test_cli.py", "tests/test_funclass.py")
 ERGOPROC_TESTS = ("tests/test_ergoproc.py",)
 EXACTSET_TESTS = ("tests/test_exactset.py",)
 RNG_TESTS = ("tests/test_rng.py",)
+CLI_TESTS = ("tests/test_cli.py",)
 
 
 class Mutant(NamedTuple):
@@ -194,12 +195,29 @@ MUTANTS = [
         "D < 1", "D < 0", EXACTSET_TESTS,
     ),
     Mutant(
+        "parse_integer: a prefix of digits accepted", "exactset.py", "parse_integer",
+        "_INTEGER_TEXT.fullmatch(text)", "_INTEGER_TEXT.match(text)",
+        EXACTSET_TESTS + CLI_TESTS,
+    ),
+    Mutant(
         "from_text: the largest denominator taken for their lcm", "exactset.py", "from_text",
         "math.lcm(*{q for _, q in ends})", "max({q for _, q in ends})", EXACTSET_TESTS,
     ),
     Mutant(
         "intersect: a piece starts at the lower of the two left ends", "exactset.py",
         "intersect", "max(a[i][0], b[j][0])", "min(a[i][0], b[j][0])", EXACTSET_TESTS,
+    ),
+    Mutant(
+        "_config: a repeated flag overrides the first", "cli.py", "_config",
+        "field in given", "False", CLI_TESTS,
+    ),
+    Mutant(
+        "_config: the --name=value form loses its value", "cli.py", "_config",
+        "token.partition('=')", "(*token.partition('=')[:2], '')", CLI_TESTS,
+    ),
+    Mutant(
+        "_config: a value read from the token after it", "cli.py", "_config",
+        "next(tokens, None)", "(next(tokens, None), next(tokens, None))[-1]", CLI_TESTS,
     ),
     Mutant(
         "_lane_blocks: the carried lanes not masked after the add", "rng.py", "_lane_blocks",

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,10 +15,13 @@ from hypothesis import given, settings, strategies as st
 from gapdim import (
     full_join_family, gap_dim, intersection_tree_build, join_shatter, parse_rational, thresholds
 )
-from gapdim.cli import COMMANDS, _parser, main
+from gapdim.cli import COMMANDS, main
+from gapdim.ergoproc import MAX_DRAWN_POINTS, IIDUniformSpec, RotationSpec, sample_path
 from gapdim.funclass import class_to_json, generate, load_class, save_class
 from gapdim.shatter import ShatterCertificate
-from oracles import oracle_constant, oracle_dumps
+from oracles import (
+    oracle_constant, oracle_dumps, oracle_expectation, oracle_sample_path, oracle_value_at
+)
 
 F = Fraction
 
@@ -177,23 +181,99 @@ class TestHelpAndUsage:
         assert capsys.readouterr().err.startswith("usage: gapdim")
 
 
-    def test_each_parser_is_built_once_and_reused(self, capsys):
-        # a kept parser answers a second run, a usage error and --help as a
-        # fresh one would
-        _parser.cache_clear()
-        argv = ["segments", "--class", "thresholds(4)", "--gamma", "1/8"]
-        first, second = run_main(*argv), run_main(*argv)
-        assert first == second and first[0] == 0
-        for bad in (["segments", "--bogus", "1"], ["segments", "--help"]):
-            seen = []
-            for _ in range(2):
-                with pytest.raises(SystemExit) as exc:
-                    main(bad)
-                seen.append((exc.value.code, capsys.readouterr()))
-            assert seen[0] == seen[1]
-        assert run_main(*argv) == first
-        assert _parser.cache_info().misses == 1
-        assert _parser("segments") is _parser("segments")
+class TestFlagGrammar:
+    """Flags are read straight from the command table: exact names, one
+    value each, taken verbatim."""
+
+    ARGV = ("segments", "--class", "thresholds(4)", "--gamma", "1/8")
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (("--bogus", "1"), "field 'bogus': not a field of this command"),
+            (("--gam", "1/4"), "field 'gam': not a field of this command"),
+            (("--cap", "3"), "field 'cap': not a field of this command"),  # a dim field
+            (("--gamma", "1/4"), "field 'gamma': given more than once"),
+            (("--gamma=1/4",), "field 'gamma': given more than once"),
+            (("--out",), "field 'out': expected a value"),
+            (("extra",), "field 'gamma': takes one value, got '1/8' and then 'extra'"),
+        ],
+    )
+    def test_bad_flags_name_their_field(self, extra, message):
+        assert run_main(*self.ARGV, *extra) == (2, "", f"error: {message}\n")
+
+    def test_a_repeated_flag_does_not_override(self):
+        argv = ("dim", "--class", "thresholds(4)", "--gamma", "1/4", "--gamma", "zebra")
+        assert run_main(*argv) == (2, "", "error: field 'gamma': given more than once\n")
+
+    def test_stray_words(self):
+        code, out, err = run_main("dim", "thresholds(4)", "--gamma", "1/4")
+        assert (code, out) == (2, "")
+        assert err == "error: field 'action': not a field of this command, got 'thresholds(4)'\n"
+        code, out, err = run_main("itree", "build", "verify", "--class", TREE_CLASS)
+        assert (code, out) == (2, "")
+        assert err == "error: field 'action': takes one value, got 'build' and then 'verify'\n"
+        code, out, err = run_main("itree", "build", "--action", "verify")
+        assert (code, out, err) == (2, "", "error: field 'action': not a field of this command\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--class", "thresholds(4)", "--gamma", "-1/4"),
+             "field 'gamma': gamma must be positive, got -1/4"),
+            # the token after a flag is its value even when it looks like a flag
+            (("--gamma", "--class", "thresholds(4)"),
+             "field 'gamma': takes one value, got '--class' and then 'thresholds(4)'"),
+            (("--class", "thresholds(4)", "--gamma", "--help"),
+             "field 'gamma': cannot parse rational '--help'"),
+            (("--class", "thresholds(4)", "--gamma", "--"),
+             "field 'gamma': cannot parse rational '--'"),
+        ],
+    )
+    def test_a_value_is_taken_verbatim(self, argv, message):
+        assert run_main("dim", *argv) == (2, "", f"error: {message}\n")
+
+    def test_equals_and_space_forms_agree(self, workdir):
+        for argv in VALID.values():
+            tokens = iter(a.format(tree=workdir / "tree.json") for a in argv)
+            spaced, joined = [], []
+            for a in tokens:
+                pair = [a, next(tokens)] if a.startswith("--") else [a]
+                spaced += pair
+                joined.append("=".join(pair))
+            first = run_main(*spaced)
+            assert first[0] == 0, first
+            assert run_main(*joined) == first, joined
+
+    def test_an_equals_sign_in_a_value_is_kept(self):
+        code, out, err = run_main("dim", "--class=thresholds(4)", "--gamma==1/4")
+        assert (code, out, err) == (2, "", "error: field 'gamma': cannot parse rational '=1/4'\n")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_twice_prints_the_same(self, capsys, flag):
+        seen = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["segments", "--class", "thresholds(4)", flag])
+            seen.append((exc.value.code, capsys.readouterr()))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == 0 and seen[0][1].out.startswith("usage: gapdim segments ")
+
+    def test_a_run_after_errors_and_help_answers_as_the_first(self):
+        first = run_main(*self.ARGV)
+        assert first[0] == 0
+        assert run_main(*self.ARGV, "--gam", "1")[0] == 2
+        with pytest.raises(SystemExit), redirect_stdout(io.StringIO()):
+            main([*self.ARGV, "--help"])
+        assert run_main(*self.ARGV) == first
+
+    def test_the_cli_does_not_import_argparse(self):
+        code = "import sys, gapdim.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestInputErrors:
@@ -618,6 +698,86 @@ INTEGER_FIELDS = [
 ]
 
 
+HUGE = [(1 << 63) - 1, 1 << 63, 10**21]  # len() stops at 2**63 - 1 on 64-bit builds
+
+
+def oracle_rotation_discrepancies(F, theta, seed, m):
+    """Per-function discrepancy of the rotation path of length m: its points
+    repeat with period q = den(theta), so m = k * q + r points hold k copies
+    of the first q and then the first r, each point valued by bisection."""
+    spec = RotationSpec(theta=theta)
+    k, r = divmod(m, theta.denominator)
+    points = oracle_sample_path(spec, theta.denominator, seed)
+    return [
+        abs((k * sum(oracle_value_at(f, x) for x in points)
+             + sum(oracle_value_at(f, x) for x in points[:r])) / m - oracle_expectation(f, spec))
+        for f in F.functions
+    ]
+
+
+class TestHugePathLengths:
+    """A rotation is counted by floor sums at any length, past len()'s
+    limit too; a process that draws every point stops at MAX_DRAWN_POINTS."""
+
+    @pytest.mark.parametrize("m", HUGE)
+    def test_rotation_discrepancy_at_any_length(self, m):
+        theta = F(2, 7)
+        code, out, err = run_main("discrepancy", "--class", "thresholds(4)",
+                                  "--process", "rotation:2/7", "--m", str(m), "--seed", "5")
+        assert code == 0, err
+        report = json.loads(out)["report"]
+        expected = oracle_rotation_discrepancies(thresholds(4), theta, 5, m)
+        assert report["m"] == m
+        assert [parse_rational(d["exact"]) for d in report["per_function"]] == expected
+        assert parse_rational(report["gamma_m"]["exact"]) == max(expected)
+
+    @pytest.mark.parametrize("m", HUGE)
+    def test_rotation_grids_and_bound_checks_at_any_length(self, m):
+        expected = [max(oracle_rotation_discrepancies(thresholds(4), F(2, 7), seed, m))
+                    for seed in (5, 6)]
+        code, out, err = run_main("gc-curve", "--class", "thresholds(4)", "--process",
+                                  "rotation:2/7", "--m-grid", f"10,{m}", "--replicates", "2",
+                                  "--seed", "5")
+        assert code == 0, err
+        rows = [row for row in json.loads(out)["report"]["rows"] if row["m"] == m]
+        assert [parse_rational(row["gamma_m"]["exact"]) for row in rows] == expected
+        code, out, err = run_main("bound-check", "--class", "thresholds(4)", "--process",
+                                  "rotation:2/7", "--gamma", "1/4", "--m", str(m),
+                                  "--replicates", "2", "--seed", "5")
+        assert code == 0, err
+        report = json.loads(out)["report"]
+        assert parse_rational(report["estimate"]["exact"]) == sum(expected) / 2
+        assert report["verdict"] == "PASS"
+        # the golden angle's orbit runs 2**40 points and more before it repeats
+        for command in ("discrepancy", "bound-check"):
+            argv = list(VALID[command])
+            argv[argv.index("--process") + 1] = "rotation"
+            argv[argv.index("--m") + 1] = str(m)
+            code, out, err = run_main(*argv)
+            assert code == 0, err
+
+    @pytest.mark.parametrize("m", [MAX_DRAWN_POINTS + 1, *HUGE])
+    @pytest.mark.parametrize("process", ["iid", "markov"])
+    def test_drawn_paths_stop_at_the_cap(self, tmp_path, process, m):
+        if process == "markov":
+            process = str(tmp_path / "markov.json")
+            (tmp_path / "markov.json").write_text(json.dumps(INPUT_FILES["process"][0]))
+        need = f"must be in [1, {MAX_DRAWN_POINTS}]"
+        for command, field, value in (("discrepancy", "m", str(m)),
+                                      ("gc-curve", "m_grid", f"10,{m}"),
+                                      ("bound-check", "m", str(m))):
+            argv = list(VALID[command])
+            argv[argv.index("--process") + 1] = process
+            argv[argv.index("--" + field.replace("_", "-")) + 1] = value
+            code, out, err = run_main(*argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: field {field!r}: {need}, got {value!r}\n"
+
+    def test_drawn_paths_reach_the_cap_in_the_library(self):
+        with pytest.raises(ValueError, match="must be <= "):
+            sample_path(IIDUniformSpec(), MAX_DRAWN_POINTS + 1, 1)
+
+
 class TestMalformedInput:
     """Malformed input of every kind exits 2 with a message naming its field."""
 
@@ -764,7 +924,7 @@ class TestMalformedInput:
                          "--m-grid", "10", "--replicates", "1", "--seed", "1")),
             ("process", ("bound-check", "--class", "thresholds(4)", "--process", "rotation:0/1",
                          "--gamma", "1/4", "--m", "10", "--replicates", "1", "--seed", "1")),
-            # argparse hands `--name=--` over as an empty list, not a string
+            # a value is taken verbatim, `--` included
             ("gamma", ("dim", "--class", "thresholds(4)", "--gamma=--")),
             ("leaves", ("ptree", "--depth", "3", "--c", "1/2", "--leaves=--")),
             ("class", ("dim", "--class=--", "--gamma", "1/4")),
