@@ -34,6 +34,7 @@ from .exactset import (
     parse_rational, read_json_object,
 )
 from .ergoproc import (
+    MAX_DEMO_POINTS,
     MAX_DRAWN_POINTS,
     Emission,
     IIDUniformSpec,
@@ -424,7 +425,7 @@ def cmd_bound_check(cfg: dict) -> int:
 
 def cmd_demo_rotation(cfg: dict) -> int:
     theta = _rat(cfg["theta"], "theta") if "theta" in cfg else None
-    m, seed = _ints(cfg, "m", low=1), _ints(cfg, "seed")
+    m, seed = _ints(cfg, "m", low=1, high=MAX_DEMO_POINTS), _ints(cfg, "seed")
     try:
         rep = rotation_counterexample(m, seed, theta)
     except ValueError as exc:  # theta outside (0, 1), or an orbit that closes

@@ -8,44 +8,47 @@ lo == hi.  Path values are exact rationals built from 53-bit SplitMix64
 draws k, held as integer ticks over one scale N per path (x = tick / N):
 N = 2**64 and the tick k * 2**11 for IID, N = 2**53 * den(theta) for a
 rotation, and N = 2**64 * lcm(emission denominators) for a Markov chain.
-An IID path holds only its ``Draws``: the seed and the length, from which
-the 64-bit word ticks come a block of ``rng.BLOCK`` at a time as the lane
-bytes of ``SplitMix64.lane_blocks``, each block mixed only when it is read,
-and any tick is one SplitMix64 step.  A
-rotation path holds only its ``Orbit``: the first tick, the step
-theta * N, N and the length, from which any tick is one product and one
-remainder.  A Markov path holds
-its ``Walk``: the state of each step and, per state, the words its uniform
-emissions drew, from which any tick is one product and one sum.  Every
-downstream decision (discrepancy, bound verdicts) is exact; floats appear
-only in human-readable report columns.
+
+Each process holds its path in its own form, and each form counts itself:
+``counts(thresholds, lengths)`` gives, for each prefix length m, how many
+of the first m ticks lie in each cell between increasing integer
+thresholds, and no count builds a tick.  The ticks are built, in order,
+only when a path is iterated (``SamplePath.values``).
+
+- An IID path is its ``Draws``: the seed and the length.  Its 64-bit word
+  ticks come a block of ``rng.BLOCK`` at a time as the lane bytes of
+  ``SplitMix64.lane_blocks``, each block mixed only when it is read, so
+  counting a path of any length holds one block.  The ticks fill all 64
+  bits, so their top byte alone bins most of them: one 256-entry table,
+  built from the thresholds, maps each top byte to its cell, or to the
+  marker 255 when a threshold splits that byte's range (or the cell is 255
+  or more).  A block's top bytes are one slice of its lane bytes (every
+  16th byte), and one ``bytes.translate`` of them gives each tick's cell,
+  in C; only the marked ticks are binned with a bisect (``_binned_counts``),
+  so the words themselves are unpacked only when the table marks a byte.
+- A Markov path is its ``Walk``: the state of each step and, per state,
+  the words its uniform emissions drew.  It is counted state by state: a
+  point state's steps all fall in one cell, and a uniform state's words go
+  through the same kernel against the thresholds moved into word space.
+- A rotation path is its ``Orbit``: the first tick, the step theta * N, N
+  and the length.  It is counted by floor sums (below).
+
+Every downstream decision (discrepancy, bound verdicts) is exact; floats
+appear only in human-readable report columns.
 
 The discrepancy of a class on a path is the maximum over the class of
 |sample mean - expectation|, and both sides read the class's integer value
 table (``funclass.refinement``: cuts c over C, cell values over V).  A tick
 x lies at or right of the cut c / C exactly when x >= ceil(c * N / C), so
-points are binned on integers and each mean is one sum s over V * m.  IID
-ticks fill all 64 bits, so their top byte alone bins most of them: one
-256-entry table, built from the thresholds, maps each top byte to its cell,
-or to the marker 255 when a threshold splits that byte's range (or the cell
-is 255 or more).  A block's top bytes are one slice of its lane bytes
-(every 16th byte), and one ``bytes.translate`` of them gives each tick's
-cell, in C; only the marked ticks, and the ticks of explicit paths, are
-binned with a bisect (``_binned_counts``), so the words themselves are
-unpacked only when the table marks a byte.  The words are binned
-a block at a time as they are drawn, so counting an IID path of any length
-holds only one block.  A walk is binned state by state
-(``_walk_counts``): a point state's steps all fall in one cell, and a
-uniform state's words go through the same kernel against the thresholds
-moved into word space.  The process marginal gives each cell an
-exact integer mass over one B (``_cell_masses``), so each expectation p / q
-is one sum over V * B, and each discrepancy is the one ``Fraction``
-|s * q - p * V * m| / (V * m * q).  A path is a prefix of the longer path
-drawn from the same seed, so one path and running cell counts give the
-discrepancy at every length of an m grid.
+points are counted on integers and each mean is one sum s over V * m.  The
+process marginal gives each cell an exact integer mass over one B
+(``_cell_masses``), so each expectation p / q is one sum over V * B, and
+each discrepancy is the one ``Fraction`` |s * q - p * V * m| / (V * m * q).
+A path is a prefix of the longer path drawn from the same seed, so one path
+and running cell counts give the discrepancy at every length of an m grid.
 
-An orbit is never binned.  Its i-th tick is (b + i * d) mod N, and an integer
-x lies below K (0 <= K <= N) modulo N exactly when
+An orbit's i-th tick is (b + i * d) mod N, and an integer x lies below K
+(0 <= K <= N) modulo N exactly when
 floor(x / N) - floor((x - K + N) / N) = 1, else that difference is 0.  So
 
     #{0 <= i < m : (b + i * d) mod N < K} = S(b) - S(b + N - K) + m,
@@ -80,7 +83,7 @@ from .funclass import (
     value_rows,
     values_at,
 )
-from .rng import GOLDEN_GAMMA, TWO53, SplitMix64, lane_words
+from .rng import TWO53, SplitMix64, lane_words
 from .shatter import DimResult, gap_dim
 
 # The most points an i.i.d. or Markov path may have: it draws each of its
@@ -88,15 +91,22 @@ from .shatter import DimResult, gap_dim
 # byte and up to one 8-byte word per step.  A rotation path has no cap, as
 # its counts come from floor sums at any length.
 MAX_DRAWN_POINTS = 10**8
+# The most points ``demo-rotation`` takes: its data-dependent family holds
+# an m-point orbit window per base point as a tabular class, so its time
+# and memory grow with m (on a 2-CPU VM, about 2 s at 10**4 points, and
+# 20 s and 470 MiB at 10**5).
+MAX_DEMO_POINTS = 10**4
 
 
 def golden_rotation_angle() -> Fraction:
     """First continued-fraction convergent of (sqrt(5) - 1) / 2 whose
     denominator reaches 2**40.
 
-    The convergents are ratios of consecutive Fibonacci numbers; a huge
-    denominator keeps the rational orbit aperiodic at every feasible sample
-    length while staying exact.
+    The convergents are ratios of consecutive Fibonacci numbers, so the
+    angle is exact, and its orbit closes after q = 1548008755920 points,
+    its denominator.  Floor sums count a rotation path at any length, q and
+    past it too, where the discrepancy of a class need not tend to 0; an
+    irrational angle would never close (ROADMAP item 16).
     """
     a, b = 1, 1
     while b < 1 << 40:
@@ -222,43 +232,37 @@ def floor_sum(n: int, M: int, a: int, b: int) -> int:
 
 
 @dataclass(frozen=True)
-class Orbit(Sequence[int]):
+class Orbit:
     """The ticks (first + i * step) mod scale, i = 0 .. length - 1, of a
-    rotation path, as a read-only sequence of ints built on demand."""
+    rotation path, counted by floor sums and built only when iterated."""
 
     first: int
     step: int
     scale: int
     length: int
 
-    def __len__(self) -> int:
-        return self.length
-
-    def __getitem__(self, i: int) -> int:
-        return (self.first + range(self.length)[i] * self.step) % self.scale
-
     def __iter__(self) -> Iterator[int]:
         stop = self.first + self.length * self.step
         return map(operator.mod, range(self.first, stop, self.step), repeat(self.scale))
 
-    def cell_counts(self, thresholds: Sequence[int], m: int) -> List[int]:
-        """How many of the first m ticks lie below thresholds[0], in each
-        [thresholds[k - 1], thresholds[k]) and at or above thresholds[-1],
-        for increasing thresholds in (0, scale], by floor sums (module
-        docstring)."""
+    def counts(self, thresholds: List[int], lengths: Sequence[int]) -> Iterator[List[int]]:
+        """For each m in ``lengths``, how many of the first m ticks lie
+        below thresholds[0], in each [thresholds[k - 1], thresholds[k]) and
+        at or above thresholds[-1], for increasing thresholds in
+        (0, scale], by floor sums (module docstring)."""
         N, d, b = self.scale, self.step, self.first
-        top = floor_sum(m, N, d, b)
-        below = [top - floor_sum(m, N, d, b + N - K) + m for K in thresholds]
-        return list(map(operator.sub, [*below, m], [0, *below]))
+        for m in lengths:
+            top = floor_sum(m, N, d, b)
+            below = [top - floor_sum(m, N, d, b + N - K) + m for K in thresholds]
+            yield list(map(operator.sub, [*below, m], [0, *below]))
 
 
-class Walk(Sequence[int]):
+class Walk:
     """The ticks of a Markov path, held as the walk that emitted them: the
     state of each step and, per state, the words its uniform emissions drew,
     in order.  The tick of a step in state s is offset_s + width_s * w, w
-    the state's next word (width 0, and no word, for a point).  Like an
-    ``Orbit`` it is a read-only sequence of ints built on demand, and it is
-    not sliced."""
+    the state's next word (width 0, and no word, for a point).  It is
+    counted state by state, and its ticks are built only when iterated."""
 
     __slots__ = ("states", "words", "emit")
 
@@ -267,14 +271,9 @@ class Walk(Sequence[int]):
         self.words = words
         self.emit = emit
 
-    def __len__(self) -> int:
+    @property
+    def length(self) -> int:
         return len(self.states)
-
-    def __getitem__(self, i: int) -> int:
-        i = range(len(self.states))[operator.index(i)]
-        s = self.states[i]
-        offset, width = self.emit[s]
-        return offset + width * self.words[s][self.states[:i].count(s)] if width else offset
 
     def __iter__(self) -> Iterator[int]:
         draws = [iter(words) for words in self.words]
@@ -282,29 +281,47 @@ class Walk(Sequence[int]):
             offset, width = self.emit[s]
             yield offset + width * next(draws[s]) if width else offset
 
+    def counts(self, thresholds: List[int], lengths: Sequence[int]) -> List[List[int]]:
+        """Per cell between the thresholds (as ``Orbit.counts``), the count
+        of the first m ticks for each m in the non-decreasing ``lengths``,
+        state by state.  Every step of a point state lands in the one cell
+        of its tick.  A uniform state's tick offset + width * w lies at or
+        right of t exactly when its word w >= ceil((t - offset) / width), so
+        its words are binned by ``_binned_counts`` against those thresholds,
+        clamped to [0, 2**64], their top bytes read from the words' memory."""
+        totals = [[0] * (len(thresholds) + 1) for _ in lengths]
+        for s, ((offset, width), words) in enumerate(zip(self.emit, self.words)):
+            visits = list(accumulate(
+                self.states[a:b].count(s) for a, b in zip([0, *lengths], lengths)
+            ))
+            if not visits[-1]:
+                continue
+            if width:
+                moved = [min(max(-((offset - t) // width), 0), 1 << 64) for t in thresholds]
+                block = iter([(memoryview(words).cast("B")[_TOP_BYTE::8].tobytes(), words)])
+                binned = _binned_counts(block, _top_byte_table(moved), moved, visits)
+                for total, counts in zip(totals, binned):
+                    total[:] = map(operator.add, total, counts)
+            else:
+                cell = bisect_right(thresholds, offset)
+                for total, n in zip(totals, visits):
+                    total[cell] += n
+        return totals
 
-class Draws(Sequence[int]):
+
+class Draws:
     """The ticks of an IID path, held as the draws that make them: tick i
     is the word k << 11 of the (i + 1)-th ``unit_tick()`` of
     ``SplitMix64(seed)``.  ``lanes()`` yields the words as the lane bytes
     of ``SplitMix64.lane_blocks``, blocks of up to ``rng.BLOCK`` each mixed
     only when it is reached, so a pass over the path holds one block at a
-    time; ``blocks()`` unpacks them into ``array('Q')`` words.  Like an ``Orbit``
-    it is a read-only sequence of ints built on demand: one index is one
-    SplitMix64 step, and it is not sliced."""
+    time; ``blocks()`` unpacks them into ``array('Q')`` words."""
 
     __slots__ = ("seed", "length")
 
     def __init__(self, seed: int, length: int):
         self.seed = seed
         self.length = length
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __getitem__(self, i: int) -> int:
-        i = range(self.length)[operator.index(i)]
-        return SplitMix64(self.seed + i * GOLDEN_GAMMA).unit_tick() << 11
 
     def __iter__(self) -> Iterator[int]:
         return chain.from_iterable(self.blocks())
@@ -315,20 +332,29 @@ class Draws(Sequence[int]):
     def blocks(self) -> Iterator[array]:
         return map(lane_words, self.lanes())
 
+    def counts(self, thresholds: List[int], lengths: Sequence[int]) -> Iterator[List[int]]:
+        """Per cell between the thresholds (as ``Orbit.counts``), the count
+        of the first m ticks for each m in the non-decreasing ``lengths``,
+        binned a block at a time by ``_binned_counts``.  A block's top bytes
+        are byte 7 of each 16-byte lane, and its lane bytes are unpacked
+        into words only when the table marks a byte."""
+        table = _top_byte_table(thresholds)
+        marks = MARKED in table
+        blocks = ((lanes[7::16], lane_words(lanes) if marks else None) for lanes in self.lanes())
+        return _binned_counts(blocks, table, thresholds, lengths)
+
 
 @dataclass(frozen=True, eq=False)
 class SamplePath:
-    """Sample points x_i = ticks[i] / scale, held as integers over one scale.
+    """Sample points x_i = tick_i / scale, held as integers over one scale.
 
-    ``ticks`` is any sequence of ints: ``Draws`` for an IID path, an
-    ``Orbit`` for a rotation path, a ``Walk`` for a Markov path and a tuple
-    otherwise.  ``Draws`` are binned a block of words at a time, an
-    ``Orbit`` is counted by floor sums and a ``Walk`` state by state; a path
-    built from explicit ticks is binned tick by tick.
-    Paths compare by identity.
+    ``ticks`` is the path in its process's own form: ``Draws`` for an IID
+    path, an ``Orbit`` for a rotation path and a ``Walk`` for a Markov
+    path.  Each form has a ``length``, counts itself (``counts``) and builds
+    its ticks, in order, only when iterated.  Paths compare by identity.
     """
 
-    ticks: Sequence[int]
+    ticks: Union[Draws, Orbit, Walk]
     scale: int
     seed: int
     spec: ProcessSpec
@@ -342,8 +368,7 @@ class SamplePath:
     def length(self) -> int:
         """The number of points, an int of any size: ``len()`` raises past
         ``sys.maxsize``, which a rotation orbit may exceed."""
-        ticks = self.ticks
-        return ticks.length if isinstance(ticks, Orbit) else len(ticks)
+        return self.ticks.length
 
     def __len__(self) -> int:
         return self.length
@@ -495,19 +520,12 @@ def _class_sums(
     """V and, for each m in the increasing ``lengths``, each function's sum
     of V * f(x) over the path's first m points, an integer: the sample mean
     is that sum over V * m.  The interior cuts of the class table become the
-    tick thresholds ceil(c * N / C).  An orbit is counted by floor sums at
-    each length, a walk state by state (``_walk_counts``) and any other path
-    by running bin counts."""
+    tick thresholds ceil(c * N / C), and the path counts its ticks between
+    them at each length."""
     C, cuts, V, rows = refinement(F)
     N = path.scale
     inner = [-(-c * N // C) for c in cuts[1:-1]]
-    ticks = path.ticks
-    if isinstance(ticks, Orbit):
-        tallies = (ticks.cell_counts(inner, m) for m in lengths)
-    elif isinstance(ticks, Walk):
-        tallies = _walk_counts(ticks, inner, lengths)
-    else:
-        tallies = _binned_counts(ticks, inner, lengths)
+    tallies = path.ticks.counts(inner, lengths)
     return V, [[sum(map(operator.mul, tally, row)) for row in rows] for tally in tallies]
 
 
@@ -536,39 +554,25 @@ def _top_byte_table(thresholds: List[int]) -> bytes:
 
 
 def _binned_counts(
-    ticks: Sequence[int], thresholds: List[int], lengths: Sequence[int]
+    blocks: Iterator[Tuple[bytes, Optional[Sequence[int]]]], table: bytes,
+    thresholds: List[int], lengths: Sequence[int],
 ) -> Iterator[List[int]]:
-    """Per cell between the thresholds (as ``Orbit.cell_counts``), the count
-    of the first m ticks for each m in the non-decreasing ``lengths``.
+    """Per cell between the thresholds, the count of the first m 64-bit
+    word ticks for each m in the non-decreasing ``lengths``, the ticks read
+    from ``blocks`` of (top bytes, words) in path order.
 
-    64-bit word ticks (the ``lanes()`` of an IID path's ``Draws``, or the
-    one ``array('Q')`` of a walk state's words) are binned in C a block at a
-    time by their top byte: one strided slice copies the top bytes (every
-    16th byte of the lane bytes, or of the words' memory for an array), one
-    ``bytes.translate`` through ``_top_byte_table`` maps them to their
-    cells, and ``bytes.count`` counts each cell in each part of the block
+    ``table`` is the thresholds' ``_top_byte_table``: one
+    ``bytes.translate`` through it maps a block's top bytes to their cells,
+    in C, and ``bytes.count`` counts each cell in each part of the block
     before the next prefix length, which may end inside it.  Only the ticks
-    it marks MARKED are binned with ``bisect_right``, picked out by
-    ``itertools.compress``, so a block's lane bytes are unpacked into words
-    only when the table has a MARKED byte; every tick of any other sequence
-    is bisected too, each once as one pass reaches it.  A block is read
+    it marks MARKED are binned with ``bisect_right``, picked out of the
+    words by ``itertools.compress``; the words are read for nothing else,
+    and may be None when the table has no MARKED byte.  A block is read
     only when a length reaches into it, and only one block is held at a
     time."""
     counts = Counter()
-    if not isinstance(ticks, (Draws, array)):
-        done = 0
-        for m in lengths:
-            counts.update(map(bisect_right, repeat(thresholds), ticks[done:m]))
-            done = m
-            yield [counts[j] for j in range(len(thresholds) + 1)]
-        return
-    table = _top_byte_table(thresholds)
     present = set(table) - {MARKED}
     marks = MARKED in table
-    if isinstance(ticks, Draws):  # (top bytes, words or None) per block
-        blocks = ((lanes[7::16], lane_words(lanes) if marks else None) for lanes in ticks.lanes())
-    else:
-        blocks = iter(((memoryview(ticks).cast("B")[_TOP_BYTE::8].tobytes(), ticks),))
     block = cells = marked = b""
     start = done = 0  # the path index of the block's first tick, its ticks counted
     for m in lengths:
@@ -590,31 +594,6 @@ def _binned_counts(
                 block = memoryview(block)  # slices without copies
             done = 0
         yield [counts[j] for j in range(len(thresholds) + 1)]
-
-
-def _walk_counts(walk: Walk, thresholds: List[int], lengths: Sequence[int]) -> List[List[int]]:
-    """Per cell between the thresholds, the count of the walk's first m
-    ticks for each m in the increasing ``lengths``, state by state.  Every
-    step of a point state lands in the one cell of its tick.  A uniform
-    state's tick offset + width * w lies at or right of t exactly when its
-    word w >= ceil((t - offset) / width), so its words are binned by
-    ``_binned_counts`` against those thresholds, clamped to [0, 2**64]."""
-    totals = [[0] * (len(thresholds) + 1) for _ in lengths]
-    for s, ((offset, width), words) in enumerate(zip(walk.emit, walk.words)):
-        visits = list(accumulate(
-            walk.states[a:b].count(s) for a, b in zip([0, *lengths], lengths)
-        ))
-        if not visits[-1]:
-            continue
-        if width:
-            moved = [min(max(-((offset - t) // width), 0), 1 << 64) for t in thresholds]
-            for total, counts in zip(totals, _binned_counts(words, moved, visits)):
-                total[:] = map(operator.add, total, counts)
-        else:
-            cell = bisect_right(thresholds, offset)
-            for total, n in zip(totals, visits):
-                total[cell] += n
-    return totals
 
 
 def pointwise_discrepancy(f: Function, path: SamplePath) -> Fraction:
@@ -739,7 +718,7 @@ def rotation_counterexample(
     theta = Fraction(theta) if theta is not None else golden_rotation_angle()
     path = sample_path(RotationSpec(theta=theta), m, seed)
     N = path.scale
-    x0 = (Fraction(path.ticks[0], N) - theta) % 1
+    x0 = (Fraction(path.ticks.first, N) - theta) % 1
 
     combined = trajectory_indicators(theta, (x0, *BASE_POINTS), window=m)
     # Every expectation is 0, so each family's discrepancy is its path mean;

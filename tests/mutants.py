@@ -18,7 +18,9 @@ It prints one line per mutant, then the number of survivors, and exits 1
 when any mutant survives.  It needs pytest and hypothesis, as the tests
 do, and nothing outside the standard library besides.
 
-Every ``old`` text must occur exactly once in its function, compared as
+A mutant names its function by a bare name, or as ``Class.method`` for a
+method, and that name must match exactly one function of its module.
+Every ``old`` text must occur exactly once in that function, compared as
 syntax trees, so a kernel that changes shape fails here loudly instead of
 leaving a mutant that edits nothing.  A change that adds a kernel adds its
 mutants here.
@@ -45,7 +47,7 @@ CLI_TESTS = ("tests/test_cli.py",)
 class Mutant(NamedTuple):
     name: str
     module: str  # path under src/gapdim
-    function: str  # the function the edit is confined to
+    function: str  # the function the edit is confined to: name or Class.method
     old: str  # one expression or statement of that function
     new: str  # what replaces it
     tests: Tuple[str, ...] = TESTS  # the test files that should kill it
@@ -131,12 +133,25 @@ MUTANTS = [
         "bisect_right(rows[state], w) if s == MARKED else s", "s", ERGOPROC_TESTS,
     ),
     Mutant(
-        "_walk_counts: the floor of the word-space threshold for its ceiling", "ergoproc.py",
-        "_walk_counts", "-((offset - t) // width)", "(t - offset) // width", ERGOPROC_TESTS,
+        "Walk.counts: the floor of the word-space threshold for its ceiling", "ergoproc.py",
+        "Walk.counts", "-((offset - t) // width)", "(t - offset) // width", ERGOPROC_TESTS,
     ),
     Mutant(
-        "_walk_counts: word-space thresholds not clamped at 0", "ergoproc.py", "_walk_counts",
+        "Walk.counts: word-space thresholds not clamped at 0", "ergoproc.py", "Walk.counts",
         "max(-((offset - t) // width), 0)", "-((offset - t) // width)", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "Orbit.counts: a tick one below a threshold counted at or above it", "ergoproc.py",
+        "Orbit.counts", "b + N - K", "b + N - K + 1", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "Orbit.counts: a tick on a threshold counted below it", "ergoproc.py",
+        "Orbit.counts", "b + N - K", "b + N - K - 1", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "Orbit.counts: the m of the floor-sum identity dropped", "ergoproc.py",
+        "Orbit.counts", "top - floor_sum(m, N, d, b + N - K) + m",
+        "top - floor_sum(m, N, d, b + N - K)", ERGOPROC_TESTS,
     ),
     Mutant(
         "_top_byte_table: a split byte left unmarked", "ergoproc.py", "_top_byte_table",
@@ -156,8 +171,8 @@ MUTANTS = [
         "compress(block, marked)", ERGOPROC_TESTS,
     ),
     Mutant(
-        "_binned_counts: the low byte of each lane taken for its top byte", "ergoproc.py",
-        "_binned_counts", "lanes[7::16]", "lanes[0::16]", ERGOPROC_TESTS,
+        "Draws.counts: the low byte of each lane taken for its top byte", "ergoproc.py",
+        "Draws.counts", "lanes[7::16]", "lanes[0::16]", ERGOPROC_TESTS,
     ),
     Mutant(
         "_discrepancies: the expectation's denominator q dropped from s * q", "ergoproc.py",
@@ -247,28 +262,44 @@ def parse_fragment(text: str):
 
 
 class Edit(ast.NodeTransformer):
-    """Replace every node equal to `old` (as a tree) inside function `name`."""
+    """Replace every node equal to `old` (as a tree) below the node it visits."""
 
-    def __init__(self, name: str, old: str, new: str):
-        self.name, self.new, self.hits, self.inside = name, new, 0, False
+    def __init__(self, old: str, new: str):
+        self.new, self.hits = new, 0
         old = parse_fragment(old)
         self.old = ast.dump(old[0] if isinstance(old, list) else old)
 
     def visit(self, node):
-        if self.inside and ast.dump(node) == self.old:
+        if ast.dump(node) == self.old:
             self.hits += 1
             return parse_fragment(self.new)
-        if isinstance(node, ast.FunctionDef) and node.name == self.name:
-            self.inside = True
-            node = self.generic_visit(node)
-            self.inside = False
-            return node
         return self.generic_visit(node)
 
 
+def find_function(tree: ast.Module, mutant: Mutant) -> ast.FunctionDef:
+    """The one function a mutant names: a bare name matches a function or
+    method of that name anywhere in the module, and ``Class.method`` only
+    the methods of that name inside classes of that name."""
+    owner, _, name = mutant.function.rpartition(".")
+    scopes = [tree]
+    if owner:
+        scopes = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and node.name == owner]
+    found = [node for scope in scopes for node in ast.walk(scope)
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    if len(found) != 1:
+        raise SystemExit(
+            f"mutant {mutant.name!r}: {mutant.function!r} names {len(found)} functions "
+            f"in {mutant.module}, not one; name a method as Class.method"
+        )
+    return found[0]
+
+
 def mutated_source(text: str, mutant: Mutant) -> str:
-    edit = Edit(mutant.function, mutant.old, mutant.new)
-    tree = ast.fix_missing_locations(edit.visit(ast.parse(text)))
+    tree = ast.parse(text)
+    edit = Edit(mutant.old, mutant.new)
+    edit.generic_visit(find_function(tree, mutant))
+    tree = ast.fix_missing_locations(tree)
     if edit.hits != 1:
         raise SystemExit(
             f"mutant {mutant.name!r}: {mutant.old!r} occurs {edit.hits} times "

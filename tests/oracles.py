@@ -482,6 +482,18 @@ def union_of(pairs) -> IntervalUnion:
     return IntervalUnion(D, zip(scaled, scaled))
 
 
+class OracleTicks(tuple):
+    """A path of explicit ticks: a path kind that counts itself by
+    ``oracle_binned_counts``, one bisect per tick."""
+
+    @property
+    def length(self) -> int:
+        return len(self)
+
+    def counts(self, thresholds, lengths):
+        return oracle_binned_counts(self, thresholds, lengths)
+
+
 def sample_path_of(values, seed: int, spec) -> SamplePath:
     """A path through given points of [0, 1), over the lcm of their denominators."""
     values = [Fraction(v) for v in values]
@@ -490,7 +502,7 @@ def sample_path_of(values, seed: int, spec) -> SamplePath:
     if not all(Fraction(0) <= v < Fraction(1) for v in values):
         raise ValueError("sample points must lie in [0, 1)")
     scale = math.lcm(*(v.denominator for v in values))
-    ticks = tuple(v.numerator * (scale // v.denominator) for v in values)
+    ticks = OracleTicks(v.numerator * (scale // v.denominator) for v in values)
     return SamplePath(ticks, scale, seed, spec)
 
 
@@ -500,13 +512,13 @@ class InvalidSplit(ValueError):
 
 def split_path(path: SamplePath, split: int):
     """The head of ``split`` points and the tail after it, as paths of
-    explicit ticks (an orbit path's are materialised)."""
+    explicit ticks."""
     if not 1 <= split < len(path):
         raise InvalidSplit(f"split must be in [1, {len(path) - 1}], got {split}")
     ticks = tuple(path.ticks)
     return (
-        SamplePath(ticks[:split], path.scale, path.seed, path.spec),
-        SamplePath(ticks[split:], path.scale, path.seed, path.spec),
+        SamplePath(OracleTicks(ticks[:split]), path.scale, path.seed, path.spec),
+        SamplePath(OracleTicks(ticks[split:]), path.scale, path.seed, path.spec),
     )
 
 
@@ -572,7 +584,7 @@ def oracle_class_means(F: FunctionClass, values):
 
 
 def oracle_binned_counts(ticks, thresholds, lengths):
-    """``ergoproc._binned_counts`` as one ``bisect_right`` per tick: a
+    """The ``counts`` of a path kind as one ``bisect_right`` per tick: a
     ``Counter`` of cells over running prefixes of the ticks."""
     counts = Counter()
     done = 0

@@ -16,7 +16,9 @@ from gapdim import (
     full_join_family, gap_dim, intersection_tree_build, join_shatter, parse_rational, thresholds
 )
 from gapdim.cli import COMMANDS, main
-from gapdim.ergoproc import MAX_DRAWN_POINTS, IIDUniformSpec, RotationSpec, sample_path
+from gapdim.ergoproc import (
+    MAX_DEMO_POINTS, MAX_DRAWN_POINTS, IIDUniformSpec, RotationSpec, sample_path,
+)
 from gapdim.funclass import class_to_json, generate, load_class, save_class
 from gapdim.shatter import ShatterCertificate
 from oracles import (
@@ -717,7 +719,9 @@ def oracle_rotation_discrepancies(F, theta, seed, m):
 
 class TestHugePathLengths:
     """A rotation is counted by floor sums at any length, past len()'s
-    limit too; a process that draws every point stops at MAX_DRAWN_POINTS."""
+    limit too; a process that draws every point stops at MAX_DRAWN_POINTS,
+    and the rotation demo, whose family holds an m-point orbit window, at
+    MAX_DEMO_POINTS."""
 
     @pytest.mark.parametrize("m", HUGE)
     def test_rotation_discrepancy_at_any_length(self, m):
@@ -776,6 +780,20 @@ class TestHugePathLengths:
     def test_drawn_paths_reach_the_cap_in_the_library(self):
         with pytest.raises(ValueError, match="must be <= "):
             sample_path(IIDUniformSpec(), MAX_DRAWN_POINTS + 1, 1)
+
+    def test_demo_rotation_runs_at_its_cap(self):
+        code, out, err = run_main("demo-rotation", "--m", str(MAX_DEMO_POINTS), "--seed", "1")
+        assert code == 0, err
+        report = json.loads(out)["report"]
+        assert report["m"] == MAX_DEMO_POINTS
+        assert report["data_dependent_family"]["gamma_m"]["exact"] == "1/1"
+        assert report["fixed_family"]["gamma_m"]["exact"] == "0/1"
+
+    @pytest.mark.parametrize("m", [MAX_DEMO_POINTS + 1, 1 << 63])
+    def test_demo_rotation_stops_past_its_cap(self, m):
+        assert run_main("demo-rotation", "--m", str(m), "--seed", "1") == (
+            2, "", f"error: field 'm': must be in [1, {MAX_DEMO_POINTS}], got '{m}'\n"
+        )
 
 
 class TestMalformedInput:

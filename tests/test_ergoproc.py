@@ -30,6 +30,7 @@ from gapdim.ergoproc import (
     Orbit,
     RotationSpec,
     SamplePath,
+    Walk,
     _cell_masses,
     _class_sums,
     bound_check,
@@ -42,6 +43,7 @@ from gapdim.funclass import full_join_family, load_class, random_step, refinemen
 from gapdim.rng import BLOCK, SplitMix64
 from oracles import (
     InvalidSplit,
+    OracleTicks,
     frac_mod1,
     fraction_pairs,
     oracle_binned_counts,
@@ -483,11 +485,9 @@ class TestSubadditivity:
         spec = RotationSpec(theta=theta)
         path = sample_path(spec, 60, 3)
         FC = thresholds(16)
-        ticks = tuple(path.ticks)
-        parts = [*split_path(path, 5), replace(path, ticks=ticks[:5]),
-                 replace(path, ticks=ticks[5:])]
+        parts = split_path(path, 5)
         for part in parts:
-            assert not isinstance(part.ticks, Orbit)
+            assert isinstance(part.ticks, OracleTicks)
             by_hand = sample_path_of(part.values, path.seed, spec)
             assert max(per_function_discrepancies(FC, part)) == max(
                 per_function_discrepancies(FC, by_hand)
@@ -860,14 +860,29 @@ class TestOrbitCounts:
         M, a, b = 7 << 53, 3 << 53, 12345 << 40
         assert floor_sum(1000, M, a, b) == sum((a * i + b) // M for i in range(1000))
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_counts_match_bisecting_every_tick(self, data):
+        # small orbits, with thresholds on a tick, next to one and anywhere
+        N = data.draw(st.integers(2, 60))
+        first, step = data.draw(st.integers(0, N - 1)), data.draw(st.integers(1, N - 1))
+        orbit = Orbit(first, step, N, data.draw(st.integers(1, 80)))
+        ticks = tuple(orbit)
+        near = st.sampled_from(ticks).flatmap(lambda t: st.integers(t - 1, t + 1))
+        cut = (near | st.integers(1, N)).filter(lambda K: 0 < K <= N)
+        thresholds = sorted(data.draw(st.sets(cut, max_size=6)))
+        lengths = sorted(data.draw(st.sets(st.integers(1, len(ticks)), max_size=4)) | {len(ticks)})
+        assert list(orbit.counts(thresholds, lengths)) == list(
+            oracle_binned_counts(ticks, thresholds, lengths)
+        )
+
     @given(orbit_cases(), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_orbit_means_match_binning(self, case, class_seed):
         theta, seed, m, lengths = case
         path = sample_path(RotationSpec(theta=theta), m, seed)
         assert isinstance(path.ticks, Orbit) and len(path) == m
-        binned = replace(path, ticks=tuple(path.ticks))
-        assert not isinstance(binned.ticks, Orbit)
+        binned = replace(path, ticks=OracleTicks(path.ticks))
         for FC in (thresholds(16), random_step(class_seed, 16, 8, 32), interval_indicators(10)):
             assert class_means(FC, path, lengths) == class_means(FC, binned, lengths)
 
@@ -875,9 +890,7 @@ class TestOrbitCounts:
         spec = RotationSpec(theta=F(2, 5))
         path = sample_path(spec, 9, 4)
         assert path.values == oracle_sample_path(spec, 9, 4)
-        assert path.ticks[3] == path.ticks[-6] == tuple(path.ticks)[3]
-        with pytest.raises(TypeError):  # an orbit is not sliced: read its ticks
-            path.ticks[2:7]
+        assert path.ticks.first == next(iter(path.ticks)) and path.ticks.length == 9
 
     def test_period_three_orbit_at_a_billion_points(self, capsys):
         # x_{i+3} = x_i, so the first 10**9 points are 10**9 // 3 periods
@@ -910,53 +923,45 @@ class TestPathStorage:
         draws, want = path.ticks, tuple(k << 11 for k in oracle_unit_ticks(SplitMix64(77), m))
         assert isinstance(draws, Draws) and path.scale == 2**64
         assert tuple(chain.from_iterable(draws.blocks())) == want
-        # it reads as a tuple
-        assert len(draws) == m and tuple(draws) == want
-        assert draws[0] == want[0] and draws[m - 1] == draws[-1] == want[-1]
-        assert [draws[i] for i in range(-m, m, max(1, m // 7))] == [
-            want[i] for i in range(-m, m, max(1, m // 7))
-        ]
-        for i in (m, -m - 1):
-            with pytest.raises(IndexError):
-                draws[i]
-        with pytest.raises(TypeError):  # the draws are not sliced: read their blocks
-            draws[0:1]
+        assert draws.length == m and tuple(draws) == want
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
     @pytest.mark.parametrize("m", [1, 2, BLOCK + 1])
     def test_values_length_and_equality(self, name, m):
         spec = ORACLE_SPECS[name]
         path = sample_path(spec, m, 5)
-        as_tuple = SamplePath(tuple(path.ticks), path.scale, path.seed, spec)
+        as_tuple = SamplePath(OracleTicks(path.ticks), path.scale, path.seed, spec)
         assert path.values == as_tuple.values == oracle_sample_path(spec, m, 5)
         assert len(path) == len(as_tuple) == m
 
     @pytest.mark.parametrize("name", ["markov", "markov3", "split_byte"])
     def test_walk_reads_as_a_tuple(self, name):
         path = sample_path(ORACLE_SPECS[name], 50, 9)
-        walk, ticks = path.ticks, tuple(path.ticks)
-        assert isinstance(walk, ergoproc.Walk) and len(walk) == len(ticks) == 50
-        assert [walk[i] for i in range(-50, 50)] == [ticks[i] for i in range(-50, 50)]
-        assert list(walk) == list(ticks) and walk.index(ticks[7]) == ticks.index(ticks[7])
-        for i in (50, -51):
-            with pytest.raises(IndexError):
-                walk[i]
-        with pytest.raises(TypeError):  # a walk is not sliced: read its ticks
-            walk[2:7]
+        walk, want = path.ticks, oracle_sample_path(ORACLE_SPECS[name], 50, 9)
+        assert isinstance(walk, Walk) and walk.length == 50
+        assert tuple(F(t, path.scale) for t in walk) == want
 
-    def test_discrepancies_read_no_tick_of_a_walk(self, monkeypatch):
-        path = sample_path(markov3(), 300, 1)
-        FC = thresholds(8)
-        want = [abs(mean - e) for mean, e in zip(
-            oracle_class_means(FC, oracle_sample_path(markov3(), 300, 1)), expectation(FC, markov3())
-        )]
+    @pytest.mark.parametrize("name", ["iid", "golden", "quarter", "markov3", "split_byte"])
+    def test_discrepancies_read_no_tick(self, monkeypatch, name):
+        # thresholds(24) cuts inside 16 top bytes, so an IID path's words
+        # are unpacked from its lanes; thresholds(8) cuts on bucket edges
+        spec = ORACLE_SPECS[name]
+        m = 2 * BLOCK + 1
+        path = sample_path(spec, m, 1)
+        values = oracle_sample_path(spec, m, 1)
+        classes = [thresholds(8), thresholds(24)]
+        want = [
+            [abs(a - e) for a, e in zip(oracle_class_means(FC, values), expectation(FC, spec))]
+            for FC in classes
+        ]
 
         def refuse(*args):
-            raise AssertionError("a tick of the walk was built")
+            raise AssertionError("a tick of the path was built")
 
-        monkeypatch.setattr(ergoproc.Walk, "__iter__", refuse)
-        monkeypatch.setattr(ergoproc.Walk, "__getitem__", refuse)
-        assert per_function_discrepancies(FC, path) == want
+        for kind in (Draws, Orbit, Walk):
+            monkeypatch.setattr(kind, "__iter__", refuse)
+        monkeypatch.setattr(Draws, "blocks", refuse)
+        assert [per_function_discrepancies(FC, path) for FC in classes] == want
 
 
 BUCKET = 1 << 56  # the tick range of one top byte
@@ -1000,7 +1005,9 @@ class TestTopByteBinning:
     @settings(max_examples=12, deadline=None)
     def test_counts_match_bisecting_every_tick(self, cells, data):
         words, thresholds, lengths = data.draw(word_paths(cells))
-        got = list(ergoproc._binned_counts(words, thresholds, lengths))
+        # a bare word array is the one state of a walk that emits the word
+        walk = Walk(bytearray(len(words)), [words], [(0, 1)])
+        got = list(walk.counts(thresholds, lengths))
         assert got == list(oracle_binned_counts(tuple(words), thresholds, lengths))
 
     @pytest.mark.parametrize("cells", [1, 16, 254, 255, 256, 300])
@@ -1031,7 +1038,7 @@ class TestTopByteBinning:
         assert all(table[t >> 56] == ergoproc.MARKED for t in thresholds)
         cuts = sorted(n for n in {1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, m} if n <= m)
         for lengths in ([m], cuts, [1, 1, m, m]):
-            got = list(ergoproc._binned_counts(path.ticks, thresholds, lengths))
+            got = list(path.ticks.counts(thresholds, lengths))
             assert got == list(oracle_binned_counts(ticks, thresholds, lengths))
 
     def test_counting_draws_holds_one_block_of_words(self):
@@ -1113,7 +1120,7 @@ class TestChainPaths:
                 for t in thresholds:
                     at = -((offset - t) // width) + data.draw(st.integers(-1, 1))
                     words[data.draw(st.integers(0, len(words) - 1))] = min(max(at, 0), 2**64 - 1)
-        got = ergoproc._walk_counts(walk, thresholds, lengths)
+        got = walk.counts(thresholds, lengths)
         assert got == list(oracle_binned_counts(tuple(walk), thresholds, lengths))
 
     def test_a_walk_mixes_only_the_blocks_it_reads(self, monkeypatch):
@@ -1156,7 +1163,7 @@ class TestManyStates:
         path = sample_path(cycle257, 1000, 3)
         assert isinstance(path.ticks.states, array) and max(path.ticks.states) > 255
         assert path.values == oracle_sample_path(cycle257, 1000, 3)
-        as_tuple = replace(path, ticks=tuple(path.ticks))
+        as_tuple = replace(path, ticks=OracleTicks(path.ticks))
         lengths = [1, 400, 1000]
         for FC in (thresholds(16), random_step(5, 12, 8, 9), cut_at(path.values[:40])):
             assert discrepancy(FC, path, lengths) == discrepancy(FC, as_tuple, lengths)
