@@ -288,12 +288,20 @@ class Walk:
         of its tick.  A uniform state's tick offset + width * w lies at or
         right of t exactly when its word w >= ceil((t - offset) / width), so
         its words are binned by ``_binned_counts`` against those thresholds,
-        clamped to [0, 2**64], their top bytes read from the words' memory."""
+        clamped to [0, 2**64], their top bytes read from the words' memory.
+        The visits of each state are counted per length segment: by
+        ``bytearray.count`` in C for 256 states or fewer, else by one pass
+        over the segment, as ``array.count`` compares in Python."""
         totals = [[0] * (len(thresholds) + 1) for _ in lengths]
-        for s, ((offset, width), words) in enumerate(zip(self.emit, self.words)):
-            visits = list(accumulate(
-                self.states[a:b].count(s) for a, b in zip([0, *lengths], lengths)
-            ))
+        segments = list(zip([0, *lengths], lengths))
+        states = range(len(self.emit))
+        if len(states) > 256:
+            tallies = [Counter(self.states[a:b]) for a, b in segments]
+            per_state = ([tally[s] for tally in tallies] for s in states)
+        else:
+            per_state = ([self.states.count(s, a, b) for a, b in segments] for s in states)
+        for (offset, width), words, visits in zip(self.emit, self.words, per_state):
+            visits = list(accumulate(visits))
             if not visits[-1]:
                 continue
             if width:

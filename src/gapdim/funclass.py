@@ -13,16 +13,19 @@ Every quantity of a class is read from its integer value table
 cell, as integers over one V.  The cells of a STEP class are those of its
 common refinement (:func:`refinement` gives ``(C, cuts, V, rows)``, the
 cuts as integers over C); the cells of a TABULAR class are its domain
-points.  A function is a read-only view of its one integer row, its values
-over W, the lcm of its own value denominators (STEP: ``(D, ends, W,
-vals)``, one value per interval; TABULAR: ``(W, vals)``); equality and
-hashing read it.  The four STEP generators build the table from
-integers: n equal cells [i/n, (i+1)/n) tile [0, 1) by construction, so
-C = n, the cuts are 0..n, nothing is checked, and the class is born with
-its table.  Their functions' values as Fractions, and the pieces as
-IntervalUnions, are built only when read, as for class JSON.  Any other
-class builds its table from its functions' rows on first use: STEP rows
-merged over the common refinement, TABULAR rows rescaled to V.
+points.  A function is built one way, from its values, by
+:meth:`Function.step` or :meth:`Function.tabular`, which check them once
+and keep, beside them, its integer row over W, the lcm of its own value
+denominators (STEP: ``(D, ends, W, vals)``, one value per interval;
+TABULAR: ``(W, vals)``); equality and hashing read that row.  Every
+generator builds only the table, from integers: the four STEP generators
+over n equal cells [i/n, (i+1)/n), which tile [0, 1) by construction, so
+C = n, the cuts are 0..n and nothing is checked; the TABULAR ones over
+their one shared Domain.  A generated class builds its functions from its
+rows only when they are read, as for class JSON, each value v / V a
+Fraction.  A class assembled from functions builds its table from their
+rows on first use: STEP rows merged over the common refinement, TABULAR
+rows rescaled to V.
 
 For a resolution ``gamma`` the value range splits into K bands
 ``[(k-1)*gamma, k*gamma)`` for k < K and ``[(K-1)*gamma, 1]`` for k = K,
@@ -47,7 +50,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exactset import (
     ONE,
@@ -150,21 +153,19 @@ class Partition(Sequence[IntervalUnion]):
 class Function:
     """A [0, 1]-valued function, either STEP or TABULAR (see module docs).
 
-    A function is a read-only view of its integer row: ``(D, ends, W, vals)``
-    for STEP, ``(W, vals)`` over its domain for TABULAR, with W the lcm of
-    its value denominators.  Its values as Fractions are kept when it is
-    built from them, and otherwise built from the row when first read; its
-    value at a point is read by :func:`values_at` on a class holding it.
+    A function is built from its values by :meth:`step` or :meth:`tabular`,
+    which check them once.  It keeps them as Fractions beside its integer
+    row, ``(D, ends, W, vals)`` for STEP or ``(W, vals)`` over its domain
+    for TABULAR, W the lcm of its value denominators; equality and hashing
+    read the row.  Its value at a point is read by :func:`values_at` on a
+    class holding it.
     """
 
-    __slots__ = ("kind", "pieces", "points", "_values", "_row")
+    __slots__ = ("kind", "pieces", "points", "_row", "values")
 
-    def __init__(self, kind, pieces, points, row, values=None):
-        self.kind = kind
-        self.pieces = pieces
-        self.points = points
-        self._row = row
-        self._values = values
+    def __init__(self, kind, pieces, points, row, values):
+        self.kind, self.pieces, self.points, self._row = kind, pieces, points, row
+        self.values = values  # of each piece (STEP) or domain point (TABULAR)
 
     @classmethod
     def step(
@@ -199,15 +200,6 @@ class Function:
         W, scaled = _scaled(vals, "tabular values must lie in [0, 1]")
         return cls(TABULAR, None, pts, (W, tuple(scaled)), vals)
 
-    @property
-    def values(self) -> Tuple[Fraction, ...]:
-        """The value of each piece (STEP) or domain point (TABULAR)."""
-        if self._values is None:
-            # born from its row, whose intervals are its pieces in order
-            W, vals = self._row[-2:]
-            self._values = tuple(Fraction(v, W) for v in vals)
-        return self._values
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Function) and (
             (self.kind, self.points, self._row) == (other.kind, other.points, other._row)
@@ -237,13 +229,13 @@ class FunctionClass:
 
     Classes are immutable, so each holds one integer value table, built once:
     for STEP the table of :func:`refinement`, for TABULAR the ``(V, rows)``
-    of :func:`value_rows`.  A generated
-    STEP class is born with its table; any other class builds it on first
-    use.  The band table of :func:`cell_bands` is kept for the last gamma
-    asked.
+    of :func:`value_rows`.  A class built from functions builds its table on
+    first use; a generated class is built from its table
+    (:meth:`of_table`), and its functions from the rows when first read.
+    The band table of :func:`cell_bands` is kept for the last gamma asked.
     """
 
-    __slots__ = ("functions", "name", "_table", "_bands")
+    __slots__ = ("name", "kind", "_domain", "_functions", "_table", "_bands")
 
     def __init__(self, functions: Sequence[Function], name: str = ""):
         fns = tuple(functions)
@@ -256,23 +248,45 @@ class FunctionClass:
             pts = fns[0].points
             if any(f.points != pts for f in fns):
                 raise ValueError("tabular functions must share domain points")
-        self.functions = fns
-        self.name = name
-        self._table = None
+        self.name, self.kind, self._domain = name, kind, fns[0].points
+        self._functions, self._table = fns, None
         self._bands = None  # (gamma, table) of the last cell_bands call
 
-    @property
-    def kind(self) -> str:
-        return self.functions[0].kind
+    @classmethod
+    def of_table(
+        cls, name: str, table: tuple, domain: Optional[Domain] = None
+    ) -> "FunctionClass":
+        """The class of a value table taken as already checked: a STEP
+        ``(C, cuts, V, rows)`` with no domain, or a TABULAR ``(V, rows)``
+        over ``domain``."""
+        self = object.__new__(cls)
+        self.name, self.kind, self._domain = name, STEP if domain is None else TABULAR, domain
+        self._functions, self._table, self._bands = None, table, None
+        return self
 
     @property
-    def domain_points(self) -> Tuple[Fraction, ...]:
+    def functions(self) -> Tuple[Function, ...]:
+        """The functions; a class built from its table builds them on first
+        read, over its refinement cells or its domain, each value v / V."""
+        if self._functions is None:
+            V, rows = self._table[-2:]
+            if self.kind == STEP:
+                C, cuts = self._table[:2]
+                n = len(cuts) - 1
+                over, build = Partition.cells(C, cuts[1:], tuple(range(n)), n), Function.step
+            else:
+                over, build = self._domain, Function.tabular
+            self._functions = tuple(build(over, [Fraction(v, V) for v in row]) for row in rows)
+        return self._functions
+
+    @property
+    def domain_points(self) -> Domain:
         if self.kind != TABULAR:
             raise ValueError("domain_points are defined for TABULAR classes")
-        return self.functions[0].points
+        return self._domain
 
     def __len__(self) -> int:
-        return len(self.functions)
+        return len(self._table[-1] if self._functions is None else self._functions)
 
     def __iter__(self):
         return iter(self.functions)
@@ -284,7 +298,7 @@ class FunctionClass:
         return FunctionClass([self.functions[i] for i in indices], self.name)
 
     def __repr__(self) -> str:
-        return f"FunctionClass({self.name!r}, {len(self.functions)} {self.kind})"
+        return f"FunctionClass({self.name!r}, {len(self)} {self.kind})"
 
 
 Table = Tuple[int, Tuple[int, ...], int, Tuple[Tuple[int, ...], ...]]
@@ -325,16 +339,15 @@ def _refine(F: FunctionClass) -> Table:
 def value_rows(F: FunctionClass) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     """The value table of a class, ``(V, rows)``: ``rows[fi][j]`` is V
     times the value of F[fi] on cell j.  STEP: ``refinement(F)[2:]``.
-    TABULAR: the cells are the domain points, V is the lcm of every
-    function's W, and the rows are rescaled to V once and kept on the class;
-    a row already over V is shared, not copied."""
+    TABULAR: the cells are the domain points; a generated class holds its
+    table from birth, and a class of functions takes V as the lcm of every
+    function's W and rescales each row to V once, kept on the class."""
     if F.kind == STEP:
         return refinement(F)[2:]
     if F._table is None:
         V = math.lcm(*(f._row[0] for f in F.functions))
         F._table = V, tuple(
-            vals if W == V else tuple(v * (V // W) for v in vals)
-            for W, vals in (f._row for f in F.functions)
+            tuple(v * (V // W) for v in vals) for W, vals in (f._row for f in F.functions)
         )
     return F._table
 
@@ -447,28 +460,18 @@ def segment_partition(F: FunctionClass, i: int, gamma: RationalLike) -> List:
 
 def _equal_cells(n: int, q: int, rows: Iterable[Tuple[int, ...]], name: str) -> FunctionClass:
     """The STEP class whose functions take the value row[i] / q, 0 <= row[i]
-    <= q, on the cell [i/n, (i+1)/n), born with its table.
+    <= q, on the cell [i/n, (i+1)/n), built as its table.
 
-    The cells tile [0, 1), so their one shared Partition is built from its
-    integers and not checked.  Each function's row is its values over its
-    own W = q / g, g the gcd of q and the row; the class's table is
-    ``(n, (0, ..., n), V, rows)`` with V = q / gcd of those g, the lcm of the
-    Ws, as :func:`refinement` would merge it.
+    The cells tile [0, 1), so the table ``(n, (0, ..., n), V, rows)`` is
+    taken as checked.  V = q / g, g the gcd of every row's own gcd with q,
+    is the lcm of the functions' value denominators, as :func:`refinement`
+    would merge it, and every row is divided by g.
     """
-    def over(g: int, row: Tuple[int, ...]) -> Tuple[int, ...]:
-        return row if g == 1 else tuple(v // g for v in row)
-
-    ends = tuple(range(1, n + 1))
-    cells = Partition.cells(n, ends, tuple(range(n)), n)
-    rows = list(rows)
-    gs = [math.gcd(q, *row) for row in rows]
-    F = FunctionClass(
-        [Function(STEP, cells, None, (n, ends, q // g, over(g, row))) for g, row in zip(gs, rows)],
-        name,
-    )
-    g = math.gcd(*gs)
-    F._table = (n, (0, *ends), q // g, tuple(over(g, row) for row in rows))
-    return F
+    rows = tuple(rows)
+    g = math.gcd(*(math.gcd(q, *row) for row in rows))
+    if g > 1:
+        rows = tuple(tuple(v // g for v in row) for row in rows)
+    return FunctionClass.of_table(name, (n, tuple(range(n + 1)), q // g, rows))
 
 
 def thresholds(n: int) -> FunctionClass:
@@ -500,11 +503,8 @@ def all_patterns(p: int) -> FunctionClass:
     if p < 1:
         raise ValueError("all_patterns needs p >= 1")
     points = Domain([Fraction(2 * t + 1, 2 * p) for t in range(p)])
-    fns = [
-        Function(TABULAR, None, points, (1, tuple((b >> (p - 1 - t)) & 1 for t in range(p))))
-        for b in range(1 << p)
-    ]
-    return FunctionClass(fns, f"all_patterns({p})")
+    rows = tuple(tuple((b >> (p - 1 - t)) & 1 for t in range(p)) for b in range(1 << p))
+    return FunctionClass.of_table(f"all_patterns({p})", (1, rows), points)
 
 
 def random_step(seed: int, pieces: int, grid: int, count: int = 1) -> FunctionClass:
@@ -551,11 +551,8 @@ def trajectory_indicators(
         raise ValueError("need at least one base point")
     ticks = sorted(set().union(*orbits))
     domain = Domain([Fraction(t, D) for t in ticks])
-    fns = [
-        Function(TABULAR, None, domain, (1, tuple(int(t in orbit) for t in ticks)))
-        for orbit in orbits
-    ]
-    return FunctionClass(fns, f"trajectory_indicators(window={window})")
+    rows = tuple(tuple(int(t in orbit) for t in ticks) for orbit in orbits)
+    return FunctionClass.of_table(f"trajectory_indicators(window={window})", (1, rows), domain)
 
 
 def full_join_family(L: int, k: int, k2: int, gamma: RationalLike) -> FunctionClass:

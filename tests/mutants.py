@@ -38,6 +38,7 @@ from typing import NamedTuple, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 # the class kernels' own test files
 TESTS = ("tests/test_shatter.py", "tests/test_cli.py", "tests/test_funclass.py")
+FUNCLASS_TESTS = ("tests/test_funclass.py",)
 ERGOPROC_TESTS = ("tests/test_ergoproc.py",)
 EXACTSET_TESTS = ("tests/test_exactset.py",)
 RNG_TESTS = ("tests/test_rng.py",)
@@ -129,6 +130,28 @@ MUTANTS = [
         "bisect_right(ends, c)", "bisect_right(ends, c) - 1",
     ),
     Mutant(
+        "_equal_cells: rows not divided by g", "funclass.py", "_equal_cells",
+        "tuple(tuple(v // g for v in row) for row in rows)", "rows", FUNCLASS_TESTS,
+    ),
+    Mutant(
+        "_equal_cells: V left at q", "funclass.py", "_equal_cells", "q // g", "q",
+        FUNCLASS_TESTS,
+    ),
+    Mutant(
+        "_equal_cells: g read from the first row alone", "funclass.py", "_equal_cells",
+        "math.gcd(*(math.gcd(q, *row) for row in rows))", "math.gcd(q, *rows[0])",
+        FUNCLASS_TESTS,
+    ),
+    Mutant(
+        "FunctionClass.functions: STEP values over C instead of V", "funclass.py",
+        "FunctionClass.functions", "self._table[-2:]", "(self._table[0], self._table[-1])",
+        FUNCLASS_TESTS,
+    ),
+    Mutant(
+        "FunctionClass.functions: each value put on the mirrored cell", "funclass.py",
+        "FunctionClass.functions", "tuple(range(n))", "tuple(range(n))[::-1]", FUNCLASS_TESTS,
+    ),
+    Mutant(
         "_walk: a MARKED byte taken for the state", "ergoproc.py", "_walk",
         "bisect_right(rows[state], w) if s == MARKED else s", "s", ERGOPROC_TESTS,
     ),
@@ -139,6 +162,11 @@ MUTANTS = [
     Mutant(
         "Walk.counts: word-space thresholds not clamped at 0", "ergoproc.py", "Walk.counts",
         "max(-((offset - t) // width), 0)", "-((offset - t) // width)", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "Walk.counts: a many-state walk's visits counted from the path's start",
+        "ergoproc.py", "Walk.counts", "Counter(self.states[a:b])", "Counter(self.states[:b])",
+        ERGOPROC_TESTS,
     ),
     Mutant(
         "Orbit.counts: a tick one below a threshold counted at or above it", "ergoproc.py",

@@ -1008,6 +1008,31 @@ class TestMalformedInput:
         code, out, err = run_main("dim", "--class", str(path), "--gamma", "1/4")
         assert (code, out, err) == (2, "", f"error: field 'class': {message}\n")
 
+    @pytest.mark.parametrize(
+        "field,argv,message",
+        [
+            ("process", ("discrepancy", "--class", "thresholds(4)", "--process", "bogus",
+                         "--m", "10", "--seed", "1"), "unknown process 'bogus'"),
+            ("class", ("dim", "--class", "thresholds(0)", "--gamma", "1/4"),
+             "thresholds needs n >= 1"),
+            ("class", ("dim", "--class", "interval_indicators(0)", "--gamma", "1/4"),
+             "interval_indicators needs n >= 1"),
+            ("class", ("dim", "--class", "all_patterns(0)", "--gamma", "1/4"),
+             "all_patterns needs p >= 1"),
+            ("class", ("dim", "--class", "random_step(1,0,8)", "--gamma", "1/4"),
+             "random_step needs pieces, grid, count >= 1"),
+            ("class", ("join", "--class", "full_join_family(5,1,3,1/5)", "--gamma", "1/5",
+                       "--k", "1", "--kp", "3"), "full_join_family supports 1 <= L <= 4"),
+            ("class", ("join", "--class", "full_join_family(2,1,9,1/5)", "--gamma", "1/5",
+                       "--k", "1", "--kp", "3"), "bands (1, 9) outside [1, 5]"),
+        ],
+        ids=["process", "thresholds", "interval_indicators", "all_patterns", "random_step",
+             "full_join_family-L", "full_join_family-bands"],
+    )
+    def test_range_checks_name_their_fault(self, field, argv, message):
+        code, out, err = run_main(*argv)
+        assert (code, out, err) == (2, "", f"error: field {field!r}: {message}\n")
+
     def test_generator_integers_are_canonical(self):
         # int() would read "1_0" as 10; a spec's integers are written as its rationals are
         code, out, err = run_main("dim", "--class", "thresholds(1_0)", "--gamma", "1/4")
@@ -1037,9 +1062,29 @@ class TestMalformedInput:
              "label must hold 2 bands, got 1"),
             ("tree", {**TREE_DOC, "nodes": {**TREE_DOC["nodes"], "2": {"set": 5}}},
              "must be an interval union string, got 5"),
+            # well-shaped files with values the library refuses
+            ("process", {**INPUT_FILES["process"][0], "emissions": [
+                {"kind": "point", "at": "1/1"}, {"kind": "point", "at": "1/2"},
+            ]}, "emission point 1 outside [0, 1)"),
+            ("process", {**INPUT_FILES["process"][0], "emissions": [
+                {"kind": "uniform", "lo": "1/2", "hi": "1/2"}, {"kind": "point", "at": "1/2"},
+            ]}, "emission interval [1/2, 1/2) invalid"),
+            ("process", {**INPUT_FILES["process"][0], "emissions": [
+                {"kind": "point", "at": "1/10"},
+            ]}, "need one emission per state"),
+            ("class", {"kind": "tabular", "points": ["0/1", "1/2"],
+                       "functions": [{"values": ["1/1"]}]},
+             "tabular function needs one value per point"),
+            ("class", {"kind": "tabular", "points": [], "functions": [{"values": []}]},
+             "tabular function needs one value per point"),
+            ("cert", {"points": ["3/16", "3/16"], "alpha": "1/2",
+                      "selector": {"0": 0, "1": 1, "2": 2, "3": 3}},
+             "certificate points must be distinct and non-empty"),
         ],
         ids=["cert-points", "markov-row", "tabular-points", "tabular-values", "cert-selector",
-             "emission", "step-set", "tree-node", "tree-label", "tree-set"],
+             "emission", "step-set", "tree-node", "tree-label", "tree-set",
+             "emission-point-at-one", "emission-empty-interval", "emissions-too-few",
+             "tabular-values-too-few", "tabular-no-points", "cert-point-twice"],
     )
     def test_wrong_shapes_name_their_field(self, tmp_path, kind, doc, message):
         path = tmp_path / f"{kind}.json"

@@ -1123,6 +1123,19 @@ class TestChainPaths:
         got = walk.counts(thresholds, lengths)
         assert got == list(oracle_binned_counts(tuple(walk), thresholds, lengths))
 
+    @pytest.mark.parametrize("offset,width,threshold", [(0, 3, 7), (5, 4, 14), (2, 7, 3)])
+    def test_words_next_to_a_threshold_that_width_does_not_divide(
+        self, offset, width, threshold
+    ):
+        # the word ceil((t - offset) / width) is the first at or right of t,
+        # and the words on either side of it land on either side of t
+        first = -((offset - threshold) // width)
+        words = array("Q", [first - 1, first, first + 1])
+        walk = Walk(bytearray(len(words)), [words], [(offset, width)])
+        got = walk.counts([threshold], [1, 2, 3])
+        assert got == list(oracle_binned_counts(tuple(walk), [threshold], [1, 2, 3]))
+        assert got == [[1, 0], [1, 1], [1, 2]]
+
     def test_a_walk_mixes_only_the_blocks_it_reads(self, monkeypatch):
         # a chain half of whose steps emit a point reads about 3m/2 of the
         # 2m words it may need, so its last blocks are never mixed

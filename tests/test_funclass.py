@@ -999,9 +999,38 @@ def fractions_built(monkeypatch):
     return built
 
 
+@pytest.fixture
+def functions_built(monkeypatch):
+    """The kind of every Function construction."""
+    built = []
+    init = Function.__init__
+
+    def counting(self, kind, *args):
+        built.append(kind)
+        init(self, kind, *args)
+
+    monkeypatch.setattr(Function, "__init__", counting)
+    return built
+
+
+# TABULAR generators, their arguments built beforehand, and the rationals
+# among those arguments
+TABULAR_GENERATORS = [
+    ("all_patterns(1)", lambda: all_patterns(1), ()),
+    ("all_patterns(6)", lambda: all_patterns(6), ()),
+    ("trajectory_indicators(1/1000,2,1/7)",
+     lambda: trajectory_indicators(F(1, 1000), [F(1, 7)], 2), (F(1, 1000), F(1, 7))),
+    ("trajectory_indicators(2/7+1/10**6,9,1/11+2/11+3/11)",
+     lambda t=F(2, 7) + F(1, 10**6), b=[F(j, 11) for j in range(1, 4)]:
+     trajectory_indicators(t, b, 9),
+     (F(2, 7) + F(1, 10**6), *(F(j, 11) for j in range(1, 4)))),
+]
+
+
 class TestBornWithItsTable:
-    """A generated STEP class is built as its integer table; its functions'
-    Fraction values are built only when read."""
+    """A generated class is built as its integer table (and a TABULAR one
+    its domain); its functions, and their Fraction values, are built from
+    the rows only when read."""
 
     @pytest.mark.parametrize("spec", [spec for spec, _ in STEP_GENERATORS])
     def test_refinement_is_the_generated_table(self, monkeypatch, spec):
@@ -1022,12 +1051,41 @@ class TestBornWithItsTable:
         assert refinement(FunctionClass(list(FC))) == refinement(FC)
 
     @pytest.mark.parametrize("spec,make", STEP_GENERATORS, ids=[s for s, _ in STEP_GENERATORS])
-    def test_no_fraction_until_values_are_read(self, fractions_built, spec, make):
+    def test_no_fraction_until_values_are_read(
+        self, fractions_built, functions_built, spec, make
+    ):
         FC = make()
-        refinement(FC)
-        assert fractions_built == []
+        C, _, _, rows = refinement(FC)
+        assert (FC.kind, len(FC), repr(FC)) == (
+            "step", len(rows), f"FunctionClass({spec!r}, {len(rows)} step)"
+        )
+        assert fractions_built == [] and functions_built == []
+        assert len(FC[0].pieces) == C
+        assert functions_built == ["step"] * len(FC) and len(fractions_built) >= len(FC)
         assert [f.values for f in FC] == [g.values for g in on_cells_oracle(FC)]
-        assert len(fractions_built) >= len(FC)
+
+    @pytest.mark.parametrize(
+        "spec,make,rationals", TABULAR_GENERATORS, ids=[s for s, _, _ in TABULAR_GENERATORS]
+    )
+    def test_a_tabular_class_builds_its_domain_and_no_function(
+        self, fractions_built, functions_built, spec, make, rationals
+    ):
+        FC = make()
+        # each Fraction built is a domain point or a copy of an argument
+        # (no value 1 is either)
+        made = {Fraction(*args) for args in list(fractions_built)}
+        assert made <= {*FC.domain_points, *rationals} and F(1) not in made
+        fractions_built.clear()
+        V, rows = value_rows(FC)
+        cell_bands(FC, F(1, 3))
+        candidate_points(FC)
+        assert (FC.kind, len(FC), V) == ("tabular", len(rows), 1)
+        assert len(fractions_built) == 1 and functions_built == []  # gamma alone
+        functions = list(FC)
+        assert functions_built == ["tabular"] * len(FC)
+        assert all(f.points is FC.domain_points for f in functions)
+        assert [f.values for f in functions] == [tuple(F(v, V) for v in row) for row in rows]
+        assert class_from_json(class_to_json(FC)).functions == FC.functions
 
     def test_full_join_family_rejects_a_value_above_one(self):
         # gamma = 9/20: K = 3, and the midband value of band 3 is 9/8
@@ -1123,9 +1181,7 @@ class TestValueRows:
 
     @pytest.mark.parametrize("p", range(1, 9))
     def test_all_patterns(self, p):
-        FC = all_patterns(p)
-        self.check(FC)
-        assert all(row is f._row[1] for row, f in zip(value_rows(FC)[1], FC))
+        self.check(all_patterns(p))
 
     def test_trajectory_indicators(self):
         self.check(trajectory_indicators(F(2, 7) + F(1, 10**6), [F(j, 11) for j in range(1, 4)], 9))
@@ -1144,7 +1200,6 @@ class TestValueRows:
         self.check(FC)
         V, rows = value_rows(FC)
         assert V == 60 and rows == ((10, 60, 15), (0, 40, 18), (1, 0, 60))
-        assert rows[2] is FC[2]._row[1] and rows[0] is not FC[0]._row[1]
 
 
 def built(make, *args):

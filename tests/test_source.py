@@ -226,3 +226,20 @@ def test_one_indented_json_writer():
         for scope in indented_json_writes(tree)
     ]
     assert found == []
+
+
+def test_functions_are_built_from_their_values():
+    """Library code builds a function only through ``Function.step`` or
+    ``Function.tabular``, which check its values once: no call names the
+    ``Function`` constructor itself."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == "Function"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "Function"
+        )
+    ]
+    assert found == []
