@@ -35,7 +35,6 @@ from .exactset import (
 )
 from .ergoproc import (
     MAX_DEMO_POINTS,
-    MAX_DRAWN_POINTS,
     Emission,
     IIDUniformSpec,
     MarkovSpec,
@@ -123,10 +122,8 @@ def _resolve_class(text: str, step: bool = False) -> FunctionClass:
 
 def _lengths(cfg: dict, field: str, spec, many=False):
     """A field's path length (comma-separated lengths when `many`), each at
-    least 1 and, for a process that draws every point, at most
-    MAX_DRAWN_POINTS."""
-    high = None if isinstance(spec, RotationSpec) else MAX_DRAWN_POINTS
-    return _ints(cfg, field, low=1, high=high, many=many)
+    least 1 and at most the process's ``max_length`` when it has one."""
+    return _ints(cfg, field, low=1, high=spec.max_length, many=many)
 
 
 def _resolve_process(text: str):

@@ -4,10 +4,10 @@ Three process variants generate points in [0, 1): an i.i.d. uniform source,
 a circle rotation x -> x + theta (mod 1) started uniformly, and a finite
 irreducible Markov chain started from its stationary distribution with an
 ``Emission`` [lo, hi) per state: a uniform draw on it, or the point lo when
-lo == hi.  Path values are exact rationals built from 53-bit SplitMix64
-draws k, held as integer ticks over one scale N per path (x = tick / N):
-N = 2**64 and the tick k * 2**11 for IID, N = 2**53 * den(theta) for a
-rotation, and N = 2**64 * lcm(emission denominators) for a Markov chain.
+lo == hi.  Each is one spec class that holds what only it knows: ``path``
+draws its path from 53-bit SplitMix64 draws k, as exact integer ticks over
+one scale N (x = tick / N), ``cell_masses`` weighs cells by its marginal
+law, and ``max_length`` caps its path length (None for no cap).
 
 Each process holds its path in its own form, and each form counts itself:
 ``counts(thresholds, lengths)`` gives, for each prefix length m, how many
@@ -41,8 +41,8 @@ The discrepancy of a class on a path is the maximum over the class of
 table (``funclass.refinement``: cuts c over C, cell values over V).  A tick
 x lies at or right of the cut c / C exactly when x >= ceil(c * N / C), so
 points are counted on integers and each mean is one sum s over V * m.  The
-process marginal gives each cell an exact integer mass over one B
-(``_cell_masses``), so each expectation p / q is one sum over V * B, and
+process marginal gives each cell an exact integer mass over one B (the
+spec's ``cell_masses``), so each expectation p / q is one sum over V * B, and
 each discrepancy is the one ``Fraction`` |s * q - p * V * m| / (V * m * q).
 A path is a prefix of the longer path drawn from the same seed, so one path
 and running cell counts give the discrepancy at every length of an m grid.
@@ -73,7 +73,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .exactset import ONE, ZERO, RationalLike
+from .exactset import ONE, ZERO, RationalLike, as_fraction
 from .funclass import (
     STEP,
     Function,
@@ -86,9 +86,9 @@ from .funclass import (
 from .rng import TWO53, SplitMix64, lane_words
 from .shatter import DimResult, gap_dim
 
-# The most points an i.i.d. or Markov path may have: it draws each of its
-# points, so its time grows with its length, and a walk also holds a state
-# byte and up to one 8-byte word per step.  A rotation path has no cap, as
+# The ``max_length`` of an i.i.d. or Markov spec: such a path draws each of
+# its points, so its time grows with its length, and a walk also holds a
+# state byte and up to one 8-byte word per step.  A rotation's is None, as
 # its counts come from floor sums at any length.
 MAX_DRAWN_POINTS = 10**8
 # The most points ``demo-rotation`` takes: its data-dependent family holds
@@ -124,41 +124,77 @@ class Emission:
 
     @classmethod
     def point(cls, at: RationalLike) -> "Emission":
-        at = Fraction(at)
+        at = as_fraction(at)
         if not ZERO <= at < ONE:
             raise ValueError(f"emission point {at} outside [0, 1)")
         return cls(at, at)
 
     @classmethod
     def uniform(cls, lo: RationalLike, hi: RationalLike) -> "Emission":
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = as_fraction(lo), as_fraction(hi)
         if not ZERO <= lo < hi <= ONE:
             raise ValueError(f"emission interval [{lo}, {hi}) invalid")
         return cls(lo, hi)
+
+
+def _uniform_masses(C: int, cuts: Sequence[int]) -> Tuple[int, List[int]]:
+    """The masses of the cells [c_j, c_j+1) / C under a process marginal, as
+    integers over one B summing to B, ``(B, masses)``; here the uniform one
+    (IID, rotation): the cell widths over C."""
+    return C, list(map(operator.sub, cuts[1:], cuts))
 
 
 @dataclass(frozen=True)
 class IIDUniformSpec:
     """Independent uniform points on [0, 1)."""
 
+    max_length = MAX_DRAWN_POINTS
+
+    def path(self, m: int, seed: int) -> Tuple[int, "Draws"]:
+        """One uniform per point.  N = 2**64 and the tick is k << 11, the
+        same point, so that the top byte of a tick picks its cell; the path
+        is held as its ``Draws`` (seed and length), its words drawn a block
+        at a time whenever the path is read."""
+        return 1 << 64, Draws(seed, m)
+
+    cell_masses = staticmethod(_uniform_masses)
+
 
 @dataclass(frozen=True)
 class RotationSpec:
     theta: Fraction
 
+    max_length = None
+
     def __post_init__(self):
         if not ZERO < self.theta < ONE:
             raise ValueError(f"theta must be in (0, 1), got {self.theta}")
+
+    def path(self, m: int, seed: int) -> Tuple[int, "Orbit"]:
+        """One uniform for the start x0 (one ``unit_fraction()`` call), then
+        frac(x0 + i*theta) for i = 1..m.  N = 2**53 * den(theta); each step
+        adds theta * N to the start tick x0 * N, modulo N, and the path is
+        held as that ``Orbit`` (its ticks are built only when read; counts
+        come from floor sums)."""
+        x0 = SplitMix64(seed).unit_fraction()
+        scale = TWO53 * self.theta.denominator
+        step = TWO53 * self.theta.numerator
+        start = x0.numerator * (scale // x0.denominator)
+        return scale, Orbit((start + step) % scale, step, scale, m)
+
+    cell_masses = staticmethod(_uniform_masses)
 
 
 @dataclass(frozen=True)
 class MarkovSpec:
     """A finite chain started from its stationary law, one emission per state;
-    the one solve for that law also decides irreducibility (`_stationary`)."""
+    the one solve for that law (`_stationary`) also decides irreducibility."""
 
     transition: Tuple[Tuple[Fraction, ...], ...]
     emissions: Tuple[Emission, ...]
-    _pi: Tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    stationary: Tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+
+    max_length = MAX_DRAWN_POINTS
 
     def __post_init__(self):
         n = len(self.transition)
@@ -175,10 +211,45 @@ class MarkovSpec:
         pi = _stationary(self.transition)
         if pi is None or not all(pi):
             raise ValueError("transition matrix is not irreducible")
-        object.__setattr__(self, "_pi", pi)
+        object.__setattr__(self, "stationary", pi)
 
-    def stationary_distribution(self) -> Tuple[Fraction, ...]:
-        return self._pi
+    def path(self, m: int, seed: int) -> Tuple[int, "Walk"]:
+        """One uniform for the stationary initial state, then per step one
+        for the transition (from step 2 on) and one for the emission when it
+        is not a point (lo < hi), read from a stream of 2m words, each block
+        mixed only when the walk reaches it.  N = 2**64 * L, L the lcm of the
+        emission denominators: a state is picked by comparing the word
+        w = k << 11 with integer cumulative thresholds over 2**64, and an
+        emission on [lo, hi) is the tick lo * N + (hi - lo) * L * w (width
+        0, and no draw, for a point), held as the path's ``Walk``."""
+        L = math.lcm(*(q.denominator for e in self.emissions for q in (e.lo, e.hi)))
+        scale = L << 64
+        # per state: tick = offset + width * k, with width 0 for a point
+        # (exact products: L is a multiple of every emission denominator)
+        emit = [(_ceil_scaled(e.lo, scale), _ceil_scaled(e.hi - e.lo, L)) for e in self.emissions]
+        start = _pick_thresholds(self.stationary)
+        rows = [_pick_thresholds(row) for row in self.transition]
+        # at most 2m draws (the start, m - 1 transitions and m emissions)
+        words = chain.from_iterable(SplitMix64(seed).word_blocks(2 * m))
+        return scale, _walk(words, start, rows, emit, m)
+
+    def cell_masses(self, C: int, cuts: Sequence[int]) -> Tuple[int, List[int]]:
+        """The cells' masses (as ``_uniform_masses``) under the stationary
+        mixture of the emissions: a point emission weighs the cell holding
+        its point (the cell right of a cut it lies on), a uniform one on
+        [lo, hi) each cell's overlap with it over hi - lo."""
+        terms = []  # per state: its mass on each cell, over its own denominator
+        for p, e in zip(self.stationary, self.emissions):
+            if e.lo == e.hi:
+                law = [0] * (len(cuts) - 1)
+                law[bisect_right(cuts, e.lo.numerator * C // e.lo.denominator) - 1] = 1
+            else:  # overlaps over q * C, q the lcm of the interval's denominators
+                q = math.lcm(e.lo.denominator, e.hi.denominator)
+                lo, hi = (x.numerator * (q // x.denominator) * C for x in (e.lo, e.hi))
+                law = [max(0, min(b * q, hi) - max(a * q, lo)) for a, b in zip(cuts, cuts[1:])]
+            terms.append(([p.numerator * x for x in law], p.denominator * sum(law)))
+        B = math.lcm(*(d for _, d in terms))
+        return B, list(map(sum, zip(*([x * (B // d) for x in law] for law, d in terms))))
 
 
 ProcessSpec = Union[IIDUniformSpec, RotationSpec, MarkovSpec]
@@ -398,7 +469,7 @@ def _walk(
     emit: List[Tuple[int, int]], m: int,
 ) -> Walk:
     """The first m steps of a chain, reading its uniform words in the draw
-    order of ``sample_path``.  The start law acts as one more row, and a
+    order of ``MarkovSpec.path``.  The start law acts as one more row, and a
     state is picked from the current row's ``_top_byte_table`` by the top
     byte of its word, with a bisect only when that byte is MARKED."""
     rows = [*rows, start]
@@ -419,96 +490,23 @@ def _walk(
 
 
 def sample_path(spec: ProcessSpec, m: int, seed: int) -> SamplePath:
-    """m exact sample points, fully determined by (spec, m, seed).
+    """m exact sample points, fully determined by (spec, m, seed), at most
+    the spec's ``max_length`` (None: no cap).
 
-    Draw order, documented for reproducibility: IID consumes one uniform per
-    point.  A rotation consumes one uniform for the start x0 and emits
-    frac(x0 + i*theta) for i = 1..m.  A Markov chain consumes one uniform
-    for the stationary initial state, then per step one uniform for the
-    transition (from step 2 on) followed by one uniform for the emission
-    when the state's emission is not a point (lo < hi).
-
-    A uniform is a 53-bit integer k standing for k / 2**53, and the points
-    are integer ticks over one scale N.  IID: N = 2**64 and the tick is
-    k << 11, the same point, so that the top byte of a tick picks its cell;
-    the path is held as its ``Draws`` (seed and length), its words drawn a
-    block at a time whenever the path is read.
-    Rotation: N = 2**53 * den(theta); each step adds theta * N to the start
-    tick x0 * N, modulo N, and the path is held as that ``Orbit`` (its ticks
-    are built only when read; counts come from floor sums).  Markov:
-    N = 2**64 * L with L the lcm of the emission denominators; states are
-    picked by comparing the word w = k << 11 against integer cumulative
-    thresholds over 2**64, and an emission on [lo, hi) is the tick
-    lo * N + (hi - lo) * L * w: width 0, and no draw, for a point.  The path
-    is held as that ``Walk``: each step's state and each state's emission
-    words, its ticks built only when read.  Because the draws come in this
-    order whatever m is, the path of length m is a prefix of every longer
-    path from the same (spec, seed).
-
-    All uniforms come from one ``SplitMix64(seed)`` stream.  IID and Markov
-    paths draw it in bulk as 64-bit words (``word_blocks``, blocks of
-    ``rng.BLOCK``), which gives the same uniforms as one ``unit_tick()``
-    call per draw: the IID path keeps no word, and a chain reads its words
-    one at a time, in the order above, from a stream of 2m (it never needs
-    more), each block mixed only when the walk reaches it.
-    A rotation's start is one ``unit_fraction()`` call.
+    The spec's ``path`` draws them, in the order its docstring gives, as
+    integer ticks over one scale N, each uniform a 53-bit integer k standing
+    for k / 2**53 from one ``SplitMix64(seed)`` stream.  IID and Markov
+    paths draw it in bulk as 64-bit words (``word_blocks``), the same
+    uniforms as one ``unit_tick()`` call per draw.  The order does not
+    depend on m, so the path of length m is a prefix of every longer path
+    from the same (spec, seed).
     """
     if m < 1:
         raise ValueError("path length must be >= 1")
-    if m > MAX_DRAWN_POINTS and not isinstance(spec, RotationSpec):
-        raise ValueError(f"path length must be <= {MAX_DRAWN_POINTS} for {spec!r}, got {m}")
-    rng = SplitMix64(seed)
-    if isinstance(spec, IIDUniformSpec):
-        scale = 1 << 64
-        ticks = Draws(seed, m)
-    elif isinstance(spec, RotationSpec):
-        x0 = rng.unit_fraction()
-        scale = TWO53 * spec.theta.denominator
-        step = TWO53 * spec.theta.numerator
-        start = x0.numerator * (scale // x0.denominator)
-        ticks = Orbit((start + step) % scale, step, scale, m)
-    elif isinstance(spec, MarkovSpec):
-        L = math.lcm(*(q.denominator for e in spec.emissions for q in (e.lo, e.hi)))
-        scale = L << 64
-        # per state: tick = offset + width * k, with width 0 for a point
-        # (exact products: L is a multiple of every emission denominator)
-        emit = [(_ceil_scaled(e.lo, scale), _ceil_scaled(e.hi - e.lo, L)) for e in spec.emissions]
-        start = _pick_thresholds(spec.stationary_distribution())
-        rows = [_pick_thresholds(row) for row in spec.transition]
-        # at most 2m draws (the start, m - 1 transitions and m emissions),
-        # each block mixed only when the walk reaches it
-        ticks = _walk(chain.from_iterable(rng.word_blocks(2 * m)), start, rows, emit, m)
-    else:
-        raise TypeError(f"unknown process spec {spec!r}")
+    if spec.max_length is not None and m > spec.max_length:
+        raise ValueError(f"path length must be <= {spec.max_length} for {spec!r}, got {m}")
+    scale, ticks = spec.path(m, seed)
     return SamplePath(ticks=ticks, scale=scale, seed=seed, spec=spec)
-
-
-def _cell_masses(C: int, cuts: Sequence[int], spec: ProcessSpec) -> Tuple[int, List[int]]:
-    """The marginal law of the refinement cells [c_j, c_j+1) / C, as integer
-    masses over one denominator B: ``(B, masses)``, and they sum to B.
-
-    The uniform marginal (IID, rotation) gives the cell widths over C.  The
-    Markov marginal is the stationary mixture of the emissions: a point
-    emission weighs the cell holding its point (the cell right of a cut it
-    lies on), a uniform one on [lo, hi) each cell's overlap with it over
-    hi - lo.
-    """
-    if isinstance(spec, (IIDUniformSpec, RotationSpec)):
-        return C, list(map(operator.sub, cuts[1:], cuts))
-    if not isinstance(spec, MarkovSpec):
-        raise TypeError(f"unknown process spec {spec!r}")
-    terms = []  # per state: its mass on each cell, over its own denominator
-    for p, e in zip(spec.stationary_distribution(), spec.emissions):
-        if e.lo == e.hi:
-            law = [0] * (len(cuts) - 1)
-            law[bisect_right(cuts, e.lo.numerator * C // e.lo.denominator) - 1] = 1
-        else:  # overlaps over q * C, q the lcm of the interval's denominators
-            q = math.lcm(e.lo.denominator, e.hi.denominator)
-            lo, hi = (x.numerator * (q // x.denominator) * C for x in (e.lo, e.hi))
-            law = [max(0, min(b * q, hi) - max(a * q, lo)) for a, b in zip(cuts, cuts[1:])]
-        terms.append(([p.numerator * x for x in law], p.denominator * sum(law)))
-    B = math.lcm(*(d for _, d in terms))
-    return B, list(map(sum, zip(*([x * (B // d) for x in law] for law, d in terms))))
 
 
 def expectation(F: FunctionClass, spec: ProcessSpec) -> List[Fraction]:
@@ -518,7 +516,7 @@ def expectation(F: FunctionClass, spec: ProcessSpec) -> List[Fraction]:
     if F.kind != STEP:
         raise ValueError("expectations need a STEP class")
     C, cuts, V, rows = refinement(F)
-    B, masses = _cell_masses(C, cuts, spec)
+    B, masses = spec.cell_masses(C, cuts)
     return [Fraction(sum(map(operator.mul, row, masses)), V * B) for row in rows]
 
 
@@ -723,7 +721,7 @@ def rotation_counterexample(
     construction, a truncation of an uncountable ideal; that caveat is part
     of this report's meaning.
     """
-    theta = Fraction(theta) if theta is not None else golden_rotation_angle()
+    theta = as_fraction(theta) if theta is not None else golden_rotation_angle()
     path = sample_path(RotationSpec(theta=theta), m, seed)
     N = path.scale
     x0 = (Fraction(path.ticks.first, N) - theta) % 1
@@ -778,7 +776,7 @@ def bound_check(
     to 0, so a pass with a wide margin is the expected outcome; the value of
     the check is exercising the whole pipeline and catching regressions.
     """
-    gamma = Fraction(gamma)
+    gamma = as_fraction(gamma)
     dim = gap_dim(F, gamma)
     estimate = estimate_gamma(F, spec, [m], replicates, seed).estimate
     bound = 10 * gamma

@@ -39,6 +39,17 @@ ONE = Fraction(1)
 RationalLike = Fraction | int
 
 
+def as_fraction(x: RationalLike) -> Fraction:
+    """A Fraction unchanged and an int as a Fraction; anything else, a float
+    or a string among them, is a TypeError naming its type, so no value
+    rests on a binary approximation or on text the caller did not parse."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a rational written ``"num/den"`` or as an integer, in ASCII
     digits with at most a leading "-": ``-?[0-9]+(/[0-9]+)?`` and nothing
@@ -76,8 +87,7 @@ def parse_integer(text: str) -> int:
 
 def format_rational(q: RationalLike) -> str:
     """Render a rational as ``"num/den"`` (denominator kept even when 1)."""
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
+    q = as_fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 

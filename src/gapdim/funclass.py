@@ -57,6 +57,7 @@ from .exactset import (
     ZERO,
     IntervalUnion,
     RationalLike,
+    as_fraction,
     format_rational,
     json_list,
     json_object,
@@ -85,7 +86,7 @@ class Domain(tuple):
     class share, converted, checked and indexed once."""
 
     def __new__(cls, points: Sequence[RationalLike]) -> "Domain":
-        pts = (p if isinstance(p, Fraction) else Fraction(p) for p in points)
+        pts = (p if isinstance(p, Fraction) else as_fraction(p) for p in points)
         self = super().__new__(cls, pts)
         if any(not 0 <= p.numerator < p.denominator for p in self):
             raise ValueError("tabular points must lie in [0, 1)")
@@ -180,7 +181,7 @@ class Function:
         """
         if len(pieces) != len(values) or not pieces:
             raise ValueError("step function needs one value per piece")
-        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+        vals = tuple(v if isinstance(v, Fraction) else as_fraction(v) for v in values)
         W, scaled = _scaled(vals, "value {} outside [0, 1]")
         if not isinstance(pieces, Partition):
             pieces = Partition(pieces)
@@ -194,7 +195,7 @@ class Function:
         values: Sequence[RationalLike],
     ) -> "Function":
         pts = points if isinstance(points, Domain) else Domain(points)
-        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+        vals = tuple(v if isinstance(v, Fraction) else as_fraction(v) for v in values)
         if len(pts) != len(vals) or not pts:
             raise ValueError("tabular function needs one value per point")
         W, scaled = _scaled(vals, "tabular values must lie in [0, 1]")
@@ -295,7 +296,14 @@ class FunctionClass:
         return self.functions[i]
 
     def subclass(self, indices: Sequence[int]) -> "FunctionClass":
-        return FunctionClass([self.functions[i] for i in indices], self.name)
+        """The class of these rows of the table, in this order, built from
+        them alone: it keeps this class's cells (its refinement cuts or its
+        domain) and its V, and builds no function."""
+        *head, rows = refinement(self) if self.kind == STEP else value_rows(self)
+        rows = tuple(rows[i] for i in indices)
+        if not rows:
+            raise ValueError("function class must be non-empty")
+        return FunctionClass.of_table(self.name, (*head, rows), self._domain)
 
     def __repr__(self) -> str:
         return f"FunctionClass({self.name!r}, {len(self)} {self.kind})"
@@ -364,7 +372,7 @@ def values_at(
     point, and its cell is its position.  `shatter` validates and reads
     every point it is given here.
     """
-    points = [x if isinstance(x, Fraction) else Fraction(x) for x in points]
+    points = [x if isinstance(x, Fraction) else as_fraction(x) for x in points]
     if F.kind == STEP:
         C, cuts, _, _ = refinement(F)
         cells = [bisect_right(cuts, x.numerator * C // x.denominator) - 1 for x in points]
@@ -382,7 +390,7 @@ def values_at(
 
 def k_of_gamma(gamma: RationalLike) -> int:
     """Number of gamma-wide value bands covering [0, 1]: ceil(1 / gamma)."""
-    gamma = gamma if isinstance(gamma, Fraction) else Fraction(gamma)
+    gamma = as_fraction(gamma)
     if not (ZERO < gamma <= ONE):
         raise InvalidResolution(f"gamma must be in (0, 1], got {gamma}")
     return -(-gamma.denominator // gamma.numerator)
@@ -402,7 +410,7 @@ def cell_bands(F: FunctionClass, gamma: RationalLike) -> Tuple[Tuple[int, ...], 
     on integers, so the value 1 lies in band K; each distinct value is banded
     once.  The class keeps the table of the last gamma asked.
     """
-    gamma = gamma if isinstance(gamma, Fraction) else Fraction(gamma)
+    gamma = as_fraction(gamma)
     if F._bands is None or F._bands[0] != gamma:
         K = k_of_gamma(gamma)
         V, rows = value_rows(F)
@@ -531,10 +539,10 @@ def trajectory_indicators(
     checked and sorted as integers over D, the lcm of the denominators of
     theta and the base points; each domain point becomes a Fraction once.
     """
-    theta = Fraction(theta)
+    theta = as_fraction(theta)
     if window < 0:
         raise ValueError("window must be >= 0")
-    base_points = [Fraction(b) for b in base_points]
+    base_points = [as_fraction(b) for b in base_points]
     D = math.lcm(theta.denominator, *(b.denominator for b in base_points))
     step = theta.numerator * (D // theta.denominator)
     orbits = []
@@ -568,7 +576,7 @@ def full_join_family(L: int, k: int, k2: int, gamma: RationalLike) -> FunctionCl
     midpoints already form a set shattered at resolution gamma/2, which keeps
     brute-force dimension searches on these families cheap.
     """
-    gamma = gamma if isinstance(gamma, Fraction) else Fraction(gamma)
+    gamma = as_fraction(gamma)
     K = k_of_gamma(gamma)
     if not (1 <= k <= K and 1 <= k2 <= K):
         raise ValueError(f"bands ({k}, {k2}) outside [1, {K}]")

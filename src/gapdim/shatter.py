@@ -42,8 +42,8 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactset import (
-    IntervalUnion, RationalLike, format_rational, json_int, json_key, json_list, json_object,
-    parse_rational, read_json_object, write_json,
+    IntervalUnion, RationalLike, as_fraction, format_rational, json_int, json_key, json_list,
+    json_object, parse_rational, read_json_object, write_json,
 )
 from .funclass import (
     STEP, TABULAR, FunctionClass, InvalidResolution, SegmentIndexOutOfRange, cell_bands,
@@ -116,7 +116,7 @@ class DimResult:
 
 def _resolution(gamma: RationalLike) -> Fraction:
     """gamma as a Fraction; a shattering margin must be positive."""
-    gamma = gamma if isinstance(gamma, Fraction) else Fraction(gamma)
+    gamma = as_fraction(gamma)
     if gamma <= 0:
         raise InvalidResolution(f"gamma must be positive, got {gamma}")
     return gamma
@@ -268,7 +268,7 @@ def shatters(
     point outside the class's domain raises `values_at`'s ValueError.
     """
     gamma = _resolution(gamma)
-    pts = sorted({x if isinstance(x, Fraction) else Fraction(x) for x in D})
+    pts = sorted({x if isinstance(x, Fraction) else as_fraction(x) for x in D})
     if not pts:
         raise ValueError("cannot shatter the empty set")
     levels, scale, sides = _window_sides(F, pts, gamma)
@@ -372,7 +372,7 @@ def join_shatter(
     uses the single level alpha = gamma*(k + k2 - 1)/2; it proves the gap
     dimension at resolution gamma/2 is at least L.
     """
-    gamma = Fraction(gamma)
+    gamma = as_fraction(gamma)
     n_fns = len(F0)
     L = n_fns.bit_length() - 1
     if 1 << L != n_fns:

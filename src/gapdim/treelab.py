@@ -25,8 +25,8 @@ from itertools import count, takewhile
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .exactset import (
-    IntervalUnion, RationalLike, json_int, json_key, json_list, json_object, read_json_object,
-    write_json,
+    IntervalUnion, RationalLike, as_fraction, json_int, json_key, json_list, json_object,
+    read_json_object, write_json,
 )
 from .funclass import (
     STEP, FunctionClass, SegmentIndexOutOfRange, cell_bands, k_of_gamma, non_adjacent, segment,
@@ -147,9 +147,10 @@ def _heap_order(first: int, levels: int) -> Iterator[int]:
 def pow2_text(L: int, c: RationalLike = 1, plus: int = 0) -> str:
     """c * 2**L + plus in digits where Python prints them (2**L is built only
     for L < 2**16), else as the expression "c*2^L+plus"."""
+    c = as_fraction(c)
     if L < 1 << 16:
         try:
-            return str(Fraction(c) * (1 << L) + plus)
+            return str(c * (1 << L) + plus)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             pass
     return ("2" if c == 1 else f"{c}*2") + f"^{L}" + (f"{plus:+d}" if plus else "")
@@ -223,7 +224,7 @@ def ptree_witness(tree: CompleteTree, S: Sequence[int], c: RationalLike) -> Ptre
     Requires |S| >= c * 2**L >= 4 with S a set of leaves.  Ties between
     levels go to the smallest level.
     """
-    c = Fraction(c)
+    c = as_fraction(c)
     if not 0 < c <= 1:
         raise ValueError(f"c must be in (0, 1], got {c}")
     L = tree.depth
@@ -380,7 +381,7 @@ def intersection_tree_build(
     Returns None when the search space or the visit budget is exhausted,
     which is a legitimate outcome for classes that admit no such tree.
     """
-    gamma = Fraction(gamma)
+    gamma = as_fraction(gamma)
     if L < 1:
         raise ValueError("tree depth must be >= 1")
     if F.kind != STEP:
@@ -447,7 +448,7 @@ def intersection_tree_verify(
     must name those same segments.  A missing payload or a band outside
     [1, K] raises before any verdict.
     """
-    gamma = Fraction(gamma)
+    gamma = as_fraction(gamma)
     L = tree.depth
     if len(functions) != L:
         raise ValueError(f"need {L} function indices, got {len(functions)}")
@@ -499,7 +500,7 @@ def maximal_join_from_tree(
     positive measure, because every root path of the subtree sits inside a
     distinct cell.
     """
-    gamma = Fraction(gamma)
+    gamma = as_fraction(gamma)
     if not intersection_tree_verify(built.tree, F, gamma, built.functions):
         raise ValueError("tree does not verify against the class")
     emb = uniform_subtree(built.tree, k_of_gamma(gamma))

@@ -130,6 +130,21 @@ MUTANTS = [
         "bisect_right(ends, c)", "bisect_right(ends, c) - 1",
     ),
     Mutant(
+        "candidate_points: the first refinement cell dropped", "shatter.py",
+        "candidate_points", "zip(cuts, cuts[1:])", "zip(cuts[1:], cuts[2:])",
+        (*TESTS, "tests/test_acceptance.py"),
+    ),
+    Mutant(
+        "segment_of_cells: the first refinement cell left out of every STEP segment",
+        "funclass.py", "segment_of_cells", "[(cuts[j], cuts[j + 1]) for j in cells]",
+        "[(cuts[j], cuts[j + 1]) for j in cells if j]", (*FUNCLASS_TESTS, "tests/test_shatter.py"),
+    ),
+    Mutant(
+        "FunctionClass.subclass: the rows taken in index order", "funclass.py",
+        "FunctionClass.subclass", "tuple(rows[i] for i in indices)",
+        "tuple(rows[i] for i in sorted(indices))", FUNCLASS_TESTS,
+    ),
+    Mutant(
         "_equal_cells: rows not divided by g", "funclass.py", "_equal_cells",
         "tuple(tuple(v // g for v in row) for row in rows)", "rows", FUNCLASS_TESTS,
     ),
@@ -212,13 +227,14 @@ MUTANTS = [
         ERGOPROC_TESTS,
     ),
     Mutant(
-        "_cell_masses: a uniform emission's overlaps not clamped at 0", "ergoproc.py",
-        "_cell_masses", "max(0, min(b * q, hi) - max(a * q, lo))",
+        "MarkovSpec.cell_masses: a uniform emission's overlaps not clamped at 0",
+        "ergoproc.py", "MarkovSpec.cell_masses", "max(0, min(b * q, hi) - max(a * q, lo))",
         "min(b * q, hi) - max(a * q, lo)", ERGOPROC_TESTS,
     ),
     Mutant(
-        "_cell_masses: a point emission on a cut weighs the cell left of it", "ergoproc.py",
-        "_cell_masses", "bisect_right(cuts, e.lo.numerator * C // e.lo.denominator)",
+        "MarkovSpec.cell_masses: a point emission on a cut weighs the cell left of it",
+        "ergoproc.py", "MarkovSpec.cell_masses",
+        "bisect_right(cuts, e.lo.numerator * C // e.lo.denominator)",
         "bisect_left(cuts, e.lo.numerator * C // e.lo.denominator)", ERGOPROC_TESTS,
     ),
     Mutant(

@@ -18,7 +18,7 @@ from gapdim.ergoproc import (
 from gapdim.exactset import format_rational, parse_rational
 from gapdim.funclass import STEP, TABULAR, SegmentIndexOutOfRange, non_adjacent
 from gapdim.rng import SplitMix64
-from gapdim.shatter import DimResult, ShatterCertificate, candidate_points
+from gapdim.shatter import DimResult, ShatterCertificate
 from gapdim.treelab import IntersectionTree, Label, MissingPayload
 
 
@@ -218,6 +218,22 @@ def _dim_result(F: FunctionClass, gamma, cap, n, log_bound, best, cert) -> DimRe
     return DimResult(dimension=best, exact=exact, certificate=cert)
 
 
+def oracle_candidate_points(F: FunctionClass):
+    """Candidate points found without the library's table: for STEP the
+    midpoints of ``oracle_refinement``'s cells, for TABULAR the domain
+    points, keeping of the points whose Fraction value columns
+    (``oracle_value_at`` of every function) agree only the leftmost."""
+    if F.kind == STEP:
+        cuts, _ = oracle_refinement(F)
+        pts = [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+    else:
+        pts = sorted(F[0].points)
+    firsts = {}
+    for x in pts:
+        firsts.setdefault(tuple(oracle_value_at(f, x) for f in F.functions), x)
+    return list(firsts.values())
+
+
 def oracle_naive_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
     """The subset-by-subset search: by increasing size, the first shattered
     subset of the candidates in ``combinations`` order, each decided by the
@@ -228,7 +244,7 @@ def oracle_naive_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
     unshattered sets are unshattered.
     """
     gamma = Fraction(gamma)
-    pts = candidate_points(F)
+    pts = oracle_candidate_points(F)
     n = len(pts)
     log_bound = len(F).bit_length() - 1
     table = _value_table(F, pts)
@@ -252,7 +268,7 @@ def oracle_pruned_gap_dim(F: FunctionClass, gamma, cap: int = 20) -> DimResult:
     the same result.
     """
     gamma = Fraction(gamma)
-    pts = candidate_points(F)
+    pts = oracle_candidate_points(F)
     n = len(pts)
     log_bound = len(F).bit_length() - 1
     limit = min(cap, n, log_bound)
@@ -537,7 +553,8 @@ def oracle_sample_path(spec, m: int, seed: int):
 
     Each uniform is ``unit_fraction()``, a rotation steps by ``frac_mod1``
     and a Markov state is the first whose running Fraction sum of weights
-    exceeds the draw: the generator the integer ticks replaced.
+    exceeds the draw, the start law solved by ``oracle_stationary`` rather
+    than read from the spec: the generator the integer ticks replaced.
     """
     rng = SplitMix64(seed)
     if isinstance(spec, IIDUniformSpec):
@@ -547,7 +564,7 @@ def oracle_sample_path(spec, m: int, seed: int):
         return tuple(frac_mod1(x0 + i * spec.theta) for i in range(1, m + 1))
     assert isinstance(spec, MarkovSpec)
     out = []
-    state = _pick_cumulative(spec.stationary_distribution(), rng.unit_fraction())
+    state = _pick_cumulative(oracle_stationary(spec.transition), rng.unit_fraction())
     for i in range(m):
         if i > 0:
             state = _pick_cumulative(spec.transition[state], rng.unit_fraction())
@@ -677,11 +694,12 @@ def oracle_integral(f, a, b):
 
 def oracle_expectation(f, spec):
     """E f(X) from piece measures (see ``oracle_integral``) and, at a point
-    emission, the value of the piece holding the point (``oracle_value_at``)."""
+    emission, the value of the piece holding the point (``oracle_value_at``),
+    a chain's emissions weighed by its ``oracle_stationary`` law."""
     if isinstance(spec, (IIDUniformSpec, RotationSpec)):
         return sum((v * piece.measure for piece, v in zip(f.pieces, f.values)), Fraction(0))
     total = Fraction(0)
-    for p, e in zip(spec.stationary_distribution(), spec.emissions):
+    for p, e in zip(oracle_stationary(spec.transition), spec.emissions):
         if e.lo == e.hi:  # a point emission
             total += p * oracle_value_at(f, e.lo)
         else:

@@ -11,7 +11,12 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gapdim import exactset, full_join_family, gap_dim, intersection_tree_build, thresholds
+from gapdim import (
+    Function, exactset, full_join_family, gap_dim, intersection_tree_build,
+    intersection_tree_verify, join_shatter, k_of_gamma, maximal_join_from_tree, ptree_witness,
+    rotation_counterexample, shatters, thresholds, trajectory_indicators,
+)
+from gapdim.ergoproc import Emission, IIDUniformSpec, bound_check
 from gapdim.exactset import (
     IntervalUnion,
     decimal12,
@@ -22,7 +27,8 @@ from gapdim.exactset import (
     read_json_object,
     write_json,
 )
-from gapdim.funclass import class_to_json, save_class
+from gapdim.funclass import Domain, cell_bands, class_to_json, save_class, values_at
+from gapdim.treelab import pow2_text
 
 from oracles import OracleIntervalUnion, fraction_pairs, oracle_dumps, union_of
 
@@ -484,3 +490,58 @@ class TestDumps:
         assert exactset._layout(0)[2]([1, "a"]) == '[1,\n  "a"]'
         built_in_c = json.encoder.c_make_encoder is not None
         assert built_in_c == (encoder == "c")
+
+
+def _entry_points():
+    """Every library call that takes a rational, as (name, call of x)."""
+    T = thresholds(8)
+    J = full_join_family(1, 1, 3, F(1, 5))
+    built = intersection_tree_build(J, F(1, 5), 1)
+    return [
+        ("gap_dim", lambda x: gap_dim(T, x)),
+        ("k_of_gamma", k_of_gamma),
+        ("cell_bands", lambda x: cell_bands(T, x)),
+        ("shatters gamma", lambda x: shatters(T, [F(1, 2)], x)),
+        ("shatters points", lambda x: shatters(T, [x], F(1, 4))),
+        ("join_shatter", lambda x: join_shatter(J, 1, 3, x)),
+        ("Function.step", lambda x: Function.step([IntervalUnion.full()], [x])),
+        ("Function.tabular values", lambda x: Function.tabular([0], [x])),
+        ("Function.tabular points", lambda x: Function.tabular([x], [0])),
+        ("Domain", lambda x: Domain([x])),
+        ("values_at", lambda x: values_at(T, [x])),
+        ("Emission.point", Emission.point),
+        ("Emission.uniform lo", lambda x: Emission.uniform(x, 1)),
+        ("Emission.uniform hi", lambda x: Emission.uniform(0, x)),
+        ("full_join_family", lambda x: full_join_family(1, 1, 3, x)),
+        ("trajectory_indicators theta", lambda x: trajectory_indicators(x, [F(1, 7)], 2)),
+        ("trajectory_indicators base", lambda x: trajectory_indicators(F(1, 9), [x], 2)),
+        ("rotation_counterexample", lambda x: rotation_counterexample(10, 1, x)),
+        ("bound_check", lambda x: bound_check(T, IIDUniformSpec(), x, 10, 1, 1)),
+        ("intersection_tree_build", lambda x: intersection_tree_build(J, x, 1)),
+        ("intersection_tree_verify",
+         lambda x: intersection_tree_verify(built.tree, J, x, built.functions)),
+        ("maximal_join_from_tree", lambda x: maximal_join_from_tree(built, J, x)),
+        ("ptree_witness", lambda x: ptree_witness(built.tree, [0, 1], x)),
+        ("pow2_text", lambda x: pow2_text(3, x)),
+        ("pow2_text past 2**16", lambda x: pow2_text(1 << 16, x)),
+        ("format_rational", format_rational),
+    ]
+
+
+ENTRY_POINTS = _entry_points()
+
+
+@pytest.mark.parametrize("x", [0.25, "1/4"], ids=repr)
+@pytest.mark.parametrize("name,call", ENTRY_POINTS, ids=[name for name, _ in ENTRY_POINTS])
+def test_a_rational_argument_refuses_floats_and_strings(name, call, x):
+    """Every rational argument is an int or a Fraction: a float or a string
+    is a TypeError naming its type, never a binary value or a parse."""
+    need = f"^expected an int or a Fraction, got {type(x).__name__}$"
+    with pytest.raises(TypeError, match=need):
+        call(x)
+
+
+def test_as_fraction_keeps_a_fraction_and_converts_an_int():
+    q = F(3, 7)
+    assert exactset.as_fraction(q) is q
+    assert exactset.as_fraction(3) == F(3) and type(exactset.as_fraction(3)) is Fraction

@@ -1087,6 +1087,27 @@ class TestBornWithItsTable:
         assert [f.values for f in functions] == [tuple(F(v, V) for v in row) for row in rows]
         assert class_from_json(class_to_json(FC)).functions == FC.functions
 
+    @pytest.mark.parametrize("indices", [[0, 2, 5], [7, 1], [3]], ids=str)
+    def test_subclass_slices_the_table(self, functions_built, indices):
+        FC = full_join_family(3, 1, 3, F(1, 5))
+        sub = FC.subclass(indices)
+        C, cuts, V, rows = refinement(FC)
+        assert refinement(sub) == (C, cuts, V, tuple(rows[i] for i in indices))
+        assert (sub.name, len(sub)) == (FC.name, len(indices)) and functions_built == []
+        whole = FunctionClass([FC[i] for i in indices])
+        for k, k2 in ((1, 3), (3, 1), (1, 2)):
+            assert join(sub, F(1, 5), k, k2) == join(whole, F(1, 5), k, k2)
+
+    def test_tabular_subclass_keeps_the_domain(self, functions_built):
+        FC = all_patterns(3)
+        sub = FC.subclass([6, 1])
+        V, rows = value_rows(FC)
+        assert value_rows(sub) == (V, (rows[6], rows[1])) and functions_built == []
+        assert sub.domain_points is FC.domain_points
+        assert list(sub) == [FC[6], FC[1]]
+        with pytest.raises(ValueError, match="non-empty"):
+            FC.subclass([])
+
     def test_full_join_family_rejects_a_value_above_one(self):
         # gamma = 9/20: K = 3, and the midband value of band 3 is 9/8
         for k, k2 in ((1, 3), (3, 1)):

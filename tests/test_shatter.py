@@ -19,7 +19,7 @@ from gapdim import (
     verify_certificate,
 )
 from gapdim import shatter
-from gapdim.funclass import InvalidResolution, SegmentIndexOutOfRange, generate, k_of_gamma
+from gapdim.funclass import STEP, InvalidResolution, SegmentIndexOutOfRange, generate, k_of_gamma
 from gapdim.shatter import (
     MalformedCertificate,
     ShatterCertificate,
@@ -27,12 +27,15 @@ from gapdim.shatter import (
 )
 from oracles import (
     fraction_pairs,
+    oracle_candidate_points,
     oracle_constant,
     oracle_gap_dim,
     oracle_indicator,
     oracle_join,
     oracle_naive_gap_dim,
+    oracle_on_cells,
     oracle_pruned_gap_dim,
+    oracle_refinement,
     oracle_segment_partition,
     oracle_shatters,
     oracle_shatters_certificate,
@@ -455,6 +458,31 @@ class TestCandidatePoints:
         monkeypatch.setattr(shatter, "values_at", None)  # never called
         monkeypatch.setattr(pts, "position", {})  # never read
         assert candidate_points(FC) == want
+
+    @pytest.mark.parametrize(
+        "FC",
+        [generate("thresholds(6)"), generate("full_join_family(2,1,3,1/5)"),
+         # 16 cells, 12 distinct columns; 10 cells, all distinct
+         generate("random_step(5,16,2,3)"), generate("random_step(9,10,2,8)"),
+         # equal cells that no function tells apart
+         oracle_on_cells(generate("interval_indicators(4)"), 12),
+         oracle_on_cells(generate("thresholds(3)"), 9),
+         generate("all_patterns(3)"), generate("trajectory_indicators(1/1000,3,1/7+2/7)")],
+        ids=repr,
+    )
+    def test_the_collapse_never_lowers_the_oracle_dimension(self, FC):
+        """The raw enumeration finds the same dimension over the library's
+        collapsed candidates as over every cell midpoint (every domain
+        point for TABULAR), and the oracle's own candidates are as many."""
+        if FC.kind == STEP:
+            cuts, _ = oracle_refinement(FC)
+            every = [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+        else:
+            every = list(FC.domain_points)
+        pts = candidate_points(FC)
+        assert len(pts) == len(oracle_candidate_points(FC)) <= len(every)
+        for gamma in (F(1, 8), F(1, 4), F(3, 8)):
+            assert oracle_gap_dim(FC, pts, gamma) == oracle_gap_dim(FC, every, gamma)
 
 
 class TestIndicatorClassesMatchVcDimension:

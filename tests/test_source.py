@@ -243,3 +243,30 @@ def test_functions_are_built_from_their_values():
         )
     ]
     assert found == []
+
+
+PROCESS_SPECS = {"IIDUniformSpec", "RotationSpec", "MarkovSpec"}
+
+
+def test_no_type_dispatch_on_the_process_spec():
+    """Each process spec draws its own path, weighs its own cells and caps
+    its own length (``path``, ``cell_masses``, ``max_length``): no library
+    ``isinstance`` call names a spec class."""
+    found = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+            ):
+                continue
+            named = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node.args[1])
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            if named & PROCESS_SPECS:
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
