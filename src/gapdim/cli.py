@@ -164,7 +164,10 @@ def _load_markov(path) -> MarkovSpec:
     return MarkovSpec(transition=transition, emissions=tuple(emissions))
 
 
-def _emit(report: dict, cfg: dict, csv_rows=None, csv_header=None) -> None:
+CSV_HEADER = "m,replicate,gamma_m,gamma_m_exact"  # report.csv of the sampling commands
+
+
+def _emit(report: dict, cfg: dict, csv_rows=None) -> None:
     document = {
         "config": {k: str(v) for k, v in sorted(cfg.items())},
         "version": __version__,
@@ -179,7 +182,7 @@ def _emit(report: dict, cfg: dict, csv_rows=None, csv_header=None) -> None:
                 fh.write(text)
             if csv_rows is not None:
                 with open(os.path.join(out_dir, "report.csv"), "w") as fh:
-                    fh.write(csv_header + "\n")
+                    fh.write(CSV_HEADER + "\n")
                     for row in csv_rows:
                         fh.write(",".join(str(c) for c in row) + "\n")
         except OSError as exc:
@@ -369,7 +372,7 @@ def cmd_discrepancy(cfg: dict) -> int:
     rows = [
         (m, 0, decimal12(gamma_m), format_rational(gamma_m)),
     ]
-    _emit(report, cfg, rows, "m,replicate,gamma_m,gamma_m_exact")
+    _emit(report, cfg, rows)
     return 0
 
 
@@ -393,7 +396,7 @@ def cmd_gc_curve(cfg: dict) -> int:
     rows = [
         (m, r, decimal12(g), format_rational(g)) for (m, r, g) in rep.rows
     ]
-    _emit(report, cfg, rows, "m,replicate,gamma_m,gamma_m_exact")
+    _emit(report, cfg, rows)
     return 0
 
 

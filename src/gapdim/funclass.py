@@ -17,15 +17,16 @@ points.  A function is built one way, from its values, by
 :meth:`Function.step` or :meth:`Function.tabular`, which check them once
 and keep, beside them, its integer row over W, the lcm of its own value
 denominators (STEP: ``(D, ends, W, vals)``, one value per interval;
-TABULAR: ``(W, vals)``); equality and hashing read that row.  Every
-generator builds only the table, from integers: the four STEP generators
-over n equal cells [i/n, (i+1)/n), which tile [0, 1) by construction, so
-C = n, the cuts are 0..n and nothing is checked; the TABULAR ones over
-their one shared Domain.  A generated class builds its functions from its
-rows only when they are read, as for class JSON, each value v / V a
-Fraction.  A class assembled from functions builds its table from their
-rows on first use: STEP rows merged over the common refinement, TABULAR
-rows rescaled to V.
+TABULAR: ``(W, vals)``); equality and hashing read that row.  Every class
+is born with its table.  Every generator builds only the table, from
+integers: the four STEP generators over n equal cells [i/n, (i+1)/n),
+which tile [0, 1) by construction, so C = n, the cuts are 0..n and nothing
+is checked; the TABULAR ones over their one shared Domain.  A generated
+class builds its functions from its rows only when they are read, as for
+class JSON, each value v / V a Fraction.  A class assembled from functions
+merges their rows into its table at construction: STEP rows rescaled to
+one C and V and merged over the common refinement, TABULAR rows rescaled
+to V.
 
 For a resolution ``gamma`` the value range splits into K bands
 ``[(k-1)*gamma, k*gamma)`` for k < K and ``[(K-1)*gamma, 1]`` for k = K,
@@ -47,7 +48,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -83,7 +84,10 @@ class SegmentIndexOutOfRange(ValueError):
 
 class Domain(tuple):
     """The sorted, distinct points of [0, 1) that the functions of a TABULAR
-    class share, converted, checked and indexed once."""
+    class share, converted and checked once; a point's cell is found by
+    bisecting them (:func:`values_at`)."""
+
+    __slots__ = ()
 
     def __new__(cls, points: Sequence[RationalLike]) -> "Domain":
         pts = (p if isinstance(p, Fraction) else as_fraction(p) for p in points)
@@ -92,7 +96,6 @@ class Domain(tuple):
             raise ValueError("tabular points must lie in [0, 1)")
         if any(not a < b for a, b in zip(self, self[1:])):
             raise ValueError("tabular points must be sorted and distinct")
-        self.position = {p: i for i, p in enumerate(self)}
         return self
 
 
@@ -228,12 +231,13 @@ def _scaled(vals: Tuple[Fraction, ...], message: str) -> Tuple[int, List[int]]:
 class FunctionClass:
     """An ordered, finite, non-empty list of functions of one kind.
 
-    Classes are immutable, so each holds one integer value table, built once:
-    for STEP the table of :func:`refinement`, for TABULAR the ``(V, rows)``
-    of :func:`value_rows`.  A class built from functions builds its table on
-    first use; a generated class is built from its table
-    (:meth:`of_table`), and its functions from the rows when first read.
-    The band table of :func:`cell_bands` is kept for the last gamma asked.
+    Classes are immutable, and each is born with its integer value table:
+    for STEP the ``(C, cuts, V, rows)`` of :func:`refinement`, for TABULAR
+    the ``(V, rows)`` of :func:`value_rows`.  A class built from functions
+    merges their rows into it at construction (:func:`_merge`); a generated
+    class is built from its table (:meth:`of_table`), and its functions
+    from the rows when first read.  The band table of :func:`cell_bands` is
+    kept for the last gamma asked.
     """
 
     __slots__ = ("name", "kind", "_domain", "_functions", "_table", "_bands")
@@ -250,7 +254,7 @@ class FunctionClass:
             if any(f.points != pts for f in fns):
                 raise ValueError("tabular functions must share domain points")
         self.name, self.kind, self._domain = name, kind, fns[0].points
-        self._functions, self._table = fns, None
+        self._functions, self._table = fns, _merge(fns)
         self._bands = None  # (gamma, table) of the last cell_bands call
 
     @classmethod
@@ -287,7 +291,7 @@ class FunctionClass:
         return self._domain
 
     def __len__(self) -> int:
-        return len(self._table[-1] if self._functions is None else self._functions)
+        return len(self._table[-1])
 
     def __iter__(self):
         return iter(self.functions)
@@ -299,7 +303,7 @@ class FunctionClass:
         """The class of these rows of the table, in this order, built from
         them alone: it keeps this class's cells (its refinement cuts or its
         domain) and its V, and builds no function."""
-        *head, rows = refinement(self) if self.kind == STEP else value_rows(self)
+        *head, rows = self._table
         rows = tuple(rows[i] for i in indices)
         if not rows:
             raise ValueError("function class must be non-empty")
@@ -312,30 +316,17 @@ class FunctionClass:
 Table = Tuple[int, Tuple[int, ...], int, Tuple[Tuple[int, ...], ...]]
 
 
-def refinement(F: FunctionClass) -> Table:
-    """The integer value table of a STEP class, built once per class.
-
-    Returns ``(C, cuts, V, rows)``: the cuts 0 = c_0 < ... < c_n = C of the
-    common refinement (every piece endpoint of every function) as integers
-    over C, and per function its value on each cell [c_j, c_j+1) / C as an
-    integer over V.  Every function is constant on every cell.
-    """
-    if F.kind != STEP:
-        raise ValueError("refinement is defined for STEP classes")
-    if F._table is None:
-        F._table = _refine(F)
-    return F._table
-
-
-def _refine(F: FunctionClass) -> Table:
-    # A class assembled from functions: rescaled to the class's C and V, the
-    # function rows merge on integers, and cell [c_j, c_j+1) lies in the
-    # piece of the first right end past c_j.
-    C = math.lcm(*(f._row[0] for f in F.functions))
-    V = math.lcm(*(f._row[2] for f in F.functions))
+def _merge(fns: Tuple[Function, ...]) -> tuple:
+    """The value table of a class of these functions, their rows rescaled to
+    one V (TABULAR), or to one C and V and merged on integers (STEP): cell
+    [c_j, c_j+1) lies in the piece of the first right end past c_j."""
+    own = [f._row for f in fns]
+    V = math.lcm(*(row[-2] for row in own))
+    if fns[0].kind == TABULAR:
+        return V, tuple(tuple(v * (V // W) for v in vals) for W, vals in own)
+    C = math.lcm(*(row[0] for row in own))
     scaled = [
-        ([e * (C // D) for e in ends], [v * (V // W) for v in vals])
-        for D, ends, W, vals in (f._row for f in F.functions)
+        ([e * (C // D) for e in ends], [v * (V // W) for v in vals]) for D, ends, W, vals in own
     ]
     cuts = tuple(sorted({0, *(c for ends, _ in scaled for c in ends)}))
     rows = tuple(
@@ -344,20 +335,24 @@ def _refine(F: FunctionClass) -> Table:
     return C, cuts, V, rows
 
 
+def refinement(F: FunctionClass) -> Table:
+    """The integer value table of a STEP class, which it holds from birth.
+
+    Returns ``(C, cuts, V, rows)``: the cuts 0 = c_0 < ... < c_n = C of the
+    common refinement (every piece endpoint of every function) as integers
+    over C, and per function its value on each cell [c_j, c_j+1) / C as an
+    integer over V.  Every function is constant on every cell.
+    """
+    if F.kind != STEP:
+        raise ValueError("refinement is defined for STEP classes")
+    return F._table
+
+
 def value_rows(F: FunctionClass) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     """The value table of a class, ``(V, rows)``: ``rows[fi][j]`` is V
-    times the value of F[fi] on cell j.  STEP: ``refinement(F)[2:]``.
-    TABULAR: the cells are the domain points; a generated class holds its
-    table from birth, and a class of functions takes V as the lcm of every
-    function's W and rescales each row to V once, kept on the class."""
-    if F.kind == STEP:
-        return refinement(F)[2:]
-    if F._table is None:
-        V = math.lcm(*(f._row[0] for f in F.functions))
-        F._table = V, tuple(
-            tuple(v * (V // W) for v in vals) for W, vals in (f._row for f in F.functions)
-        )
-    return F._table
+    times the value of F[fi] on cell j, a refinement cell of a STEP class
+    (``refinement(F)[2:]``) or a domain point of a TABULAR one."""
+    return F._table[-2:]
 
 
 def values_at(
@@ -366,11 +361,11 @@ def values_at(
     """Every function's value at each point, as integers over one denominator.
 
     Returns ``(V, columns)`` with ``columns[i][fi] == V * F[fi](points[i])``,
-    read across the rows of :func:`value_rows` at each point's cell.  A
-    STEP point x lies in the refinement cell j with c_j <= floor(x C) <
-    c_j+1, found by one integer bisect; a TABULAR point must be a domain
-    point, and its cell is its position.  `shatter` validates and reads
-    every point it is given here.
+    read across the rows of :func:`value_rows` at each point's cell, found
+    by one bisect.  A STEP point x lies in the refinement cell j with
+    c_j <= floor(x C) < c_j+1; a TABULAR point must be a domain point, and
+    its cell is the first domain point not below it, which must equal it.
+    `shatter` validates and reads every point it is given here.
     """
     points = [x if isinstance(x, Fraction) else as_fraction(x) for x in points]
     if F.kind == STEP:
@@ -380,9 +375,10 @@ def values_at(
             if not 0 <= j < len(cuts) - 1:
                 raise ValueError(f"point {x} outside [0, 1)")
     else:
-        cells = list(map(F.domain_points.position.get, points))
+        domain = F.domain_points
+        cells = [bisect_left(domain, x) for x in points]
         for x, j in zip(points, cells):
-            if j is None:
+            if j == len(domain) or domain[j] != x:
                 raise ValueError(f"{x} is not a tabular domain point")
     V, rows = value_rows(F)
     return V, [tuple(row[j] for row in rows) for j in cells]

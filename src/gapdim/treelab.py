@@ -509,7 +509,7 @@ def maximal_join_from_tree(
     if len(set(hs)) != len(hs):
         raise RuntimeError("verified tree reused a function on chosen levels")
     cells = join(F.subclass(hs), gamma, k, k2)
-    if len(cells) != 1 << len(hs) or any(c.cell.measure <= 0 for c in cells):
+    if len(cells) != 1 << len(hs) or any(not c.cell for c in cells):
         raise RuntimeError("subtree join unexpectedly not full")
     return MaximalJoin(
         function_indices=tuple(hs), label=emb.label, cells=tuple(cells)

@@ -2,12 +2,12 @@
 
 Each mutant is one ``ast`` edit of one kernel function: a strict
 comparison loosened, two operands swapped, a denominator dropped, an error
-mapping removed.  The script copies ``src``, ``tests`` and
-``pyproject.toml`` to a temporary directory, first runs the kernels' test
-files there on the unmutated code (which must pass), then writes each
-mutant in turn and runs the test files it names against it.  A mutant is
-killed when a test fails, and survives when they all pass: a survivor is a
-fault the tests cannot see.
+mapping removed.  The script copies ``src``, ``tests``, ``pyproject.toml``
+and what some tests read, ``perfbench`` and ``README.md``, to a temporary
+directory, first runs the kernels' test files there on the unmutated code
+(which must pass), then writes each mutant in turn and runs the test files
+it names against it.  A mutant is killed when a test fails, and survives
+when they all pass: a survivor is a fault the tests cannot see.
 
 Run it from anywhere, on demand; pytest does not collect it and the tier-1
 suite does not run it::
@@ -42,6 +42,7 @@ FUNCLASS_TESTS = ("tests/test_funclass.py",)
 ERGOPROC_TESTS = ("tests/test_ergoproc.py",)
 EXACTSET_TESTS = ("tests/test_exactset.py",)
 RNG_TESTS = ("tests/test_rng.py",)
+TREELAB_TESTS = ("tests/test_treelab.py",)
 CLI_TESTS = ("tests/test_cli.py",)
 
 
@@ -126,8 +127,12 @@ MUTANTS = [
         "v * b // Va + 1", "v * b // Va",
     ),
     Mutant(
-        "_refine: a cell valued by the piece left of it", "funclass.py", "_refine",
+        "_merge: a cell valued by the piece left of it", "funclass.py", "_merge",
         "bisect_right(ends, c)", "bisect_right(ends, c) - 1",
+    ),
+    Mutant(
+        "values_at: a point between two domain points read at the next one", "funclass.py",
+        "values_at", "j == len(domain) or domain[j] != x", "j == len(domain)",
     ),
     Mutant(
         "candidate_points: the first refinement cell dropped", "shatter.py",
@@ -267,6 +272,19 @@ MUTANTS = [
         "intersect", "max(a[i][0], b[j][0])", "min(a[i][0], b[j][0])", EXACTSET_TESTS,
     ),
     Mutant(
+        "as_fraction: a float let through", "exactset.py", "as_fraction",
+        "isinstance(x, int)", "isinstance(x, (int, float))", EXACTSET_TESTS,
+    ),
+    Mutant(
+        "dumps: a flat container's inner and outer indents swapped", "exactset.py", "_spread",
+        "f'{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}'",
+        "f'{text[0]}{outer}{text[1:-1]}{inner}{text[-1]}'", EXACTSET_TESTS + CLI_TESTS,
+    ),
+    Mutant(
+        "intersection_tree_build: every cell's mask bit moved one up", "treelab.py",
+        "intersection_tree_build", "1 << j", "1 << (j + 1)", TREELAB_TESTS,
+    ),
+    Mutant(
         "_config: a repeated flag overrides the first", "cli.py", "_config",
         "field in given", "False", CLI_TESTS,
     ),
@@ -367,9 +385,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="gapdim-mutants-") as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, work / part, ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", work)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, work)
         modules = {m.module for m in MUTANTS}
         originals = {m: (work / "src/gapdim" / m).read_text() for m in modules}
         # the baseline runs the unparsed, unmutated modules, as the mutants are unparsed

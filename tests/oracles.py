@@ -12,9 +12,7 @@ from fractions import Fraction
 from itertools import combinations, repeat
 
 from gapdim import CompleteTree, Function, FunctionClass, IntervalUnion, k_of_gamma
-from gapdim.ergoproc import (
-    IIDUniformSpec, MarkovSpec, RotationSpec, SamplePath, per_function_discrepancies
-)
+from gapdim.ergoproc import IIDUniformSpec, MarkovSpec, RotationSpec, SamplePath
 from gapdim.exactset import format_rational, parse_rational
 from gapdim.funclass import STEP, TABULAR, SegmentIndexOutOfRange, non_adjacent
 from gapdim.rng import SplitMix64
@@ -29,7 +27,9 @@ def frac_mod1(x: Fraction) -> Fraction:
 
 class OracleIntervalUnion:
     """A union of half-open intervals in [0, 1) held as merged ``Fraction``
-    pairs, the reference for the integer-pair ``IntervalUnion``."""
+    pairs, the reference for the integer-pair ``IntervalUnion``.  The
+    oracles do their set algebra here, on library unions converted by
+    :func:`oracle_union`, never with the library's own."""
 
     def __init__(self, intervals=()):
         pairs = []
@@ -37,7 +37,7 @@ class OracleIntervalUnion:
             lo, hi = Fraction(lo), Fraction(hi)
             if lo == hi:
                 continue
-            if not (Fraction(0) <= lo < hi <= Fraction(1)):
+            if not (0 <= lo < hi <= 1):
                 raise ValueError(f"invalid interval [{lo}, {hi}) in [0,1)")
             pairs.append((lo, hi))
         pairs.sort()
@@ -54,8 +54,15 @@ class OracleIntervalUnion:
     def union_all(cls, unions):
         return cls([pair for u in unions for pair in u.ivs])
 
+    @classmethod
+    def full(cls):
+        return cls([(0, 1)])
+
     def __iter__(self):
         return iter(self.ivs)
+
+    def __bool__(self):
+        return bool(self.ivs)
 
     @property
     def measure(self):
@@ -66,10 +73,17 @@ class OracleIntervalUnion:
         return any(lo <= x < hi for lo, hi in self.ivs)
 
     def intersect(self, other):
-        return OracleIntervalUnion(
-            (max(a, c), min(b, d))
-            for a, b in self.ivs for c, d in other.ivs if max(a, c) < min(b, d)
-        )
+        """Per interval [a, b) of self, the intervals of other that meet it:
+        from the first one ending past a (one bisect of their right ends) to
+        the last one starting before b."""
+        ends = [d for _, d in other.ivs]
+        pieces = []
+        for a, b in self.ivs:
+            for c, d in other.ivs[bisect_right(ends, a):]:
+                if not c < b:
+                    break
+                pieces.append((max(a, c), min(b, d)))
+        return OracleIntervalUnion(pieces)
 
     def complement(self):
         ends = [Fraction(0)] + [x for pair in self.ivs for x in pair] + [Fraction(1)]
@@ -176,11 +190,12 @@ def oracle_join(families):
     Rejects a family with two overlapping members up front; returns
     (cell text, signature) pairs in the product's (lexicographic) order.
     """
+    families = [[oracle_union(member) for member in fam] for fam in families]
     for fam in families:
         for a, b in combinations(fam, 2):
             if a.intersect(b):
                 raise ValueError("overlapping family")
-    cells = [(IntervalUnion.full(), ())]
+    cells = [(OracleIntervalUnion.full(), ())]
     for fam in families:
         cells = [
             (cell.intersect(member), sig + (i,))
@@ -347,17 +362,18 @@ def is_host_ancestor(u: int, v: int) -> bool:
 
 
 def oracle_intersection_tree_build(F: FunctionClass, gamma, L: int, visit_cap: int):
-    """The intersection-tree search in IntervalUnion algebra.
+    """The intersection-tree search in ``OracleIntervalUnion`` algebra.
 
     Same search order and visit budget as ``intersection_tree_build``, but
-    every path intersection is an explicit IntervalUnion tested for
-    emptiness, and labels and payloads are assigned and undone as the search
-    backtracks.
+    every path intersection is an explicit union tested for emptiness, and
+    labels and payloads (the segments of ``oracle_segment_partition``) are
+    assigned and undone as the search backtracks.
     """
     gamma = Fraction(gamma)
     K = k_of_gamma(gamma)
     pairs = [(k, k2) for k in range(1, K + 1) for k2 in range(k + 2, K + 1)]
     segs = [oracle_segment_partition(f, gamma) for f in F.functions]
+    osegs = [[oracle_union(seg) for seg in row] for row in segs]
     labels, sets, chosen = {}, {}, []
     visits = 0
 
@@ -376,9 +392,9 @@ def oracle_intersection_tree_build(F: FunctionClass, gamma, L: int, visit_cap: i
                     raise BudgetExceeded
                 pick = None
                 for k, k2 in pairs:
-                    if not W.intersect(segs[fi][k - 1]):
+                    if not W.intersect(osegs[fi][k - 1]):
                         continue
-                    if not W.intersect(segs[fi][k2 - 1]):
+                    if not W.intersect(osegs[fi][k2 - 1]):
                         continue
                     pick = (k, k2)
                     break
@@ -394,8 +410,8 @@ def oracle_intersection_tree_build(F: FunctionClass, gamma, L: int, visit_cap: i
                 left, right = 2 * node, 2 * node + 1
                 sets[left] = segs[fi][k - 1]
                 sets[right] = segs[fi][k2 - 1]
-                child_frontier.append((left, W.intersect(segs[fi][k - 1])))
-                child_frontier.append((right, W.intersect(segs[fi][k2 - 1])))
+                child_frontier.append((left, W.intersect(osegs[fi][k - 1])))
+                child_frontier.append((right, W.intersect(osegs[fi][k2 - 1])))
             chosen.append(fi)
             if attempt(level + 1, child_frontier):
                 return True
@@ -406,7 +422,7 @@ def oracle_intersection_tree_build(F: FunctionClass, gamma, L: int, visit_cap: i
         return False
 
     try:
-        ok = attempt(0, [(1, IntervalUnion.full())])
+        ok = attempt(0, [(1, OracleIntervalUnion.full())])
     except BudgetExceeded:
         return None
     if not ok:
@@ -488,6 +504,12 @@ def fraction_pairs(u: IntervalUnion) -> list:
     return [(Fraction(lo, D), Fraction(hi, D)) for lo, hi in u.scaled(D)]
 
 
+def oracle_union(u: IntervalUnion) -> OracleIntervalUnion:
+    """A library union as an ``OracleIntervalUnion``, through
+    :func:`fraction_pairs`."""
+    return OracleIntervalUnion(fraction_pairs(u))
+
+
 def union_of(pairs) -> IntervalUnion:
     """The union of the intervals ``[lo, hi)`` for Fraction or int pairs,
     built from integer pairs over the lcm of their denominators: the
@@ -536,16 +558,6 @@ def split_path(path: SamplePath, split: int):
         SamplePath(OracleTicks(ticks[:split]), path.scale, path.seed, path.spec),
         SamplePath(OracleTicks(ticks[split:]), path.scale, path.seed, path.spec),
     )
-
-
-def subadditivity_check(F: FunctionClass, path: SamplePath, split: int) -> bool:
-    """Exact check of (m+n) G_{m+n} <= m G_m + n G_n across a path split."""
-    head, tail = split_path(path, split)
-
-    def weighted(p):
-        return len(p) * max(per_function_discrepancies(F, p))
-
-    return weighted(path) <= weighted(head) + weighted(tail)
 
 
 def oracle_sample_path(spec, m: int, seed: int):
@@ -638,7 +650,7 @@ def oracle_pieces(f):
         intervals = [
             (lo, hi, v)
             for piece, v in zip(f.pieces, f.values)
-            for lo, hi in OracleIntervalUnion(fraction_pairs(piece))
+            for lo, hi in oracle_union(piece)
         ]
         entry = _PIECE_UNIONS[id(f)] = f, intervals, {}
     return entry[1:]
@@ -684,10 +696,12 @@ def oracle_verify_certificate(F: FunctionClass, gamma, cert: ShatterCertificate)
 
 def oracle_integral(f, a, b):
     """The integral of a STEP function over [a, b) from piece measures: each
-    piece, intersected as an IntervalUnion with [a, b), weighs its value."""
-    window = union_of([(a, b)])
+    piece, intersected as an ``OracleIntervalUnion`` with [a, b), weighs its
+    value."""
+    window = OracleIntervalUnion([(a, b)])
     return sum(
-        (v * piece.intersect(window).measure for piece, v in zip(f.pieces, f.values)),
+        (v * oracle_union(piece).intersect(window).measure
+         for piece, v in zip(f.pieces, f.values)),
         Fraction(0),
     )
 
@@ -697,7 +711,10 @@ def oracle_expectation(f, spec):
     emission, the value of the piece holding the point (``oracle_value_at``),
     a chain's emissions weighed by its ``oracle_stationary`` law."""
     if isinstance(spec, (IIDUniformSpec, RotationSpec)):
-        return sum((v * piece.measure for piece, v in zip(f.pieces, f.values)), Fraction(0))
+        return sum(
+            (v * oracle_union(piece).measure for piece, v in zip(f.pieces, f.values)),
+            Fraction(0),
+        )
     total = Fraction(0)
     for p, e in zip(oracle_stationary(spec.transition), spec.emissions):
         if e.lo == e.hi:  # a point emission
@@ -710,10 +727,11 @@ def oracle_expectation(f, spec):
 def oracle_step(pieces, values) -> Function:
     """A STEP function checked and built on its own, with no shared partition.
 
-    The pieces' cover is checked by their own ``union_all`` and their
-    disjointness by the sum of their measures.  The integer row comes from
-    one sort of the function's (right end, value) pairs, the ends over the
-    lcm of the end denominators and the values over that of the values.
+    The pieces' cover is checked by the ``OracleIntervalUnion`` of their
+    intervals and their disjointness by the sum of their measures.  The
+    integer row comes from one sort of the function's (right end, value)
+    pairs, the ends over the lcm of the end denominators and the values over
+    that of the values.
     """
     pieces = tuple(pieces)
     vals = tuple(Fraction(v) for v in values)
@@ -722,9 +740,10 @@ def oracle_step(pieces, values) -> Function:
     for v in vals:
         if not Fraction(0) <= v <= Fraction(1):
             raise ValueError(f"value {v} outside [0, 1]")
-    if IntervalUnion.union_all(pieces) != IntervalUnion.full():
+    unions = [oracle_union(p) for p in pieces]
+    if OracleIntervalUnion.union_all(unions).ivs != OracleIntervalUnion.full().ivs:
         raise ValueError("step pieces must cover [0, 1)")
-    if sum((p.measure for p in pieces), Fraction(0)) != Fraction(1):
+    if sum((u.measure for u in unions), Fraction(0)) != Fraction(1):
         raise ValueError("step pieces must be pairwise disjoint")
     D = math.lcm(*(hi.denominator for piece in pieces for _, hi in fraction_pairs(piece)))
     W = math.lcm(*(v.denominator for v in vals))
@@ -737,18 +756,19 @@ def oracle_step(pieces, values) -> Function:
 
 def oracle_constant(value) -> Function:
     """The STEP function with one value on the one piece [0, 1)."""
-    return Function.step([IntervalUnion.full()], [value])
+    return Function.step([union_of([(0, 1)])], [value])
 
 
 def oracle_indicator(support: IntervalUnion) -> Function:
     """The 0/1 STEP function of a support, on the two pieces complement and
     support (the complement from ``OracleIntervalUnion``), or constant when
     the support is empty or all of [0, 1)."""
-    if not support:
+    ivs = oracle_union(support)
+    if not ivs:
         return oracle_constant(0)
-    if support.measure == 1:
+    if ivs.measure == 1:
         return oracle_constant(1)
-    rest = union_of(OracleIntervalUnion(fraction_pairs(support)).complement())
+    rest = union_of(ivs.complement())
     return Function.step([rest, support], [0, 1])
 
 
@@ -881,15 +901,19 @@ def oracle_band_of_value(v, gamma) -> int:
 
 
 def oracle_segment_partition(f: Function, gamma):
-    """The K segments of a function: for STEP the ``union_all`` of its
-    pieces whose value lies in each band, for TABULAR the tuple of its
-    domain points whose value does."""
+    """The K segments of a function: for STEP the union of the intervals of
+    its pieces (``oracle_pieces``) whose value lies in each band, merged as
+    an ``OracleIntervalUnion`` and returned as an IntervalUnion; for TABULAR
+    the tuple of its domain points whose value does."""
     groups = [[] for _ in range(k_of_gamma(gamma))]
-    for member, v in zip(f.pieces if f.kind == STEP else f.points, f.values):
-        groups[oracle_band_of_value(v, gamma) - 1].append(member)
     if f.kind == TABULAR:
+        for p, v in zip(f.points, f.values):
+            groups[oracle_band_of_value(v, gamma) - 1].append(p)
         return [tuple(group) for group in groups]
-    return [IntervalUnion.union_all(group) for group in groups]
+    bands = {v: oracle_band_of_value(v, gamma) for v in set(f.values)}
+    for lo, hi, v in oracle_pieces(f)[0]:
+        groups[bands[v] - 1].append((lo, hi))
+    return [union_of(OracleIntervalUnion(group)) for group in groups]
 
 
 def oracle_intersection_tree_verify(tree: CompleteTree, F: FunctionClass, gamma, functions):
@@ -897,17 +921,22 @@ def oracle_intersection_tree_verify(tree: CompleteTree, F: FunctionClass, gamma,
 
     A labeled node compares its children's sets with the segments its label
     names; an unlabeled node looks them up among the level function's
-    segments (from ``oracle_segment_partition``).  A band outside [1, K]
-    raises only when a labeled node reaches it.  Then a walk down every root
-    path intersects the sets and needs positive measure at every node.
+    segments (from ``oracle_segment_partition``, once per level).  A band
+    outside [1, K] raises only when a labeled node reaches it.  Then a walk
+    down every root path intersects the sets, as ``OracleIntervalUnion``s,
+    and needs positive measure at every node.
     """
     gamma = Fraction(gamma)
     K = k_of_gamma(gamma)
     for t in range(2, 1 << (tree.depth + 1)):
         if t not in tree.sets:
             raise MissingPayload(f"node {t} has no set payload")
+    by_level = {}
     for t in range(1, 1 << tree.depth):
-        segs = oracle_segment_partition(F[functions[tree.level_of(t)]], gamma)
+        level = tree.level_of(t)
+        if level not in by_level:
+            by_level[level] = oracle_segment_partition(F[functions[level]], gamma)
+        segs = by_level[level]
         left, right = tree.sets[2 * t], tree.sets[2 * t + 1]
         label = tree.labels.get(t)
         if label is not None:
@@ -927,12 +956,12 @@ def oracle_intersection_tree_verify(tree: CompleteTree, F: FunctionClass, gamma,
 
     def walk(t, W):
         if t != 1:
-            W = W.intersect(tree.sets[t])
+            W = W.intersect(oracle_union(tree.sets[t]))
         if W.measure <= 0:
             return False
         return tree.is_leaf(t) or (walk(2 * t, W) and walk(2 * t + 1, W))
 
-    return walk(1, IntervalUnion.full())
+    return walk(1, OracleIntervalUnion.full())
 
 
 def oracle_tree_to_json(tree: CompleteTree) -> dict:

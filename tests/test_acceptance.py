@@ -41,8 +41,9 @@ from gapdim.shatter import candidate_points
 from oracles import (
     OracleIntervalUnion, fraction_pairs, is_host_ancestor, oracle_band_of_value,
     oracle_max_uniform_depth, oracle_naive_gap_dim, oracle_pruned_gap_dim, oracle_value_at,
-    randbelow, subadditivity_check,
+    randbelow,
 )
+from test_ergoproc import subadditivity_check
 
 F = Fraction
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -1522,3 +1523,57 @@ class TestReportLayout:
         assert code == 0
         assert oracle_dumps(json.loads(out)) + "\n" == out
         assert (tmp_path / "out" / "report.json").read_text() == out
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_command_lines():
+    """Every ``gapdim ...`` line of the README's code blocks, continuation
+    lines joined, as argument lists without the ``gapdim``."""
+    lines, inside = [], False
+    with open(README) as fh:
+        for line in fh:
+            if line.startswith("```"):
+                inside = not inside
+            elif inside and lines and lines[-1].endswith("\\"):
+                lines[-1] = lines[-1][:-1] + line.strip()
+            elif inside and line.startswith("gapdim "):
+                lines.append(line.strip())
+    return [shlex.split(line)[1:] for line in lines]
+
+
+README_LINES = readme_command_lines()
+
+
+class TestReadmeExamples:
+    """The README's CLI examples run as written, on the input files they name."""
+
+    @pytest.fixture
+    def readme_dir(self, tmp_path, monkeypatch):
+        FC = full_join_family(1, 1, 3, F(1, 5))
+        save_class(FC, tmp_path / "class.json")
+        join_shatter(FC, 1, 3, F(1, 5)).save(tmp_path / "cert.json")
+        built = intersection_tree_build(full_join_family(2, 1, 3, F(1, 5)), F(1, 5), 2)
+        built.tree.save(tmp_path / "tree.json")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    def test_every_command_has_an_example(self):
+        assert sorted(argv[0] for argv in README_LINES) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize("argv", README_LINES, ids=[argv[0] for argv in README_LINES])
+    def test_example_exits_0(self, capsys, readme_dir, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0, out
+        assert json.loads(out)["report"]
+
+    def test_the_quoted_closed_orbit_discrepancy(self, capsys):
+        code, out = run(
+            capsys, "discrepancy", "--class", "thresholds(7)", "--process", "rotation",
+            "--m", "1548008755920", "--seed", "1",
+        )
+        assert code == 0
+        with open(README) as fh:
+            assert "reads `gamma_m = 1/3612020430480`" in fh.read().replace("\n", " ")
+        assert json.loads(out)["report"]["gamma_m"]["exact"] == "1/3612020430480"

@@ -60,7 +60,6 @@ from oracles import (
     randbelow,
     sample_path_of,
     split_path,
-    subadditivity_check,
     union_of,
 )
 
@@ -450,6 +449,18 @@ class TestPointwiseDiscrepancy:
         path = sample_path_of((F(1, 4), F(1, 2)), 0, IIDUniformSpec())
         with pytest.raises(ValueError, match="expectations need a STEP class"):
             pointwise_discrepancy(f, path)
+
+
+def subadditivity_check(F: FunctionClass, path: SamplePath, split: int) -> bool:
+    """Exact check of (m+n) G_{m+n} <= m G_m + n G_n across a path split, on
+    the library's ``per_function_discrepancies``: a property of the library,
+    not an oracle."""
+    head, tail = split_path(path, split)
+
+    def weighted(p):
+        return len(p) * max(per_function_discrepancies(F, p))
+
+    return weighted(path) <= weighted(head) + weighted(tail)
 
 
 class TestSubadditivity:

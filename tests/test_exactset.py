@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from gapdim import (
     Function, exactset, full_join_family, gap_dim, intersection_tree_build,
-    intersection_tree_verify, join_shatter, k_of_gamma, maximal_join_from_tree, ptree_witness,
-    rotation_counterexample, shatters, thresholds, trajectory_indicators,
+    intersection_tree_verify, join, join_shatter, k_of_gamma, maximal_join_from_tree,
+    ptree_witness, random_step, rotation_counterexample, shatters, thresholds,
+    trajectory_indicators,
 )
 from gapdim.ergoproc import Emission, IIDUniformSpec, bound_check
 from gapdim.exactset import (
@@ -27,10 +28,23 @@ from gapdim.exactset import (
     read_json_object,
     write_json,
 )
-from gapdim.funclass import Domain, cell_bands, class_to_json, save_class, values_at
+from gapdim.funclass import (
+    Domain, cell_bands, class_to_json, save_class, segment_partition, values_at,
+)
 from gapdim.treelab import pow2_text
 
-from oracles import OracleIntervalUnion, fraction_pairs, oracle_dumps, union_of
+from oracles import (
+    OracleIntervalUnion,
+    fraction_pairs,
+    oracle_dumps,
+    oracle_integral,
+    oracle_intersection_tree_build,
+    oracle_intersection_tree_verify,
+    oracle_join,
+    oracle_segment_partition,
+    oracle_step,
+    union_of,
+)
 
 F = Fraction
 
@@ -197,6 +211,79 @@ class TestMatchesOracle:
         u = union_of(pairs)
         back = IntervalUnion.from_text(OracleIntervalUnion(pairs).to_text())
         assert back == u and hash(back) == hash(u)
+
+
+def _oracle_join_case():
+    J, gamma = full_join_family(2, 1, 3, F(1, 5)), F(1, 5)
+    families = [(parts[0], parts[2]) for parts in
+                (segment_partition(J, i, gamma) for i in range(len(J)))]
+    want = [(c.cell.to_text(), c.signature) for c in join(J, gamma, 1, 3)]
+    return lambda: oracle_join(families), want
+
+
+def _oracle_integral_case():
+    f = thresholds(4)[1]  # the indicator of [1/2, 1)
+    return lambda: oracle_integral(f, F(1, 3), F(7, 8)), F(3, 8)
+
+
+def _oracle_step_case():
+    pieces = [iu((0, 1, 1, 3), (2, 3, 1, 1)), iu((1, 3, 2, 3))]
+    want = Function.step(pieces, [F(1, 2), 1])._row
+
+    def run():
+        with pytest.raises(ValueError, match="cover"):
+            oracle_step(pieces[:1], [1])
+        return oracle_step(pieces, [F(1, 2), 1])._row
+
+    return run, want
+
+
+def _oracle_segment_partition_case():
+    FC, gamma = random_step(5, 16, 7, 2), F(1, 4)
+    return lambda: oracle_segment_partition(FC[1], gamma), segment_partition(FC, 1, gamma)
+
+
+def _oracle_tree_build_case():
+    J, gamma = full_join_family(2, 1, 3, F(1, 5)), F(1, 5)
+    built = intersection_tree_build(J, gamma, 2)
+    want = (built.tree.to_json(), built.functions)
+
+    def run():
+        got = oracle_intersection_tree_build(J, gamma, 2, 1_000_000)
+        return got.tree.to_json(), got.functions
+
+    return run, want
+
+
+def _oracle_tree_verify_case():
+    J, gamma = full_join_family(2, 1, 3, F(1, 5)), F(1, 5)
+    built = intersection_tree_build(J, gamma, 2)
+    return lambda: oracle_intersection_tree_verify(built.tree, J, gamma, built.functions), True
+
+
+ORACLE_CASES = [
+    ("oracle_join", _oracle_join_case),
+    ("oracle_integral", _oracle_integral_case),
+    ("oracle_step", _oracle_step_case),
+    ("oracle_segment_partition", _oracle_segment_partition_case),
+    ("oracle_intersection_tree_build", _oracle_tree_build_case),
+    ("oracle_intersection_tree_verify", _oracle_tree_verify_case),
+]
+
+
+@pytest.mark.parametrize("case", [case for _, case in ORACLE_CASES],
+                         ids=[name for name, _ in ORACLE_CASES])
+def test_oracle_does_its_own_set_algebra(monkeypatch, case):
+    """An oracle's answer holds with the library's set algebra switched
+    off: its inputs and the library's answer are built first."""
+    run, want = case()
+
+    def refuse(*args):
+        raise AssertionError("an oracle called the library's set algebra")
+
+    for name in ("intersect", "union_all", "full"):
+        monkeypatch.setattr(IntervalUnion, name, refuse)
+    assert run() == want
 
 
 class TestDenominator:

@@ -1037,7 +1037,7 @@ class TestBornWithItsTable:
         def refuse(F):
             raise AssertionError("a generated class merges no rows")
 
-        monkeypatch.setattr(funclass, "_refine", refuse)
+        monkeypatch.setattr(funclass, "_merge", refuse)
         FC = generate(spec)
         C, cuts, V, rows = refinement(FC)
         assert (C, cuts) == (len(FC[0].pieces), tuple(range(C + 1)))

@@ -393,16 +393,17 @@ class TestValueTable:
         from gapdim import funclass
 
         builds = []
-        build = funclass._refine
-        monkeypatch.setattr(funclass, "_refine", lambda F: builds.append(F) or build(F))
+        build = funclass._merge
+        monkeypatch.setattr(funclass, "_merge", lambda fns: builds.append(fns) or build(fns))
         generated = random_step(3, 12, 8, 32)
-        FC = FunctionClass(list(generated))  # assembled from functions
+        FC = FunctionClass(list(generated))  # assembled from functions: merged at birth
+        assert builds == [FC.functions]
         res = gap_dim(FC, F(1, 8))
-        assert res.dimension >= 1 and builds == [FC]
+        assert res.dimension >= 1 and builds == [FC.functions]
         gap_dim(FC, F(1, 5))
-        assert builds == [FC]
+        assert builds == [FC.functions]
         # a generated class is born with its table
-        assert gap_dim(generated, F(1, 8)) == res and builds == [FC]
+        assert gap_dim(generated, F(1, 8)) == res and builds == [FC.functions]
 
     @pytest.mark.parametrize(
         "spec",
@@ -456,7 +457,6 @@ class TestCandidatePoints:
                 seen.add(column)
                 want.append(p)
         monkeypatch.setattr(shatter, "values_at", None)  # never called
-        monkeypatch.setattr(pts, "position", {})  # never read
         assert candidate_points(FC) == want
 
     @pytest.mark.parametrize(
