@@ -68,10 +68,9 @@ import sys
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactset import ONE, ZERO, RationalLike, as_fraction
 from .funclass import (
@@ -114,8 +113,7 @@ def golden_rotation_angle() -> Fraction:
     return Fraction(a, b)
 
 
-@dataclass(frozen=True)
-class Emission:
+class Emission(NamedTuple):
     """Per-state output: a uniform draw on [lo, hi), or the point lo when
     lo == hi."""
 
@@ -144,11 +142,20 @@ def _uniform_masses(C: int, cuts: Sequence[int]) -> Tuple[int, List[int]]:
     return C, list(map(operator.sub, cuts[1:], cuts))
 
 
-@dataclass(frozen=True)
 class IIDUniformSpec:
     """Independent uniform points on [0, 1)."""
 
+    __slots__ = ()
     max_length = MAX_DRAWN_POINTS
+
+    def __eq__(self, other):
+        return type(other) is IIDUniformSpec or NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(IIDUniformSpec)
+
+    def __repr__(self) -> str:
+        return "IIDUniformSpec()"
 
     def path(self, m: int, seed: int) -> Tuple[int, "Draws"]:
         """One uniform per point.  N = 2**64 and the tick is k << 11, the
@@ -160,15 +167,17 @@ class IIDUniformSpec:
     cell_masses = staticmethod(_uniform_masses)
 
 
-@dataclass(frozen=True)
-class RotationSpec:
-    theta: Fraction
+class RotationSpec(NamedTuple("RotationSpec", [("theta", Fraction)])):
+    """The rotation x -> x + theta (mod 1), theta in (0, 1), started uniformly."""
 
+    __slots__ = ()
     max_length = None
 
-    def __post_init__(self):
-        if not ZERO < self.theta < ONE:
-            raise ValueError(f"theta must be in (0, 1), got {self.theta}")
+    def __new__(cls, theta: RationalLike):
+        theta = as_fraction(theta)
+        if not ZERO < theta < ONE:
+            raise ValueError(f"theta must be in (0, 1), got {theta}")
+        return super().__new__(cls, theta)
 
     def path(self, m: int, seed: int) -> Tuple[int, "Orbit"]:
         """One uniform for the start x0 (one ``unit_fraction()`` call), then
@@ -185,33 +194,42 @@ class RotationSpec:
     cell_masses = staticmethod(_uniform_masses)
 
 
-@dataclass(frozen=True)
 class MarkovSpec:
     """A finite chain started from its stationary law, one emission per state;
-    the one solve for that law (`_stationary`) also decides irreducibility."""
+    the one solve for that law (`_stationary`) also decides irreducibility.
+    Specs compare, hash and print by ``transition`` and ``emissions`` only."""
 
-    transition: Tuple[Tuple[Fraction, ...], ...]
-    emissions: Tuple[Emission, ...]
-    stationary: Tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-
+    __slots__ = ("transition", "emissions", "stationary")
     max_length = MAX_DRAWN_POINTS
 
-    def __post_init__(self):
-        n = len(self.transition)
-        if n == 0 or any(len(row) != n for row in self.transition):
+    def __init__(self, transition: Sequence[Sequence[RationalLike]], emissions: Sequence[Emission]):
+        transition = tuple(tuple(map(as_fraction, row)) for row in transition)
+        n = len(transition)
+        if n == 0 or any(len(row) != n for row in transition):
             raise ValueError("transition matrix must be square and non-empty")
-        if len(self.emissions) != n:
+        if len(emissions) != n:
             raise ValueError("need one emission per state")
-        for row in self.transition:
+        for row in transition:
             if any(p < 0 for p in row):
                 raise ValueError("transition probabilities must be >= 0")
             if sum(row, ZERO) != ONE:
                 raise ValueError("transition rows must sum to 1 exactly")
         # solved once per spec: every expectation and path start reads it
-        pi = _stationary(self.transition)
+        pi = _stationary(transition)
         if pi is None or not all(pi):
             raise ValueError("transition matrix is not irreducible")
-        object.__setattr__(self, "stationary", pi)
+        self.transition, self.emissions, self.stationary = transition, tuple(emissions), pi
+
+    def __eq__(self, other):
+        if type(other) is not MarkovSpec:
+            return NotImplemented
+        return (self.transition, self.emissions) == (other.transition, other.emissions)
+
+    def __hash__(self) -> int:
+        return hash((self.transition, self.emissions))
+
+    def __repr__(self) -> str:
+        return f"MarkovSpec(transition={self.transition!r}, emissions={self.emissions!r})"
 
     def path(self, m: int, seed: int) -> Tuple[int, "Walk"]:
         """One uniform for the stationary initial state, then per step one
@@ -302,15 +320,14 @@ def floor_sum(n: int, M: int, a: int, b: int) -> int:
         M, a = a, M
 
 
-@dataclass(frozen=True)
 class Orbit:
     """The ticks (first + i * step) mod scale, i = 0 .. length - 1, of a
     rotation path, counted by floor sums and built only when iterated."""
 
-    first: int
-    step: int
-    scale: int
-    length: int
+    __slots__ = ("first", "step", "scale", "length")
+
+    def __init__(self, first: int, step: int, scale: int, length: int):
+        self.first, self.step, self.scale, self.length = first, step, scale, length
 
     def __iter__(self) -> Iterator[int]:
         stop = self.first + self.length * self.step
@@ -423,7 +440,6 @@ class Draws:
         return _binned_counts(blocks, table, thresholds, lengths)
 
 
-@dataclass(frozen=True, eq=False)
 class SamplePath:
     """Sample points x_i = tick_i / scale, held as integers over one scale.
 
@@ -433,10 +449,10 @@ class SamplePath:
     its ticks, in order, only when iterated.  Paths compare by identity.
     """
 
-    ticks: Union[Draws, Orbit, Walk]
-    scale: int
-    seed: int
-    spec: ProcessSpec
+    __slots__ = ("ticks", "scale", "seed", "spec")
+
+    def __init__(self, ticks: Union[Draws, Orbit, Walk], scale: int, seed: int, spec: ProcessSpec):
+        self.ticks, self.scale, self.seed, self.spec = ticks, scale, seed, spec
 
     @property
     def values(self) -> Tuple[Fraction, ...]:
@@ -642,8 +658,7 @@ def per_function_discrepancies(F: FunctionClass, path: SamplePath) -> List[Fract
     return _discrepancies(F, path, [path.length])[0]
 
 
-@dataclass(frozen=True)
-class GammaReport:
+class GammaReport(NamedTuple):
     """Discrepancies over an (m, replicate) grid plus per-m summaries."""
 
     rows: Tuple[Tuple[int, int, Fraction], ...]  # (m, replicate, gamma_m)
@@ -692,8 +707,7 @@ def estimate_gamma(
 BASE_POINTS = tuple(Fraction(j, 7) for j in range(1, 6))
 
 
-@dataclass(frozen=True)
-class RotationDemoReport:
+class RotationDemoReport(NamedTuple):
     m: int
     theta: Fraction
     x0: Fraction
@@ -753,8 +767,7 @@ def rotation_counterexample(
     )
 
 
-@dataclass(frozen=True)
-class BoundCheckReport:
+class BoundCheckReport(NamedTuple):
     dim: DimResult
     estimate: Fraction
     bound: Fraction  # 10 * gamma

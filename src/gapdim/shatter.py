@@ -36,10 +36,9 @@ certificate at resolution gamma/2.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactset import (
     IntervalUnion, RationalLike, as_fraction, format_rational, json_int, json_key, json_list,
@@ -57,8 +56,7 @@ class MalformedCertificate(ValueError):
     """Certificate refers to unknown functions, foreign points, or misses masks."""
 
 
-@dataclass(frozen=True)
-class ShatterCertificate:
+class ShatterCertificate(NamedTuple):
     """Witness that `points` are shattered: mask bit i refers to points[i].
 
     selector maps every subset mask m in [0, 2**d) to the index of a
@@ -96,8 +94,7 @@ class ShatterCertificate:
         return cls.from_json(read_json_object(path))
 
 
-@dataclass(frozen=True)
-class DimResult:
+class DimResult(NamedTuple):
     """Outcome of a gap-dimension search.
 
     When `exact` is False the search found a shattered set of size `cap`
@@ -330,8 +327,7 @@ def gap_dim(F: FunctionClass, gamma: RationalLike, cap: int = 20) -> DimResult:
     return DimResult(dimension=best, exact=exact, certificate=cert)
 
 
-@dataclass(frozen=True)
-class JoinCell:
+class JoinCell(NamedTuple):
     cell: IntervalUnion
     signature: Tuple[int, ...]
 

@@ -19,10 +19,9 @@ level's segments once, in one pass down the tree.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, takewhile
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .exactset import (
     IntervalUnion, RationalLike, as_fraction, json_int, json_key, json_list, json_object,
@@ -156,8 +155,7 @@ def pow2_text(L: int, c: RationalLike = 1, plus: int = 0) -> str:
     return ("2" if c == 1 else f"{c}*2") + f"^{L}" + (f"{plus:+d}" if plus else "")
 
 
-@dataclass(frozen=True)
-class PtreeWitness:
+class PtreeWitness(NamedTuple):
     level: int
     nodes: frozenset
     u: int
@@ -238,8 +236,7 @@ def ptree_witness(tree: CompleteTree, S: Sequence[int], c: RationalLike) -> Ptre
     return PtreeWitness(level=level, nodes=frozenset(nodes), u=u)
 
 
-@dataclass(frozen=True)
-class EmbeddedSubtree:
+class EmbeddedSubtree(NamedTuple):
     """A complete binary subtree embedded in a host tree.
 
     ``nodes[i - 1]`` is the host node playing heap position i; parent-child
@@ -358,8 +355,7 @@ def subtree_guarantee(L: int, K: int) -> Tuple[int, Fraction]:
 # Intersection trees
 
 
-@dataclass(frozen=True)
-class IntersectionTree:
+class IntersectionTree(NamedTuple):
     """A built intersection tree plus the per-level function indices."""
 
     tree: CompleteTree
@@ -481,8 +477,7 @@ def intersection_tree_verify(
     return True
 
 
-@dataclass(frozen=True)
-class MaximalJoin:
+class MaximalJoin(NamedTuple):
     """A uniform-label subtree's function sequence and its full join."""
 
     function_indices: Tuple[int, ...]

@@ -243,6 +243,38 @@ MUTANTS = [
         "bisect_left(cuts, e.lo.numerator * C // e.lo.denominator)", ERGOPROC_TESTS,
     ),
     Mutant(
+        "_stationary: pi P = pi solved as P pi = pi", "ergoproc.py", "_stationary",
+        "P[j][i]", "P[i][j]", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "_stationary: no back substitution above the pivot", "ergoproc.py", "_stationary",
+        "r != col and A[r][col] != 0", "r > col and A[r][col] != 0", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "_stationary: the right-hand side not scaled by the row factor", "ergoproc.py",
+        "_stationary", "factor * b[col]", "b[col]", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "expectation: the cell masses' denominator B dropped", "ergoproc.py", "expectation",
+        "V * B", "V", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "expectation: every process weighs cells as the uniform law", "ergoproc.py",
+        "expectation", "spec.cell_masses(C, cuts)", "_uniform_masses(C, cuts)", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "MarkovSpec.__init__: rows not checked to sum to 1", "ergoproc.py",
+        "MarkovSpec.__init__", "sum(row, ZERO) != ONE", "False", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "RotationSpec.__new__: theta 0 accepted", "ergoproc.py", "RotationSpec.__new__",
+        "ZERO < theta < ONE", "ZERO <= theta < ONE", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "RotationSpec.__new__: theta not read through as_fraction", "ergoproc.py",
+        "RotationSpec.__new__", "as_fraction(theta)", "theta", EXACTSET_TESTS,
+    ),
+    Mutant(
         "IntervalUnion: touching intervals kept apart", "exactset.py", "__init__",
         "lo > end", "lo >= end", EXACTSET_TESTS,
     ),
@@ -283,6 +315,23 @@ MUTANTS = [
     Mutant(
         "intersection_tree_build: every cell's mask bit moved one up", "treelab.py",
         "intersection_tree_build", "1 << j", "1 << (j + 1)", TREELAB_TESTS,
+    ),
+    Mutant(
+        "intersection_tree_verify: an empty root-to-node intersection passes", "treelab.py",
+        "intersection_tree_verify", "not below[-1]", "False", TREELAB_TESTS,
+    ),
+    Mutant(
+        "intersection_tree_verify: adjacent segments pass", "treelab.py",
+        "intersection_tree_verify", "not non_adjacent(k, k2)", "False", TREELAB_TESTS,
+    ),
+    Mutant(
+        "intersection_tree_verify: a label naming other segments passes", "treelab.py",
+        "intersection_tree_verify", "(segs[k - 1], segs[k2 - 1]) != pair", "False",
+        TREELAB_TESTS,
+    ),
+    Mutant(
+        "intersection_tree_verify: each node checked alone, not with its path", "treelab.py",
+        "intersection_tree_verify", "W.intersect(s)", "s", TREELAB_TESTS,
     ),
     Mutant(
         "_config: a repeated flag overrides the first", "cli.py", "_config",

@@ -51,6 +51,14 @@ class OracleIntervalUnion:
         self.ivs = tuple(merged)
 
     @classmethod
+    def _canonical(cls, pairs):
+        """The union of ``pairs`` that are already canonical: non-empty,
+        sorted and apart, as ``__init__`` would leave them."""
+        union = cls.__new__(cls)
+        union.ivs = tuple(pairs)
+        return union
+
+    @classmethod
     def union_all(cls, unions):
         return cls([pair for u in unions for pair in u.ivs])
 
@@ -75,7 +83,8 @@ class OracleIntervalUnion:
     def intersect(self, other):
         """Per interval [a, b) of self, the intervals of other that meet it:
         from the first one ending past a (one bisect of their right ends) to
-        the last one starting before b."""
+        the last one starting before b.  Each piece is non-empty, and the
+        pieces come sorted and apart, as both unions' intervals are."""
         ends = [d for _, d in other.ivs]
         pieces = []
         for a, b in self.ivs:
@@ -83,7 +92,7 @@ class OracleIntervalUnion:
                 if not c < b:
                     break
                 pieces.append((max(a, c), min(b, d)))
-        return OracleIntervalUnion(pieces)
+        return OracleIntervalUnion._canonical(pieces)
 
     def complement(self):
         ends = [Fraction(0)] + [x for pair in self.ivs for x in pair] + [Fraction(1)]

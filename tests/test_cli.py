@@ -270,13 +270,27 @@ class TestFlagGrammar:
             main([*self.ARGV, "--help"])
         assert run_main(*self.ARGV) == first
 
-    def test_the_cli_does_not_import_argparse(self):
-        code = "import sys, gapdim.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    @staticmethod
+    def fresh_python(code):
+        """The stdout of ``code`` run in a fresh interpreter on this gapdim."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
-        assert done.stdout == "[]\n"
+        return done.stdout
+
+    def test_the_cli_does_not_import_argparse(self):
+        code = "import sys, gapdim.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+        assert self.fresh_python(code) == "[]\n"
+
+    def test_the_cli_imports_neither_dataclasses_nor_inspect(self):
+        """Only what the import adds counts, so a site hook that preloads
+        either module does not fail this."""
+        code = (
+            "import sys; before = set(sys.modules); import gapdim.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        )
+        assert self.fresh_python(code) == "[]\n"
 
 
 class TestInputErrors:

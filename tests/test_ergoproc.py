@@ -2,7 +2,6 @@ import json
 import tracemalloc
 from array import array
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 
@@ -151,6 +150,49 @@ class TestSpecs:
     def test_stationary_law_is_not_part_of_equality(self):
         assert markov2() == markov2() and hash(markov2()) == hash(markov2())
         assert "stationary" not in repr(markov2()) and "_pi" not in repr(markov2())
+
+    def test_rotation_theta_lies_strictly_between_0_and_1(self):
+        assert RotationSpec(F(1, 3)).theta == RotationSpec(theta=F(1, 3)).theta == F(1, 3)
+        for theta in (F(0), F(1), F(-1, 3), F(4, 3), 0, 1):
+            with pytest.raises(ValueError, match=r"^theta must be in \(0, 1\), got "):
+                RotationSpec(theta=theta)
+
+    def test_markov_spec_holds_tuples_of_fractions(self):
+        spec = MarkovSpec([[F(1, 2), F(1, 2)], [1, 0]], list(markov2().emissions))
+        assert spec.transition == ((F(1, 2), F(1, 2)), (F(1), F(0)))
+        assert type(spec.emissions) is tuple and spec.emissions == markov2().emissions
+        assert {type(p) for row in spec.transition for p in row} == {Fraction}
+        assert spec == markov2() and hash(spec) == hash(markov2())
+
+    def test_every_spec_is_true(self):
+        assert all(map(bool, (IIDUniformSpec(), RotationSpec(F(1, 3)), markov2())))
+
+    def test_specs_compare_hash_and_print_by_value(self):
+        def specs():
+            return [IIDUniformSpec(), RotationSpec(F(1, 3)), RotationSpec(F(2, 3)), markov2(),
+                    markov3()]
+
+        specs, again = specs(), specs()
+        assert specs == again and list(map(hash, specs)) == list(map(hash, again))
+        assert list(map(repr, specs)) == list(map(repr, again))
+        assert len(set(specs)) == 5 and all(a != b for a, b in zip(specs, specs[1:]))
+        assert repr(specs[0]) == "IIDUniformSpec()"
+        assert repr(specs[1]) == "RotationSpec(theta=Fraction(1, 3))"
+        assert repr(specs[3]).startswith("MarkovSpec(transition=((Fraction(1, 2), ")
+
+    def test_records_compare_and_hash_by_their_fields(self):
+        point = Emission.point(F(1, 4))
+        assert point == Emission(F(1, 4), F(1, 4)) == Emission(lo=F(1, 4), hi=F(1, 4))
+        assert hash(point) == hash(Emission(F(1, 4), F(1, 4)))
+        assert point != Emission.uniform(F(1, 4), F(1, 2))
+        assert repr(point) == "Emission(lo=Fraction(1, 4), hi=Fraction(1, 4))"
+        FC = thresholds(4)
+        assert bound_check(FC, IIDUniformSpec(), F(1, 4), 50, 2, 3) == bound_check(
+            FC, IIDUniformSpec(), F(1, 4), 50, 2, 3
+        )
+        assert estimate_gamma(FC, IIDUniformSpec(), [10, 20], 2, 1) == estimate_gamma(
+            FC, IIDUniformSpec(), [10, 20], 2, 1
+        )
 
 
 class TestSamplePath:
@@ -886,7 +928,7 @@ class TestOrbitCounts:
         theta, seed, m, lengths = case
         path = sample_path(RotationSpec(theta=theta), m, seed)
         assert isinstance(path.ticks, Orbit) and len(path) == m
-        binned = replace(path, ticks=OracleTicks(path.ticks))
+        binned = SamplePath(OracleTicks(path.ticks), path.scale, path.seed, path.spec)
         for FC in (thresholds(16), random_step(class_seed, 16, 8, 32), interval_indicators(10)):
             assert class_means(FC, path, lengths) == class_means(FC, binned, lengths)
 
@@ -1180,7 +1222,7 @@ class TestManyStates:
         path = sample_path(cycle257, 1000, 3)
         assert isinstance(path.ticks.states, array) and max(path.ticks.states) > 255
         assert path.values == oracle_sample_path(cycle257, 1000, 3)
-        as_tuple = replace(path, ticks=OracleTicks(path.ticks))
+        as_tuple = SamplePath(OracleTicks(path.ticks), path.scale, path.seed, path.spec)
         lengths = [1, 400, 1000]
         for FC in (thresholds(16), random_step(5, 12, 8, 9), cut_at(path.values[:40])):
             assert discrepancy(FC, path, lengths) == discrepancy(FC, as_tuple, lengths)

@@ -17,7 +17,7 @@ from gapdim import (
     ptree_witness, random_step, rotation_counterexample, shatters, thresholds,
     trajectory_indicators,
 )
-from gapdim.ergoproc import Emission, IIDUniformSpec, bound_check
+from gapdim.ergoproc import Emission, IIDUniformSpec, MarkovSpec, RotationSpec, bound_check
 from gapdim.exactset import (
     IntervalUnion,
     decimal12,
@@ -204,6 +204,14 @@ class TestMatchesOracle:
     def test_intersect(self, a, b):
         u = union_of(a).intersect(union_of(b))
         assert_matches(u, OracleIntervalUnion(a).intersect(OracleIntervalUnion(b)))
+
+    @given(raw_pairs, raw_pairs)
+    @settings(max_examples=200, deadline=None)
+    def test_oracle_intersect_is_canonical(self, a, b):
+        """The oracle's intersection skips ``__init__``: its pieces are
+        already what ``__init__`` would make of them."""
+        meet = OracleIntervalUnion(a).intersect(OracleIntervalUnion(b))
+        assert meet.ivs == OracleIntervalUnion(meet.ivs).ivs
 
     @given(raw_pairs)
     @settings(max_examples=150, deadline=None)
@@ -584,6 +592,7 @@ def _entry_points():
     T = thresholds(8)
     J = full_join_family(1, 1, 3, F(1, 5))
     built = intersection_tree_build(J, F(1, 5), 1)
+    P = Emission.point(F(1, 2))
     return [
         ("gap_dim", lambda x: gap_dim(T, x)),
         ("k_of_gamma", k_of_gamma),
@@ -599,6 +608,8 @@ def _entry_points():
         ("Emission.point", Emission.point),
         ("Emission.uniform lo", lambda x: Emission.uniform(x, 1)),
         ("Emission.uniform hi", lambda x: Emission.uniform(0, x)),
+        ("RotationSpec", lambda x: RotationSpec(theta=x)),
+        ("MarkovSpec", lambda x: MarkovSpec(((x, F(3, 4)), (1, 0)), (P, P))),
         ("full_join_family", lambda x: full_join_family(1, 1, 3, x)),
         ("trajectory_indicators theta", lambda x: trajectory_indicators(x, [F(1, 7)], 2)),
         ("trajectory_indicators base", lambda x: trajectory_indicators(F(1, 9), [x], 2)),

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import gapdim
+import mutants
 
 SOURCES = sorted(Path(gapdim.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
@@ -26,10 +27,9 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_imports_stay_in_the_standard_library():
-    """The library has no dependencies (``dependencies = []``)."""
-    allowed = sys.stdlib_module_names | {"gapdim"}
-    found = []
+def imported_modules():
+    """``(file:line, top-level package)`` of every absolute import in the
+    library; a relative import stays inside gapdim."""
     for name, tree in TREES.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -37,13 +37,23 @@ def test_imports_stay_in_the_standard_library():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 modules = [node.module]
             else:
-                continue  # not an import, or a relative one inside gapdim
-            found += [
-                f"{name}:{node.lineno} {module}"
-                for module in modules
-                if module.partition(".")[0] not in allowed
-            ]
+                continue
+            for module in modules:
+                yield f"{name}:{node.lineno}", module.partition(".")[0]
+
+
+def test_imports_stay_in_the_standard_library():
+    """The library has no dependencies (``dependencies = []``)."""
+    allowed = sys.stdlib_module_names | {"gapdim"}
+    found = [f"{at} {module}" for at, module in imported_modules() if module not in allowed]
     assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    """Records are NamedTuples or slotted classes.  ``dataclasses`` writes
+    and compiles the methods of each of its classes at every start, and
+    imports ``inspect``, ``ast`` and ``tokenize`` first."""
+    assert [at for at, module in imported_modules() if module == "dataclasses"] == []
 
 
 FLOAT_ALLOWED = {("exactset.py", "decimal12")}  # formats report columns
@@ -270,3 +280,14 @@ def test_no_type_dispatch_on_the_process_spec():
             if named & PROCESS_SPECS:
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_every_mutant_edits_its_function_once():
+    """Each mutant of ``tests/mutants.py`` names exactly one function and
+    finds its ``old`` text there exactly once (else ``mutated_source``
+    exits), so a kernel that is renamed or reshaped leaves no mutant that
+    edits nothing."""
+    texts = {path.name: path.read_text() for path in SOURCES}
+    for mutant in mutants.MUTANTS:
+        edited = mutants.mutated_source(texts[mutant.module], mutant)
+        assert edited != ast.unparse(TREES[mutant.module]), mutant.name
