@@ -179,6 +179,11 @@ class RotationSpec(NamedTuple("RotationSpec", [("theta", Fraction)])):
             raise ValueError(f"theta must be in (0, 1), got {theta}")
         return super().__new__(cls, theta)
 
+    @classmethod
+    def _make(cls, iterable) -> "RotationSpec":
+        """Through ``__new__``, so that ``_replace`` validates as well."""
+        return cls(*iterable)
+
     def path(self, m: int, seed: int) -> Tuple[int, "Orbit"]:
         """One uniform for the start x0 (one ``unit_fraction()`` call), then
         frac(x0 + i*theta) for i = 1..m.  N = 2**53 * den(theta); each step

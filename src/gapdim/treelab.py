@@ -374,8 +374,17 @@ def intersection_tree_build(
     current node's path intersection meets two non-adjacent segments of it
     in positive measure; the lexicographically least valid segment pair is
     taken per node and the function choice backtracks on dead ends.
-    Returns None when the search space or the visit budget is exhausted,
-    which is a legitimate outcome for classes that admit no such tree.
+
+    A visit is one (function, frontier node) pair examined: the nodes of a
+    level are tried in order until one meets no usable pair, and that node
+    counts too.  ``visit_cap`` bounds the visits of the whole search.
+
+    None means that the visit budget ran out, or that the greedy order
+    found no tree: the search never backtracks over a node's pair.  It
+    proves that the class has no depth-L tree at gamma only when the budget
+    did not run out and every function has at most one usable pair (two
+    non-empty, non-adjacent segments); otherwise a tree that picks a later
+    pair at some node may still exist.
     """
     gamma = as_fraction(gamma)
     if L < 1:
@@ -383,7 +392,6 @@ def intersection_tree_build(
     if F.kind != STEP:
         raise ValueError("intersection trees need a STEP class")
     K = k_of_gamma(gamma)
-    pairs = [(k, k2) for k in range(1, K + 1) for k2 in range(k + 2, K + 1)]
     # Segments and path intersections are unions of refinement cells, held
     # as bitmasks over the cells; every cell has positive measure, so an
     # intersection has positive measure iff its mask is non-zero.
@@ -392,6 +400,16 @@ def intersection_tree_build(
     for seg, row in zip(masks, bands):
         for j, k in enumerate(row):
             seg[k] |= 1 << j
+    # Per function, its usable choices in pair order: the non-adjacent band
+    # pairs whose two segments are both non-empty, with those segments'
+    # masks.  No other pair can meet a path intersection, so a visit tries
+    # only these.
+    choices = []
+    for seg in masks:
+        present = [k for k in range(1, K + 1) if seg[k]]
+        choices.append(
+            [((k, k2), seg[k], seg[k2]) for k in present for k2 in present if k2 > k + 1]
+        )
 
     stack: List[Tuple[int, List[Label]]] = []  # per level: (function, labels)
     visits = 0
@@ -400,19 +418,22 @@ def intersection_tree_build(
         nonlocal visits
         if len(stack) == L:
             return True
-        for fi, seg in enumerate(masks):
+        for fi, usable in enumerate(choices):
             picks = []
             for W in frontier:
-                visits += 1
-                if visits > visit_cap:
-                    return False  # every enclosing level stops at its next visit
-                pick = next((p for p in pairs if W & seg[p[0]] and W & seg[p[1]]), None)
-                if pick is None:
+                for choice in usable:
+                    if W & choice[1] and W & choice[2]:
+                        picks.append(choice)
+                        break
+                else:
+                    visits += 1  # the node no choice meets was visited too
                     break
-                picks.append(pick)
-            else:
-                stack.append((fi, picks))
-                if attempt([W & seg[k] for W, pair in zip(frontier, picks) for k in pair]):
+            visits += len(picks)
+            if visits > visit_cap:
+                return False  # every enclosing level stops after its next sweep
+            if len(picks) == len(frontier):
+                stack.append((fi, [pair for pair, _, _ in picks]))
+                if attempt([W & m for W, (_, a, b) in zip(frontier, picks) for m in (a, b)]):
                     return True
                 stack.pop()
         return False

@@ -106,6 +106,10 @@ MUTANTS = [
         "len(cand) > len(best_set)", "len(cand) >= len(best_set)",
     ),
     Mutant(
+        "join: segment k taken for signature entry 1 and segment k2 for 0", "shatter.py",
+        "join", "{k: 0, k2: 1}", "{k: 1, k2: 0}",
+    ),
+    Mutant(
         "values_at: a point read one cell to the right", "funclass.py", "values_at",
         "bisect_right(cuts, x.numerator * C // x.denominator) - 1",
         "bisect_right(cuts, x.numerator * C // x.denominator)",
@@ -200,6 +204,10 @@ MUTANTS = [
         "Orbit.counts: the m of the floor-sum identity dropped", "ergoproc.py",
         "Orbit.counts", "top - floor_sum(m, N, d, b + N - K) + m",
         "top - floor_sum(m, N, d, b + N - K)", ERGOPROC_TESTS,
+    ),
+    Mutant(
+        "_class_sums: the first interior cut of the class table dropped", "ergoproc.py",
+        "_class_sums", "cuts[1:-1]", "cuts[2:-1]", ERGOPROC_TESTS,
     ),
     Mutant(
         "_top_byte_table: a split byte left unmarked", "ergoproc.py", "_top_byte_table",
@@ -315,6 +323,18 @@ MUTANTS = [
     Mutant(
         "intersection_tree_build: every cell's mask bit moved one up", "treelab.py",
         "intersection_tree_build", "1 << j", "1 << (j + 1)", TREELAB_TESTS,
+    ),
+    Mutant(
+        "intersection_tree_build: the node no choice meets not counted as a visit",
+        "treelab.py", "intersection_tree_build", "visits += 1", "pass", TREELAB_TESTS,
+    ),
+    Mutant(
+        "intersection_tree_build: a node's last usable pair preferred to its first",
+        "treelab.py", "intersection_tree_build", "usable", "usable[::-1]", TREELAB_TESTS,
+    ),
+    Mutant(
+        "uniform_subtree: the leaves put on the last stage's level", "treelab.py",
+        "uniform_subtree", "chosen[-1][0] + 1", "chosen[-1][0]", TREELAB_TESTS,
     ),
     Mutant(
         "intersection_tree_verify: an empty root-to-node intersection passes", "treelab.py",

@@ -34,7 +34,11 @@ class OracleIntervalUnion:
     def __init__(self, intervals=()):
         pairs = []
         for lo, hi in intervals:
-            lo, hi = Fraction(lo), Fraction(hi)
+            # a Fraction is kept as it is: converting it again only copies it
+            if not isinstance(lo, Fraction):
+                lo = Fraction(lo)
+            if not isinstance(hi, Fraction):
+                hi = Fraction(hi)
             if lo == hi:
                 continue
             if not (0 <= lo < hi <= 1):

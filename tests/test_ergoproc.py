@@ -157,6 +157,15 @@ class TestSpecs:
             with pytest.raises(ValueError, match=r"^theta must be in \(0, 1\), got "):
                 RotationSpec(theta=theta)
 
+    def test_rotation_make_and_replace_validate(self):
+        spec = RotationSpec(F(1, 3))
+        assert spec._replace(theta=F(1, 4)) == RotationSpec(F(1, 4))
+        assert RotationSpec._make([F(2, 5)]) == RotationSpec(F(2, 5))
+        with pytest.raises(TypeError, match="float"):
+            spec._replace(theta=0.5)
+        with pytest.raises(ValueError, match=r"^theta must be in \(0, 1\), got 3/2$"):
+            RotationSpec._make([F(3, 2)])
+
     def test_markov_spec_holds_tuples_of_fractions(self):
         spec = MarkovSpec([[F(1, 2), F(1, 2)], [1, 0]], list(markov2().emissions))
         assert spec.transition == ((F(1, 2), F(1, 2)), (F(1), F(0)))

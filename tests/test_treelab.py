@@ -367,6 +367,35 @@ class TestBuilderMatchesOracle:
         assert any(large is None for _, large in answers)
         assert any(small is None and large is not None for small, large in answers)
 
+    def test_same_budget_boundary(self):
+        """Where the oracle gives up on the small budget but builds on the
+        large one, bisection finds the least budget b at which it builds;
+        the builder must give up at b - 1 and build the same tree at b, so
+        that no visit is counted once too often or too seldom."""
+        small, large = self.BUDGETS
+        boundaries = 0
+        for FC, gamma in self.corpus():
+            for depth in range(1, 6):
+                if oracle_intersection_tree_build(FC, gamma, depth, small) is not None:
+                    continue
+                want = oracle_intersection_tree_build(FC, gamma, depth, large)
+                if want is None:
+                    continue
+                lo, hi = small, large  # the oracle gives up at lo and builds at hi
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    built = oracle_intersection_tree_build(FC, gamma, depth, mid)
+                    if built is None:
+                        lo = mid
+                    else:
+                        hi, want = mid, built
+                case = (FC.name, gamma, depth, hi)
+                assert intersection_tree_build(FC, gamma, depth, hi - 1) is None, case
+                got = intersection_tree_build(FC, gamma, depth, hi)
+                assert self.answer(got) == self.answer(want), case
+                boundaries += 1
+        assert boundaries >= 3
+
 
 class TestMaximalJoin:
     def test_full_join_family_composition(self):
