@@ -201,8 +201,8 @@ def _rational_pair(q: Fraction) -> dict:
 def cmd_dim(cfg: dict) -> int:
     F = _resolve_class(cfg["class"])
     gamma = _rat(cfg["gamma"], "gamma")
-    cap = _ints(cfg, "cap", low=1) if "cap" in cfg else 20
-    result = gap_dim(F, gamma, cap=cap)
+    cap = {"cap": _ints(cfg, "cap", low=1)} if "cap" in cfg else {}
+    result = gap_dim(F, gamma, **cap)
     report = {
         "dimension": result.dimension,
         "dimension_label": result.label,
@@ -330,10 +330,9 @@ def cmd_itree(cfg: dict) -> int:
     F = _resolve_class(cfg["class"], step=True)
     gamma = _rat(cfg["gamma"], "gamma")
     if cfg["action"] == "build":
-        built = intersection_tree_build(
-            F, gamma, _ints(cfg, "depth", low=1),
-            visit_cap=_ints(cfg, "budget", low=1) if "budget" in cfg else 1_000_000,
-        )
+        depth = _ints(cfg, "depth", low=1)
+        budget = {"visit_cap": _ints(cfg, "budget", low=1)} if "budget" in cfg else {}
+        built = intersection_tree_build(F, gamma, depth, **budget)
         report = {"status": "FAILURE"} if built is None else {
             "status": "ok",
             "tree": built.tree.to_json(),
@@ -380,6 +379,8 @@ def cmd_gc_curve(cfg: dict) -> int:
     F = _resolve_class(cfg["class"], step=True)
     spec = _resolve_process(cfg["process"])
     grid = _lengths(cfg, "m_grid", spec, many=True)
+    if len(set(grid)) != len(grid):
+        raise ConfigError(f"field 'm_grid': lengths must be distinct, got {cfg['m_grid']!r}")
     replicates = _ints(cfg, "replicates", low=1)
     rep = estimate_gamma(F, spec, grid, replicates, _ints(cfg, "seed"))
     report = {

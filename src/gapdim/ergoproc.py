@@ -684,22 +684,24 @@ def estimate_gamma(
     the path at a smaller m is its prefix, so every grid point is read from
     running cell counts along it.  The point estimate is the replicate mean at
     the largest m; min and max across replicates are reported instead of a
-    confidence interval because no convergence rate is available.
+    confidence interval because no convergence rate is available.  The
+    lengths of ``m_grid`` must be distinct, each at least 1.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
     grid = tuple(sorted(m_grid))
     if not grid or grid[0] < 1:
         raise ValueError("path lengths must be >= 1")
-    lengths = sorted(set(grid))
+    if len(set(grid)) != len(grid):
+        raise ValueError("path lengths must be distinct")
     gamma_m = {}
     for r in range(replicates):
-        path = sample_path(spec, lengths[-1], seed + r)
-        for m, g in zip(lengths, discrepancy(F, path, lengths)):
+        path = sample_path(spec, grid[-1], seed + r)
+        for m, g in zip(grid, discrepancy(F, path, grid)):
             gamma_m[m, r] = g
     rows = [(m, r, gamma_m[m, r]) for m in grid for r in range(replicates)]
     summary = {}
-    for m in lengths:
+    for m in grid:
         vals = [gamma_m[m, r] for r in range(replicates)]
         summary[m] = {
             "mean": sum(vals, ZERO) / len(vals),

@@ -21,12 +21,14 @@ TABULAR: ``(W, vals)``); equality and hashing read that row.  Every class
 is born with its table.  Every generator builds only the table, from
 integers: the four STEP generators over n equal cells [i/n, (i+1)/n),
 which tile [0, 1) by construction, so C = n, the cuts are 0..n and nothing
-is checked; the TABULAR ones over their one shared Domain.  A generated
-class builds its functions from its rows only when they are read, as for
-class JSON, each value v / V a Fraction.  A class assembled from functions
-merges their rows into its table at construction: STEP rows rescaled to
-one C and V and merged over the common refinement, TABULAR rows rescaled
-to V.
+is checked; the TABULAR ones over their one shared Domain.  A class file
+is read into its functions' integer rows, checked as a Function checks
+them, and a class assembled from functions takes theirs; :func:`_merge`
+makes the table of either: STEP rows rescaled to one C and V and merged
+over the common refinement, TABULAR rows rescaled to V.  A class born
+from its table builds its functions only when they are read, each value
+v / V a Fraction; every class is saved from its table, a STEP function as
+one piece per refinement cell.
 
 For a resolution ``gamma`` the value range splits into K bands
 ``[(k-1)*gamma, k*gamma)`` for k < K and ``[(K-1)*gamma, 1]`` for k = K,
@@ -182,13 +184,8 @@ class Function:
         A :class:`Partition` is taken as already checked; any other sequence
         of pieces is checked by building one.
         """
-        if len(pieces) != len(values) or not pieces:
-            raise ValueError("step function needs one value per piece")
         vals = tuple(v if isinstance(v, Fraction) else as_fraction(v) for v in values)
-        W, scaled = _scaled(vals, "value {} outside [0, 1]")
-        if not isinstance(pieces, Partition):
-            pieces = Partition(pieces)
-        row = (pieces.D, pieces.ends, W, tuple(scaled[i] for i in pieces.owners))
+        pieces, row = _step_row(pieces, vals)
         return cls(STEP, pieces, None, row, vals)
 
     @classmethod
@@ -199,10 +196,7 @@ class Function:
     ) -> "Function":
         pts = points if isinstance(points, Domain) else Domain(points)
         vals = tuple(v if isinstance(v, Fraction) else as_fraction(v) for v in values)
-        if len(pts) != len(vals) or not pts:
-            raise ValueError("tabular function needs one value per point")
-        W, scaled = _scaled(vals, "tabular values must lie in [0, 1]")
-        return cls(TABULAR, None, pts, (W, tuple(scaled)), vals)
+        return cls(TABULAR, None, pts, _tabular_row(pts, vals), vals)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Function) and (
@@ -217,7 +211,7 @@ class Function:
         return f"Function({self.kind}, {n} {'pieces' if self.kind == STEP else 'points'})"
 
 
-def _scaled(vals: Tuple[Fraction, ...], message: str) -> Tuple[int, List[int]]:
+def _scaled(vals: Sequence[Fraction], message: str) -> Tuple[int, Tuple[int, ...]]:
     """W, the lcm of the values' denominators, and each value * W; the first
     value outside [0, 1] is named by ``message``."""
     ratios = [v.as_integer_ratio() for v in vals]
@@ -225,7 +219,30 @@ def _scaled(vals: Tuple[Fraction, ...], message: str) -> Tuple[int, List[int]]:
         if not 0 <= p <= q:
             raise ValueError(message.format(v))
     W = math.lcm(*{q for _, q in ratios})
-    return W, [p * (W // q) for p, q in ratios]
+    return W, tuple(p * (W // q) for p, q in ratios)
+
+
+def _step_row(
+    pieces: Sequence[IntervalUnion], vals: Sequence[Fraction]
+) -> Tuple[Partition, tuple]:
+    """The pieces as a :class:`Partition` and the integer row ``(D, ends, W,
+    vals)`` of the STEP function with value ``vals[i]`` on ``pieces[i]``,
+    one value per interval.  The values are checked before the pieces, and
+    a Partition is taken as already checked."""
+    if len(pieces) != len(vals) or not pieces:
+        raise ValueError("step function needs one value per piece")
+    W, scaled = _scaled(vals, "value {} outside [0, 1]")
+    if not isinstance(pieces, Partition):
+        pieces = Partition(pieces)
+    return pieces, (pieces.D, pieces.ends, W, tuple(scaled[i] for i in pieces.owners))
+
+
+def _tabular_row(points: Domain, vals: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
+    """The integer row ``(W, vals)`` of the TABULAR function with value
+    ``vals[i]`` at ``points[i]``."""
+    if len(points) != len(vals) or not points:
+        raise ValueError("tabular function needs one value per point")
+    return _scaled(vals, "tabular values must lie in [0, 1]")
 
 
 class FunctionClass:
@@ -235,9 +252,9 @@ class FunctionClass:
     for STEP the ``(C, cuts, V, rows)`` of :func:`refinement`, for TABULAR
     the ``(V, rows)`` of :func:`value_rows`.  A class built from functions
     merges their rows into it at construction (:func:`_merge`); a generated
-    class is built from its table (:meth:`of_table`), and its functions
-    from the rows when first read.  The band table of :func:`cell_bands` is
-    kept for the last gamma asked.
+    or loaded class is built from its table (:meth:`of_table`), and its
+    functions from the rows when first read.  The band table of
+    :func:`cell_bands` is kept for the last gamma asked.
     """
 
     __slots__ = ("name", "kind", "_domain", "_functions", "_table", "_bands")
@@ -254,7 +271,7 @@ class FunctionClass:
             if any(f.points != pts for f in fns):
                 raise ValueError("tabular functions must share domain points")
         self.name, self.kind, self._domain = name, kind, fns[0].points
-        self._functions, self._table = fns, _merge(fns)
+        self._functions, self._table = fns, _merge(kind, [f._row for f in fns])
         self._bands = None  # (gamma, table) of the last cell_bands call
 
     @classmethod
@@ -316,13 +333,13 @@ class FunctionClass:
 Table = Tuple[int, Tuple[int, ...], int, Tuple[Tuple[int, ...], ...]]
 
 
-def _merge(fns: Tuple[Function, ...]) -> tuple:
-    """The value table of a class of these functions, their rows rescaled to
-    one V (TABULAR), or to one C and V and merged on integers (STEP): cell
-    [c_j, c_j+1) lies in the piece of the first right end past c_j."""
-    own = [f._row for f in fns]
+def _merge(kind: str, own: Sequence[tuple]) -> tuple:
+    """The value table of a class of functions with these integer rows, the
+    rows rescaled to one V (TABULAR ``(W, vals)``), or to one C and V and
+    merged on integers (STEP ``(D, ends, W, vals)``): cell [c_j, c_j+1) lies
+    in the interval of the first right end past c_j."""
     V = math.lcm(*(row[-2] for row in own))
-    if fns[0].kind == TABULAR:
+    if kind == TABULAR:
         return V, tuple(tuple(v * (V // W) for v in vals) for W, vals in own)
     C = math.lcm(*(row[0] for row in own))
     scaled = [
@@ -661,63 +678,62 @@ def generate(spec: str) -> FunctionClass:
 
 
 def class_to_json(F: FunctionClass) -> dict:
+    """The class document of a class, written from its table: a STEP
+    function as one piece per refinement cell, a TABULAR one as its value
+    at each domain point, each value v / V."""
+    V, rows = value_rows(F)
+    text = {v: format_rational(Fraction(v, V)) for v in set().union(*rows)}
     if F.kind == STEP:
-        texts = {}  # the piece texts of each shared partition, built once
-        for f in F.functions:
-            if id(f.pieces) not in texts:
-                texts[id(f.pieces)] = [piece.to_text() for piece in f.pieces]
+        C, cuts, _, _ = refinement(F)
+        cells = [IntervalUnion(C, [(lo, hi)]).to_text() for lo, hi in zip(cuts, cuts[1:])]
         return {
             "name": F.name,
             "kind": STEP,
             "functions": [
-                {
-                    "pieces": [
-                        {"set": text, "value": format_rational(v)}
-                        for text, v in zip(texts[id(f.pieces)], f.values)
-                    ]
-                }
-                for f in F.functions
+                {"pieces": [{"set": cell, "value": text[v]} for cell, v in zip(cells, row)]}
+                for row in rows
             ],
         }
     return {
         "name": F.name,
         "kind": TABULAR,
         "points": [format_rational(p) for p in F.domain_points],
-        "functions": [
-            {"values": [format_rational(v) for v in f.values]} for f in F.functions
-        ],
+        "functions": [{"values": [text[v] for v in row]} for row in rows],
     }
 
 
 def class_from_json(doc: dict) -> FunctionClass:
-    kind = doc.get("kind")
+    """The class of a class document, built as its table: each function's
+    integer row is read and checked, and the rows are merged once."""
+    kind, domain = doc.get("kind"), None
     if kind == STEP:
         # each distinct list of piece texts is parsed once, and checked once
-        # as the Partition that the functions listing it share
-        pieces = {}
-        fns = []
+        # as the Partition whose ends and owners every function listing it reads
+        partitions, rows = {}, []
         for entry in json_list(doc["functions"], "functions"):
             listed = json_list(json_object(entry, "function")["pieces"], "pieces")
             listed = [json_object(p, "piece") for p in listed]
             texts = tuple(p["set"] for p in listed)
             # only strings key the cache; from_text names any other set
-            if not all(isinstance(t, str) for t in texts) or texts not in pieces:
-                pieces[texts] = [IntervalUnion.from_text(t) for t in texts]
-            f = Function.step(pieces[texts], [parse_rational(p["value"]) for p in listed])
-            pieces[texts] = f.pieces
-            fns.append(f)
+            if not all(isinstance(t, str) for t in texts) or texts not in partitions:
+                partitions[texts] = [IntervalUnion.from_text(t) for t in texts]
+            values = [parse_rational(p["value"]) for p in listed]
+            partitions[texts], row = _step_row(partitions[texts], values)
+            rows.append(row)
     elif kind == TABULAR:
         domain = Domain([parse_rational(p) for p in json_list(doc["points"], "points")])
-        fns = []
+        rows = []
         for entry in json_list(doc["functions"], "functions"):
             values = json_list(json_object(entry, "function")["values"], "values")
-            fns.append(Function.tabular(domain, [parse_rational(v) for v in values]))
+            rows.append(_tabular_row(domain, [parse_rational(v) for v in values]))
     else:
         raise ValueError(f"unknown class kind {kind!r}")
     name = doc.get("name", "")
     if type(name) is not str:
         raise ValueError(f"name must be a string, got {json.dumps(name)}")
-    return FunctionClass(fns, name)
+    if not rows:
+        raise ValueError("function class must be non-empty")
+    return FunctionClass.of_table(name, _merge(kind, rows), domain)
 
 
 def save_class(F: FunctionClass, path) -> None:

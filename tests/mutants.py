@@ -135,6 +135,32 @@ MUTANTS = [
         "bisect_right(ends, c)", "bisect_right(ends, c) - 1",
     ),
     Mutant(
+        "k_of_gamma: the floor of 1 / gamma for its ceiling", "funclass.py", "k_of_gamma",
+        "-(-gamma.denominator // gamma.numerator)", "gamma.denominator // gamma.numerator",
+        FUNCLASS_TESTS,
+    ),
+    Mutant(
+        "non_adjacent: adjacent bands taken as non-adjacent", "funclass.py", "non_adjacent",
+        "abs(k - k2) >= 2", "abs(k - k2) >= 1", (*FUNCLASS_TESTS, *TREELAB_TESTS),
+    ),
+    Mutant(
+        "_step_row: the row built without the piece owners", "funclass.py", "_step_row",
+        "tuple(scaled[i] for i in pieces.owners)", "scaled", FUNCLASS_TESTS,
+    ),
+    Mutant(
+        "class_to_json: STEP values written over C instead of V", "funclass.py",
+        "class_to_json", "value_rows(F)", "(F._table[0], F._table[-1])", FUNCLASS_TESTS,
+    ),
+    Mutant(
+        "class_from_json: a checked partition not kept for the next function", "funclass.py",
+        "class_from_json", "partitions[texts], row = _step_row(partitions[texts], values)",
+        "row = _step_row(partitions[texts], values)[1]", FUNCLASS_TESTS,
+    ),
+    Mutant(
+        "_tabular_row: a row of the wrong length let through", "funclass.py", "_tabular_row",
+        "len(points) != len(vals) or not points", "not points", FUNCLASS_TESTS,
+    ),
+    Mutant(
         "values_at: a point between two domain points read at the next one", "funclass.py",
         "values_at", "j == len(domain) or domain[j] != x", "j == len(domain)",
     ),

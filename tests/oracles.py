@@ -11,10 +11,10 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, repeat
 
-from gapdim import CompleteTree, Function, FunctionClass, IntervalUnion, k_of_gamma
+from gapdim import CompleteTree, Function, FunctionClass, IntervalUnion
 from gapdim.ergoproc import IIDUniformSpec, MarkovSpec, RotationSpec, SamplePath
 from gapdim.exactset import format_rational, parse_rational
-from gapdim.funclass import STEP, TABULAR, SegmentIndexOutOfRange, non_adjacent
+from gapdim.funclass import STEP, TABULAR, SegmentIndexOutOfRange
 from gapdim.rng import SplitMix64
 from gapdim.shatter import DimResult, ShatterCertificate
 from gapdim.treelab import IntersectionTree, Label, MissingPayload
@@ -23,6 +23,20 @@ from gapdim.treelab import IntersectionTree, Label, MissingPayload
 def frac_mod1(x: Fraction) -> Fraction:
     """The fractional part x - floor(x), in [0, 1)."""
     return x - math.floor(x)
+
+
+def oracle_band_count(gamma) -> int:
+    """K, the number of gamma-wide value bands covering [0, 1]: the ceiling
+    of 1 / gamma by ``Fraction`` division, for 0 < gamma <= 1."""
+    gamma = Fraction(gamma)
+    if not 0 < gamma <= 1:
+        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+    return math.ceil(1 / gamma)
+
+
+def oracle_non_adjacent(k: int, k2: int) -> bool:
+    """Whether two bands are non-adjacent: at least one band lies between them."""
+    return k2 >= k + 2 or k >= k2 + 2
 
 
 class OracleIntervalUnion:
@@ -383,7 +397,7 @@ def oracle_intersection_tree_build(F: FunctionClass, gamma, L: int, visit_cap: i
     assigned and undone as the search backtracks.
     """
     gamma = Fraction(gamma)
-    K = k_of_gamma(gamma)
+    K = oracle_band_count(gamma)
     pairs = [(k, k2) for k in range(1, K + 1) for k2 in range(k + 2, K + 1)]
     segs = [oracle_segment_partition(f, gamma) for f in F.functions]
     osegs = [[oracle_union(seg) for seg in row] for row in segs]
@@ -823,6 +837,23 @@ def oracle_step_class_from_json(doc) -> FunctionClass:
     )
 
 
+def oracle_class_doc(F: FunctionClass) -> dict:
+    """The document of a STEP class file that lists each function's own
+    pieces and values, as a file written by hand may, rather than the
+    class's refinement cells."""
+    return {
+        "name": F.name,
+        "kind": STEP,
+        "functions": [
+            {"pieces": [
+                {"set": piece.to_text(), "value": format_rational(v)}
+                for piece, v in zip(f.pieces, f.values)
+            ]}
+            for f in F
+        ],
+    }
+
+
 # ---------------------------------------------------------------------------
 # Step classes built function by function, each on its own pieces
 
@@ -910,7 +941,7 @@ def oracle_band_of_value(v, gamma) -> int:
     """The band of value v by ``Fraction`` division: int(v / gamma) + 1,
     capped at K."""
     gamma, v = Fraction(gamma), Fraction(v)
-    return min(int(v / gamma) + 1, k_of_gamma(gamma))
+    return min(int(v / gamma) + 1, oracle_band_count(gamma))
 
 
 def oracle_segment_partition(f: Function, gamma):
@@ -918,7 +949,7 @@ def oracle_segment_partition(f: Function, gamma):
     its pieces (``oracle_pieces``) whose value lies in each band, merged as
     an ``OracleIntervalUnion`` and returned as an IntervalUnion; for TABULAR
     the tuple of its domain points whose value does."""
-    groups = [[] for _ in range(k_of_gamma(gamma))]
+    groups = [[] for _ in range(oracle_band_count(gamma))]
     if f.kind == TABULAR:
         for p, v in zip(f.points, f.values):
             groups[oracle_band_of_value(v, gamma) - 1].append(p)
@@ -940,7 +971,7 @@ def oracle_intersection_tree_verify(tree: CompleteTree, F: FunctionClass, gamma,
     and needs positive measure at every node.
     """
     gamma = Fraction(gamma)
-    K = k_of_gamma(gamma)
+    K = oracle_band_count(gamma)
     for t in range(2, 1 << (tree.depth + 1)):
         if t not in tree.sets:
             raise MissingPayload(f"node {t} has no set payload")
@@ -954,7 +985,7 @@ def oracle_intersection_tree_verify(tree: CompleteTree, F: FunctionClass, gamma,
         label = tree.labels.get(t)
         if label is not None:
             k, k2 = label
-            if not non_adjacent(k, k2):
+            if not oracle_non_adjacent(k, k2):
                 return False
             for band in label:
                 if not 1 <= band <= K:
@@ -964,7 +995,7 @@ def oracle_intersection_tree_verify(tree: CompleteTree, F: FunctionClass, gamma,
         else:
             k = next((kk for kk, s in enumerate(segs, 1) if s == left), None)
             k2 = next((kk for kk, s in enumerate(segs, 1) if s == right), None)
-            if k is None or k2 is None or not non_adjacent(k, k2):
+            if k is None or k2 is None or not oracle_non_adjacent(k, k2):
                 return False
 
     def walk(t, W):

@@ -1,4 +1,5 @@
 import errno
+import inspect
 import io
 import json
 import os
@@ -16,11 +17,12 @@ from hypothesis import given, settings, strategies as st
 from gapdim import (
     full_join_family, gap_dim, intersection_tree_build, join_shatter, parse_rational, thresholds
 )
-from gapdim.cli import COMMANDS, main
+from gapdim.cli import _HELP, COMMANDS, main
 from gapdim.ergoproc import (
     MAX_DEMO_POINTS, MAX_DRAWN_POINTS, IIDUniformSpec, RotationSpec, sample_path,
 )
-from gapdim.funclass import class_to_json, generate, load_class, save_class
+from gapdim.exactset import write_json
+from gapdim.funclass import Function, class_to_json, generate, load_class, save_class
 from gapdim.shatter import ShatterCertificate
 from oracles import (
     oracle_constant, oracle_dumps, oracle_expectation, oracle_sample_path, oracle_value_at
@@ -175,6 +177,22 @@ class TestHelpAndUsage:
         assert out.startswith(f"usage: gapdim {command} ")
         for flag in FLAGS[command].split() + ["--config", "--out"]:
             assert re.search(rf"\n\s+{flag}\s", out), (flag, out)
+
+    def test_help_states_the_library_defaults(self, capsys):
+        """A knob left out takes the library's own default, which its help
+        line states; giving that default changes no report."""
+        cap = inspect.signature(gap_dim).parameters["cap"].default
+        budget = inspect.signature(intersection_tree_build).parameters["visit_cap"].default
+        assert _HELP["cap"].endswith(f"(default {cap})")
+        assert _HELP["budget"].endswith(f"(default {budget})")
+        for argv, flag, default in (
+            (("dim", "--class", "all_patterns(3)", "--gamma", "1/4"), "--cap", cap),
+            (("itree", "build", "--class", "full_join_family(2,1,3,1/5)", "--gamma", "1/5",
+              "--depth", "2"), "--budget", budget),
+        ):
+            _, out = run(capsys, *argv)
+            _, given = run(capsys, *argv, flag, str(default))
+            assert json.loads(out)["report"] == json.loads(given)["report"]
 
     @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["--class", "thresholds(4)"]])
     def test_missing_or_unknown_command(self, capsys, argv):
@@ -1426,6 +1444,14 @@ class TestSimulationCommands:
         doc = json.loads(out)
         assert set(doc["report"]["per_m"]) == {"20", "80"}
 
+    @pytest.mark.parametrize("grid", ["10,10", "100,10,100", "5,5,5"])
+    def test_gc_curve_refuses_a_repeated_length(self, grid):
+        argv = list(VALID["gc-curve"])
+        argv[argv.index("--m-grid") + 1] = grid
+        code, out, err = run_main(*argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: field 'm_grid': lengths must be distinct, got {grid!r}\n"
+
     def test_bound_check_pass(self, capsys):
         code, out = run(
             capsys, "bound-check", "--class", "thresholds(8)", "--process", "iid",
@@ -1484,6 +1510,72 @@ class TestSimulationCommands:
             "--process", str(path), "--m", "60", "--seed", "9",
         )
         assert code == 0
+
+
+# A class file on pieces of several intervals each, coarser than the
+# class's refinement cells, with an empty piece
+COARSE_CLASS = {"name": "coarse", "kind": "step", "functions": [
+    {"pieces": [{"set": "[0/1,1/5),[2/5,3/5)", "value": "1/10"}, {"set": "empty", "value": "1/1"},
+                {"set": "[1/5,2/5),[3/5,1/1)", "value": "9/10"}]},
+    {"pieces": [{"set": "[0/1,1/3)", "value": "7/8"}, {"set": "[1/3,1/1)", "value": "1/4"}]},
+    {"pieces": [{"set": "[1/2,3/4)", "value": "0/1"},
+                {"set": "[0/1,1/2),[3/4,1/1)", "value": "3/5"}]},
+    {"pieces": [{"set": "[0/1,1/3)", "value": "1/10"}, {"set": "[1/3,1/1)", "value": "1/1"}]},
+]}
+
+
+class TestClassFilesBuildNoFunction:
+    """A class file is read into its class table: no job on one builds a
+    ``Function``, and each report is the one the same job writes when
+    functions may be built."""
+
+    @pytest.fixture
+    def jobs(self, tmp_path):
+        # a STEP class whose functions share one list of pieces, the coarse
+        # class, and a TABULAR class
+        save_class(full_join_family(2, 1, 3, F(1, 5)), tmp_path / "shared.json")
+        write_json(COARSE_CLASS, tmp_path / "coarse.json")
+        save_class(generate("all_patterns(3)"), tmp_path / "tabular.json")
+        jobs = []
+        for name in ("shared", "coarse", "tabular"):
+            path = str(tmp_path / f"{name}.json")
+            cert = tmp_path / f"{name}-cert.json"
+            gap_dim(load_class(path), F(1, 10)).certificate.save(cert)
+            jobs += [
+                ("dim", "--class", path, "--gamma", "1/10"),
+                ("verify", "--class", path, "--cert", str(cert), "--gamma", "1/10"),
+                ("segments", "--class", path, "--gamma", "1/5"),
+            ]
+            if name == "tabular":
+                continue
+            tree = tmp_path / f"{name}-tree.json"
+            built = intersection_tree_build(load_class(path), F(1, 5), 2)
+            built.tree.save(tree)
+            jobs += [
+                ("join", "--class", path, "--gamma", "1/5", "--k", "1", "--kp", "3"),
+                ("itree", "build", "--class", path, "--gamma", "1/5", "--depth", "2"),
+                ("itree", "verify", "--class", path, "--gamma", "1/5", "--tree", str(tree),
+                 "--functions", ",".join(map(str, built.functions))),
+                ("discrepancy", "--class", path, "--process", "iid", "--m", "200", "--seed", "4"),
+                ("gc-curve", "--class", path, "--process", "rotation:2/7", "--m-grid", "10,50",
+                 "--replicates", "2", "--seed", "4"),
+                ("bound-check", "--class", path, "--process", "iid", "--gamma", "1/10",
+                 "--m", "100", "--replicates", "2", "--seed", "4"),
+            ]
+        return jobs
+
+    def test_reports_match_a_run_that_may_build_functions(self, monkeypatch, jobs):
+        want = [run_main(*job) for job in jobs]
+        assert [(job[0], code, err) for job, (code, _, err) in zip(jobs, want)] == [
+            (job[0], 0, "") for job in jobs
+        ]
+
+        def refuse(cls, *args):
+            raise AssertionError("a CLI job on a class file built a Function")
+
+        monkeypatch.setattr(Function, "step", classmethod(refuse))
+        monkeypatch.setattr(Function, "tabular", classmethod(refuse))
+        assert [run_main(*job) for job in jobs] == want
 
 
 class TestReportLayout:

@@ -382,7 +382,10 @@ class TestCellMasses:
 
     def test_uneven_class_file(self, tmp_path):
         FC = mass_corpus(tmp_path)[-1]
-        assert len(FC[0].pieces) == 4 and not FC[0].pieces[1]
+        # cuts 0, 1/7, 1/2, 5/9, 5/6, 1 over C = 126; values over V = 30
+        assert refinement(FC) == (
+            126, (0, 18, 63, 70, 105, 126), 30, ((10, 12, 12, 0, 12), (15, 15, 30, 30, 30))
+        )
         # 1/3 * 1/7 + 2/5 * ((5/9 - 1/7) + (1 - 5/6)), and 1/2 * 1/2 + 1/2
         assert expectation(FC, IIDUniformSpec()) == [F(1, 21) + F(2, 5) * F(73, 126), F(3, 4)]
 
@@ -470,30 +473,35 @@ class TestPointwiseDiscrepancy:
     the function's class of one, and agrees with the class-level count."""
 
     @pytest.fixture
-    def reloaded(self, tmp_path):
+    def classes(self, tmp_path):
+        """A class of multi-interval and empty pieces, and that class saved
+        and read back on its refinement cells."""
         FC = FunctionClass([
             Function.step([union_of(pairs) for pairs in pieces], values)
             for pieces, values in MULTI_INTERVAL_PIECES
         ], "multi")
         save_class(FC, tmp_path / "multi.json")
-        return load_class(tmp_path / "multi.json")
+        return FC, load_class(tmp_path / "multi.json")
 
     @pytest.mark.parametrize(
         "spec", [IIDUniformSpec(), RotationSpec(theta=F(2, 7)), markov_on_cuts(), markov3()],
         ids=["iid", "rotation", "markov_on_cuts", "markov3"],
     )
     @pytest.mark.parametrize("seed", [0, 11])
-    def test_saved_class_matches_the_class_discrepancies(self, reloaded, spec, seed):
-        assert [len(fraction_pairs(piece)) for piece in reloaded[1].pieces] == [3, 0, 2]
+    def test_saved_class_matches_the_class_discrepancies(self, classes, spec, seed):
+        FC, reloaded = classes
+        assert [len(fraction_pairs(piece)) for piece in FC[1].pieces] == [3, 0, 2]
+        assert refinement(reloaded) == refinement(FC)
         path = sample_path(spec, 400, seed)
-        per = [pointwise_discrepancy(f, path) for f in reloaded]
-        assert per == per_function_discrepancies(reloaded, path)
         values = path.values
-        assert per == [
-            abs(sum((oracle_value_at(f, x) for x in values), F(0)) / len(values)
-                - oracle_expectation(f, spec))
-            for f in reloaded
-        ]
+        for G in classes:
+            per = [pointwise_discrepancy(f, path) for f in G]
+            assert per == per_function_discrepancies(G, path)
+            assert per == [
+                abs(sum((oracle_value_at(f, x) for x in values), F(0)) / len(values)
+                    - oracle_expectation(f, spec))
+                for f in G
+            ]
 
     def test_tabular_function_is_rejected(self):
         f = Function.tabular([F(1, 4), F(1, 2)], [0, 1])
@@ -836,7 +844,7 @@ class TestIntegerPathsMatchFractionOracle:
     def test_estimate_gamma_rows_match_resampling(self, name):
         spec = ORACLE_SPECS[name]
         FC = random_step(4, 8, 5, 9)
-        grid = [120, 5, 40, 120, 1]
+        grid = [120, 5, 40, 1]
         rep = estimate_gamma(FC, spec, grid, 3, 60)
         expected = expectation(FC, spec)
         rows = []
@@ -845,8 +853,13 @@ class TestIntegerPathsMatchFractionOracle:
                 means = oracle_class_means(FC, oracle_sample_path(spec, m, 60 + r))
                 rows.append((m, r, max(abs(a - e) for a, e in zip(means, expected))))
         assert list(rep.rows) == rows
-        assert [m for m, _, _ in rep.rows] == [m for m in (1, 5, 40, 120, 120) for _ in range(3)]
-        assert rep.estimate == sum(g for m, _, g in rows if m == 120) / 6
+        assert [m for m, _, _ in rep.rows] == [m for m in (1, 5, 40, 120) for _ in range(3)]
+        assert rep.estimate == sum(g for m, _, g in rows if m == 120) / 3
+
+    @pytest.mark.parametrize("grid", [[10, 10], [120, 5, 40, 120, 1], [1, 1, 2]], ids=str)
+    def test_estimate_gamma_refuses_a_repeated_length(self, grid):
+        with pytest.raises(ValueError, match="path lengths must be distinct"):
+            estimate_gamma(random_step(4, 8, 5, 9), IIDUniformSpec(), grid, 1, 1)
 
 
 class TestUnitTick:

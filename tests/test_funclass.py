@@ -43,6 +43,7 @@ from oracles import (
     OracleIntervalUnion,
     fraction_pairs,
     oracle_band_of_value,
+    oracle_class_doc,
     oracle_constant,
     oracle_full_join_family,
     oracle_indicator,
@@ -279,7 +280,8 @@ class TestJsonRoundTrip:
         doc = class_to_json(FC)
         back = class_from_json(doc)
         assert back.name == "mix"
-        assert all(a == b for a, b in zip(back.functions, FC.functions))
+        assert refinement(back) == refinement(FC)
+        assert class_to_json(back) == doc
 
     def test_tabular_class(self):
         FC = all_patterns(3)
@@ -349,6 +351,16 @@ class TestValidation:
     def test_tabular_points_sorted_and_distinct(self, points):
         with pytest.raises(ValueError, match="sorted and distinct"):
             Function.tabular(points, [0] * len(points))
+
+    @pytest.mark.parametrize("values", [[], ["0"], ["0", "1/2", "1"]], ids=len)
+    def test_tabular_rows_need_one_value_per_point(self, values):
+        doc = {"kind": "tabular", "points": ["1/4", "1/2"], "functions": [
+            {"values": ["1/3", "2/3"]}, {"values": values},
+        ]}
+        with pytest.raises(ValueError, match="tabular function needs one value per point"):
+            class_from_json(doc)
+        with pytest.raises(ValueError, match="tabular function needs one value per point"):
+            Function.tabular([F(1, 4), F(1, 2)], [F(0)] * len(values))
 
     def test_tabular_domains_must_match(self):
         a = Function.tabular([F(1, 4)], [0])
@@ -614,8 +626,16 @@ class TestSharedPartition:
         save_class(FC, tmp_path / "class.json")
         doc = json.loads((tmp_path / "class.json").read_text())
         loaded = load_class(tmp_path / "class.json")
-        assert as_built(loaded) == as_built(oracle_step_class_from_json(doc))
-        assert class_to_json(loaded) == doc and list(loaded) == list(FC)
+        assert refinement(loaded) == refinement(oracle_step_class_from_json(doc))
+        assert class_to_json(loaded) == doc and refinement(loaded) == refinement(FC)
+
+    @pytest.mark.parametrize("FC", ORACLE_CLASSES, ids=repr)
+    def test_a_file_of_own_pieces_loads_as_the_oracle_reads_it(self, FC, tmp_path):
+        doc = oracle_class_doc(FC)
+        write_json(doc, tmp_path / "class.json")
+        loaded = load_class(tmp_path / "class.json")
+        assert refinement(loaded) == refinement(oracle_step_class_from_json(doc))
+        assert refinement(loaded) == refinement(FC) and loaded.name == FC.name
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_step_checks_no_cells(self, union_alls, seed):
@@ -627,12 +647,12 @@ class TestSharedPartition:
     def test_a_file_repeating_piece_lists_checks_each_once(self, union_alls, tmp_path):
         a, b = random_step(3, 12, 8, 5), random_step(4, 5, 3, 4)
         mixed = FunctionClass([f for pair in zip(a, b) for f in pair] + [a[4]], "mixed")
-        save_class(mixed, tmp_path / "class.json")
+        write_json(oracle_class_doc(mixed), tmp_path / "class.json")
         union_alls.clear()
         loaded = load_class(tmp_path / "class.json")
         assert sorted(union_alls) == [5, 12]
-        assert len({id(f.pieces) for f in loaded}) == 2
-        assert list(loaded) == list(mixed) and class_to_json(loaded) == class_to_json(mixed)
+        assert refinement(loaded) == refinement(mixed)
+        assert class_to_json(loaded) == class_to_json(mixed)
 
     def test_ends_and_owners(self):
         outer = union_of([(0, F(1, 3)), (F(2, 3), 1)])
@@ -793,11 +813,12 @@ class TestClassSegments:
                 assert segment_partition(FC, i, gamma) == oracle_segment_partition(f, gamma)
 
     def test_a_class_file_with_pieces_coarser_than_its_cells(self, tmp_path):
-        save_class(coarse_pieces_class(), tmp_path / "class.json")
+        coarse = coarse_pieces_class()
+        write_json(oracle_class_doc(coarse), tmp_path / "class.json")
         FC = load_class(tmp_path / "class.json")
-        assert len(refinement(FC)[1]) - 1 > max(len(f.pieces) for f in FC)
+        assert len(refinement(FC)[1]) - 1 > max(len(f.pieces) for f in coarse)
         for gamma in self.GAMMAS + [F(1, 2), F(1, 10)]:
-            for i, f in enumerate(FC):
+            for i, f in enumerate(coarse):
                 assert segment_partition(FC, i, gamma) == oracle_segment_partition(f, gamma)
 
     @pytest.mark.parametrize("FC", TABULAR_CLASSES, ids=repr)
@@ -939,7 +960,7 @@ class TestIntegerPartition:
         assert len(FC[0].pieces) == cells
         assert class_to_json(FC) == class_to_json(oracle_on_cells(oracle, cells))
 
-    def test_empty_and_multi_interval_pieces_save_back_byte_for_byte(self, tmp_path):
+    def test_empty_and_multi_interval_pieces_save_as_their_cells(self, tmp_path):
         def piece(text, value):
             return {"set": text, "value": value}
 
@@ -950,10 +971,19 @@ class TestIntegerPartition:
         ]}
         write_json(doc, tmp_path / "in.json")
         loaded = load_class(tmp_path / "in.json")
-        assert [len(f.pieces) for f in loaded] == [4, 2]
-        assert loaded[0].pieces[1] == loaded[0].pieces[3] == IntervalUnion(1)
+        assert refinement(loaded) == refinement(oracle_step_class_from_json(doc))
+        assert refinement(loaded) == (3, (0, 1, 2, 3), 20, ((5, 15, 5), (8, 8, 8)))
+        # the saved file lists the three refinement cells, each value v / V
         save_class(loaded, tmp_path / "out.json")
-        assert (tmp_path / "out.json").read_bytes() == (tmp_path / "in.json").read_bytes()
+        cells = ["[0/1,1/3)", "[1/3,2/3)", "[2/3,1/1)"]
+        assert json.loads((tmp_path / "out.json").read_text()) == {
+            "name": "gaps", "kind": "step", "functions": [
+                {"pieces": [piece(c, v) for c, v in zip(cells, ["1/4", "3/4", "1/4"])]},
+                {"pieces": [piece(c, "2/5") for c in cells]},
+            ]}
+        # and a saved file saves back byte for byte
+        save_class(load_class(tmp_path / "out.json"), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "out.json").read_bytes()
 
 
 def on_cells_oracle(FC):
@@ -1119,17 +1149,19 @@ IDENTITY_CLASSES = ORACLE_CLASSES + [full_join_family(3, 1, 3, F(1, 5))]
 
 
 class TestFunctionIdentity:
-    """A generated function equals, and hashes as, the same function read
-    back from its class file and built by its oracle."""
+    """A generated function equals, and hashes as, the same function built
+    by its oracle; a class read back from its class file has its table."""
 
     @pytest.mark.parametrize("FC", IDENTITY_CLASSES, ids=repr)
     def test_round_trip_and_oracle(self, FC, tmp_path):
         save_class(FC, tmp_path / "class.json")
-        for other in (load_class(tmp_path / "class.json"), on_cells_oracle(FC)):
-            assert len(other) == len(FC)
-            for f, g in zip(FC, other):
-                assert f == g and hash(f) == hash(g)
-                assert f.values == g.values
+        loaded = load_class(tmp_path / "class.json")
+        assert (loaded.name, refinement(loaded)) == (FC.name, refinement(FC))
+        other = on_cells_oracle(FC)
+        assert len(other) == len(FC)
+        for f, g in zip(FC, other):
+            assert f == g and hash(f) == hash(g)
+            assert f.values == g.values
 
     def test_full_join_family_value_denominator(self):
         FC = full_join_family(3, 1, 3, F(1, 5))

@@ -394,16 +394,19 @@ class TestValueTable:
 
         builds = []
         build = funclass._merge
-        monkeypatch.setattr(funclass, "_merge", lambda fns: builds.append(fns) or build(fns))
+        monkeypatch.setattr(
+            funclass, "_merge", lambda kind, rows: builds.append(rows) or build(kind, rows)
+        )
         generated = random_step(3, 12, 8, 32)
         FC = FunctionClass(list(generated))  # assembled from functions: merged at birth
-        assert builds == [FC.functions]
+        rows = [f._row for f in FC]
+        assert builds == [rows]
         res = gap_dim(FC, F(1, 8))
-        assert res.dimension >= 1 and builds == [FC.functions]
+        assert res.dimension >= 1 and builds == [rows]
         gap_dim(FC, F(1, 5))
-        assert builds == [FC.functions]
+        assert builds == [rows]
         # a generated class is born with its table
-        assert gap_dim(generated, F(1, 8)) == res and builds == [FC.functions]
+        assert gap_dim(generated, F(1, 8)) == res and builds == [rows]
 
     @pytest.mark.parametrize(
         "spec",

@@ -291,3 +291,32 @@ def test_every_mutant_edits_its_function_once():
     for mutant in mutants.MUTANTS:
         edited = mutants.mutated_source(texts[mutant.module], mutant)
         assert edited != ast.unparse(TREES[mutant.module]), mutant.name
+
+
+# What ``tests/oracles.py`` may import from gapdim: data types and their
+# constructors, constants, exception types, parsers and formatters.
+ORACLE_IMPORTS = {
+    "CompleteTree", "DimResult", "Function", "FunctionClass", "IIDUniformSpec",
+    "IntersectionTree", "IntervalUnion", "Label", "MarkovSpec", "RotationSpec",
+    "SamplePath", "ShatterCertificate", "SplitMix64",
+    "STEP", "TABULAR",
+    "MissingPayload", "SegmentIndexOutOfRange",
+    "format_rational", "parse_rational",
+}
+
+
+def test_oracles_import_no_kernel():
+    """An oracle that calls a library kernel shares the code it checks, so
+    ``tests/oracles.py`` imports from gapdim only the names of
+    ``ORACLE_IMPORTS``, and never the package or a module itself.  Methods
+    of a data type are not imports: the oracles' set algebra is checked
+    apart, with the library's set operations patched to raise
+    (``test_exactset.py::test_oracle_does_its_own_set_algebra``)."""
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.partition(".")[0] == "gapdim"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "gapdim":
+            found += [a.name for a in node.names if a.name not in ORACLE_IMPORTS]
+    assert found == []
