@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, Dict, NamedTuple, Tuple
@@ -88,14 +89,21 @@ def _rat(text: str, field: str) -> Fraction:
         raise ConfigError(f"field {field!r}: cannot parse rational {text!r}") from None
 
 
+# comma-separated integers, each as parse_integer reads one
+_INTEGER_LIST = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
 def _ints(cfg: dict, field: str, low=None, high=None, many=False):
     """A field's integer (comma-separated integers when `many`), each in
     [`low`, `high`]; `high` is only given together with `low`."""
     text = cfg[field]
-    try:
-        values = [parse_integer(x) for x in text.split(",")] if many else [parse_integer(text)]
-    except ValueError:
-        raise ConfigError(f"field {field!r}: cannot parse integers {text!r}") from None
+    if many and _INTEGER_LIST.fullmatch(text):
+        values = list(map(int, text.split(",")))
+    else:  # a text that is no list of integers is no integer either
+        try:
+            values = [parse_integer(text)]
+        except ValueError:
+            raise ConfigError(f"field {field!r}: cannot parse integers {text!r}") from None
     if (low is not None and min(values) < low) or (high is not None and max(values) > high):
         need = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ConfigError(f"field {field!r}: must be {need}, got {text!r}")

@@ -52,7 +52,8 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
+from operator import lt, mod, mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exactset import (
@@ -94,9 +95,11 @@ class Domain(tuple):
     def __new__(cls, points: Sequence[RationalLike]) -> "Domain":
         pts = (p if isinstance(p, Fraction) else as_fraction(p) for p in points)
         self = super().__new__(cls, pts)
-        if any(not 0 <= p.numerator < p.denominator for p in self):
+        nums, dens = [p.numerator for p in self], [p.denominator for p in self]
+        if any(not 0 <= a < b for a, b in zip(nums, dens)):
             raise ValueError("tabular points must lie in [0, 1)")
-        if any(not a < b for a, b in zip(self, self[1:])):
+        # a/b < c/d iff a d < c b: each point below the next, on integers
+        if not all(map(lt, map(mul, nums, dens[1:]), map(mul, nums[1:], dens))):
             raise ValueError("tabular points must be sorted and distinct")
         return self
 
@@ -533,8 +536,8 @@ def random_step(seed: int, pieces: int, grid: int, count: int = 1) -> FunctionCl
     if pieces < 1 or grid < 1 or count < 1:
         raise ValueError("random_step needs pieces, grid, count >= 1")
     # each value is one next_u64() draw mod grid + 1, row by row, mixed in bulk
-    draws = SplitMix64(seed).u64s(pieces * count)
-    rows = (tuple(u % (grid + 1) for u in islice(draws, pieces)) for _ in range(count))
+    values = map(mod, SplitMix64(seed).u64s(pieces * count), repeat(grid + 1))
+    rows = (tuple(islice(values, pieces)) for _ in range(count))
     return _equal_cells(pieces, grid, rows, f"random_step({seed},{pieces},{grid},{count})")
 
 

@@ -25,7 +25,11 @@ grows only currently-shattered sets of candidate points depth first with
 the same step, stops at the counting bound floor(log2 |F|) (2**d distinct
 functions are needed to shatter d points), and carries down the search
 the live windows of the current set.  A set shattered at alpha has every
-subset shattered at the same alpha, so windows only drop out deeper down.
+subset shattered at the same alpha, so windows only drop out deeper down
+and groups only split.  Two more counting bounds cut a branch that cannot
+beat the best set: too few candidate points are left after it, or no live
+window has every group of at least 2**(|best| + 1 - |set|) functions, the
+parts a set one larger than the best would split each group into.
 The winning set's certificate comes from one call of `shatters`.
 `join` reads the same STEP value table, as bands per refinement cell
 (`funclass.cell_bands`), and makes each cell with
@@ -288,7 +292,11 @@ def gap_dim(F: FunctionClass, gamma: RationalLike, cap: int = 20) -> DimResult:
     number.  The search extends sets depth first in ascending point order
     and keeps the first set reaching a new size, so the result is the
     lexicographically least shattered set of the largest size.  Each node
-    holds the live windows of its set, and `_grow` gives a child's.
+    holds the live windows of its set, and `_grow` gives a child's.  A
+    branch is cut when its set, with every point after it, is no larger
+    than the best set, and a set is not extended when no window has every
+    group of at least 2**(|best| + 1 - |set|) functions.  Neither cut drops
+    a set larger than the best, so the answer is the unpruned search's.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -303,7 +311,8 @@ def gap_dim(F: FunctionClass, gamma: RationalLike, cap: int = 20) -> DimResult:
     def extend(prefix: List[int], state: Windows) -> None:
         nonlocal best_set
         for nxt in range(prefix[-1] + 1 if prefix else 0, n):
-            if len(best_set) >= limit:
+            # prefix with every point from nxt on is no larger than best
+            if len(best_set) >= limit or len(prefix) + (n - nxt) <= len(best_set):
                 return
             grown = _grow(state, sides[nxt])
             if not grown:
@@ -311,7 +320,12 @@ def gap_dim(F: FunctionClass, gamma: RationalLike, cap: int = 20) -> DimResult:
             cand = prefix + [nxt]
             if len(cand) > len(best_set):
                 best_set = cand
-            if len(cand) < limit:
+            # a set of |best| + 1 points splits every group of cand into
+            # 2**(|best| + 1 - |cand|) non-empty parts in one window
+            t = 1 << (len(best_set) - len(cand) + 1)
+            if len(cand) < limit and any(
+                all(g.bit_count() >= t for g in groups) for _, groups in grown
+            ):
                 extend(cand, grown)
 
     extend([], [(w, [(1 << len(F)) - 1]) for w in range(len(levels) - 1)])

@@ -106,6 +106,25 @@ MUTANTS = [
         "len(cand) > len(best_set)", "len(cand) >= len(best_set)",
     ),
     Mutant(
+        "gap_dim: a branch with exactly one point too few left is searched anyway",
+        "shatter.py", "gap_dim",
+        "len(prefix) + (n - nxt) <= len(best_set)", "len(prefix) + (n - nxt) < len(best_set)",
+    ),
+    Mutant(
+        "gap_dim: a branch with just enough points left is cut", "shatter.py", "gap_dim",
+        "len(prefix) + (n - nxt) <= len(best_set)",
+        "len(prefix) + (n - nxt) <= len(best_set) + 1", (*TESTS, "tests/test_acceptance.py"),
+    ),
+    Mutant(
+        "gap_dim: groups of half the size needed still searched", "shatter.py", "gap_dim",
+        "len(best_set) - len(cand) + 1", "len(best_set) - len(cand)",
+    ),
+    Mutant(
+        "gap_dim: groups need twice the functions a larger set needs", "shatter.py", "gap_dim",
+        "len(best_set) - len(cand) + 1", "len(best_set) - len(cand) + 2",
+        (*TESTS, "tests/test_acceptance.py"),
+    ),
+    Mutant(
         "join: segment k taken for signature entry 1 and segment k2 for 0", "shatter.py",
         "join", "{k: 0, k2: 1}", "{k: 1, k2: 0}",
     ),
@@ -159,6 +178,10 @@ MUTANTS = [
     Mutant(
         "_tabular_row: a row of the wrong length let through", "funclass.py", "_tabular_row",
         "len(points) != len(vals) or not points", "not points", FUNCLASS_TESTS,
+    ),
+    Mutant(
+        "Domain: a repeated point taken as sorted", "funclass.py", "Domain.__new__", "lt",
+        "lambda a, b: a <= b", FUNCLASS_TESTS,
     ),
     Mutant(
         "values_at: a point between two domain points read at the next one", "funclass.py",
@@ -323,6 +346,10 @@ MUTANTS = [
     Mutant(
         "IntervalUnion: the denominator 0 accepted", "exactset.py", "__init__",
         "D < 1", "D < 0", EXACTSET_TESTS,
+    ),
+    Mutant(
+        "_ints: a list read from its longest matching prefix", "cli.py", "_ints",
+        "_INTEGER_LIST.fullmatch(text)", "_INTEGER_LIST.match(text)", CLI_TESTS,
     ),
     Mutant(
         "parse_integer: a prefix of digits accepted", "exactset.py", "parse_integer",

@@ -346,7 +346,9 @@ class TestValidation:
             FunctionClass([ramp8, tab])
 
     @pytest.mark.parametrize(
-        "points", [[F(1, 2), F(1, 4)], [F(1, 4), F(1, 4)], [0, F(1, 2), F(1, 2), F(3, 4)]]
+        "points",
+        [[F(1, 2), F(1, 4)], [F(1, 4), F(1, 4)], [0, F(1, 2), F(1, 2), F(3, 4)],
+         [F(1, 3), F(2, 7)]],
     )
     def test_tabular_points_sorted_and_distinct(self, points):
         with pytest.raises(ValueError, match="sorted and distinct"):
@@ -565,7 +567,9 @@ class TestSharedDomain:
         assert list(loaded) == list(FC)
 
     @pytest.mark.parametrize(
-        "points", [[F(-1, 4)], [F(1)], [F(1, 2), F(3, 2)], [0, F(1, 2), F(9, 8)]]
+        "points",
+        # the last is also out of order: the range is reported first
+        [[F(-1, 4)], [F(1)], [F(1, 2), F(3, 2)], [0, F(1, 2), F(9, 8)], [F(3, 4), F(-1, 4)]],
     )
     def test_tabular_points_in_unit_interval(self, points):
         with pytest.raises(ValueError, match=r"tabular points must lie in \[0, 1\)"):

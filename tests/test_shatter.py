@@ -254,6 +254,54 @@ class TestGapDim:
         assert res.dimension <= len(FC).bit_length() - 1
 
 
+class TestSearchBounds:
+    """The search stops a branch once it has too few points left, or once no
+    window's groups are large enough to split into a set larger than the
+    best; the answers are the ones the unpruned search gave."""
+
+    @pytest.mark.parametrize(
+        "spec,gamma,calls",
+        [
+            # unpruned: 58044, 530 and 33 calls
+            ("random_step(1,24,16,128)", F(1, 16), 4400),
+            ("random_step(599186,12,8,32)", F(1, 8), 136),
+            ("random_step(373247,6,8,8)", F(1, 8), 10),
+        ],
+    )
+    def test_grow_calls(self, monkeypatch, spec, gamma, calls):
+        # the count includes the winner's shatters call
+        made = []
+        grow = shatter._grow
+        monkeypatch.setattr(
+            shatter, "_grow", lambda state, side: made.append(1) or grow(state, side)
+        )
+        gap_dim(generate(spec), gamma)
+        assert len(made) == calls
+
+    @pytest.mark.parametrize(
+        "spec,points,alpha,selector",
+        [
+            ("random_step(1,24,16,128)", ["1/48", "1/16", "5/48", "11/48", "7/16"], "15/32",
+             [92, 0, 118, 30, 15, 36, 61, 25, 41, 7, 104, 70, 26, 18, 32, 116,
+              112, 35, 46, 50, 69, 89, 21, 10, 66, 16, 22, 20, 97, 4, 29, 24]),
+            ("random_step(2,32,16,256)", ["1/64", "9/64", "11/64", "41/64", "51/64", "55/64"],
+             "17/32",
+             [11, 58, 93, 140, 219, 139, 103, 31, 15, 245, 25, 34, 71, 60, 157, 16,
+              75, 153, 186, 234, 4, 231, 124, 195, 35, 29, 28, 69, 148, 114, 149, 188,
+              59, 80, 68, 62, 10, 81, 1, 246, 94, 127, 91, 211, 43, 109, 13, 247,
+              158, 120, 168, 74, 26, 39, 208, 113, 6, 5, 3, 42, 12, 190, 253, 178]),
+        ],
+    )
+    def test_heavy_certificates(self, spec, points, alpha, selector):
+        # as the unpruned search wrote them
+        res = gap_dim(generate(spec), F(1, 16))
+        assert res.exact and res.dimension == len(points)
+        assert res.certificate.to_json() == {
+            "points": points, "alpha": alpha,
+            "selector": {str(m): i for m, i in enumerate(selector)},
+        }
+
+
 def segment_pairs(FC, gamma, k, k2):
     """Per function its (segment k, segment k2), from the Fraction oracle:
     the families oracle_join takes."""
