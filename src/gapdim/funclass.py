@@ -35,14 +35,17 @@ For a resolution ``gamma`` the value range splits into K bands
 where ``K = floor(1/gamma) + 1`` unless ``1/gamma`` is an integer, in which
 case ``K = 1/gamma``.  The preimage of band k is the k-th segment of a
 function; two segments are non-adjacent when their band indices differ by
-at least 2.  One table puts values in bands: :func:`cell_bands` bands the
-class table, per function and cell (a STEP refinement cell or a TABULAR
-domain point), with gamma = a/b putting v/V in band
-min(v b // (V a) + 1, K), on integers.  A segment of F[i] is the cells of
-row i in one band, made into a set by :func:`segment_of_cells` (one
-IntervalUnion over the cells for STEP, the domain points for TABULAR);
+at least 2.  One rule puts values in bands: :func:`_value_bands` bands
+each distinct value of the class table, gamma = a/b putting v/V in band
+min(v b // (V a) + 1, K), on integers.  Two tables read it, per function
+and cell (a STEP refinement cell or a TABULAR domain point):
+:func:`cell_bands`, the band of each cell, and :func:`band_masks`, the
+cell mask of each non-empty band, bit j for cell j, built without a
+per-cell loop when V < 256.  A segment of F[i] is the mask of one band of
+row i, made into a set by :func:`segment_of_mask` (one IntervalUnion with
+an interval per run of cells for STEP, the domain points for TABULAR);
 segments, the segment join and the intersection-tree builder and verifier
-all read that one table.
+all read the mask table.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, islice, repeat
 from operator import lt, mod, mul
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exactset import (
     ONE,
@@ -257,10 +260,11 @@ class FunctionClass:
     merges their rows into it at construction (:func:`_merge`); a generated
     or loaded class is built from its table (:meth:`of_table`), and its
     functions from the rows when first read.  The band table of
-    :func:`cell_bands` is kept for the last gamma asked.
+    :func:`cell_bands` and the mask table of :func:`band_masks` are each
+    kept for the last gamma asked.
     """
 
-    __slots__ = ("name", "kind", "_domain", "_functions", "_table", "_bands")
+    __slots__ = ("name", "kind", "_domain", "_functions", "_table", "_bands", "_masks")
 
     def __init__(self, functions: Sequence[Function], name: str = ""):
         fns = tuple(functions)
@@ -275,7 +279,7 @@ class FunctionClass:
                 raise ValueError("tabular functions must share domain points")
         self.name, self.kind, self._domain = name, kind, fns[0].points
         self._functions, self._table = fns, _merge(kind, [f._row for f in fns])
-        self._bands = None  # (gamma, table) of the last cell_bands call
+        self._bands = self._masks = None  # (gamma, table) of the last call of each
 
     @classmethod
     def of_table(
@@ -286,7 +290,7 @@ class FunctionClass:
         over ``domain``."""
         self = object.__new__(cls)
         self.name, self.kind, self._domain = name, STEP if domain is None else TABULAR, domain
-        self._functions, self._table, self._bands = None, table, None
+        self._functions, self._table, self._bands, self._masks = None, table, None, None
         return self
 
     @property
@@ -416,66 +420,115 @@ def non_adjacent(k: int, k2: int) -> bool:
     return abs(k - k2) >= 2
 
 
+def _value_bands(F: FunctionClass, gamma: Fraction) -> Dict[int, int]:
+    """The band of each distinct value v of the class table (:func:`value_rows`):
+    with gamma = a / b, v / V lies in band min(v b // (V a) + 1, K), on
+    integers, so the value 1 lies in band K.  The one code that puts a value
+    in a band."""
+    K = k_of_gamma(gamma)
+    V, rows = value_rows(F)
+    b, Va = gamma.denominator, V * gamma.numerator
+    return {v: min(v * b // Va + 1, K) for v in set().union(*rows)}
+
+
 def cell_bands(F: FunctionClass, gamma: RationalLike) -> Tuple[Tuple[int, ...], ...]:
     """The band table of a class: each function's band on each cell of its
     value table (:func:`value_rows`), a refinement cell of a STEP class or a
     domain point of a TABULAR one.
 
-    ``cell_bands(F, gamma)[fi][j]`` is the band of F[fi] on cell j.  With
-    gamma = a / b, the table value v / V lies in band min(v b // (V a) + 1, K),
-    on integers, so the value 1 lies in band K; each distinct value is banded
-    once.  The class keeps the table of the last gamma asked.
+    ``cell_bands(F, gamma)[fi][j]`` is the band of F[fi] on cell j, by
+    :func:`_value_bands`.  The class keeps the table of the last gamma asked.
     """
     gamma = as_fraction(gamma)
     if F._bands is None or F._bands[0] != gamma:
-        K = k_of_gamma(gamma)
-        V, rows = value_rows(F)
-        b, Va = gamma.denominator, V * gamma.numerator
-        band = {v: min(v * b // Va + 1, K) for v in set().union(*rows)}
-        F._bands = gamma, tuple(tuple(map(band.__getitem__, row)) for row in rows)
+        band = _value_bands(F, gamma)
+        F._bands = gamma, tuple(tuple(map(band.__getitem__, row)) for row in value_rows(F)[1])
     return F._bands[1]
 
 
-def segment_of_cells(
-    F: FunctionClass, cells: Iterable[int]
-) -> Union[IntervalUnion, Tuple[Fraction, ...]]:
-    """The set made of these cells of the class (see :func:`cell_bands`): for
-    STEP one IntervalUnion over the refinement cells, for TABULAR the tuple
-    of the domain points."""
+def band_masks(F: FunctionClass, gamma: RationalLike) -> Tuple[Dict[int, int], ...]:
+    """The mask table of a class: per function, ``{band: mask}`` over its
+    non-empty bands in band order, where bit j of a mask is cell j of the
+    value table (see :func:`cell_bands`).
+
+    Below V = 256 every table value fits a byte: a row is one byte string,
+    cell 0 last, and a band's mask is that string read in base 2 once each
+    value in the band is mapped to "1" and every other byte to "0".  From
+    256 up the masks are read from the band table cell by cell.  The class
+    keeps the table of the last gamma asked.
+    """
+    gamma = as_fraction(gamma)
+    if F._masks is None or F._masks[0] != gamma:
+        V, rows = value_rows(F)
+        masks = []
+        if V < 256:
+            band = _value_bands(F, gamma)
+            tables = {k: bytearray(b"0" * 256) for k in sorted(set(band.values()))}
+            for v, k in band.items():
+                tables[k][v] = ord("1")
+            for row in rows:
+                text = bytes(reversed(row))  # base 2 has no digit limit
+                masks.append({
+                    k: mask for k, table in tables.items()
+                    if (mask := int(text.translate(table), 2))
+                })
+        else:
+            for row in cell_bands(F, gamma):
+                seg = {}
+                for j, k in enumerate(row):
+                    seg[k] = seg.get(k, 0) | 1 << j
+                masks.append(dict(sorted(seg.items())))
+        F._masks = gamma, tuple(masks)
+    return F._masks[1]
+
+
+def segment_of_mask(F: FunctionClass, mask: int) -> Union[IntervalUnion, Tuple[Fraction, ...]]:
+    """The set made of the cells of a mask (see :func:`band_masks`): for
+    STEP one IntervalUnion with one interval per run of set bits, for
+    TABULAR the tuple of the domain points of the set bits."""
     if F.kind == STEP:
         C, cuts, _, _ = refinement(F)
-        return IntervalUnion(C, [(cuts[j], cuts[j + 1]) for j in cells])
-    points = F.domain_points
-    return tuple(points[j] for j in cells)
+        # the first and the last cell of each run of set bits
+        starts, ends = mask & ~(mask << 1), mask & ~(mask >> 1)
+        runs = []
+        while starts:
+            a, b = starts & -starts, ends & -ends
+            runs.append((cuts[a.bit_length() - 1], cuts[b.bit_length()]))
+            starts, ends = starts ^ a, ends ^ b
+        return IntervalUnion(C, runs)
+    points, found = F.domain_points, []
+    while mask:
+        a = mask & -mask
+        found.append(points[a.bit_length() - 1])
+        mask ^= a
+    return tuple(found)
 
 
-def _band_row(F: FunctionClass, i: int, gamma: RationalLike) -> Tuple[int, ...]:
+def _mask_row(F: FunctionClass, i: int, gamma: RationalLike) -> Dict[int, int]:
     if not 0 <= i < len(F):
         raise ValueError(f"function index {i} outside [0, {len(F)})")
-    return cell_bands(F, gamma)[i]
+    return band_masks(F, gamma)[i]
 
 
 def segment(
     F: FunctionClass, i: int, gamma: RationalLike, k: int
 ) -> Union[IntervalUnion, Tuple[Fraction, ...]]:
-    """Preimage of value band k under F[i], read from row i of the band table.
+    """Preimage of value band k under F[i], read from row i of the mask table.
 
     For STEP functions this is an IntervalUnion; for TABULAR functions it is
     the tuple of domain points whose value lies in the band.
     """
-    row = _band_row(F, i, gamma)
+    masks = _mask_row(F, i, gamma)
     K = k_of_gamma(gamma)
     if not 1 <= k <= K:
         raise SegmentIndexOutOfRange(f"band {k} outside [1, {K}]")
-    return segment_of_cells(F, [j for j, band in enumerate(row) if band == k])
+    return segment_of_mask(F, masks.get(k, 0))
 
 
 def segment_partition(F: FunctionClass, i: int, gamma: RationalLike) -> List:
     """All K segments of F[i], in band order; together they partition the domain."""
-    groups = [[] for _ in range(k_of_gamma(gamma))]
-    for j, band in enumerate(_band_row(F, i, gamma)):
-        groups[band - 1].append(j)
-    return [segment_of_cells(F, cells) for cells in groups]
+    masks = _mask_row(F, i, gamma)
+    return [segment_of_mask(F, masks.get(k, 0)) for k in range(1, k_of_gamma(gamma) + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,11 @@ beat the best set: too few candidate points are left after it, or no live
 window has every group of at least 2**(|best| + 1 - |set|) functions, the
 parts a set one larger than the best would split each group into.
 The winning set's certificate comes from one call of `shatters`.
-`join` reads the same STEP value table, as bands per refinement cell
-(`funclass.cell_bands`), and makes each cell with
-`funclass.segment_of_cells`; `join_shatter` turns a full join into a
-certificate at resolution gamma/2.
+`join` reads the same STEP value table, as one cell mask per function and
+band (`funclass.band_masks`): the cells where every function lies in band
+k or k2 are ORed into one mask per signature, which
+`funclass.segment_of_mask` makes a join cell; `join_shatter` turns a full
+join into a certificate at resolution gamma/2.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from .exactset import (
     json_object, parse_rational, read_json_object, write_json,
 )
 from .funclass import (
-    STEP, TABULAR, FunctionClass, InvalidResolution, SegmentIndexOutOfRange, cell_bands,
-    k_of_gamma, non_adjacent, refinement, segment_of_cells, value_rows, values_at,
+    STEP, TABULAR, FunctionClass, InvalidResolution, SegmentIndexOutOfRange, band_masks,
+    k_of_gamma, non_adjacent, refinement, segment_of_mask, value_rows, values_at,
 )
 
 INFINITE_CAP = "INFINITE_CAP"
@@ -362,12 +363,21 @@ def join(F: FunctionClass, gamma: RationalLike, k: int, k2: int) -> List[JoinCel
         raise ValueError(f"a join needs two different bands, got {k} twice")
     if F.kind != STEP:
         raise ValueError("join is defined for STEP classes")
-    side = {k: 0, k2: 1}
-    groups: Dict[Tuple[int, ...], List[int]] = {}
-    for j, bands in enumerate(zip(*cell_bands(F, gamma))):
-        if all(b in side for b in bands):
-            groups.setdefault(tuple(side[b] for b in bands), []).append(j)
-    return [JoinCell(segment_of_cells(F, groups[sig]), sig) for sig in sorted(groups)]
+    # the cells where every function lies in band k or k2, each grouped by
+    # its signature: bit j of a function's band-k2 mask is its entry on cell j
+    table = band_masks(F, gamma)
+    inside = (1 << len(value_rows(F)[1][0])) - 1
+    for masks in table:
+        inside &= masks.get(k, 0) | masks.get(k2, 0)
+    highs = [masks.get(k2, 0) for masks in table]
+    groups: Dict[Tuple[int, ...], int] = {}
+    while inside:
+        cell = inside & -inside
+        j = cell.bit_length() - 1
+        sig = tuple([m >> j & 1 for m in highs])
+        groups[sig] = groups.get(sig, 0) | cell
+        inside ^= cell
+    return [JoinCell(segment_of_mask(F, groups[sig]), sig) for sig in sorted(groups)]
 
 
 def join_shatter(

@@ -28,8 +28,8 @@ from .exactset import (
     read_json_object, write_json,
 )
 from .funclass import (
-    STEP, FunctionClass, SegmentIndexOutOfRange, cell_bands, k_of_gamma, non_adjacent, segment,
-    segment_partition,
+    STEP, FunctionClass, SegmentIndexOutOfRange, band_masks, k_of_gamma, non_adjacent, segment,
+    segment_partition, value_rows,
 )
 from .shatter import JoinCell, join
 
@@ -391,25 +391,17 @@ def intersection_tree_build(
         raise ValueError("tree depth must be >= 1")
     if F.kind != STEP:
         raise ValueError("intersection trees need a STEP class")
-    K = k_of_gamma(gamma)
     # Segments and path intersections are unions of refinement cells, held
     # as bitmasks over the cells; every cell has positive measure, so an
-    # intersection has positive measure iff its mask is non-zero.
-    bands = cell_bands(F, gamma)
-    masks = [[0] * (K + 1) for _ in bands]  # masks[fi][k]: cells of segment k
-    for seg, row in zip(masks, bands):
-        for j, k in enumerate(row):
-            seg[k] |= 1 << j
-    # Per function, its usable choices in pair order: the non-adjacent band
-    # pairs whose two segments are both non-empty, with those segments'
-    # masks.  No other pair can meet a path intersection, so a visit tries
-    # only these.
-    choices = []
-    for seg in masks:
-        present = [k for k in range(1, K + 1) if seg[k]]
-        choices.append(
-            [((k, k2), seg[k], seg[k2]) for k in present for k2 in present if k2 > k + 1]
-        )
+    # intersection has positive measure iff its mask is non-zero.  Per
+    # function, its usable choices in pair order: the non-adjacent band
+    # pairs whose two segments are both non-empty (its row of the mask
+    # table holds just those bands, in order), with those segments' masks.
+    # No other pair can meet a path intersection, so a visit tries only these.
+    choices = [
+        [((k, k2), seg[k], seg[k2]) for k in seg for k2 in seg if k2 > k + 1]
+        for seg in band_masks(F, gamma)
+    ]
 
     stack: List[Tuple[int, List[Label]]] = []  # per level: (function, labels)
     visits = 0
@@ -438,7 +430,7 @@ def intersection_tree_build(
                 stack.pop()
         return False
 
-    if not attempt([(1 << len(bands[0])) - 1]):
+    if not attempt([(1 << len(value_rows(F)[1][0])) - 1]):
         return None
     labels: Dict[int, Label] = {}
     sets: Dict[int, IntervalUnion] = {}

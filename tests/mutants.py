@@ -126,7 +126,7 @@ MUTANTS = [
     ),
     Mutant(
         "join: segment k taken for signature entry 1 and segment k2 for 0", "shatter.py",
-        "join", "{k: 0, k2: 1}", "{k: 1, k2: 0}",
+        "join", "[masks.get(k2, 0) for masks in table]", "[masks.get(k, 0) for masks in table]",
     ),
     Mutant(
         "values_at: a point read one cell to the right", "funclass.py", "values_at",
@@ -142,12 +142,29 @@ MUTANTS = [
         "x.numerator * C // x.denominator", "-(-x.numerator * C // x.denominator)",
     ),
     Mutant(
-        "cell_bands: the value 1 put in band K + 1", "funclass.py", "cell_bands",
+        "_value_bands: the value 1 put in band K + 1", "funclass.py", "_value_bands",
         "min(v * b // Va + 1, K)", "v * b // Va + 1",
     ),
     Mutant(
-        "cell_bands: every band moved one lower", "funclass.py", "cell_bands",
+        "_value_bands: every band moved one lower", "funclass.py", "_value_bands",
         "v * b // Va + 1", "v * b // Va",
+    ),
+    Mutant(
+        "band_masks: every cell's mask bit moved one up", "funclass.py", "band_masks",
+        "int(text.translate(table), 2)", "int(text.translate(table), 2) << 1",
+        (*FUNCLASS_TESTS, *TREELAB_TESTS),
+    ),
+    Mutant(
+        "band_masks: a row read with cell 0 first", "funclass.py", "band_masks",
+        "reversed(row)", "row", (*FUNCLASS_TESTS, *TREELAB_TESTS),
+    ),
+    Mutant(
+        "band_masks: a table of V = 256 read as bytes", "funclass.py", "band_masks",
+        "V < 256", "V <= 256", FUNCLASS_TESTS,
+    ),
+    Mutant(
+        "band_masks: from V = 256 up, a band's mask keeps only its last cell", "funclass.py",
+        "band_masks", "seg.get(k, 0) | 1 << j", "1 << j", FUNCLASS_TESTS,
     ),
     Mutant(
         "_merge: a cell valued by the piece left of it", "funclass.py", "_merge",
@@ -193,9 +210,14 @@ MUTANTS = [
         (*TESTS, "tests/test_acceptance.py"),
     ),
     Mutant(
-        "segment_of_cells: the first refinement cell left out of every STEP segment",
-        "funclass.py", "segment_of_cells", "[(cuts[j], cuts[j + 1]) for j in cells]",
-        "[(cuts[j], cuts[j + 1]) for j in cells if j]", (*FUNCLASS_TESTS, "tests/test_shatter.py"),
+        "segment_of_mask: the first refinement cell left out of every STEP segment",
+        "funclass.py", "segment_of_mask", "cuts[a.bit_length() - 1]",
+        "cuts[max(a.bit_length() - 1, 1)]", (*FUNCLASS_TESTS, "tests/test_shatter.py"),
+    ),
+    Mutant(
+        "segment_of_mask: the end of each run read one cut too low", "funclass.py",
+        "segment_of_mask", "cuts[b.bit_length()]", "cuts[b.bit_length() - 1]",
+        (*FUNCLASS_TESTS, "tests/test_shatter.py"),
     ),
     Mutant(
         "FunctionClass.subclass: the rows taken in index order", "funclass.py",
@@ -372,10 +394,6 @@ MUTANTS = [
         "dumps: a flat container's inner and outer indents swapped", "exactset.py", "_spread",
         "f'{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}'",
         "f'{text[0]}{outer}{text[1:-1]}{inner}{text[-1]}'", EXACTSET_TESTS + CLI_TESTS,
-    ),
-    Mutant(
-        "intersection_tree_build: every cell's mask bit moved one up", "treelab.py",
-        "intersection_tree_build", "1 << j", "1 << (j + 1)", TREELAB_TESTS,
     ),
     Mutant(
         "intersection_tree_build: the node no choice meets not counted as a visit",

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gapdim import (
-    Function, exactset, full_join_family, gap_dim, intersection_tree_build,
+    Function, exactset, full_join_family, funclass, gap_dim, intersection_tree_build,
     intersection_tree_verify, join, join_shatter, k_of_gamma, maximal_join_from_tree,
-    ptree_witness, random_step, rotation_counterexample, shatters, thresholds,
-    trajectory_indicators,
+    ptree_witness, random_step, rotation_counterexample, shatter, shatters, thresholds,
+    trajectory_indicators, treelab,
 )
 from gapdim.ergoproc import Emission, IIDUniformSpec, MarkovSpec, RotationSpec, bound_check
 from gapdim.exactset import (
@@ -291,6 +291,31 @@ def test_oracle_does_its_own_set_algebra(monkeypatch, case):
 
     for name in ("intersect", "union_all", "full"):
         monkeypatch.setattr(IntervalUnion, name, refuse)
+    assert run() == want
+
+
+BAND_CASES = [
+    (name, case) for name, case in ORACLE_CASES
+    if name in ("oracle_segment_partition", "oracle_intersection_tree_build",
+                "oracle_intersection_tree_verify")
+]
+
+
+@pytest.mark.parametrize("case", [case for _, case in BAND_CASES],
+                         ids=[name for name, _ in BAND_CASES])
+def test_oracle_bands_its_own_values(monkeypatch, case):
+    """A segment or tree oracle's answer holds with the library's band and
+    mask tables switched off: its inputs and the library's answer are
+    built first."""
+    run, want = case()
+
+    def refuse(*args):
+        raise AssertionError("an oracle called the library's band tables")
+
+    for module in (funclass, shatter, treelab):
+        for name in ("_value_bands", "cell_bands", "band_masks", "segment_of_mask"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     assert run() == want
 
 

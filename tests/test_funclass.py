@@ -23,15 +23,18 @@ from gapdim import (
 )
 from gapdim import ergoproc, funclass
 from gapdim.funclass import (
+    STEP,
     InvalidResolution,
     Partition,
     SegmentIndexOutOfRange,
+    band_masks,
     cell_bands,
     class_from_json,
     class_to_json,
     load_class,
     refinement,
     save_class,
+    segment_of_mask,
     trajectory_indicators,
     value_rows,
     values_at,
@@ -48,6 +51,7 @@ from oracles import (
     oracle_full_join_family,
     oracle_indicator,
     oracle_interval_indicators,
+    oracle_join,
     oracle_on_cells,
     oracle_random_step,
     oracle_refinement,
@@ -847,6 +851,93 @@ class TestClassSegments:
                 k = 1 + i % len(want)
                 assert segment(FC, i, gamma, k) == want[k - 1]
             assert cell_bands(FC, gamma) is cell_bands(FC, gamma)
+
+
+def masks_by_cell(FC, gamma):
+    """The mask table by its definition: bit j of row fi's band-k mask is
+    set when cell j of F[fi] lies in band k, read off the band table."""
+    table = []
+    for row in cell_bands(FC, gamma):
+        masks = {}
+        for j, k in enumerate(row):
+            masks[k] = masks.get(k, 0) + (1 << j)
+        table.append(dict(sorted(masks.items())))
+    return tuple(table)
+
+
+# classes of V below 256 (one byte a value) and of V from 256 up
+NARROW = [random_step(s, 32, 8, 12) for s in range(4)] + [full_join_family(3, 1, 3, F(1, 5))]
+WIDE = [random_step(3, 32, 300, 12), random_step(0, 32, 256, 12), random_step(7, 5, 999, 4)]
+WIDE_TABULAR = FunctionClass([
+    Function.tabular([F(i, 11) for i in range(11)], [F((i * j) % 301, 300) for i in range(11)])
+    for j in range(5)
+], "wide tab")
+
+
+class TestBandMasks:
+    """band_masks holds, per function and non-empty band, the mask of the
+    cells in that band; segments made from it equal the Fraction oracle's."""
+
+    GAMMAS = [F(1, 4), F(1, 5), F(2, 7), F(1, 8), F(1)]
+
+    @pytest.mark.parametrize(
+        "FC", NARROW + WIDE + TABULAR_CLASSES + [WIDE_TABULAR, coarse_pieces_class()], ids=repr
+    )
+    def test_masks_are_the_band_table_by_cell(self, FC):
+        for gamma in self.GAMMAS:
+            table = band_masks(FC, gamma)
+            assert table == masks_by_cell(FC, gamma)
+            assert all(list(masks) == sorted(masks) and all(masks.values()) for masks in table)
+            assert band_masks(FC, gamma) is table
+
+    def test_both_branches_are_taken(self):
+        assert all(value_rows(FC)[0] < 256 for FC in NARROW)
+        assert all(value_rows(FC)[0] >= 256 for FC in [*WIDE, WIDE_TABULAR])
+        # V = 256 exactly, with the value 1 in the table
+        V, rows = value_rows(WIDE[1])
+        assert V == 256 and 256 in set().union(*rows)
+
+    def test_a_mask_of_five_thousand_cells(self):
+        """int(text, 2) has no digit limit, unlike base 10 past 4300 digits."""
+        n, gamma = 5000, F(1, 4)
+        FC = thresholds(n)
+        full = (1 << n) - 1
+        for fi, masks in enumerate(band_masks(FC, gamma)):
+            low = (1 << (fi + 1)) - 1  # F[fi] is 0 on cells 0 .. fi
+            assert masks == ({1: low, 4: full ^ low} if fi < n - 1 else {1: full})
+        assert segment(FC, 2499, gamma, 4) == union_of([(F(1, 2), 1)])
+
+    @pytest.mark.parametrize("FC", WIDE + [WIDE_TABULAR], ids=repr)
+    def test_wide_segments_and_joins_match_the_oracles(self, FC):
+        for gamma in self.GAMMAS:
+            K = k_of_gamma(gamma)
+            for i, f in enumerate(FC):
+                want = oracle_segment_partition(f, gamma)
+                assert segment_partition(FC, i, gamma) == want
+                assert [segment(FC, i, gamma, k) for k in range(1, K + 1)] == want
+            if FC.kind != STEP:
+                continue
+            for k in range(1, K + 1):
+                for k2 in range(k + 1, K + 1):
+                    families = [(segs[k - 1], segs[k2 - 1]) for segs in
+                                (oracle_segment_partition(f, gamma) for f in FC)]
+                    got = [(c.cell.to_text(), c.signature) for c in join(FC, gamma, k, k2)]
+                    assert got == oracle_join(families)
+
+    @pytest.mark.parametrize("FC", NARROW[:2] + WIDE[:1] + TABULAR_CLASSES[-1:], ids=repr)
+    def test_segment_of_mask_makes_every_set_of_cells(self, FC):
+        """Any mask, not only a band's: each run of cells is one interval of
+        the refinement, and a TABULAR mask picks its domain points."""
+        rng = SplitMix64(len(FC))
+        n = len(value_rows(FC)[1][0])
+        for mask in [0, 1, 1 << (n - 1), (1 << n) - 1] + [randbelow(rng, 1 << n) for _ in range(40)]:
+            cells = [j for j in range(n) if mask >> j & 1]
+            if FC.kind == STEP:
+                C, cuts, _, _ = refinement(FC)
+                want = union_of(OracleIntervalUnion([(F(cuts[j], C), F(cuts[j + 1], C)) for j in cells]))
+            else:
+                want = tuple(FC.domain_points[j] for j in cells)
+            assert segment_of_mask(FC, mask) == want
 
 
 # every generated step class beside the same class built function by function

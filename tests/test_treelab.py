@@ -13,6 +13,7 @@ from gapdim import (
     IntervalUnion,
     full_join_family,
     gap_dim,
+    generate,
     intersection_tree_build,
     intersection_tree_verify,
     join_shatter,
@@ -24,7 +25,7 @@ from gapdim import (
     uniform_subtree,
     verify_certificate,
 )
-from gapdim import treelab
+from gapdim import funclass, treelab
 from gapdim.funclass import SegmentIndexOutOfRange, k_of_gamma, segment_partition
 from gapdim.rng import SplitMix64
 from gapdim.treelab import (
@@ -395,6 +396,34 @@ class TestBuilderMatchesOracle:
                 assert self.answer(got) == self.answer(want), case
                 boundaries += 1
         assert boundaries >= 3
+
+
+    @pytest.mark.parametrize("spec", ["random_step(3,32,8,12)", "random_step(3,32,300,12)"])
+    def test_both_mask_branches(self, spec):
+        """Classes of V below 256 and of V from 256 up, whose masks are
+        built two ways: the same trees as the oracle, and each verifies."""
+        FC, gamma = generate(spec), F(1, 4)
+        found = []
+        for depth in (1, 2, 3, 4):
+            built = intersection_tree_build(FC, gamma, depth)
+            want = oracle_intersection_tree_build(FC, gamma, depth, 1_000_000)
+            assert self.answer(built) == self.answer(want), (spec, depth)
+            if built is not None:
+                assert intersection_tree_verify(built.tree, FC, gamma, built.functions)
+            found.append(built is not None)
+        assert found == [True, True, True, False]
+
+    def test_a_narrow_table_builds_without_the_band_table(self, monkeypatch):
+        """Below V = 256 the masks come from the value rows, not cell by cell."""
+        FC, gamma = random_step(123, 64, 1, 24), F(1, 5)
+        want = self.answer(intersection_tree_build(random_step(123, 64, 1, 24), gamma, 3))
+
+        def refuse(*args):
+            raise AssertionError("the band table was read")
+
+        monkeypatch.setattr(funclass, "cell_bands", refuse)
+        assert want is not None
+        assert self.answer(intersection_tree_build(FC, gamma, 3)) == want
 
 
 class TestMaximalJoin:
